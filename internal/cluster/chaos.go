@@ -70,20 +70,19 @@ func (h *Chaos) TraceString() string {
 
 // snapshot captures the failure-detector and replication state in one line:
 // master validity, promotion, valid-slave count, failover/restore counters,
-// roles (M=master role, s=slave role, x=crashed), and offsets. Multi-master
-// deployments render one such block per group (g0{...} g1{...}) plus the
-// slot map's epoch and current owner addresses; the single-master format is
-// unchanged (chaos traces are a determinism oracle across refactors).
+// roles (M=master role, s=slave role, x=crashed), and offsets — one such
+// block per group (g0{...} g1{...}), plus the slot map's epoch and current
+// owner addresses on a hash-slot cluster.
 func (h *Chaos) snapshot() string {
 	c := h.C
-	if len(c.Groups) > 0 {
-		var b strings.Builder
-		for gi, g := range c.Groups {
-			if gi > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "g%d{%s}", gi, groupSnapshot(g.Master, g.Slaves, g.SlaveAgents, g.NicKV))
+	var b strings.Builder
+	for gi, g := range c.Groups {
+		if gi > 0 {
+			b.WriteByte(' ')
 		}
+		fmt.Fprintf(&b, "g%d{%s}", gi, groupSnapshot(g))
+	}
+	if c.SlotMap != nil {
 		fmt.Fprintf(&b, " ep=%d owners=[", c.SlotMap.Epoch())
 		for gi := 0; gi < c.SlotMap.Groups(); gi++ {
 			if gi > 0 {
@@ -92,14 +91,13 @@ func (h *Chaos) snapshot() string {
 			b.WriteString(c.SlotMap.Addr(gi))
 		}
 		b.WriteByte(']')
-		return b.String()
 	}
-	return groupSnapshot(c.Master, c.Slaves, c.SlaveAgents, c.NicKV)
+	return b.String()
 }
 
-// groupSnapshot renders one replication group's state (the legacy whole-
-// cluster snapshot format).
-func groupSnapshot(master *server.Server, slaves []*server.Server, agents []*core.SlaveAgent, nickv *core.NicKV) string {
+// groupSnapshot renders one replication group's state.
+func groupSnapshot(g *Group) string {
+	master, slaves, agents, nickv := g.Master, g.Slaves, g.SlaveAgents, g.NicKV
 	var b strings.Builder
 	if nickv != nil {
 		fmt.Fprintf(&b, "mv=%t prom=%q vs=%d fo=%d rst=%d ",
@@ -213,19 +211,14 @@ func (c *Cluster) RestartMaster() {
 
 // CheckConvergence verifies the deployment settled back into the healthy
 // SKV steady state. It returns nil when every invariant holds, or an error
-// listing each violation. Multi-master deployments check every replication
-// group independently, prefixing violations with the group (g0: ...).
+// listing each violation. Every replication group is checked independently,
+// its violations prefixed with the group (g0: ...).
 func (c *Cluster) CheckConvergence() error {
 	var errs []string
-	if len(c.Groups) > 0 {
-		for gi, g := range c.Groups {
-			prefix := fmt.Sprintf("g%d: ", gi)
-			for _, e := range checkGroupConvergence(g.Master, g.Slaves, g.SlaveAgents, g.NicKV) {
-				errs = append(errs, prefix+e)
-			}
+	for gi, g := range c.Groups {
+		for _, e := range checkGroupConvergence(g) {
+			errs = append(errs, fmt.Sprintf("g%d: %s", gi, e))
 		}
-	} else {
-		errs = checkGroupConvergence(c.Master, c.Slaves, c.SlaveAgents, c.NicKV)
 	}
 	if len(errs) == 0 {
 		return nil
@@ -236,7 +229,8 @@ func (c *Cluster) CheckConvergence() error {
 // checkGroupConvergence verifies one replication group's §III-D invariants:
 // exactly one master, no leftover promotion, every alive slave valid,
 // synced, at the master's offset, and holding the master's keyspace.
-func checkGroupConvergence(master *server.Server, slaves []*server.Server, agents []*core.SlaveAgent, nickv *core.NicKV) []string {
+func checkGroupConvergence(g *Group) []string {
+	master, slaves, agents, nickv := g.Master, g.Slaves, g.SlaveAgents, g.NicKV
 	var errs []string
 	add := func(format string, a ...any) { errs = append(errs, fmt.Sprintf(format, a...)) }
 
@@ -306,8 +300,8 @@ type Scenario struct {
 	Slaves  int
 	Clients int
 	Seed    int64
-	// Masters/SlavesPerMaster build a multi-master deployment (see
-	// Config.Masters); zero values keep the legacy single-master topology.
+	// Masters/SlavesPerMaster build a hash-slot cluster (see
+	// ClusterOpts.Masters); zero values build a single group of Slaves.
 	Masters         int
 	SlavesPerMaster int
 	// Retry is the RC/TCP retransmission-timeout budget before a connection
@@ -330,8 +324,8 @@ type Scenario struct {
 	NicReads NicReadMode
 	// Tracking arms CLIENT TRACKING on the workload clients (Config.
 	// Tracking); GetRatio shapes the load (Config.GetRatio — tracking
-	// scenarios need reads to populate the caches). Zero values keep the
-	// legacy pure-SET untracked load bit-for-bit.
+	// scenarios need reads to populate the caches). Zero values are the
+	// pure-SET untracked load.
 	Tracking bool
 	GetRatio float64
 }

@@ -7,9 +7,10 @@
 //   - KindSKV: SKV — Host-KV + Nic-KV with replication and failure
 //     detection offloaded to the SmartNIC.
 //
-// A cluster is one master (with a SmartNIC for SKV), N slave machines, and
-// M closed-loop client machines, all on a 100Gb fabric, plus the measuring
-// equipment (latency histograms, throughput series).
+// A cluster is one or more replication groups — each a master (with a
+// SmartNIC for SKV) and its slave machines — and M closed-loop client
+// machines, all on a 100Gb fabric, plus the measuring equipment (latency
+// histograms, throughput series).
 package cluster
 
 import (
@@ -59,7 +60,9 @@ func (k Kind) String() string {
 
 // Config describes one deployment.
 type Config struct {
-	Kind    Kind
+	Kind Kind
+	// Slaves is the slave count of a single-group deployment (hash-slot
+	// clusters size their groups with Cluster.SlavesPerMaster).
 	Slaves  int
 	Clients int
 	// Params: nil uses model.Default().
@@ -79,7 +82,7 @@ type Config struct {
 	Pipeline int
 
 	// Cluster groups the horizontal-scale knobs (multi-master hash-slot
-	// deployments). The zero value builds the legacy single-master topology.
+	// deployments). The zero value builds one replication group.
 	Cluster ClusterOpts
 
 	// SKV-specific knobs. SKV.ServeReadsFromNIC is derived from NicReads by
@@ -92,7 +95,7 @@ type Config struct {
 	NicReads NicReadMode
 
 	// Consistency groups the write-acknowledgment knobs. The zero value is
-	// the legacy async fire-and-forget default.
+	// the async fire-and-forget default.
 	Consistency ConsistencyOpts
 
 	// Tracking enables CLIENT TRACKING on every workload client: clients
@@ -112,10 +115,10 @@ type ClusterOpts struct {
 	// Masters scales the deployment out into a hash-slot cluster of that
 	// many replication groups, each a full SKV unit (master host + SmartNIC
 	// + its own slaves) owning a contiguous share of the 16384 slots.
-	// 0 or 1 builds the legacy single-master deployment bit-for-bit.
+	// 0 or 1 builds a single group with no slot plane.
 	Masters int
-	// SlavesPerMaster is each group's slave count when Masters > 1 (the
-	// multi-master replacement for Slaves, which then must stay 0).
+	// SlavesPerMaster is each group's slave count when Masters > 1 (Slaves
+	// then must stay 0).
 	SlavesPerMaster int
 	// SlotRanges overrides the even slot split when Masters > 1; nil
 	// assigns slots.EvenSplit(Masters). Ranges must cover all 16384 slots
@@ -126,7 +129,7 @@ type ClusterOpts struct {
 // ConsistencyOpts groups Config's write-acknowledgment knobs.
 type ConsistencyOpts struct {
 	// Level is the deployment's default write acknowledgment level. Async —
-	// the zero value — is the legacy fire-and-forget default: the master
+	// the zero value — is the fire-and-forget default: the master
 	// replies as soon as the write executes. Quorum withholds each write's
 	// reply until Quorum slaves have replicated it; All waits for every
 	// attached slave. On SKV the NIC enforces the quorum (the host CPU never
@@ -175,8 +178,8 @@ var (
 	// ErrQuorumTooLarge: WriteQuorum asks for more slave acks than the
 	// topology has slaves — no write could ever be acknowledged.
 	ErrQuorumTooLarge = errors.New("write quorum exceeds the deployment's slave count")
-	// ErrQuorumNoSlaves: quorum/all consistency on a slave-less (legacy
-	// single-node) topology — there is nobody to ack.
+	// ErrQuorumNoSlaves: quorum/all consistency on a slave-less topology —
+	// there is nobody to ack.
 	ErrQuorumNoSlaves = errors.New("quorum/all write consistency requires at least one slave")
 	// ErrQuorumWithoutLevel: WriteQuorum set while the consistency level
 	// isn't quorum (async never parks; all derives its need from the
@@ -206,7 +209,7 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("cluster: Masters=%d requires Kind=KindSKV (got %s): only SKV groups carry the SmartNIC failover plane the slot map repairs through", cfg.Cluster.Masters, cfg.Kind)
 		}
 		if cfg.Slaves != 0 {
-			return fmt.Errorf("cluster: Masters=%d conflicts with the legacy Slaves field (got %d); size groups with SlavesPerMaster instead", cfg.Cluster.Masters, cfg.Slaves)
+			return fmt.Errorf("cluster: Masters=%d conflicts with the single-group Slaves field (got %d); size groups with SlavesPerMaster instead", cfg.Cluster.Masters, cfg.Slaves)
 		}
 		if cfg.Cluster.SlavesPerMaster < 1 {
 			return fmt.Errorf("cluster: Masters=%d requires SlavesPerMaster >= 1 (got %d): a group without slaves has no failover target", cfg.Cluster.Masters, cfg.Cluster.SlavesPerMaster)
@@ -221,7 +224,7 @@ func (cfg Config) Validate() error {
 		}
 	} else {
 		if cfg.Cluster.SlavesPerMaster != 0 {
-			return fmt.Errorf("cluster: SlavesPerMaster=%d is only meaningful with Masters>1; use Slaves for the single-master deployment", cfg.Cluster.SlavesPerMaster)
+			return fmt.Errorf("cluster: SlavesPerMaster=%d is only meaningful with Masters>1; use Slaves for a single group", cfg.Cluster.SlavesPerMaster)
 		}
 		if cfg.Cluster.SlotRanges != nil {
 			return fmt.Errorf("cluster: SlotRanges is only meaningful with Masters>1")
@@ -230,10 +233,7 @@ func (cfg Config) Validate() error {
 	if cfg.SKV.WriteConsistency != consistency.Async {
 		return fmt.Errorf("cluster: SKV.WriteConsistency is derived from Config.Consistency.Level; set the cluster-level field instead")
 	}
-	replicas := cfg.Slaves
-	if cfg.Cluster.Masters > 1 {
-		replicas = cfg.Cluster.SlavesPerMaster
-	}
+	replicas := cfg.slavesPerGroup()
 	if cfg.Consistency.Level != consistency.Async && replicas == 0 {
 		return fmt.Errorf("cluster: WriteConsistency=%s on a topology with no slaves: %w", cfg.Consistency.Level, ErrQuorumNoSlaves)
 	}
@@ -255,6 +255,14 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
+// slavesPerGroup resolves each replication group's slave count.
+func (cfg Config) slavesPerGroup() int {
+	if cfg.Cluster.Masters > 1 {
+		return cfg.Cluster.SlavesPerMaster
+	}
+	return cfg.Slaves
+}
+
 // zipfS resolves the configured skew exponent.
 func (cfg Config) zipfS() float64 {
 	if cfg.ZipfS != 0 {
@@ -263,9 +271,9 @@ func (cfg Config) zipfS() float64 {
 	return workload.DefaultZipfS
 }
 
-// Group is one replication group of a multi-master deployment: a complete
-// SKV unit (master host + SmartNIC offload + slaves) owning a share of the
-// hash-slot space.
+// Group is one replication group: a master host (with its SmartNIC offload
+// on SKV) and its slaves. In a hash-slot cluster each group owns a share of
+// the slot space; a single-group deployment owns all of it implicitly.
 type Group struct {
 	Index int
 
@@ -286,30 +294,31 @@ type Cluster struct {
 	Net    *fabric.Network
 	Params *model.Params
 
-	Master      *server.Server
-	Slaves      []*server.Server
-	SlaveAgents []*core.SlaveAgent // SKV only
-	HostKV      *core.HostKV       // SKV only
-	NicKV       *core.NicKV        // SKV only
-	// Clients is the workload: plain closed-loop clients on single-master
-	// deployments, slot-aware clients when Masters > 1 — both behind the
-	// one workload.KV interface.
-	Clients []workload.KV
-
-	MasterMachine *fabric.Machine
-	SlaveMachines []*fabric.Machine
-
-	// Multi-master state (Masters > 1). Groups holds every replication
-	// group; the legacy fields above then alias group 0 (Master, HostKV,
-	// NicKV, MasterMachine) or the concatenation across groups (Slaves,
-	// SlaveAgents, SlaveMachines), so group-agnostic helpers keep working.
-	// SlotMap is the deployment's authoritative hash-slot table, mutated by
-	// per-group failover.
+	// Groups holds every replication group (always at least one). SlotMap is
+	// the deployment's authoritative hash-slot table, mutated by per-group
+	// failover; nil unless Masters > 1.
 	Groups  []*Group
 	SlotMap *slots.Map
 
-	// epByName resolves slot-map addresses (endpoint names) for the
-	// slot-aware clients.
+	// Aliases into Groups for group-agnostic callers: group 0's master side
+	// (Master, HostKV, NicKV, MasterMachine) and the concatenation across
+	// groups (Slaves, SlaveAgents, SlaveMachines). HostKV, NicKV and
+	// SlaveAgents are SKV only.
+	Master        *server.Server
+	HostKV        *core.HostKV
+	NicKV         *core.NicKV
+	MasterMachine *fabric.Machine
+	Slaves        []*server.Server
+	SlaveAgents   []*core.SlaveAgent
+	SlaveMachines []*fabric.Machine
+
+	// Clients is the workload: plain closed-loop clients on a single group,
+	// slot-aware clients when Masters > 1 — both behind the one workload.KV
+	// interface.
+	Clients []workload.KV
+
+	// epByName resolves server addresses (endpoint names) for the clients
+	// and control processes.
 	epByName map[string]*fabric.Endpoint
 
 	clientsStarted bool
@@ -354,7 +363,7 @@ func Build(cfg Config) *Cluster {
 		serverWakeup = p.TCPWakeup
 	}
 
-	newServer := func(name string, m *fabric.Machine, seed int64, route *server.ClusterRouting) (*server.Server, transport.Stack) {
+	newServer := func(name string, m *fabric.Machine, seed int64, route *server.ClusterRouting) *server.Server {
 		coreRes := sim.NewCore(eng, name+"-core", p.HostCoreSpeed)
 		proc := sim.NewProc(eng, coreRes, serverWakeup)
 		stack := makeStack(m.Host, proc)
@@ -375,75 +384,135 @@ func Build(cfg Config) *Cluster {
 		if rs, okRDMA := stack.(*rconn.Stack); okRDMA {
 			rs.Device().SetMetrics(srv.Metrics())
 		}
-		return srv, stack
+		return srv
 	}
 
-	if cfg.Cluster.Masters > 1 {
-		c.buildMulti(newServer, makeStack)
-		return c
-	}
-
-	// Master (with SmartNIC when SKV). Host endpoints register in epByName
-	// so control processes (respPool users like the ack-loss ledger) can dial
-	// nodes by name on the legacy topology too.
-	c.epByName = make(map[string]*fabric.Endpoint)
-	c.MasterMachine = net.NewMachine("master", cfg.Kind == KindSKV)
-	c.epByName[c.MasterMachine.Host.Name()] = c.MasterMachine.Host
-	c.Master, _ = newServer("master", c.MasterMachine, cfg.Seed+100, nil)
-
-	if cfg.Kind == KindSKV {
-		c.NicKV = core.NewNicKV(eng, net, c.MasterMachine, p, cfg.SKV)
-		c.HostKV = core.AttachMaster(c.Master, net, c.MasterMachine.NIC, cfg.SKV)
-	}
-
-	// Slaves.
-	for i := 0; i < cfg.Slaves; i++ {
-		m := net.NewMachine(fmt.Sprintf("slave%d", i), false)
-		c.SlaveMachines = append(c.SlaveMachines, m)
-		c.epByName[m.Host.Name()] = m.Host
-		srv, _ := newServer(fmt.Sprintf("slave%d", i), m, cfg.Seed+200+int64(i), nil)
-		c.Slaves = append(c.Slaves, srv)
-		if cfg.Kind == KindSKV {
-			// SLAVEOF through the SmartNIC (§III-C). Delay one tick so the
-			// NIC listener exists before the first request.
-			agent := core.AttachSlave(srv, net, c.MasterMachine.NIC, cfg.SKV)
-			c.SlaveAgents = append(c.SlaveAgents, agent)
-		} else {
-			target := c.MasterMachine.Host
-			srvRef := srv
-			eng.At(0, func() { srvRef.SlaveOf(target, core.ClientPort) })
+	// A deployment is Masters replication groups (at least one). Cluster
+	// mode — the shared slot map every server routes against, slot-aware
+	// clients, g<i>.-prefixed node names and metric labels — is derived from
+	// Masters > 1; a single group is the same loop with plain names, no slot
+	// plane, and clients dialing the one master.
+	masters := max(cfg.Cluster.Masters, 1)
+	clustered := masters > 1
+	nodeName := func(gi int, role string) string {
+		if clustered {
+			return fmt.Sprintf("g%d.%s", gi, role)
 		}
+		return role
 	}
+	hasNIC := cfg.Kind == KindSKV
+
+	// Master machines first: the slot map's addresses are their host endpoint
+	// names, and every server is born already routing against it. Host
+	// endpoints register in epByName so clients and control processes dial
+	// nodes by name.
+	c.epByName = make(map[string]*fabric.Endpoint)
+	masterMachines := make([]*fabric.Machine, masters)
+	addrs := make([]string, masters)
+	for gi := range masterMachines {
+		m := net.NewMachine(nodeName(gi, "master"), hasNIC)
+		masterMachines[gi] = m
+		addrs[gi] = m.Host.Name()
+		c.epByName[m.Host.Name()] = m.Host
+	}
+	if clustered {
+		slotMap, err := slots.NewMap(masters, cfg.Cluster.SlotRanges, addrs)
+		if err != nil {
+			panic(fmt.Sprintf("cluster: slot map construction failed after validation: %v", err))
+		}
+		c.SlotMap = slotMap
+	}
+
+	// Group gi's seeds are offset by 1000*gi so groups draw independent but
+	// reproducible randomness.
+	for gi := 0; gi < masters; gi++ {
+		g := &Group{Index: gi, MasterMachine: masterMachines[gi]}
+		var route *server.ClusterRouting
+		skvCfg := cfg.SKV
+		if clustered {
+			route = &server.ClusterRouting{Self: gi, Map: c.SlotMap, Port: core.ClientPort}
+			skvCfg.Group = fmt.Sprintf("g%d", gi)
+		}
+		g.Master = newServer(nodeName(gi, "master"), g.MasterMachine, cfg.Seed+100+1000*int64(gi), route)
+		if hasNIC {
+			g.NicKV = core.NewNicKV(eng, net, g.MasterMachine, p, skvCfg)
+			g.HostKV = core.AttachMaster(g.Master, net, g.MasterMachine.NIC, skvCfg)
+		}
+
+		for i := 0; i < cfg.slavesPerGroup(); i++ {
+			sname := nodeName(gi, fmt.Sprintf("slave%d", i))
+			m := net.NewMachine(sname, false)
+			g.SlaveMachines = append(g.SlaveMachines, m)
+			c.epByName[m.Host.Name()] = m.Host
+			srv := newServer(sname, m, cfg.Seed+200+1000*int64(gi)+int64(i), route)
+			g.Slaves = append(g.Slaves, srv)
+			if hasNIC {
+				// SLAVEOF through the SmartNIC (§III-C).
+				g.SlaveAgents = append(g.SlaveAgents, core.AttachSlave(srv, net, g.MasterMachine.NIC, skvCfg))
+			} else {
+				target := g.MasterMachine.Host
+				eng.At(0, func() { srv.SlaveOf(target, core.ClientPort) })
+			}
+			if clustered {
+				// Per-slot failover: promotion moves the group's slots to this
+				// slave's address (epoch bump → clients repair on MOVED or
+				// reconnect); demotion on master recovery moves them back. This
+				// models the converged gossip state, not per-node propagation.
+				slotMap, slaveAddr, masterAddr := c.SlotMap, m.Host.Name(), g.MasterMachine.Host.Name()
+				srv.OnRoleChange = func(r server.Role) {
+					if r == server.RoleMaster {
+						slotMap.SetAddr(gi, slaveAddr)
+					} else {
+						slotMap.SetAddr(gi, masterAddr)
+					}
+				}
+			}
+		}
+		c.Groups = append(c.Groups, g)
+
+		// Group-agnostic helpers read the whole deployment's slaves through
+		// the concatenated aliases.
+		c.Slaves = append(c.Slaves, g.Slaves...)
+		c.SlaveAgents = append(c.SlaveAgents, g.SlaveAgents...)
+		c.SlaveMachines = append(c.SlaveMachines, g.SlaveMachines...)
+	}
+	g0 := c.Groups[0]
+	c.Master, c.HostKV, c.NicKV, c.MasterMachine = g0.Master, g0.HostKV, g0.NicKV, g0.MasterMachine
 
 	// Clients, one machine each (the load generator box is never the
-	// bottleneck, as with redis-benchmark on its own server). The dial
-	// target is fixed at build time: the master host, or the SmartNIC
-	// endpoint when the workload exercises NIC-served reads.
-	target := c.MasterMachine.Host
-	if cfg.NicReads == NicReadsClients {
-		target = c.MasterMachine.NIC
-		c.epByName[target.Name()] = target
-	}
+	// bottleneck, as with redis-benchmark on its own server). Naming and
+	// seeding do not depend on the group count: the load is a property of the
+	// deployment.
 	env := workload.Env{
 		Eng: eng, Params: p, MakeStack: makeStack, Wakeup: p.ClientWakeup,
 		Port: core.ClientPort, Resolve: c.resolveEP,
 	}
-	if cfg.Kind == KindSKV && cfg.Tracking && cfg.NicReads != NicReadsClients {
-		// Redirect mode: the server forwards tracked interest to its NIC
-		// and the NIC pushes invalidations out-of-band to the subscriber.
-		env.Invalidation = c.MasterMachine.NIC
-		env.InvalidationPort = core.NicPort
+	opts := workload.Options{Pipeline: cfg.Pipeline, Tracking: cfg.Tracking, CacheSize: cfg.CacheSize}
+	if clustered {
+		env.Table = c.SlotMap
+		opts.Slots = true
+	} else {
+		// The dial target is fixed at build time: the master host, or the
+		// SmartNIC endpoint when the workload exercises NIC-served reads.
+		target := c.MasterMachine.Host
+		if cfg.NicReads == NicReadsClients {
+			target = c.MasterMachine.NIC
+			c.epByName[target.Name()] = target
+		}
+		opts.Addrs = []string{target.Name()}
+		if hasNIC && cfg.Tracking && cfg.NicReads != NicReadsClients {
+			// Redirect mode: the server forwards tracked interest to its NIC
+			// and the NIC pushes invalidations out-of-band to the subscriber.
+			env.Invalidation = c.MasterMachine.NIC
+			env.InvalidationPort = core.NicPort
+		}
 	}
 	for i := 0; i < cfg.Clients; i++ {
 		m := net.NewMachine(fmt.Sprintf("client%d", i), false)
 		env := env
 		env.EP = m.Host
 		env.Gen = workload.NewGeneratorSkew(cfg.Seed+300+int64(i), cfg.KeySpace, cfg.ValueSize, 1.0-cfg.GetRatio, cfg.Zipf, cfg.zipfS())
-		cl := workload.New(fmt.Sprintf("client%d", i), env, workload.Options{
-			Addrs: []string{target.Name()}, Pipeline: cfg.Pipeline,
-			Tracking: cfg.Tracking, CacheSize: cfg.CacheSize,
-		})
-		c.Clients = append(c.Clients, cl)
+		c.Clients = append(c.Clients, workload.New(fmt.Sprintf("client%d", i), env, opts))
 	}
 	return c
 }
@@ -455,103 +524,6 @@ func (c *Cluster) resolveEP(addr string) *fabric.Endpoint {
 		panic(fmt.Sprintf("cluster: address %q resolves to no endpoint", addr))
 	}
 	return ep
-}
-
-// buildMulti assembles the hash-slot deployment: Masters replication
-// groups, one shared epoch-versioned slot map every server routes against,
-// and slot-aware clients. Group gi's machines are named g<gi>.master /
-// g<gi>.slave<i>; seeds are offset by 1000*gi so groups draw independent
-// but reproducible randomness. Client naming and seeding match the legacy
-// path (the load is a property of the deployment, not of the group count).
-func (c *Cluster) buildMulti(
-	newServer func(name string, m *fabric.Machine, seed int64, route *server.ClusterRouting) (*server.Server, transport.Stack),
-	makeStack func(*fabric.Endpoint, *sim.Proc) transport.Stack,
-) {
-	cfg := c.Cfg
-	p := c.Params
-	eng := c.Eng
-	net := c.Net
-	c.epByName = make(map[string]*fabric.Endpoint)
-
-	// Master machines first: the slot map's addresses are their host
-	// endpoint names, and every server is born already routing against it.
-	masterMachines := make([]*fabric.Machine, cfg.Cluster.Masters)
-	addrs := make([]string, cfg.Cluster.Masters)
-	for gi := range masterMachines {
-		m := net.NewMachine(fmt.Sprintf("g%d.master", gi), true)
-		masterMachines[gi] = m
-		addrs[gi] = m.Host.Name()
-		c.epByName[m.Host.Name()] = m.Host
-	}
-	slotMap, err := slots.NewMap(cfg.Cluster.Masters, cfg.Cluster.SlotRanges, addrs)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: slot map construction failed after validation: %v", err))
-	}
-	c.SlotMap = slotMap
-
-	for gi := 0; gi < cfg.Cluster.Masters; gi++ {
-		g := &Group{Index: gi, MasterMachine: masterMachines[gi]}
-		route := &server.ClusterRouting{Self: gi, Map: slotMap, Port: core.ClientPort}
-		skvCfg := cfg.SKV
-		skvCfg.Group = fmt.Sprintf("g%d", gi)
-
-		name := fmt.Sprintf("g%d.master", gi)
-		g.Master, _ = newServer(name, g.MasterMachine, cfg.Seed+100+1000*int64(gi), route)
-		g.NicKV = core.NewNicKV(eng, net, g.MasterMachine, p, skvCfg)
-		g.HostKV = core.AttachMaster(g.Master, net, g.MasterMachine.NIC, skvCfg)
-
-		for i := 0; i < cfg.Cluster.SlavesPerMaster; i++ {
-			sname := fmt.Sprintf("g%d.slave%d", gi, i)
-			m := net.NewMachine(sname, false)
-			g.SlaveMachines = append(g.SlaveMachines, m)
-			c.epByName[m.Host.Name()] = m.Host
-			srv, _ := newServer(sname, m, cfg.Seed+200+1000*int64(gi)+int64(i), route)
-			g.Slaves = append(g.Slaves, srv)
-			agent := core.AttachSlave(srv, net, g.MasterMachine.NIC, skvCfg)
-			g.SlaveAgents = append(g.SlaveAgents, agent)
-			// Per-slot failover: promotion moves the group's slots to this
-			// slave's address (epoch bump → clients repair on MOVED or
-			// reconnect); demotion on master recovery moves them back. This
-			// models the converged gossip state, not per-node propagation.
-			gidx := gi
-			slaveEP := m.Host
-			masterEP := g.MasterMachine.Host
-			srv.OnRoleChange = func(r server.Role) {
-				if r == server.RoleMaster {
-					slotMap.SetAddr(gidx, slaveEP.Name())
-				} else {
-					slotMap.SetAddr(gidx, masterEP.Name())
-				}
-			}
-		}
-		c.Groups = append(c.Groups, g)
-
-		// Legacy aliases (group 0 / concatenations) keep group-agnostic
-		// helpers like AwaitReplication working untouched.
-		if gi == 0 {
-			c.Master = g.Master
-			c.HostKV = g.HostKV
-			c.NicKV = g.NicKV
-			c.MasterMachine = g.MasterMachine
-		}
-		c.Slaves = append(c.Slaves, g.Slaves...)
-		c.SlaveAgents = append(c.SlaveAgents, g.SlaveAgents...)
-		c.SlaveMachines = append(c.SlaveMachines, g.SlaveMachines...)
-	}
-
-	for i := 0; i < cfg.Clients; i++ {
-		m := net.NewMachine(fmt.Sprintf("client%d", i), false)
-		gen := workload.NewGeneratorSkew(cfg.Seed+300+int64(i), cfg.KeySpace, cfg.ValueSize, 1.0-cfg.GetRatio, cfg.Zipf, cfg.zipfS())
-		cl := workload.New(fmt.Sprintf("client%d", i), workload.Env{
-			Eng: eng, Params: p, EP: m.Host, MakeStack: makeStack, Gen: gen,
-			Wakeup: p.ClientWakeup, Port: core.ClientPort,
-			Resolve: c.resolveEP, Table: slotMap,
-		}, workload.Options{
-			Slots: true, Pipeline: cfg.Pipeline,
-			Tracking: cfg.Tracking, CacheSize: cfg.CacheSize,
-		})
-		c.Clients = append(c.Clients, cl)
-	}
 }
 
 // AwaitReplication runs the simulation until every slave reaches the
@@ -617,7 +589,7 @@ type Result struct {
 	RouteUtils []float64
 	// NicUtil is Nic-KV's main ARM core busy fraction (SKV only).
 	NicUtil float64
-	// Masters is the replication-group count (1 for legacy deployments).
+	// Masters is the replication-group count.
 	Masters int
 	// GroupOps is the per-group operation count over the measure window
 	// (Masters > 1 only) — the slot-load balance across groups.
@@ -661,12 +633,7 @@ func (c *Cluster) Measure(warmup, duration sim.Duration) Result {
 	if c.NicKV != nil {
 		nicBusy = busyAt(c.NicKV.Proc().Core)
 	}
-	groupStart := make([]uint64, len(c.Groups))
-	for _, cl := range c.Clients {
-		for g, n := range cl.Stats().GroupDone {
-			groupStart[g] += n
-		}
-	}
+	groupStart := c.groupDone()
 	c.Eng.Run(end)
 	windowUtil := func(before sim.Duration, core *sim.Core) float64 {
 		u := float64(core.BusyTime()-before) / float64(duration)
@@ -684,16 +651,11 @@ func (c *Cluster) Measure(warmup, duration sim.Duration) Result {
 		errs += st.ErrReplies
 		moved += st.Moved
 	}
-	nClients := len(c.Clients)
-	masters := 1
-	if len(c.Groups) > 0 {
-		masters = len(c.Groups)
-	}
 	res := Result{
 		System:     c.Cfg.Kind.String(),
-		Clients:    nClients,
+		Clients:    len(c.Clients),
 		Slaves:     len(c.Slaves),
-		Masters:    masters,
+		Masters:    len(c.Groups),
 		Moved:      moved,
 		ValueSize:  c.Cfg.ValueSize,
 		Throughput: float64(agg.Count()) / duration.Seconds(),
@@ -713,18 +675,26 @@ func (c *Cluster) Measure(warmup, duration sim.Duration) Result {
 	if c.NicKV != nil {
 		res.NicUtil = windowUtil(nicBusy, c.NicKV.Proc().Core)
 	}
-	if len(c.Groups) > 0 {
-		res.GroupOps = make([]uint64, len(c.Groups))
-		for _, cl := range c.Clients {
-			for g, n := range cl.Stats().GroupDone {
-				res.GroupOps[g] += n
-			}
-		}
-		for g := range res.GroupOps {
-			res.GroupOps[g] -= groupStart[g]
-		}
+	res.GroupOps = c.groupDone()
+	for g := range res.GroupOps {
+		res.GroupOps[g] -= groupStart[g]
 	}
 	return res
+}
+
+// groupDone sums the slot-aware clients' completions per group; nil without
+// a slot plane (plain clients do not break their operations down).
+func (c *Cluster) groupDone() []uint64 {
+	if c.SlotMap == nil {
+		return nil
+	}
+	done := make([]uint64, len(c.Groups))
+	for _, cl := range c.Clients {
+		for g, n := range cl.Stats().GroupDone {
+			done[g] += n
+		}
+	}
+	return done
 }
 
 // Run advances the simulation to the given horizon (helper for scenario
@@ -732,8 +702,8 @@ func (c *Cluster) Measure(warmup, duration sim.Duration) Result {
 func (c *Cluster) Run(until sim.Time) { c.Eng.Run(until) }
 
 // Snapshots collects the metrics snapshot of every registry in the cluster
-// — the fabric, the master, each slave, and (SKV) the NIC — ordered by node
-// name so two identical runs render byte-identically.
+// — the fabric and, per group, the master, each slave, and (SKV) the NIC —
+// ordered by node name so two identical runs render byte-identically.
 func (c *Cluster) Snapshots() []metrics.Snapshot {
 	var snaps []metrics.Snapshot
 	if reg := c.Net.Metrics(); reg != nil {
@@ -748,23 +718,13 @@ func (c *Cluster) Snapshots() []metrics.Snapshot {
 			snaps = append(snaps, reg.Snapshot())
 		}
 	}
-	if len(c.Groups) > 0 {
-		for _, g := range c.Groups {
-			addServer(g.Master)
-			for _, s := range g.Slaves {
-				addServer(s)
-			}
-			if g.NicKV != nil {
-				snaps = append(snaps, g.NicKV.Metrics().Snapshot())
-			}
-		}
-	} else {
-		addServer(c.Master)
-		for _, s := range c.Slaves {
+	for _, g := range c.Groups {
+		addServer(g.Master)
+		for _, s := range g.Slaves {
 			addServer(s)
 		}
-		if c.NicKV != nil {
-			snaps = append(snaps, c.NicKV.Metrics().Snapshot())
+		if g.NicKV != nil {
+			snaps = append(snaps, g.NicKV.Metrics().Snapshot())
 		}
 	}
 	for i := 1; i < len(snaps); i++ {

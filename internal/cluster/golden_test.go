@@ -9,15 +9,19 @@ import (
 
 // updateGoldens regenerates the pinned chaos traces instead of comparing
 // against them. Only rerun it when a change is *supposed* to alter the
-// async-mode event schedule — the whole point of the pin is that refactors
-// of the ack/consistency machinery must not.
+// event schedule or the bytes on the replication stream; say in the change
+// which columns moved and why.
 var updateGoldens = flag.Bool("update-goldens", false, "rewrite testdata/chaos_trace_*.golden from the current build")
 
 // TestChaosGoldenTraces pins every canned chaos scenario's trace, byte for
-// byte, against goldens captured before the consistency-plane refactor
-// (PR 9). The scenarios all run at the default WriteConsistency (async), so
-// this is the contract that async mode stays bit-for-bit legacy: not just
-// deterministic run-to-run, but identical to the pre-refactor build.
+// byte: timestamps, failure-detector state, roles and replication offsets
+// at every scripted event. The scenarios run the default deployment (one
+// group, async, batch 1, unsharded), so a refactor of any plane they cross
+// must reproduce the same schedule, not merely a deterministic one. Last
+// re-baselined when the single-master builder and the one-command 'R'
+// offload frame were folded into the general paths: every line gained the
+// g0{...} group wrapper, and moff=/offs= shifted with the 8-byte command
+// count each offload request now carries; no other column moved.
 func TestChaosGoldenTraces(t *testing.T) {
 	for _, s := range ChaosScenarios() {
 		s := s
@@ -42,7 +46,7 @@ func TestChaosGoldenTraces(t *testing.T) {
 				t.Fatalf("missing golden (run go test -run TestChaosGoldenTraces -args -update-goldens): %v", err)
 			}
 			if got != string(want) {
-				t.Fatalf("trace diverged from pre-refactor golden %s:\n--- golden:\n%s--- got:\n%s", path, want, got)
+				t.Fatalf("trace diverged from golden %s:\n--- golden:\n%s--- got:\n%s", path, want, got)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,28 +12,28 @@ import (
 
 // TestMultiMasterValidate pins the Config surface: every invalid
 // combination of the multi-master knobs is rejected with a clear error,
-// and the valid shapes build.
+// and the valid shapes pass.
 func TestMultiMasterValidate(t *testing.T) {
 	cases := []struct {
 		name    string
 		cfg     Config
 		wantErr string // "" = valid
 	}{
-		{"legacy", Config{Kind: KindSKV, Slaves: 2}, ""},
-		{"masters-1-is-legacy", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 1}, Slaves: 2}, ""},
+		{"single-group", Config{Kind: KindSKV, Slaves: 2}, ""},
+		{"masters-1-is-single-group", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 1}, Slaves: 2}, ""},
 		{"multi-ok", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1}}, ""},
 		{"multi-custom-ranges", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1,
 			SlotRanges: []slots.Range{{Start: 0, End: 99, Group: 1}, {Start: 100, End: slots.NumSlots - 1, Group: 0}}}}, ""},
 		{"multi-zipf-skew", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1}, Zipf: true, ZipfS: 1.5}, ""},
 
 		{"multi-needs-skv", Config{Kind: KindRDMA, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1}}, "requires Kind=KindSKV"},
-		{"multi-rejects-legacy-slaves", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1}, Slaves: 3}, "conflicts with the legacy Slaves field"},
+		{"multi-rejects-slaves", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1}, Slaves: 3}, "conflicts with the single-group Slaves field"},
 		{"multi-needs-slaves", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2}}, "SlavesPerMaster >= 1"},
 		{"multi-rejects-nic-clients", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1}, NicReads: NicReadsClients}, "NicReads=clients is not supported"},
 		{"multi-bad-ranges", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1,
 			SlotRanges: []slots.Range{{Start: 0, End: 100, Group: 0}}}}, "bad SlotRanges"},
-		{"legacy-rejects-spm", Config{Kind: KindSKV, Slaves: 2, Cluster: ClusterOpts{SlavesPerMaster: 1}}, "only meaningful with Masters>1"},
-		{"legacy-rejects-ranges", Config{Kind: KindSKV, Slaves: 2,
+		{"single-rejects-spm", Config{Kind: KindSKV, Slaves: 2, Cluster: ClusterOpts{SlavesPerMaster: 1}}, "only meaningful with Masters>1"},
+		{"single-rejects-ranges", Config{Kind: KindSKV, Slaves: 2,
 			Cluster: ClusterOpts{SlotRanges: []slots.Range{{Start: 0, End: slots.NumSlots - 1, Group: 0}}}}, "only meaningful with Masters>1"},
 		{"zipfs-needs-zipf", Config{Kind: KindSKV, Slaves: 2, ZipfS: 1.5}, "requires Zipf=true"},
 		{"zipfs-must-exceed-one", Config{Kind: KindSKV, Slaves: 2, Zipf: true, ZipfS: 0.9}, "must be > 1"},
@@ -53,57 +54,34 @@ func TestMultiMasterValidate(t *testing.T) {
 	}
 }
 
-// TestMastersOneIdenticalToLegacy pins the refactor's off state: Masters=1
-// must build the exact legacy topology — byte-identical metric snapshots
-// and an identical keyspace under the same scripted workload.
-func TestMastersOneIdenticalToLegacy(t *testing.T) {
-	runOnce := func(masters int) (string, map[string]string) {
-		c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 0, Seed: 31,
+// TestSingleGroupIsDegenerateCluster: Masters 0 and 1 run the same group
+// loop as N > 1 and come out as one group with no slot plane, the plain
+// node names, and the group-agnostic aliases pointing into Groups[0].
+func TestSingleGroupIsDegenerateCluster(t *testing.T) {
+	for _, masters := range []int{0, 1} {
+		c := Build(Config{Kind: KindSKV, Slaves: 2, Seed: 31,
 			Cluster: ClusterOpts{Masters: masters}, SKV: core.DefaultConfig()})
-		if c.SlotMap != nil || len(c.Groups) != 0 {
-			t.Fatalf("masters=%d built multi-master state", masters)
+		if len(c.Groups) != 1 || c.SlotMap != nil {
+			t.Fatalf("masters=%d: %d groups, slot map %v; want 1 group and no slot plane", masters, len(c.Groups), c.SlotMap)
 		}
-		if !c.AwaitReplication(2 * sim.Second) {
-			t.Fatalf("masters=%d: sync failed", masters)
+		g := c.Groups[0]
+		if c.Master != g.Master || c.HostKV != g.HostKV || c.NicKV != g.NicKV || c.MasterMachine != g.MasterMachine {
+			t.Fatalf("masters=%d: master-side aliases do not point into Groups[0]", masters)
 		}
-		randomWriter(t, c, 77, 2000)
-		return c.SnapshotsString(), fingerprint(c.Master.Store())
-	}
-	snap0, fp0 := runOnce(0)
-	snap1, fp1 := runOnce(1)
-	if snap0 != snap1 {
-		t.Fatal("Masters=0 and Masters=1 rendered different metric snapshots — the legacy topology is not preserved")
-	}
-	if len(fp0) == 0 || len(fp0) != len(fp1) {
-		t.Fatalf("keyspace mismatch: %d vs %d keys", len(fp0), len(fp1))
-	}
-	for k, v := range fp0 {
-		if fp1[k] != v {
-			t.Fatalf("keyspace divergence at %s: %q vs %q", k, v, fp1[k])
+		if len(c.Slaves) != 2 || len(c.SlaveAgents) != 2 || len(c.SlaveMachines) != 2 {
+			t.Fatalf("masters=%d: %d slaves, %d agents, %d machines; want 2 each", masters, len(c.Slaves), len(c.SlaveAgents), len(c.SlaveMachines))
 		}
-	}
-}
-
-// TestMastersOneChaosTraceIdentical extends the off-state pin to the chaos
-// harness: the hardest scenario (master restart after failover) must
-// produce byte-identical failure traces with Masters unset and Masters=1.
-func TestMastersOneChaosTraceIdentical(t *testing.T) {
-	runOnce := func(masters int) (string, string) {
-		s := ChaosScenarios()[0] // master-restart-split-brain
-		s.Masters = masters
-		c, h, err := RunScenario(s)
-		if err != nil {
-			t.Fatalf("masters=%d: %v", masters, err)
+		if got := g.Master.Name(); got != "master" {
+			t.Fatalf("masters=%d: master is named %q", masters, got)
 		}
-		return h.TraceString(), c.SnapshotsString()
-	}
-	trace0, snap0 := runOnce(0)
-	trace1, snap1 := runOnce(1)
-	if trace0 != trace1 {
-		t.Fatalf("chaos traces diverged between Masters=0 and Masters=1:\n--- 0:\n%s--- 1:\n%s", trace0, trace1)
-	}
-	if snap0 != snap1 {
-		t.Fatal("chaos metric snapshots diverged between Masters=0 and Masters=1")
+		for i, s := range c.Slaves {
+			if s != g.Slaves[i] || c.SlaveAgents[i] != g.SlaveAgents[i] || c.SlaveMachines[i] != g.SlaveMachines[i] {
+				t.Fatalf("masters=%d: slave %d aliases do not point into Groups[0]", masters, i)
+			}
+			if want := fmt.Sprintf("slave%d", i); s.Name() != want {
+				t.Fatalf("masters=%d: slave %d is named %q, want %q", masters, i, s.Name(), want)
+			}
+		}
 	}
 }
 

@@ -196,7 +196,7 @@ func (r *PerSlotFailoverResult) check() error {
 		if gi == r.Victim {
 			continue
 		}
-		for _, e := range checkGroupConvergence(g.Master, g.Slaves, g.SlaveAgents, g.NicKV) {
+		for _, e := range checkGroupConvergence(g) {
 			add("g%d: %s", gi, e)
 		}
 	}

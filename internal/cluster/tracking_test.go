@@ -96,16 +96,16 @@ func aliveMaster(t *testing.T, label string, master *server.Server, slaves []*se
 	return nil
 }
 
-// ownerStore resolves the authoritative store for a key: the owning
-// group's current master in a hash-slot deployment, the (possibly
-// promoted) master otherwise.
+// ownerStore resolves the authoritative store for a key: the current
+// (possibly promoted) master of the group owning the key's slot — the only
+// group when there is no slot plane.
 func ownerStore(t *testing.T, c *Cluster, key string) *store.Store {
 	t.Helper()
-	if len(c.Groups) > 0 {
-		g := c.Groups[c.SlotMap.Owner(slots.Slot([]byte(key)))]
-		return aliveMaster(t, fmt.Sprintf("g%d", g.Index), g.Master, g.Slaves).Store()
+	g := c.Groups[0]
+	if c.SlotMap != nil {
+		g = c.Groups[c.SlotMap.Owner(slots.Slot([]byte(key)))]
 	}
-	return aliveMaster(t, "cluster", c.Master, c.Slaves).Store()
+	return aliveMaster(t, fmt.Sprintf("g%d", g.Index), g.Master, g.Slaves).Store()
 }
 
 // requireCachesCoherent is the staleness oracle: at quiesce, every entry a
