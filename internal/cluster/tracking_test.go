@@ -330,6 +330,53 @@ func TestTrackingInterestDroppedOnDisconnectRedirect(t *testing.T) {
 	}
 }
 
+// TestTrackingRedirectLongKeyInvalidated is the stale-read regression for
+// keys of 64 KiB and more: the interest and invalidation frames used to
+// carry a 16-bit key length, so Nic-KV recorded the interest under a
+// truncated key, the later SET's fan-out never matched it, no invalidation
+// was pushed, and the reader's cached copy stayed — stale — forever. A
+// tracked GET followed by another client's SET must push an invalidation
+// naming exactly the key that was read, however long it is.
+func TestTrackingRedirectLongKeyInvalidated(t *testing.T) {
+	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 0, Seed: 59, SKV: core.DefaultConfig()})
+	if !c.AwaitReplication(2 * sim.Second) {
+		t.Fatal("sync failed")
+	}
+	// The reader's invalidation feed: what its cache would evict.
+	sub := dialRaw(t, c, "long-sub", c.MasterMachine.NIC, core.NicPort)
+	var feed []byte
+	sub.conn.SetHandler(func(data []byte) { feed = append(feed, data...) })
+	sub.conn.Send(core.EncodeTrackHello("reader"))
+
+	reader := dialRaw(t, c, "long-reader", c.MasterMachine.Host, core.ClientPort)
+	writer := dialRaw(t, c, "long-writer", c.MasterMachine.Host, core.ClientPort)
+	reader.conn.Send(resp.EncodeCommand("client", "tracking", "on", "redirect", "reader"))
+	for _, key := range []string{"short", strings.Repeat("k", 70000)} {
+		writer.conn.Send(resp.EncodeCommand("SET", key, "v1"))
+		c.Eng.RunFor(20 * sim.Millisecond)
+		reader.conn.Send(resp.EncodeCommand("GET", key)) // tracked: the reader now caches v1
+		c.Eng.RunFor(20 * sim.Millisecond)
+		if got := reader.vals[len(reader.vals)-1]; string(got.Str) != "v1" {
+			t.Fatalf("%d-byte key: tracked GET returned %q", len(key), got.Str)
+		}
+		feed = feed[:0]
+		writer.conn.Send(resp.EncodeCommand("SET", key, "v2"))
+		c.Eng.RunFor(20 * sim.Millisecond)
+
+		var invalidated []string
+		if !core.ParseSubscriberFrames(feed, func() {}, func(k string) { invalidated = append(invalidated, k) }) {
+			t.Fatalf("%d-byte key: malformed invalidation feed (%d bytes)", len(key), len(feed))
+		}
+		if len(invalidated) != 1 || invalidated[0] != key {
+			t.Fatalf("%d-byte key: SET pushed %d invalidations naming the read key %t — the cached v1 would be served stale",
+				len(key), len(invalidated), len(invalidated) == 1 && invalidated[0] == key)
+		}
+	}
+	if got := c.NicKV.TrackingLen(); got != 0 {
+		t.Fatalf("NIC interest table still holds %d keys after both invalidations", got)
+	}
+}
+
 // TestTrackingInterestDroppedOnDisconnectNicServed: same regression on the
 // NIC-served read path, where the interest table and the data connection
 // both live on the SmartNIC.

@@ -44,8 +44,7 @@ const (
 	msgMasterHello    = 'M' // master → NIC: identifies the master connection
 	msgInitSync       = 'I' // slave → NIC: id, last master replID, offset
 	msgNewSlave       = 'N' // NIC → master: id, replID, offset
-	msgReplReq        = 'R' // master → NIC: startOff, encoded command
-	msgReplReqBatch   = 'Q' // master → NIC: startOff, cmd count, concatenated commands
+	msgOffload        = 'Q' // master → NIC: startOff, cmd count, concatenated commands (one replication request)
 	msgCmdStream      = 'C' // NIC → slave: startOff, encoded command(s)
 	msgProbe          = 'P' // NIC → any node
 	msgProbeAck       = 'A' // node → NIC
@@ -59,9 +58,9 @@ const (
 	msgAckRelease     = 'K' // NIC → master: released watermark (every gated reply ≤ it may fire)
 	msgCmdStreamAck   = 'c' // NIC → slave: like msgCmdStream but demands an immediate progress report
 	msgTrackHello     = 'T' // subscriber → NIC: name — register an invalidation push channel (echoed back as the ack)
-	msgTrackKey       = 't' // master → NIC: name, key — record one subscriber's interest in one key
+	msgTrackKey       = 't' // master → NIC: name, key (32-bit length) — record one subscriber's interest in one key
 	msgTrackDrop      = 'x' // master → NIC: name — drop every interest of one subscriber
-	msgInvalidate     = 'V' // NIC → subscriber: key — a tracked key changed; drop the cached copy
+	msgInvalidate     = 'V' // NIC → subscriber: key (32-bit length) — a tracked key changed; drop the cached copy
 )
 
 // ---- tracking-plane subscriber codec ----
@@ -88,7 +87,7 @@ func ParseSubscriberFrames(b []byte, onAck func(), onKey func(key string)) bool 
 			onAck()
 		case msgInvalidate:
 			r := &frameReader{b: b[1:]}
-			k := r.str()
+			k := r.key()
 			if r.bad {
 				return false
 			}
@@ -114,6 +113,28 @@ func appendStr(dst []byte, s string) []byte {
 	binary.BigEndian.PutUint16(tmp[:], uint16(len(s)))
 	dst = append(dst, tmp[:]...)
 	return append(dst, s...)
+}
+
+// appendKey frames a client-chosen key. Keys can exceed appendStr's 16-bit
+// length (a wrapped length would record interest, or push an invalidation,
+// under a different key and leave the real one cached stale), so they carry
+// a 32-bit one.
+func appendKey(dst []byte, key string) []byte {
+	var tmp [4]byte
+	binary.BigEndian.PutUint32(tmp[:], uint32(len(key)))
+	dst = append(dst, tmp[:]...)
+	return append(dst, key...)
+}
+
+// appendOffload frames one replication request: the stream offset the
+// commands start at, how many there are, and their concatenated RESP bytes.
+// Sized up front — this runs once per flushed batch on the master's hot path.
+func appendOffload(start int64, cmds int, data []byte) []byte {
+	frame := make([]byte, 0, 17+len(data))
+	frame = append(frame, msgOffload)
+	frame = appendU64(frame, uint64(start))
+	frame = appendU64(frame, uint64(cmds))
+	return append(frame, data...)
 }
 
 // frameReader decodes a received frame.
@@ -151,6 +172,57 @@ func (r *frameReader) str() string {
 	return s
 }
 
+func (r *frameReader) key() string {
+	if r.pos+4 > len(r.b) {
+		r.bad = true
+		return ""
+	}
+	n := int(binary.BigEndian.Uint32(r.b[r.pos:]))
+	r.pos += 4
+	if n > len(r.b)-r.pos {
+		r.bad = true
+		return ""
+	}
+	s := string(r.b[r.pos : r.pos+n])
+	r.pos += n
+	return s
+}
+
+// offload decodes a msgOffload body. A request carrying no command, or cut
+// short inside its header, is malformed.
+func (r *frameReader) offload() (start int64, cmds int, data []byte, ok bool) {
+	start = r.i64()
+	count := r.u64()
+	if r.bad || count < 1 || count > uint64(len(r.b)-r.pos) {
+		return 0, 0, nil, false
+	}
+	return start, int(count), r.rest(), true
+}
+
+// status decodes a msgStatus body (see statusFrame). The slave count comes
+// off the wire, so it is bounded by the offsets the frame can actually hold
+// before anything is sized with it. threads is -1 when the trailing
+// effective-thread field is absent (a frame from an older Nic-KV build).
+func (r *frameReader) status() (offs []int64, minOff int64, threads int, ok bool) {
+	count := r.u64()
+	minOff = r.i64()
+	if r.bad || count > uint64(len(r.b)-r.pos)/8 {
+		return nil, 0, 0, false
+	}
+	offs = make([]int64, count)
+	for i := range offs {
+		offs[i] = r.i64()
+	}
+	if count == 0 || minOff < 0 {
+		minOff = 0 // defensive: a frame from an older Nic-KV build
+	}
+	threads = -1
+	if len(r.b)-r.pos >= 8 {
+		threads = int(r.u64())
+	}
+	return offs, minOff, threads, true
+}
+
 func (r *frameReader) rest() []byte {
 	if r.bad {
 		return nil
@@ -182,7 +254,7 @@ type Config struct {
 	// deployment (e.g. "g1"): per-slave lag gauges become
 	// nickv.lag.<group>.<id> and the failover timeline's master label
 	// becomes <group>.master, so snapshots from N groups never collide.
-	// Empty (the single-master default) keeps every legacy metric name.
+	// Empty (a single-group deployment) leaves the names unqualified.
 	Group string
 	// WriteConsistency selects the cluster's write acknowledgment level.
 	// Nic-KV consults it in two places: failover policy (quorum/all promote

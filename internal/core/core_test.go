@@ -1,9 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"skv/internal/fabric"
+	"skv/internal/model"
+	"skv/internal/rconn"
+	"skv/internal/server"
 	"skv/internal/sim"
 )
 
@@ -28,40 +34,102 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameReaderRest(t *testing.T) {
-	frame := []byte{msgReplReq}
-	frame = appendU64(frame, 42)
-	frame = append(frame, []byte("command-bytes")...)
-	r := &frameReader{b: frame, pos: 1}
-	if off := r.i64(); off != 42 {
-		t.Fatalf("off=%d", off)
-	}
-	if got := string(r.rest()); got != "command-bytes" {
-		t.Fatalf("rest=%q", got)
+// TestOffloadFrameRoundTrip: the one replication-request frame decodes to
+// what was encoded, at one command and at a batch of eight.
+func TestOffloadFrameRoundTrip(t *testing.T) {
+	one := "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n"
+	for _, cmds := range []int{1, 8} {
+		data := []byte(strings.Repeat(one, cmds))
+		frame := appendOffload(4242, cmds, data)
+		if frame[0] != msgOffload || len(frame) != 17+len(data) || cap(frame) != len(frame) {
+			t.Fatalf("cmds=%d: tag %q, len %d, cap %d; want one exactly sized %d-byte frame", cmds, frame[0], len(frame), cap(frame), 17+len(data))
+		}
+		off, cnt, got, ok := (&frameReader{b: frame, pos: 1}).offload()
+		if !ok || off != 4242 || cnt != cmds || !bytes.Equal(got, data) {
+			t.Fatalf("cmds=%d: decoded ok=%t off=%d cnt=%d data=%q", cmds, ok, off, cnt, got)
+		}
 	}
 }
 
-func TestFrameReaderTruncationSetsBad(t *testing.T) {
-	cases := [][]byte{
-		{msgInitSync},                    // nothing after tag
-		{msgInitSync, 0x00},              // half a length prefix
-		{msgInitSync, 0x00, 0x05, 'a'},   // promised 5, delivered 1
-		append([]byte{msgReplReq}, 1, 2), // partial u64
+// TestMalformedFramesRejected drives a live master and its Nic-KV with
+// frames that lie about a count read off the wire. Each handler must refuse
+// the frame — not panic sizing a slice with the claimed count, and not act
+// on a half-decoded request.
+func TestMalformedFramesRejected(t *testing.T) {
+	p := model.Default()
+	eng := sim.New(1)
+	net := fabric.New(eng, &p)
+	m := net.NewMachine("master", true)
+	proc := sim.NewProc(eng, sim.NewCore(eng, "master-core", p.HostCoreSpeed), p.CompChannelWake)
+	srv := server.New(server.Options{Name: "master", Params: &p, Seed: 1, Port: ClientPort, DisableCron: true},
+		eng, rconn.New(net, m.Host, proc), proc)
+	nic := NewNicKV(eng, net, m, &p, DefaultConfig())
+	host := AttachMaster(srv, net, m.NIC, DefaultConfig())
+	eng.RunFor(10 * sim.Millisecond)
+
+	u64s := func(tag byte, vs ...uint64) []byte {
+		frame := []byte{tag}
+		for _, v := range vs {
+			frame = appendU64(frame, v)
+		}
+		return frame
 	}
-	for i, frame := range cases {
+	cases := []struct {
+		name   string
+		frame  []byte
+		wantOK bool
+	}{
+		{"status: two slaves", u64s(msgStatus, 2, 10, 10, 20, 1), true},
+		{"status: no slaves", u64s(msgStatus, 0, 0, 1), true},
+		{"status: count far beyond the frame", u64s(msgStatus, 1<<62, 10, 10), false},
+		{"status: count one past the offsets present", u64s(msgStatus, 3, 10, 10, 20), false},
+		{"status: count that wraps int", u64s(msgStatus, 1<<63, 10), false},
+		{"status: truncated header", u64s(msgStatus, 1)[:12], false},
+		{"status: tag only", []byte{msgStatus}, false},
+
+		{"offload: one command", append(u64s(msgOffload, 7, 1), "PING"...), true},
+		{"offload: zero commands", append(u64s(msgOffload, 7, 0), "PING"...), false},
+		{"offload: count that wraps int", append(u64s(msgOffload, 7, 1<<63), "PING"...), false},
+		{"offload: more commands than payload bytes", append(u64s(msgOffload, 7, 5), "PING"...), false},
+		{"offload: no payload", u64s(msgOffload, 7, 1), false},
+		{"offload: truncated count", u64s(msgOffload, 7, 1)[:13], false},
+		{"offload: tag only", []byte{msgOffload}, false},
+	}
+	for _, tc := range cases {
+		var ok bool
+		switch tc.frame[0] {
+		case msgStatus:
+			host.statusSeen = false
+			host.onNicMessage(tc.frame)
+			ok = host.statusSeen
+		case msgOffload:
+			before := nic.ReplCmds
+			nic.onMessage(nil, tc.frame)
+			ok = nic.ReplCmds > before
+		}
+		if ok != tc.wantOK {
+			t.Errorf("%s: accepted=%t, want %t", tc.name, ok, tc.wantOK)
+		}
+	}
+}
+
+// TestKeyFrameCarriesLongKeys: key lengths do not wrap at 64 KiB — a wrapped
+// length would track (or invalidate) a different key than the one cached.
+func TestKeyFrameCarriesLongKeys(t *testing.T) {
+	for _, n := range []int{0, 1, 65535, 65536, 70000} {
+		key := strings.Repeat("k", n)
+		frame := appendKey(appendStr([]byte{msgTrackKey}, "client0"), key)
 		r := &frameReader{b: frame, pos: 1}
-		switch frame[0] {
-		case msgInitSync:
-			r.str()
-		case msgReplReq:
-			r.u64()
+		if name, got := r.str(), r.key(); name != "client0" || got != key || r.bad {
+			t.Fatalf("len %d: name=%q key len %d bad=%t", n, name, len(got), r.bad)
 		}
-		if !r.bad {
-			t.Errorf("case %d: truncated frame not flagged", i)
+		var pushed string
+		if !ParseSubscriberFrames(appendKey([]byte{msgInvalidate}, key), func() {}, func(k string) { pushed = k }) || pushed != key {
+			t.Fatalf("len %d: invalidation push decoded a %d-byte key", n, len(pushed))
 		}
-		if r.rest() != nil {
-			t.Errorf("case %d: rest() on bad frame not nil", i)
-		}
+	}
+	if r := (&frameReader{b: []byte{msgTrackKey, 0, 0, 0, 9, 'x'}, pos: 1}); r.key() != "" || !r.bad {
+		t.Fatal("key promising 9 bytes with 1 present was accepted")
 	}
 }
 

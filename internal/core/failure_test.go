@@ -2,25 +2,17 @@ package core
 
 import "testing"
 
+// decodeStatus runs a status frame through the master's decoder.
 func decodeStatus(t *testing.T, frame []byte) (count int, minOff int64, offs []int64, threads int) {
 	t.Helper()
 	if len(frame) == 0 || frame[0] != msgStatus {
 		t.Fatalf("not a status frame: % x", frame)
 	}
-	r := &frameReader{b: frame, pos: 1}
-	count = int(r.u64())
-	minOff = r.i64()
-	for i := 0; i < count; i++ {
-		offs = append(offs, r.i64())
+	offs, minOff, threads, ok := (&frameReader{b: frame, pos: 1}).status()
+	if !ok {
+		t.Fatalf("malformed status frame: % x", frame)
 	}
-	if r.bad {
-		t.Fatalf("truncated status frame: % x", frame)
-	}
-	threads = -1 // absent (an older frame)
-	if len(r.b)-r.pos >= 8 {
-		threads = int(r.u64())
-	}
-	return count, minOff, offs, threads
+	return len(offs), minOff, offs, threads
 }
 
 func TestStatusFrameWithSlaves(t *testing.T) {

@@ -145,29 +145,17 @@ func (h *HostKV) ValidSlaves() int { return h.validSlaves }
 // replication then happens in the background on the NIC while the master
 // returns to its clients ("the host CPU only needs to post one WR for the
 // replication of each SET command", §V-C). With ReplBatchMaxCmds > 1 the
-// batch carries several commands, so one WR covers N writes. Single-command
-// batches use the legacy msgReplReq frame so the batch=1 wire format (and
-// timing) is byte-identical to the unbatched path.
+// batch carries several commands, so one WR covers N writes.
 func (h *HostKV) propagate(b replstream.Batch) {
 	if h.nicConn == nil {
 		return // NIC connection still handshaking; backlog covers the gap
 	}
 	h.Srv.Proc().Core.Charge(h.Srv.Params().ReplOffloadReqCPU)
-	var frame []byte
-	if b.Cmds == 1 {
-		frame = []byte{msgReplReq}
-		frame = appendU64(frame, uint64(b.Start))
-	} else {
-		frame = []byte{msgReplReqBatch}
-		frame = appendU64(frame, uint64(b.Start))
-		frame = appendU64(frame, uint64(b.Cmds))
-	}
-	frame = append(frame, b.Data...)
 	h.ReplReqsSent++
 	h.CmdsOffloaded += uint64(b.Cmds)
 	h.mReplReqs.Inc()
 	h.mCmdsOffloaded.Add(uint64(b.Cmds))
-	h.nicConn.Send(frame)
+	h.nicConn.Send(appendOffload(b.Start, b.Cmds, b.Data))
 }
 
 // writeGate posts one gate frame to Nic-KV for a quorum/all write: the
@@ -198,7 +186,7 @@ func (h *HostKV) trackInterest(name, key string) {
 	h.Srv.Proc().Core.Charge(h.Srv.Params().TrackInterestCPU)
 	frame := []byte{msgTrackKey}
 	frame = appendStr(frame, name)
-	frame = appendStr(frame, key)
+	frame = appendKey(frame, key)
 	h.nicConn.Send(frame)
 }
 
@@ -265,25 +253,15 @@ func (h *HostKV) onNicMessage(data []byte) {
 		}
 		h.serveNewSlave(id, replID, off)
 	case msgStatus:
-		count := int(r.u64())
-		minOff := r.i64()
-		offs := make([]int64, 0, count)
-		for i := 0; i < count; i++ {
-			offs = append(offs, r.i64())
-		}
-		if r.bad {
+		offs, minOff, threads, ok := r.status()
+		if !ok {
 			return
 		}
-		if count == 0 || minOff < 0 {
-			minOff = 0 // defensive: a frame from an older Nic-KV build
-		}
-		// Trailing effective-thread field: absent on frames from older
-		// Nic-KV builds, so only read it when the bytes are there.
-		if len(r.b)-r.pos >= 8 {
-			h.nicReplThreads = int(r.u64())
+		if threads >= 0 {
+			h.nicReplThreads = threads
 		}
 		h.minSlaveOffset = minOff
-		h.validSlaves = count
+		h.validSlaves = len(offs)
 		h.slaveOffsets = offs
 		h.statusSeen = true
 		// Feed the consistency plane: SetAll re-evaluates WAITers and parked

@@ -79,11 +79,11 @@ type NicKV struct {
 
 	probeTicker *sim.Ticker
 
-	// Shadow replica for the §IV-A ablation (nil unless enabled). With
-	// rshards > 1 the replica mirrors the host shard layout: rprocs are the
-	// per-shard ARM cores, applyq/applyInflight the apply pipeline, and
-	// replicaOff the stream offset the replica has consumed up to (replay
-	// trimming + gap detection). See niccache.go.
+	// Shadow replica for the §IV-A ablation (nil unless enabled). The
+	// replica mirrors the host shard layout: rprocs are the per-shard procs
+	// (the main proc itself at one shard), applyq/applyInflight the apply
+	// pipeline, and replicaOff the stream offset the replica has consumed up
+	// to (replay trimming + gap detection). See niccache.go.
 	replica       *store.Store
 	replApplier   *replstream.Applier
 	rshards       int
@@ -121,13 +121,13 @@ type NicKV struct {
 	// reference point for the per-slave lag gauges).
 	streamEnd int64
 
-	mReplRequests *metrics.Counter
-	mReplCmds     *metrics.Counter
-	mStreamSent   *metrics.Counter
-	mProbesSent   *metrics.Counter
-	mProbeAcks    *metrics.Counter
-	mMarkDowns    *metrics.Counter
-	mMarkUps      *metrics.Counter
+	mReplRequests  *metrics.Counter
+	mReplCmds      *metrics.Counter
+	mStreamSent    *metrics.Counter
+	mProbesSent    *metrics.Counter
+	mProbeAcks     *metrics.Counter
+	mMarkDowns     *metrics.Counter
+	mMarkUps       *metrics.Counter
 	mGatesQueued   *metrics.Counter
 	mGateReleases  *metrics.Counter
 	gGatesPending  *metrics.Gauge
@@ -162,13 +162,13 @@ func NewNicKV(eng *sim.Engine, net *fabric.Network, m *fabric.Machine, params *m
 		metrics:  reg,
 		timeline: metrics.NewTimeline(eng.Now),
 
-		mReplRequests: reg.Counter("nickv.repl.requests"),
-		mReplCmds:     reg.Counter("nickv.repl.cmds"),
-		mStreamSent:   reg.Counter("nickv.stream.sent"),
-		mProbesSent:   reg.Counter("nickv.probe.sent"),
-		mProbeAcks:    reg.Counter("nickv.probe.acks"),
-		mMarkDowns:    reg.Counter("nickv.node.mark_down"),
-		mMarkUps:      reg.Counter("nickv.node.mark_up"),
+		mReplRequests:  reg.Counter("nickv.repl.requests"),
+		mReplCmds:      reg.Counter("nickv.repl.cmds"),
+		mStreamSent:    reg.Counter("nickv.stream.sent"),
+		mProbesSent:    reg.Counter("nickv.probe.sent"),
+		mProbeAcks:     reg.Counter("nickv.probe.acks"),
+		mMarkDowns:     reg.Counter("nickv.node.mark_down"),
+		mMarkUps:       reg.Counter("nickv.node.mark_up"),
 		mGatesQueued:   reg.Counter("nickv.gate.queued"),
 		mGateReleases:  reg.Counter("nickv.gate.releases"),
 		gGatesPending:  reg.Gauge("nickv.gate.pending"),
@@ -208,9 +208,9 @@ func (n *NicKV) EffectiveThreads() int { return n.cfg.ThreadNum }
 // addresses by its control connection rather than a node-list entry.
 const masterNode = "master"
 
-// masterLabel is the timeline label for this NIC's master: the legacy
-// "master" in a single-master deployment, group-qualified (e.g.
-// "g1.master") when the SKV unit is one replication group of many.
+// masterLabel is the timeline label for this NIC's master: "master" in a
+// single-group deployment, group-qualified (e.g. "g1.master") when the SKV
+// unit is one replication group of many.
 func (n *NicKV) masterLabel() string {
 	if n.cfg.Group != "" {
 		return n.cfg.Group + "." + masterNode
@@ -219,8 +219,8 @@ func (n *NicKV) masterLabel() string {
 }
 
 // lagGaugeName namespaces the per-slave lag gauge by replication group so
-// multi-master snapshots never collide; Group == "" keeps the legacy
-// nickv.lag.<id> name bit-for-bit.
+// multi-master snapshots never collide; a single group (Group == "") is
+// plain nickv.lag.<id>.
 func (n *NicKV) lagGaugeName(id string) string {
 	if n.cfg.Group != "" {
 		return "nickv.lag." + n.cfg.Group + "." + id
@@ -328,24 +328,12 @@ func (n *NicKV) onMessage(conn transport.Conn, data []byte) {
 			return
 		}
 		n.registerSlave(id, replID, off, conn)
-	case msgReplReq:
+	case msgOffload:
 		n.ReplRequests++
 		n.mReplRequests.Inc()
 		n.proc.Core.Charge(n.params.NicParseReqCPU)
-		off := r.i64()
-		cmd := r.rest()
-		if r.bad {
-			return
-		}
-		n.fanOut(off, cmd, 1)
-	case msgReplReqBatch:
-		n.ReplRequests++
-		n.mReplRequests.Inc()
-		n.proc.Core.Charge(n.params.NicParseReqCPU)
-		off := r.i64()
-		cnt := int(r.u64())
-		cmds := r.rest()
-		if r.bad || cnt < 1 {
+		off, cnt, cmds, ok := r.offload()
+		if !ok {
 			return
 		}
 		n.fanOut(off, cmds, cnt)
@@ -383,7 +371,7 @@ func (n *NicKV) onMessage(conn transport.Conn, data []byte) {
 		n.registerSubscriber(name, conn)
 	case msgTrackKey:
 		name := r.str()
-		key := r.str()
+		key := r.key()
 		if r.bad {
 			return
 		}
