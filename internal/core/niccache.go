@@ -25,14 +25,15 @@ import (
 // error pointing at the master. The ablate-niccache experiment compares
 // this against the paper's host-served reads.
 //
-// The replica mirrors the host's shard layout: with Params.HostShards > 1,
-// min(HostShards, NICCores) ARM shard cores each own a key-hash slice of
-// the replica (the same store.ShardOfKey placement the host uses). The
-// main ARM core stays the dispatch stage — it decodes the stream and
-// parses client reads, then routes each single-key operation to its shard
-// core; replies and apply retirements merge back on the main core, with
-// per-client re-sequencing exactly like the host dispatch plane. One shard
-// (the default) is bit-for-bit the legacy single-core read path.
+// The replica mirrors the host's shard layout: min(HostShards, NICCores)
+// shards each own a key-hash slice of the replica (the same
+// store.ShardOfKey placement the host uses). The main ARM core is the
+// dispatch stage — it decodes the stream and parses client reads, then
+// routes each single-key operation to its shard's proc; replies and apply
+// retirements merge back on the main core, with per-client re-sequencing
+// exactly like the host dispatch plane. With several shards each runs on
+// its own ARM core; a single shard (the default) runs on the main core
+// itself, so the unsharded replica occupies one modelled core.
 
 // nicClient is one client connection served by the SmartNIC.
 type nicClient struct {
@@ -40,10 +41,10 @@ type nicClient struct {
 	reader resp.Reader
 	db     int
 
-	// Reply re-sequencing (sharded replica only): same scheme as the host
-	// dispatch plane — seqNext numbers commands in arrival order, seqEmit
-	// is the next reply the connection may carry, pending holds completed
-	// replies that cannot be emitted yet.
+	// Reply re-sequencing, same scheme as the host dispatch plane: seqNext
+	// numbers commands in arrival order, seqEmit is the next reply the
+	// connection may carry, pending holds completed replies that cannot be
+	// emitted yet.
 	seqNext uint64
 	seqEmit uint64
 	pending map[uint64][]byte
@@ -55,8 +56,8 @@ type nicClient struct {
 	trackName string
 }
 
-// nicApplyOp is one decoded replicated command queued for the sharded
-// apply pipeline. shard < 0 marks a fence (cross-shard or keyless command)
+// nicApplyOp is one decoded replicated command queued for the apply
+// pipeline. shard < 0 marks a fence (cross-shard or keyless command)
 // that must observe a quiesced pipeline.
 type nicApplyOp struct {
 	db    int
@@ -65,34 +66,28 @@ type nicApplyOp struct {
 	shard int
 }
 
-// initReadServing sets up the shadow store, the per-shard ARM cores when
-// the host runs sharded, and the client listener. Called from NewNicKV
-// when the config asks for it; name is the machine name (core naming).
+// initReadServing sets up the shadow store, the shard procs, and the client
+// listener. Called from NewNicKV when the config asks for it; name is the
+// machine name (core naming).
 func (n *NicKV) initReadServing(name string) {
-	rshards := n.params.HostShards
-	if rshards < 1 {
-		rshards = 1
-	}
-	if rshards > n.params.NICCores {
-		rshards = n.params.NICCores
-	}
-	n.rshards = rshards
+	rshards := min(max(n.params.HostShards, 1), n.params.NICCores)
 	n.replica = store.New(store.Options{Shards: rshards, Seed: 0x51CA, Clock: func() int64 {
 		return int64(n.eng.Now() / sim.Time(sim.Millisecond))
 	}})
 	n.metrics.Gauge("nickv.replica.shards").Set(int64(rshards))
 	n.mReplicaGaps = n.metrics.Counter("nickv.replica.gaps")
-	if rshards > 1 {
-		n.mReplicaRouted = n.metrics.Counter("nickv.replica.routed")
-		n.mReplicaFenced = n.metrics.Counter("nickv.replica.fenced")
+	n.mReplicaRouted = n.metrics.Counter("nickv.replica.routed")
+	n.mReplicaFenced = n.metrics.Counter("nickv.replica.fenced")
+	if rshards == 1 {
+		// The main ARM core is the shard: no extra modelled core appears.
+		n.rprocs = []*sim.Proc{n.proc}
+	} else {
 		for i := 0; i < rshards; i++ {
 			c := sim.NewCore(n.eng, fmt.Sprintf("%s-nic-rshard%d", name, i), n.params.NICCoreSpeed)
 			n.rprocs = append(n.rprocs, sim.NewProc(n.eng, c, n.params.CompChannelWake))
 		}
 	}
-	n.replApplier = replstream.NewApplier(func(db int, argv [][]byte) {
-		n.applyDecoded(db, argv)
-	})
+	n.replApplier = replstream.NewApplier(n.applyDecoded)
 	n.Stack.Listen(ClientPort, func(conn transport.Conn) {
 		c := &nicClient{conn: conn}
 		conn.SetHandler(func(data []byte) { n.onClientData(c, data) })
@@ -132,16 +127,10 @@ func (n *NicKV) applyToReplica(off int64, cmd []byte) {
 	n.replApplier.Feed(cmd)
 }
 
-// applyDecoded is the applier's per-command sink. One shard keeps the
-// legacy path: apply synchronously on the main ARM core, honoring the
-// stream's SELECT context. Sharded, the command queues into the apply
-// pipeline and drains to its shard core.
+// applyDecoded is the applier's per-command sink (db is the stream's SELECT
+// context): the command queues into the apply pipeline and drains to its
+// shard's proc.
 func (n *NicKV) applyDecoded(db int, argv [][]byte) {
-	if n.rshards <= 1 {
-		n.proc.Core.Charge(n.params.SlaveApplyCPU)
-		n.replica.Exec(db, argv)
-		return
-	}
 	cmd := store.LookupCommand(argv[0])
 	n.applyq = append(n.applyq, nicApplyOp{db: db, argv: argv, cmd: cmd, shard: n.replicaShardOf(cmd, argv)})
 	n.drainApply()
@@ -150,19 +139,10 @@ func (n *NicKV) applyDecoded(db int, argv [][]byte) {
 // replicaShardOf maps a command to the replica shard that owns all its
 // keys, or -1 when it has none or they span shards (fence).
 func (n *NicKV) replicaShardOf(cmd *store.Command, argv [][]byte) int {
-	if cmd == nil || cmd.Server || cmd.FirstKey <= 0 {
+	if cmd == nil || cmd.Server {
 		return -1
 	}
-	si := -1
-	multi := false
-	cmd.EachKey(argv, func(k []byte) {
-		ks := store.ShardOfKey(k, n.rshards)
-		if si == -1 {
-			si = ks
-		} else if ks != si {
-			multi = true
-		}
-	})
+	si, multi := cmd.SingleShard(argv, len(n.rprocs))
 	if multi {
 		return -1
 	}
@@ -170,7 +150,7 @@ func (n *NicKV) replicaShardOf(cmd *store.Command, argv [][]byte) int {
 }
 
 // drainApply admits queued apply ops in stream order: routed ops post to
-// their shard core (route cost on the main core, apply cost on the shard,
+// their shard's proc (route cost on the main core, apply cost on the shard,
 // merge cost back on the main core); a fence waits for the pipeline to
 // drain (applyInflight == 0) and then runs inline. Per-key order is
 // preserved by shard-FIFO execution; the fence preserves global order
@@ -184,7 +164,7 @@ func (n *NicKV) drainApply() {
 			}
 			n.applyq = n.applyq[1:]
 			n.mReplicaFenced.Inc()
-			n.proc.Core.Charge(n.params.NicShardFenceCPU*sim.Duration(n.rshards) + n.params.SlaveApplyCPU)
+			n.proc.Core.Charge(n.params.NicShardFenceCPU*sim.Duration(len(n.rprocs)) + n.params.SlaveApplyCPU)
 			n.replica.Exec(op.db, op.argv)
 			continue
 		}
@@ -224,7 +204,7 @@ func (n *NicKV) ReplicaSize() int {
 func (n *NicKV) ReplicaStore() *store.Store { return n.replica }
 
 // ReplicaProcs exposes the per-shard replica procs (utilization reporting);
-// empty with one shard.
+// a single shard's proc is the main ARM core's.
 func (n *NicKV) ReplicaProcs() []*sim.Proc { return n.rprocs }
 
 // onClientData serves client commands on the SmartNIC ARM core.
@@ -265,40 +245,13 @@ func (n *NicKV) serveClientCommand(c *nicClient, argv [][]byte) {
 	for _, a := range argv {
 		size += len(a) + 14
 	}
-	// Parse runs on the (slow) main ARM core in either layout.
+	// Parse runs on the (slow) main ARM core.
 	n.proc.Core.Charge(n.params.ParseCost(size))
-	cmd := store.LookupCommand(argv[0])
-	if n.rshards > 1 {
-		n.serveSharded(c, cmd, argv)
-		return
-	}
-	// Legacy single-core path: execute and reply on the main ARM core.
-	if cmd != nil && cmd.Write {
-		n.proc.Core.Charge(n.params.ReplyBuildCPU)
-		c.conn.Send(movedError())
-		return
-	}
-	if cmd != nil && cmd.Name == "select" {
-		reply := n.selectReply(c, argv)
-		n.proc.Core.Charge(n.params.ReplyBuildCPU)
-		c.conn.Send(reply)
-		return
-	}
-	if cmd != nil && cmd.Server && cmd.Name == "client" {
-		reply := n.nicClientCmd(c, argv)
-		n.proc.Core.Charge(n.params.ReplyBuildCPU)
-		c.conn.Send(reply)
-		return
-	}
-	n.nicRecordInterest(c, cmd, argv)
-	n.proc.Core.Charge(n.execReadCost(argv))
-	reply, _ := n.replica.Exec(c.db, argv)
-	n.proc.Core.Charge(n.params.ReplyBuildCPU)
-	c.conn.Send(reply)
+	n.serveSharded(c, store.LookupCommand(argv[0]), argv)
 }
 
-// serveSharded routes a parsed client command through the replica shard
-// cores: single-key reads execute on the shard core owning the key, with
+// serveSharded routes a parsed client command through the replica shards:
+// single-key reads execute on the proc of the shard owning the key, with
 // the reply merged back and re-sequenced per client on the main core;
 // everything else (MOVED for writes, SELECT, keyless or cross-shard reads)
 // runs inline on the main core but still replies in request order.

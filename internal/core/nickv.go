@@ -86,7 +86,6 @@ type NicKV struct {
 	// to (replay trimming + gap detection). See niccache.go.
 	replica       *store.Store
 	replApplier   *replstream.Applier
-	rshards       int
 	rprocs        []*sim.Proc
 	applyq        []nicApplyOp
 	applyInflight int

@@ -134,8 +134,8 @@ type Params struct {
 	// ReplBatchMaxCmds is the replication-stream batching budget in
 	// commands: the master coalesces up to this many writes into one
 	// replication send (one WR instead of one per write — the doorbell
-	// amortization off-path SmartNIC studies report). 1 disables batching
-	// and reproduces the unbatched data path bit-for-bit. Partial batches
+	// amortization off-path SmartNIC studies report). 1 disables batching:
+	// every write flushes as its own one-command batch. Partial batches
 	// flush when the producing core quiesces (end of the event-loop tick).
 	ReplBatchMaxCmds int
 	// ReplBatchMaxBytes caps a replication batch in bytes so large values
@@ -164,8 +164,10 @@ type Params struct {
 	// owning a disjoint slice of every numbered DB), and a merge stage that
 	// serializes completed writes into the replication stream.
 	HostShards int
-	// ShardRouteCPU is the dispatch-core cost of routing one parsed command
-	// to a shard (hash + handoff). Charged only when HostShards > 1.
+	// ShardRouteCPU is the cost of routing one parsed command to a shard
+	// (key hash + handoff), charged on the core that owns the connection:
+	// the dispatch core, or the client's routing core when RouteListeners
+	// > 1. Charged only when HostShards > 1.
 	ShardRouteCPU sim.Duration
 	// ShardMergeCPU is the dispatch-core cost of merging one completed shard
 	// command back into the serialized stream (reply ordering + replication
@@ -185,11 +187,6 @@ type Params struct {
 	// shrinks to the merge/order stage — the single serialized replication
 	// order, write gating and barrier admission. Ignored when HostShards <= 1.
 	RouteListeners int
-	// RouteCPU is the routing-core cost of the key-hash route decision and
-	// shard handoff for one parsed command (the routing plane's analog of
-	// ShardRouteCPU, which stays the dispatch-core cost when RouteListeners
-	// <= 1). Charged only when the routing plane is on.
-	RouteCPU sim.Duration
 	// SlotCheckCPU is the per-command cost of the hash-slot ownership check
 	// a cluster-mode node performs at admission (CRC16 over the key's
 	// hashtag plus the routing-table lookup). Charged only when the node is
@@ -199,9 +196,10 @@ type Params struct {
 
 	// ---- Nic-KV replica sharding (NIC-served reads, §IV-A ablation) ----
 	// When the shadow replica is enabled, Nic-KV mirrors the host's shard
-	// layout: min(HostShards, NICCores) ARM cores each own a key-hash slice
-	// of the replica, applying the stream and serving reads in parallel.
-	// All three knobs are charged only when that count is > 1.
+	// layout: min(HostShards, NICCores) shards each own a key-hash slice of
+	// the replica, applying the stream and serving reads — in parallel on
+	// their own ARM cores when there are several, on the main core when
+	// there is one.
 
 	// NicShardRouteCPU is the main-ARM-core cost of routing one replica
 	// apply or NIC-served read to its shard core.
@@ -326,7 +324,6 @@ func Default() Params {
 		ShardMergeCPU:  150 * sim.Nanosecond,
 		ShardFenceCPU:  200 * sim.Nanosecond,
 		RouteListeners: 1,
-		RouteCPU:       120 * sim.Nanosecond,
 		SlotCheckCPU:   80 * sim.Nanosecond,
 
 		NicShardRouteCPU: 120 * sim.Nanosecond,

@@ -59,6 +59,8 @@ package server
 // order.
 
 import (
+	"strconv"
+
 	"skv/internal/metrics"
 	"skv/internal/sim"
 	"skv/internal/store"
@@ -179,11 +181,7 @@ func shardCoreName(name string, i int) string {
 }
 
 func shardCoreNamePrefix(name string, i int) string {
-	const digits = "0123456789"
-	if i < 10 {
-		return name + "/shard" + digits[i:i+1]
-	}
-	return name + "/shard" + digits[i/10:i/10+1] + digits[i%10:i%10+1]
+	return name + "/shard" + strconv.Itoa(i)
 }
 
 func routeCoreName(name string, i int) string {
@@ -191,11 +189,7 @@ func routeCoreName(name string, i int) string {
 }
 
 func routeCoreNamePrefix(name string, i int) string {
-	const digits = "0123456789"
-	if i < 10 {
-		return name + "/route" + digits[i:i+1]
-	}
-	return name + "/route" + digits[i/10:i/10+1] + digits[i%10:i%10+1]
+	return name + "/route" + strconv.Itoa(i)
 }
 
 // routing reports whether the routing plane is on (RouteListeners > 1).
@@ -323,16 +317,7 @@ func (e *shardEngine) classify(cmd *store.Command, argv [][]byte) (int, int) {
 		// FLUSHDB, FLUSHALL.
 		return classBarrier, 0
 	}
-	si := -1
-	multi := false
-	cmd.EachKey(argv, func(k []byte) {
-		ks := store.ShardOfKey(k, len(e.procs))
-		if si == -1 {
-			si = ks
-		} else if ks != si {
-			multi = true
-		}
-	})
+	si, multi := cmd.SingleShard(argv, len(e.procs))
 	if si == -1 {
 		return classInline, 0 // too few args: store replies with arity error
 	}
@@ -348,13 +333,10 @@ func (e *shardEngine) classify(cmd *store.Command, argv [][]byte) (int, int) {
 func (e *shardEngine) runShard(c *client, cmd *store.Command, argv [][]byte, si int) {
 	s := e.s
 	p := s.params
-	if c.owner != nil {
-		// Routing plane: the route decision + shard handoff happen on the
-		// owning routing core; the dispatch core sees only the merge.
-		c.owner.Core.Charge(p.RouteCPU)
-	} else {
-		s.proc.Core.Charge(p.ShardRouteCPU)
-	}
+	// The route decision + shard handoff happen on the core that owns the
+	// connection: with the routing plane on, the dispatch core sees only the
+	// merge.
+	s.coreFor(c).Charge(p.ShardRouteCPU)
 	e.routed.Inc()
 	e.shardCmds[si].Inc()
 	seq := c.seqNext

@@ -434,6 +434,22 @@ func (c *Command) EachKey(argv [][]byte, fn func(key []byte)) {
 	}
 }
 
+// SingleShard maps argv's keys onto n key-hash shards (ShardOfKey): shard
+// is the one shard owning them all, -1 when argv carries no key; multi
+// reports keys spanning shards, which no single shard can serve.
+func (c *Command) SingleShard(argv [][]byte, n int) (shard int, multi bool) {
+	shard = -1
+	c.EachKey(argv, func(k []byte) {
+		ks := ShardOfKey(k, n)
+		if shard == -1 {
+			shard = ks
+		} else if ks != shard {
+			multi = true
+		}
+	})
+	return shard, multi
+}
+
 // FirstKeyArg extracts the command's first key from argv, or nil when the
 // command has none (or argv is too short).
 func (c *Command) FirstKeyArg(argv [][]byte) []byte {
