@@ -1,8 +1,9 @@
-// Benchmarks regenerating the paper's evaluation: one benchmark per figure
-// (Figs 3, 7, 10a, 10b, 11, 12, 13, 14) plus the ablations, with the
-// headline numbers reported as custom metrics, and engine microbenchmarks.
+// Benchmarks regenerating the paper's evaluation: every experiment in the
+// bench registry (the paper's figures, the ablations, and the extensions) as
+// a sub-benchmark, with its headline numbers reported as custom metrics,
+// plus engine microbenchmarks.
 //
-//	go test -bench=Fig11 -benchmem .
+//	go test -bench=Experiment/fig11 -benchmem .
 package skv_test
 
 import (
@@ -17,36 +18,21 @@ import (
 	"skv/internal/store"
 )
 
-// runExperiment executes one figure reproduction per iteration and reports
-// its headline metrics.
-func runExperiment(b *testing.B, fn func() *bench.Experiment) {
-	b.Helper()
-	var e *bench.Experiment
-	for i := 0; i < b.N; i++ {
-		e = fn()
-	}
-	if e != nil {
-		for k, v := range e.Metrics {
-			b.ReportMetric(v, k)
-		}
+// BenchmarkExperiment executes one reproduction of each registered
+// experiment per iteration and reports its headline metrics.
+func BenchmarkExperiment(b *testing.B) {
+	for _, id := range bench.IDs() {
+		b.Run(id, func(b *testing.B) {
+			var e *bench.Experiment
+			for i := 0; i < b.N; i++ {
+				e = bench.ByID(id)
+			}
+			for k, v := range e.Metrics {
+				b.ReportMetric(v, k)
+			}
+		})
 	}
 }
-
-func BenchmarkFig3RDMAWriteLatency(b *testing.B) { runExperiment(b, bench.Fig3) }
-func BenchmarkFig7SlaveDegradation(b *testing.B) { runExperiment(b, bench.Fig7) }
-func BenchmarkFig10aThroughput(b *testing.B)     { runExperiment(b, bench.Fig10a) }
-func BenchmarkFig10bLatency(b *testing.B)        { runExperiment(b, bench.Fig10b) }
-func BenchmarkFig11SetOffload(b *testing.B)      { runExperiment(b, bench.Fig11) }
-func BenchmarkFig12ValueSize(b *testing.B)       { runExperiment(b, bench.Fig12) }
-func BenchmarkFig13Get(b *testing.B)             { runExperiment(b, bench.Fig13) }
-func BenchmarkFig14Availability(b *testing.B)    { runExperiment(b, bench.Fig14) }
-func BenchmarkAblateSlaveCount(b *testing.B)     { runExperiment(b, bench.AblateSlaves) }
-func BenchmarkAblateNICCoreSpeed(b *testing.B)   { runExperiment(b, bench.AblateNICSpeed) }
-func BenchmarkAblateNicThreadNum(b *testing.B)   { runExperiment(b, bench.AblateThreads) }
-func BenchmarkAblateNICCache(b *testing.B)       { runExperiment(b, bench.AblateNICCache) }
-func BenchmarkAblateCPUPerOp(b *testing.B)       { runExperiment(b, bench.AblateCPU) }
-func BenchmarkExtPipeline(b *testing.B)          { runExperiment(b, bench.ExtPipeline) }
-func BenchmarkExtBatchedRepl(b *testing.B)       { runExperiment(b, bench.ExtBatch) }
 
 // ---- Engine microbenchmarks (real CPU time, not virtual) ----
 

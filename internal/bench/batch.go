@@ -23,7 +23,7 @@ func ExtBatch() *Experiment {
 		Header: []string{"batch", "skv kops/s", "skv p99 µs", "skv wrs/write",
 			"rdma kops/s", "rdma batches/write"},
 		Notes: []string{
-			"extension beyond the paper: batch=1 reproduces the unbatched stream bit-for-bit; larger budgets amortize the per-write WR post (SKV) and the per-write slave feed (rdma-redis)",
+			"extension beyond the paper: batch=1 flushes every write as its own one-command request; larger budgets amortize the per-write WR post (SKV) and the per-write slave feed (rdma-redis)",
 		},
 	}
 	for _, batch := range []int{1, 4, 16, 64} {

@@ -18,8 +18,8 @@ import (
 // replication) and the SAME client count — the slot-aware clients keep
 // one Pipeline-deep window per group, so the offered load per master is
 // constant as groups are added and the sweep isolates scale-out, not
-// extra clients. The masters=1 row is the legacy single-master topology
-// bit-for-bit (no slot plane, no admission check).
+// extra clients. The masters=1 row is a single group: same builder, no
+// slot plane, no admission check.
 func ExtCluster() *Experiment {
 	e := &Experiment{
 		ID:    "ext-cluster",
@@ -30,7 +30,7 @@ func ExtCluster() *Experiment {
 			"extension beyond the paper: N full SKV units behind a 16384-slot CRC16 hash-slot map (Redis Cluster semantics: hashtags, MOVED, CROSSSLOT)",
 			"same per-master tuning in every row (4 shards, 2 listeners, batched replication) and the same 8 clients — per-group pipeline windows keep per-master offered load constant, so the column isolates scale-out",
 			"moved: MOVED redirects absorbed by the clients while warming their slot maps from the deliberately stale bootstrap (all slots at the seed node)",
-			"masters=1 runs the legacy single-master build path bit-for-bit; it has no slot plane, so moved is '-'",
+			"masters=1 is a single replication group: it has no slot plane, so moved is '-'",
 		},
 	}
 	base := -1.0

@@ -46,16 +46,8 @@ func TestSKVKeyspaceIdenticalAcrossBatchSizes(t *testing.T) {
 				}
 			}
 		}
-		for i := range c.Slaves {
-			got := fingerprint(c.Slaves[i].Store())
-			if len(got) != len(ref) {
-				t.Fatalf("batch=%d: slave%d has %d keys, want %d", batch, i, len(got), len(ref))
-			}
-			for k, v := range ref {
-				if got[k] != v {
-					t.Fatalf("batch=%d: slave%d divergence at %s: %q vs %q", batch, i, k, got[k], v)
-				}
-			}
+		for i, s := range c.Slaves {
+			requireSameKeyspace(t, fmt.Sprintf("batch=%d slave%d", batch, i), c.Master.Store(), s.Store())
 		}
 	}
 }

@@ -300,10 +300,6 @@ type Scenario struct {
 	Slaves  int
 	Clients int
 	Seed    int64
-	// Masters/SlavesPerMaster build a hash-slot cluster (see
-	// ClusterOpts.Masters); zero values build a single group of Slaves.
-	Masters         int
-	SlavesPerMaster int
 	// Retry is the RC/TCP retransmission-timeout budget before a connection
 	// errors out. 0 means 10s: links park traffic but never die (pure
 	// probe-timeout scenarios). Short values force connection teardown and
@@ -361,7 +357,6 @@ func RunScenario(s Scenario) (*Cluster, *Chaos, error) {
 		Params:   p,
 		SKV:      core.Config{ProgressInterval: 50 * sim.Millisecond},
 		NicReads: s.NicReads,
-		Cluster:  ClusterOpts{Masters: s.Masters, SlavesPerMaster: s.SlavesPerMaster},
 		Tracking: s.Tracking,
 		GetRatio: s.GetRatio,
 	})

@@ -16,6 +16,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 
 	"skv/internal/consistency"
@@ -317,10 +318,6 @@ type Cluster struct {
 	// interface.
 	Clients []workload.KV
 
-	// epByName resolves server addresses (endpoint names) for the clients
-	// and control processes.
-	epByName map[string]*fabric.Endpoint
-
 	clientsStarted bool
 }
 
@@ -403,17 +400,12 @@ func Build(cfg Config) *Cluster {
 	hasNIC := cfg.Kind == KindSKV
 
 	// Master machines first: the slot map's addresses are their host endpoint
-	// names, and every server is born already routing against it. Host
-	// endpoints register in epByName so clients and control processes dial
-	// nodes by name.
-	c.epByName = make(map[string]*fabric.Endpoint)
-	masterMachines := make([]*fabric.Machine, masters)
-	addrs := make([]string, masters)
-	for gi := range masterMachines {
+	// names, and every server is born already routing against it.
+	var addrs []string
+	for gi := 0; gi < masters; gi++ {
 		m := net.NewMachine(nodeName(gi, "master"), hasNIC)
-		masterMachines[gi] = m
-		addrs[gi] = m.Host.Name()
-		c.epByName[m.Host.Name()] = m.Host
+		c.Groups = append(c.Groups, &Group{Index: gi, MasterMachine: m})
+		addrs = append(addrs, m.Host.Name())
 	}
 	if clustered {
 		slotMap, err := slots.NewMap(masters, cfg.Cluster.SlotRanges, addrs)
@@ -425,8 +417,7 @@ func Build(cfg Config) *Cluster {
 
 	// Group gi's seeds are offset by 1000*gi so groups draw independent but
 	// reproducible randomness.
-	for gi := 0; gi < masters; gi++ {
-		g := &Group{Index: gi, MasterMachine: masterMachines[gi]}
+	for gi, g := range c.Groups {
 		var route *server.ClusterRouting
 		skvCfg := cfg.SKV
 		if clustered {
@@ -443,7 +434,6 @@ func Build(cfg Config) *Cluster {
 			sname := nodeName(gi, fmt.Sprintf("slave%d", i))
 			m := net.NewMachine(sname, false)
 			g.SlaveMachines = append(g.SlaveMachines, m)
-			c.epByName[m.Host.Name()] = m.Host
 			srv := newServer(sname, m, cfg.Seed+200+1000*int64(gi)+int64(i), route)
 			g.Slaves = append(g.Slaves, srv)
 			if hasNIC {
@@ -468,7 +458,6 @@ func Build(cfg Config) *Cluster {
 				}
 			}
 		}
-		c.Groups = append(c.Groups, g)
 
 		// Group-agnostic helpers read the whole deployment's slaves through
 		// the concatenated aliases.
@@ -497,7 +486,6 @@ func Build(cfg Config) *Cluster {
 		target := c.MasterMachine.Host
 		if cfg.NicReads == NicReadsClients {
 			target = c.MasterMachine.NIC
-			c.epByName[target.Name()] = target
 		}
 		opts.Addrs = []string{target.Name()}
 		if hasNIC && cfg.Tracking && cfg.NicReads != NicReadsClients {
@@ -517,9 +505,10 @@ func Build(cfg Config) *Cluster {
 	return c
 }
 
-// resolveEP maps a server address (an endpoint name) to its endpoint.
+// resolveEP maps a server address (an endpoint name) to its endpoint, for
+// the clients and control processes that dial nodes by name.
 func (c *Cluster) resolveEP(addr string) *fabric.Endpoint {
-	ep := c.epByName[addr]
+	ep := c.Net.EndpointByName(addr)
 	if ep == nil {
 		panic(fmt.Sprintf("cluster: address %q resolves to no endpoint", addr))
 	}
@@ -589,8 +578,6 @@ type Result struct {
 	RouteUtils []float64
 	// NicUtil is Nic-KV's main ARM core busy fraction (SKV only).
 	NicUtil float64
-	// Masters is the replication-group count.
-	Masters int
 	// GroupOps is the per-group operation count over the measure window
 	// (Masters > 1 only) — the slot-load balance across groups.
 	GroupOps []uint64
@@ -620,18 +607,17 @@ func (c *Cluster) Measure(warmup, duration sim.Duration) Result {
 	// warmup CPU don't pollute the busy fraction. Run to the window start,
 	// snapshot each core's busy-time accumulator, then run the window.
 	c.Eng.Run(start)
-	busyAt := func(core *sim.Core) sim.Duration { return core.BusyTime() }
-	masterBusy := busyAt(c.Master.Proc().Core)
+	masterBusy := c.Master.Proc().Core.BusyTime()
 	var shardBusy, routeBusy []sim.Duration
 	for _, sp := range c.Master.ShardProcs() {
-		shardBusy = append(shardBusy, busyAt(sp.Core))
+		shardBusy = append(shardBusy, sp.Core.BusyTime())
 	}
 	for _, rp := range c.Master.RouteProcs() {
-		routeBusy = append(routeBusy, busyAt(rp.Core))
+		routeBusy = append(routeBusy, rp.Core.BusyTime())
 	}
 	var nicBusy sim.Duration
 	if c.NicKV != nil {
-		nicBusy = busyAt(c.NicKV.Proc().Core)
+		nicBusy = c.NicKV.Proc().Core.BusyTime()
 	}
 	groupStart := c.groupDone()
 	c.Eng.Run(end)
@@ -655,7 +641,6 @@ func (c *Cluster) Measure(warmup, duration sim.Duration) Result {
 		System:     c.Cfg.Kind.String(),
 		Clients:    len(c.Clients),
 		Slaves:     len(c.Slaves),
-		Masters:    len(c.Groups),
 		Moved:      moved,
 		ValueSize:  c.Cfg.ValueSize,
 		Throughput: float64(agg.Count()) / duration.Seconds(),
@@ -727,11 +712,7 @@ func (c *Cluster) Snapshots() []metrics.Snapshot {
 			snaps = append(snaps, g.NicKV.Metrics().Snapshot())
 		}
 	}
-	for i := 1; i < len(snaps); i++ {
-		for j := i; j > 0 && snaps[j].Node < snaps[j-1].Node; j-- {
-			snaps[j], snaps[j-1] = snaps[j-1], snaps[j]
-		}
-	}
+	sort.SliceStable(snaps, func(i, j int) bool { return snaps[i].Node < snaps[j].Node })
 	return snaps
 }
 

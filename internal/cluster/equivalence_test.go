@@ -9,12 +9,9 @@ import (
 
 	"skv/internal/core"
 	"skv/internal/obj"
-	"skv/internal/rconn"
 	"skv/internal/resp"
 	"skv/internal/sim"
 	"skv/internal/store"
-	"skv/internal/tcpsim"
-	"skv/internal/transport"
 )
 
 // canonicalObject renders an object's logical content order-independently.
@@ -70,28 +67,7 @@ func fingerprint(s *store.Store) map[string]string {
 func randomWriter(t *testing.T, c *Cluster, seed int64, n int) {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
-	m := c.Net.NewMachine(fmt.Sprintf("writer%d", seed), false)
-	coreRes := sim.NewCore(c.Eng, m.Name+"-core", 1.0)
-	proc := sim.NewProc(c.Eng, coreRes, c.Params.ClientWakeup)
-	var stack transport.Stack
-	if c.Cfg.Kind == KindTCP {
-		stack = tcpsim.New(c.Net, m.Host, proc)
-	} else {
-		stack = rconn.New(c.Net, m.Host, proc)
-	}
-
-	var conn transport.Conn
-	stack.Dial(c.MasterMachine.Host, core.ClientPort, func(cn transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("writer dial: %v", err)
-			return
-		}
-		conn = cn
-	})
-	c.Eng.Run(c.Eng.Now().Add(50 * sim.Millisecond))
-	if conn == nil {
-		t.Fatal("writer never connected")
-	}
+	conn := dialRaw(t, c, fmt.Sprintf("writer%d", seed), c.MasterMachine.Host, core.ClientPort).conn
 
 	key := func() string { return fmt.Sprintf("k%d", rnd.Intn(40)) }
 	member := func() string { return fmt.Sprintf("m%d", rnd.Intn(8)) }
@@ -159,20 +135,10 @@ func runEquivalence(t *testing.T, kind Kind) {
 	}
 	randomWriter(t, c, 77, 2000)
 
-	want := fingerprint(c.Master.Store())
-	if len(want) == 0 {
+	if c.Master.Store().DBSize(0) == 0 {
 		t.Fatal("master keyspace empty after random workload")
 	}
-	for i := range c.Slaves {
-		got := fingerprint(c.Slaves[i].Store())
-		if len(got) != len(want) {
-			t.Errorf("slave%d has %d keys, master %d", i, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Errorf("slave%d divergence at %s:\n  master: %s\n  slave:  %s", i, k, v, got[k])
-				return
-			}
-		}
+	for i, s := range c.Slaves {
+		requireSameKeyspace(t, fmt.Sprintf("slave%d", i), c.Master.Store(), s.Store())
 	}
 }

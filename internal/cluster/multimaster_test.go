@@ -135,15 +135,7 @@ func TestMultiMasterKeyspacePartitioned(t *testing.T) {
 			}
 		}
 		for si, s := range g.Slaves {
-			got := fingerprint(s.Store())
-			if len(got) != len(fp) {
-				t.Fatalf("g%d slave%d holds %d keys, master holds %d", gi, si, len(got), len(fp))
-			}
-			for k, v := range fp {
-				if got[k] != v {
-					t.Fatalf("g%d slave%d diverged at %s", gi, si, k)
-				}
-			}
+			requireSameKeyspace(t, fmt.Sprintf("g%d slave%d", gi, si), g.Master.Store(), s.Store())
 		}
 	}
 	if total == 0 {

@@ -6,25 +6,23 @@ import (
 
 	"skv/internal/core"
 	"skv/internal/model"
-	"skv/internal/rconn"
 	"skv/internal/resp"
 	"skv/internal/sim"
 	"skv/internal/store"
-	"skv/internal/transport"
 )
 
-// requireSameKeyspace fails the test unless the NIC shadow replica holds
-// logically the same keyspace as the master store.
+// requireSameKeyspace fails the test unless a replica (a slave's store, or
+// the NIC shadow replica) holds logically the same keyspace as the master.
 func requireSameKeyspace(t *testing.T, label string, master, replica *store.Store) {
 	t.Helper()
 	want := fingerprint(master)
 	got := fingerprint(replica)
 	if len(got) != len(want) {
-		t.Fatalf("%s: NIC replica has %d keys, master %d", label, len(got), len(want))
+		t.Fatalf("%s: replica has %d keys, master %d", label, len(got), len(want))
 	}
 	for k, v := range want {
 		if got[k] != v {
-			t.Fatalf("%s: NIC replica divergence at %s: %q vs master %q", label, k, got[k], v)
+			t.Fatalf("%s: replica divergence at %s: %q vs master %q", label, k, got[k], v)
 		}
 	}
 }
@@ -104,33 +102,12 @@ func TestNicReplicaChaosKeyspaceEquality(t *testing.T) {
 // the replies, one per command, in order.
 func nicDo(t *testing.T, c *Cluster, cmds [][]byte) []resp.Value {
 	t.Helper()
-	m := c.Net.NewMachine("nic-probe", false)
-	proc := sim.NewProc(c.Eng, sim.NewCore(c.Eng, m.Name+"-core", 1.0), c.Params.ClientWakeup)
-	stack := rconn.New(c.Net, m.Host, proc)
-	var got []resp.Value
-	ep := c.MasterMachine.NIC
-	stack.Dial(ep, core.ClientPort, func(conn transport.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial NIC: %v", err)
-			return
-		}
-		var r resp.Reader
-		conn.SetHandler(func(data []byte) {
-			r.Feed(data)
-			for {
-				v, ok, _ := r.ReadValue()
-				if !ok {
-					break
-				}
-				got = append(got, v)
-			}
-		})
-		for _, cmd := range cmds {
-			conn.Send(cmd)
-		}
-	})
-	c.Eng.Run(c.Eng.Now().Add(100 * sim.Millisecond))
-	return got
+	rc := dialRaw(t, c, "nic-probe", c.MasterMachine.NIC, core.ClientPort)
+	for _, cmd := range cmds {
+		rc.conn.Send(cmd)
+	}
+	c.Eng.RunFor(100 * sim.Millisecond)
+	return rc.vals
 }
 
 // TestNicReplicaHonorsDBIndex is the satellite regression: the shadow
@@ -148,19 +125,11 @@ func TestNicReplicaHonorsDBIndex(t *testing.T) {
 
 		// Write through the master into db 0 and db 1 over a real client
 		// connection so the writes flow through the replication machinery.
-		m := c.Net.NewMachine("writer", false)
-		proc := sim.NewProc(c.Eng, sim.NewCore(c.Eng, "writer-core", 1.0), c.Params.ClientWakeup)
-		stack := rconn.New(c.Net, m.Host, proc)
-		stack.Dial(c.MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
-			if err != nil {
-				t.Errorf("dial master: %v", err)
-				return
-			}
-			conn.Send(resp.EncodeCommand("SET", "k0", "zero"))
-			conn.Send(resp.EncodeCommand("SELECT", "1"))
-			conn.Send(resp.EncodeCommand("SET", "k1", "one"))
-		})
-		c.Eng.Run(c.Eng.Now().Add(200 * sim.Millisecond))
+		writer := dialRaw(t, c, "writer", c.MasterMachine.Host, core.ClientPort)
+		writer.conn.Send(resp.EncodeCommand("SET", "k0", "zero"))
+		writer.conn.Send(resp.EncodeCommand("SELECT", "1"))
+		writer.conn.Send(resp.EncodeCommand("SET", "k1", "one"))
+		c.Eng.RunFor(200 * sim.Millisecond)
 
 		rs := c.NicKV.ReplicaStore()
 		if got := rs.DBSize(0); got != 1 {

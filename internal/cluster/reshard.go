@@ -74,11 +74,7 @@ func (p *respPool) send(addr string, cmd []byte, cb func(resp.Value)) {
 
 func (p *respPool) dial(pc *poolConn) {
 	pc.dialing = true
-	ep := p.c.epByName[pc.addr]
-	if ep == nil {
-		panic(fmt.Sprintf("cluster: respPool address %q resolves to no endpoint", pc.addr))
-	}
-	p.stack.Dial(ep, core.ClientPort, func(conn transport.Conn, err error) {
+	p.stack.Dial(p.c.resolveEP(pc.addr), core.ClientPort, func(conn transport.Conn, err error) {
 		pc.dialing = false
 		if err != nil {
 			p.c.Eng.After(poolRedial, func() { p.redial(pc) })
@@ -440,19 +436,10 @@ type ReshardResult struct {
 // migrates slots [rshSlotStart, rshSlotEnd] from group 0 to group 1 while
 // slot-aware clients run a mixed GET/SET load over the whole keyspace and
 // the ledger writer hammers keys inside the moving range. Returns the
-// result plus the first invariant violation.
-func RunReshardUnderLoad(seed int64) (*ReshardResult, error) {
-	return runReshardUnderLoad(seed, false)
-}
-
-// RunReshardUnderLoadTracked is the same scenario with CLIENT TRACKING on
-// every slot client: the caches must stay invalidation-coherent while the
-// slot range moves owners (MOVED/ASK redirects drop cached keys).
-func RunReshardUnderLoadTracked(seed int64) (*ReshardResult, error) {
-	return runReshardUnderLoad(seed, true)
-}
-
-func runReshardUnderLoad(seed int64, tracked bool) (*ReshardResult, error) {
+// result plus the first invariant violation. tracked arms CLIENT TRACKING
+// on every slot client: the caches must stay invalidation-coherent while
+// the slot range moves owners (MOVED/ASK redirects drop cached keys).
+func RunReshardUnderLoad(seed int64, tracked bool) (*ReshardResult, error) {
 	p := ChaosParams(0)
 	c := Build(Config{
 		Kind:     KindSKV,

@@ -15,7 +15,7 @@ import (
 // here we additionally pin that the ASK machinery actually fired — a
 // migration nobody raced would pass check() without testing anything.
 func TestReshardUnderLoad(t *testing.T) {
-	r, err := RunReshardUnderLoad(42)
+	r, err := RunReshardUnderLoad(42, false)
 	if err != nil {
 		if r != nil {
 			t.Logf("trace:\n%s", r.H.TraceString())
@@ -49,8 +49,8 @@ func TestReshardUnderLoad(t *testing.T) {
 // byte-identical chaos traces and metric snapshots — the determinism
 // contract the ISSUE's acceptance criteria names for the migration path.
 func TestReshardTraceDeterministic(t *testing.T) {
-	r1, err1 := RunReshardUnderLoad(42)
-	r2, err2 := RunReshardUnderLoad(42)
+	r1, err1 := RunReshardUnderLoad(42, false)
+	r2, err2 := RunReshardUnderLoad(42, false)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("scenario failed: %v / %v", err1, err2)
 	}

@@ -52,16 +52,8 @@ func TestSKVKeyspaceIdenticalAcrossListenerCounts(t *testing.T) {
 				}
 			}
 		}
-		for i := range c.Slaves {
-			got := fingerprint(c.Slaves[i].Store())
-			if len(got) != len(ref) {
-				t.Fatalf("listeners=%d: slave%d has %d keys, want %d", listeners, i, len(got), len(ref))
-			}
-			for k, v := range ref {
-				if got[k] != v {
-					t.Fatalf("listeners=%d: slave%d divergence at %s: %q vs %q", listeners, i, k, got[k], v)
-				}
-			}
+		for i, s := range c.Slaves {
+			requireSameKeyspace(t, fmt.Sprintf("listeners=%d slave%d", listeners, i), c.Master.Store(), s.Store())
 		}
 		// Determinism: an identical second run renders identical snapshots.
 		c2, _ := runOnce(listeners)

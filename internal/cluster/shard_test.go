@@ -51,16 +51,8 @@ func TestSKVKeyspaceIdenticalAcrossShardCounts(t *testing.T) {
 				}
 			}
 		}
-		for i := range c.Slaves {
-			got := fingerprint(c.Slaves[i].Store())
-			if len(got) != len(ref) {
-				t.Fatalf("shards=%d: slave%d has %d keys, want %d", shards, i, len(got), len(ref))
-			}
-			for k, v := range ref {
-				if got[k] != v {
-					t.Fatalf("shards=%d: slave%d divergence at %s: %q vs %q", shards, i, k, got[k], v)
-				}
-			}
+		for i, s := range c.Slaves {
+			requireSameKeyspace(t, fmt.Sprintf("shards=%d slave%d", shards, i), c.Master.Store(), s.Store())
 		}
 		// Determinism: an identical second run renders identical snapshots.
 		c2, _ := runOnce(shards)

@@ -529,7 +529,7 @@ func TestTrackingChaosDeterministic(t *testing.T) {
 // a stale value, and the whole run must be deterministic.
 func TestTrackingReshardNoStaleReads(t *testing.T) {
 	runOnce := func() (*ReshardResult, string) {
-		r, err := RunReshardUnderLoadTracked(7)
+		r, err := RunReshardUnderLoad(7, true)
 		if err != nil {
 			if r != nil {
 				t.Logf("trace:\n%s", r.H.TraceString())

@@ -144,48 +144,38 @@ type frameReader struct {
 	bad bool
 }
 
-func (r *frameReader) u64() uint64 {
-	if r.pos+8 > len(r.b) {
+// take consumes the next n bytes; it flags the frame bad, for good, when
+// fewer remain.
+func (r *frameReader) take(n int) []byte {
+	if r.bad || n < 0 || n > len(r.b)-r.pos {
 		r.bad = true
-		return 0
+		return nil
 	}
-	v := binary.BigEndian.Uint64(r.b[r.pos:])
-	r.pos += 8
-	return v
+	r.pos += n
+	return r.b[r.pos-n : r.pos]
+}
+
+func (r *frameReader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
+	}
+	return 0
 }
 
 func (r *frameReader) i64() int64 { return int64(r.u64()) }
 
 func (r *frameReader) str() string {
-	if r.pos+2 > len(r.b) {
-		r.bad = true
-		return ""
+	if b := r.take(2); b != nil {
+		return string(r.take(int(binary.BigEndian.Uint16(b))))
 	}
-	n := int(binary.BigEndian.Uint16(r.b[r.pos:]))
-	r.pos += 2
-	if r.pos+n > len(r.b) {
-		r.bad = true
-		return ""
-	}
-	s := string(r.b[r.pos : r.pos+n])
-	r.pos += n
-	return s
+	return ""
 }
 
 func (r *frameReader) key() string {
-	if r.pos+4 > len(r.b) {
-		r.bad = true
-		return ""
+	if b := r.take(4); b != nil {
+		return string(r.take(int(binary.BigEndian.Uint32(b))))
 	}
-	n := int(binary.BigEndian.Uint32(r.b[r.pos:]))
-	r.pos += 4
-	if n > len(r.b)-r.pos {
-		r.bad = true
-		return ""
-	}
-	s := string(r.b[r.pos : r.pos+n])
-	r.pos += n
-	return s
+	return ""
 }
 
 // offload decodes a msgOffload body. A request carrying no command, or cut
@@ -201,7 +191,7 @@ func (r *frameReader) offload() (start int64, cmds int, data []byte, ok bool) {
 
 // status decodes a msgStatus body (see statusFrame). The slave count comes
 // off the wire, so it is bounded by the offsets the frame can actually hold
-// before anything is sized with it. threads is -1 when the trailing
+// before anything is sized with it. threads is 0 when the trailing
 // effective-thread field is absent (a frame from an older Nic-KV build).
 func (r *frameReader) status() (offs []int64, minOff int64, threads int, ok bool) {
 	count := r.u64()
@@ -216,7 +206,6 @@ func (r *frameReader) status() (offs []int64, minOff int64, threads int, ok bool
 	if count == 0 || minOff < 0 {
 		minOff = 0 // defensive: a frame from an older Nic-KV build
 	}
-	threads = -1
 	if len(r.b)-r.pos >= 8 {
 		threads = int(r.u64())
 	}

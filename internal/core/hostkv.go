@@ -28,7 +28,6 @@ type HostKV struct {
 	// Latest Nic-KV status report.
 	validSlaves    int
 	minSlaveOffset int64
-	slaveOffsets   []int64
 	statusSeen     bool
 	// nicReplThreads is the effective replication thread count Nic-KV last
 	// reported (ThreadNum after the NIC clamps it to its core count); 0
@@ -91,14 +90,7 @@ func AttachMaster(srv *server.Server, net *fabric.Network, nicEP *fabric.Endpoin
 	// cost-free) unless a client negotiates tracking.
 	srv.OnTrackInterest = h.trackInterest
 	srv.OnTrackDrop = h.trackDrop
-	srv.Stack().Dial(nicEP, NicPort, func(conn transport.Conn, err error) {
-		if err != nil {
-			panic("core: master cannot reach Nic-KV: " + err.Error())
-		}
-		h.nicConn = conn
-		conn.SetHandler(h.onNicMessage)
-		conn.Send([]byte{msgMasterHello})
-	})
+	h.ReconnectNic()
 	return h
 }
 
@@ -118,10 +110,11 @@ func (h *HostKV) SeverConnections() {
 	h.statusSeen = false
 }
 
-// ReconnectNic re-establishes the Nic-KV control connection after a master
-// process restart and re-announces the master with msgMasterHello, retrying
-// until Nic-KV is reachable. This is the path §III-D's restore handles: a
-// recovered master reappearing on a brand-new connection.
+// ReconnectNic establishes the Nic-KV control connection — at attach, and
+// again after a master process restart — and announces the master with
+// msgMasterHello, retrying until Nic-KV is reachable. The restart case is
+// the path §III-D's restore handles: a recovered master reappearing on a
+// brand-new connection.
 func (h *HostKV) ReconnectNic() {
 	if !h.Srv.Alive() {
 		return
@@ -136,9 +129,6 @@ func (h *HostKV) ReconnectNic() {
 		conn.Send([]byte{msgMasterHello})
 	})
 }
-
-// ValidSlaves reports the latest slave availability Nic-KV announced.
-func (h *HostKV) ValidSlaves() int { return h.validSlaves }
 
 // propagate replaces feedSlaves: one replication request to the SmartNIC
 // per flushed batch, regardless of the slave count. The entire steady-state
@@ -257,12 +247,11 @@ func (h *HostKV) onNicMessage(data []byte) {
 		if !ok {
 			return
 		}
-		if threads >= 0 {
+		if threads > 0 {
 			h.nicReplThreads = threads
 		}
 		h.minSlaveOffset = minOff
 		h.validSlaves = len(offs)
-		h.slaveOffsets = offs
 		h.statusSeen = true
 		// Feed the consistency plane: SetAll re-evaluates WAITers and parked
 		// replies, so even if a gate release frame were lost the next status
@@ -292,27 +281,20 @@ func (h *HostKV) serveNewSlave(id, replID string, off int64) {
 	dump := rdb.Dump(srv.Store())
 	srv.Proc().Core.Charge(sim.Duration(float64(len(dump)) * p.RDBPerByte))
 
-	var frame []byte
-	if replID == srv.ReplID() {
-		if delta, okRange := srv.Backlog().Range(off); okRange {
-			// Deviation inside the backlog (or zero): partial resync.
-			h.PartialSyncs++
-			h.mPartialSyncs.Inc()
-			frame = []byte{msgPayloadBacklog}
-			frame = appendStr(frame, srv.ReplID())
-			frame = appendU64(frame, uint64(off))
-			frame = append(frame, delta...)
-		}
-	}
-	if frame == nil {
+	// Both payloads are (tag, replID, base offset, body): the full data file
+	// from the current offset, unless the slave's deviation sits inside the
+	// backlog (or is zero) — then just the missed stream range.
+	tag, base, body := byte(msgPayloadRDB), srv.ReplOffset(), dump
+	if delta, okRange := srv.Backlog().Range(off); okRange && replID == srv.ReplID() {
+		tag, base, body = msgPayloadBacklog, off, delta
+		h.PartialSyncs++
+		h.mPartialSyncs.Inc()
+	} else {
 		h.FullSyncs++
 		h.mFullSyncs.Inc()
-		frame = []byte{msgPayloadRDB}
-		frame = appendStr(frame, srv.ReplID())
-		frame = appendU64(frame, uint64(srv.ReplOffset()))
-		frame = append(frame, dump...)
 	}
-	h.sendPayload(id, frame)
+	frame := appendU64(appendStr([]byte{tag}, srv.ReplID()), uint64(base))
+	h.sendPayload(id, append(frame, body...))
 }
 
 // sendPayload delivers an initial-sync frame over the direct master→slave

@@ -203,10 +203,6 @@ func (n *NicKV) ReplicaSize() int {
 // unless read serving is enabled.
 func (n *NicKV) ReplicaStore() *store.Store { return n.replica }
 
-// ReplicaProcs exposes the per-shard replica procs (utilization reporting);
-// a single shard's proc is the main ARM core's.
-func (n *NicKV) ReplicaProcs() []*sim.Proc { return n.rprocs }
-
 // onClientData serves client commands on the SmartNIC ARM core.
 func (n *NicKV) onClientData(c *nicClient, data []byte) {
 	c.reader.Feed(data)
@@ -221,7 +217,7 @@ func (n *NicKV) onClientData(c *nicClient, data []byte) {
 		if !okCmd {
 			return
 		}
-		n.serveClientCommand(c, argv)
+		n.serveSharded(c, argv)
 	}
 }
 
@@ -240,26 +236,23 @@ func (n *NicKV) selectReply(c *nicClient, argv [][]byte) []byte {
 	return resp.AppendSimple(nil, "OK")
 }
 
-func (n *NicKV) serveClientCommand(c *nicClient, argv [][]byte) {
+// serveSharded charges the parse (always on the slow main ARM core) and
+// routes the client command through the replica shards: single-key reads
+// execute on the proc of the shard owning the key, with the reply merged
+// back and re-sequenced per client on the main core; everything else (MOVED
+// for writes, SELECT, keyless or cross-shard reads) runs inline on the main
+// core but still replies in request order.
+func (n *NicKV) serveSharded(c *nicClient, argv [][]byte) {
 	size := 0
 	for _, a := range argv {
 		size += len(a) + 14
 	}
-	// Parse runs on the (slow) main ARM core.
 	n.proc.Core.Charge(n.params.ParseCost(size))
-	n.serveSharded(c, store.LookupCommand(argv[0]), argv)
-}
-
-// serveSharded routes a parsed client command through the replica shards:
-// single-key reads execute on the proc of the shard owning the key, with
-// the reply merged back and re-sequenced per client on the main core;
-// everything else (MOVED for writes, SELECT, keyless or cross-shard reads)
-// runs inline on the main core but still replies in request order.
-func (n *NicKV) serveSharded(c *nicClient, cmd *store.Command, argv [][]byte) {
+	cmd := store.LookupCommand(argv[0])
 	seq := c.seqNext
 	c.seqNext++
 	if cmd != nil && cmd.Write {
-		n.completeRead(c, seq, movedError())
+		n.completeRead(c, seq, resp.AppendError(nil, "MOVED write commands go to the master host"))
 		return
 	}
 	if cmd != nil && cmd.Name == "select" {
@@ -323,8 +316,4 @@ func (n *NicKV) execReadCost(argv [][]byte) sim.Duration {
 	}
 	return n.params.CmdExecGetCPU +
 		sim.Duration(float64(payload)*n.params.CmdExecPerByte)
-}
-
-func movedError() []byte {
-	return resp.AppendError(nil, "MOVED write commands go to the master host")
 }

@@ -238,9 +238,6 @@ func (n *NicKV) markNodeDown(nd *nodeEntry) {
 	n.timeline.Record(metrics.EventMarkDown, nd.id)
 }
 
-// NodeCount reports the node-list length.
-func (n *NicKV) NodeCount() int { return len(n.nodes) }
-
 // eachValidSlave visits every node that currently counts as a valid slave:
 // not flagged by the failure detector and not promoted to master. The one
 // definition of "valid slave" shared by availability reporting, status

@@ -113,12 +113,15 @@ const (
 func (a *SlaveAgent) connectToNic() {
 	a.dialGen++
 	gen := a.dialGen
-	if !a.Srv.Alive() {
+	retryLater := func() {
 		a.Srv.Engine().After(nicReconnectDelay, func() {
 			if gen == a.dialGen {
 				a.connectToNic()
 			}
 		})
+	}
+	if !a.Srv.Alive() {
+		retryLater()
 		return
 	}
 	a.Srv.Engine().After(nicDialTimeout, func() {
@@ -134,11 +137,7 @@ func (a *SlaveAgent) connectToNic() {
 			return
 		}
 		if err != nil {
-			a.Srv.Engine().After(nicReconnectDelay, func() {
-				if gen == a.dialGen {
-					a.connectToNic()
-				}
-			})
+			retryLater()
 			return
 		}
 		a.nicConn = conn
@@ -195,25 +194,20 @@ func (a *SlaveAgent) onNicMessage(data []byte) {
 		}
 		a.Srv.Proc().Core.Charge(a.Srv.Params().ProbeCPU)
 		a.nicConn.Send([]byte{msgProbeAck})
-	case msgCmdStream:
+	case msgCmdStream, msgCmdStreamAck:
 		off := r.i64()
 		cmd := r.rest()
 		if r.bad {
 			return
 		}
 		a.onStream(off, cmd)
-	case msgCmdStreamAck:
-		// A gated stream chunk (or an empty ack-demand ping at our own
-		// offset): apply like a normal chunk, then report progress right
-		// away — a master reply is parked on this offset, and the next
-		// ProgressInterval cron tick is too far away.
-		off := r.i64()
-		cmd := r.rest()
-		if r.bad {
-			return
+		if data[0] == msgCmdStreamAck {
+			// A gated stream chunk (or an empty ack-demand ping at our own
+			// offset): report progress right away — a master reply is parked
+			// on this offset, and the next ProgressInterval cron tick is too
+			// far away.
+			a.reportProgress()
 		}
-		a.onStream(off, cmd)
-		a.reportProgress()
 	case msgPromote:
 		// Failover: become the master (§III-D).
 		a.Promoted++
@@ -252,16 +246,10 @@ func (a *SlaveAgent) onStream(off int64, cmd []byte) {
 		a.Resync()
 		return
 	}
-	a.apply(cmd[a.offset-off:])
+	// §III-C: "Every time the slave node receives a new command, it executes
+	// the command immediately."
+	a.applier.Feed(cmd[a.offset-off:])
 	a.offset = off + int64(len(cmd))
-}
-
-// apply executes replicated command bytes immediately (§III-C: "Every time
-// the slave node receives a new command, it executes the command
-// immediately"). Decoding — command framing and SELECT context — lives in
-// the shared replstream Applier.
-func (a *SlaveAgent) apply(data []byte) {
-	a.applier.Feed(data)
 }
 
 // onPayload handles the initial-sync payload from the master (§III-C step
@@ -270,31 +258,25 @@ func (a *SlaveAgent) onPayload(data []byte) {
 	if len(data) == 0 || !a.Srv.Alive() {
 		return
 	}
-	p := a.Srv.Params()
+	// Both payloads are (tag, replID, base offset, body).
 	r := &frameReader{b: data, pos: 1}
+	replID := r.str()
+	start := r.i64()
+	body := r.rest()
+	if r.bad {
+		return
+	}
 	switch data[0] {
 	case msgPayloadRDB:
-		replID := r.str()
-		base := r.i64()
-		body := r.rest()
-		if r.bad {
-			return
-		}
-		a.Srv.Proc().Core.Charge(sim.Duration(float64(len(body)) * p.RDBPerByte))
+		a.Srv.Proc().Core.Charge(sim.Duration(float64(len(body)) * a.Srv.Params().RDBPerByte))
 		if err := rdb.Load(a.Srv.Store(), body); err != nil {
 			a.Resync()
 			return
 		}
 		a.masterReplID = replID
-		a.offset = base
+		a.offset = start
 		a.enterSteadyState()
 	case msgPayloadBacklog:
-		replID := r.str()
-		start := r.i64()
-		body := r.rest()
-		if r.bad {
-			return
-		}
 		a.masterReplID = replID
 		if skip := a.offset - start; skip > 0 {
 			if skip >= int64(len(body)) {
@@ -305,7 +287,7 @@ func (a *SlaveAgent) onPayload(data []byte) {
 		} else {
 			a.offset = start
 		}
-		a.apply(body)
+		a.applier.Feed(body)
 		a.offset += int64(len(body))
 		a.enterSteadyState()
 	}

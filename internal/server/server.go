@@ -17,7 +17,6 @@ import (
 
 	"skv/internal/backlog"
 	"skv/internal/consistency"
-	"skv/internal/fabric"
 	"skv/internal/metrics"
 	"skv/internal/model"
 	"skv/internal/replstream"
@@ -391,9 +390,6 @@ func (s *Server) Port() int { return s.port }
 // Alive reports whether the process is running (false after Crash).
 func (s *Server) Alive() bool { return s.alive }
 
-// SlaveCount reports the number of attached slaves (master side).
-func (s *Server) SlaveCount() int { return len(s.slaves) }
-
 // Metrics exposes the node's instrument registry.
 func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 
@@ -401,11 +397,6 @@ func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 // offsets, blocked WAITs, and parked write replies. The SKV Host-KV pushes
 // Nic-KV status offsets and ack-release watermarks through this.
 func (s *Server) Acks() *consistency.AckTracker { return s.acks }
-
-// CheckWaiters re-evaluates blocked WAITs and parked writes against the
-// tracker's current replica offsets (kept for layers and tests that push
-// progress out of band; Ack/SetAll already check internally).
-func (s *Server) CheckWaiters() { s.acks.Check() }
 
 // NumShards reports how many shard procs execute keyspace commands (1 in
 // single-threaded mode).
@@ -942,11 +933,3 @@ func (s *Server) DemoteRole() {
 	}
 }
 
-// DemoteToSlaveOf turns a (promoted) master back into a slave of target.
-func (s *Server) DemoteToSlaveOf(target *fabric.Endpoint, port int) {
-	s.role = RoleSlave
-	if s.OnRoleChange != nil {
-		s.OnRoleChange(RoleSlave)
-	}
-	s.SlaveOf(target, port)
-}

@@ -140,9 +140,10 @@ type shardEngine struct {
 func newShardEngine(s *Server, name string, shards, listeners int) *shardEngine {
 	e := &shardEngine{s: s}
 	for i := 0; i < shards; i++ {
-		core := sim.NewCore(s.eng, shardCoreName(name, i), s.params.HostCoreSpeed)
+		node := name + "/shard" + strconv.Itoa(i)
+		core := sim.NewCore(s.eng, node+"-core", s.params.HostCoreSpeed)
 		e.procs = append(e.procs, sim.NewProc(s.eng, core, s.proc.WakeupCost))
-		reg := metrics.NewRegistry(shardCoreNamePrefix(name, i), s.eng.Now)
+		reg := metrics.NewRegistry(node, s.eng.Now)
 		e.regs = append(e.regs, reg)
 		e.shardCmds = append(e.shardCmds, reg.Counter("shard.cmds"))
 		e.shardExec = append(e.shardExec, reg.Histogram("shard.exec"))
@@ -153,9 +154,10 @@ func newShardEngine(s *Server, name string, shards, listeners int) *shardEngine 
 	// plane strictly off preserves the legacy pipeline bit-for-bit.
 	if listeners > 1 {
 		for i := 0; i < listeners; i++ {
-			core := sim.NewCore(s.eng, routeCoreName(name, i), s.params.HostCoreSpeed)
+			node := name + "/route" + strconv.Itoa(i)
+			core := sim.NewCore(s.eng, node+"-core", s.params.HostCoreSpeed)
 			e.routeProcs = append(e.routeProcs, sim.NewProc(s.eng, core, s.proc.WakeupCost))
-			reg := metrics.NewRegistry(routeCoreNamePrefix(name, i), s.eng.Now)
+			reg := metrics.NewRegistry(node, s.eng.Now)
 			e.routeRegs = append(e.routeRegs, reg)
 			e.routeCmds = append(e.routeCmds, reg.Counter("route.cmds"))
 			e.routeConns = append(e.routeConns, reg.Counter("route.conns"))
@@ -174,22 +176,6 @@ func newShardEngine(s *Server, name string, shards, listeners int) *shardEngine 
 	e.fenced = s.metrics.Counter("server.shard.barriers")
 	e.waits = s.metrics.Counter("server.shard.waits")
 	return e
-}
-
-func shardCoreName(name string, i int) string {
-	return shardCoreNamePrefix(name, i) + "-core"
-}
-
-func shardCoreNamePrefix(name string, i int) string {
-	return name + "/shard" + strconv.Itoa(i)
-}
-
-func routeCoreName(name string, i int) string {
-	return routeCoreNamePrefix(name, i) + "-core"
-}
-
-func routeCoreNamePrefix(name string, i int) string {
-	return name + "/route" + strconv.Itoa(i)
 }
 
 // routing reports whether the routing plane is on (RouteListeners > 1).
