@@ -448,12 +448,12 @@ func Build(cfg Config) *Cluster {
 				// slave's address (epoch bump → clients repair on MOVED or
 				// reconnect); demotion on master recovery moves them back. This
 				// models the converged gossip state, not per-node propagation.
-				slotMap, slaveAddr, masterAddr := c.SlotMap, m.Host.Name(), g.MasterMachine.Host.Name()
+				slaveAddr, masterAddr := m.Host.Name(), g.MasterMachine.Host.Name()
 				srv.OnRoleChange = func(r server.Role) {
 					if r == server.RoleMaster {
-						slotMap.SetAddr(gi, slaveAddr)
+						c.SlotMap.SetAddr(gi, slaveAddr)
 					} else {
-						slotMap.SetAddr(gi, masterAddr)
+						c.SlotMap.SetAddr(gi, masterAddr)
 					}
 				}
 			}

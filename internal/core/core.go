@@ -183,7 +183,7 @@ func (r *frameReader) key() string {
 func (r *frameReader) offload() (start int64, cmds int, data []byte, ok bool) {
 	start = r.i64()
 	count := r.u64()
-	if r.bad || count < 1 || count > uint64(len(r.b)-r.pos) {
+	if r.bad || count == 0 || count > uint64(len(r.b)-r.pos) {
 		return 0, 0, nil, false
 	}
 	return start, int(count), r.rest(), true

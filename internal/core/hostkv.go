@@ -281,12 +281,15 @@ func (h *HostKV) serveNewSlave(id, replID string, off int64) {
 	dump := rdb.Dump(srv.Store())
 	srv.Proc().Core.Charge(sim.Duration(float64(len(dump)) * p.RDBPerByte))
 
-	// Both payloads are (tag, replID, base offset, body): the full data file
-	// from the current offset, unless the slave's deviation sits inside the
-	// backlog (or is zero) — then just the missed stream range.
+	// Both payloads are (tag, replID, base offset, body): the full data file,
+	// or just the missed range when the deviation is inside the backlog (or 0).
 	tag, base, body := byte(msgPayloadRDB), srv.ReplOffset(), dump
-	if delta, okRange := srv.Backlog().Range(off); okRange && replID == srv.ReplID() {
-		tag, base, body = msgPayloadBacklog, off, delta
+	if replID == srv.ReplID() {
+		if delta, okRange := srv.Backlog().Range(off); okRange {
+			tag, base, body = msgPayloadBacklog, off, delta
+		}
+	}
+	if tag == msgPayloadBacklog {
 		h.PartialSyncs++
 		h.mPartialSyncs.Inc()
 	} else {
