@@ -932,4 +932,3 @@ func (s *Server) DemoteRole() {
 		s.OnRoleChange(RoleSlave)
 	}
 }
-
