@@ -9,6 +9,7 @@ import (
 	"skv/internal/rconn"
 	"skv/internal/resp"
 	"skv/internal/sim"
+	"skv/internal/store"
 	"skv/internal/transport"
 )
 
@@ -23,7 +24,7 @@ func batchParams(batch int) *model.Params {
 // final keyspaces — master and every slave — to be logically identical.
 // Batching may change when bytes travel, never what they say.
 func TestSKVKeyspaceIdenticalAcrossBatchSizes(t *testing.T) {
-	var ref map[string]string
+	var ref *store.Store
 	for _, batch := range []int{1, 4, 64} {
 		c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 0, Seed: 31,
 			Params: batchParams(batch), SKV: core.DefaultConfig()})
@@ -36,16 +37,9 @@ func TestSKVKeyspaceIdenticalAcrossBatchSizes(t *testing.T) {
 			t.Fatalf("batch=%d: master keyspace empty", batch)
 		}
 		if ref == nil {
-			ref = fp
-		} else if len(fp) != len(ref) {
-			t.Fatalf("batch=%d: master has %d keys, batch=1 had %d", batch, len(fp), len(ref))
-		} else {
-			for k, v := range ref {
-				if fp[k] != v {
-					t.Fatalf("batch=%d: master divergence at %s: %q vs %q", batch, k, fp[k], v)
-				}
-			}
+			ref = c.Master.Store()
 		}
+		requireSameKeyspace(t, fmt.Sprintf("batch=%d master vs the batch=1 master", batch), ref, c.Master.Store())
 		for i, s := range c.Slaves {
 			requireSameKeyspace(t, fmt.Sprintf("batch=%d slave%d", batch, i), c.Master.Store(), s.Store())
 		}
@@ -171,13 +165,7 @@ func TestChaosScenariosBatched(t *testing.T) {
 					if c.SlaveAgents[1].Resyncs == 0 {
 						t.Error("recovered slave never resynchronized")
 					}
-					_, h2, err2 := RunScenario(s)
-					if err2 != nil {
-						t.Fatalf("second run diverged in outcome: %v", err2)
-					}
-					if h.TraceString() != h2.TraceString() {
-						t.Fatal("batched trace not deterministic across identical runs")
-					}
+					requireDeterministicRerun(t, s, c, h)
 				}
 			})
 		}

@@ -24,24 +24,30 @@ func TestChaosScenarios(t *testing.T) {
 			}
 			checkScenarioExpectations(t, s.Name, c, h)
 
-			c2, h2, err2 := RunScenario(s)
-			if err2 != nil {
-				t.Fatalf("second run diverged in outcome: %v", err2)
-			}
-			if h.TraceString() != h2.TraceString() {
-				t.Fatalf("trace not deterministic across identical runs:\n--- run1:\n%s--- run2:\n%s",
-					h.TraceString(), h2.TraceString())
-			}
-			// The observability plane obeys the same determinism contract:
-			// identical runs render identical metrics snapshots and failover
-			// timelines, byte for byte.
-			if s1, s2 := c.SnapshotsString(), c2.SnapshotsString(); s1 != s2 {
-				t.Fatalf("metrics snapshots not deterministic:\n--- run1:\n%s--- run2:\n%s", s1, s2)
-			}
-			if t1, t2 := c.NicKV.Timeline().String(), c2.NicKV.Timeline().String(); t1 != t2 {
-				t.Fatalf("failover timeline not deterministic:\n--- run1:\n%s--- run2:\n%s", t1, t2)
-			}
+			requireDeterministicRerun(t, s, c, h)
 		})
+	}
+}
+
+// requireDeterministicRerun runs the scenario again and holds it to the
+// harness's determinism contract (same seed → same event sequence): a
+// byte-identical trace, and — the observability plane obeys the same contract
+// — identical metrics snapshots and failover timeline.
+func requireDeterministicRerun(t *testing.T, s Scenario, c *Cluster, h *Chaos) {
+	t.Helper()
+	c2, h2, err := RunScenario(s)
+	if err != nil {
+		t.Fatalf("second run diverged in outcome: %v", err)
+	}
+	if h.TraceString() != h2.TraceString() {
+		t.Fatalf("trace not deterministic across identical runs:\n--- run1:\n%s--- run2:\n%s",
+			h.TraceString(), h2.TraceString())
+	}
+	if s1, s2 := c.SnapshotsString(), c2.SnapshotsString(); s1 != s2 {
+		t.Fatalf("metrics snapshots not deterministic:\n--- run1:\n%s--- run2:\n%s", s1, s2)
+	}
+	if t1, t2 := c.NicKV.Timeline().String(), c2.NicKV.Timeline().String(); t1 != t2 {
+		t.Fatalf("failover timeline not deterministic:\n--- run1:\n%s--- run2:\n%s", t1, t2)
 	}
 }
 

@@ -607,17 +607,18 @@ func (c *Cluster) Measure(warmup, duration sim.Duration) Result {
 	// warmup CPU don't pollute the busy fraction. Run to the window start,
 	// snapshot each core's busy-time accumulator, then run the window.
 	c.Eng.Run(start)
-	masterBusy := c.Master.Proc().Core.BusyTime()
+	busyAt := func(core *sim.Core) sim.Duration { return core.BusyTime() }
+	masterBusy := busyAt(c.Master.Proc().Core)
 	var shardBusy, routeBusy []sim.Duration
 	for _, sp := range c.Master.ShardProcs() {
-		shardBusy = append(shardBusy, sp.Core.BusyTime())
+		shardBusy = append(shardBusy, busyAt(sp.Core))
 	}
 	for _, rp := range c.Master.RouteProcs() {
-		routeBusy = append(routeBusy, rp.Core.BusyTime())
+		routeBusy = append(routeBusy, busyAt(rp.Core))
 	}
 	var nicBusy sim.Duration
 	if c.NicKV != nil {
-		nicBusy = c.NicKV.Proc().Core.BusyTime()
+		nicBusy = busyAt(c.NicKV.Proc().Core)
 	}
 	groupStart := c.groupDone()
 	c.Eng.Run(end)

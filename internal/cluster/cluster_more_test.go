@@ -167,7 +167,7 @@ func TestNicServedReadsReturnCorrectValues(t *testing.T) {
 	if res.Ops == 0 || res.ErrReplies != 0 {
 		t.Fatalf("NIC-served reads: %+v", res)
 	}
-	if c.NicKV.ReplicaSize() == 0 {
+	if c.NicKV.ReplicaStore().DBSize(0) == 0 {
 		t.Fatal("replica empty")
 	}
 }
@@ -181,7 +181,7 @@ func TestNicReplicaTracksWrites(t *testing.T) {
 	c.Measure(10*sim.Millisecond, 100*sim.Millisecond)
 	c.Eng.Run(c.Eng.Now().Add(100 * sim.Millisecond))
 	// Every write relayed through the NIC also landed in the replica.
-	if got, want := c.NicKV.ReplicaSize(), c.Master.Store().DBSize(0); got != want {
+	if got, want := c.NicKV.ReplicaStore().DBSize(0), c.Master.Store().DBSize(0); got != want {
 		t.Fatalf("NIC replica has %d keys, master %d", got, want)
 	}
 }

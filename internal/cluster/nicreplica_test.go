@@ -42,7 +42,7 @@ func TestNicReplicaKeyspaceEqualsMasterAcrossShards(t *testing.T) {
 		}
 		randomWriter(t, c, 77, 2000)
 		c.Eng.Run(c.Eng.Now().Add(200 * sim.Millisecond))
-		if c.NicKV.ReplicaSize() == 0 {
+		if c.NicKV.ReplicaStore().DBSize(0) == 0 {
 			t.Fatalf("shards=%d: NIC replica empty after mixed workload", shards)
 		}
 		requireSameKeyspace(t, fmt.Sprintf("shards=%d", shards), c.Master.Store(), c.NicKV.ReplicaStore())
@@ -66,7 +66,7 @@ func TestNicReplicaKeyspaceEqualsMasterRouted(t *testing.T) {
 		}
 		randomWriter(t, c, 77, 2000)
 		c.Eng.Run(c.Eng.Now().Add(200 * sim.Millisecond))
-		if c.NicKV.ReplicaSize() == 0 {
+		if c.NicKV.ReplicaStore().DBSize(0) == 0 {
 			t.Fatalf("listeners=%d: NIC replica empty after mixed workload", listeners)
 		}
 		requireSameKeyspace(t, fmt.Sprintf("listeners=%d", listeners), c.Master.Store(), c.NicKV.ReplicaStore())

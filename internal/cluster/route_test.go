@@ -9,6 +9,7 @@ import (
 	"skv/internal/rconn"
 	"skv/internal/resp"
 	"skv/internal/sim"
+	"skv/internal/store"
 	"skv/internal/transport"
 )
 
@@ -35,23 +36,16 @@ func TestSKVKeyspaceIdenticalAcrossListenerCounts(t *testing.T) {
 		randomWriter(t, c, 77, 2000)
 		return c, fingerprint(c.Master.Store())
 	}
-	var ref map[string]string
+	var ref *store.Store
 	for _, listeners := range []int{1, 2, 4} {
 		c, fp := runOnce(listeners)
 		if len(fp) == 0 {
 			t.Fatalf("listeners=%d: master keyspace empty", listeners)
 		}
 		if ref == nil {
-			ref = fp
-		} else if len(fp) != len(ref) {
-			t.Fatalf("listeners=%d: master has %d keys, listeners=1 had %d", listeners, len(fp), len(ref))
-		} else {
-			for k, v := range ref {
-				if fp[k] != v {
-					t.Fatalf("listeners=%d: master divergence at %s: %q vs %q", listeners, k, fp[k], v)
-				}
-			}
+			ref = c.Master.Store()
 		}
+		requireSameKeyspace(t, fmt.Sprintf("listeners=%d master vs the listeners=1 master", listeners), ref, c.Master.Store())
 		for i, s := range c.Slaves {
 			requireSameKeyspace(t, fmt.Sprintf("listeners=%d slave%d", listeners, i), c.Master.Store(), s.Store())
 		}
@@ -137,16 +131,7 @@ func TestChaosScenariosRouted(t *testing.T) {
 				t.Fatalf("convergence failed:\n%v\ntrace:\n%s", err, h.TraceString())
 			}
 			if s.Name == "master-restart-split-brain" {
-				c2, h2, err2 := RunScenario(s)
-				if err2 != nil {
-					t.Fatalf("second run diverged in outcome: %v", err2)
-				}
-				if h.TraceString() != h2.TraceString() {
-					t.Fatal("routed failover timeline not deterministic across identical runs")
-				}
-				if c.SnapshotsString() != c2.SnapshotsString() {
-					t.Fatal("routed metric snapshots not deterministic across identical runs")
-				}
+				requireDeterministicRerun(t, s, c, h)
 			}
 		})
 	}

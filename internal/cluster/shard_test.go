@@ -9,6 +9,7 @@ import (
 	"skv/internal/rconn"
 	"skv/internal/resp"
 	"skv/internal/sim"
+	"skv/internal/store"
 	"skv/internal/transport"
 )
 
@@ -34,23 +35,16 @@ func TestSKVKeyspaceIdenticalAcrossShardCounts(t *testing.T) {
 		randomWriter(t, c, 77, 2000)
 		return c, fingerprint(c.Master.Store())
 	}
-	var ref map[string]string
+	var ref *store.Store
 	for _, shards := range []int{1, 2, 4} {
 		c, fp := runOnce(shards)
 		if len(fp) == 0 {
 			t.Fatalf("shards=%d: master keyspace empty", shards)
 		}
 		if ref == nil {
-			ref = fp
-		} else if len(fp) != len(ref) {
-			t.Fatalf("shards=%d: master has %d keys, shards=1 had %d", shards, len(fp), len(ref))
-		} else {
-			for k, v := range ref {
-				if fp[k] != v {
-					t.Fatalf("shards=%d: master divergence at %s: %q vs %q", shards, k, fp[k], v)
-				}
-			}
+			ref = c.Master.Store()
 		}
+		requireSameKeyspace(t, fmt.Sprintf("shards=%d master vs the shards=1 master", shards), ref, c.Master.Store())
 		for i, s := range c.Slaves {
 			requireSameKeyspace(t, fmt.Sprintf("shards=%d slave%d", shards, i), c.Master.Store(), s.Store())
 		}
@@ -160,16 +154,7 @@ func TestChaosScenariosSharded(t *testing.T) {
 					t.Fatalf("convergence failed:\n%v\ntrace:\n%s", err, h.TraceString())
 				}
 				if shards == 4 && s.Name == "master-restart-split-brain" {
-					c2, h2, err2 := RunScenario(s)
-					if err2 != nil {
-						t.Fatalf("second run diverged in outcome: %v", err2)
-					}
-					if h.TraceString() != h2.TraceString() {
-						t.Fatal("sharded failover timeline not deterministic across identical runs")
-					}
-					if c.SnapshotsString() != c2.SnapshotsString() {
-						t.Fatal("sharded metric snapshots not deterministic across identical runs")
-					}
+					requireDeterministicRerun(t, s, c, h)
 				}
 			})
 		}

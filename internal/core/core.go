@@ -191,7 +191,7 @@ func (r *frameReader) offload() (start int64, cmds int, data []byte, ok bool) {
 
 // status decodes a msgStatus body (see statusFrame). The slave count comes
 // off the wire, so it is bounded by the offsets the frame can actually hold
-// before anything is sized with it. threads is 0 when the trailing
+// before anything is sized with it. threads is -1 when the trailing
 // effective-thread field is absent (a frame from an older Nic-KV build).
 func (r *frameReader) status() (offs []int64, minOff int64, threads int, ok bool) {
 	count := r.u64()
@@ -206,6 +206,7 @@ func (r *frameReader) status() (offs []int64, minOff int64, threads int, ok bool
 	if count == 0 || minOff < 0 {
 		minOff = 0 // defensive: a frame from an older Nic-KV build
 	}
+	threads = -1
 	if len(r.b)-r.pos >= 8 {
 		threads = int(r.u64())
 	}

@@ -55,8 +55,8 @@ func TestStatusFrameWithoutThreadsField(t *testing.T) {
 	if count != 1 || minOff != 50 || len(offs) != 1 {
 		t.Fatalf("count=%d minOff=%d offs=%v", count, minOff, offs)
 	}
-	if threads != 0 {
-		t.Fatalf("threads=%d, want 0 (absent)", threads)
+	if threads != -1 {
+		t.Fatalf("threads=%d, want -1 (absent)", threads)
 	}
 }
 

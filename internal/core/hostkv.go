@@ -247,7 +247,7 @@ func (h *HostKV) onNicMessage(data []byte) {
 		if !ok {
 			return
 		}
-		if threads > 0 {
+		if threads >= 0 {
 			h.nicReplThreads = threads
 		}
 		h.minSlaveOffset = minOff
@@ -281,23 +281,27 @@ func (h *HostKV) serveNewSlave(id, replID string, off int64) {
 	dump := rdb.Dump(srv.Store())
 	srv.Proc().Core.Charge(sim.Duration(float64(len(dump)) * p.RDBPerByte))
 
-	// Both payloads are (tag, replID, base offset, body): the full data file,
-	// or just the missed range when the deviation is inside the backlog (or 0).
-	tag, base, body := byte(msgPayloadRDB), srv.ReplOffset(), dump
+	var frame []byte
 	if replID == srv.ReplID() {
 		if delta, okRange := srv.Backlog().Range(off); okRange {
-			tag, base, body = msgPayloadBacklog, off, delta
+			// Deviation inside the backlog (or zero): partial resync.
+			h.PartialSyncs++
+			h.mPartialSyncs.Inc()
+			frame = []byte{msgPayloadBacklog}
+			frame = appendStr(frame, srv.ReplID())
+			frame = appendU64(frame, uint64(off))
+			frame = append(frame, delta...)
 		}
 	}
-	if tag == msgPayloadBacklog {
-		h.PartialSyncs++
-		h.mPartialSyncs.Inc()
-	} else {
+	if frame == nil {
 		h.FullSyncs++
 		h.mFullSyncs.Inc()
+		frame = []byte{msgPayloadRDB}
+		frame = appendStr(frame, srv.ReplID())
+		frame = appendU64(frame, uint64(srv.ReplOffset()))
+		frame = append(frame, dump...)
 	}
-	frame := appendU64(appendStr([]byte{tag}, srv.ReplID()), uint64(base))
-	h.sendPayload(id, append(frame, body...))
+	h.sendPayload(id, frame)
 }
 
 // sendPayload delivers an initial-sync frame over the direct master→slave

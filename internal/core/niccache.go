@@ -33,7 +33,8 @@ import (
 // retirements merge back on the main core, with per-client re-sequencing
 // exactly like the host dispatch plane. With several shards each runs on
 // its own ARM core; a single shard (the default) runs on the main core
-// itself, so the unsharded replica occupies one modelled core.
+// itself, so the unsharded replica occupies one modelled core and pays for
+// no handoff (see viaShard).
 
 // nicClient is one client connection served by the SmartNIC.
 type nicClient struct {
@@ -70,7 +71,13 @@ type nicApplyOp struct {
 // listener. Called from NewNicKV when the config asks for it; name is the
 // machine name (core naming).
 func (n *NicKV) initReadServing(name string) {
-	rshards := min(max(n.params.HostShards, 1), n.params.NICCores)
+	rshards := n.params.HostShards
+	if rshards < 1 {
+		rshards = 1
+	}
+	if rshards > n.params.NICCores {
+		rshards = n.params.NICCores
+	}
 	n.replica = store.New(store.Options{Shards: rshards, Seed: 0x51CA, Clock: func() int64 {
 		return int64(n.eng.Now() / sim.Time(sim.Millisecond))
 	}})
@@ -149,12 +156,11 @@ func (n *NicKV) replicaShardOf(cmd *store.Command, argv [][]byte) int {
 	return si
 }
 
-// drainApply admits queued apply ops in stream order: routed ops post to
-// their shard's proc (route cost on the main core, apply cost on the shard,
-// merge cost back on the main core); a fence waits for the pipeline to
-// drain (applyInflight == 0) and then runs inline. Per-key order is
-// preserved by shard-FIFO execution; the fence preserves global order
-// around cross-shard commands.
+// drainApply admits queued apply ops in stream order: routed ops run on
+// their shard (viaShard); a fence waits for the pipeline to drain
+// (applyInflight == 0) and then runs inline. Per-key order is preserved by
+// shard-FIFO execution; the fence preserves global order around cross-shard
+// commands.
 func (n *NicKV) drainApply() {
 	for len(n.applyq) > 0 {
 		op := n.applyq[0]
@@ -164,22 +170,44 @@ func (n *NicKV) drainApply() {
 			}
 			n.applyq = n.applyq[1:]
 			n.mReplicaFenced.Inc()
-			n.proc.Core.Charge(n.params.NicShardFenceCPU*sim.Duration(len(n.rprocs)) + n.params.SlaveApplyCPU)
+			fence := n.params.NicShardFenceCPU * sim.Duration(len(n.rprocs))
+			if n.rprocs[0] == n.proc {
+				fence = 0 // the main core is the one shard: no other core to quiesce
+			}
+			n.proc.Core.Charge(fence + n.params.SlaveApplyCPU)
 			n.replica.Exec(op.db, op.argv)
 			continue
 		}
 		n.applyq = n.applyq[1:]
 		n.mReplicaRouted.Inc()
-		n.proc.Core.Charge(n.params.NicShardRouteCPU)
 		n.applyInflight++
-		n.rprocs[op.shard].Post(n.params.SlaveApplyCPU, func() {
+		n.viaShard(op.shard, n.params.SlaveApplyCPU, func() {
 			n.replica.Dispatch(op.cmd, op.db, op.argv)
-			n.proc.Post(n.params.NicShardMergeCPU, func() {
-				n.applyInflight--
-				n.drainApply()
-			})
+		}, func() {
+			n.applyInflight--
+			n.drainApply()
 		})
 	}
+}
+
+// viaShard is the one route → execute → merge hop of the replica pipeline,
+// called on the main core: route cost here, cost of work on shard si's proc,
+// merge cost back here, then done. When the main core is itself the shard
+// (one shard) there is no other core to hand to: the hop is a charge and two
+// calls, with no handoff cost and no requeue behind later arrivals.
+func (n *NicKV) viaShard(si int, cost sim.Duration, work, done func()) {
+	p := n.rprocs[si]
+	if p == n.proc {
+		n.proc.Core.Charge(cost)
+		work()
+		done()
+		return
+	}
+	n.proc.Core.Charge(n.params.NicShardRouteCPU)
+	p.Post(cost, func() {
+		work()
+		n.proc.Post(n.params.NicShardMergeCPU, done)
+	})
 }
 
 // PreloadReplica installs a key directly in the shadow store (the ablation
@@ -189,14 +217,6 @@ func (n *NicKV) PreloadReplica(key string, value []byte) {
 		return
 	}
 	n.replica.Exec(0, [][]byte{[]byte("SET"), []byte(key), value})
-}
-
-// ReplicaSize reports the shadow store's db-0 key count (tests).
-func (n *NicKV) ReplicaSize() int {
-	if n.replica == nil {
-		return 0
-	}
-	return n.replica.DBSize(0)
 }
 
 // ReplicaStore exposes the shadow store (keyspace-equality tests); nil
@@ -269,14 +289,12 @@ func (n *NicKV) serveSharded(c *nicClient, argv [][]byte) {
 	// poisoning the in-flight read), never miss it.
 	n.nicRecordInterest(c, cmd, argv)
 	if si := n.replicaShardOf(cmd, argv); si >= 0 {
-		n.proc.Core.Charge(n.params.NicShardRouteCPU)
 		dbi := c.db
-		cost := n.execReadCost(argv)
-		n.rprocs[si].Post(cost, func() {
-			reply, _ := n.replica.Dispatch(cmd, dbi, argv)
-			n.proc.Post(n.params.NicShardMergeCPU, func() {
-				n.completeRead(c, seq, reply)
-			})
+		var reply []byte
+		n.viaShard(si, n.execReadCost(argv), func() {
+			reply, _ = n.replica.Dispatch(cmd, dbi, argv)
+		}, func() {
+			n.completeRead(c, seq, reply)
 		})
 		return
 	}

@@ -113,15 +113,12 @@ const (
 func (a *SlaveAgent) connectToNic() {
 	a.dialGen++
 	gen := a.dialGen
-	retryLater := func() {
+	if !a.Srv.Alive() {
 		a.Srv.Engine().After(nicReconnectDelay, func() {
 			if gen == a.dialGen {
 				a.connectToNic()
 			}
 		})
-	}
-	if !a.Srv.Alive() {
-		retryLater()
 		return
 	}
 	a.Srv.Engine().After(nicDialTimeout, func() {
@@ -137,7 +134,11 @@ func (a *SlaveAgent) connectToNic() {
 			return
 		}
 		if err != nil {
-			retryLater()
+			a.Srv.Engine().After(nicReconnectDelay, func() {
+				if gen == a.dialGen {
+					a.connectToNic()
+				}
+			})
 			return
 		}
 		a.nicConn = conn
@@ -258,25 +259,31 @@ func (a *SlaveAgent) onPayload(data []byte) {
 	if len(data) == 0 || !a.Srv.Alive() {
 		return
 	}
-	// Both payloads are (tag, replID, base offset, body).
+	p := a.Srv.Params()
 	r := &frameReader{b: data, pos: 1}
-	replID := r.str()
-	start := r.i64()
-	body := r.rest()
-	if r.bad {
-		return
-	}
 	switch data[0] {
 	case msgPayloadRDB:
-		a.Srv.Proc().Core.Charge(sim.Duration(float64(len(body)) * a.Srv.Params().RDBPerByte))
+		replID := r.str()
+		base := r.i64()
+		body := r.rest()
+		if r.bad {
+			return
+		}
+		a.Srv.Proc().Core.Charge(sim.Duration(float64(len(body)) * p.RDBPerByte))
 		if err := rdb.Load(a.Srv.Store(), body); err != nil {
 			a.Resync()
 			return
 		}
 		a.masterReplID = replID
-		a.offset = start
+		a.offset = base
 		a.enterSteadyState()
 	case msgPayloadBacklog:
+		replID := r.str()
+		start := r.i64()
+		body := r.rest()
+		if r.bad {
+			return
+		}
 		a.masterReplID = replID
 		if skip := a.offset - start; skip > 0 {
 			if skip >= int64(len(body)) {

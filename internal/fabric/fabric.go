@@ -17,6 +17,7 @@ package fabric
 
 import (
 	"fmt"
+	"strings"
 
 	"skv/internal/metrics"
 	"skv/internal/model"
@@ -206,13 +207,15 @@ func (n *Network) Machine(name string) *Machine { return n.machines[name] }
 // "machine/nic", or nil when unknown. Message payloads that must name a
 // node (SKV's initial-sync requests) carry these strings.
 func (n *Network) EndpointByName(name string) *Endpoint {
-	for _, m := range n.machines {
-		if m.Host != nil && m.Host.name == name {
-			return m.Host
-		}
-		if m.NIC != nil && m.NIC.name == name {
-			return m.NIC
-		}
+	// The machine is everything before the last '/'.
+	m := n.machines[name[:max(strings.LastIndexByte(name, '/'), 0)]]
+	switch {
+	case m == nil:
+		return nil
+	case m.Host.name == name:
+		return m.Host
+	case m.NIC != nil && m.NIC.name == name:
+		return m.NIC
 	}
 	return nil
 }

@@ -199,7 +199,8 @@ type Params struct {
 	// layout: min(HostShards, NICCores) shards each own a key-hash slice of
 	// the replica, applying the stream and serving reads — in parallel on
 	// their own ARM cores when there are several, on the main core when
-	// there is one.
+	// there is one. The three knobs price handoffs between the main core
+	// and those shard cores, so they are charged only when there are any.
 
 	// NicShardRouteCPU is the main-ARM-core cost of routing one replica
 	// apply or NIC-served read to its shard core.
