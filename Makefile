@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build test vet lint race verify bench bench-smoke clean
+.PHONY: all build fmt test vet lint race verify bench bench-smoke clean
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# Fails, listing the files, when anything is not gofmt-clean.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # benchmark/ is a nested module (the perf ledger, see BENCHMARK.json); the
 # root ./... pattern does not reach its smoke test.
@@ -34,7 +38,7 @@ race:
 	$(GO) test -race -timeout 60m ./...
 
 # Full pre-merge gate: everything CI runs.
-verify: build test vet lint race
+verify: build fmt test vet lint race
 
 # Regenerate the paper-figure experiments (virtual-time, deterministic).
 bench:

@@ -21,8 +21,8 @@ import (
 // loss under failover costs in throughput and tail latency.
 func ExtQuorum() *Experiment {
 	e := &Experiment{
-		ID:    "ext-quorum",
-		Title: "Tunable write consistency (SKV, 3 slaves, SET-only) — extension",
+		ID:     "ext-quorum",
+		Title:  "Tunable write consistency (SKV, 3 slaves, SET-only) — extension",
 		Header: []string{"level", "kops/s", "p99 µs", "gate releases", "err replies"},
 		Notes: []string{
 			"extension beyond the paper: NIC-enforced quorum acknowledgments — the master gates each write's reply behind a msgGate frame and the Nic-KV releases a watermark once W slaves report the offset",

@@ -31,9 +31,9 @@ func ExtShards() *Experiment {
 		Header: []string{"shards", "listeners", "skv kops/s", "p99 µs", "dispatch util",
 			"route core utils", "shard core utils", "wait0 rtt µs", "wait barriers"},
 		Notes: []string{
-			"extension beyond the paper: shards=1 is the single-threaded server bit-for-bit (no dispatch plane); listeners=1 is the PR-5 dispatch-owned pipeline bit-for-bit",
+			"extension beyond the paper: one pipeline at every row — at shards=1 the one shard shares the dispatch core, so the route/merge hop crosses no core and costs nothing (the paper's single event loop, `-` in both util columns); at listeners=1 the dispatch core owns every connection",
 			"replication, WAIT and the Nic-KV offload see one serialized stream at every shard and listener count",
-			"listeners≥2 rows batch replication flushes (8 cmds or 5µs, whichever first) — the thin merge stage amortizes the offload doorbell behind a coalescing timer; listeners=1 rows keep the legacy per-write flush",
+			"listeners≥2 rows batch replication flushes (8 cmds or 5µs, whichever first) — the thin merge stage amortizes the offload doorbell behind a coalescing timer; listeners=1 rows flush per write",
 			"wait0 rtt: round-trip of WAIT 0 0 probed under full load — per-caller WAIT never quiesces the pipeline, so the barrier count stays 0 in every row",
 		},
 	}

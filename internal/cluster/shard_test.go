@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"skv/internal/consistency"
 	"skv/internal/core"
 	"skv/internal/model"
 	"skv/internal/rconn"
@@ -158,5 +159,96 @@ func TestChaosScenariosSharded(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestOneShardPaysNoHandoff: with HostShards=1 the shard's proc IS the
+// dispatch proc, so the route → execute → merge hop and the barrier fence
+// cross no core. Pricing every cross-core cost at a millisecond must then
+// change nothing the deployment can observe: not the measured result, not a
+// counter or histogram in any registry, not the number of events the engine
+// ran. The second half pins what the hop-free pipeline still owes a
+// connection: with quorum writes parked on the NIC gate, a pipeline-8 client
+// gets its replies in request order.
+func TestOneShardPaysNoHandoff(t *testing.T) {
+	run := func(handoff sim.Duration) (Result, string, uint64) {
+		p := shardParams(1)
+		if handoff > 0 {
+			p.ShardRouteCPU, p.ShardMergeCPU, p.ShardFenceCPU = handoff, handoff, handoff
+		}
+		c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 4, Seed: 35, Params: p, SKV: core.DefaultConfig()})
+		if !c.AwaitReplication(2 * sim.Second) {
+			t.Fatal("sync failed")
+		}
+		res := c.Measure(5*sim.Millisecond, 30*sim.Millisecond) // pure SET
+		for _, cl := range c.Clients {
+			cl.Stop()
+		}
+		rc := dialRaw(t, c, "prober", c.MasterMachine.Host, core.ClientPort)
+		rc.conn.Send(resp.EncodeCommand("DBSIZE")) // one barrier
+		c.Eng.RunFor(20 * sim.Millisecond)
+		if len(rc.vals) != 1 || rc.vals[0].Int == 0 {
+			t.Fatalf("DBSIZE replied %v", rc.vals)
+		}
+		if n := c.Master.Metrics().Counter("server.shard.barriers").Value(); n != 1 {
+			t.Fatalf("server.shard.barriers = %d, want 1", n)
+		}
+		if n := len(c.Master.ShardProcs()) + len(c.Master.ShardRegistries()) + len(res.ShardUtils); n != 0 {
+			t.Fatalf("the one shard was modelled as %d extra cores/registries/utils", n)
+		}
+		return res, c.SnapshotsString(), c.Eng.Processed
+	}
+	res, snaps, events := run(0)
+	if res.Ops == 0 {
+		t.Fatal("no operations completed")
+	}
+	res2, snaps2, events2 := run(sim.Millisecond)
+	if res.String() != res2.String() || res.MasterUtil != res2.MasterUtil || res.NicUtil != res2.NicUtil {
+		t.Fatalf("Measure moved with the handoff costs:\n%s\n%s", res, res2)
+	}
+	if snaps != snaps2 {
+		t.Fatal("metric snapshots moved with the handoff costs")
+	}
+	if events != events2 {
+		t.Fatalf("engine ran %d events, %d with 1ms handoff costs", events, events2)
+	}
+
+	// Quorum row: W=2, pipeline 8, one shard.
+	c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 0, Seed: 36, Params: shardParams(1), SKV: core.DefaultConfig(),
+		Consistency: ConsistencyOpts{Level: consistency.Quorum, Quorum: 2}})
+	if !c.AwaitReplication(2 * sim.Second) {
+		t.Fatal("quorum: sync failed")
+	}
+	rc := dialRaw(t, c, "pipeliner", c.MasterMachine.Host, core.ClientPort)
+	var pipe []byte
+	var want []string
+	for i := 0; i < 4; i++ {
+		k, v := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
+		pipe = append(pipe, resp.EncodeCommand("SET", k, v)...)
+		pipe = append(pipe, resp.EncodeCommand("GET", k)...)
+		want = append(want, "OK", v)
+	}
+	rc.conn.Send(pipe)
+	parkedSeen := 0
+	for i := 0; i < 2000 && len(rc.vals) < len(want); i++ {
+		c.Eng.RunFor(sim.Microsecond)
+		if parked := c.Master.Acks().Parked(); parked > 0 {
+			parkedSeen = max(parkedSeen, parked)
+			// A parked write holds its turn: nothing behind it — not even the
+			// GETs that already executed — may have surfaced.
+			if got := len(rc.vals); got > 2*(4-parked) {
+				t.Fatalf("%d replies out while %d of 4 writes are parked", got, parked)
+			}
+		}
+	}
+	if parkedSeen == 0 {
+		t.Fatal("no write ever parked: the quorum gate was not exercised")
+	}
+	var got []string
+	for _, v := range rc.vals {
+		got = append(got, v.String())
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("quorum pipeline replied %v, want %v", got, want)
 	}
 }

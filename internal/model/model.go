@@ -156,31 +156,32 @@ type Params struct {
 
 	// ---- Host-KV sharding (multi-core keyspace execution) ----
 
-	// HostShards is the number of keyspace shard cores a Host-KV node runs.
-	// 1 (or 0) keeps the paper's single-threaded event loop bit-for-bit: the
-	// server takes the legacy path with no dispatch/merge stages, no extra
-	// cores, and no extra instruments. With N > 1 the node becomes a
-	// dispatch Proc (RESP parse + key-hash routing), N shard Procs (each
-	// owning a disjoint slice of every numbered DB), and a merge stage that
-	// serializes completed writes into the replication stream.
+	// HostShards is the number of keyspace shards a Host-KV node runs. Every
+	// node is a dispatch Proc (RESP parse + key-hash routing), N shards
+	// (each owning a disjoint slice of every numbered DB), and a merge
+	// stage that serializes completed writes into the replication stream.
+	// With N > 1 each shard is a Proc on a core of its own. With 1 (or 0)
+	// the one shard shares the dispatch Proc and its core — the paper's
+	// single event loop: no extra cores, no cross-core hops, no per-shard
+	// registries.
 	HostShards int
-	// ShardRouteCPU is the cost of routing one parsed command to a shard
-	// (key hash + handoff), charged on the core that owns the connection:
-	// the dispatch core, or the client's routing core when RouteListeners
-	// > 1. Charged only when HostShards > 1.
+	// ShardRouteCPU is the cost of handing one parsed command to a shard
+	// core (key hash + handoff), charged per cross-core hop on the core that
+	// owns the connection: the dispatch core, or the client's routing core
+	// when RouteListeners > 1.
 	ShardRouteCPU sim.Duration
-	// ShardMergeCPU is the dispatch-core cost of merging one completed shard
-	// command back into the serialized stream (reply ordering + replication
-	// append). Charged only when HostShards > 1.
+	// ShardMergeCPU is the dispatch-core cost of merging one command
+	// completed on a shard core back into the serialized stream (reply
+	// ordering + replication append), charged per cross-core hop.
 	ShardMergeCPU sim.Duration
-	// ShardFenceCPU is the per-shard cost of a cross-shard fence (KEYS,
-	// DBSIZE, FLUSHALL, multi-shard MSET/DEL, PSYNC): the fan-in
-	// coordination each shard core pays. Charged only when HostShards > 1.
+	// ShardFenceCPU is the cost of a cross-shard fence (KEYS, DBSIZE,
+	// FLUSHALL, multi-shard MSET/DEL, PSYNC) per shard core fenced: the
+	// fan-in coordination each one pays.
 	ShardFenceCPU sim.Duration
 	// RouteListeners is the number of per-listener routing procs a sharded
-	// Host-KV node runs in front of the dispatch proc. 1 (or 0) keeps the
-	// PR-5 pipeline bit-for-bit: the dispatch proc owns every connection,
-	// parses, routes and merges. With N > 1 (and HostShards > 1) inbound
+	// Host-KV node runs in front of the dispatch proc. With 1 (or 0) the
+	// dispatch proc owns every connection: it parses, routes and merges.
+	// With N > 1 (and HostShards > 1) inbound
 	// client connections are pinned round-robin to N routing procs, each on
 	// its own core: the routing proc pays the transport receive path, RESP
 	// parse, classification and the shard handoff, while the dispatch proc
@@ -251,7 +252,7 @@ type Params struct {
 	// ---- Client-side caching / invalidation tracking (CLIENT TRACKING) ----
 	// All three knobs are charged only on behalf of connections that turned
 	// tracking on; deployments that never negotiate CLIENT TRACKING pay
-	// nothing and keep the legacy event stream bit-for-bit.
+	// nothing.
 
 	// TrackInterestCPU is the server-side cost of recording one tracked
 	// read's key interest: the table insert in local (in-band) mode, or

@@ -116,8 +116,8 @@ func migrationDataCmd(cmd *store.Command) bool {
 }
 
 // migrationCheck is the execution-time half of the ASK protocol, called
-// with the command about to run against the store (single-threaded path,
-// barrier drains, and each shard proc). When every key of a MIGRATING
+// with the command about to run against the store (on the dispatch proc
+// or on the key's shard). When every key of a MIGRATING
 // slot is still present the command serves locally; when every key is
 // absent the keys have moved (or never existed — indistinguishable, and
 // the target answers both correctly) and the client is ASK-redirected to

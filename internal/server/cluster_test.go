@@ -7,18 +7,12 @@ import (
 
 	"skv/internal/sim"
 	"skv/internal/slots"
-	"skv/internal/tcpsim"
 )
 
 // clusterServer builds a server attached to a routing table (optionally
 // sharded, to cover the sequencedReply redirect path).
 func clusterServer(w *world, name string, shards int, cr *ClusterRouting) *Server {
-	m := w.net.NewMachine(name, false)
-	core := sim.NewCore(w.eng, name+"-core", 1.0)
-	proc := sim.NewProc(w.eng, core, w.p.TCPWakeup)
-	stack := tcpsim.New(w.net, m.Host, proc)
-	return New(Options{Name: name, Params: w.p, Seed: seed(name), Port: 6379,
-		Shards: shards, Cluster: cr}, w.eng, stack, proc)
+	return w.build(Options{Name: name, Shards: shards, Cluster: cr})
 }
 
 // twoGroupMap splits the slot space evenly between this node (group 0,
@@ -307,6 +301,34 @@ func TestClusterMigrationWindowTarget(t *testing.T) {
 				t.Fatalf("GET after STABLE: %q", v.String())
 			}
 		})
+	}
+}
+
+// TestRedirectBehindHeldBarrierKeepsReplyOrder: a command answered on the
+// admission plane (a redirect, the ASKING ack) while a barrier holds the
+// pipeline must take the reply turn it arrived in, behind the commands
+// already parked in the hold queue. With shard cores the SET is in flight
+// when DBSIZE arrives, so DBSIZE holds and the commands after it queue.
+func TestRedirectBehindHeldBarrierKeepsReplyOrder(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, tc := range []struct {
+			name   string
+			script []string
+			want   string
+		}{
+			{"redirect", []string{"SET bar v", "DBSIZE", "GET bar", "GET foo"}, "OK :1 v MOVED 12182 other:6379"},
+			{"asking", []string{"SET bar v", "DBSIZE", "ASKING", "GET bar"}, "OK :1 OK v"},
+		} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, tc.name), func(t *testing.T) {
+				w := newWorld(23)
+				srv := clusterServer(w, "n0", shards, &ClusterRouting{Self: 0, Map: twoGroupMap(t), Port: 6379})
+				c := w.dial(t, srv)
+				got := strings.Join(render(c.sendPipe(50*sim.Millisecond, pipeOf(tc.script...))), " ")
+				if got != tc.want {
+					t.Fatalf("%v replied %q, want %q", tc.script, got, tc.want)
+				}
+			})
+		}
 	}
 }
 

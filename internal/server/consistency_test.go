@@ -7,22 +7,12 @@ import (
 	"skv/internal/consistency"
 	"skv/internal/resp"
 	"skv/internal/sim"
-	"skv/internal/tcpsim"
 )
 
 // quorumServer builds a master whose default write consistency is quorum(w),
 // optionally sharded.
 func (w *world) quorumServer(name string, shards, qw int) *Server {
-	m := w.net.NewMachine(name, false)
-	core := sim.NewCore(w.eng, name+"-core", 1.0)
-	proc := sim.NewProc(w.eng, core, w.p.TCPWakeup)
-	stack := tcpsim.New(w.net, m.Host, proc)
-	return New(Options{
-		Name: name, Params: w.p, Seed: seed(name), Port: 6379,
-		Shards:           shards,
-		WriteConsistency: consistency.Quorum,
-		WriteQuorum:      qw,
-	}, w.eng, stack, proc)
+	return w.build(Options{Name: name, Shards: shards, WriteConsistency: consistency.Quorum, WriteQuorum: qw})
 }
 
 // ---- WAIT edge cases (satellite: blocking semantics) ---------------------
@@ -121,7 +111,7 @@ func TestWaitAfterFailoverTargetsPromotedMaster(t *testing.T) {
 	}
 }
 
-// ---- Quorum write path (single-threaded pipeline) ------------------------
+// ---- Quorum write path ---------------------------------------------------
 
 // TestQuorumWriteParksReplyUntilAck: with WriteConsistency=quorum the write
 // executes immediately but its reply is withheld until the slave's ack
@@ -160,74 +150,26 @@ func TestQuorumWriteParksReplyUntilAck(t *testing.T) {
 }
 
 // TestQuorumPipelinedReplyOrder: a parked write must not let later replies
-// on the same connection overtake it — the pipelined GET's reply queues
-// behind the gated SET.
+// on the same connection overtake it. Routed writes park holding their
+// re-sequencer turn, the pipelined GET's reply queues behind the gated SET,
+// and a barrier write (FLUSHALL) parks without deadlocking the fence.
 func TestQuorumPipelinedReplyOrder(t *testing.T) {
-	w := newWorld(65)
-	master := w.quorumServer("m", 0, 1)
-	slave := w.server("sl", 6379)
-	slave.SlaveOf(master.Stack().Endpoint(), 6379)
-	w.run()
-	c := w.dial(t, master)
-	before := len(c.got)
-	w.eng.After(0, func() {
-		pipe := append(resp.EncodeCommand("SET", "k", "v"), resp.EncodeCommand("GET", "k")...)
-		c.conn.Send(pipe)
+	eachLayout(t, 66, layouts, func(t *testing.T, w *world, l layout) {
+		master := w.build(Options{Name: "m", Shards: l.shards, Listeners: l.listeners,
+			WriteConsistency: consistency.Quorum, WriteQuorum: 1})
+		slave := w.server("sl", 6379)
+		slave.SlaveOf(master.Stack().Endpoint(), 6379)
+		w.run()
+		c := w.dial(t, master)
+		before := len(c.got)
+		if got := c.sendPipe(5*sim.Millisecond, pipeOf("SET a 1", "GET a", "FLUSHALL", "DBSIZE")); len(got) != 0 {
+			t.Fatalf("replies surfaced while the SET is parked (overtook the gate): %v", render(got))
+		}
+		w.eng.Run(w.eng.Now().Add(900 * sim.Millisecond))
+		if got, want := render(c.got[before:]), []string{"OK", "1", "OK", ":0"}; strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("replies after release %v, want %v", got, want)
+		}
 	})
-	w.eng.Run(w.eng.Now().Add(5 * sim.Millisecond))
-	if got := len(c.got) - before; got != 0 {
-		t.Fatalf("%d replies surfaced while the SET is parked (GET overtook the gate)", got)
-	}
-	w.eng.Run(w.eng.Now().Add(700 * sim.Millisecond))
-	if got := len(c.got) - before; got != 2 {
-		t.Fatalf("%d replies after release, want 2", got)
-	}
-	if !c.got[before].IsOK() {
-		t.Fatalf("first reply %s, want +OK (the SET)", c.got[before].String())
-	}
-	if c.got[before+1].String() != "v" {
-		t.Fatalf("second reply %s, want the GET's value", c.got[before+1].String())
-	}
-}
-
-// TestQuorumShardedPipeline runs the same contract through the sharded
-// dispatch plane: routed writes park holding their re-sequencer turn, and a
-// barrier write (FLUSHALL) parks without deadlocking the fence.
-func TestQuorumShardedPipeline(t *testing.T) {
-	w := newWorld(66)
-	master := w.quorumServer("m", 4, 1)
-	slave := w.server("sl", 6379)
-	slave.SlaveOf(master.Stack().Endpoint(), 6379)
-	w.run()
-	c := w.dial(t, master)
-	before := len(c.got)
-	w.eng.After(0, func() {
-		pipe := resp.EncodeCommand("SET", "a", "1")
-		pipe = append(pipe, resp.EncodeCommand("GET", "a")...)
-		pipe = append(pipe, resp.EncodeCommand("FLUSHALL")...)
-		pipe = append(pipe, resp.EncodeCommand("DBSIZE")...)
-		c.conn.Send(pipe)
-	})
-	w.eng.Run(w.eng.Now().Add(5 * sim.Millisecond))
-	if got := len(c.got) - before; got != 0 {
-		t.Fatalf("%d replies surfaced while writes are parked", got)
-	}
-	w.eng.Run(w.eng.Now().Add(900 * sim.Millisecond))
-	if got := len(c.got) - before; got != 4 {
-		t.Fatalf("%d replies, want 4", got)
-	}
-	if !c.got[before].IsOK() {
-		t.Fatalf("SET reply: %s", c.got[before].String())
-	}
-	if c.got[before+1].String() != "1" {
-		t.Fatalf("GET reply: %s", c.got[before+1].String())
-	}
-	if !c.got[before+2].IsOK() {
-		t.Fatalf("FLUSHALL reply: %s", c.got[before+2].String())
-	}
-	if v := c.got[before+3]; v.Int != 0 {
-		t.Fatalf("DBSIZE reply: %s", v.String())
-	}
 }
 
 // ---- SKV.CONSISTENCY per-connection override -----------------------------

@@ -5,128 +5,14 @@ import (
 	"strings"
 	"testing"
 
-	"skv/internal/resp"
 	"skv/internal/sim"
-	"skv/internal/tcpsim"
 )
 
 // routedServer builds a server with both planes on: Shards shard procs
 // behind the dispatch/merge stage, fronted by Listeners routing procs that
 // own RESP parse + key-hash routing for their pinned connections.
 func (w *world) routedServer(name string, port, shards, listeners int) *Server {
-	m := w.net.NewMachine(name, false)
-	core := sim.NewCore(w.eng, name+"-core", 1.0)
-	proc := sim.NewProc(w.eng, core, w.p.TCPWakeup)
-	stack := tcpsim.New(w.net, m.Host, proc)
-	return New(Options{
-		Name:      name,
-		Params:    w.p,
-		Seed:      seed(name),
-		Port:      port,
-		Shards:    shards,
-		Listeners: listeners,
-	}, w.eng, stack, proc)
-}
-
-func TestRoutedServerBasicCommands(t *testing.T) {
-	w := newWorld(61)
-	srv := w.routedServer("s", 6379, 4, 2)
-	if n := srv.NumRouteListeners(); n != 2 {
-		t.Fatalf("NumRouteListeners = %d", n)
-	}
-	if n := len(srv.RouteRegistries()); n != 2 {
-		t.Fatalf("RouteRegistries = %d", n)
-	}
-	if n := len(srv.RouteProcs()); n != 2 {
-		t.Fatalf("RouteProcs = %d", n)
-	}
-	// Connections pin round-robin: with two clients, each listener owns one.
-	c1 := w.dial(t, srv)
-	c2 := w.dial(t, srv)
-	if v := c1.do(t, "SET", "k", "v"); !v.IsOK() {
-		t.Fatalf("SET: %s", v.String())
-	}
-	if v := c2.do(t, "GET", "k"); v.String() != "v" {
-		t.Fatalf("GET: %s", v.String())
-	}
-	if v := c1.do(t, "PING"); v.String() != "PONG" {
-		t.Fatalf("PING: %s", v.String())
-	}
-	// Barriers fan in across shards, executed on the dispatch proc.
-	if v := c2.do(t, "DBSIZE"); v.Int != 1 {
-		t.Fatalf("DBSIZE: %s", v.String())
-	}
-	for i, reg := range srv.RouteRegistries() {
-		if got := reg.Counter("route.conns").Value(); got != 1 {
-			t.Fatalf("listener %d adopted %d conns, want 1", i, got)
-		}
-		if got := reg.Counter("route.cmds").Value(); got == 0 {
-			t.Fatalf("listener %d routed no commands", i)
-		}
-	}
-	// The routing cores, not the dispatch core, paid for parse + routing.
-	for i, rp := range srv.RouteProcs() {
-		if rp.Core.BusyUntil() == 0 {
-			t.Fatalf("routing core %d never charged", i)
-		}
-	}
-}
-
-// TestRoutedPipelinedRepliesInOrder is the re-sequencing contract under the
-// routing plane: a pipelined burst mixing routed, inline, and barrier
-// commands must come back in exact request order, with barriers deferring
-// from the routing proc to the dispatch proc.
-func TestRoutedPipelinedRepliesInOrder(t *testing.T) {
-	for _, listeners := range []int{2, 4} {
-		w := newWorld(62)
-		srv := w.routedServer("s", 6379, 4, listeners)
-		c := w.dial(t, srv)
-
-		var pipe []byte
-		var want []string
-		add := func(expect string, args ...string) {
-			pipe = append(pipe, resp.EncodeCommand(args...)...)
-			want = append(want, expect)
-		}
-		for i := 0; i < 12; i++ {
-			add("OK", "SET", fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
-		}
-		add("PONG", "PING")                       // inline on the routing proc
-		add("OK", "MSET", "k0", "m0", "k7", "m7") // cross-shard barrier: deferred to dispatch
-		add(":12", "DBSIZE")
-		for i := 0; i < 12; i++ {
-			exp := fmt.Sprintf("v%d", i)
-			if i == 0 {
-				exp = "m0"
-			} else if i == 7 {
-				exp = "m7"
-			}
-			add(exp, "GET", fmt.Sprintf("k%d", i))
-		}
-		add(":2", "DEL", "k0", "k7")
-		add(":10", "DBSIZE")
-
-		before := len(c.got)
-		w.eng.After(0, func() { c.conn.Send(pipe) })
-		w.run()
-		got := c.got[before:]
-		if len(got) != len(want) {
-			t.Fatalf("listeners=%d: got %d replies, want %d", listeners, len(got), len(want))
-		}
-		for i, v := range got {
-			s := v.String()
-			if v.Type == resp.TypeInteger {
-				s = fmt.Sprintf(":%d", v.Int)
-			}
-			if s != want[i] {
-				t.Fatalf("listeners=%d: reply %d = %q, want %q (full: %v)",
-					listeners, i, s, want[i], renderAll(got))
-			}
-		}
-		if fenced := srv.Metrics().Counter("server.shard.barriers").Value(); fenced == 0 {
-			t.Fatalf("listeners=%d: no barriers counted", listeners)
-		}
-	}
+	return w.build(Options{Name: name, Port: port, Shards: shards, Listeners: listeners})
 }
 
 // TestRoutedBarrierOnlyPipeline: a barrier admitted from a routing proc at
@@ -141,159 +27,48 @@ func TestRoutedBarrierOnlyPipeline(t *testing.T) {
 		t.Fatalf("DBSIZE: %s", v.String())
 	}
 	// Back-to-back barriers with nothing between them.
-	pipe := append(resp.EncodeCommand("FLUSHALL"), resp.EncodeCommand("DBSIZE")...)
-	pipe = append(pipe, resp.EncodeCommand("KEYS", "*")...)
-	before := len(c.got)
-	w.eng.After(0, func() { c.conn.Send(pipe) })
-	w.run()
-	got := c.got[before:]
+	got := c.sendPipe(500*sim.Millisecond, pipeOf("FLUSHALL", "DBSIZE", "KEYS *"))
 	if len(got) != 3 {
 		t.Fatalf("barrier-only pipeline: %d replies, want 3", len(got))
 	}
 	if !got[0].IsOK() || got[1].Int != 0 || len(got[2].Array) != 0 {
-		t.Fatalf("barrier-only pipeline replies: %v", renderAll(got))
+		t.Fatalf("barrier-only pipeline replies: %v", render(got))
 	}
 	if n := srv.Metrics().Counter("server.shard.barriers").Value(); n != 4 {
 		t.Fatalf("barriers = %d, want 4", n)
 	}
 }
 
-// TestRoutedTwoClientsInterleaved: per-client sequencing is independent
-// across listeners; the serialized keyspace converges.
-func TestRoutedTwoClientsInterleaved(t *testing.T) {
-	w := newWorld(64)
-	srv := w.routedServer("s", 6379, 4, 2)
-	c1 := w.dial(t, srv)
-	c2 := w.dial(t, srv)
-	var p1, p2 []byte
-	for i := 0; i < 20; i++ {
-		p1 = append(p1, resp.EncodeCommand("SET", fmt.Sprintf("a%d", i), "1")...)
-		p2 = append(p2, resp.EncodeCommand("SET", fmt.Sprintf("b%d", i), "2")...)
-	}
-	p1 = append(p1, resp.EncodeCommand("DBSIZE")...)
-	p2 = append(p2, resp.EncodeCommand("GET", "b3")...)
-	b1, b2 := len(c1.got), len(c2.got)
-	w.eng.After(0, func() { c1.conn.Send(p1) })
-	w.eng.After(0, func() { c2.conn.Send(p2) })
-	w.run()
-	g1, g2 := c1.got[b1:], c2.got[b2:]
-	if len(g1) != 21 || len(g2) != 21 {
-		t.Fatalf("reply counts: %d, %d (want 21 each)", len(g1), len(g2))
-	}
-	for i := 0; i < 20; i++ {
-		if !g1[i].IsOK() || !g2[i].IsOK() {
-			t.Fatalf("SET reply %d: %s / %s", i, g1[i].String(), g2[i].String())
-		}
-	}
-	if g1[20].Int < 20 || g1[20].Int > 40 {
-		t.Fatalf("DBSIZE = %s, want 20..40", g1[20].String())
-	}
-	if g2[20].String() != "2" {
-		t.Fatalf("GET b3 = %s", g2[20].String())
-	}
-	if n := srv.Store().DBSize(0); n != 40 {
-		t.Fatalf("final DBSize = %d, want 40", n)
-	}
-}
-
-// TestShardedGatedErrorMidPipeline is the sequencedReply regression
+// TestShardedGatedErrorMidPipeline is the admission-plane reply regression
 // (satellite): an error reply produced on the admission plane (write gate,
 // READONLY) for a pipelined client whose earlier commands are still in
 // flight must be re-sequenced, not emitted early — and must not be lost.
-// Exercised with the dispatch-owned plane and the routing plane.
 func TestShardedGatedErrorMidPipeline(t *testing.T) {
-	for _, listeners := range []int{1, 2} {
-		w := newWorld(65)
-		srv := w.routedServer("s", 6379, 4, listeners)
+	eachLayout(t, 65, layouts, func(t *testing.T, w *world, l layout) {
+		srv := l.server(w, "s")
 		c := w.dial(t, srv)
 		c.do(t, "SET", "k", "v")
 		srv.WriteGate = func() string { return "NOREPLICAS Not enough good replicas to write." }
-		// GET is routed (in flight on a shard proc when the gated SET is
-		// admitted); the SET's error reply must wait its turn; PING is inline
+		// GET is routed (with shard cores, in flight on one when the gated SET
+		// is admitted); the SET's error reply must wait its turn; PING is inline
 		// behind both.
-		pipe := append(resp.EncodeCommand("GET", "k"), resp.EncodeCommand("SET", "x", "y")...)
-		pipe = append(pipe, resp.EncodeCommand("PING")...)
-		before := len(c.got)
-		w.eng.After(0, func() { c.conn.Send(pipe) })
-		w.run()
-		got := c.got[before:]
+		got := c.sendPipe(500*sim.Millisecond, pipeOf("GET k", "SET x y", "PING"))
 		if len(got) != 3 {
-			t.Fatalf("listeners=%d: %d replies, want 3 (%v)", listeners, len(got), renderAll(got))
+			t.Fatalf("%d replies, want 3 (%v)", len(got), render(got))
 		}
 		if got[0].String() != "v" {
-			t.Fatalf("listeners=%d: reply 0 = %s, want v", listeners, got[0].String())
+			t.Fatalf("reply 0 = %s, want v", got[0].String())
 		}
 		if !got[1].IsError() || !strings.Contains(got[1].String(), "NOREPLICAS") {
-			t.Fatalf("listeners=%d: reply 1 = %s, want NOREPLICAS error", listeners, got[1].String())
+			t.Fatalf("reply 1 = %s, want NOREPLICAS error", got[1].String())
 		}
 		if got[2].String() != "PONG" {
-			t.Fatalf("listeners=%d: reply 2 = %s, want PONG", listeners, got[2].String())
+			t.Fatalf("reply 2 = %s, want PONG", got[2].String())
 		}
 		if v := c.do(t, "EXISTS", "x"); v.Int != 0 {
-			t.Fatalf("listeners=%d: gated write landed", listeners)
+			t.Fatal("gated write landed")
 		}
-	}
-}
-
-// TestRoutedMasterReplicates: a routed master's PSYNC link hands itself
-// back to the dispatch proc (the merge stage feeds it); replication and
-// offsets stay exact.
-func TestRoutedMasterReplicates(t *testing.T) {
-	w := newWorld(66)
-	master := w.routedServer("m", 6379, 4, 2)
-	slave := w.server("sl", 6379)
-	slave.SlaveOf(master.Stack().Endpoint(), 6379)
-	w.run()
-	if !slave.SyncedWithMaster() {
-		t.Fatal("slave did not sync")
-	}
-	c := w.dial(t, master)
-	var pipe []byte
-	for i := 0; i < 40; i++ {
-		pipe = append(pipe, resp.EncodeCommand("SET", fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))...)
-	}
-	pipe = append(pipe, resp.EncodeCommand("DEL", "k3", "k17")...)
-	w.eng.After(0, func() { c.conn.Send(pipe) })
-	w.run()
-	w.run()
-	if got := slave.Store().DBSize(0); got != master.Store().DBSize(0) {
-		t.Fatalf("DBSize %d, master %d", got, master.Store().DBSize(0))
-	}
-	if slave.MasterOffset() != master.ReplOffset() {
-		t.Fatalf("offset %d, master %d", slave.MasterOffset(), master.ReplOffset())
-	}
-}
-
-// TestRoutedWait: WAIT stays fence-free under the routing plane, including
-// pipelined SET+WAIT where the WAIT parks until the SET merges.
-func TestRoutedWait(t *testing.T) {
-	w := newWorld(67)
-	master := w.routedServer("m", 6379, 4, 2)
-	s1 := w.server("sl1", 6379)
-	s2 := w.server("sl2", 6379)
-	s1.SlaveOf(master.Stack().Endpoint(), 6379)
-	s2.SlaveOf(master.Stack().Endpoint(), 6379)
-	w.run()
-	c := w.dial(t, master)
-	c.do(t, "SET", "k", "v")
-	barriers := master.Metrics().Counter("server.shard.barriers").Value()
-	before := len(c.got)
-	pipe := append(resp.EncodeCommand("SET", "k2", "v2"), resp.EncodeCommand("WAIT", "2", "2000")...)
-	w.eng.After(0, func() { c.conn.Send(pipe) })
-	w.eng.Run(w.eng.Now().Add(700 * sim.Millisecond))
-	got := c.got[before:]
-	if len(got) != 2 {
-		t.Fatalf("pipelined SET+WAIT: %d replies, want 2", len(got))
-	}
-	if !got[0].IsOK() {
-		t.Fatalf("pipelined SET: %s", got[0].String())
-	}
-	if got[1].Type != resp.TypeInteger || got[1].Int != 2 {
-		t.Fatalf("pipelined WAIT = %s, want :2", got[1].String())
-	}
-	if got := master.Metrics().Counter("server.shard.barriers").Value(); got != barriers {
-		t.Fatalf("WAIT took the barrier path: barriers %d -> %d", barriers, got)
-	}
+	})
 }
 
 // TestRoutedListenersOneIsLegacy: Listeners = 1 (or 0) must not build a
@@ -317,23 +92,5 @@ func TestRoutedListenersOneIsLegacy(t *testing.T) {
 	c := w.dial(t, srv)
 	if v := c.do(t, "SET", "k", "v"); !v.IsOK() {
 		t.Fatalf("SET: %s", v.String())
-	}
-}
-
-// TestRoutedReadonlySlave: the READONLY veto happens at admission on the
-// dispatch plane; under the routing plane the error still re-sequences per
-// client.
-func TestRoutedReadonlySlave(t *testing.T) {
-	w := newWorld(69)
-	master := w.server("m", 6379)
-	slave := w.routedServer("sl", 6379, 4, 2)
-	slave.SlaveOf(master.Stack().Endpoint(), 6379)
-	w.run()
-	c := w.dial(t, slave)
-	if v := c.do(t, "SET", "k", "v"); !v.IsError() || !strings.Contains(v.String(), "READONLY") {
-		t.Fatalf("routed slave accepted write: %s", v.String())
-	}
-	if v := c.do(t, "GET", "nope"); !v.Null {
-		t.Fatalf("routed slave read: %s", v.String())
 	}
 }

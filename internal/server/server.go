@@ -1,8 +1,10 @@
-// Package server implements the Redis-like single-threaded key-value server
-// SKV builds on (paper §II-B, Fig 4): an event loop handling file events
-// (client sockets / RDMA connections) and time events (serverCron), client
-// objects with query and reply buffers, command dispatch into the store,
-// and master-slave replication.
+// Package server implements the Redis-like key-value server SKV builds on
+// (paper §II-B, Fig 4): an event loop handling file events (client sockets /
+// RDMA connections) and time events (serverCron), client objects with query
+// and reply buffers, command dispatch into the store, and master-slave
+// replication. Every command takes one pipeline — dispatch → shard → merge →
+// re-sequence (shard.go) — of which the paper's single-threaded loop is the
+// one-shard case.
 //
 // Instantiated over internal/tcpsim it is the "original Redis" baseline;
 // over internal/rconn it is RDMA-Redis. The SKV system in internal/core
@@ -60,33 +62,34 @@ type Options struct {
 	// DisableCron turns off serverCron time events (microbenchmarks only).
 	DisableCron bool
 	// Shards splits the keyspace across this many shard procs, each on its
-	// own core, behind a dispatch/merge pipeline (model.Params.HostShards).
-	// 0 or 1 keeps the single-threaded event loop bit-for-bit.
+	// own core, behind the dispatch/merge stage (model.Params.HostShards).
+	// 0 or 1 is one shard on the dispatch proc's own core: the paper's
+	// single event loop.
 	Shards int
 	// Listeners splits RESP parse + key-hash routing across this many
 	// routing procs in front of the dispatch proc
 	// (model.Params.RouteListeners). Client connections pin round-robin to
 	// the routing procs, which pay the transport receive path, parse,
 	// classification and shard handoff; the dispatch proc keeps only the
-	// merge/order stage. 0 or 1 keeps the dispatch-owned pipeline
-	// bit-for-bit. Ignored unless Shards > 1.
+	// merge/order stage. 0 or 1 leaves every connection with the dispatch
+	// proc. Ignored unless Shards > 1.
 	Listeners int
 	// Cluster, when non-nil, makes the node one member of a multi-master
 	// hash-slot cluster: keyed commands are checked against the shared
 	// routing table at admission and redirected (MOVED) or rejected
-	// (CROSSSLOT) when this node's group does not own them. nil keeps the
-	// single-master server bit-for-bit: no slot check, no extra charge.
+	// (CROSSSLOT) when this node's group does not own them. nil means a
+	// single-master server: no slot check, no extra charge.
 	Cluster *ClusterRouting
 	// WriteConsistency is the default write consistency level (per-client
-	// overrides via SKV.CONSISTENCY). Async — the zero value — keeps the
-	// legacy reply-before-replication path bit-for-bit.
+	// overrides via SKV.CONSISTENCY). Async — the zero value — replies
+	// before replication.
 	WriteConsistency consistency.Level
 	// WriteQuorum is W for Quorum consistency (min 1).
 	WriteQuorum int
 }
 
-// Server is one key-value node: a single-threaded process bound to a
-// transport stack.
+// Server is one key-value node: a dispatch process bound to a transport
+// stack, in front of its shards.
 type Server struct {
 	name   string
 	eng    *sim.Engine
@@ -157,8 +160,8 @@ type Server struct {
 	WritesPropagated  uint64
 	ErrRepliesSent    uint64
 
-	// shard is the multi-core dispatch plane, nil in single-threaded mode
-	// (Options.Shards <= 1).
+	// shard is the command pipeline behind admission: shards, merge stage
+	// and per-client reply re-sequencing (shard.go).
 	shard *shardEngine
 
 	// cluster is the hash-slot routing state (nil outside cluster mode);
@@ -193,24 +196,21 @@ type client struct {
 	isSlaveLink bool
 	closed      bool
 
-	// owner, when non-nil, is the routing proc this connection is pinned to
-	// (RouteListeners > 1): it delivers the connection's reads and its core
-	// is charged for parse, route, inline execution and reply emission.
-	// nil = the dispatch proc owns the connection (legacy pipeline).
+	// owner is the proc that delivers the connection's reads and whose core
+	// is charged for parse, route, inline execution and reply emission: the
+	// routing proc the connection is pinned to (RouteListeners > 1), the
+	// dispatch proc otherwise. Never nil.
 	owner *sim.Proc
 	// route is 1 + the owning routing proc's index (0 = dispatch-owned).
 	route int
 
-	// Reply re-sequencing (sharded mode only): seqNext numbers commands in
-	// arrival order, seqEmit is the next reply the connection may carry,
-	// pending holds completed-but-unemittable replies (nil = no reply).
+	// Reply re-sequencing: seqNext numbers commands in arrival order,
+	// seqEmit is the turn the connection may carry next, pending holds what
+	// waits for a later turn: completed-but-unemittable replies, and
+	// commands that must run in sequence order on the dispatch proc (WAIT).
 	seqNext uint64
 	seqEmit uint64
-	pending map[uint64][]byte
-
-	// gated holds commands (sharded mode) that must run in sequence order
-	// on the dispatch proc — WAIT — parked until seqEmit reaches them.
-	gated map[uint64]gatedCmd
+	pending map[uint64]turn
 
 	// asking is the one-shot ASK escape: the previous command on this
 	// connection was ASKING, so the next keyed command may address an
@@ -230,25 +230,15 @@ type client struct {
 	trackOn       bool
 	trackRedirect bool
 	trackName     string
-
-	// outq (single-threaded mode) preserves per-connection RESP reply
-	// order while an earlier write reply sits parked on the consistency
-	// tracker: later replies queue as ready slots behind the parked one
-	// and drain in order when it fires. Empty in async mode — replies go
-	// straight out, bit-for-bit legacy.
-	outq []*outSlot
 }
 
-// outSlot is one queued reply: a placeholder until ready.
-type outSlot struct {
-	data  []byte
-	ready bool
-}
-
-// gatedCmd is a parked sequence-ordered command (see client.gated).
-type gatedCmd struct {
-	cmd  *store.Command
-	argv [][]byte
+// turn is what waits in client.pending for its sequence number to come up:
+// a finished command's reply (nil = none), or — cmd set — a command to run
+// then.
+type turn struct {
+	reply []byte
+	cmd   *store.Command
+	argv  [][]byte
 }
 
 // slaveHandle is the master's view of one attached slave; its acknowledged
@@ -259,7 +249,7 @@ type slaveHandle struct {
 }
 
 // New creates a server on the given transport stack. The stack's process is
-// the server's single thread.
+// the server's dispatch proc.
 func New(opts Options, eng *sim.Engine, stack transport.Stack, proc *sim.Proc) *Server {
 	p := opts.Params
 	if p == nil {
@@ -306,9 +296,7 @@ func New(opts Options, eng *sim.Engine, stack transport.Stack, proc *sim.Proc) *
 		return int64(eng.Now() / sim.Time(sim.Millisecond))
 	}})
 	s.store.InfoProvider = s.infoSections
-	if shards > 1 {
-		s.shard = newShardEngine(s, opts.Name, shards, opts.Listeners)
-	}
+	s.shard = newShardEngine(s, opts.Name, shards, opts.Listeners)
 	s.repl = replstream.NewWriter(replstream.WriterConfig{
 		Backlog:  s.backlog,
 		MaxCmds:  p.ReplBatchMaxCmds,
@@ -363,7 +351,7 @@ func (s *Server) Store() *store.Store { return s.store }
 // Backlog exposes the replication backlog.
 func (s *Server) Backlog() *backlog.Backlog { return s.backlog }
 
-// Proc exposes the server's single-threaded process.
+// Proc exposes the server's dispatch process.
 func (s *Server) Proc() *sim.Proc { return s.proc }
 
 // Params exposes the cost model.
@@ -398,59 +386,29 @@ func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 // Nic-KV status offsets and ack-release watermarks through this.
 func (s *Server) Acks() *consistency.AckTracker { return s.acks }
 
-// NumShards reports how many shard procs execute keyspace commands (1 in
-// single-threaded mode).
-func (s *Server) NumShards() int {
-	if s.shard == nil {
-		return 1
-	}
-	return len(s.shard.procs)
-}
+// NumShards reports how many shards execute keyspace commands.
+func (s *Server) NumShards() int { return len(s.shard.procs) }
 
-// ShardRegistries exposes the per-shard instrument registries (empty in
-// single-threaded mode).
-func (s *Server) ShardRegistries() []*metrics.Registry {
-	if s.shard == nil {
-		return nil
-	}
-	return s.shard.Registries()
-}
+// ShardRegistries exposes the instrument registries of the shards that own
+// a core (empty when the one shard shares the dispatch proc).
+func (s *Server) ShardRegistries() []*metrics.Registry { return s.shard.regs }
 
-// ShardProcs exposes the shard procs (empty in single-threaded mode); the
-// bench harness reads their cores' utilization.
-func (s *Server) ShardProcs() []*sim.Proc {
-	if s.shard == nil {
-		return nil
-	}
-	return s.shard.Procs()
-}
+// ShardProcs exposes the shard procs that own a core (empty when the one
+// shard shares the dispatch proc); the bench harness reads their cores'
+// utilization.
+func (s *Server) ShardProcs() []*sim.Proc { return s.shard.ownCore }
 
 // NumRouteListeners reports how many routing procs front the dispatch proc
 // (0 when the routing plane is off).
-func (s *Server) NumRouteListeners() int {
-	if s.shard == nil {
-		return 0
-	}
-	return len(s.shard.routeProcs)
-}
+func (s *Server) NumRouteListeners() int { return len(s.shard.routeProcs) }
 
 // RouteRegistries exposes the per-listener instrument registries (empty
 // when the routing plane is off).
-func (s *Server) RouteRegistries() []*metrics.Registry {
-	if s.shard == nil {
-		return nil
-	}
-	return s.shard.routeRegs
-}
+func (s *Server) RouteRegistries() []*metrics.Registry { return s.shard.routeRegs }
 
 // RouteProcs exposes the routing procs (empty when the routing plane is
 // off); the bench harness reads their cores' utilization.
-func (s *Server) RouteProcs() []*sim.Proc {
-	if s.shard == nil {
-		return nil
-	}
-	return s.shard.routeProcs
-}
+func (s *Server) RouteProcs() []*sim.Proc { return s.shard.routeProcs }
 
 // AddInfoSection registers an extra INFO section producer (the SKV layer
 // adds its offload section through this).
@@ -479,13 +437,8 @@ func (s *Server) serverCron() {
 		return
 	}
 	s.proc.Post(s.params.CronCPU, func() {
-		if s.shard != nil {
-			// Sharded: each shard core expires and rehashes its own slice.
-			s.shard.cron()
-		} else {
-			s.store.ActiveExpireCycle(20)
-			s.store.RehashStep(100)
-		}
+		// Each shard expires and rehashes its own slice, on its own core.
+		s.shard.cron()
 		if s.role == RoleSlave && s.master != nil {
 			s.master.sendAck()
 		}
@@ -498,34 +451,26 @@ func (s *Server) accept(conn transport.Conn) {
 		return
 	}
 	s.nextClientID++
-	c := &client{id: s.nextClientID, conn: conn}
+	c := &client{id: s.nextClientID, conn: conn, owner: s.proc}
 	s.clients[c.id] = c
-	if s.shard != nil {
-		s.shard.adoptClient(c)
-	}
+	s.shard.adoptClient(c)
 	conn.SetHandler(func(data []byte) { s.readQueryFromClient(c, data) })
 	conn.SetCloseHandler(func() { s.freeClient(c) })
 }
 
 // coreFor is the CPU core charged for work done on behalf of c: the owning
 // routing core when the routing plane has the connection, the dispatch core
-// otherwise. With RouteListeners <= 1 every client is dispatch-owned, so the
-// charge sequence is bit-for-bit the legacy pipeline's.
-func (s *Server) coreFor(c *client) *sim.Core {
-	if c != nil && c.owner != nil {
-		return c.owner.Core
-	}
-	return s.proc.Core
-}
+// otherwise.
+func (s *Server) coreFor(c *client) *sim.Core { return c.owner.Core }
 
 // disownClient returns a routing-plane connection to the dispatch proc:
 // replication channels (PSYNC) must live where the merge stage feeds them,
 // and their costs belong to the serialized-stream owner.
 func (s *Server) disownClient(c *client) {
-	if c.owner == nil {
+	if c.owner == s.proc {
 		return
 	}
-	c.owner = nil
+	c.owner = s.proc
 	c.route = 0
 	if pa, ok := c.conn.(transport.ProcAssignable); ok {
 		pa.AssignProc(s.proc)
@@ -547,7 +492,6 @@ func (s *Server) freeClient(c *client) {
 	// gone) and parked write replies.
 	s.acks.DropOwner(c.id)
 	s.dropTracking(c)
-	c.outq = nil
 }
 
 // readQueryFromClient is the file-event read callback (paper Fig 4): feed
@@ -645,59 +589,52 @@ func (s *Server) dispatchCommand(c *client, cmd *store.Command, argv [][]byte) {
 	s.coreFor(c).Charge(s.params.ParseCost(size))
 	s.CommandsProcessed++
 
+	// Every command is numbered once, here, on arrival: whichever stage ends
+	// up answering it — the admission plane below, a shard, a barrier drain —
+	// its reply takes this turn on the connection.
+	seq := c.seqNext
+	c.seqNext++
+
 	// ASKING is handled at admission, not execution: its flag must be
 	// visible to the NEXT command's slot check, which also runs at
 	// admission — deferring ASKING behind a barrier hold queue while the
 	// next command's check reads a stale flag would break the protocol.
 	if s.cluster != nil && cmd != nil && cmd.Server && cmd.Name == "asking" {
 		c.asking = true
-		ack := resp.AppendSimple(nil, "OK")
-		if s.shard != nil {
-			s.shard.sequencedReply(c, ack)
-		} else {
-			s.reply(c, ack)
-		}
+		s.shard.complete(c, seq, resp.AppendSimple(nil, "OK"))
 		return
 	}
 
 	// Cluster mode: verify this node's group owns every key's slot before
 	// the command enters the pipeline. Redirects re-sequence like any other
-	// admission-plane reply, so pipelined clients see them in request order.
+	// reply, so pipelined clients see them in request order.
 	if s.cluster != nil && cmd != nil && !cmd.Server && cmd.FirstKey > 0 {
 		s.coreFor(c).Charge(s.params.SlotCheckCPU)
 		if redirect := s.slotCheck(c, cmd, argv); redirect != nil {
-			if s.shard != nil {
-				s.shard.sequencedReply(c, redirect)
-			} else {
-				s.reply(c, redirect)
-			}
+			s.shard.complete(c, seq, redirect)
 			return
 		}
 	}
 
 	// Tracked reads register interest at admission, before routing: the
-	// interest must exist before any later write's invalidation fires, and
-	// admission order is the one order both the single-threaded and the
-	// sharded pipeline share.
+	// interest must exist before any later write's invalidation fires.
 	if c.trackOn && cmd != nil && !cmd.Write && !cmd.Server && cmd.FirstKey > 0 {
 		s.recordInterest(c, cmd, argv)
 	}
 
-	if s.shard != nil {
-		// Multi-core mode: hand the parsed command to the dispatch plane,
-		// which routes it to a shard proc, fences it, or runs it inline.
-		s.shard.route(c, cmd, argv)
-		return
-	}
-	s.execute(c, cmd, argv)
+	// Hand the parsed command to the pipeline, which routes it to a shard,
+	// fences it, or runs it inline.
+	s.shard.route(c, seq, cmd, argv)
 }
 
-// execute runs one resolved command to completion on the current event:
-// server-level dispatch, write gating, execution cost, store dispatch,
-// propagation, reply. The single-threaded server calls it straight from
-// dispatchCommand; the sharded dispatch plane calls it for inline and
-// barrier commands.
-func (s *Server) execute(c *client, cmd *store.Command, argv [][]byte) {
+// execute runs one resolved command to completion on the current
+// dispatch-plane event: server-level dispatch, execution cost, store
+// dispatch, propagation, reply. The pipeline calls it for inline, WAIT and
+// barrier commands (single-shard key commands execute on their shard); the
+// write gate has already been checked at admission. It reports true when
+// the command was a write whose reply parked on the consistency tracker —
+// the parked fire, not the caller, completes sequence number seq.
+func (s *Server) execute(c *client, seq uint64, cmd *store.Command, argv [][]byte) (parked bool) {
 	// Server-level commands (connection state, replication handshake).
 	if cmd != nil && cmd.Server {
 		switch cmd.Name {
@@ -718,29 +655,12 @@ func (s *Server) execute(c *client, cmd *store.Command, argv [][]byte) {
 		case "client":
 			s.cmdClient(c, argv)
 		case "asking":
-			// Outside cluster mode (or when reaching execution through a
-			// barrier drain) ASKING is a harmless no-op acknowledgement; in
-			// cluster mode the admission path answers it before this point.
+			// Outside cluster mode ASKING is a harmless no-op
+			// acknowledgement; in cluster mode the admission path answers it
+			// before this point.
 			s.reply(c, resp.AppendSimple(nil, "OK"))
 		}
-		return
-	}
-
-	// Writes are refused on slaves and when the write gate (min-slaves)
-	// vetoes them. (The sharded plane performs these checks before routing;
-	// re-checking here is harmless for barrier commands.)
-	if cmd != nil && cmd.Write {
-		if s.role == RoleSlave {
-			s.reply(c, readonlyError())
-			return
-		}
-		if s.WriteGate != nil {
-			if msg := s.WriteGate(); msg != "" {
-				s.ErrRepliesSent++
-				s.reply(c, gateError(msg))
-				return
-			}
-		}
+		return false
 	}
 
 	// Live migration: a key in a MIGRATING slot that is no longer here has
@@ -748,43 +668,28 @@ func (s *Server) execute(c *client, cmd *store.Command, argv [][]byte) {
 	// multi-key command) at execution time, when presence is definitive.
 	if redirect := s.migrationCheck(cmd, c.db, argv); redirect != nil {
 		s.reply(c, redirect)
-		return
+		return false
 	}
 
 	s.coreFor(c).Charge(s.execCost(cmd, argv))
 	reply, dirty := s.store.Dispatch(cmd, c.db, argv)
 	if dirty && s.role == RoleMaster {
-		off := s.propagate(c.db, argv)
-		s.acks.NoteWrite(c.id, off)
-		s.pushInvalidations(cmd, argv)
-		if need, wire := s.gateNeed(c); need > 0 {
-			s.parkWrite(c, off, need, wire, reply)
-			return
+		need, wire := s.gateNeed(c)
+		if s.shard.commit(c, seq, cmd, c.db, argv, reply, need, wire) {
+			return true
 		}
 	}
 	s.reply(c, reply)
+	return false
 }
 
-func readonlyError() []byte {
-	return resp.AppendError(nil, "READONLY You can't write against a read only replica.")
-}
-
-func gateError(msg string) []byte { return resp.AppendError(nil, msg) }
-
-// reply writes the RESP reply to the client (the addReply →
-// sendReplyToClient path). In sharded mode, an inline command executing
-// ahead of its reply turn diverts its bytes into the dispatch plane's
-// capture buffer for re-sequencing.
+// reply writes the RESP reply of a command executing on the dispatch plane
+// to the client (the addReply → sendReplyToClient path). A command executing
+// ahead of its reply turn has its bytes diverted into the pipeline's capture
+// buffer for re-sequencing.
 func (s *Server) reply(c *client, data []byte) {
-	if s.shard != nil && s.shard.capturing && c == s.shard.capClient {
-		s.shard.capBuf = append(s.shard.capBuf, data...)
-		return
-	}
-	if len(c.outq) > 0 {
-		// An earlier write reply is parked on the consistency tracker:
-		// queue behind it so the connection still sees replies in request
-		// order. The build cost is charged when the slot drains.
-		c.outq = append(c.outq, &outSlot{data: data, ready: true})
+	if e := s.shard; c == e.capClient {
+		e.capBuf = append(e.capBuf, data...)
 		return
 	}
 	s.coreFor(c).Charge(s.params.ReplyBuildCPU)
@@ -822,43 +727,6 @@ func (s *Server) gateNeed(c *client) (need, wire int) {
 		return n, 0
 	}
 	return 0, 0
-}
-
-// parkWrite withholds a write reply until need replicas acknowledge off.
-// Single-threaded mode parks a placeholder slot in the client's reply queue;
-// a sharded barrier write (the only sharded path that reaches execute's
-// gating) reclaims its re-sequencer turn instead. Either way the offload
-// layer is told about the gate so Nic-KV can release it off-host.
-func (s *Server) parkWrite(c *client, off int64, need, wire int, reply []byte) {
-	if s.shard != nil && s.shard.barrierC == c {
-		e := s.shard
-		seq := e.barrierSeq
-		e.barrierParked = true
-		s.acks.ParkWrite(c.id, off, need, func() { e.complete(c, seq, reply) })
-	} else {
-		slot := &outSlot{}
-		c.outq = append(c.outq, slot)
-		s.acks.ParkWrite(c.id, off, need, func() {
-			slot.data, slot.ready = reply, true
-			s.drainOut(c)
-		})
-	}
-	if s.OnWriteGate != nil {
-		s.OnWriteGate(off, wire)
-	}
-}
-
-// drainOut emits every consecutive ready reply at the head of the client's
-// queue (single-threaded parked-write path).
-func (s *Server) drainOut(c *client) {
-	for len(c.outq) > 0 && c.outq[0].ready {
-		slot := c.outq[0]
-		c.outq = c.outq[1:]
-		if s.alive && !c.closed {
-			s.coreFor(c).Charge(s.params.ReplyBuildCPU)
-			c.conn.Send(slot.data)
-		}
-	}
 }
 
 func (s *Server) cmdSelect(c *client, argv [][]byte) {

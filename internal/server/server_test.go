@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -31,12 +32,74 @@ func newWorld(seed int64) *world {
 // return).
 func (w *world) run() { w.eng.Run(w.eng.Now().Add(500 * sim.Millisecond)) }
 
-func (w *world) server(name string, port int) *Server {
-	m := w.net.NewMachine(name, false)
-	core := sim.NewCore(w.eng, name+"-core", 1.0)
+// build wires a server onto a fresh machine named o.Name; Params, Seed and
+// Port default to the world's, the name's hash and 6379.
+func (w *world) build(o Options) *Server {
+	m := w.net.NewMachine(o.Name, false)
+	core := sim.NewCore(w.eng, o.Name+"-core", 1.0)
 	proc := sim.NewProc(w.eng, core, w.p.TCPWakeup)
 	stack := tcpsim.New(w.net, m.Host, proc)
-	return New(Options{Name: name, Params: w.p, Seed: seed(name), Port: port}, w.eng, stack, proc)
+	if o.Params == nil {
+		o.Params = w.p
+	}
+	if o.Seed == 0 {
+		o.Seed = seed(o.Name)
+	}
+	if o.Port == 0 {
+		o.Port = 6379
+	}
+	return New(o, w.eng, stack, proc)
+}
+
+func (w *world) server(name string, port int) *Server {
+	return w.build(Options{Name: name, Port: port})
+}
+
+// layout is one shape of the command pipeline. Every scenario that does not
+// depend on the shape runs at all of layouts: one shard on the dispatch
+// core, four shard cores, four shard cores behind two routing procs.
+type layout struct{ shards, listeners int }
+
+var layouts = []layout{{1, 0}, {4, 0}, {4, 2}}
+
+func (l layout) String() string { return fmt.Sprintf("shards=%d,listeners=%d", l.shards, l.listeners) }
+
+// eachLayout runs fn as a subtest per layout, each in a fresh world.
+func eachLayout(t *testing.T, seed int64, ls []layout, fn func(t *testing.T, w *world, l layout)) {
+	for _, l := range ls {
+		t.Run(l.String(), func(t *testing.T) { fn(t, newWorld(seed), l) })
+	}
+}
+
+// sendPipe writes one pipelined burst, runs d of virtual time and returns
+// the replies that arrived.
+func (sc *scriptClient) sendPipe(d sim.Duration, pipe []byte) []resp.Value {
+	before := len(sc.got)
+	sc.w.eng.After(0, func() { sc.conn.Send(pipe) })
+	sc.w.eng.Run(sc.w.eng.Now().Add(d))
+	return sc.got[before:]
+}
+
+// pipeOf encodes commands (space-separated words) as one pipelined burst.
+func pipeOf(cmds ...string) []byte {
+	var pipe []byte
+	for _, c := range cmds {
+		pipe = append(pipe, resp.EncodeCommand(strings.Fields(c)...)...)
+	}
+	return pipe
+}
+
+// render shows replies the way the expectations below are written: integers
+// as ":n", everything else by its string.
+func render(vs []resp.Value) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.String()
+		if v.Type == resp.TypeInteger {
+			out[i] = fmt.Sprintf(":%d", v.Int)
+		}
+	}
+	return out
 }
 
 func seed(name string) int64 {
@@ -104,55 +167,6 @@ func (sc *scriptClient) do(t *testing.T, args ...string) resp.Value {
 		t.Fatalf("no reply to %v", args)
 	}
 	return sc.got[len(sc.got)-1]
-}
-
-func TestServerExecutesCommands(t *testing.T) {
-	w := newWorld(1)
-	srv := w.server("s", 6379)
-	c := w.dial(t, srv)
-	if v := c.do(t, "SET", "k", "v"); !v.IsOK() {
-		t.Fatalf("SET: %s", v.String())
-	}
-	if v := c.do(t, "GET", "k"); v.String() != "v" {
-		t.Fatalf("GET: %s", v.String())
-	}
-	if srv.CommandsProcessed < 2 {
-		t.Fatalf("CommandsProcessed=%d", srv.CommandsProcessed)
-	}
-}
-
-func TestServerSelect(t *testing.T) {
-	w := newWorld(2)
-	srv := w.server("s", 6379)
-	c := w.dial(t, srv)
-	c.do(t, "SET", "k", "db0")
-	if v := c.do(t, "SELECT", "1"); !v.IsOK() {
-		t.Fatalf("SELECT: %s", v.String())
-	}
-	if v := c.do(t, "GET", "k"); !v.Null {
-		t.Fatalf("db1 GET: %s", v.String())
-	}
-	if v := c.do(t, "SELECT", "99"); !v.IsError() {
-		t.Fatal("SELECT 99 accepted")
-	}
-}
-
-func TestSlaveRefusesWrites(t *testing.T) {
-	w := newWorld(3)
-	master := w.server("m", 6379)
-	slave := w.server("sl", 6379)
-	slave.SlaveOf(master.Stack().Endpoint(), 6379)
-	w.run()
-	if !slave.SyncedWithMaster() {
-		t.Fatal("slave did not sync")
-	}
-	c := w.dial(t, slave)
-	if v := c.do(t, "SET", "k", "v"); !v.IsError() || !strings.Contains(v.String(), "READONLY") {
-		t.Fatalf("slave write: %s", v.String())
-	}
-	if v := c.do(t, "GET", "anything"); v.IsError() {
-		t.Fatalf("slave read refused: %s", v.String())
-	}
 }
 
 func TestFullResyncTransfersDataset(t *testing.T) {
@@ -282,18 +296,6 @@ func TestProtocolErrorClosesConnection(t *testing.T) {
 	}
 }
 
-func TestUnknownAndPingCommands(t *testing.T) {
-	w := newWorld(10)
-	srv := w.server("s", 6379)
-	c := w.dial(t, srv)
-	if v := c.do(t, "PING"); v.String() != "PONG" {
-		t.Fatalf("PING: %s", v.String())
-	}
-	if v := c.do(t, "WHATISTHIS"); !v.IsError() {
-		t.Fatal("unknown command accepted")
-	}
-}
-
 func TestCrashStopsProcessingRecoverResumes(t *testing.T) {
 	w := newWorld(11)
 	srv := w.server("s", 6379)
@@ -387,36 +389,6 @@ func TestExpiryReplicates(t *testing.T) {
 	reply, _ := slave.Store().Exec(0, [][]byte{[]byte("GET"), []byte("k")})
 	if string(reply) != "$-1\r\n" {
 		t.Fatalf("expired key still on slave: %q", reply)
-	}
-}
-
-func TestWaitCommandBaseline(t *testing.T) {
-	w := newWorld(16)
-	master := w.server("m", 6379)
-	slave := w.server("sl", 6379)
-	slave.SlaveOf(master.Stack().Endpoint(), 6379)
-	w.run()
-	c := w.dial(t, master)
-	c.do(t, "SET", "k", "v")
-	// One replica must acknowledge within a cron period (ACK every 100ms);
-	// the WAIT reply is deferred, so run past the ACK.
-	waitFor := func(args ...string) resp.Value {
-		before := len(c.got)
-		w.eng.After(0, func() { c.conn.Send(resp.EncodeCommand(args...)) })
-		w.eng.Run(w.eng.Now().Add(700 * sim.Millisecond))
-		if len(c.got) <= before {
-			t.Fatalf("no reply to %v", args)
-		}
-		return c.got[len(c.got)-1]
-	}
-	v := waitFor("WAIT", "1", "500")
-	if v.Type != resp.TypeInteger || v.Int < 1 {
-		t.Fatalf("WAIT 1: %s", v.String())
-	}
-	// Asking for more replicas than exist must time out with the count.
-	v = waitFor("WAIT", "5", "200")
-	if v.Type != resp.TypeInteger || v.Int >= 5 {
-		t.Fatalf("WAIT 5 should time out with <5: %s", v.String())
 	}
 }
 

@@ -1,39 +1,52 @@
 package server
 
-// The sharded dispatch plane (HostShards > 1): the server's original proc
-// becomes a dispatch stage that parses RESP and routes each command by key
-// hash to one of N shard procs, each pinned to its own core and owning a
+// The command pipeline: dispatch → shard → merge → re-sequence. The server's
+// proc is the dispatch stage: it parses RESP, numbers each command on
+// arrival, and routes it by key hash to one of N shards, each owning a
 // disjoint slice of every numbered database. Completed commands merge back
 // on the dispatch proc, which propagates writes into the replication stream
 // in a single deterministic serialized order — so the backlog, offsets,
-// WAIT, PSYNC, and the Nic-KV offload path are byte-for-byte the same
-// pipeline the single-threaded server feeds.
+// WAIT, PSYNC, and the Nic-KV offload path see one stream whatever N is.
+//
+// With HostShards > 1 every shard is a proc pinned to its own core and the
+// hop to it costs a route charge, two events and a merge charge. With one
+// shard the shard's proc IS the dispatch proc (paper §III, Fig 4: one
+// Redis-style event loop), and the hop is what the code observes it to be —
+// a charge and two calls on the same core: no route, merge or fence cost, no
+// Post, no event, no extra core to model. It is the same pipeline, not a
+// second one; everything below holds at every N.
 //
 // Ordering rules:
 //
-//   - Single-shard key commands route to their shard's proc and execute in
-//     arrival order per shard (same key ⇒ same shard ⇒ client order kept).
+//   - Every command takes its per-client sequence number on arrival
+//     (dispatchCommand), before anything can answer, hold or route it.
 //   - Replies re-sequence per client: a command's reply is held until every
 //     earlier command from that client has replied, so pipelined clients
-//     see RESP replies in request order even when shards finish out of
-//     order.
+//     see RESP replies in request order whichever stage produced them — a
+//     shard, the dispatch proc, or the admission plane (write-gate errors,
+//     MOVED/ASK/CROSSSLOT redirects, the ASKING ack) answering a command
+//     that arrived behind a held barrier.
+//   - Single-shard key commands route to their shard and execute in arrival
+//     order per shard (same key ⇒ same shard ⇒ client order kept).
 //   - Cross-shard commands (KEYS, DBSIZE, FLUSHALL/FLUSHDB, SCAN,
 //     RANDOMKEY, multi-shard MSET/DEL/MGET, ...) and ordering-sensitive
 //     server commands (PSYNC, SLAVEOF) are barriers: they wait until
 //     every routed command has executed AND merged (inflight == 0), then
-//     run inline on the dispatch proc. While a barrier waits, later
-//     arrivals from every client queue behind it, preserving the global
-//     arrival order around the fence.
+//     run on the dispatch proc. While a barrier waits, later arrivals from
+//     every client queue behind it, preserving the global arrival order
+//     around the fence. (With one shard nothing is ever in flight, so a
+//     barrier runs on the spot.)
 //   - WAIT is fence-free: each write's merge records its replication
 //     offset on the issuing client (the consistency tracker's per-owner
 //     write offset), so WAIT only needs its own client's preceding
 //     commands merged. It runs at its reply turn in the client's sequence
-//     (parked in client.gated if earlier commands are still in flight) and
+//     (parked in client.pending if earlier commands are still in flight) and
 //     never quiesces the other clients' traffic.
 //   - Quorum writes (WriteConsistency != async) are likewise
 //     sequence-ordered but fence-free: the write executes and merges
 //     normally, but its reply parks on the consistency tracker holding its
-//     re-sequencer turn until W replicas acknowledge the write's offset.
+//     re-sequencer turn until W replicas acknowledge the write's offset;
+//     later replies on the connection queue behind it.
 //   - Connection-state commands (SELECT, REPLCONF, PING, ECHO, INFO) run
 //     inline on the dispatch proc without fencing; their replies still
 //     re-sequence.
@@ -62,6 +75,7 @@ import (
 	"strconv"
 
 	"skv/internal/metrics"
+	"skv/internal/resp"
 	"skv/internal/sim"
 	"skv/internal/store"
 	"skv/internal/transport"
@@ -77,27 +91,34 @@ const (
 	// (the consistency tracker), so WAIT only needs to run after the
 	// client's preceding commands have merged — not after the whole
 	// pipeline drains. It executes on the dispatch proc at its reply turn,
-	// parked in client.gated until then.
+	// parked in client.pending until then.
 	classWait
 )
 
-// heldCmd is one command queued behind a pending barrier.
+// heldCmd is one command queued behind a pending barrier; it keeps the
+// sequence number it took on arrival.
 type heldCmd struct {
 	c    *client
+	seq  uint64
 	cmd  *store.Command
 	argv [][]byte
 }
 
-// shardEngine is the per-server sharding state: shard procs, per-shard
-// instrument registries, the barrier hold queue, and the inline reply
-// capture used for re-sequencing.
+// shardEngine is the pipeline's state: shard procs, per-shard instrument
+// registries, the barrier hold queue, and the reply capture used for
+// re-sequencing.
 type shardEngine struct {
-	s     *Server
-	procs []*sim.Proc
-	regs  []*metrics.Registry
+	s *Server
+	// procs has one entry per shard. ownCore lists the shard procs that run
+	// on a core of their own — all of them, or none when the one shard
+	// shares the dispatch proc — and regs their registries.
+	procs   []*sim.Proc
+	ownCore []*sim.Proc
+	regs    []*metrics.Registry
 
 	// Routing plane (RouteListeners > 1): per-listener procs, registries,
-	// and instruments. Empty slices = dispatch-owned pipeline (legacy).
+	// and instruments. Empty slices = the dispatch proc owns every
+	// connection.
 	routeProcs []*sim.Proc
 	routeRegs  []*metrics.Registry
 	routeCmds  []*metrics.Counter
@@ -105,7 +126,7 @@ type shardEngine struct {
 	nextRoute  int
 
 	// Per-shard instruments (resolved once; the hot path never rebuilds
-	// names).
+	// names). No-ops for a shard without a registry.
 	shardCmds []*metrics.Counter
 	shardExec []*metrics.LatencyHist
 	shardKeys []*metrics.Gauge
@@ -116,43 +137,44 @@ type shardEngine struct {
 	fenced  *metrics.Counter
 	waits   *metrics.Counter
 
-	// inflight counts commands routed to a shard whose merge has not yet
-	// run. Barriers wait for zero.
+	// inflight counts commands posted to a shard core whose merge has not
+	// yet run. Barriers wait for zero.
 	inflight int
 	holding  bool
 	holdq    []heldCmd
 
-	// Inline reply capture: while an inline command executes out of reply
-	// order, s.reply diverts its bytes here instead of the connection.
-	capturing bool
+	// Reply capture: while a command executes on the dispatch plane ahead of
+	// its reply turn, s.reply diverts capClient's bytes here instead of the
+	// connection.
 	capClient *client
 	capBuf    []byte
-
-	// Barrier park context: while a barrier command executes, execute()'s
-	// write-gating path can park its reply on the consistency tracker
-	// instead of emitting it. barrierParked tells runBarrier to leave the
-	// re-sequencer turn open; the parked fire completes it.
-	barrierC      *client
-	barrierSeq    uint64
-	barrierParked bool
 }
 
 func newShardEngine(s *Server, name string, shards, listeners int) *shardEngine {
 	e := &shardEngine{s: s}
 	for i := 0; i < shards; i++ {
-		node := name + "/shard" + strconv.Itoa(i)
-		core := sim.NewCore(s.eng, node+"-core", s.params.HostCoreSpeed)
-		e.procs = append(e.procs, sim.NewProc(s.eng, core, s.proc.WakeupCost))
-		reg := metrics.NewRegistry(node, s.eng.Now)
-		e.regs = append(e.regs, reg)
+		// One shard runs on the dispatch proc itself: no second core to
+		// model, no registry of its own (a nil registry hands out no-op
+		// instruments).
+		proc := s.proc
+		var reg *metrics.Registry
+		if shards > 1 {
+			node := name + "/shard" + strconv.Itoa(i)
+			core := sim.NewCore(s.eng, node+"-core", s.params.HostCoreSpeed)
+			proc = sim.NewProc(s.eng, core, s.proc.WakeupCost)
+			reg = metrics.NewRegistry(node, s.eng.Now)
+			e.ownCore = append(e.ownCore, proc)
+			e.regs = append(e.regs, reg)
+		}
+		e.procs = append(e.procs, proc)
 		e.shardCmds = append(e.shardCmds, reg.Counter("shard.cmds"))
 		e.shardExec = append(e.shardExec, reg.Histogram("shard.exec"))
 		e.shardKeys = append(e.shardKeys, reg.Gauge("shard.keys"))
 	}
-	// The routing plane only exists with listeners > 1: a single listener
-	// would be the dispatch proc wearing a different name, and keeping the
-	// plane strictly off preserves the legacy pipeline bit-for-bit.
-	if listeners > 1 {
+	// The routing plane only exists in front of shard cores, and only with
+	// listeners > 1: a single listener would be the dispatch proc wearing a
+	// different name.
+	if shards > 1 && listeners > 1 {
 		for i := 0; i < listeners; i++ {
 			node := name + "/route" + strconv.Itoa(i)
 			core := sim.NewCore(s.eng, node+"-core", s.params.HostCoreSpeed)
@@ -184,7 +206,7 @@ func (e *shardEngine) routing() bool { return len(e.routeProcs) > 0 }
 // adoptClient pins a freshly accepted connection to a routing proc,
 // round-robin: the proc delivers the connection's reads, and its core is
 // charged for the receive path, parse, routing, inline execution, and
-// reply emission. No-op with the routing plane off.
+// reply emission. With the routing plane off the dispatch proc keeps it.
 func (e *shardEngine) adoptClient(c *client) {
 	if !e.routing() {
 		return
@@ -199,20 +221,20 @@ func (e *shardEngine) adoptClient(c *client) {
 	}
 }
 
-// route is the sharded continuation of dispatchCommand: parse cost is
-// already charged (on the routing core when the routing plane owns the
-// connection); decide where the command runs. Multi-producer: routing
-// procs call this from their own events, the dispatch proc from its own —
-// arrival order across producers is the engine's deterministic event order.
-func (e *shardEngine) route(c *client, cmd *store.Command, argv [][]byte) {
+// route is the continuation of dispatchCommand: the command is numbered and
+// its parse cost charged (on the routing core when the routing plane owns
+// the connection); decide where it runs. Multi-producer: routing procs call
+// this from their own events, the dispatch proc from its own — arrival order
+// across producers is the engine's deterministic event order.
+func (e *shardEngine) route(c *client, seq uint64, cmd *store.Command, argv [][]byte) {
 	if c.route > 0 {
 		e.routeCmds[c.route-1].Inc()
 	}
 	if e.holding {
-		e.holdq = append(e.holdq, heldCmd{c: c, cmd: cmd, argv: argv})
+		e.holdq = append(e.holdq, heldCmd{c: c, seq: seq, cmd: cmd, argv: argv})
 		return
 	}
-	e.admitFrom(c, cmd, argv, false)
+	e.admitFrom(c, seq, cmd, argv, false)
 }
 
 // admitFrom classifies and launches one command. onDispatch is true when
@@ -221,19 +243,19 @@ func (e *shardEngine) route(c *client, cmd *store.Command, argv [][]byte) {
 // admitted from a routing proc it always defers through the hold queue,
 // even at inflight == 0, so quiesced-pipeline commands run on the stage
 // that owns the serialized order (and never re-defer themselves forever).
-func (e *shardEngine) admitFrom(c *client, cmd *store.Command, argv [][]byte, onDispatch bool) {
+func (e *shardEngine) admitFrom(c *client, seq uint64, cmd *store.Command, argv [][]byte, onDispatch bool) {
 	s := e.s
-	// Write gating stays on the dispatch plane, before routing, exactly
-	// where the single-threaded server checks it.
+	// Writes are refused on slaves and when the write gate (min-slaves)
+	// vetoes them — on the dispatch plane, before routing.
 	if cmd != nil && cmd.Write && !cmd.Server {
 		if s.role == RoleSlave {
-			e.sequencedReply(c, readonlyError())
+			e.complete(c, seq, resp.AppendError(nil, "READONLY You can't write against a read only replica."))
 			return
 		}
 		if s.WriteGate != nil {
 			if msg := s.WriteGate(); msg != "" {
 				s.ErrRepliesSent++
-				e.sequencedReply(c, gateError(msg))
+				e.complete(c, seq, resp.AppendError(nil, msg))
 				return
 			}
 		}
@@ -241,22 +263,23 @@ func (e *shardEngine) admitFrom(c *client, cmd *store.Command, argv [][]byte, on
 	class, si := e.classify(cmd, argv)
 	switch class {
 	case classRouted:
-		e.runShard(c, cmd, argv, si)
+		e.runShard(c, seq, cmd, argv, si)
 	case classWait:
-		e.runWait(c, cmd, argv)
+		e.runWait(c, seq, cmd, argv)
 	case classBarrier:
 		if e.inflight == 0 && (!e.routing() || onDispatch) {
-			e.runBarrier(c, cmd, argv)
+			e.runBarrier(c, seq, cmd, argv)
 			return
 		}
 		e.holding = true
-		e.holdq = append(e.holdq, heldCmd{c: c, cmd: cmd, argv: argv})
+		e.holdq = append(e.holdq, heldCmd{c: c, seq: seq, cmd: cmd, argv: argv})
 		if e.routing() && e.inflight == 0 {
 			// Nothing will merge to trigger the drain: hand off now.
 			e.s.proc.Post(0, e.drainHeld)
 		}
 	default:
-		e.runInline(c, cmd, argv)
+		e.inlined.Inc()
+		e.runHere(c, seq, cmd, argv)
 	}
 }
 
@@ -313,190 +336,195 @@ func (e *shardEngine) classify(cmd *store.Command, argv [][]byte) (int, int) {
 	return classRouted, si
 }
 
-// runShard posts the command to its shard proc and arranges the merge. The
-// execution-cost jitter draw happens here, at route time, so the RNG
-// sequence follows command arrival order deterministically.
-func (e *shardEngine) runShard(c *client, cmd *store.Command, argv [][]byte, si int) {
+// runShard executes a single-shard command on its shard and merges the
+// result on the dispatch proc. The execution-cost jitter draw happens here,
+// at route time, so the RNG sequence follows command arrival order
+// deterministically.
+func (e *shardEngine) runShard(c *client, seq uint64, cmd *store.Command, argv [][]byte, si int) {
 	s := e.s
 	p := s.params
-	// The route decision + shard handoff happen on the core that owns the
-	// connection: with the routing plane on, the dispatch core sees only the
-	// merge.
-	s.coreFor(c).Charge(p.ShardRouteCPU)
 	e.routed.Inc()
 	e.shardCmds[si].Inc()
-	seq := c.seqNext
-	c.seqNext++
 	dbi := c.db
 	// The consistency decision is made at admission, in arrival order, so a
 	// pipelined SKV.CONSISTENCY override applies to exactly the commands
 	// behind it — the merge stage may observe a later override otherwise.
 	need, wire := s.gateNeed(c)
 	cost := s.execCost(cmd, argv)
+	if e.procs[si] == s.proc {
+		// The shard shares the dispatch core, so there is nothing to hand
+		// off: the hop is the execution charge and two calls, in this
+		// event. The closures below are built only when a core is crossed.
+		s.proc.Core.Charge(cost)
+		reply, dirty := e.execOnShard(si, cost, cmd, dbi, argv)
+		e.merge(c, seq, cmd, dbi, argv, reply, dirty, need, wire)
+		return
+	}
+	// The route decision + shard handoff happen on the core that owns the
+	// connection: with the routing plane on, the dispatch core sees only the
+	// merge.
+	s.coreFor(c).Charge(p.ShardRouteCPU)
 	e.inflight++
 	e.procs[si].Post(cost, func() {
-		var reply []byte
-		var dirty bool
-		if s.alive {
-			// Live migration: decide ASK/TRYAGAIN here, on the shard proc at
-			// execution time — an admission-time presence check would race
-			// writes already queued ahead of this command in the shard FIFO.
-			if redirect := s.migrationCheck(cmd, dbi, argv); redirect != nil {
-				reply = redirect
-			} else {
-				reply, dirty = s.store.Dispatch(cmd, dbi, argv)
-			}
-		}
-		e.shardExec[si].Observe(cost)
+		reply, dirty := e.execOnShard(si, cost, cmd, dbi, argv)
 		s.proc.Post(p.ShardMergeCPU, func() {
-			// Merge stage, on the dispatch proc: replication order is
-			// merge-arrival order — a single serialized stream. The write's
-			// end offset lands on the issuing client (max-assign — a
-			// client's writes to different shards can merge out of order) so
-			// a later WAIT blocks on exactly this client's writes.
-			if s.alive && dirty && s.role == RoleMaster {
-				off := s.propagate(dbi, argv)
-				s.acks.NoteWrite(c.id, off)
-				s.pushInvalidations(cmd, argv)
-				if need > 0 {
-					// Quorum write: sequence-ordered but fence-free, like
-					// classWait — the reply holds its re-sequencer turn until
-					// W replicas ack, while the pipeline keeps flowing
-					// (mergeDone runs now, so barriers never wait on acks).
-					s.acks.ParkWrite(c.id, off, need, func() { e.complete(c, seq, reply) })
-					if s.OnWriteGate != nil {
-						s.OnWriteGate(off, wire)
-					}
-					e.mergeDone()
-					return
-				}
-			}
-			e.complete(c, seq, reply)
+			e.merge(c, seq, cmd, dbi, argv, reply, dirty, need, wire)
 			e.mergeDone()
 		})
 	})
 }
 
-// runInline executes a command synchronously on the dispatch proc. If
-// earlier commands from the client are still in flight, the reply is
-// captured and re-sequenced instead of sent.
-func (e *shardEngine) runInline(c *client, cmd *store.Command, argv [][]byte) {
-	e.inlined.Inc()
-	seq := c.seqNext
-	c.seqNext++
-	if seq == c.seqEmit {
-		c.seqEmit++
-		e.s.execute(c, cmd, argv)
+// execOnShard is the execute stage, on the shard's core.
+func (e *shardEngine) execOnShard(si int, cost sim.Duration, cmd *store.Command, dbi int, argv [][]byte) (reply []byte, dirty bool) {
+	s := e.s
+	if s.alive {
+		// Live migration: decide ASK/TRYAGAIN here, at execution time — an
+		// admission-time presence check would race writes already queued
+		// ahead of this command in the shard FIFO.
+		if redirect := s.migrationCheck(cmd, dbi, argv); redirect != nil {
+			reply = redirect
+		} else {
+			reply, dirty = s.store.Dispatch(cmd, dbi, argv)
+		}
+	}
+	e.shardExec[si].Observe(cost)
+	return reply, dirty
+}
+
+// merge is the merge stage, on the dispatch proc: replication order is
+// merge-arrival order — a single serialized stream.
+func (e *shardEngine) merge(c *client, seq uint64, cmd *store.Command, dbi int, argv [][]byte, reply []byte, dirty bool, need, wire int) {
+	s := e.s
+	if s.alive && dirty && s.role == RoleMaster && e.commit(c, seq, cmd, dbi, argv, reply, need, wire) {
 		return
 	}
-	e.capturing, e.capClient, e.capBuf = true, c, nil
-	e.s.execute(c, cmd, argv)
+	e.complete(c, seq, reply)
+}
+
+// commit enters an executed write into the replication stream. The write's
+// end offset lands on the issuing client (max-assign — a client's writes to
+// different shards can merge out of order) so a later WAIT blocks on
+// exactly this client's writes. With need > 0 (quorum/all) the reply parks
+// on the consistency tracker, holding its re-sequencer turn until the
+// replicas ack while the pipeline keeps flowing — barriers never wait on
+// acks — and the offload layer is told about the gate so Nic-KV can release
+// it off-host; commit then reports true and the parked fire completes the
+// command.
+func (e *shardEngine) commit(c *client, seq uint64, cmd *store.Command, dbi int, argv [][]byte, reply []byte, need, wire int) bool {
+	s := e.s
+	off := s.propagate(dbi, argv)
+	s.acks.NoteWrite(c.id, off)
+	s.pushInvalidations(cmd, argv)
+	if need == 0 {
+		return false
+	}
+	s.acks.ParkWrite(c.id, off, need, func() { e.complete(c, seq, reply) })
+	if s.OnWriteGate != nil {
+		s.OnWriteGate(off, wire)
+	}
+	return true
+}
+
+// runHere executes a command on the current dispatch-plane event: an inline
+// command, a WAIT at its turn, or a barrier with the pipeline quiesced. In
+// turn, its replies go straight to the connection; ahead of its turn (an
+// earlier command is in flight, or an earlier write reply is parked) they
+// are captured and re-sequenced. A write whose reply parked keeps its turn.
+func (e *shardEngine) runHere(c *client, seq uint64, cmd *store.Command, argv [][]byte) {
+	s := e.s
+	if seq == c.seqEmit {
+		if !s.execute(c, seq, cmd, argv) {
+			c.seqEmit++
+			e.drain(c)
+		}
+		return
+	}
+	e.capClient, e.capBuf = c, nil
+	parked := s.execute(c, seq, cmd, argv)
 	buf := e.capBuf
-	e.capturing, e.capClient, e.capBuf = false, nil, nil
-	e.complete(c, seq, buf)
+	e.capClient, e.capBuf = nil, nil
+	if !parked {
+		e.complete(c, seq, buf)
+	}
 }
 
 // runWait admits a WAIT without fencing. It must still observe the
 // caller's preceding writes (their merges record offsets), so it runs at
 // its sequence turn: immediately when the client has nothing in flight,
-// otherwise parked in client.gated until complete() drains up to it. Other
+// otherwise parked in client.pending until drain() reaches it. Other
 // clients' traffic keeps flowing through the shards either way.
-func (e *shardEngine) runWait(c *client, cmd *store.Command, argv [][]byte) {
+func (e *shardEngine) runWait(c *client, seq uint64, cmd *store.Command, argv [][]byte) {
 	e.waits.Inc()
-	seq := c.seqNext
-	c.seqNext++
 	if seq == c.seqEmit {
-		c.seqEmit++
-		e.s.execute(c, cmd, argv)
+		e.runHere(c, seq, cmd, argv)
 		return
 	}
-	if c.gated == nil {
-		c.gated = make(map[uint64]gatedCmd)
-	}
-	c.gated[seq] = gatedCmd{cmd: cmd, argv: argv}
+	c.await(seq, turn{cmd: cmd, argv: argv})
 }
 
-// runBarrier executes a cross-shard or ordering-sensitive command inline
-// with the pipeline quiesced (inflight == 0, so every client's reply
-// sequence is already drained and replies go out directly).
-func (e *shardEngine) runBarrier(c *client, cmd *store.Command, argv [][]byte) {
+// runBarrier executes a cross-shard or ordering-sensitive command on the
+// dispatch proc with the pipeline quiesced (inflight == 0).
+func (e *shardEngine) runBarrier(c *client, seq uint64, cmd *store.Command, argv [][]byte) {
 	s := e.s
 	e.fenced.Inc()
-	// Fencing costs one cross-shard synchronization per shard core.
-	s.proc.Core.Charge(s.params.ShardFenceCPU * sim.Duration(len(e.procs)))
-	seq := c.seqNext
-	c.seqNext++
-	e.barrierC, e.barrierSeq, e.barrierParked = c, seq, false
-	if seq == c.seqEmit {
-		// The quiesced pipeline has drained every earlier reply (the legacy
-		// invariant — always true in async mode): execute directly.
-		c.seqEmit = seq + 1
-		s.execute(c, cmd, argv)
-		if e.barrierParked {
-			// The write reply parked on the consistency tracker: reclaim the
-			// emit turn so later replies queue behind it until it fires.
-			c.seqEmit = seq
-		}
-	} else {
-		// An earlier parked write still owns this client's emit turn:
-		// execute now (the barrier fence already quiesced the shards) but
-		// re-sequence the reply behind the parked one.
-		e.capturing, e.capClient, e.capBuf = true, c, nil
-		s.execute(c, cmd, argv)
-		buf := e.capBuf
-		e.capturing, e.capClient, e.capBuf = false, nil, nil
-		if !e.barrierParked {
-			e.complete(c, seq, buf)
-		}
-	}
-	e.barrierC, e.barrierParked = nil, false
+	// Fencing costs one cross-core synchronization per shard core.
+	s.proc.Core.Charge(s.params.ShardFenceCPU * sim.Duration(len(e.ownCore)))
+	e.runHere(c, seq, cmd, argv)
 }
 
-// sequencedReply emits a dispatch-plane reply (error paths) through the
-// per-client re-sequencer.
-func (e *shardEngine) sequencedReply(c *client, data []byte) {
-	seq := c.seqNext
-	c.seqNext++
-	if seq == c.seqEmit {
-		c.seqEmit++
-		e.s.reply(c, data)
+// complete records a command's reply (nil = none) against its sequence
+// number: in turn it goes out now, followed by whatever was waiting behind
+// it; otherwise it waits in c.pending for its turn.
+func (e *shardEngine) complete(c *client, seq uint64, reply []byte) {
+	if seq != c.seqEmit {
+		c.await(seq, turn{reply: reply})
 		return
 	}
-	e.complete(c, seq, data)
+	c.seqEmit++
+	e.emit(c, reply)
+	e.drain(c)
 }
 
-// complete records a command's reply (nil = none) and emits every
-// consecutive ready reply in client request order. Sequence-ordered parked
-// commands (WAIT) execute when the drain reaches their turn.
-func (e *shardEngine) complete(c *client, seq uint64, reply []byte) {
+// await parks t until the connection's sequence reaches seq.
+func (c *client) await(seq uint64, t turn) {
 	if c.pending == nil {
-		c.pending = make(map[uint64][]byte)
+		c.pending = make(map[uint64]turn)
 	}
-	c.pending[seq] = reply
+	c.pending[seq] = t
+}
+
+// emit sends one reply on the connection, charging its build to the core
+// that owns the connection.
+func (e *shardEngine) emit(c *client, data []byte) {
 	s := e.s
-	for {
-		if g, ok := c.gated[c.seqEmit]; ok {
-			delete(c.gated, c.seqEmit)
-			c.seqEmit++
-			if s.alive && !c.closed {
-				s.execute(c, g.cmd, g.argv)
-			}
-			continue
-		}
-		data, ok := c.pending[c.seqEmit]
+	if len(data) > 0 && s.alive && !c.closed {
+		s.coreFor(c).Charge(s.params.ReplyBuildCPU)
+		c.conn.Send(data)
+	}
+}
+
+// drain takes every consecutive waiting turn from c.seqEmit on, in client
+// request order: ready replies go out, sequence-ordered parked commands
+// (WAIT) execute. Every path that advances c.seqEmit ends here.
+func (e *shardEngine) drain(c *client) {
+	s := e.s
+	for len(c.pending) > 0 {
+		seq := c.seqEmit
+		t, ok := c.pending[seq]
 		if !ok {
 			return
 		}
-		delete(c.pending, c.seqEmit)
+		delete(c.pending, seq)
 		c.seqEmit++
-		if len(data) > 0 && s.alive && !c.closed {
-			s.coreFor(c).Charge(s.params.ReplyBuildCPU)
-			c.conn.Send(data)
+		if t.cmd == nil {
+			e.emit(c, t.reply)
+		} else if s.alive && !c.closed {
+			s.execute(c, seq, t.cmd, t.argv)
 		}
 	}
 }
 
-// mergeDone retires one routed command; when the pipeline drains with a
+// mergeDone retires one cross-core command; when the pipeline drains with a
 // barrier waiting, the barrier runs and everything held behind it re-enters
 // admission in arrival order.
 func (e *shardEngine) mergeDone() {
@@ -536,34 +564,33 @@ func (e *shardEngine) drainHeld() {
 			// park WAITs, and charge cores on behalf of) a dead connection.
 			continue
 		}
-		e.admitFrom(h.c, h.cmd, h.argv, true)
+		e.admitFrom(h.c, h.seq, h.cmd, h.argv, true)
 	}
 }
 
-// cron posts the per-shard time event to every shard proc: each shard
-// actively expires and rehashes only the keys it owns, on its own core.
+// cron runs the per-shard time event: each shard actively expires and
+// rehashes only the keys it owns, on its own core — which for a shard that
+// shares the dispatch proc is the dispatch cron event this is called from.
 func (e *shardEngine) cron() {
-	s := e.s
-	for i, proc := range e.procs {
-		si := i
-		proc.Post(s.params.CronCPU, func() {
-			if !s.alive {
-				return
-			}
-			s.store.ActiveExpireCycleShard(si, 20)
-			s.store.RehashStepShard(si, 100)
-			keys := 0
-			for dbi := 0; dbi < s.store.NumDBs(); dbi++ {
-				keys += s.store.ShardSize(dbi, si)
-			}
-			e.shardKeys[si].Set(int64(keys))
-		})
+	for si, proc := range e.procs {
+		if proc == e.s.proc {
+			e.shardCron(si)
+			continue
+		}
+		proc.Post(e.s.params.CronCPU, func() { e.shardCron(si) })
 	}
 }
 
-// Registries exposes the per-shard instrument registries (cluster
-// snapshots).
-func (e *shardEngine) Registries() []*metrics.Registry { return e.regs }
-
-// Procs exposes the shard procs (utilization measurements).
-func (e *shardEngine) Procs() []*sim.Proc { return e.procs }
+func (e *shardEngine) shardCron(si int) {
+	s := e.s
+	if !s.alive {
+		return
+	}
+	s.store.ActiveExpireCycleShard(si, 20)
+	s.store.RehashStepShard(si, 100)
+	keys := 0
+	for dbi := 0; dbi < s.store.NumDBs(); dbi++ {
+		keys += s.store.ShardSize(dbi, si)
+	}
+	e.shardKeys[si].Set(int64(keys))
+}

@@ -14,8 +14,7 @@
 //     Honored only when an offload layer wired OnTrackInterest.
 //
 // Connections that never issue CLIENT TRACKING pay nothing: every hook
-// below is gated on per-client flags or table emptiness, so the legacy
-// event stream is preserved bit-for-bit.
+// below is gated on per-client flags or table emptiness.
 package server
 
 import (
@@ -108,8 +107,8 @@ func (s *Server) dropTracking(c *client) {
 }
 
 // recordInterest registers c's interest in every key a tracked read
-// touches. Runs at admission (after the slot check) so in sharded mode the
-// interest exists before the read is even routed — an invalidation for a
+// touches. Runs at admission (after the slot check) so the interest exists
+// before the read is even routed — with shard cores an invalidation for a
 // concurrently-merging write can therefore arrive before the read's reply,
 // which the client side handles by poisoning the in-flight read.
 func (s *Server) recordInterest(c *client, cmd *store.Command, argv [][]byte) {
@@ -126,9 +125,8 @@ func (s *Server) recordInterest(c *client, cmd *store.Command, argv [][]byte) {
 // pushInvalidations tells every in-band subscriber interested in a dirty
 // write's keys that their cached copies are stale. Interest is one-shot.
 // Keyless dirty commands (FLUSHDB and friends) invalidate the whole table.
-// Called from execute (single-threaded + barrier writes) and the sharded
-// merge stage, both on the dispatch proc; gated on table occupancy so the
-// untracked hot path adds zero work.
+// Called from commit — the merge stage and barrier writes — on the dispatch
+// proc; gated on table occupancy so the untracked hot path adds zero work.
 func (s *Server) pushInvalidations(cmd *store.Command, argv [][]byte) {
 	if s.track == nil || s.track.Len() == 0 {
 		return

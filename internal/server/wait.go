@@ -46,8 +46,8 @@ func (s *Server) cmdWait(c *client, argv [][]byte) {
 	}
 	w := &consistency.Waiter{Target: target, Need: need, Owner: c.id}
 	w.Fire = func(acked int) {
-		// Mirrors the legacy finishWaiter cost shape: the deferred reply
-		// charges its build explicitly, then s.reply charges the send.
+		// The deferred reply charges its build explicitly, then s.reply
+		// charges the send.
 		s.coreFor(c).Charge(s.params.ReplyBuildCPU)
 		s.reply(c, resp.AppendInt(nil, int64(acked)))
 	}
@@ -67,7 +67,7 @@ func (s *Server) cmdWait(c *client, argv [][]byte) {
 // consistency. With no arguments it reports the effective level; "default"
 // drops the override; "async"/"quorum [W]"/"all" set one. The override is
 // admission-ordered: it applies to every later command on the connection and
-// to none before it, in both the single-threaded and sharded pipelines.
+// to none before it, at every pipeline shape.
 func (s *Server) cmdConsistency(c *client, argv [][]byte) {
 	switch len(argv) {
 	case 1:

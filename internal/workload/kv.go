@@ -153,8 +153,8 @@ type kvbase struct {
 	done       uint64
 	errReplies uint64
 
-	tracking bool
-	cache    *cache
+	tracking      bool
+	cache         *cache
 	hits          uint64
 	misses        uint64
 	invalidations uint64
