@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet lint race verify bench bench-smoke clean
+.PHONY: all build fmt test vet lint race verify bench bench-smoke profile fuzz clean
 
 all: verify
 
@@ -48,6 +48,26 @@ bench:
 # cluster, runs, and renders. Numbers are meaningless at this scale.
 bench-smoke:
 	$(GO) run ./cmd/skv-bench -smoke
+
+# Where one experiment spends host time and allocations, so the next
+# bottleneck is read, not guessed: `make profile EXP=fig11` runs it once
+# under the CPU and heap profilers (bench_test.go) and prints the top 25 of
+# each. The test binary and the profiles stay outside the checkout.
+EXP ?= fig11
+PROFILE_DIR ?= /tmp/skv-profile
+profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'Experiment/$(EXP)$$' -benchtime=1x -o $(PROFILE_DIR)/skv.test \
+		-cpuprofile $(PROFILE_DIR)/cpu.prof -memprofile $(PROFILE_DIR)/mem.prof -memprofilerate 4096 .
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/skv.test $(PROFILE_DIR)/cpu.prof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_DIR)/skv.test $(PROFILE_DIR)/mem.prof
+
+# Fuzz the RESP decoder against its reference (internal/resp/fuzz_test.go).
+# New corpus entries go to the go command's cache, failures to testdata/.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test ./internal/resp -run '^$$' -fuzz FuzzReadCommand -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/resp -run '^$$' -fuzz FuzzReadValue -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

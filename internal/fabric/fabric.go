@@ -117,6 +117,22 @@ type Message struct {
 	Dst     *Endpoint
 	Size    int
 	Payload any
+	// Parked marks a message the fault plane has held on a blocked link. Its
+	// outcome is reported when it parks and again if the link heals and it
+	// is delivered, in either order of completion, so the sender must leave
+	// Payload alone. The outcome report of any other message is the last
+	// use the fabric makes of Payload: a transport that recycles its payload
+	// records takes the record back there.
+	Parked bool
+}
+
+// delivery is one message in flight: the record the network schedules
+// instead of a closure per send. run is d.fire, bound when the record is
+// first created; records return to the network's free list when they fire.
+type delivery struct {
+	net *Network
+	msg Message
+	run func()
 }
 
 // Network is the set of machines and the switch connecting them.
@@ -129,6 +145,10 @@ type Network struct {
 	// guarantee of a reliable-connected transport: a large message sent
 	// first cannot be overtaken by a small one sent later.
 	lastArrival map[[2]*Endpoint]sim.Time
+
+	// idle holds delivery records not in flight; it grows to the peak number
+	// of messages simultaneously on the wire.
+	idle []*delivery
 
 	// Delivered counts messages delivered (for tests/ablation reporting).
 	Delivered uint64
@@ -273,37 +293,53 @@ func (n *Network) Send(src, dst *Endpoint, size int, payload any, extra sim.Dura
 	n.mTxMsgs.Inc()
 	n.mTxBytes.Add(uint64(size))
 	lat := n.PathLatency(src, dst) + n.params.TransferTime(size) + extra
+	m := Message{Src: src, Dst: dst, Size: size, Payload: payload}
 	if n.faults != nil {
-		n.faults.send(src, dst, size, payload, lat)
+		n.faults.send(m, lat)
 		return
 	}
-	n.deliverAfter(src, dst, size, payload, lat)
+	n.deliverAfter(m, lat)
 }
 
 // deliverAfter schedules actual delivery lat from now, preserving per-link
 // FIFO ordering (a reliable-connected transport's guarantee).
-func (n *Network) deliverAfter(src, dst *Endpoint, size int, payload any, lat sim.Duration) {
-	key := [2]*Endpoint{src, dst}
+func (n *Network) deliverAfter(m Message, lat sim.Duration) {
+	key := [2]*Endpoint{m.Src, m.Dst}
 	arrive := n.eng.Now().Add(lat)
 	if last := n.lastArrival[key]; arrive < last {
 		arrive = last
 	}
 	n.lastArrival[key] = arrive
 	lat = arrive.Sub(n.eng.Now())
-	n.eng.After(lat, func() {
-		m := Message{Src: src, Dst: dst, Size: size, Payload: payload}
-		if dst.down || dst.deliver == nil {
-			n.Dropped++
-			n.mDropped.Inc()
-			notifyOutcome(src, m, false)
-			return
-		}
-		n.Delivered++
-		n.mDelivered.Inc()
-		// The ack for this delivery travels dst→src; a partitioned reverse
-		// path starves the sender of acks even though the data landed.
-		acked := n.faults == nil || !n.faults.Partitioned(dst, src)
-		dst.deliver(m)
-		notifyOutcome(src, m, acked)
-	})
+	var d *delivery
+	if k := len(n.idle); k > 0 {
+		d = n.idle[k-1]
+		n.idle = n.idle[:k-1]
+	} else {
+		d = &delivery{net: n}
+		d.run = d.fire
+	}
+	d.msg = m
+	n.eng.After(lat, d.run)
+}
+
+// fire is the arrival of one message at its destination.
+func (d *delivery) fire() {
+	n, m := d.net, d.msg
+	d.msg = Message{}
+	n.idle = append(n.idle, d)
+	src, dst := m.Src, m.Dst
+	if dst.down || dst.deliver == nil {
+		n.Dropped++
+		n.mDropped.Inc()
+		notifyOutcome(src, m, false)
+		return
+	}
+	n.Delivered++
+	n.mDelivered.Inc()
+	// The ack for this delivery travels dst→src; a partitioned reverse
+	// path starves the sender of acks even though the data landed.
+	acked := n.faults == nil || !n.faults.Partitioned(dst, src)
+	dst.deliver(m)
+	notifyOutcome(src, m, acked)
 }

@@ -139,3 +139,69 @@ func TestNoSmartNICMeansNilNIC(t *testing.T) {
 		t.Fatal("machine without SmartNIC has a NIC endpoint")
 	}
 }
+
+// TestSteadyStateSendDoesNotAllocate: once the network has as many delivery
+// records as messages are ever in flight at once, sending and delivering
+// allocates nothing — no closure, no record, no event.
+func TestSteadyStateSendDoesNotAllocate(t *testing.T) {
+	eng, n, _ := testNet()
+	a := n.NewMachine("a", false)
+	b := n.NewMachine("b", true)
+	delivered, acked := 0, 0
+	b.Host.Handle(func(Message) { delivered++ })
+	b.NIC.Handle(func(Message) { delivered++ })
+	a.Host.OnSendOutcome(func(_ Message, ok bool) {
+		if ok {
+			acked++
+		}
+	})
+	payload := &struct{ x int }{7} // a pointer payload boxes without allocating, as the transports' do
+	const burst = 64
+	round := func() {
+		for i := 0; i < burst; i++ {
+			n.Send(a.Host, b.Host, 64+i, payload, 0)
+			n.Send(a.Host, b.NIC, 64+i, payload, 0)
+		}
+		eng.Run(0)
+	}
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("send+deliver allocates %.2f times per %d messages, want 0", allocs, 2*burst)
+	}
+	if delivered != acked || delivered != 22*2*burst {
+		t.Fatalf("delivered %d, acked %d, want %d each", delivered, acked, 22*2*burst)
+	}
+}
+
+// TestParkedMessagesAreMarked: a message held on a blocked link reports its
+// outcome more than once, so it must say so — transports recycle payload
+// records on every report that is not marked.
+func TestParkedMessagesAreMarked(t *testing.T) {
+	eng, n, _ := testNet()
+	a := n.NewMachine("a", false)
+	b := n.NewMachine("b", false)
+	f := n.Faults()
+	var reports, deliveries []Message
+	a.Host.OnSendOutcome(func(m Message, _ bool) { reports = append(reports, m) })
+	b.Host.Handle(func(m Message) { deliveries = append(deliveries, m) })
+	n.Send(a.Host, b.Host, 10, "free", 0)
+	f.Partition(a.Host, b.Host)
+	n.Send(a.Host, b.Host, 10, "held", 0)
+	eng.After(sim.Millisecond, func() { f.Heal(a.Host, b.Host) })
+	eng.Run(0)
+	if len(deliveries) != 2 || deliveries[1].Payload != "held" || !deliveries[1].Parked || deliveries[0].Parked {
+		t.Fatalf("deliveries = %+v", deliveries)
+	}
+	held := 0
+	for _, m := range reports {
+		if m.Parked != (m.Payload == "held") {
+			t.Fatalf("outcome report %+v: Parked does not match the message's history", m)
+		}
+		if m.Parked {
+			held++
+		}
+	}
+	if held != 2 || len(reports) != 3 {
+		t.Fatalf("%d reports, %d of them for the held message; want 3 and 2 (parked, then delivered)", len(reports), held)
+	}
+}

@@ -52,10 +52,8 @@ type linkFault struct {
 // parkedMsg is a message held on a blocked link awaiting heal (the RC
 // retransmission queue, observed from the wire).
 type parkedMsg struct {
-	src, dst *Endpoint
-	size     int
-	payload  any
-	lat      sim.Duration // residual one-way latency to apply at flush
+	msg Message      // Parked is set
+	lat sim.Duration // residual one-way latency to apply at flush
 }
 
 // Faults is a Network's fault-injection plane. Obtain it with
@@ -212,17 +210,18 @@ func (f *Faults) blocked(src, dst *Endpoint) bool {
 // send routes one message through the fault plane: park if the link is
 // blocked, otherwise perturb latency per the link's loss/delay config and
 // hand off to normal delivery.
-func (f *Faults) send(src, dst *Endpoint, size int, payload any, lat sim.Duration) {
+func (f *Faults) send(m Message, lat sim.Duration) {
 	n := f.net
+	src, dst := m.Src, m.Dst
 	if f.blocked(src, dst) {
+		m.Parked = true
 		lf := f.link(src, dst)
-		lf.parked = append(lf.parked, parkedMsg{src: src, dst: dst, size: size, payload: payload, lat: lat})
+		lf.parked = append(lf.parked, parkedMsg{msg: m, lat: lat})
 		f.ParkedCount++
 		n.Parked++
 		n.mParked.Inc()
 		// The sender's transport sees the ack timeout one latency later.
-		msg := Message{Src: src, Dst: dst, Size: size, Payload: payload}
-		n.eng.After(lat, func() { notifyOutcome(src, msg, false) })
+		n.eng.After(lat, func() { notifyOutcome(src, m, false) })
 		return
 	}
 	if lf := f.peek(src, dst); lf != nil {
@@ -240,7 +239,7 @@ func (f *Faults) send(src, dst *Endpoint, size int, payload any, lat sim.Duratio
 			n.mSpikes.Inc()
 		}
 	}
-	n.deliverAfter(src, dst, size, payload, lat)
+	n.deliverAfter(m, lat)
 }
 
 // flush re-injects parked messages after a heal, preserving send order via
@@ -249,14 +248,14 @@ func (f *Faults) flush(lf *linkFault) {
 	parked := lf.parked
 	lf.parked = nil
 	for _, pm := range parked {
-		if f.blocked(pm.src, pm.dst) {
+		if f.blocked(pm.msg.Src, pm.msg.Dst) {
 			// Re-partitioned (or endpoint still down) before the flush
 			// drained: park again.
-			lf2 := f.link(pm.src, pm.dst)
+			lf2 := f.link(pm.msg.Src, pm.msg.Dst)
 			lf2.parked = append(lf2.parked, pm)
 			continue
 		}
-		f.net.deliverAfter(pm.src, pm.dst, pm.size, pm.payload, pm.lat)
+		f.net.deliverAfter(pm.msg, pm.lat)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"net"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -264,13 +263,24 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // execute runs one command, handling the connection-level commands SELECT,
-// SAVE and QUIT here and everything else in the store.
+// SAVE and QUIT here and everything else in the store. The command is
+// resolved once; the store dispatches on the descriptor.
 func (s *Server) execute(db int, argv [][]byte) (reply []byte, newDB int, quit bool) {
-	name := strings.ToLower(string(argv[0]))
-	switch name {
-	case "quit":
+	cmd := store.LookupCommand(argv[0])
+	// quit, save and bgsave belong to the connection, not to the command
+	// table, so they are matched by name; select is in the table.
+	switch {
+	case cmd == nil && resp.IsWord(argv[0], "quit"):
 		return resp.AppendSimple(nil, "OK"), db, true
-	case "select":
+	case cmd == nil && (resp.IsWord(argv[0], "save") || resp.IsWord(argv[0], "bgsave")):
+		if s.opts.RDBPath == "" {
+			return resp.AppendError(nil, "ERR no RDB path configured"), db, false
+		}
+		if err := s.save(); err != nil {
+			return resp.AppendError(nil, "ERR saving: "+err.Error()), db, false
+		}
+		return resp.AppendSimple(nil, "OK"), db, false
+	case cmd != nil && cmd.Name == "select":
 		if len(argv) != 2 {
 			return resp.AppendError(nil, "ERR wrong number of arguments for 'select' command"), db, false
 		}
@@ -279,17 +289,9 @@ func (s *Server) execute(db int, argv [][]byte) (reply []byte, newDB int, quit b
 			return resp.AppendError(nil, "ERR DB index is out of range"), db, false
 		}
 		return resp.AppendSimple(nil, "OK"), n, false
-	case "save", "bgsave":
-		if s.opts.RDBPath == "" {
-			return resp.AppendError(nil, "ERR no RDB path configured"), db, false
-		}
-		if err := s.save(); err != nil {
-			return resp.AppendError(nil, "ERR saving: "+err.Error()), db, false
-		}
-		return resp.AppendSimple(nil, "OK"), db, false
 	}
 	s.mu.Lock()
-	reply, _ = s.st.Exec(db, argv)
+	reply, _ = s.st.Dispatch(cmd, db, argv)
 	s.Served++
 	s.mu.Unlock()
 	return reply, db, false

@@ -1,6 +1,7 @@
 package netserver
 
 import (
+	"io"
 	"net"
 	"path/filepath"
 	"sync"
@@ -218,6 +219,70 @@ func TestPipelinedCommands(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.reader.Feed(c.buf[:n])
+		}
+	}
+}
+
+// TestConnectionCommandsInAnyCase: QUIT, SELECT, SAVE and BGSAVE are matched
+// without lower-casing a copy of the name; every letter case must still work.
+func TestConnectionCommandsInAnyCase(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dump.rdb")
+	_, addr := startServer(t, Options{Seed: 9, RDBPath: path})
+	for _, tc := range []struct {
+		argv []string
+		want string
+	}{
+		{[]string{"select", "1"}, "OK"},
+		{[]string{"SELECT", "2"}, "OK"},
+		{[]string{"SeLeCt", "99"}, "ERR DB index is out of range"},
+		{[]string{"save"}, "OK"},
+		{[]string{"SAVE"}, "OK"},
+		{[]string{"bgsave"}, "OK"},
+		{[]string{"BgSave"}, "OK"},
+		{[]string{"saves"}, "ERR unknown command 'saves'"},
+		{[]string{"quit"}, "OK"},
+		{[]string{"QUIT"}, "OK"},
+		{[]string{"qUiT"}, "OK"},
+	} {
+		c := dial(t, addr)
+		if v := c.do(tc.argv...); v.String() != tc.want {
+			t.Errorf("%q = %q, want %q", tc.argv, v.String(), tc.want)
+		}
+	}
+	// SELECT really switched the database, whatever its spelling.
+	c := dial(t, addr)
+	c.do("SET", "k", "db0")
+	c.do("sElEcT", "3")
+	if v := c.do("GET", "k"); !v.Null {
+		t.Fatalf("GET after sElEcT 3 = %q, want nil: the database did not switch", v.String())
+	}
+}
+
+// TestMalformedLengthsCloseOnlyTheOffender: announced lengths that used to
+// panic the decoder — and with it the whole process, since connection
+// handlers do not recover — get a protocol error and a closed connection,
+// and the next client is served as if nothing happened.
+func TestMalformedLengthsCloseOnlyTheOffender(t *testing.T) {
+	_, addr := startServer(t, Options{Seed: 10})
+	for _, in := range []string{
+		"*1\r\n$9223372036854775807\r\n",
+		"*9223372036854775807\r\n",
+		"*100000000\r\n",
+	} {
+		c := dial(t, addr)
+		if _, err := c.conn.Write([]byte(in)); err != nil {
+			t.Fatal(err)
+		}
+		c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		got, err := io.ReadAll(c.conn)
+		if err != nil {
+			t.Fatalf("%q: connection not closed by the server: %v", in, err)
+		}
+		if string(got) != "-ERR Protocol error\r\n" {
+			t.Errorf("%q: server answered %q", in, got)
+		}
+		if v := dial(t, addr).do("PING"); v.String() != "PONG" {
+			t.Fatalf("after %q the next connection got %q", in, v.String())
 		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 
 	"skv/internal/fabric"
 	"skv/internal/rdma"
+	"skv/internal/ring"
 	"skv/internal/sim"
 	"skv/internal/transport"
 )
@@ -42,6 +43,10 @@ const (
 	// frameHeader is the per-chunk header: 1 flag byte.
 	frameHeader = 1
 	flagLast    = 0x01
+	// maxPooledBuf bounds the frame and reassembly buffers a connection
+	// keeps for reuse: steady-state messages fit, the chunks of an
+	// initial-sync payload do not and are left to the collector.
+	maxPooledBuf = 4 << 10
 )
 
 // control message types (SEND payload first byte).
@@ -134,6 +139,9 @@ type conn struct {
 	postedRecvs int
 	consumed    int // data messages consumed since last credit return
 	reassembly  []byte
+	// drain is c.drainCQ, bound once: every completion-channel wake-up posts
+	// it to the owner process instead of a fresh closure.
+	drain func()
 
 	// Send side (state about the peer's ring).
 	remoteKey  uint32
@@ -141,7 +149,11 @@ type conn struct {
 	writeOff   int
 	msgCredit  int
 	ringWait   bool // stalled waiting for a fresh MR after RING_FULL
-	pending    [][]byte
+	// pending holds framed copies of the messages Send accepted, in order,
+	// until credits and ring space let them be posted; idleFrames holds
+	// posted frames' buffers for the next Send.
+	pending    ring.Queue[[]byte]
+	idleFrames [][]byte
 
 	ready   bool
 	onReady func()
@@ -157,16 +169,13 @@ var _ transport.Conn = (*conn)(nil)
 
 func (s *Stack) newConn(qp *rdma.QP) *conn {
 	c := &conn{stack: s, qp: qp}
+	c.drain = c.drainCQ
 	qp.Context = c
 	// Retry exhaustion on a dead link (partition, down peer) errors the QP:
 	// tear the conn down locally. No ctrlClose — the peer is unreachable and
 	// discovers the death through its own retry window or probe timeouts.
 	qp.OnFail(func() { c.teardown() })
-	qp.RecvCQ.OnNotify(func() {
-		// Completion event channel: hand the batch to the owning process.
-		// The proc charges its wakeup (comp-channel wake) only when idle.
-		c.owner().Post(0, func() { c.drainCQ() })
-	})
+	qp.RecvCQ.OnNotify(c.onCompletionEvent)
 	qp.RecvCQ.RequestNotify()
 	// Register the receive ring and announce it. Setup runs on the owner
 	// process: registration cost + initial receive posting.
@@ -178,6 +187,11 @@ func (s *Stack) newConn(qp *rdma.QP) *conn {
 	})
 	return c
 }
+
+// onCompletionEvent is the completion event channel: hand the batch to the
+// owning process. The proc charges its wakeup (comp-channel wake) only when
+// idle.
+func (c *conn) onCompletionEvent() { c.owner().Post(0, c.drain) }
 
 func (c *conn) sendCtrlMRInfo() {
 	buf := make([]byte, 13)
@@ -235,15 +249,24 @@ func (c *conn) handleData(frameLen int) {
 	frame := c.ring.Bytes()[c.readOff : c.readOff+frameLen]
 	c.readOff += frameLen
 	c.consumed++
-	flags := frame[0]
-	c.reassembly = append(c.reassembly, frame[frameHeader:]...)
-	if flags&flagLast != 0 {
-		msg := c.reassembly
-		c.reassembly = nil
-		if c.handler != nil && !c.closed {
-			c.handler(msg)
-		}
+	last := frame[0]&flagLast != 0
+	msg := frame[frameHeader:]
+	if len(c.reassembly) > 0 || !last {
+		c.reassembly = append(c.reassembly, msg...)
+		msg = c.reassembly
 	}
+	if !last {
+		return
+	}
+	// The handler borrows msg — the ring itself for a single-frame message,
+	// the reassembly buffer otherwise — until it returns (transport.Conn).
+	if c.handler != nil && !c.closed {
+		c.handler(msg)
+	}
+	if cap(c.reassembly) > maxPooledBuf {
+		c.reassembly = nil
+	}
+	c.reassembly = c.reassembly[:0]
 }
 
 func (c *conn) handleCtrl(b []byte) {
@@ -266,12 +289,11 @@ func (c *conn) handleCtrl(b []byte) {
 		c.flushPending()
 	case ctrlRingFul:
 		// Peer exhausted our ring: everything in it has been delivered
-		// (in-order channel), so re-register and announce the fresh MR.
+		// (in-order channel) and consumed (handlers only borrow), so
+		// re-register the same bytes under a fresh key and announce it.
 		c.RingResets++
-		old := c.ring
 		c.owner().Core.Charge(c.stack.MRRegisterCPU)
-		c.ring = c.stack.pd.RegisterMR(c.stack.RingSize)
-		old.Deregister()
+		c.ring.Reregister()
 		c.readOff = 0
 		c.sendCtrlMRInfo()
 	case ctrlClose:
@@ -279,7 +301,8 @@ func (c *conn) handleCtrl(b []byte) {
 	}
 }
 
-// Send transmits one application message, fragmenting as needed.
+// Send transmits one application message, fragmenting as needed. The payload
+// is copied into frames before Send returns; the caller keeps its buffer.
 func (c *conn) Send(payload []byte) {
 	if c.closed {
 		return
@@ -292,12 +315,17 @@ func (c *conn) Send(payload []byte) {
 			n = MaxChunk
 			last = false
 		}
-		frame := make([]byte, frameHeader+n)
-		if last {
-			frame[0] = flagLast
+		var frame []byte
+		if k := len(c.idleFrames); k > 0 {
+			frame = c.idleFrames[k-1][:0]
+			c.idleFrames = c.idleFrames[:k-1]
 		}
-		copy(frame[frameHeader:], payload[off:off+n])
-		c.pending = append(c.pending, frame)
+		var flags byte
+		if last {
+			flags = flagLast
+		}
+		frame = append(frame, flags)
+		c.pending.Push(append(frame, payload[off:off+n]...))
 		off += n
 		if last {
 			break
@@ -311,8 +339,8 @@ func (c *conn) flushPending() {
 	if !c.ready || c.closed {
 		return
 	}
-	for len(c.pending) > 0 && c.msgCredit > 0 && !c.ringWait && !c.closed {
-		frame := c.pending[0]
+	for c.pending.Len() > 0 && c.msgCredit > 0 && !c.ringWait && !c.closed {
+		frame := c.pending.Peek()
 		if c.writeOff+len(frame) > c.remoteSize {
 			// Paper §III-B: receive buffer full → ask the peer to
 			// re-register its MR, stall until fresh MR info arrives.
@@ -320,7 +348,7 @@ func (c *conn) flushPending() {
 			c.sendCtrl([]byte{ctrlRingFul})
 			return
 		}
-		c.pending = c.pending[1:]
+		c.pending.Pop()
 		c.msgCredit--
 		_ = c.qp.PostSend(rdma.SendWR{
 			Op:        rdma.OpWriteImm,
@@ -330,6 +358,10 @@ func (c *conn) flushPending() {
 			Imm:       uint32(len(frame)),
 		})
 		c.writeOff += len(frame)
+		// PostSend copied the frame onto the wire; its buffer is free again.
+		if cap(frame) <= maxPooledBuf {
+			c.idleFrames = append(c.idleFrames, frame)
+		}
 	}
 }
 
@@ -384,7 +416,8 @@ func (c *conn) teardown() {
 	if c.ring != nil {
 		c.ring.Deregister()
 	}
-	c.pending = nil
+	c.pending.Reset()
+	c.idleFrames = nil
 	if c.onClose != nil {
 		c.onClose()
 	}

@@ -97,7 +97,7 @@ func TestLargeMessageFragmentsAndReassembles(t *testing.T) {
 		payload[i] = byte(i * 31)
 	}
 	var got []byte
-	srv.SetHandler(func(b []byte) { got = b })
+	srv.SetHandler(func(b []byte) { got = append([]byte(nil), b...) })
 	w.eng.After(0, func() { cli.Send(payload) })
 	w.eng.Run(0)
 	if !bytes.Equal(got, payload) {
@@ -134,7 +134,7 @@ func TestVeryLargePayloadThroughTinyRing(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	var got []byte
-	srv.SetHandler(func(b []byte) { got = b })
+	srv.SetHandler(func(b []byte) { got = append([]byte(nil), b...) })
 	w.eng.After(0, func() { cli.Send(payload) })
 	w.eng.Run(0)
 	if !bytes.Equal(got, payload) {
@@ -219,4 +219,100 @@ func TestConnAddressing(t *testing.T) {
 	if cli.RemoteAddr() != "b/host" {
 		t.Fatalf("remote addr %q", cli.RemoteAddr())
 	}
+}
+
+// echoExchange sends msgs from the client one at a time through an echoing
+// server, reusing one send buffer and scribbling over it right after every
+// Send; the server scribbles over the slice its handler was lent once it has
+// echoed it. It returns what the client got back.
+func echoExchange(w *world, cli, srv transport.Conn, msgs [][]byte) [][]byte {
+	srv.SetHandler(func(b []byte) {
+		srv.Send(b) // from inside the handler, the lent slice itself
+		for i := range b {
+			b[i] = 0xEE
+		}
+	})
+	var got [][]byte
+	var buf []byte
+	send := func(i int) {
+		buf = append(buf[:0], msgs[i]...)
+		cli.Send(buf)
+		for j := range buf {
+			buf[j] = 0xDD
+		}
+	}
+	cli.SetHandler(func(b []byte) {
+		got = append(got, append([]byte(nil), b...)) // a retainer copies
+		if len(got) < len(msgs) {
+			send(len(got))
+		}
+	})
+	w.eng.After(0, func() { send(0) })
+	w.eng.Run(0)
+	return got
+}
+
+// TestSendCopiesHandlerBorrows is the ownership rule of transport.Conn on the
+// RDMA transport: Send copies, so the caller's buffer is its own again at
+// once; a handler's payload is lent for the call, so what the handler does to
+// it afterwards reaches nobody. Messages include one larger than MaxChunk,
+// and the ring is small enough that it is re-registered many times — once
+// between the fragments of the large message.
+func TestSendCopiesHandlerBorrows(t *testing.T) {
+	w := newWorld()
+	cli, srv := dialPair(t, w, func(s *Stack) { s.RingSize = 48 << 10 })
+	var msgs [][]byte
+	for i := 0; i < 300; i++ {
+		n := 1 + (i*37)%700
+		if i == 150 {
+			n = 2*MaxChunk + 5000 // three fragments; the second does not fit behind the first
+		}
+		m := make([]byte, n)
+		for j := range m {
+			m[j] = byte(i + j*7)
+		}
+		msgs = append(msgs, m)
+	}
+	got := echoExchange(w, cli, srv, msgs)
+	if len(got) != len(msgs) {
+		t.Fatalf("%d of %d echoes came back", len(got), len(msgs))
+	}
+	for i := range msgs {
+		if !bytes.Equal(got[i], msgs[i]) {
+			t.Fatalf("echo %d (%d bytes) differs from what was sent", i, len(msgs[i]))
+		}
+	}
+	if c, s := cli.(*conn).RingResets, srv.(*conn).RingResets; c == 0 || s == 0 {
+		t.Fatalf("ring resets: client %d, server %d; the test must cross re-registrations", c, s)
+	}
+}
+
+// TestEchoAllocations: a request/reply exchange of small messages costs at
+// most 3 allocations per message once the connection's frame buffers and the
+// layers below have reached their working size (it is 0 but for the credit
+// and re-registration control messages).
+func TestEchoAllocations(t *testing.T) {
+	w := newWorld()
+	cli, srv := dialPair(t, w, nil)
+	srv.SetHandler(func(b []byte) { srv.Send(b) })
+	msg := []byte("*3\r\n$3\r\nSET\r\n$14\r\nkey:0000000042\r\n$8\r\nabcdefgh\r\n")
+	remaining := 0
+	cli.SetHandler(func([]byte) {
+		if remaining--; remaining > 0 {
+			cli.Send(msg)
+		}
+	})
+	const echoes = 500
+	first := func() { cli.Send(msg) }
+	run := func() {
+		remaining = echoes
+		w.eng.After(0, first)
+		w.eng.Run(0)
+	}
+	run()
+	allocs := testing.AllocsPerRun(10, run)
+	if per := allocs / (2 * echoes); per > 3 {
+		t.Fatalf("echo allocates %.2f times per message, want <= 3", per)
+	}
+	t.Logf("%.3f allocations per message", allocs/(2*echoes))
 }

@@ -5,6 +5,7 @@ import (
 
 	"skv/internal/fabric"
 	"skv/internal/metrics"
+	"skv/internal/ring"
 	"skv/internal/sim"
 )
 
@@ -25,6 +26,10 @@ type Device struct {
 	nextRKey uint32
 	nextReq  uint64
 	pending  map[uint64]func(*QP, error) // in-flight Connect callbacks
+
+	// idle holds the device's packet records not on the wire; it grows to
+	// the peak number of packets this device has in flight at once.
+	idle []*packet
 
 	// m holds the device's resolved metrics instruments; all fields are
 	// nil-safe no-ops until SetMetrics installs a registry.
@@ -79,18 +84,24 @@ func NewDevice(net *fabric.Network, ep *fabric.Endpoint, core *sim.Core) *Device
 // RC retry window transitions the QP to the error state, exactly what
 // retry-exhaustion does to a real reliable-connected QP.
 func (d *Device) sendOutcome(m fabric.Message, acked bool) {
-	p, ok := m.Payload.(packet)
+	p, ok := m.Payload.(*packet)
 	if !ok {
 		return
 	}
-	qp := d.qps[p.srcQPN]
-	if qp == nil || qp.closed {
-		return
+	if qp := d.qps[p.srcQPN]; qp != nil && !qp.closed {
+		qp.sendOutcome(acked)
 	}
+	if !m.Parked {
+		d.recycle(p)
+	}
+}
+
+func (qp *QP) sendOutcome(acked bool) {
 	if acked {
 		qp.unackedSince = -1
 		return
 	}
+	d := qp.dev
 	now := d.net.Engine().Now()
 	if qp.unackedSince < 0 {
 		qp.unackedSince = now
@@ -99,6 +110,33 @@ func (d *Device) sendOutcome(m fabric.Message, acked bool) {
 	if now.Sub(qp.unackedSince) >= d.net.Params().RCRetryTimeout {
 		qp.fail()
 	}
+}
+
+// maxPooledData bounds the payload buffer an idle packet record keeps. The
+// steady-state traffic (commands, replies, stream frames) fits; the chunks
+// of an initial-sync payload do not, and their buffers go back to the
+// collector instead of staying pinned by the pool.
+const maxPooledData = 4 << 10
+
+// packet takes a cleared record off the idle list; its data is an empty
+// buffer to append the payload to.
+func (d *Device) packet() *packet {
+	var p *packet
+	if n := len(d.idle); n > 0 {
+		p = d.idle[n-1]
+		d.idle = d.idle[:n-1]
+	} else {
+		p = new(packet)
+	}
+	*p = packet{data: p.data[:0]}
+	return p
+}
+
+func (d *Device) recycle(p *packet) {
+	if cap(p.data) > maxPooledData {
+		p.data = nil
+	}
+	d.idle = append(d.idle, p)
 }
 
 // Endpoint reports the fabric endpoint the device is attached to.
@@ -123,11 +161,11 @@ type QP struct {
 	SendCQ *CQ
 	RecvCQ *CQ
 
-	recvQueue []RecvWR
-	// stash holds arrived SEND/WRITE_WITH_IMM packets that found no posted
-	// receive (receiver-not-ready); they complete when a recv is posted,
-	// modelling RNR retry.
-	stash  []packet
+	recvQueue ring.Queue[RecvWR]
+	// stash holds arrived SEND/WRITE_WITH_IMM operations that found no
+	// posted receive (receiver-not-ready); they complete when a recv is
+	// posted, modelling RNR retry.
+	stash  ring.Queue[arrival]
 	closed bool
 
 	// Context lets the application attach per-connection state (the client
@@ -221,16 +259,20 @@ func (d *Device) Connect(peer *fabric.Endpoint, port int, sendCQ, recvCQ *CQ, cb
 }
 
 // send pushes a packet onto the fabric with RDMA NIC processing latency.
+// p.data is copied.
 func (d *Device) send(dst *fabric.Endpoint, size int, p packet) {
+	q := d.packet()
+	p.data = append(q.data, p.data...)
+	*q = p
 	params := d.net.Params()
 	extra := params.RDMASenderProc + params.RDMAReceiverProc
-	d.net.Send(d.ep, dst, size, p, extra)
+	d.net.Send(d.ep, dst, size, q, extra)
 }
 
 // recv handles a fabric delivery. This is NIC hardware processing: it never
 // charges host CPU.
 func (d *Device) recv(m fabric.Message) {
-	p, ok := m.Payload.(packet)
+	p, ok := m.Payload.(*packet)
 	if !ok {
 		return
 	}
@@ -269,17 +311,22 @@ func (d *Device) recv(m fabric.Message) {
 		if qp == nil {
 			return
 		}
-		qp.SendCQ.push(WC{WRID: p.wrID, Op: p.op, Status: p.status, QPN: qp.qpn})
+		wc := qp.SendCQ.add()
+		wc.WRID, wc.Op, wc.Status, wc.QPN = p.wrID, p.op, p.status, qp.qpn
+		qp.SendCQ.pushed()
 	case pktReadResp:
 		qp := d.qps[p.dstQPN]
 		if qp == nil {
 			return
 		}
-		qp.SendCQ.push(WC{WRID: p.wrID, Op: OpRead, Status: p.status, ByteLen: len(p.data), Data: p.data, QPN: qp.qpn})
+		wc := qp.SendCQ.add()
+		wc.WRID, wc.Op, wc.Status, wc.QPN = p.wrID, OpRead, p.status, qp.qpn
+		wc.ByteLen, wc.Data = len(p.data), append([]byte(nil), p.data...)
+		qp.SendCQ.pushed()
 	}
 }
 
-func (d *Device) recvOp(src *fabric.Endpoint, p packet) {
+func (d *Device) recvOp(src *fabric.Endpoint, p *packet) {
 	qp := d.qps[p.dstQPN]
 	if qp == nil || qp.closed {
 		return // stale packet to a destroyed QP
@@ -294,13 +341,13 @@ func (d *Device) recvOp(src *fabric.Endpoint, p packet) {
 			copy(mr.buf[p.roff:], p.data)
 		}
 		if status == StatusSuccess && p.op == OpWriteImm {
-			qp.consumeRecv(p)
+			qp.consumeRecv(arrival{byteLen: len(p.data), imm: p.imm, immSet: true})
 		}
 		if p.sig {
 			d.send(src, 16, packet{kind: pktAck, dstQPN: p.srcQPN, wrID: p.wrID, op: p.op, status: status})
 		}
 	case OpSend:
-		qp.consumeRecv(p)
+		qp.consumeRecv(arrival{byteLen: len(p.data), data: append([]byte(nil), p.data...)})
 		if p.sig {
 			d.send(src, 16, packet{kind: pktAck, dstQPN: p.srcQPN, wrID: p.wrID, op: OpSend, status: StatusSuccess})
 		}
@@ -311,36 +358,34 @@ func (d *Device) recvOp(src *fabric.Endpoint, p packet) {
 		if mr == nil || mr.dereg || p.roff < 0 || p.roff+p.rlen > len(mr.buf) {
 			status = StatusRemoteAccessErr
 		} else {
-			data = append([]byte(nil), mr.buf[p.roff:p.roff+p.rlen]...)
+			data = mr.buf[p.roff : p.roff+p.rlen]
 		}
 		d.send(src, len(data)+16, packet{kind: pktReadResp, dstQPN: p.srcQPN, wrID: p.wrID, data: data, status: status})
 	}
 }
 
+// arrival is what an inbound SEND or WRITE_WITH_IMM leaves for the receive
+// queue once its packet has been processed: the byte count, the immediate
+// (WRITE_WITH_IMM) or an owned copy of the payload (SEND).
+type arrival struct {
+	byteLen int
+	data    []byte
+	imm     uint32
+	immSet  bool
+}
+
 // consumeRecv matches an inbound SEND/WRITE_WITH_IMM against a posted recv,
 // or stashes it until one is posted (RNR retry semantics).
-func (qp *QP) consumeRecv(p packet) {
-	if len(qp.recvQueue) == 0 {
-		qp.stash = append(qp.stash, p)
+func (qp *QP) consumeRecv(a arrival) {
+	if qp.recvQueue.Len() == 0 {
+		qp.stash.Push(a)
 		return
 	}
-	rw := qp.recvQueue[0]
-	qp.recvQueue = qp.recvQueue[1:]
-	wc := WC{
-		WRID:    rw.WRID,
-		Op:      OpRecv,
-		Status:  StatusSuccess,
-		ByteLen: len(p.data),
-		QPN:     qp.qpn,
-	}
-	if p.op == OpSend {
-		wc.Data = p.data
-	}
-	if p.immSet {
-		wc.Imm = p.imm
-		wc.ImmValid = true
-	}
-	qp.RecvCQ.push(wc)
+	wc := qp.RecvCQ.add()
+	wc.WRID, wc.Op, wc.Status, wc.QPN = qp.recvQueue.Pop().WRID, OpRecv, StatusSuccess, qp.qpn
+	wc.ByteLen, wc.Data = a.byteLen, a.data
+	wc.Imm, wc.ImmValid = a.imm, a.immSet
+	qp.RecvCQ.pushed()
 }
 
 // PostRecv posts a receive work request. Charges CPUPostWR on the device's
@@ -348,11 +393,9 @@ func (qp *QP) consumeRecv(p packet) {
 func (qp *QP) PostRecv(wr RecvWR) {
 	qp.chargePost()
 	qp.dev.m.wrRecv.Inc()
-	qp.recvQueue = append(qp.recvQueue, wr)
-	if len(qp.stash) > 0 {
-		p := qp.stash[0]
-		qp.stash = qp.stash[1:]
-		qp.consumeRecv(p)
+	qp.recvQueue.Push(wr)
+	if qp.stash.Len() > 0 {
+		qp.consumeRecv(qp.stash.Pop())
 	}
 }
 
@@ -363,12 +406,10 @@ func (qp *QP) PostRecvN(base uint64, n int) {
 	qp.chargePost()
 	qp.dev.m.wrRecv.Add(uint64(n))
 	for i := 0; i < n; i++ {
-		qp.recvQueue = append(qp.recvQueue, RecvWR{WRID: base + uint64(i)})
+		qp.recvQueue.Push(RecvWR{WRID: base + uint64(i)})
 	}
-	for len(qp.stash) > 0 && len(qp.recvQueue) > 0 {
-		p := qp.stash[0]
-		qp.stash = qp.stash[1:]
-		qp.consumeRecv(p)
+	for qp.stash.Len() > 0 && qp.recvQueue.Len() > 0 {
+		qp.consumeRecv(qp.stash.Pop())
 	}
 }
 
@@ -422,20 +463,19 @@ func (qp *QP) PostSend(wr SendWR) error {
 		pc.Charge(qp.dev.net.Params().CPUPostWR)
 	}
 	d := qp.dev
-	p := packet{
-		kind:   pktOp,
-		srcQPN: qp.qpn,
-		dstQPN: qp.peerQPN,
-		op:     wr.Op,
-		rkey:   wr.RemoteKey,
-		roff:   wr.RemoteOff,
-		rlen:   wr.Len,
-		wrID:   wr.WRID,
-		sig:    wr.Signaled,
-	}
+	p := d.packet()
+	p.kind = pktOp
+	p.srcQPN = qp.qpn
+	p.dstQPN = qp.peerQPN
+	p.op = wr.Op
+	p.rkey = wr.RemoteKey
+	p.roff = wr.RemoteOff
+	p.rlen = wr.Len
+	p.wrID = wr.WRID
+	p.sig = wr.Signaled
 	size := 16
 	if wr.Op != OpRead {
-		p.data = append([]byte(nil), wr.Data...)
+		p.data = append(p.data, wr.Data...)
 		size += len(wr.Data)
 	}
 	if wr.Op == OpWriteImm {
@@ -464,6 +504,6 @@ func (qp *QP) Close() {
 	}
 	qp.closed = true
 	delete(qp.dev.qps, qp.qpn)
-	qp.stash = nil
-	qp.recvQueue = nil
+	qp.stash.Reset()
+	qp.recvQueue.Reset()
 }

@@ -83,8 +83,12 @@ type WC struct {
 // arrives while armed, the notify callback fires once and the CQ disarms,
 // matching the ack-and-rearm discipline the paper describes.
 type CQ struct {
-	dev    *Device
+	dev *Device
+	// items holds the unharvested completions; spare is the backing array
+	// the previous Poll handed out, which becomes items again at the next
+	// Poll. The two swap on every harvest, so a steady CQ never allocates.
 	items  []WC
+	spare  []WC
 	armed  bool
 	notify func()
 
@@ -116,8 +120,15 @@ func (cq *CQ) fire() {
 	}
 }
 
-func (cq *CQ) push(wc WC) {
-	cq.items = append(cq.items, wc)
+// add appends a zeroed completion for the caller to fill in place — a WC is
+// 80 bytes, and building one elsewhere to copy it in showed up in profiles —
+// and pushed then counts it and raises the event channel.
+func (cq *CQ) add() *WC {
+	cq.items = append(cq.items, WC{})
+	return &cq.items[len(cq.items)-1]
+}
+
+func (cq *CQ) pushed() {
 	cq.Completions++
 	if cq.dev != nil {
 		cq.dev.m.cqCompletions.Inc()
@@ -125,17 +136,18 @@ func (cq *CQ) push(wc WC) {
 	cq.fire()
 }
 
-// Poll drains up to max completions (max <= 0 means all). The caller is
+// Poll drains up to max completions (max <= 0 means all). The returned
+// slice is the CQ's own storage: it is valid until the next Poll on this CQ,
+// and a caller that keeps completions longer copies them. The caller is
 // responsible for charging model.CPUCompletion per harvested CQE on its
 // core; helper ChargePoll does both.
 func (cq *CQ) Poll(max int) []WC {
-	if max <= 0 || max >= len(cq.items) {
-		out := cq.items
-		cq.items = nil
-		return out
+	out, rest := cq.items, cq.spare[:0]
+	if max > 0 && max < len(out) {
+		rest = append(rest, out[max:]...)
+		out = out[:max]
 	}
-	out := cq.items[:max]
-	cq.items = append([]WC(nil), cq.items[max:]...)
+	cq.items, cq.spare = rest, out[:0]
 	return out
 }
 
@@ -183,6 +195,17 @@ func (mr *MR) Deregister() {
 	delete(mr.pd.dev.mrs, mr.rkey)
 }
 
+// Reregister invalidates the region's remote key and registers the same
+// bytes again under a fresh one, as a receiver recycling a buffer does:
+// writes still addressed to the old key fail with StatusRemoteAccessErr.
+func (mr *MR) Reregister() {
+	dev := mr.pd.dev
+	delete(dev.mrs, mr.rkey)
+	dev.nextRKey++
+	mr.rkey = dev.nextRKey
+	dev.mrs[mr.rkey] = mr
+}
+
 // RegisterMR allocates and registers a region of the given size.
 func (pd *PD) RegisterMR(size int) *MR {
 	dev := pd.dev
@@ -215,7 +238,10 @@ type RecvWR struct {
 	WRID uint64
 }
 
-// packet is the fabric payload exchanged between devices.
+// packet is the fabric payload exchanged between devices. Packets travel as
+// *packet records owned by the sending device (Device.packet / recycle); the
+// receiving device reads one only during the delivery and copies what it
+// keeps (data of a SEND or a READ response).
 type packet struct {
 	kind   pktKind
 	srcQPN uint32

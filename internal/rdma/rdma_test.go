@@ -394,3 +394,121 @@ func TestPollMaxLimitsBatch(t *testing.T) {
 		t.Fatalf("Poll(0) after partial drain returned %d", got)
 	}
 }
+
+// TestWriteImmPingPongAllocations: the ib_write_lat shape — post a receive,
+// arm the completion channel, WRITE_WITH_IMM, harvest — runs without
+// allocating once the devices' packet records, the CQ buffers and the
+// receive queue have reached their working size.
+func TestWriteImmPingPongAllocations(t *testing.T) {
+	w := newWorld()
+	cq, sq, _, db := connectPair(t, w)
+	mr := db.AllocPD().RegisterMR(256)
+	data := make([]byte, 64)
+	remaining, harvested := 0, 0
+	var post func()
+	sq.RecvCQ.OnNotify(func() {
+		harvested += len(sq.RecvCQ.Poll(0))
+		if remaining--; remaining > 0 {
+			post()
+		}
+	})
+	post = func() {
+		sq.PostRecv(RecvWR{})
+		sq.RecvCQ.RequestNotify()
+		if err := cq.PostSend(SendWR{Op: OpWriteImm, Data: data, RemoteKey: mr.RKey(), Imm: 64}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const writes = 200
+	run := func() {
+		remaining = writes
+		w.eng.After(0, post)
+		w.eng.Run(0)
+	}
+	run()
+	allocs := testing.AllocsPerRun(10, run)
+	if per := allocs / writes; per > 1 {
+		t.Fatalf("WRITE_WITH_IMM ping-pong allocates %.2f times per write, want <= 1", per)
+	}
+	if harvested != 12*writes {
+		t.Fatalf("harvested %d completions, want %d", harvested, 12*writes)
+	}
+}
+
+// TestSendCopiesAndReceiverOwnsItsData: PostSend takes a copy (the caller
+// may reuse its buffer at once), and the Data of a RECV completion is the
+// receiver's own — the packet record it arrived in is recycled for the next
+// message while the completion is still held.
+func TestSendCopiesAndReceiverOwnsItsData(t *testing.T) {
+	w := newWorld()
+	cq, sq, _, _ := connectPair(t, w)
+	var got [][]byte
+	sq.RecvCQ.OnNotify(func() {
+		for _, wc := range sq.RecvCQ.Poll(0) {
+			got = append(got, wc.Data) // kept past the next Poll: Data is owned, the WC slice is not
+		}
+		sq.RecvCQ.RequestNotify()
+	})
+	sq.RecvCQ.RequestNotify()
+	var buf []byte
+	w.eng.After(0, func() {
+		sq.PostRecvN(0, 3)
+		for _, msg := range []string{"first message", "second, longer message", "third"} {
+			buf = append(buf[:0], msg...)
+			if err := cq.PostSend(SendWR{Op: OpSend, Data: buf}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range buf {
+				buf[i] = 'X' // scribble over the caller's buffer right after the post
+			}
+		}
+	})
+	w.eng.Run(0)
+	w.eng.After(0, func() { // a later message reuses the first one's packet record
+		sq.PostRecv(RecvWR{})
+		_ = cq.PostSend(SendWR{Op: OpSend, Data: []byte("fourth message!!!")})
+	})
+	w.eng.Run(0)
+	want := []string{"first message", "second, longer message", "third", "fourth message!!!"}
+	if len(got) != len(want) {
+		t.Fatalf("received %d messages, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if string(got[i]) != want[i] {
+			t.Errorf("message %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestReregisterKeepsBytesRetiresKey: a re-registered region answers to its
+// new key only; the bytes are the same.
+func TestReregisterKeepsBytesRetiresKey(t *testing.T) {
+	w := newWorld()
+	cq, _, _, db := connectPair(t, w)
+	mr := db.AllocPD().RegisterMR(64)
+	oldKey := mr.RKey()
+	mem := &mr.Bytes()[0]
+	mr.Reregister()
+	if mr.RKey() == oldKey || &mr.Bytes()[0] != mem {
+		t.Fatalf("Reregister: key %d -> %d, same bytes %v", oldKey, mr.RKey(), &mr.Bytes()[0] == mem)
+	}
+	var statuses []Status
+	cq.SendCQ.OnNotify(func() {
+		for _, wc := range cq.SendCQ.Poll(0) {
+			statuses = append(statuses, wc.Status)
+		}
+		cq.SendCQ.RequestNotify()
+	})
+	cq.SendCQ.RequestNotify()
+	w.eng.After(0, func() {
+		_ = cq.PostSend(SendWR{Op: OpWrite, Data: []byte("stale"), RemoteKey: oldKey, Signaled: true})
+		_ = cq.PostSend(SendWR{Op: OpWrite, Data: []byte("fresh"), RemoteKey: mr.RKey(), Signaled: true})
+	})
+	w.eng.Run(0)
+	if len(statuses) != 2 || statuses[0] != StatusRemoteAccessErr || statuses[1] != StatusSuccess {
+		t.Fatalf("statuses = %v, want [RemoteAccessErr Success]", statuses)
+	}
+	if string(mr.Bytes()[:5]) != "fresh" {
+		t.Fatalf("region holds %q", mr.Bytes()[:5])
+	}
+}

@@ -243,7 +243,7 @@ func (a *Applier) Feed(data []byte) {
 		if err != nil || !ok {
 			return
 		}
-		if len(argv) == 2 && isSelect(argv[0]) {
+		if len(argv) == 2 && resp.IsWord(argv[0], "select") {
 			if n, convErr := strconv.Atoi(string(argv[1])); convErr == nil {
 				a.db = n
 			}
@@ -252,23 +252,4 @@ func (a *Applier) Feed(data []byte) {
 		a.Applied++
 		a.apply(a.db, argv)
 	}
-}
-
-// isSelect reports whether name is "select" in any case, without
-// allocating.
-func isSelect(name []byte) bool {
-	const sel = "select"
-	if len(name) != len(sel) {
-		return false
-	}
-	for i := 0; i < len(sel); i++ {
-		ch := name[i]
-		if 'A' <= ch && ch <= 'Z' {
-			ch += 'a' - 'A'
-		}
-		if ch != sel[i] {
-			return false
-		}
-	}
-	return true
 }

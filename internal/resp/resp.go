@@ -41,6 +41,24 @@ type Value struct {
 	Null  bool    // null bulk ($-1) or null array (*-1)
 }
 
+// IsWord reports whether arg is word — a command or option name, given in
+// lower case — in any ASCII letter case, without allocating.
+func IsWord(arg []byte, word string) bool {
+	if len(arg) != len(word) {
+		return false
+	}
+	for i := 0; i < len(word); i++ {
+		ch := arg[i]
+		if 'A' <= ch && ch <= 'Z' {
+			ch += 'a' - 'A'
+		}
+		if ch != word[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // IsOK reports whether the value is the +OK simple string.
 func (v Value) IsOK() bool { return v.Type == TypeSimple && string(v.Str) == "OK" }
 
@@ -142,8 +160,11 @@ func AppendInvalidatePush(dst []byte, key []byte) []byte {
 // EncodeCommand encodes argv as an array of bulk strings (the client→server
 // wire format).
 func EncodeCommand(argv ...string) []byte {
-	var dst []byte
-	dst = AppendArrayHeader(dst, len(argv))
+	size := headerSize(len(argv))
+	for _, a := range argv {
+		size += headerSize(len(a)) + len(a) + 2
+	}
+	dst := AppendArrayHeader(make([]byte, 0, size), len(argv))
 	for _, a := range argv {
 		dst = AppendBulkString(dst, a)
 	}
@@ -152,23 +173,49 @@ func EncodeCommand(argv ...string) []byte {
 
 // EncodeCommandBytes is EncodeCommand for byte-slice arguments.
 func EncodeCommandBytes(argv ...[]byte) []byte {
-	var dst []byte
-	dst = AppendArrayHeader(dst, len(argv))
+	size := headerSize(len(argv))
+	for _, a := range argv {
+		size += headerSize(len(a)) + len(a) + 2
+	}
+	dst := AppendArrayHeader(make([]byte, 0, size), len(argv))
 	for _, a := range argv {
 		dst = AppendBulk(dst, a)
 	}
 	return dst
 }
 
+// headerSize is the encoded size of a "*n\r\n" or "$n\r\n" header, n >= 0:
+// what lets a command be encoded into one exactly-sized allocation.
+func headerSize(n int) int {
+	size := 4
+	for ; n >= 10; n /= 10 {
+		size++
+	}
+	return size
+}
+
 // ---- Incremental decoding ----
 
+// Limits on the lengths a peer may announce, checked before anything is
+// sized or indexed with them (Redis's proto-max-bulk-len and its multibulk
+// cap). Nothing is ever reserved for bytes that have not arrived: a value is
+// measured in place first and copied out only once it is complete.
+const (
+	maxBulkLen   = 512 << 20
+	maxMultibulk = 1 << 20
+)
+
 // Reader incrementally decodes RESP values or commands from fed bytes.
+//
+// Everything a Read call returns is the caller's to keep: argv and Values
+// are copied out of the fed bytes into one allocation per command or reply
+// (plus the argv or array header), never aliased to the Reader's buffer.
 type Reader struct {
 	buf []byte
 	pos int
 }
 
-// Feed appends incoming bytes.
+// Feed appends incoming bytes (a copy: the caller keeps b).
 func (r *Reader) Feed(b []byte) { r.buf = append(r.buf, b...) }
 
 // Buffered reports unconsumed byte count.
@@ -184,151 +231,285 @@ func (r *Reader) compact() {
 	}
 }
 
-// line returns the next CRLF-terminated line (without CRLF), advancing the
-// cursor; ok is false when incomplete.
-func (r *Reader) line() ([]byte, bool) {
-	idx := bytes.Index(r.buf[r.pos:], []byte("\r\n"))
+var crlf = []byte("\r\n")
+
+// line returns the CRLF-terminated line starting at pos (without the CRLF)
+// and the position after it; ok is false when the line is incomplete.
+func (r *Reader) line(pos int) (l []byte, next int, ok bool) {
+	idx := bytes.Index(r.buf[pos:], crlf)
 	if idx < 0 {
-		return nil, false
+		return nil, pos, false
 	}
-	l := r.buf[r.pos : r.pos+idx]
-	r.pos += idx + 2
-	return l, true
+	return r.buf[pos : pos+idx], pos + idx + 2, true
+}
+
+// length reads the decimal line after the type byte at pos: a bulk length or
+// an element count. It accepts exactly what strconv.Atoi accepts; the plain
+// run of digits every encoder emits is decoded in place.
+func (r *Reader) length(pos int) (n, next int, ok bool, err error) {
+	buf := r.buf
+	if pos >= len(buf) {
+		return 0, pos, false, nil
+	}
+	i := pos + 1
+	for i < len(buf) && i-pos <= 9 && buf[i]-'0' <= 9 {
+		n = n*10 + int(buf[i]-'0')
+		i++
+	}
+	if i > pos+1 && i+1 < len(buf) && buf[i] == '\r' && buf[i+1] == '\n' {
+		return n, i + 2, true, nil
+	}
+	l, next, ok := r.line(pos + 1)
+	if !ok {
+		return 0, pos, false, nil
+	}
+	n, convErr := strconv.Atoi(string(l))
+	if convErr != nil || n < -1 {
+		what := "array"
+		if buf[pos] == TypeBulk {
+			what = "bulk"
+		}
+		return 0, pos, false, fmt.Errorf("%w: bad %s length %q", ErrProtocol, what, l)
+	}
+	return n, next, true, nil
+}
+
+// bulk locates the bulk string whose '$' is at pos: its payload is
+// buf[start:start+n] (n == -1: the null bulk) and the next value begins at
+// next. ok is false until the payload and its CRLF have arrived.
+func (r *Reader) bulk(pos int) (start, n, next int, ok bool, err error) {
+	n, start, ok, err = r.length(pos)
+	if err != nil || !ok {
+		return 0, 0, pos, false, err
+	}
+	if n == -1 {
+		return start, -1, start, true, nil
+	}
+	if n > maxBulkLen {
+		return 0, 0, pos, false, fmt.Errorf("%w: bulk length %d exceeds %d", ErrProtocol, n, maxBulkLen)
+	}
+	if len(r.buf)-start < n+2 {
+		return 0, 0, pos, false, nil
+	}
+	if r.buf[start+n] != '\r' || r.buf[start+n+1] != '\n' {
+		return 0, 0, pos, false, fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
+	}
+	return start, n, start + n + 2, true, nil
+}
+
+// size is what a value needs once copied out: the bytes of every string in
+// it and the elements of every array in it.
+type size struct{ bytes, elems int }
+
+// scan validates the value at pos without copying any of it and adds what
+// it will occupy to sz. ok is false when the value is incomplete.
+func (r *Reader) scan(pos int, sz *size) (next int, ok bool, err error) {
+	if pos >= len(r.buf) {
+		return pos, false, nil
+	}
+	switch t := r.buf[pos]; t {
+	case TypeSimple, TypeError:
+		l, next, ok := r.line(pos + 1)
+		sz.bytes += len(l)
+		return next, ok, nil
+	case TypeInteger:
+		l, next, ok := r.line(pos + 1)
+		if !ok {
+			return pos, false, nil
+		}
+		if _, err := strconv.ParseInt(string(l), 10, 64); err != nil {
+			return pos, false, fmt.Errorf("%w: bad integer %q", ErrProtocol, l)
+		}
+		return next, true, nil
+	case TypeBulk:
+		_, n, next, ok, err := r.bulk(pos)
+		if ok && n > 0 {
+			sz.bytes += n
+		}
+		return next, ok, err
+	case TypeArray, TypePush:
+		n, next, ok, err := r.length(pos)
+		if err != nil || !ok {
+			return pos, false, err
+		}
+		for i := 0; i < n; i++ {
+			if next, ok, err = r.scan(next, sz); err != nil || !ok {
+				return pos, false, err
+			}
+		}
+		if n > 0 {
+			sz.elems += n // all n are in the buffer: this reserves nothing the peer has not sent
+		}
+		return next, true, nil
+	default:
+		return pos, false, fmt.Errorf("%w: unexpected byte %q", ErrProtocol, t)
+	}
 }
 
 // ReadValue decodes one complete value. ok=false means more bytes needed
 // (cursor unchanged).
 func (r *Reader) ReadValue() (Value, bool, error) {
-	save := r.pos
-	v, ok, err := r.readValue()
-	if !ok || err != nil {
-		r.pos = save
-		if err != nil {
-			return Value{}, false, err
-		}
-		return Value{}, false, nil
+	var sz size
+	end, ok, err := r.scan(r.pos, &sz)
+	if err != nil || !ok {
+		return Value{}, false, err
 	}
+	b := builder{r: r}
+	if sz.bytes > 0 {
+		b.bytes = make([]byte, 0, sz.bytes)
+	}
+	if sz.elems > 0 {
+		b.elems = make([]Value, 0, sz.elems)
+	}
+	v, _ := b.value(r.pos)
+	r.pos = end
 	r.compact()
 	return v, true, nil
 }
 
-func (r *Reader) readValue() (Value, bool, error) {
-	if r.pos >= len(r.buf) {
-		return Value{}, false, nil
+// builder copies a scanned value out of the reader's buffer: every string
+// into bytes, every array into elems. Both were sized by the scan, so
+// neither grows.
+type builder struct {
+	r     *Reader
+	bytes []byte
+	elems []Value
+}
+
+func (b *builder) str(s []byte) []byte {
+	if len(s) == 0 {
+		return nil
 	}
-	t := r.buf[r.pos]
-	switch t {
+	at := len(b.bytes)
+	b.bytes = append(b.bytes, s...)
+	return b.bytes[at:len(b.bytes):len(b.bytes)]
+}
+
+// value builds the value at pos, which scan has accepted.
+func (b *builder) value(pos int) (v Value, next int) {
+	r := b.r
+	switch t := r.buf[pos]; t {
 	case TypeSimple, TypeError:
-		r.pos++
-		l, ok := r.line()
-		if !ok {
-			return Value{}, false, nil
-		}
-		return Value{Type: t, Str: append([]byte(nil), l...)}, true, nil
+		l, next, _ := r.line(pos + 1)
+		return Value{Type: t, Str: b.str(l)}, next
 	case TypeInteger:
-		r.pos++
-		l, ok := r.line()
-		if !ok {
-			return Value{}, false, nil
-		}
-		n, err := strconv.ParseInt(string(l), 10, 64)
-		if err != nil {
-			return Value{}, false, fmt.Errorf("%w: bad integer %q", ErrProtocol, l)
-		}
-		return Value{Type: t, Int: n}, true, nil
+		l, next, _ := r.line(pos + 1)
+		n, _ := strconv.ParseInt(string(l), 10, 64)
+		return Value{Type: t, Int: n}, next
 	case TypeBulk:
-		r.pos++
-		l, ok := r.line()
-		if !ok {
-			return Value{}, false, nil
-		}
-		n, err := strconv.Atoi(string(l))
-		if err != nil || n < -1 {
-			return Value{}, false, fmt.Errorf("%w: bad bulk length %q", ErrProtocol, l)
-		}
+		start, n, next, _, _ := r.bulk(pos)
 		if n == -1 {
-			return Value{Type: t, Null: true}, true, nil
+			return Value{Type: t, Null: true}, next
 		}
-		if len(r.buf)-r.pos < n+2 {
-			return Value{}, false, nil
-		}
-		payload := append([]byte(nil), r.buf[r.pos:r.pos+n]...)
-		if r.buf[r.pos+n] != '\r' || r.buf[r.pos+n+1] != '\n' {
-			return Value{}, false, fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
-		}
-		r.pos += n + 2
-		return Value{Type: t, Str: payload}, true, nil
-	case TypeArray, TypePush:
-		r.pos++
-		l, ok := r.line()
-		if !ok {
-			return Value{}, false, nil
-		}
-		n, err := strconv.Atoi(string(l))
-		if err != nil || n < -1 {
-			return Value{}, false, fmt.Errorf("%w: bad array length %q", ErrProtocol, l)
-		}
+		return Value{Type: t, Str: b.str(r.buf[start : start+n])}, next
+	default: // TypeArray, TypePush
+		n, next, _, _ := r.length(pos)
 		if n == -1 {
-			return Value{Type: t, Null: true}, true, nil
+			return Value{Type: t, Null: true}, next
 		}
-		arr := make([]Value, 0, n)
-		for i := 0; i < n; i++ {
-			e, ok, err := r.readValue()
-			if err != nil {
-				return Value{}, false, err
-			}
-			if !ok {
-				return Value{}, false, nil
-			}
-			arr = append(arr, e)
+		at := len(b.elems)
+		b.elems = b.elems[:at+n]
+		arr := b.elems[at : at+n : at+n]
+		if n == 0 {
+			arr = []Value{} // an empty array, not a null one
 		}
-		return Value{Type: t, Array: arr}, true, nil
-	default:
-		return Value{}, false, fmt.Errorf("%w: unexpected byte %q", ErrProtocol, t)
+		for i := range arr {
+			arr[i], next = b.value(next)
+		}
+		return Value{Type: t, Array: arr}, next
 	}
 }
 
 // ReadCommand decodes one client command: either a RESP array of bulk
 // strings or an inline command (space-separated words on one line).
-// ok=false means more bytes needed.
+// ok=false means more bytes needed. argv is the caller's: its arguments
+// share one allocation that nothing else refers to.
 func (r *Reader) ReadCommand() ([][]byte, bool, error) {
-	if r.pos >= len(r.buf) {
-		return nil, false, nil
-	}
 	for r.pos < len(r.buf) && r.buf[r.pos] != TypeArray {
 		// Inline command; empty lines are skipped silently.
-		l, ok := r.line()
+		l, next, ok := r.line(r.pos)
 		if !ok {
 			return nil, false, nil
 		}
-		fields := bytes.Fields(l)
-		if len(fields) == 0 {
+		r.pos = next
+		argv := bytes.Fields(l)
+		if len(argv) == 0 {
 			r.compact()
 			continue
 		}
-		argv := make([][]byte, len(fields))
-		for i, f := range fields {
-			argv[i] = append([]byte(nil), f...)
-		}
+		own(argv) // before compact moves the bytes they alias
 		r.compact()
 		return argv, true, nil
 	}
 	if r.pos >= len(r.buf) {
 		return nil, false, nil
 	}
-	v, ok, err := r.ReadValue()
+
+	// Multibulk. First pass: find the end of the command, checking every
+	// length before using it; nothing is allocated until it is all here.
+	n, first, ok, err := r.length(r.pos)
 	if err != nil || !ok {
-		return nil, ok, err
+		return nil, false, err
 	}
-	if v.Null || len(v.Array) == 0 {
-		return nil, false, fmt.Errorf("%w: empty command array", ErrProtocol)
+	if n > maxMultibulk {
+		return nil, false, fmt.Errorf("%w: multibulk count %d exceeds %d", ErrProtocol, n, maxMultibulk)
 	}
-	argv := make([][]byte, len(v.Array))
-	for i, e := range v.Array {
-		if e.Type != TypeBulk || e.Null {
-			return nil, false, fmt.Errorf("%w: command element not a bulk string", ErrProtocol)
+	total, bulks, next := 0, true, first
+	for i := 0; i < n; i++ {
+		if next < len(r.buf) && r.buf[next] != TypeBulk {
+			// Not a bulk string: the command is refused, once the stray
+			// value has arrived whole.
+			var sz size
+			if next, ok, err = r.scan(next, &sz); err != nil || !ok {
+				return nil, false, err
+			}
+			bulks = false
+			continue
 		}
-		argv[i] = e.Str
+		var ln int
+		if _, ln, next, ok, err = r.bulk(next); err != nil || !ok {
+			return nil, false, err
+		}
+		if ln < 0 {
+			bulks = false
+		}
+		total += ln
 	}
+	if n <= 0 || !bulks {
+		r.pos = next
+		r.compact()
+		if n <= 0 {
+			return nil, false, fmt.Errorf("%w: empty command array", ErrProtocol)
+		}
+		return nil, false, fmt.Errorf("%w: command element not a bulk string", ErrProtocol)
+	}
+	// Second pass: copy the arguments out, back to back.
+	slab := make([]byte, 0, total)
+	argv := make([][]byte, n)
+	next = first
+	for i := range argv {
+		var start, ln int
+		start, ln, next, _, _ = r.bulk(next)
+		at := len(slab)
+		slab = append(slab, r.buf[start:start+ln]...)
+		argv[i] = slab[at:len(slab):len(slab)]
+	}
+	r.pos = next
+	r.compact()
 	return argv, true, nil
+}
+
+// own replaces every element of argv, which alias some larger buffer, with
+// a copy in one allocation of their own.
+func own(argv [][]byte) {
+	total := 0
+	for _, a := range argv {
+		total += len(a)
+	}
+	slab := make([]byte, 0, total)
+	for i, a := range argv {
+		at := len(slab)
+		slab = append(slab, a...)
+		argv[i] = slab[at:len(slab):len(slab)]
+	}
 }

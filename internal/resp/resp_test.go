@@ -194,3 +194,21 @@ func TestValueStringRendering(t *testing.T) {
 		t.Fatalf("render %q", v.String())
 	}
 }
+
+// Encoders size their output exactly: one allocation, no spare capacity.
+func TestEncodeCommandIsOneExactAllocation(t *testing.T) {
+	args := []string{"SET", "", "key:0000012345", string(bytes.Repeat([]byte("v"), 1000))}
+	argv := make([][]byte, len(args))
+	for i, a := range args {
+		argv[i] = []byte(a)
+	}
+	for n := 0; n <= len(args); n++ {
+		s, b := EncodeCommand(args[:n]...), EncodeCommandBytes(argv[:n]...)
+		if !bytes.Equal(s, b) || len(s) != cap(s) || len(b) != cap(b) {
+			t.Fatalf("%d args: %d/%d and %d/%d bytes used/reserved, equal=%v", n, len(s), cap(s), len(b), cap(b), bytes.Equal(s, b))
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = EncodeCommandBytes(argv...) }); allocs != 1 {
+		t.Fatalf("EncodeCommandBytes allocates %.0f times, want 1", allocs)
+	}
+}

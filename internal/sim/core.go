@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"skv/internal/ring"
+)
 
 // Core models one hardware thread: a serializing CPU resource. Work
 // submitted with Exec runs to completion in FIFO order; a core with
@@ -15,8 +19,13 @@ type Core struct {
 	// Speed is the core's throughput relative to the reference host core.
 	Speed float64
 
-	queue       []coreTask
+	queue       ring.Queue[coreTask]
 	dispatching bool
+	// running is the completion callback of the task in flight; complete is
+	// c.finish, bound once: the one event a task schedules carries no
+	// closure of its own.
+	running  func()
+	complete func()
 
 	busyUntil Time
 	busyAccum Duration // total busy time, for utilization reporting
@@ -35,7 +44,9 @@ func NewCore(eng *Engine, name string, speed float64) *Core {
 	if speed <= 0 {
 		panic(fmt.Sprintf("sim: core %s must have positive speed, got %v", name, speed))
 	}
-	return &Core{eng: eng, name: name, Speed: speed}
+	c := &Core{eng: eng, name: name, Speed: speed}
+	c.complete = c.finish
+	return c
 }
 
 // Name reports the identifier given at construction.
@@ -54,7 +65,7 @@ func (c *Core) scale(cost Duration) Duration {
 // additional CPU discovered during processing, which delays everything
 // queued behind it.
 func (c *Core) Exec(cost Duration, fn func()) {
-	c.queue = append(c.queue, coreTask{cost: cost, fn: fn})
+	c.queue.Push(coreTask{cost: cost, fn: fn})
 	if !c.dispatching {
 		c.dispatching = true
 		c.dispatch()
@@ -62,8 +73,7 @@ func (c *Core) Exec(cost Duration, fn func()) {
 }
 
 func (c *Core) dispatch() {
-	t := c.queue[0]
-	c.queue = c.queue[1:]
+	t := c.queue.Pop()
 	start := c.eng.Now()
 	if c.busyUntil > start {
 		start = c.busyUntil
@@ -75,16 +85,22 @@ func (c *Core) dispatch() {
 	d := c.scale(t.cost)
 	c.busyUntil = start.Add(d)
 	c.busyAccum += d
-	c.eng.At(c.busyUntil, func() {
-		if t.fn != nil {
-			t.fn()
-		}
-		if len(c.queue) > 0 {
-			c.dispatch()
-		} else {
-			c.dispatching = false
-		}
-	})
+	c.running = t.fn
+	c.eng.At(c.busyUntil, c.complete)
+}
+
+// finish runs at the in-flight task's completion time: its callback, then
+// the next queued task.
+func (c *Core) finish() {
+	if fn := c.running; fn != nil {
+		c.running = nil
+		fn()
+	}
+	if c.queue.Len() > 0 {
+		c.dispatch()
+	} else {
+		c.dispatching = false
+	}
 }
 
 // Charge consumes additional CPU at the core's current completion point and
@@ -110,7 +126,7 @@ func (c *Core) BusyUntil() Time { return c.busyUntil }
 func (c *Core) Idle() bool { return !c.dispatching && c.busyUntil <= c.eng.Now() }
 
 // QueueLen reports the number of tasks waiting behind the current one.
-func (c *Core) QueueLen() int { return len(c.queue) }
+func (c *Core) QueueLen() int { return c.queue.Len() }
 
 // Utilization reports the fraction of time the core spent busy between its
 // first use and the given end time.

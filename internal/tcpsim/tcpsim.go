@@ -28,6 +28,11 @@ type Stack struct {
 	conns     map[uint64]*conn
 	nextID    uint64
 	dials     map[uint64]func(transport.Conn, error)
+
+	// idleSegs and idleRx hold the stack's segment and receive records not
+	// in use; they grow to the peak number in flight at once.
+	idleSegs []*segment
+	idleRx   []*rxTask
 }
 
 type segKind int
@@ -40,13 +45,68 @@ const (
 	segFIN
 )
 
-// segment is the fabric payload for the TCP model.
+// segment is the fabric payload for the TCP model. Segments travel as
+// *segment records owned by the sending stack (Stack.segment / sendOutcome);
+// the receiving stack reads one only during the delivery.
 type segment struct {
 	kind    segKind
 	port    int
 	srcConn uint64
 	dstConn uint64
 	data    []byte
+}
+
+// rxTask is one received data segment waiting for its process: the record
+// the stack posts instead of a closure per message. run is t.deliver, bound
+// when the record is first created.
+type rxTask struct {
+	conn *conn
+	data []byte
+	run  func()
+}
+
+// maxPooledData bounds the payload buffer an idle record keeps: steady-state
+// messages fit, an initial-sync payload does not and is left to the
+// collector.
+const maxPooledData = 4 << 10
+
+// segment takes a cleared record off the idle list; its data is an empty
+// buffer to append the payload to.
+func (s *Stack) segment() *segment {
+	var seg *segment
+	if n := len(s.idleSegs); n > 0 {
+		seg = s.idleSegs[n-1]
+		s.idleSegs = s.idleSegs[:n-1]
+	} else {
+		seg = new(segment)
+	}
+	*seg = segment{data: seg.data[:0]}
+	return seg
+}
+
+func (s *Stack) rxTask() *rxTask {
+	if n := len(s.idleRx); n > 0 {
+		t := s.idleRx[n-1]
+		s.idleRx = s.idleRx[:n-1]
+		return t
+	}
+	t := new(rxTask)
+	t.run = t.deliver
+	return t
+}
+
+// deliver hands the segment's bytes to the connection's handler, which
+// borrows them until it returns (transport.Conn).
+func (t *rxTask) deliver() {
+	c := t.conn
+	if c.handler != nil && !c.closed {
+		c.handler(t.data)
+	}
+	t.conn = nil
+	if cap(t.data) > maxPooledData {
+		t.data = nil
+	}
+	c.stack.idleRx = append(c.stack.idleRx, t)
 }
 
 // New creates a TCP stack on the endpoint, delivering to proc. The stack
@@ -70,14 +130,23 @@ func New(net *fabric.Network, ep *fabric.Endpoint, proc *sim.Proc) *Stack {
 // window errors the connection out locally, like RTO escalation ending in
 // ETIMEDOUT.
 func (s *Stack) sendOutcome(m fabric.Message, acked bool) {
-	seg, ok := m.Payload.(segment)
-	if !ok || seg.srcConn == 0 {
+	seg, ok := m.Payload.(*segment)
+	if !ok {
 		return
 	}
-	c := s.conns[seg.srcConn]
-	if c == nil || c.closed {
-		return
+	if c := s.conns[seg.srcConn]; c != nil && !c.closed {
+		c.sendOutcome(acked)
 	}
+	if !m.Parked {
+		if cap(seg.data) > maxPooledData {
+			seg.data = nil
+		}
+		s.idleSegs = append(s.idleSegs, seg)
+	}
+}
+
+func (c *conn) sendOutcome(acked bool) {
+	s := c.stack
 	if acked {
 		c.unackedSince = -1
 		return
@@ -122,16 +191,19 @@ func (s *Stack) Dial(remote *fabric.Endpoint, port int, cb func(transport.Conn, 
 	s.sendSeg(remote, 64, segment{kind: segSYN, port: port, srcConn: id})
 }
 
-// sendSeg pushes a segment with kernel-stack latency on both sides.
+// sendSeg pushes a control segment with kernel-stack latency on both sides.
 func (s *Stack) sendSeg(dst *fabric.Endpoint, size int, seg segment) {
+	q := s.segment()
+	seg.data = q.data
+	*q = seg
 	p := s.net.Params()
-	s.net.Send(s.ep, dst, size, seg, 2*p.TCPStackLatency)
+	s.net.Send(s.ep, dst, size, q, 2*p.TCPStackLatency)
 }
 
 // recv is the endpoint-level delivery path. Control segments are handled by
 // the stack; data is charged to the owning process.
 func (s *Stack) recv(m fabric.Message) {
-	seg, ok := m.Payload.(segment)
+	seg, ok := m.Payload.(*segment)
 	if !ok {
 		return
 	}
@@ -172,11 +244,13 @@ func (s *Stack) recv(m fabric.Message) {
 			return
 		}
 		cost := p.TCPMsgCPURx(len(seg.data))
-		c.owner().Post(cost, func() {
-			if c.handler != nil && !c.closed {
-				c.handler(seg.data)
-			}
-		})
+		// The bytes outlive the segment (its sender recycles it when this
+		// delivery returns), so the receive record takes them over and hands
+		// the segment its own spare buffer in exchange.
+		t := s.rxTask()
+		t.conn = c
+		t.data, seg.data = seg.data, t.data[:0]
+		c.owner().Post(cost, t.run)
 	case segFIN:
 		c := s.conns[seg.dstConn]
 		if c == nil || c.closed {
@@ -238,6 +312,7 @@ func (c *conn) AssignProc(p *sim.Proc) { c.proc = p }
 
 // Send transmits one message: charges the kernel transmit cost on the
 // owner's core; the segment departs when the core finishes its current work.
+// The payload is copied before Send returns; the caller keeps its buffer.
 func (c *conn) Send(payload []byte) {
 	if c.closed || !c.established {
 		return
@@ -250,10 +325,10 @@ func (c *conn) Send(payload []byte) {
 	if depart < 0 {
 		depart = 0
 	}
-	data := append([]byte(nil), payload...)
-	s.net.Send(s.ep, c.peerEP, len(data),
-		segment{kind: segDATA, srcConn: c.id, dstConn: c.peerConn, data: data},
-		depart+2*p.TCPStackLatency)
+	seg := s.segment()
+	seg.kind, seg.srcConn, seg.dstConn = segDATA, c.id, c.peerConn
+	seg.data = append(seg.data, payload...)
+	s.net.Send(s.ep, c.peerEP, len(payload), seg, depart+2*p.TCPStackLatency)
 }
 
 func (c *conn) SetHandler(fn func([]byte)) { c.handler = fn }

@@ -18,6 +18,13 @@ import (
 )
 
 // Conn is a reliable, ordered, message-oriented connection endpoint.
+//
+// Buffer ownership: Send copies, handlers borrow. The payload given to Send
+// is the caller's again as soon as Send returns. The payload a handler
+// receives is the transport's own memory (a receive ring, a recycled
+// buffer), lent until the handler returns: the handler may read it, pass it
+// to Send or to a decoder's Feed, even write to it, but whatever must
+// outlive the call is copied.
 type Conn interface {
 	// Send transmits one application message. It charges the transport's
 	// transmit CPU cost on the owner's core; the message departs once the
@@ -25,6 +32,7 @@ type Conn interface {
 	Send(payload []byte)
 	// SetHandler installs the receive callback. It is invoked from the
 	// owning Proc with the transport's receive CPU cost already charged.
+	// payload is valid only until fn returns.
 	SetHandler(fn func(payload []byte))
 	// SetCloseHandler installs a callback invoked when the peer closes.
 	SetCloseHandler(fn func())
