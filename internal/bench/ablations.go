@@ -111,72 +111,48 @@ func AblateThreads() *Experiment {
 	return e
 }
 
-// All returns every experiment in paper order.
+// experiments is every experiment in paper order: the one list All, ByID
+// and IDs read.
+var experiments = []struct {
+	id  string
+	run func() *Experiment
+}{
+	{"fig3", Fig3}, {"fig7", Fig7}, {"fig10a", Fig10a}, {"fig10b", Fig10b},
+	{"fig11", Fig11}, {"fig12", Fig12}, {"fig13", Fig13}, {"fig14", Fig14},
+	{"ablate-slaves", AblateSlaves}, {"ablate-nicspeed", AblateNICSpeed},
+	{"ablate-threads", AblateThreads}, {"ablate-niccache", AblateNICCache},
+	{"ablate-cpu", AblateCPU}, {"ext-pipeline", ExtPipeline}, {"ext-batch", ExtBatch},
+	{"ext-failover", ExtFailover}, {"ext-shards", ExtShards}, {"ext-cluster", ExtCluster},
+	{"ext-reshard", ExtReshard}, {"ext-quorum", ExtQuorum}, {"ext-tracking", ExtTracking},
+}
+
+// All runs every experiment in paper order.
 func All() []*Experiment {
-	return []*Experiment{
-		Fig3(), Fig7(), Fig10a(), Fig10b(), Fig11(), Fig12(), Fig13(), Fig14(),
-		AblateSlaves(), AblateNICSpeed(), AblateThreads(), AblateNICCache(), AblateCPU(), ExtPipeline(), ExtBatch(), ExtFailover(), ExtShards(), ExtCluster(), ExtReshard(), ExtQuorum(), ExtTracking(),
+	out := make([]*Experiment, 0, len(experiments))
+	for _, x := range experiments {
+		out = append(out, x.run())
 	}
+	return out
 }
 
 // ByID runs a single experiment by identifier, or nil if unknown.
 func ByID(id string) *Experiment {
-	switch id {
-	case "fig3":
-		return Fig3()
-	case "fig7":
-		return Fig7()
-	case "fig10a":
-		return Fig10a()
-	case "fig10b":
-		return Fig10b()
-	case "fig11":
-		return Fig11()
-	case "fig12":
-		return Fig12()
-	case "fig13":
-		return Fig13()
-	case "fig14":
-		return Fig14()
-	case "ablate-slaves":
-		return AblateSlaves()
-	case "ablate-nicspeed":
-		return AblateNICSpeed()
-	case "ablate-threads":
-		return AblateThreads()
-	case "ablate-niccache":
-		return AblateNICCache()
-	case "ablate-cpu":
-		return AblateCPU()
-	case "ext-pipeline":
-		return ExtPipeline()
-	case "ext-batch":
-		return ExtBatch()
-	case "ext-failover":
-		return ExtFailover()
-	case "ext-shards":
-		return ExtShards()
-	case "ext-cluster":
-		return ExtCluster()
-	case "ext-reshard":
-		return ExtReshard()
-	case "ext-quorum":
-		return ExtQuorum()
-	case "ext-tracking":
-		return ExtTracking()
+	for _, x := range experiments {
+		if x.id == id {
+			return x.run()
+		}
 	}
 	return nil
 }
 
 // IDs lists the available experiment identifiers.
 func IDs() []string {
-	return []string{"fig3", "fig7", "fig10a", "fig10b", "fig11", "fig12", "fig13", "fig14",
-		"ablate-slaves", "ablate-nicspeed", "ablate-threads", "ablate-niccache", "ablate-cpu", "ext-pipeline",
-		"ext-batch", "ext-failover", "ext-shards", "ext-cluster", "ext-reshard", "ext-quorum", "ext-tracking"}
+	ids := make([]string, 0, len(experiments))
+	for _, x := range experiments {
+		ids = append(ids, x.id)
+	}
+	return ids
 }
-
-// unused placeholder to keep sim imported if windows change.
-var _ = sim.Microsecond
 
 // AblateCPU measures the design goal "low CPU consumption" directly: host
 // CPU microseconds consumed per client operation on the master, for each

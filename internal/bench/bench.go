@@ -91,9 +91,6 @@ func SetSmoke() {
 	measure = 25 * sim.Millisecond
 }
 
-// Smoke reports whether smoke mode is on.
-func Smoke() bool { return smoke }
-
 func f1(v float64) string   { return fmt.Sprintf("%.1f", v) }
 func kops(v float64) string { return fmt.Sprintf("%.1f", v/1000) }
 

@@ -30,11 +30,15 @@ func TestMetricStorage(t *testing.T) {
 	}
 }
 
+// TestIDsAndByIDAgree checks the experiment table without running it
+// (expensive): 21 distinct ids, and the dispatcher rejects garbage.
 func TestIDsAndByIDAgree(t *testing.T) {
+	seen := map[string]bool{}
 	for _, id := range IDs() {
-		// Don't run them (expensive); just check the dispatcher knows the
-		// cheap one and rejects garbage.
-		_ = id
+		if seen[id] {
+			t.Fatalf("experiment id %q listed twice", id)
+		}
+		seen[id] = true
 	}
 	if ByID("nonsense") != nil {
 		t.Fatal("unknown id accepted")

@@ -313,9 +313,8 @@ type Cluster struct {
 	SlaveAgents   []*core.SlaveAgent
 	SlaveMachines []*fabric.Machine
 
-	// Clients is the workload: plain closed-loop clients on a single group,
-	// slot-aware clients when Masters > 1 — both behind the one workload.KV
-	// interface.
+	// Clients is the workload: slot-aware closed-loop clients, a single
+	// group being their one-group case.
 	Clients []workload.KV
 
 	clientsStarted bool
@@ -385,10 +384,10 @@ func Build(cfg Config) *Cluster {
 	}
 
 	// A deployment is Masters replication groups (at least one). Cluster
-	// mode — the shared slot map every server routes against, slot-aware
-	// clients, g<i>.-prefixed node names and metric labels — is derived from
+	// mode — the shared slot map every server and client routes against,
+	// g<i>.-prefixed node names and metric labels — is derived from
 	// Masters > 1; a single group is the same loop with plain names, no slot
-	// plane, and clients dialing the one master.
+	// plane, and clients whose one group is the one master.
 	masters := max(cfg.Cluster.Masters, 1)
 	clustered := masters > 1
 	nodeName := func(gi int, role string) string {
@@ -471,29 +470,26 @@ func Build(cfg Config) *Cluster {
 	// Clients, one machine each (the load generator box is never the
 	// bottleneck, as with redis-benchmark on its own server). Naming and
 	// seeding do not depend on the group count: the load is a property of the
-	// deployment.
+	// deployment. The seed address is fixed at build time: the first master's
+	// host, or its SmartNIC endpoint when the workload exercises NIC-served
+	// reads; c.SlotMap is nil for a single group.
+	seed := c.MasterMachine.Host
+	if cfg.NicReads == NicReadsClients {
+		seed = c.MasterMachine.NIC
+	}
 	env := workload.Env{
 		Eng: eng, Params: p, MakeStack: makeStack, Wakeup: p.ClientWakeup,
-		Port: core.ClientPort, Resolve: c.resolveEP,
+		Port: core.ClientPort, Resolve: c.resolveEP, Table: c.SlotMap,
 	}
-	opts := workload.Options{Pipeline: cfg.Pipeline, Tracking: cfg.Tracking, CacheSize: cfg.CacheSize}
-	if clustered {
-		env.Table = c.SlotMap
-		opts.Slots = true
-	} else {
-		// The dial target is fixed at build time: the master host, or the
-		// SmartNIC endpoint when the workload exercises NIC-served reads.
-		target := c.MasterMachine.Host
-		if cfg.NicReads == NicReadsClients {
-			target = c.MasterMachine.NIC
-		}
-		opts.Addrs = []string{target.Name()}
-		if hasNIC && cfg.Tracking && cfg.NicReads != NicReadsClients {
-			// Redirect mode: the server forwards tracked interest to its NIC
-			// and the NIC pushes invalidations out-of-band to the subscriber.
-			env.Invalidation = c.MasterMachine.NIC
-			env.InvalidationPort = core.NicPort
-		}
+	if hasNIC && cfg.Tracking && !clustered && cfg.NicReads != NicReadsClients {
+		// Redirect mode: the server forwards tracked interest to its NIC
+		// and the NIC pushes invalidations out-of-band to the subscriber.
+		env.Invalidation = c.MasterMachine.NIC
+		env.InvalidationPort = core.NicPort
+	}
+	opts := workload.Options{
+		Addrs: []string{seed.Name()}, Pipeline: cfg.Pipeline,
+		Tracking: cfg.Tracking, CacheSize: cfg.CacheSize,
 	}
 	for i := 0; i < cfg.Clients; i++ {
 		m := net.NewMachine(fmt.Sprintf("client%d", i), false)
@@ -578,8 +574,8 @@ type Result struct {
 	RouteUtils []float64
 	// NicUtil is Nic-KV's main ARM core busy fraction (SKV only).
 	NicUtil float64
-	// GroupOps is the per-group operation count over the measure window
-	// (Masters > 1 only) — the slot-load balance across groups.
+	// GroupOps is the per-group operation count over the measure window —
+	// the slot-load balance across groups.
 	GroupOps []uint64
 	// Moved counts MOVED redirects clients absorbed over the whole run
 	// (Masters > 1 only).
@@ -668,12 +664,8 @@ func (c *Cluster) Measure(warmup, duration sim.Duration) Result {
 	return res
 }
 
-// groupDone sums the slot-aware clients' completions per group; nil without
-// a slot plane (plain clients do not break their operations down).
+// groupDone sums the clients' completions per group.
 func (c *Cluster) groupDone() []uint64 {
-	if c.SlotMap == nil {
-		return nil
-	}
 	done := make([]uint64, len(c.Groups))
 	for _, cl := range c.Clients {
 		for g, n := range cl.Stats().GroupDone {

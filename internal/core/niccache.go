@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"skv/internal/replstream"
 	"skv/internal/resp"
@@ -245,15 +244,9 @@ func (n *NicKV) onClientData(c *nicClient, data []byte) {
 // every numbered database, so NIC clients switch dbs exactly like host
 // clients do. Returns the RESP reply.
 func (n *NicKV) selectReply(c *nicClient, argv [][]byte) []byte {
-	if len(argv) != 2 {
-		return resp.AppendError(nil, "ERR wrong number of arguments for 'select' command")
-	}
-	dbi, err := strconv.Atoi(string(argv[1]))
-	if err != nil || dbi < 0 || dbi >= n.replica.NumDBs() {
-		return resp.AppendError(nil, "ERR DB index is out of range")
-	}
-	c.db = dbi
-	return resp.AppendSimple(nil, "OK")
+	db, reply := n.replica.Select(c.db, argv)
+	c.db = db
+	return reply
 }
 
 // serveSharded charges the parse (always on the slow main ARM core) and

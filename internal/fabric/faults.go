@@ -129,16 +129,6 @@ func (f *Faults) HealBoth(a, b *Endpoint) {
 	f.Heal(b, a)
 }
 
-// HealAll lifts every partition (but keeps loss/delay settings).
-func (f *Faults) HealAll() {
-	for _, lf := range f.links {
-		if lf.partitioned {
-			lf.partitioned = false
-			f.flush(lf)
-		}
-	}
-}
-
 // Partitioned reports whether src→dst is currently blocked.
 func (f *Faults) Partitioned(src, dst *Endpoint) bool {
 	lf := f.peek(src, dst)

@@ -17,7 +17,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"strconv"
 	"sync"
 	"time"
 
@@ -281,14 +280,8 @@ func (s *Server) execute(db int, argv [][]byte) (reply []byte, newDB int, quit b
 		}
 		return resp.AppendSimple(nil, "OK"), db, false
 	case cmd != nil && cmd.Name == "select":
-		if len(argv) != 2 {
-			return resp.AppendError(nil, "ERR wrong number of arguments for 'select' command"), db, false
-		}
-		n, err := strconv.Atoi(string(argv[1]))
-		if err != nil || n < 0 || n >= s.st.NumDBs() {
-			return resp.AppendError(nil, "ERR DB index is out of range"), db, false
-		}
-		return resp.AppendSimple(nil, "OK"), n, false
+		newDB, reply = s.st.Select(db, argv)
+		return reply, newDB, false
 	}
 	s.mu.Lock()
 	reply, _ = s.st.Dispatch(cmd, db, argv)

@@ -150,10 +150,6 @@ func (w *Writer) Append(db int, argv [][]byte) int64 {
 	return w.cfg.Backlog.EndOffset()
 }
 
-// AppendEncoded enters one pre-encoded command into the stream, bypassing
-// SELECT-context tracking (tests and replay tooling).
-func (w *Writer) AppendEncoded(cmd []byte) { w.add(cmd) }
-
 func (w *Writer) add(cmd []byte) {
 	start := w.cfg.Backlog.EndOffset()
 	w.cfg.Backlog.Write(cmd)

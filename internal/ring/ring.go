@@ -46,6 +46,17 @@ func (q *Queue[T]) Peek() T {
 	return q.buf[q.head]
 }
 
+// At returns a pointer to the i-th element from the head (0 is what Pop
+// would return), for scans that mark queued elements in place. The pointer
+// is valid until the next Push, Pop or Reset. It panics when i is out of
+// range.
+func (q *Queue[T]) At(i int) *T {
+	if i < 0 || i >= q.n {
+		panic("ring: At out of range")
+	}
+	return &q.buf[(q.head+i)&(len(q.buf)-1)]
+}
+
 // Reset empties the queue and releases its storage.
 func (q *Queue[T]) Reset() { *q = Queue[T]{} }
 

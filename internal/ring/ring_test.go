@@ -30,6 +30,9 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 		if q.Len() != len(model) {
 			t.Fatalf("step %d: Len = %d, want %d", step, q.Len(), len(model))
 		}
+		if i := len(model) / 2; i < len(model) && *q.At(i) != model[i] {
+			t.Fatalf("step %d: At(%d) = %d, want %d", step, i, *q.At(i), model[i])
+		}
 	}
 	q.Reset()
 	if q.Len() != 0 {

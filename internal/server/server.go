@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 
 	"skv/internal/backlog"
 	"skv/internal/consistency"
@@ -730,17 +729,9 @@ func (s *Server) gateNeed(c *client) (need, wire int) {
 }
 
 func (s *Server) cmdSelect(c *client, argv [][]byte) {
-	if len(argv) != 2 {
-		s.reply(c, resp.AppendError(nil, "ERR wrong number of arguments for 'select' command"))
-		return
-	}
-	n, err := strconv.Atoi(string(argv[1]))
-	if err != nil || n < 0 || n >= s.store.NumDBs() {
-		s.reply(c, resp.AppendError(nil, "ERR DB index is out of range"))
-		return
-	}
-	c.db = n
-	s.reply(c, resp.AppendSimple(nil, "OK"))
+	db, reply := s.store.Select(c.db, argv)
+	c.db = db
+	s.reply(c, reply)
 }
 
 // Crash stops the process: no more events are handled until Recover. The

@@ -2,10 +2,26 @@ package store
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"skv/internal/resp"
 )
+
+// Select answers a SELECT for a connection whose database is cur: the
+// connection's database afterwards (cur on an error) and the RESP reply.
+// SELECT is connection state, so the store never executes it; every server
+// embedding a store calls this from its own dispatch.
+func (s *Store) Select(cur int, argv [][]byte) (db int, reply []byte) {
+	if len(argv) != 2 {
+		return cur, resp.AppendError(nil, "ERR wrong number of arguments for 'select' command")
+	}
+	n, err := strconv.Atoi(string(argv[1]))
+	if err != nil || n < 0 || n >= s.NumDBs() {
+		return cur, resp.AppendError(nil, "ERR DB index is out of range")
+	}
+	return n, ok()
+}
 
 func cmdPing(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	if len(argv) == 2 {

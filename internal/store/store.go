@@ -177,9 +177,6 @@ func shardOfString(key string, shards int) int {
 	return int(h % uint64(shards))
 }
 
-// KeyShard reports which shard owns key in this store.
-func (s *Store) KeyShard(key []byte) int { return ShardOfKey(key, s.shards) }
-
 // shardDB resolves the shard slice owning key within database dbi; every
 // single-key access funnels through here.
 func (s *Store) shardDB(dbi int, key string) *DB {

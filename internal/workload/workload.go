@@ -1,17 +1,16 @@
-// Package workload implements the benchmark load generators: the
-// redis-benchmark-equivalent closed-loop clients the paper's evaluation
-// uses ("each client issues queries as quickly as possible"), plus key and
-// value generators with uniform or Zipfian key popularity.
+// Package workload implements the benchmark load generator: the one
+// redis-benchmark-equivalent closed-loop client every figure of the paper's
+// evaluation is driven with ("each client issues queries as quickly as
+// possible") — slot-aware, a single replication group being its one-group
+// case — plus key and value generators with uniform or Zipfian key
+// popularity.
 package workload
 
 import (
 	"fmt"
 	"math/rand"
 
-	"skv/internal/core"
 	"skv/internal/resp"
-	"skv/internal/sim"
-	"skv/internal/transport"
 )
 
 // Op is the command a generator emits.
@@ -88,7 +87,7 @@ func (g *Generator) Next() ([]byte, Op) {
 }
 
 // NextKeyed is Next plus the key the command targets, for routing layers
-// (slot-aware clients) that must know where a command goes. It draws from
+// (the slot-aware client) that must know where a command goes. It draws from
 // the same RNG stream as Next — interleaving the two is safe.
 func (g *Generator) NextKeyed() ([]byte, Op, string) {
 	if g.rnd.Float64() < g.SetRatio {
@@ -97,224 +96,4 @@ func (g *Generator) NextKeyed() ([]byte, Op, string) {
 	}
 	k := g.key()
 	return resp.EncodeCommandBytes([]byte("GET"), []byte(k)), OpGet, k
-}
-
-// client is the plain closed-loop benchmark connection: send a command,
-// wait for the reply, record the latency, immediately send the next. With
-// tracking on it negotiates CLIENT TRACKING after the dial and serves
-// tracked GETs from the kvbase cache — either with in-band '>' pushes on
-// the data connection, or (Env.Invalidation set) with an out-of-band
-// subscription to the master's SmartNIC, where the server REDIRECTs
-// invalidations by subscriber name.
-type client struct {
-	kvbase
-	env  Env
-	addr string
-
-	conn     transport.Conn
-	reader   resp.Reader
-	inflight []clientReq // FIFO, matches reply order
-
-	// Out-of-band invalidation subscription (redirect mode).
-	subConn transport.Conn
-	// cacheOn arms local serving: set when the tracked handshake for the
-	// current connection (and, in redirect mode, the subscription ack) is
-	// up, cleared — with a cache flush — whenever either channel drops and
-	// pushes may have been missed.
-	cacheOn bool
-}
-
-// clientReq is one in-flight request. marker requests are protocol filler
-// (the CLIENT TRACKING handshake): their replies are consumed without
-// accounting. poisoned GETs raced an invalidation push and must not
-// populate the cache — the reply may carry the pre-invalidation value.
-type clientReq struct {
-	at       sim.Time
-	key      string
-	get      bool
-	poisoned bool
-	marker   bool
-}
-
-func newClient(name string, env Env, opts Options) *client {
-	return &client{kvbase: newKVBase(name, env, opts), env: env, addr: opts.Addrs[0]}
-}
-
-// subRetryDelay spaces re-subscription attempts after a push-channel loss.
-const subRetryDelay = 20 * sim.Millisecond
-
-// Start dials and begins the closed loop. In redirect mode the data dial
-// waits for the subscription ack: the NIC must know the subscriber before
-// any interest recorded for it is forwarded, or a push could be dropped
-// while the client caches the value it covered.
-func (c *client) Start() {
-	if c.pipeline <= 0 {
-		c.pipeline = 1
-	}
-	c.running = true
-	if c.tracking && c.env.Invalidation != nil {
-		c.subscribe()
-		return
-	}
-	c.dialData()
-}
-
-func (c *client) subscribe() {
-	if !c.running {
-		return
-	}
-	c.stack.Dial(c.env.Invalidation, c.env.InvalidationPort, func(conn transport.Conn, err error) {
-		if err != nil {
-			panic(fmt.Sprintf("workload: client %s invalidation dial failed: %v", c.name, err))
-		}
-		c.subConn = conn
-		conn.SetHandler(func(data []byte) { c.onSubData(conn, data) })
-		conn.SetCloseHandler(func() {
-			if c.subConn != conn {
-				return
-			}
-			// The push channel died: invalidations may have been lost, so
-			// the cache cannot be trusted until a new subscription is acked.
-			c.subConn = nil
-			c.cacheOn = false
-			c.flushCache()
-			c.eng.After(subRetryDelay, func() { c.subscribe() })
-		})
-		conn.Send(core.EncodeTrackHello(c.name))
-	})
-}
-
-func (c *client) onSubData(conn transport.Conn, data []byte) {
-	if c.subConn != conn {
-		return
-	}
-	ok := core.ParseSubscriberFrames(data, func() {
-		c.cacheOn = true
-		if c.conn == nil {
-			c.dialData()
-		}
-	}, c.applyInvalidation)
-	if !ok {
-		panic(fmt.Sprintf("workload: client %s got garbage on the invalidation channel", c.name))
-	}
-}
-
-// applyInvalidation drops the key and poisons in-flight GETs for it: a
-// reply already on the wire may carry the value the push just retired.
-func (c *client) applyInvalidation(key string) {
-	c.invalidations++
-	c.cache.invalidate(key)
-	c.poison(key)
-}
-
-func (c *client) poison(key string) {
-	for i := range c.inflight {
-		if c.inflight[i].get && c.inflight[i].key == key {
-			c.inflight[i].poisoned = true
-		}
-	}
-}
-
-func (c *client) dialData() {
-	c.stack.Dial(c.env.Resolve(c.addr), c.env.Port, func(conn transport.Conn, err error) {
-		if err != nil {
-			panic(fmt.Sprintf("workload: client %s dial failed: %v", c.name, err))
-		}
-		c.conn = conn
-		conn.SetHandler(func(data []byte) { c.onReply(data) })
-		if c.tracking {
-			conn.SetCloseHandler(func() {
-				if c.conn != conn {
-					return
-				}
-				c.conn = nil
-				c.cacheOn = false
-				c.flushCache()
-			})
-			args := []string{"client", "tracking", "on"}
-			if c.env.Invalidation != nil {
-				args = append(args, "redirect", c.name)
-			} else {
-				c.cacheOn = true // in-band: pushes share this connection's FIFO
-			}
-			c.inflight = append(c.inflight, clientReq{marker: true})
-			conn.Send(resp.EncodeCommand(args...))
-		}
-		for i := 0; i < c.pipeline; i++ {
-			c.sendNext()
-		}
-	})
-}
-
-func (c *client) Stats() Stats { return c.baseStats() }
-
-func (c *client) sendNext() {
-	if !c.running || c.conn == nil {
-		return
-	}
-	cmd, op, key := c.gen.NextKeyed()
-	c.proc.Core.Charge(c.params.ClientThinkCPU)
-	if c.tracking {
-		if op == OpGet && c.cacheOn {
-			if _, ok := c.cache.get(key); ok {
-				c.localHit(c.eng.Now(), func() { c.sendNext() })
-				return
-			}
-			c.misses++
-		}
-		if op == OpSet {
-			// Read-your-writes: drop our own copy now — the push confirming
-			// this write would arrive only after the ack.
-			c.cache.invalidate(key)
-			c.poison(key)
-		}
-	}
-	c.inflight = append(c.inflight, clientReq{at: c.eng.Now(), key: key, get: op == OpGet})
-	c.sent++
-	c.conn.Send(cmd)
-}
-
-func (c *client) onReply(data []byte) {
-	c.reader.Feed(data)
-	for {
-		v, ok, err := c.reader.ReadValue()
-		if err != nil {
-			panic(fmt.Sprintf("workload: client %s got protocol garbage: %v", c.name, err))
-		}
-		if !ok {
-			return
-		}
-		if v.IsPush() {
-			if key, isInv := pushedKey(v); isInv {
-				c.applyInvalidation(key)
-			}
-			continue
-		}
-		if len(c.inflight) > 0 && c.inflight[0].marker {
-			c.inflight = c.inflight[1:]
-			if v.IsError() {
-				panic(fmt.Sprintf("workload: client %s tracking handshake rejected: %s", c.name, v.Str))
-			}
-			continue
-		}
-		now := c.eng.Now()
-		c.done++
-		if v.IsError() {
-			c.errReplies++
-		}
-		if len(c.inflight) > 0 {
-			req := c.inflight[0]
-			c.inflight = c.inflight[1:]
-			if now >= c.warmupUntil {
-				c.hist.Record(now.Sub(req.at))
-				if c.series != nil {
-					c.series.Record(now)
-				}
-			}
-			if req.get && c.cacheOn && !req.poisoned && v.Type == resp.TypeBulk && !v.Null {
-				c.cache.put(req.key, v.Str)
-			}
-		}
-		c.sendNext()
-	}
 }

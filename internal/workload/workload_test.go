@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"skv/internal/model"
 	"skv/internal/resp"
 	"skv/internal/sim"
+	"skv/internal/slots"
 	"skv/internal/tcpsim"
 	"skv/internal/transport"
 )
@@ -117,152 +119,219 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
-// TestClientClosedLoop runs a client against a scripted echo server in the
-// simulation and checks the closed-loop accounting.
-func TestClientClosedLoop(t *testing.T) {
-	eng := sim.New(9)
-	p := model.Default()
-	net := fabric.New(eng, &p)
-	srvM := net.NewMachine("srv", false)
-	cliM := net.NewMachine("cli", false)
+// deployments are the scripted worlds every client test runs against: the
+// client is one type, so each behaviour must hold with and without a table.
+var deployments = []struct {
+	name   string
+	groups int
+	ranges []slots.Range // nil with two groups = an even split
+	// moved is the MOVED count per window slot the bootstrap must cost: the
+	// client starts with every slot on its seed, group 0.
+	moved uint64
+}{
+	{name: "no table", groups: 1},
+	{name: "two groups", groups: 2, moved: 1},
+	// Group 0 owns nothing: the seed answers MOVED once and is never used again.
+	{name: "moved once", groups: 2, ranges: []slots.Range{{Start: 0, End: slots.NumSlots - 1, Group: 1}}, moved: 1},
+}
 
-	// A trivial server replying +OK to every command.
-	srvCore := sim.NewCore(eng, "srv", 1.0)
-	srvProc := sim.NewProc(eng, srvCore, p.TCPWakeup)
-	srvStack := tcpsim.New(net, srvM.Host, srvProc)
-	srvStack.Listen(6379, func(conn transport.Conn) {
-		var r resp.Reader
-		conn.SetHandler(func(data []byte) {
-			r.Feed(data)
-			for {
-				_, ok, err := r.ReadCommand()
-				if err != nil || !ok {
+// world is one scripted deployment: per group, a server that answers +OK to
+// every command whose key it owns and MOVED to the rest.
+type world struct {
+	eng   *sim.Engine
+	p     model.Params
+	net   *fabric.Network
+	table *slots.Map // nil for a single group
+	seed  string
+	// down makes every server swallow what it receives, like a crashed
+	// process behind live endpoints.
+	down    bool
+	clients int
+}
+
+func newWorld(t *testing.T, seed int64, groups int, ranges []slots.Range) *world {
+	t.Helper()
+	w := &world{eng: sim.New(seed), p: model.Default()}
+	w.net = fabric.New(w.eng, &w.p)
+	var addrs []string
+	for g := 0; g < groups; g++ {
+		addrs = append(addrs, w.net.NewMachine(fmt.Sprintf("srv%d", g), false).Host.Name())
+	}
+	w.seed = addrs[0]
+	if groups > 1 {
+		table, err := slots.NewMap(groups, ranges, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.table = table
+	}
+	for g, addr := range addrs {
+		ep := w.net.EndpointByName(addr)
+		proc := sim.NewProc(w.eng, sim.NewCore(w.eng, addr, 1.0), w.p.TCPWakeup)
+		tcpsim.New(w.net, ep, proc).Listen(6379, func(conn transport.Conn) {
+			var r resp.Reader
+			conn.SetHandler(func(data []byte) {
+				if w.down {
 					return
 				}
-				conn.Send(resp.AppendSimple(nil, "OK"))
+				r.Feed(data)
+				for {
+					argv, ok, err := r.ReadCommand()
+					if err != nil || !ok {
+						return
+					}
+					if w.table != nil {
+						slot := slots.Slot(argv[1])
+						if owner := w.table.Owner(slot); owner != g {
+							conn.Send(resp.AppendError(nil, slots.MovedMessage(slot, w.table.Addr(owner), 6379)))
+							continue
+						}
+					}
+					conn.Send(resp.AppendSimple(nil, "OK"))
+				}
+			})
+		})
+	}
+	return w
+}
+
+// client builds a pure-SET client on its own machine.
+func (w *world) client(genSeed int64, pipeline int) KV {
+	m := w.net.NewMachine(fmt.Sprintf("cli%d", w.clients), false)
+	w.clients++
+	return New(m.Host.Name(), Env{
+		Eng: w.eng, Params: &w.p, EP: m.Host, Gen: NewGenerator(genSeed, 100, 32, 1.0, false),
+		MakeStack: func(ep *fabric.Endpoint, proc *sim.Proc) transport.Stack { return tcpsim.New(w.net, ep, proc) },
+		Wakeup:    w.p.ClientWakeup, Port: 6379, Resolve: w.net.EndpointByName, Table: w.table,
+	}, Options{Addrs: []string{w.seed}, Pipeline: pipeline})
+}
+
+// TestClientClosedLoop runs a client against the scripted servers and checks
+// the closed-loop accounting, the routing counters, and that a stopped,
+// drained client leaves nothing scheduled.
+func TestClientClosedLoop(t *testing.T) {
+	for _, d := range deployments {
+		t.Run(d.name, func(t *testing.T) {
+			w := newWorld(t, 9, d.groups, d.ranges)
+			cl := w.client(11, 1)
+			cl.Start()
+			w.eng.Run(sim.Time(100 * sim.Millisecond))
+			cl.Stop()
+			w.eng.Run(0) // to quiescence: returns only if the client left no timer running
+			if n := w.eng.Pending(); n != 0 {
+				t.Fatalf("stopped client left %d events scheduled", n)
+			}
+
+			st := cl.Stats()
+			if st.Done < 1000 {
+				t.Fatalf("closed loop completed only %d ops in 100ms", st.Done)
+			}
+			if st.Sent != st.Done {
+				t.Fatalf("closed-loop accounting after the drain: sent=%d done=%d", st.Sent, st.Done)
+			}
+			if cl.Histogram().Count() == 0 {
+				t.Fatal("no latencies recorded")
+			}
+			if st.ErrReplies != 0 {
+				t.Fatalf("unexpected error replies: %d", st.ErrReplies)
+			}
+			if mean := cl.Histogram().Mean(); mean <= 0 || mean > sim.Duration(sim.Millisecond) {
+				t.Fatalf("implausible mean latency %v", mean)
+			}
+			if st.Moved != d.moved || st.MapRefreshes != d.moved {
+				t.Fatalf("moved=%d refreshes=%d, want %d each", st.Moved, st.MapRefreshes, d.moved)
+			}
+			if st.Redials != 0 {
+				t.Fatalf("%d redials in a fault-free run", st.Redials)
+			}
+			if len(st.GroupDone) != d.groups {
+				t.Fatalf("GroupDone has %d groups, want %d", len(st.GroupDone), d.groups)
+			}
+			var sum uint64
+			for g, n := range st.GroupDone {
+				sum += n
+				if owns := w.table == nil || w.table.Count(g) > 0; owns != (n > 0) {
+					t.Fatalf("group %d served %d ops (owns slots: %v)", g, n, owns)
+				}
+			}
+			if sum != st.Done {
+				t.Fatalf("GroupDone sums to %d, Done is %d", sum, st.Done)
 			}
 		})
-	})
-
-	gen := NewGenerator(11, 100, 32, 1.0, false)
-	mk := func(ep *fabric.Endpoint, proc *sim.Proc) transport.Stack {
-		return tcpsim.New(net, ep, proc)
-	}
-	cl := New("c0", Env{Eng: eng, Params: &p, EP: cliM.Host, MakeStack: mk, Gen: gen,
-		Wakeup: p.ClientWakeup, Port: 6379,
-		Resolve: func(string) *fabric.Endpoint { return srvM.Host }},
-		Options{Addrs: []string{srvM.Host.Name()}})
-	cl.Start()
-	eng.Run(sim.Time(100 * sim.Millisecond))
-	cl.Stop()
-	eng.Run(sim.Time(110 * sim.Millisecond))
-
-	st := cl.Stats()
-	if st.Done < 1000 {
-		t.Fatalf("closed loop completed only %d ops in 100ms", st.Done)
-	}
-	if st.Sent != st.Done && st.Sent != st.Done+1 {
-		t.Fatalf("closed-loop accounting: sent=%d done=%d", st.Sent, st.Done)
-	}
-	if cl.Histogram().Count() == 0 {
-		t.Fatal("no latencies recorded")
-	}
-	if st.ErrReplies != 0 {
-		t.Fatalf("unexpected error replies: %d", st.ErrReplies)
-	}
-	if mean := cl.Histogram().Mean(); mean <= 0 || mean > sim.Duration(sim.Millisecond) {
-		t.Fatalf("implausible mean latency %v", mean)
 	}
 }
 
 func TestClientWarmupDiscardsSamples(t *testing.T) {
-	eng := sim.New(10)
-	p := model.Default()
-	net := fabric.New(eng, &p)
-	srvM := net.NewMachine("srv", false)
-	cliM := net.NewMachine("cli", false)
-	srvProc := sim.NewProc(eng, sim.NewCore(eng, "srv", 1.0), p.TCPWakeup)
-	srvStack := tcpsim.New(net, srvM.Host, srvProc)
-	srvStack.Listen(6379, func(conn transport.Conn) {
-		conn.SetHandler(func(data []byte) { conn.Send(resp.AppendSimple(nil, "OK")) })
-	})
-	gen := NewGenerator(11, 100, 8, 1.0, false)
-	mk := func(ep *fabric.Endpoint, proc *sim.Proc) transport.Stack {
-		return tcpsim.New(net, ep, proc)
-	}
-	cl := New("c0", Env{Eng: eng, Params: &p, EP: cliM.Host, MakeStack: mk, Gen: gen,
-		Wakeup: p.ClientWakeup, Port: 6379,
-		Resolve: func(string) *fabric.Endpoint { return srvM.Host }},
-		Options{Addrs: []string{srvM.Host.Name()}})
-	cl.SetWarmup(sim.Time(50 * sim.Millisecond))
-	cl.Start()
-	eng.Run(sim.Time(100 * sim.Millisecond))
-	if cl.Histogram().Count() >= cl.Stats().Done {
-		t.Fatalf("warm-up did not discard: hist=%d done=%d", cl.Histogram().Count(), cl.Stats().Done)
-	}
-	if cl.Histogram().Count() == 0 {
-		t.Fatal("no post-warmup samples")
+	for _, d := range deployments {
+		t.Run(d.name, func(t *testing.T) {
+			w := newWorld(t, 10, d.groups, d.ranges)
+			cl := w.client(11, 1)
+			cl.SetWarmup(sim.Time(50 * sim.Millisecond))
+			cl.Start()
+			w.eng.Run(sim.Time(100 * sim.Millisecond))
+			if cl.Histogram().Count() >= cl.Stats().Done {
+				t.Fatalf("warm-up did not discard: hist=%d done=%d", cl.Histogram().Count(), cl.Stats().Done)
+			}
+			if cl.Histogram().Count() == 0 {
+				t.Fatal("no post-warmup samples")
+			}
+		})
 	}
 }
 
 func TestClientPipelining(t *testing.T) {
-	eng := sim.New(12)
-	p := model.Default()
-	net := fabric.New(eng, &p)
-	srvM := net.NewMachine("srv", false)
-	cliM := net.NewMachine("cli", false)
-	srvProc := sim.NewProc(eng, sim.NewCore(eng, "srv", 1.0), p.TCPWakeup)
-	srvStack := tcpsim.New(net, srvM.Host, srvProc)
-	srvStack.Listen(6379, func(conn transport.Conn) {
-		var r resp.Reader
-		conn.SetHandler(func(data []byte) {
-			r.Feed(data)
-			for {
-				_, ok, err := r.ReadCommand()
-				if err != nil || !ok {
-					return
-				}
-				conn.Send(resp.AppendSimple(nil, "OK"))
+	for _, d := range deployments {
+		t.Run(d.name, func(t *testing.T) {
+			w := newWorld(t, 12, d.groups, d.ranges)
+			// Depth 1 then depth 8, on fresh clients of the same servers.
+			run := func(genSeed int64, depth int) KV {
+				cl := w.client(genSeed, depth)
+				cl.Start()
+				w.eng.RunFor(50 * sim.Millisecond)
+				cl.Stop()
+				w.eng.RunFor(10 * sim.Millisecond)
+				return cl
+			}
+			d1, d8 := run(13, 1), run(14, 8)
+			if d8.Stats().Done <= d1.Stats().Done {
+				t.Fatalf("pipelining did not help: depth1=%d depth8=%d", d1.Stats().Done, d8.Stats().Done)
+			}
+			if d8.Histogram().Count() == 0 {
+				t.Fatal("no latencies recorded under pipelining")
+			}
+			// The window is per group: the bootstrap costs one MOVED per slot
+			// of every window the seed does not own.
+			if got, want := d8.Stats().Moved, 8*d.moved; got != want {
+				t.Fatalf("depth 8 absorbed %d MOVED, want %d", got, want)
 			}
 		})
-	})
-	mk := func(ep *fabric.Endpoint, proc *sim.Proc) transport.Stack {
-		return tcpsim.New(net, ep, proc)
 	}
-	resolve := func(string) *fabric.Endpoint { return srvM.Host }
-	run := func(depth int) uint64 {
-		gen := NewGenerator(13, 100, 16, 1.0, false)
-		cl := New("p", Env{Eng: eng, Params: &p, EP: cliM.Host, MakeStack: mk, Gen: gen,
-			Wakeup: p.ClientWakeup, Port: 6379, Resolve: resolve},
-			Options{Addrs: []string{srvM.Host.Name()}, Pipeline: depth})
-		cl.Start()
-		start := eng.Now()
-		eng.Run(start.Add(50 * sim.Millisecond))
-		cl.Stop()
-		eng.Run(eng.Now().Add(10 * sim.Millisecond))
-		return cl.Stats().Done
-	}
-	// Separate machines per run would be cleaner but one sequential reuse
-	// is fine: measure depth-1 then depth-8 on fresh clients.
-	d1 := run(1)
-	cliM2 := net.NewMachine("cli2", false)
-	mk2 := func(ep *fabric.Endpoint, proc *sim.Proc) transport.Stack {
-		return tcpsim.New(net, ep, proc)
-	}
-	gen := NewGenerator(14, 100, 16, 1.0, false)
-	cl := New("p8", Env{Eng: eng, Params: &p, EP: cliM2.Host, MakeStack: mk2, Gen: gen,
-		Wakeup: p.ClientWakeup, Port: 6379, Resolve: resolve},
-		Options{Addrs: []string{srvM.Host.Name()}, Pipeline: 8})
+}
+
+// TestClientResumesAfterServerRestart is the recovery the plain closed-loop
+// client never had: a single-group client whose server goes silent and comes
+// back re-dials and keeps completing operations.
+func TestClientResumesAfterServerRestart(t *testing.T) {
+	w := newWorld(t, 15, 1, nil)
+	cl := w.client(16, 4)
 	cl.Start()
-	start := eng.Now()
-	eng.Run(start.Add(50 * sim.Millisecond))
-	cl.Stop()
-	eng.Run(eng.Now().Add(10 * sim.Millisecond))
-	d8 := cl.Stats().Done
-	if d8 <= d1 {
-		t.Fatalf("pipelining did not help: depth1=%d depth8=%d", d1, d8)
+	w.eng.RunFor(50 * sim.Millisecond)
+	w.down = true
+	w.eng.RunFor(400 * sim.Millisecond)
+	stalled := cl.Stats().Done
+	if stalled == 0 {
+		t.Fatal("nothing completed before the crash")
 	}
-	if cl.Histogram().Count() == 0 {
-		t.Fatal("no latencies recorded under pipelining")
+	w.down = false
+	w.eng.RunFor(600 * sim.Millisecond)
+	st := cl.Stats()
+	if st.Done < stalled+1000 {
+		t.Fatalf("client did not resume after the restart: done %d → %d", stalled, st.Done)
+	}
+	if st.Redials == 0 {
+		t.Fatal("the recovery was not counted as a redial")
+	}
+	if st.ErrReplies != 0 {
+		t.Fatalf("unexpected error replies: %d", st.ErrReplies)
 	}
 }
