@@ -62,12 +62,17 @@ profile:
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/skv.test $(PROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_DIR)/skv.test $(PROFILE_DIR)/mem.prof
 
-# Fuzz the RESP decoder against its reference (internal/resp/fuzz_test.go).
-# New corpus entries go to the go command's cache, failures to testdata/.
+# Fuzz the wire decoders: the RESP decoder against its reference and its
+# borrowing read against its copying one (internal/resp/fuzz_test.go), and
+# the replication stream applier against a plain decode
+# (internal/replstream). New corpus entries go to the go command's cache,
+# failures to testdata/.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/resp -run '^$$' -fuzz FuzzReadCommand -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/resp -run '^$$' -fuzz FuzzReadValue -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/resp -run '^$$' -fuzz FuzzBorrowCommand -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/replstream -run '^$$' -fuzz FuzzApplierFeed -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -8,16 +9,21 @@ import (
 	"skv/internal/sim"
 )
 
-// TestReplicatedSetAllocationBudget is the end-to-end guard over the
-// allocation-free request path: on the Fig 11 deployment (SKV, 1 master +
-// 3 slaves, 8 clients, pure SET) one replicated SET — client encode, fabric,
-// verbs, master parse and execute, offload doorbell, NIC fan-out, three slave
-// applies, the reply — costs at most 45 heap allocations of simulator work.
-// It was 139 when every event, message, work request and frame was allocated
-// afresh and is about 40 now: the store (5 per SET on each of four nodes),
-// the command's argv on each node and the stream/reply encoders.
-func TestReplicatedSetAllocationBudget(t *testing.T) {
-	c := Build(Config{Kind: KindSKV, Slaves: 3, Clients: 8, Seed: 7, SKV: core.DefaultConfig(), KeySpace: 10_000, ValueSize: 64})
+// allocsPerOp runs the Fig 11 deployment (SKV, 1 master + 3 slaves, 8
+// clients, every key preloaded with a 64-byte value as the perf ledger does)
+// at the given GET ratio and reports heap allocations per completed
+// operation over a 50 ms window after a 20 ms warm-up.
+func allocsPerOp(t *testing.T, getRatio float64) float64 {
+	t.Helper()
+	const keys, valueSize = 10_000, 64
+	c := Build(Config{Kind: KindSKV, Slaves: 3, Clients: 8, Seed: 7, SKV: core.DefaultConfig(), KeySpace: keys, ValueSize: valueSize, GetRatio: getRatio})
+	value := make([]byte, valueSize)
+	for i := range value {
+		value[i] = 'a' + byte(i%26)
+	}
+	for i := 0; i < keys; i++ {
+		c.Master.Store().Exec(0, [][]byte{[]byte("SET"), []byte(fmt.Sprintf("key:%010d", i)), value})
+	}
 	if !c.AwaitReplication(5 * sim.Second) {
 		t.Fatal("slaves never reached steady state")
 	}
@@ -37,8 +43,33 @@ func TestReplicatedSetAllocationBudget(t *testing.T) {
 		t.Fatalf("window did %d ops with %d error replies", res.Ops, res.ErrReplies)
 	}
 	perOp := float64(after.Mallocs-before.Mallocs) / float64(res.Ops)
-	t.Logf("%.1f allocations per replicated SET over %d ops", perOp, res.Ops)
-	if perOp > 45 {
-		t.Fatalf("a replicated SET costs %.1f allocations, budget 45", perOp)
+	t.Logf("%.2f allocations per operation over %d ops (GET ratio %g)", perOp, res.Ops, getRatio)
+	return perOp
+}
+
+// TestReplicatedSetAllocationBudget is the end-to-end guard over the write
+// path: one replicated SET — client encode, fabric, verbs, master parse and
+// execute, offload doorbell, NIC fan-out, three slave applies, the reply —
+// costs at most 10 heap allocations of simulator work when it overwrites a
+// live value of the same size, which is what it keeps and little else: the
+// client's key string and request, the master's argv (header and bytes, kept
+// across route → shard → merge → propagate), the next replication batch
+// buffer and the client's copy of the reply. It was 139 when every event,
+// message, work request and frame was allocated afresh, and 39 while each of
+// the four stores built a key string, an object, an sds and a reply per SET,
+// each slave copied the argv it was about to execute, and every frame was
+// built in a buffer of its own.
+func TestReplicatedSetAllocationBudget(t *testing.T) {
+	if perOp := allocsPerOp(t, 0); perOp > 10 {
+		t.Fatalf("a replicated SET costs %.2f allocations, budget 10", perOp)
+	}
+}
+
+// TestReplicatedGetAllocationBudget is its read-side twin: a GET served by
+// the master costs the client's key string and request, the master's argv,
+// the reply the store builds and the client's copy of it.
+func TestReplicatedGetAllocationBudget(t *testing.T) {
+	if perOp := allocsPerOp(t, 1); perOp > 7 {
+		t.Fatalf("a GET costs %.2f allocations, budget 7", perOp)
 	}
 }

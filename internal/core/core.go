@@ -126,15 +126,27 @@ func appendKey(dst []byte, key string) []byte {
 	return append(dst, key...)
 }
 
-// appendOffload frames one replication request: the stream offset the
-// commands start at, how many there are, and their concatenated RESP bytes.
-// Sized up front — this runs once per flushed batch on the master's hot path.
-func appendOffload(start int64, cmds int, data []byte) []byte {
-	frame := make([]byte, 0, 17+len(data))
-	frame = append(frame, msgOffload)
-	frame = appendU64(frame, uint64(start))
-	frame = appendU64(frame, uint64(cmds))
-	return append(frame, data...)
+// appendOffload frames one replication request onto dst: the stream offset
+// the commands start at, how many there are, and their concatenated RESP
+// bytes. This runs once per flushed batch on the master's hot path, so dst
+// is the sender's scratch frame (Send copies).
+func appendOffload(dst []byte, start int64, cmds int, data []byte) []byte {
+	dst = append(dst, msgOffload)
+	dst = appendU64(dst, uint64(start))
+	dst = appendU64(dst, uint64(cmds))
+	return append(dst, data...)
+}
+
+// streamHeaderLen is what appendStream puts before the command bytes.
+const streamHeaderLen = 9
+
+// appendStream frames one chunk of the replication stream onto dst: tag
+// (msgCmdStream or msgCmdStreamAck), the stream offset the chunk starts at,
+// and the command bytes.
+func appendStream(dst []byte, tag byte, off int64, cmd []byte) []byte {
+	dst = append(dst, tag)
+	dst = appendU64(dst, uint64(off))
+	return append(dst, cmd...)
 }
 
 // frameReader decodes a received frame.

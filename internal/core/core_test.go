@@ -76,18 +76,24 @@ func TestFrameReaderTruncationSetsBad(t *testing.T) {
 }
 
 // TestOffloadFrameRoundTrip: the one replication-request frame decodes to
-// what was encoded, at one command and at a batch of eight.
+// what was encoded, at one command and at a batch of eight, and building it
+// in a frame the sender already holds allocates nothing.
 func TestOffloadFrameRoundTrip(t *testing.T) {
 	one := "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n"
-	for _, cmds := range []int{1, 8} {
+	var scratch []byte
+	for _, cmds := range []int{8, 1} {
 		data := []byte(strings.Repeat(one, cmds))
-		frame := appendOffload(4242, cmds, data)
-		if frame[0] != msgOffload || len(frame) != 17+len(data) || cap(frame) != len(frame) {
-			t.Fatalf("cmds=%d: tag %q, len %d, cap %d; want one exactly sized %d-byte frame", cmds, frame[0], len(frame), cap(frame), 17+len(data))
+		frame := appendOffload(scratch[:0], 4242, cmds, data)
+		if frame[0] != msgOffload || len(frame) != 17+len(data) {
+			t.Fatalf("cmds=%d: tag %q, len %d; want a %d-byte frame", cmds, frame[0], len(frame), 17+len(data))
 		}
 		off, cnt, got, ok := (&frameReader{b: frame, pos: 1}).offload()
 		if !ok || off != 4242 || cnt != cmds || !bytes.Equal(got, data) {
 			t.Fatalf("cmds=%d: decoded ok=%t off=%d cnt=%d data=%q", cmds, ok, off, cnt, got)
+		}
+		scratch = frame
+		if n := testing.AllocsPerRun(100, func() { scratch = appendOffload(scratch[:0], 4242, cmds, data) }); n != 0 {
+			t.Fatalf("cmds=%d: rebuilding the frame in place allocated %.1f times, want 0", cmds, n)
 		}
 	}
 }

@@ -39,6 +39,10 @@ type HostKV struct {
 	payloadConns map[string]transport.Conn
 	pendingSends map[string][][]byte
 
+	// frame is the scratch buffer every replication request is built in:
+	// Send copies, so one buffer serves every batch.
+	frame []byte
+
 	// Stats.
 	FullSyncs    uint64
 	PartialSyncs uint64
@@ -145,7 +149,8 @@ func (h *HostKV) propagate(b replstream.Batch) {
 	h.CmdsOffloaded += uint64(b.Cmds)
 	h.mReplReqs.Inc()
 	h.mCmdsOffloaded.Add(uint64(b.Cmds))
-	h.nicConn.Send(appendOffload(b.Start, b.Cmds, b.Data))
+	h.frame = appendOffload(h.frame[:0], b.Start, b.Cmds, b.Data)
+	h.nicConn.Send(h.frame)
 }
 
 // writeGate posts one gate frame to Nic-KV for a quorum/all write: the

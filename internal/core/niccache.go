@@ -135,8 +135,10 @@ func (n *NicKV) applyToReplica(off int64, cmd []byte) {
 
 // applyDecoded is the applier's per-command sink (db is the stream's SELECT
 // context): the command queues into the apply pipeline and drains to its
-// shard's proc.
+// shard's proc. The applier lends argv for this call only, and the op may
+// wait on applyq and then on a shard's proc, so it takes a copy.
 func (n *NicKV) applyDecoded(db int, argv [][]byte) {
+	argv = resp.CloneCommand(argv)
 	cmd := store.LookupCommand(argv[0])
 	n.applyq = append(n.applyq, nicApplyOp{db: db, argv: argv, cmd: cmd, shard: n.replicaShardOf(cmd, argv)})
 	n.drainApply()

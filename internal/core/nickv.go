@@ -73,6 +73,11 @@ type NicKV struct {
 	masterProbeAt sim.Time
 	promotedID    string
 
+	// frame is the scratch buffer the single-threaded fan-out builds each
+	// stream frame in (Send copies, so every slave is sent the same bytes
+	// and the next fan-out overwrites them).
+	frame []byte
+
 	// gates is the FIFO of reply gates the master posted (quorum/all writes).
 	// Empty in async deployments, so the legacy fan-out path is untouched.
 	gates []nicGate
@@ -545,9 +550,7 @@ func (n *NicKV) fanOut(off int64, cmd []byte, cmds int) {
 	if len(n.gates) > 0 {
 		tag = msgCmdStreamAck
 	}
-	frame := []byte{tag}
-	frame = appendU64(frame, uint64(off))
-	frame = append(frame, cmd...)
+	frame := n.streamFrame(tag, off, cmd)
 	n.eachValidSlave(func(nd *nodeEntry) {
 		if nd.conn == nil {
 			return
@@ -569,6 +572,18 @@ func (n *NicKV) fanOut(off int64, cmd []byte, cmds int) {
 	// chunk that just replicated is scanned for tracked keys. No-op (not
 	// even a parse) unless the interest table is occupied.
 	n.pushTrackInvalidations(cmd)
+}
+
+// streamFrame builds one fan-out's frame. Single-threaded, every send
+// happens (and copies) before fanOut returns, so the frame is the NIC's
+// scratch buffer; with replication threads the sends are posted to other
+// cores and run later, so they share one exactly sized frame of their own.
+func (n *NicKV) streamFrame(tag byte, off int64, cmd []byte) []byte {
+	if len(n.threads) > 0 {
+		return appendStream(make([]byte, 0, streamHeaderLen+len(cmd)), tag, off, cmd)
+	}
+	n.frame = appendStream(n.frame[:0], tag, off, cmd)
+	return n.frame
 }
 
 // probeTick fires every ProbePeriod on the NIC: check for overdue replies

@@ -249,8 +249,23 @@ func (a *SlaveAgent) onStream(off int64, cmd []byte) {
 	}
 	// §III-C: "Every time the slave node receives a new command, it executes
 	// the command immediately."
-	a.applier.Feed(cmd[a.offset-off:])
+	if a.applier.Feed(cmd[a.offset-off:]) != nil {
+		a.streamUndecodable()
+		return
+	}
 	a.offset = off + int64(len(cmd))
+}
+
+// streamUndecodable handles a chunk the applier refused: the offset stays
+// where it was (reporting progress past bytes nobody executed would let
+// Nic-KV release a quorum gate on them), and since a RESP stream cannot be
+// re-entered mid-way the slave forgets the stream it was following and asks
+// for a full synchronization, decoding what follows it from a clean buffer.
+func (a *SlaveAgent) streamUndecodable() {
+	a.Srv.Metrics().Counter(replstream.ProtocolErrorsMetric).Inc()
+	a.applier.Reset()
+	a.masterReplID = ""
+	a.Resync()
 }
 
 // onPayload handles the initial-sync payload from the master (§III-C step
@@ -294,7 +309,10 @@ func (a *SlaveAgent) onPayload(data []byte) {
 		} else {
 			a.offset = start
 		}
-		a.applier.Feed(body)
+		if a.applier.Feed(body) != nil {
+			a.streamUndecodable()
+			return
+		}
 		a.offset += int64(len(body))
 		a.enterSteadyState()
 	}

@@ -47,9 +47,15 @@ func New(seed int64) *Dict {
 	return &Dict{rehashidx: -1, rnd: rand.New(rand.NewSource(seed))}
 }
 
+// keyForm is a lookup key in either form it arrives in: a string, or the
+// bytes of a command argument. Comparing an entry's key with string(bytes) does
+// not allocate, so a lookup by bytes costs nothing whatever the key's
+// length; the bytes are copied only when an entry is created for them.
+type keyForm interface{ string | []byte }
+
 // fnv1a64 is the key hash (Redis uses siphash; FNV keeps us dependency-free
 // and deterministic).
-func fnv1a64(s string) uint64 {
+func fnv1a64[K keyForm](s K) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -149,81 +155,67 @@ func (d *Dict) stepOnAccess() {
 	}
 }
 
-// Set inserts or replaces a key. Returns true if the key was newly created.
-func (d *Dict) Set(key string, val any) bool {
-	d.stepOnAccess()
-	d.expandIfNeeded()
-	h := fnv1a64(key)
-	// Replace in place if present (either table during rehash).
-	tables := 1
-	if d.Rehashing() {
-		tables = 2
-	}
-	for i := 0; i < tables; i++ {
+// find returns k's entry (hash h) in either table, or nil. It takes no
+// rehash step: the exported operations step first.
+func find[K keyForm](d *Dict, k K, h uint64) *entry {
+	for i := range d.ht {
 		if len(d.ht[i].buckets) == 0 {
 			continue
 		}
 		for e := d.ht[i].buckets[h&d.ht[i].mask()]; e != nil; e = e.next {
-			if e.key == key {
-				e.val = val
-				return false
+			if e.key == string(k) {
+				return e
 			}
 		}
 	}
-	// Insert into ht[1] if rehashing, else ht[0].
+	return nil
+}
+
+// slot is the body of Set and Slot: one rehash step, the growth check, then
+// k's entry, created (in ht[1] while rehashing) when absent.
+func slot[K keyForm](d *Dict, k K) (val *any, created bool) {
+	d.stepOnAccess()
+	d.expandIfNeeded()
+	h := fnv1a64(k)
+	if e := find(d, k, h); e != nil {
+		return &e.val, false
+	}
 	ti := 0
 	if d.Rehashing() {
 		ti = 1
 	}
 	idx := h & d.ht[ti].mask()
-	d.ht[ti].buckets[idx] = &entry{key: key, val: val, next: d.ht[ti].buckets[idx]}
+	e := &entry{key: string(k), next: d.ht[ti].buckets[idx]}
+	d.ht[ti].buckets[idx] = e
 	d.ht[ti].used++
-	return true
+	return &e.val, true
 }
 
-// Get fetches a key's value; ok is false when absent.
-func (d *Dict) Get(key string) (any, bool) {
+func get[K keyForm](d *Dict, k K) (any, bool) {
 	if d.Len() == 0 {
 		return nil, false
 	}
 	d.stepOnAccess()
-	h := fnv1a64(key)
-	tables := 1
-	if d.Rehashing() {
-		tables = 2
-	}
-	for i := 0; i < tables; i++ {
-		if len(d.ht[i].buckets) == 0 {
-			continue
-		}
-		for e := d.ht[i].buckets[h&d.ht[i].mask()]; e != nil; e = e.next {
-			if e.key == key {
-				return e.val, true
-			}
-		}
+	if e := find(d, k, fnv1a64(k)); e != nil {
+		return e.val, true
 	}
 	return nil, false
 }
 
-// Delete removes a key, reporting whether it was present.
-func (d *Dict) Delete(key string) bool {
+func remove[K keyForm](d *Dict, k K) bool {
 	if d.Len() == 0 {
 		return false
 	}
 	d.stepOnAccess()
-	h := fnv1a64(key)
-	tables := 1
-	if d.Rehashing() {
-		tables = 2
-	}
-	for i := 0; i < tables; i++ {
+	h := fnv1a64(k)
+	for i := range d.ht {
 		if len(d.ht[i].buckets) == 0 {
 			continue
 		}
 		idx := h & d.ht[i].mask()
 		var prev *entry
 		for e := d.ht[i].buckets[idx]; e != nil; e = e.next {
-			if e.key == key {
+			if e.key == string(k) {
 				if prev == nil {
 					d.ht[i].buckets[idx] = e.next
 				} else {
@@ -237,6 +229,32 @@ func (d *Dict) Delete(key string) bool {
 	}
 	return false
 }
+
+// Set inserts or replaces a key. Returns true if the key was newly created.
+func (d *Dict) Set(key string, val any) bool {
+	v, created := slot(d, key)
+	*v = val
+	return created
+}
+
+// Slot is Set without the value, for a key held as bytes: it takes the
+// rehash step and growth check a Set takes, finds or creates the key's
+// entry, and returns where its value lives, so the caller can rewrite what
+// is there instead of replacing it. A created entry holds nil and a copy of
+// key. The pointer is valid until the key is deleted.
+func (d *Dict) Slot(key []byte) (val *any, created bool) { return slot(d, key) }
+
+// Get fetches a key's value; ok is false when absent.
+func (d *Dict) Get(key string) (any, bool) { return get(d, key) }
+
+// GetBytes is Get for a key held as bytes.
+func (d *Dict) GetBytes(key []byte) (any, bool) { return get(d, key) }
+
+// Delete removes a key, reporting whether it was present.
+func (d *Dict) Delete(key string) bool { return remove(d, key) }
+
+// DeleteBytes is Delete for a key held as bytes.
+func (d *Dict) DeleteBytes(key []byte) bool { return remove(d, key) }
 
 // RandomKey returns a uniformly-ish random key like dictGetRandomKey
 // (random bucket, then random chain position). ok is false when empty.

@@ -2,6 +2,7 @@ package dict
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -163,44 +164,65 @@ func TestKeysLength(t *testing.T) {
 }
 
 // Property: a Dict behaves exactly like map[string]int under an arbitrary
-// operation sequence (model-based check).
+// operation sequence (model-based check), whether a key arrives as a string
+// or as bytes — and a second Dict fed the same sequence through the other
+// form stays in lockstep with it: same rehash progress, same bucket counts,
+// same RandomKey draws, same iteration order.
 func TestDictMatchesMapModel(t *testing.T) {
 	type op struct {
-		Kind uint8
-		Key  uint8
-		Val  int
+		Kind  uint8
+		Key   uint8
+		Val   int
+		Bytes bool
 	}
 	f := func(ops []op) bool {
-		d := New(7)
+		d, twin := New(7), New(7)
 		m := map[string]int{}
 		for _, o := range ops {
 			key := fmt.Sprintf("k%d", o.Key%64)
 			switch o.Kind % 3 {
 			case 0:
 				_, inMap := m[key]
-				created := d.Set(key, o.Val)
+				var created bool
+				if o.Bytes {
+					var v *any
+					v, created = d.Slot([]byte(key))
+					*v = o.Val
+					twin.Set(key, o.Val)
+				} else {
+					created = d.Set(key, o.Val)
+					v, _ := twin.Slot([]byte(key))
+					*v = o.Val
+				}
 				if created == inMap {
 					return false
 				}
 				m[key] = o.Val
 			case 1:
 				v, ok := d.Get(key)
+				tv, tok := twin.GetBytes([]byte(key))
 				mv, mok := m[key]
-				if ok != mok || (ok && v.(int) != mv) {
+				if ok != mok || tok != mok || (ok && (v.(int) != mv || tv.(int) != mv)) {
 					return false
 				}
 			case 2:
 				_, inMap := m[key]
-				if d.Delete(key) != inMap {
+				if d.Delete(key) != inMap || twin.DeleteBytes([]byte(key)) != inMap {
 					return false
 				}
 				delete(m, key)
 			}
-			if d.Len() != len(m) {
+			if d.Len() != len(m) || twin.Len() != len(m) ||
+				d.Rehashing() != twin.Rehashing() || d.BucketCount() != twin.BucketCount() {
 				return false
 			}
+			if k, ok := d.RandomKey(); ok {
+				if tk, _ := twin.RandomKey(); tk != k {
+					return false
+				}
+			}
 		}
-		return true
+		return fmt.Sprint(d.Keys()) == fmt.Sprint(twin.Keys())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -218,5 +240,38 @@ func TestBucketGrowthPolicy(t *testing.T) {
 	}
 	if d.BucketCount() < 1000 {
 		t.Fatalf("buckets = %d after 1000 inserts; growth policy broken", d.BucketCount())
+	}
+}
+
+// TestBytesLookupsDoNotAllocate: a key held as bytes is hashed and compared
+// where it lies, whatever its length — only creating an entry copies it.
+func TestBytesLookupsDoNotAllocate(t *testing.T) {
+	d := New(1)
+	long := []byte(strings.Repeat("k", 200))
+	other := []byte(strings.Repeat("j", 200))
+	d.Set(string(long), 1)
+	for i := 0; i < 100; i++ {
+		d.Set(fmt.Sprintf("filler%d", i), i)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if v, created := d.Slot(long); created || (*v).(int) != 1 {
+			t.Fatal("Slot lost the key")
+		}
+		if _, ok := d.GetBytes(long); !ok {
+			t.Fatal("GetBytes lost the key")
+		}
+		if _, ok := d.GetBytes(other); ok || d.DeleteBytes(other) {
+			t.Fatal("found a key that was never set")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("lookups by bytes allocated %.1f times, want 0", allocs)
+	}
+	if v, created := d.Slot(other); !created || *v != nil {
+		t.Fatal("Slot on a missing key must create an empty entry")
+	}
+	other[0] = 'x' // the entry owns a copy of its key
+	if _, ok := d.Get(strings.Repeat("j", 200)); !ok {
+		t.Fatal("the created entry aliases the caller's key bytes")
 	}
 }

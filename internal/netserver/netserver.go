@@ -221,6 +221,7 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 
 	var reader resp.Reader
+	var argv [][]byte // borrowed from reader: each command executes before the next is read
 	buf := make([]byte, 16<<10)
 	out := bufio.NewWriter(conn)
 	db := 0
@@ -229,7 +230,9 @@ func (s *Server) handle(conn net.Conn) {
 		if n > 0 {
 			reader.Feed(buf[:n])
 			for {
-				argv, complete, perr := reader.ReadCommand()
+				var complete bool
+				var perr error
+				argv, complete, perr = reader.BorrowCommand(argv) // argv keeps its capacity even when nothing is complete
 				if perr != nil {
 					out.Write(resp.AppendError(nil, "ERR Protocol error"))
 					out.Flush()

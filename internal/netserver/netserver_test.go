@@ -1,9 +1,11 @@
 package netserver
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -49,19 +51,29 @@ func (c *testClient) do(argv ...string) resp.Value {
 	if _, err := c.conn.Write(resp.EncodeCommand(argv...)); err != nil {
 		c.t.Fatal(err)
 	}
+	v, err := c.next()
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return v
+}
+
+// next reads one reply; unlike do it reports failure instead of ending the
+// test, so goroutines other than the test's own can use it.
+func (c *testClient) next() (resp.Value, error) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		v, ok, err := c.reader.ReadValue()
 		if err != nil {
-			c.t.Fatalf("protocol error: %v", err)
+			return v, fmt.Errorf("protocol error: %w", err)
 		}
 		if ok {
-			return v
+			return v, nil
 		}
 		c.conn.SetReadDeadline(deadline)
 		n, err := c.conn.Read(c.buf)
 		if err != nil {
-			c.t.Fatalf("read: %v", err)
+			return v, fmt.Errorf("read: %w", err)
 		}
 		c.reader.Feed(c.buf[:n])
 	}
@@ -138,6 +150,94 @@ func TestConcurrentClients(t *testing.T) {
 	if s.Served < workers*perWorker {
 		t.Fatalf("served %d < %d", s.Served, workers*perWorker)
 	}
+}
+
+// wholeValue reports whether v is something the writers of
+// TestOverlappingWritersNeverTearValues could have stored: one SET payload —
+// a single letter repeated 16, 40 or 64 times — followed by any number of
+// APPEND payloads, each a single digit repeated 8 times. A value caught
+// half-rewritten mixes two letters in the first run or breaks a run short.
+func wholeValue(v []byte) bool {
+	run := func(b []byte) int {
+		n := 1
+		for n < len(b) && b[n] == b[0] {
+			n++
+		}
+		return n
+	}
+	if len(v) == 0 || v[0] < 'a' || v[0] > 'z' {
+		return false
+	}
+	n := run(v)
+	if n != 16 && n != 40 && n != 64 {
+		return false
+	}
+	for v = v[n:]; len(v) > 0; v = v[8:] {
+		// Two appends of the same digit make one 16-byte run: check 8 at a time.
+		if v[0] < '0' || v[0] > '9' || len(v) < 8 || run(v[:8]) != 8 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestOverlappingWritersNeverTearValues: values are rewritten in place and
+// each handler's argv aliases its own read buffer, all of it under the store
+// mutex — so with eight connections pipelining SET, APPEND and GET over four
+// keys, every GET must return a value some connection wrote whole, and the
+// race detector must stay quiet.
+func TestOverlappingWritersNeverTearValues(t *testing.T) {
+	a16 := strings.Repeat("a", 16)
+	for v, want := range map[string]bool{
+		a16: true, a16 + "11111111": true, a16 + "1111111122222222": true,
+		a16[:8] + "bbbbbbbb": false, a16 + "1111": false, a16 + "11112222": false, "": false,
+	} {
+		if wholeValue([]byte(v)) != want {
+			t.Fatalf("wholeValue(%q) = %t", v, !want)
+		}
+	}
+	_, addr := startServer(t, Options{Seed: 9})
+	const workers, rounds = 8, 300
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			c := &testClient{conn: conn, buf: make([]byte, 4096), t: t}
+			for i := 0; i < rounds; i++ {
+				key := fmt.Sprintf("shared:%d", (w+i)%4)
+				value := strings.Repeat(string(rune('a'+(w*7+i)%26)), []int{16, 40, 64}[(w+i)%3])
+				tail := strings.Repeat(string(rune('0'+(w+i)%10)), 8)
+				var batch []byte
+				batch = append(batch, resp.EncodeCommand("SET", key, value)...)
+				batch = append(batch, resp.EncodeCommand("APPEND", key, tail)...)
+				batch = append(batch, resp.EncodeCommand("GET", key)...)
+				if _, err := conn.Write(batch); err != nil {
+					t.Error(err)
+					return
+				}
+				for r := 0; r < 3; r++ {
+					v, err := c.next()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if r == 2 && (v.Type != resp.TypeBulk || !wholeValue(v.Str)) {
+						t.Errorf("worker %d round %d: GET %s = %q, not a value anyone wrote", w, i, key, v.Str)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestPersistenceAcrossRestart(t *testing.T) {

@@ -112,19 +112,35 @@ func NewStringFromInt(n int64) *Object {
 	return &Object{Type: TString, Enc: EncInt, Val: n}
 }
 
+// parseStrictInt accepts exactly the canonical decimal form of an int64 —
+// what strconv.FormatInt prints: no "+", no leading zeros, no "-0" — and
+// allocates nothing whether or not b is one (every string write asks).
 func parseStrictInt(b []byte) (int64, bool) {
-	if len(b) == 0 || len(b) > 20 {
+	digits := b
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		digits = b[1:]
+	}
+	if len(digits) == 0 || len(digits) > 19 || (digits[0] == '0' && (neg || len(digits) > 1)) {
 		return 0, false
 	}
-	n, err := strconv.ParseInt(string(b), 10, 64)
-	if err != nil {
+	var n uint64 // 19 digits stay below 1e19 < 2^64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	if neg {
+		if n > 1<<63 {
+			return 0, false
+		}
+		return -int64(n), true // n == 1<<63 wraps to math.MinInt64, as it should
+	}
+	if n > 1<<63-1 {
 		return 0, false
 	}
-	// Round-trip check rejects "+1", "007", "-0" etc.
-	if strconv.FormatInt(n, 10) != string(b) {
-		return 0, false
-	}
-	return n, true
+	return int64(n), true
 }
 
 // StringBytes materializes the string payload.
@@ -151,6 +167,22 @@ func (o *Object) IntValue() (int64, bool) {
 		return o.Val.(int64), true
 	}
 	return parseStrictInt(o.Val.(*sds.SDS).Bytes())
+}
+
+// Overwrite replaces a raw-encoded string's bytes in place, in the buffer it
+// already has when b fits, and reports whether it did. It refuses — leaving
+// o untouched, for the caller to install NewString(b) instead — unless o is a
+// raw string and b is one too (an integer payload takes the int encoding).
+// Bytes handed out by StringBytes before the call now read as b.
+func (o *Object) Overwrite(b []byte) bool {
+	if o.Type != TString || o.Enc != EncRaw {
+		return false
+	}
+	if _, isInt := parseStrictInt(b); isInt {
+		return false
+	}
+	o.Val.(*sds.SDS).Set(b)
+	return true
 }
 
 // SetInt rewrites a string object in place with an integer payload.

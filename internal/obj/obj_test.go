@@ -3,6 +3,7 @@ package obj
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -34,6 +35,65 @@ func TestStringRawEncoding(t *testing.T) {
 		if string(o.StringBytes()) != s {
 			t.Errorf("%q round trip failed", s)
 		}
+	}
+}
+
+// TestParseStrictIntMatchesFormatRoundTrip: the hand-rolled canonical-integer
+// check agrees with its definition — ParseInt succeeds and FormatInt prints
+// the same bytes back — on the edges and on random digit strings, and costs
+// no allocation on either answer.
+func TestParseStrictIntMatchesFormatRoundTrip(t *testing.T) {
+	ref := func(b []byte) (int64, bool) {
+		n, err := strconv.ParseInt(string(b), 10, 64)
+		if err != nil || len(b) > 20 || strconv.FormatInt(n, 10) != string(b) {
+			return 0, false
+		}
+		return n, true
+	}
+	cases := []string{
+		"", "-", "+", "0", "-0", "+0", "00", "01", "-01", "1", "-1", "+1", "10", "1_0", "1e3", "0x10", " 1", "1 ", "12a",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+		"99999999999999999999", "-9999999999999999999", "18446744073709551616", "000000000000000000001",
+		"hello", "3.14", "١٢٣",
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 20_000; i++ {
+		b := make([]byte, r.Intn(22))
+		for j := range b {
+			b[j] = "0123456789-+ a"[r.Intn(10+r.Intn(5))]
+		}
+		cases = append(cases, string(b))
+	}
+	for _, c := range cases {
+		got, ok := parseStrictInt([]byte(c))
+		want, wantOK := ref([]byte(c))
+		if ok != wantOK || got != want {
+			t.Fatalf("parseStrictInt(%q) = %d, %t; the round trip says %d, %t", c, got, ok, want, wantOK)
+		}
+	}
+	raw, num := []byte("not-a-number"), []byte("-1234567890")
+	if n := testing.AllocsPerRun(100, func() { parseStrictInt(raw); parseStrictInt(num) }); n != 0 {
+		t.Fatalf("parseStrictInt allocated %.1f times, want 0", n)
+	}
+}
+
+func TestOverwriteOnlyRawWithRaw(t *testing.T) {
+	o := NewString([]byte("a raw value"))
+	sd := o.Val
+	if !o.Overwrite([]byte("another")) || o.Val != sd || o.Enc != EncRaw || string(o.StringBytes()) != "another" {
+		t.Fatalf("raw over raw: enc=%v val=%q, want the same sds rewritten", o.Enc, o.StringBytes())
+	}
+	if !o.Overwrite([]byte("007")) || string(o.StringBytes()) != "007" {
+		t.Fatal("digits that are not a canonical integer are a raw string")
+	}
+	if o.Overwrite([]byte("42")) || string(o.StringBytes()) != "007" {
+		t.Fatal("an integer payload belongs in the int encoding: Overwrite must refuse and leave the value alone")
+	}
+	if n := NewString([]byte("42")); n.Overwrite([]byte("raw")) || n.Enc != EncInt {
+		t.Fatal("an int-encoded holder has no buffer to rewrite")
+	}
+	if l := NewList(); l.Overwrite([]byte("raw")) || l.Type != TList {
+		t.Fatal("a list is not a string")
 	}
 }
 

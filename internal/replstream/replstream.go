@@ -137,26 +137,29 @@ func (w *Writer) Pending() int { return len(w.pending) }
 // Append enters one write command issued against database db into the
 // stream: a SELECT is injected when the stream context differs, both are
 // appended to the backlog immediately (offsets advance now, flushing only
-// defers the downstream send).
-// Append enters one command into the stream (injecting a SELECT when the
-// db context changes) and returns the backlog end offset after the write —
-// the offset a replica must ack before this write counts as replicated.
+// defers the downstream send). It returns the backlog end offset after the
+// write — the offset a replica must ack before this write counts as
+// replicated. argv is encoded before Append returns and not kept.
 func (w *Writer) Append(db int, argv [][]byte) int64 {
 	if db != w.db {
 		w.db = db
-		w.add(resp.EncodeCommand("SELECT", strconv.Itoa(db)))
+		w.add([][]byte{[]byte("SELECT"), strconv.AppendInt(nil, int64(db), 10)})
 	}
-	w.add(resp.EncodeCommandBytes(argv...))
+	w.add(argv)
 	return w.cfg.Backlog.EndOffset()
 }
 
-func (w *Writer) add(cmd []byte) {
+// add encodes one command straight onto the pending batch; the backlog takes
+// its copy from there.
+func (w *Writer) add(argv [][]byte) {
 	start := w.cfg.Backlog.EndOffset()
+	at := len(w.pending)
+	w.pending = resp.AppendCommand(w.pending, argv)
+	cmd := w.pending[at:]
 	w.cfg.Backlog.Write(cmd)
 	if w.pendingCmds == 0 {
 		w.pendingStart = start
 	}
-	w.pending = append(w.pending, cmd...)
 	w.pendingCmds++
 	w.CmdsAppended++
 	w.mCmds.Inc()
@@ -181,8 +184,10 @@ func (w *Writer) flush(reason flushReason) {
 		return
 	}
 	b := Batch{Start: w.pendingStart, Data: w.pending, Cmds: w.pendingCmds}
-	// The batch's Data escapes into transport sends; start a fresh buffer.
-	w.pending = nil
+	// The batch's Data is the flush callback's to keep, so the buffer is
+	// handed off, never recycled; the next one starts at this batch's size —
+	// the best guess at the next batch's — so it is allocated once.
+	w.pending = make([]byte, 0, len(b.Data))
 	w.pendingCmds = 0
 	w.BatchesFlushed++
 	switch reason {
@@ -209,19 +214,30 @@ func (w *Writer) scheduleFlush() {
 	})
 }
 
+// ProtocolErrorsMetric is the counter a stream consumer bumps, in its node's
+// registry, each time Applier.Feed refuses a chunk. It is created on the
+// first error, so a healthy node's snapshot does not list it.
+const ProtocolErrorsMetric = "repl.apply.protocol_errors"
+
 // Applier is the consume side: feed it replication stream bytes in offset
 // order and it decodes commands, maintains the SELECT context, and invokes
 // apply for every data command. SELECTs are consumed internally.
 type Applier struct {
 	reader resp.Reader
+	argv   [][]byte // the one argv header every decoded command reuses
 	db     int
 	apply  func(db int, argv [][]byte)
+	err    error
 
 	// Applied counts data commands handed to the apply callback.
 	Applied uint64
 }
 
 // NewApplier creates an Applier invoking apply per decoded data command.
+// The argv apply receives is borrowed: it aliases the Applier's buffer and
+// is valid only until apply returns, so a sink that queues a command for
+// later copies it first (a sink that executes it on the spot — store.Exec
+// copies what it keeps — needs nothing).
 func NewApplier(apply func(db int, argv [][]byte)) *Applier {
 	return &Applier{apply: apply}
 }
@@ -230,15 +246,24 @@ func NewApplier(apply func(db int, argv [][]byte)) *Applier {
 func (a *Applier) DB() int { return a.db }
 
 // Feed decodes every complete command in data (plus any bytes buffered from
-// earlier partial feeds). Incomplete trailing bytes stay buffered; a
-// protocol error stops decoding.
-func (a *Applier) Feed(data []byte) {
+// earlier partial feeds) and applies it. Incomplete trailing bytes stay
+// buffered. A protocol error stops decoding for good: the stream has no
+// resynchronization point, so this and every later Feed return the error
+// having consumed nothing more, and the consumer must not count the bytes
+// as replicated — it restarts synchronization and calls Reset (or builds a
+// new Applier) to decode what the new synchronization delivers.
+func (a *Applier) Feed(data []byte) error {
+	if a.err != nil {
+		return a.err
+	}
 	a.reader.Feed(data)
 	for {
-		argv, ok, err := a.reader.ReadCommand()
-		if err != nil || !ok {
-			return
+		var ok bool
+		a.argv, ok, a.err = a.reader.BorrowCommand(a.argv)
+		if a.err != nil || !ok {
+			return a.err
 		}
+		argv := a.argv
 		if len(argv) == 2 && resp.IsWord(argv[0], "select") {
 			if n, convErr := strconv.Atoi(string(argv[1])); convErr == nil {
 				a.db = n
@@ -248,4 +273,11 @@ func (a *Applier) Feed(data []byte) {
 		a.Applied++
 		a.apply(a.db, argv)
 	}
+}
+
+// Reset forgets the buffered bytes and the error a failed Feed left behind;
+// the SELECT context stays, being the last one the stream was known to be in.
+func (a *Applier) Reset() {
+	a.reader = resp.Reader{}
+	a.err = nil
 }

@@ -2,6 +2,7 @@ package replstream
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestBudgetFlush(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c := [][]byte{[]byte("SET"), []byte(fmt.Sprintf("k%d", i)), []byte("v")}
 		h.w.Append(0, c)
-		want = append(want, resp.EncodeCommandBytes(c...)...)
+		want = resp.AppendCommand(want, c)
 	}
 	if len(h.flushed) != 1 {
 		t.Fatalf("flushes = %d, want 1", len(h.flushed))
@@ -281,4 +282,126 @@ func TestWriterApplierRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestApplierErrorIsSticky: an undecodable chunk stops the Applier for good —
+// the same error again on every later Feed, nothing more buffered or applied —
+// until Reset, after which a fresh synchronization decodes normally.
+func TestApplierErrorIsSticky(t *testing.T) {
+	applied := 0
+	a := NewApplier(func(int, [][]byte) { applied++ })
+	if err := a.Feed(cmd("SET", "a", "1")); err != nil || applied != 1 {
+		t.Fatalf("healthy feed: err=%v applied=%d", err, applied)
+	}
+	err := a.Feed([]byte("*1\r\n$x\r\n"))
+	if !errors.Is(err, resp.ErrProtocol) {
+		t.Fatalf("bad bulk length: err=%v, want ErrProtocol", err)
+	}
+	for i := 0; i < 3; i++ {
+		if again := a.Feed(cmd("SET", "b", "2")); again != err {
+			t.Fatalf("feed %d after the error: %v, want the same error", i, again)
+		}
+	}
+	if applied != 1 || a.Applied != 1 {
+		t.Fatalf("applied %d commands past an undecodable chunk", applied-1)
+	}
+	if buffered := a.reader.Buffered(); buffered != len("*1\r\n$x\r\n") {
+		t.Fatalf("a failed Applier kept buffering: %d bytes held", buffered)
+	}
+	a.Reset()
+	if err := a.Feed(cmd("SET", "c", "3")); err != nil || applied != 2 {
+		t.Fatalf("after Reset: err=%v applied=%d", err, applied)
+	}
+}
+
+// TestStreamAllocations pins the steady-state cost of both ends: the Applier
+// decodes a batch of SETs where it was fed, into the one argv it keeps, and
+// allocates nothing; the Writer encodes straight into the batch it is
+// building and allocates one buffer per flushed batch — the next one, sized
+// like the last — because the flushed one now belongs to the flush callback.
+func TestStreamAllocations(t *testing.T) {
+	set := [][]byte{[]byte("SET"), []byte("key:0000012345"), bytes.Repeat([]byte("v"), 64)}
+	batch := bytes.Repeat(resp.AppendCommand(nil, set), 8)
+	sink := 0
+	a := NewApplier(func(_ int, argv [][]byte) { sink += len(argv[2]) })
+	a.Feed(batch)
+	if n := testing.AllocsPerRun(200, func() { a.Feed(batch) }); n != 0 {
+		t.Errorf("Applier.Feed of an 8-SET batch allocated %.1f times, want 0", n)
+	}
+	for _, maxCmds := range []int{1, 8} {
+		flushes := 0
+		w := NewWriter(WriterConfig{Backlog: backlog.New(1 << 20), MaxCmds: maxCmds, Flush: func(Batch) { flushes++ }})
+		for i := 0; i < maxCmds; i++ {
+			w.Append(0, set)
+		}
+		flushes = 0
+		n := testing.AllocsPerRun(200, func() {
+			for i := 0; i < maxCmds; i++ {
+				w.Append(0, set)
+			}
+		})
+		if flushes != 201 || n > 1 {
+			t.Errorf("MaxCmds=%d: %.1f allocations per flushed batch over %d flushes, want <= 1", maxCmds, n, flushes)
+		}
+	}
+}
+
+// FuzzApplierFeed: whatever bytes arrive in whatever chunks, Feed never
+// panics, hands on exactly the data commands a plain decode of the same bytes
+// finds before its first error, and once it has failed stays failed.
+func FuzzApplierFeed(f *testing.F) {
+	for _, in := range [][]byte{
+		cmd("SET", "k", "v"),
+		append(cmd("SELECT", "3"), cmd("SET", "k", "v")...),
+		append(cmd("SET", "k", "v"), "*1\r\n$x\r\n"...),
+		[]byte("PING\r\n\r\nSET key val\r\n"),
+		[]byte("*2\r\n$6\r\nSELECT\r\n$1\r\nx\r\n*1\r\n$4\r\nPING\r\n"),
+		[]byte("*1\r\n:5\r\n*1\r\n$4\r\nPING\r\n"),
+		[]byte("*-1\r\n"), []byte("*0\r\n"), []byte("*1048577\r\n"), []byte("*1\r\n$9223372036854775807\r\n"),
+		[]byte("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$5\r\nwor"),
+	} {
+		f.Add(in, []byte(nil))
+		f.Add(in, []byte{1})
+		f.Add(in, []byte{5, 2, 9})
+	}
+	f.Fuzz(func(t *testing.T, data, splits []byte) {
+		// The oracle: a copying decode of the whole input.
+		var want uint64
+		var r resp.Reader
+		r.Feed(data)
+		for {
+			argv, ok, err := r.ReadCommand()
+			if err != nil || !ok {
+				break
+			}
+			if !(len(argv) == 2 && resp.IsWord(argv[0], "select")) {
+				want++
+			}
+		}
+
+		a := NewApplier(func(_ int, argv [][]byte) {
+			if len(argv) == 0 {
+				t.Fatal("applied an empty command")
+			}
+		})
+		var failed error
+		for i, rest := 0, data; len(rest) > 0; i++ {
+			n := len(rest)
+			if len(splits) > 0 {
+				n = min(max(int(splits[i%len(splits)]), 1), n)
+			}
+			err := a.Feed(rest[:n])
+			rest = rest[n:]
+			if failed != nil && err != failed {
+				t.Fatalf("Feed returned %v after failing with %v", err, failed)
+			}
+			if err != nil && !errors.Is(err, resp.ErrProtocol) {
+				t.Fatalf("Feed failed with %v, want a protocol error", err)
+			}
+			failed = err
+		}
+		if a.Applied != want {
+			t.Fatalf("Applied = %d, a plain decode finds %d data commands", a.Applied, want)
+		}
+	})
 }

@@ -249,6 +249,86 @@ func FuzzReadCommand(f *testing.F) {
 	})
 }
 
+// borrowingReader decodes commands with BorrowCommand and hands each out as a
+// copy taken before the next read, which is all a borrower is promised; it
+// then scribbles over the bytes it was lent, which it may, and which shows
+// up as a divergence if the Reader ever looks at consumed bytes again.
+type borrowingReader struct {
+	Reader
+	argv [][]byte
+}
+
+func (r *borrowingReader) ReadCommand() ([][]byte, bool, error) {
+	argv, ok, err := r.BorrowCommand(r.argv)
+	r.argv = argv
+	if !ok || err != nil {
+		if len(argv) != 0 {
+			panic("BorrowCommand returned arguments without a command")
+		}
+		return nil, ok, err
+	}
+	out := make([][]byte, len(argv))
+	for i, a := range argv {
+		out[i] = append([]byte{}, a...)
+		for j := range a {
+			a[j] = '*'
+		}
+	}
+	return out, true, nil
+}
+
+// FuzzBorrowCommand: the borrowing read and the copying read are one decoder
+// — same commands, same errors, same bytes left over — on any input, cut into
+// any chunks.
+func FuzzBorrowCommand(f *testing.F) {
+	addSeeds(f)
+	f.Fuzz(func(t *testing.T, data, splits []byte) {
+		copied := decodeCommands(t, &Reader{}, data, splits)
+		if d := copied.diff(decodeCommands(t, &borrowingReader{}, data, splits)); d != "" {
+			t.Fatalf("ReadCommand vs BorrowCommand, splits %v: %s", splits, d)
+		}
+	})
+}
+
+// TestBorrowCommandAllocations: with the previous argv handed back in, a
+// borrowing read allocates nothing — the arguments stay where they were fed.
+func TestBorrowCommandAllocations(t *testing.T) {
+	cmd := EncodeCommand("SET", "key:0000012345", "some-reasonably-sized-value-payload")
+	var r Reader
+	var argv [][]byte
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Feed(cmd)
+		var ok bool
+		var err error
+		if argv, ok, err = r.BorrowCommand(argv); !ok || err != nil || len(argv) != 3 || string(argv[1]) != "key:0000012345" {
+			t.Fatalf("parse failed: %q %v %v", argv, ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("BorrowCommand allocated %.1f times per command, want 0", allocs)
+	}
+}
+
+// TestBorrowedArgvLifetime: a borrowed argv survives a Feed, dies at the next
+// read, and cannot be appended to past its own argument.
+func TestBorrowedArgvLifetime(t *testing.T) {
+	var r Reader
+	r.Feed([]byte("*2\r\n$3\r\nGET\r\n$1\r\nk\r\n*2\r\n$3\r\nGET\r\n$1\r\nj\r\n"))
+	first, ok, err := r.BorrowCommand(nil)
+	if !ok || err != nil {
+		t.Fatal(ok, err)
+	}
+	r.Feed(bytes.Repeat([]byte("x"), 8192))
+	_ = append(first[0], "!!!"...)
+	if got := fmt.Sprintf("%q", first); got != `["GET" "k"]` {
+		t.Fatalf("borrowed argv changed before the next read: %s", got)
+	}
+	second, ok, err := r.BorrowCommand(first)
+	if !ok || err != nil || fmt.Sprintf("%q", second) != `["GET" "j"]` {
+		t.Fatalf("second command: %q %v %v", second, ok, err)
+	}
+}
+
 type valOutcome struct {
 	vals     []Value
 	failed   bool

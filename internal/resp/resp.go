@@ -162,7 +162,7 @@ func AppendInvalidatePush(dst []byte, key []byte) []byte {
 func EncodeCommand(argv ...string) []byte {
 	size := headerSize(len(argv))
 	for _, a := range argv {
-		size += headerSize(len(a)) + len(a) + 2
+		size += BulkSize(len(a))
 	}
 	dst := AppendArrayHeader(make([]byte, 0, size), len(argv))
 	for _, a := range argv {
@@ -173,16 +173,31 @@ func EncodeCommand(argv ...string) []byte {
 
 // EncodeCommandBytes is EncodeCommand for byte-slice arguments.
 func EncodeCommandBytes(argv ...[]byte) []byte {
-	size := headerSize(len(argv))
-	for _, a := range argv {
-		size += headerSize(len(a)) + len(a) + 2
-	}
-	dst := AppendArrayHeader(make([]byte, 0, size), len(argv))
+	return AppendCommand(make([]byte, 0, CommandSize(argv)), argv)
+}
+
+// AppendCommand appends argv's wire encoding to dst: what a producer that
+// owns a buffer (a replication batch, a pipelined request) uses instead of
+// encoding into a temporary and copying it over.
+func AppendCommand(dst []byte, argv [][]byte) []byte {
+	dst = AppendArrayHeader(dst, len(argv))
 	for _, a := range argv {
 		dst = AppendBulk(dst, a)
 	}
 	return dst
 }
+
+// CommandSize is the encoded size of argv.
+func CommandSize(argv [][]byte) int {
+	size := headerSize(len(argv))
+	for _, a := range argv {
+		size += BulkSize(len(a))
+	}
+	return size
+}
+
+// BulkSize is the encoded size of a bulk string holding n bytes.
+func BulkSize(n int) int { return headerSize(n) + n + 2 }
 
 // headerSize is the encoded size of a "*n\r\n" or "$n\r\n" header, n >= 0:
 // what lets a command be encoded into one exactly-sized allocation.
@@ -210,6 +225,7 @@ const (
 // Everything a Read call returns is the caller's to keep: argv and Values
 // are copied out of the fed bytes into one allocation per command or reply
 // (plus the argv or array header), never aliased to the Reader's buffer.
+// BorrowCommand is the one exception, and says so.
 type Reader struct {
 	buf []byte
 	pos int
@@ -425,78 +441,105 @@ func (b *builder) value(pos int) (v Value, next int) {
 // ok=false means more bytes needed. argv is the caller's: its arguments
 // share one allocation that nothing else refers to.
 func (r *Reader) ReadCommand() ([][]byte, bool, error) {
+	argv, ok, err := r.command(nil)
+	if ok {
+		own(argv) // before compact moves the bytes they alias
+	}
+	r.compact()
+	return argv, ok, err
+}
+
+// BorrowCommand is ReadCommand without the copy, for a consumer that is done
+// with a command before it reads the next one: the arguments alias the
+// Reader's buffer and are valid until the next Read or Borrow call (a Feed in
+// between leaves them intact). They are appended to argv[:0] — which is
+// what comes back when there is no command to return — so a caller that
+// always passes the previous result back in decodes without allocating.
+func (r *Reader) BorrowCommand(argv [][]byte) ([][]byte, bool, error) {
+	r.compact() // the bytes of the previous command die here, not under its reader
+	return r.command(argv[:0])
+}
+
+// command is the one command scanner under both reads: it consumes the next
+// complete command and appends its arguments, aliasing the buffer, to dst
+// (allocated here, exactly sized, when it lacks the room); without a command
+// to return, dst comes back as it was given. It never compacts.
+func (r *Reader) command(dst [][]byte) ([][]byte, bool, error) {
 	for r.pos < len(r.buf) && r.buf[r.pos] != TypeArray {
 		// Inline command; empty lines are skipped silently.
 		l, next, ok := r.line(r.pos)
 		if !ok {
-			return nil, false, nil
+			return dst, false, nil
 		}
 		r.pos = next
-		argv := bytes.Fields(l)
-		if len(argv) == 0 {
-			r.compact()
-			continue
+		if words := bytes.Fields(l); len(words) > 0 {
+			if cap(dst) == 0 {
+				return words, true, nil
+			}
+			return append(dst, words...), true, nil
 		}
-		own(argv) // before compact moves the bytes they alias
-		r.compact()
-		return argv, true, nil
 	}
 	if r.pos >= len(r.buf) {
-		return nil, false, nil
+		return dst, false, nil
 	}
 
 	// Multibulk. First pass: find the end of the command, checking every
 	// length before using it; nothing is allocated until it is all here.
 	n, first, ok, err := r.length(r.pos)
 	if err != nil || !ok {
-		return nil, false, err
+		return dst, false, err
 	}
 	if n > maxMultibulk {
-		return nil, false, fmt.Errorf("%w: multibulk count %d exceeds %d", ErrProtocol, n, maxMultibulk)
+		return dst, false, fmt.Errorf("%w: multibulk count %d exceeds %d", ErrProtocol, n, maxMultibulk)
 	}
-	total, bulks, next := 0, true, first
+	bulks, next := true, first
 	for i := 0; i < n; i++ {
 		if next < len(r.buf) && r.buf[next] != TypeBulk {
 			// Not a bulk string: the command is refused, once the stray
 			// value has arrived whole.
 			var sz size
 			if next, ok, err = r.scan(next, &sz); err != nil || !ok {
-				return nil, false, err
+				return dst, false, err
 			}
 			bulks = false
 			continue
 		}
 		var ln int
 		if _, ln, next, ok, err = r.bulk(next); err != nil || !ok {
-			return nil, false, err
+			return dst, false, err
 		}
 		if ln < 0 {
 			bulks = false
 		}
-		total += ln
 	}
 	if n <= 0 || !bulks {
 		r.pos = next
-		r.compact()
 		if n <= 0 {
-			return nil, false, fmt.Errorf("%w: empty command array", ErrProtocol)
+			return dst, false, fmt.Errorf("%w: empty command array", ErrProtocol)
 		}
-		return nil, false, fmt.Errorf("%w: command element not a bulk string", ErrProtocol)
+		return dst, false, fmt.Errorf("%w: command element not a bulk string", ErrProtocol)
 	}
-	// Second pass: copy the arguments out, back to back.
-	slab := make([]byte, 0, total)
-	argv := make([][]byte, n)
+	// Second pass: slice the arguments out where they lie.
+	if cap(dst)-len(dst) < n {
+		dst = append(make([][]byte, 0, len(dst)+n), dst...)
+	}
 	next = first
-	for i := range argv {
+	for i := 0; i < n; i++ {
 		var start, ln int
 		start, ln, next, _, _ = r.bulk(next)
-		at := len(slab)
-		slab = append(slab, r.buf[start:start+ln]...)
-		argv[i] = slab[at:len(slab):len(slab)]
+		dst = append(dst, r.buf[start:start+ln:start+ln])
 	}
 	r.pos = next
-	r.compact()
-	return argv, true, nil
+	return dst, true, nil
+}
+
+// CloneCommand copies a borrowed argv — header and arguments, two
+// allocations — into one the caller keeps, exactly as ReadCommand would have
+// returned it.
+func CloneCommand(argv [][]byte) [][]byte {
+	argv = append(make([][]byte, 0, len(argv)), argv...)
+	own(argv)
+	return argv
 }
 
 // own replaces every element of argv, which alias some larger buffer, with

@@ -128,6 +128,15 @@ func (s *SDS) Range(start, end int) []byte {
 	return out
 }
 
+// Set replaces the content with a copy of b, in the existing buffer when it
+// has the capacity and in one exactly sized like New's otherwise.
+func (s *SDS) Set(b []byte) {
+	if len(b) > cap(s.buf) {
+		s.buf = make([]byte, 0, len(b))
+	}
+	s.buf = append(s.buf[:0], b...)
+}
+
 // Clear empties the string without releasing capacity (sdsclear).
 func (s *SDS) Clear() { s.buf = s.buf[:0] }
 

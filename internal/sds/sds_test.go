@@ -84,6 +84,32 @@ func TestRangeSemantics(t *testing.T) {
 	}
 }
 
+func TestSetReusesTheBufferWhenItFits(t *testing.T) {
+	s := NewString("sixteen bytes...")
+	held, c := s.Bytes(), cap(s.buf)
+	s.Set([]byte("shorter"))
+	if s.String() != "shorter" || cap(s.buf) != c || &held[0] != &s.buf[0] {
+		t.Fatalf("Set of a shorter value: %q cap %d, want the same %d-byte buffer", s.String(), cap(s.buf), c)
+	}
+	s.Set([]byte("sixteen bytes!!!"))
+	if s.String() != "sixteen bytes!!!" || cap(s.buf) != c {
+		t.Fatalf("Set back to full size: %q cap %d", s.String(), cap(s.buf))
+	}
+	s.Set([]byte("this one is longer than sixteen bytes"))
+	if s.String() != "this one is longer than sixteen bytes" || cap(s.buf) != s.Len() {
+		t.Fatalf("Set of a longer value: %q cap %d, want an exactly sized buffer", s.String(), cap(s.buf))
+	}
+	s.Set(nil)
+	if s.Len() != 0 {
+		t.Fatalf("Set(nil) left %q", s.String())
+	}
+	var zero SDS
+	zero.Set([]byte("x"))
+	if zero.String() != "x" {
+		t.Fatal("Set on the zero value")
+	}
+}
+
 func TestClearKeepsCapacity(t *testing.T) {
 	s := NewString("some content here")
 	c := cap(s.buf)

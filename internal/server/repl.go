@@ -303,8 +303,18 @@ func (ml *masterLink) onMessage(data []byte) {
 		}
 		ml.state = linkStreaming
 	case linkStreaming:
+		if err := ml.applier.Feed(data); err != nil {
+			// Undecodable stream bytes: nothing from here on can be executed,
+			// so the offset must not cover them (a REPLCONF ACK past them
+			// would release a quorum write no replica holds). Restart the
+			// sync from scratch, as for a corrupt RDB transfer.
+			s.metrics.Counter(replstream.ProtocolErrorsMetric).Inc()
+			ml.masterReplID = ""
+			ml.offset = 0
+			s.SlaveOf(ml.targetEP, ml.targetPort)
+			return
+		}
 		ml.offset += int64(len(data))
-		ml.applier.Feed(data)
 	}
 }
 

@@ -224,6 +224,46 @@ func TestPartialResyncViaBacklog(t *testing.T) {
 	}
 }
 
+// TestSlaveLinkStopsAtUndecodableStream: stream bytes the applier cannot
+// decode must not count toward the offset a slave acks (REPLCONF ACK past
+// them would release a quorum write no replica executed). The link restarts
+// the sync from scratch, as it does for a corrupt RDB transfer, and follows
+// the stream again afterwards. Before the fix the error was swallowed: the
+// offset covered the bad bytes and everything after them, none of it applied.
+func TestSlaveLinkStopsAtUndecodableStream(t *testing.T) {
+	w := newWorld(7)
+	master := w.server("m", 6379)
+	slave := w.server("sl", 6379)
+	slave.SlaveOf(master.Stack().Endpoint(), 6379)
+	w.run()
+	c := w.dial(t, master)
+	c.do(t, "SET", "before", "1")
+	if !slave.SyncedWithMaster() || slave.MasterOffset() != master.ReplOffset() {
+		t.Fatalf("slave not following the stream: offset %d, master %d", slave.MasterOffset(), master.ReplOffset())
+	}
+
+	link, off := slave.master, slave.MasterOffset()
+	link.onMessage([]byte("*1\r\n$x\r\n"))
+	if slave.master == link || slave.SyncedWithMaster() {
+		t.Fatal("the link kept streaming past bytes it could not decode")
+	}
+	if got := slave.MasterOffset(); got > off {
+		t.Fatalf("offset moved %d -> %d over bytes nobody executed", off, got)
+	}
+	if n := slave.Metrics().Counter(replstream.ProtocolErrorsMetric).Value(); n != 1 {
+		t.Fatalf("%s = %d, want 1", replstream.ProtocolErrorsMetric, n)
+	}
+
+	w.run()
+	c.do(t, "SET", "after", "2")
+	if !slave.SyncedWithMaster() || slave.MasterOffset() != master.ReplOffset() {
+		t.Fatalf("slave did not recover: synced=%t offset %d, master %d", slave.SyncedWithMaster(), slave.MasterOffset(), master.ReplOffset())
+	}
+	if reply, _ := slave.Store().Exec(0, [][]byte{[]byte("GET"), []byte("after")}); string(reply) != "$1\r\n2\r\n" {
+		t.Fatalf("write after the recovery not applied on the slave: %q", reply)
+	}
+}
+
 func TestSlaveAcksAdvanceMasterView(t *testing.T) {
 	w := newWorld(6)
 	master := w.server("m", 6379)

@@ -48,11 +48,11 @@ func cmdHGet(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	v, found := o.HashGet(string(argv[2]))
 	if !found {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	return resp.AppendBulk(nil, v), false
 }
@@ -84,7 +84,7 @@ func cmdHDel(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	n := int64(0)
 	for _, f := range argv[2:] {
@@ -107,12 +107,12 @@ func cmdHExists(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	if _, found := o.HashGet(string(argv[2])); found {
-		return resp.AppendInt(nil, 1), false
+		return one(), false
 	}
-	return resp.AppendInt(nil, 0), false
+	return zero(), false
 }
 
 func cmdHLen(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
@@ -121,7 +121,7 @@ func cmdHLen(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	return resp.AppendInt(nil, int64(o.HashLen())), false
 }

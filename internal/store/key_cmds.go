@@ -33,16 +33,16 @@ func expireGeneric(s *Store, dbi int, argv [][]byte, unitMS int64) ([]byte, bool
 	}
 	key := string(argv[1])
 	if s.lookup(dbi, key) == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	at := s.clock() + n*unitMS
 	if n <= 0 {
 		// Non-positive TTL deletes immediately, like Redis.
 		s.deleteKey(dbi, key)
-		return resp.AppendInt(nil, 1), true
+		return one(), true
 	}
 	s.setExpire(dbi, key, at)
-	return resp.AppendInt(nil, 1), true
+	return one(), true
 }
 
 func cmdExpire(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
@@ -68,14 +68,14 @@ func cmdPTTL(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 func cmdPersist(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	key := string(argv[1])
 	if s.lookup(dbi, key) == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	if _, had := s.shardDB(dbi, key).expires.Get(key); !had {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	s.shardDB(dbi, key).expires.Delete(key)
 	s.Dirty++
-	return resp.AppendInt(nil, 1), true
+	return one(), true
 }
 
 func cmdType(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
@@ -120,7 +120,7 @@ func cmdRandomKey(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 				return resp.AppendBulkString(nil, k), false
 			}
 		}
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	// Cross-shard: pick a shard weighted by its key count (so every live key
 	// stays roughly uniform), then sample within it. Re-draw on expired hits,
@@ -151,7 +151,7 @@ func cmdRandomKey(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 			return resp.AppendBulkString(nil, k), false
 		}
 	}
-	return resp.AppendNullBulk(nil), false
+	return nullBulk(), false
 }
 
 func cmdRename(s *Store, dbi int, argv [][]byte) ([]byte, bool) {

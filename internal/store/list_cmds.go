@@ -59,7 +59,7 @@ func popGeneric(s *Store, dbi int, argv [][]byte, head bool) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	l := o.List()
 	var v any
@@ -70,7 +70,7 @@ func popGeneric(s *Store, dbi int, argv [][]byte, head bool) ([]byte, bool) {
 		v, got = l.PopTail()
 	}
 	if !got {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	if l.Len() == 0 {
 		s.deleteKey(dbi, key)
@@ -93,7 +93,7 @@ func cmdLLen(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	return resp.AppendInt(nil, int64(o.List().Len())), false
 }
@@ -129,11 +129,11 @@ func cmdLIndex(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	n := o.List().Index(idx)
 	if n == nil {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	return resp.AppendBulk(nil, n.Value.([]byte)), false
 }
@@ -169,7 +169,7 @@ func cmdLRem(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	l := o.List()
 	removed := int64(0)
@@ -216,7 +216,7 @@ func cmdRPopLPush(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if src == nil {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	dst, okType := lookupList(s, dbi, string(argv[2]))
 	if !okType {
@@ -224,7 +224,7 @@ func cmdRPopLPush(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	}
 	v, got := src.List().PopTail()
 	if !got {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	if dst == nil {
 		dst = obj.NewList()

@@ -177,6 +177,12 @@ func deserializeEntry(payload []byte, seed int64) (*obj.Object, int64, error) {
 		return nil, 0, fmt.Errorf("payload type mismatch")
 	}
 	r := &payloadReader{b: payload[payloadHeaderLen+1:]}
+	if typ == obj.TList || typ == obj.THash {
+		// List elements and hash values are kept as slices of the body, and
+		// the payload is a command argument its sender may only be lending:
+		// the store copies what it keeps.
+		r.b = append([]byte(nil), r.b...)
+	}
 	var o *obj.Object
 	switch typ {
 	case obj.TString:
@@ -231,7 +237,7 @@ func deserializeEntry(payload []byte, seed int64) (*obj.Object, int64, error) {
 func cmdDump(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	payload, ok := s.SerializedEntry(dbi, string(argv[1]))
 	if !ok {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	return resp.AppendBulk(nil, payload), false
 }
@@ -277,7 +283,7 @@ func cmdRestore(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 			cur, _ := valueBytesOf(existing)
 			want, okPrev := valueBytesOf(prev)
 			if !okPrev || string(cur) != string(want) {
-				return resp.AppendInt(nil, 0), false
+				return zero(), false
 			}
 		}
 	}
@@ -286,7 +292,7 @@ func cmdRestore(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		s.setExpire(dbi, key, expireAt)
 	}
 	if mode == "ifeq" {
-		return resp.AppendInt(nil, 1), true
+		return one(), true
 	}
 	return ok(), true
 }
@@ -300,15 +306,15 @@ func cmdMigrateDel(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	key := string(argv[1])
 	cur, hasKey := s.SerializedEntry(dbi, key)
 	if !hasKey {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	curVal, _ := valueBytesOf(cur)
 	wantVal, okWant := valueBytesOf(argv[2])
 	if !okWant || string(curVal) != string(wantVal) {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	s.deleteKey(dbi, key)
-	return resp.AppendInt(nil, 1), true
+	return one(), true
 }
 
 // KeysWhere collects up to limit live keys of a database satisfying pred,

@@ -16,15 +16,15 @@ func expireAtGeneric(s *Store, dbi int, argv [][]byte, unitMS int64) ([]byte, bo
 	}
 	key := string(argv[1])
 	if s.lookup(dbi, key) == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	atMS := at * unitMS
 	if atMS <= s.clock() {
 		s.deleteKey(dbi, key)
-		return resp.AppendInt(nil, 1), true
+		return one(), true
 	}
 	s.setExpire(dbi, key, atMS)
-	return resp.AppendInt(nil, 1), true
+	return one(), true
 }
 
 func cmdExpireAt(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
@@ -42,7 +42,7 @@ func cmdGetDel(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	reply := resp.AppendBulk(nil, o.StringBytes())
 	s.deleteKey(dbi, string(argv[1]))
@@ -86,7 +86,7 @@ func cmdZCount(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	return resp.AppendInt(nil, int64(len(o.ZRangeByScore(min, max)))), false
 }
@@ -98,11 +98,11 @@ func cmdZRevRank(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	r, found := o.ZRank(string(argv[2]))
 	if !found {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	return resp.AppendInt(nil, int64(o.ZLen()-1-r)), false
 }
@@ -163,7 +163,7 @@ func cmdSMove(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	}
 	member := string(argv[3])
 	if src == nil || !src.SetContains(member) {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	src.SetRemove(member)
 	if src.SetLen() == 0 {
@@ -175,7 +175,7 @@ func cmdSMove(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	}
 	dst.SetAdd(member)
 	s.Dirty++
-	return resp.AppendInt(nil, 1), true
+	return one(), true
 }
 
 // cmdHSetNX sets a hash field only if absent.
@@ -187,7 +187,7 @@ func cmdHSetNX(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	}
 	if o != nil {
 		if _, exists := o.HashGet(string(argv[2])); exists {
-			return resp.AppendInt(nil, 0), false
+			return zero(), false
 		}
 	}
 	if o == nil {
@@ -196,7 +196,7 @@ func cmdHSetNX(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	}
 	o.HashSet(string(argv[2]), append([]byte(nil), argv[3]...))
 	s.Dirty++
-	return resp.AppendInt(nil, 1), true
+	return one(), true
 }
 
 // cmdSInterStore computes an intersection into a destination key.
@@ -221,7 +221,7 @@ func cmdSInterStore(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	dstKey := string(argv[1])
 	s.deleteKey(dbi, dstKey)
 	if len(members) == 0 {
-		return resp.AppendInt(nil, 0), true
+		return zero(), true
 	}
 	dst := obj.NewSet(s.seed())
 	for _, m := range members {
@@ -256,7 +256,7 @@ func cmdObject(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	case "encoding":
 		return resp.AppendBulkString(nil, o.Enc.String()), false
 	case "refcount":
-		return resp.AppendInt(nil, 1), false
+		return one(), false
 	}
 	return syntaxErr(), false
 }

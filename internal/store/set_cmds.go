@@ -48,7 +48,7 @@ func cmdSRem(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	removed := int64(0)
 	for _, m := range argv[2:] {
@@ -71,9 +71,9 @@ func cmdSIsMember(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o != nil && o.SetContains(string(argv[2])) {
-		return resp.AppendInt(nil, 1), false
+		return one(), false
 	}
-	return resp.AppendInt(nil, 0), false
+	return zero(), false
 }
 
 func cmdSCard(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
@@ -82,7 +82,7 @@ func cmdSCard(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	return resp.AppendInt(nil, int64(o.SetLen())), false
 }
@@ -119,11 +119,11 @@ func cmdSPop(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	m, found := o.SetRandomMember()
 	if !found {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	o.SetRemove(m)
 	if o.SetLen() == 0 {
@@ -139,11 +139,11 @@ func cmdSRandMember(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	m, found := o.SetRandomMember()
 	if !found {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	return resp.AppendBulkString(nil, m), false
 }

@@ -208,6 +208,24 @@ func (s *Store) lookup(dbi int, key string) *obj.Object {
 	return v.(*obj.Object)
 }
 
+// lookupBytes is lookup for a key still held as command-argument bytes: the
+// same dict calls in the same order, and no allocation whatever the key's
+// length (a string(argv[i]) key is free only while it fits a stack buffer).
+func (s *Store) lookupBytes(dbi int, key []byte) *obj.Object {
+	db := s.dbs[dbi][ShardOfKey(key, s.shards)]
+	if v, ok := db.expires.GetBytes(key); ok && s.clock() >= v.(int64) {
+		db.dict.DeleteBytes(key)
+		db.expires.DeleteBytes(key)
+		s.Dirty++
+		return nil
+	}
+	v, ok := db.dict.GetBytes(key)
+	if !ok {
+		return nil
+	}
+	return v.(*obj.Object)
+}
+
 // Has reports whether a key is live (applying lazy expiration) — the
 // presence probe behind the migration plane's ASK/TRYAGAIN decision.
 func (s *Store) Has(dbi int, key string) bool {
@@ -219,6 +237,25 @@ func (s *Store) setKey(dbi int, key string, o *obj.Object) {
 	db := s.shardDB(dbi, key)
 	db.dict.Set(key, o)
 	db.expires.Delete(key)
+	s.Dirty++
+}
+
+// setString is setKey(key, obj.NewString(val)) for the string-writing
+// commands, copying only what the store ends up keeping: a key that already
+// holds a raw string has its bytes rewritten in place (no key string, no
+// object, and no buffer when the old one is big enough); a missing key, a
+// holder of another type or encoding, or an integer payload gets a fresh
+// object as before. Either way the dict calls are setKey's — one Set-style
+// access (rehash step, growth check, find or insert), expires.Delete,
+// Dirty++ — so rehash progress and RandomKey do not depend on which
+// happened.
+func (s *Store) setString(dbi int, key, val []byte) {
+	db := s.dbs[dbi][ShardOfKey(key, s.shards)]
+	slot, _ := db.dict.Slot(key)
+	if o, _ := (*slot).(*obj.Object); o == nil || !o.Overwrite(val) {
+		*slot = obj.NewString(val)
+	}
+	db.expires.DeleteBytes(key)
 	s.Dirty++
 }
 
@@ -553,17 +590,28 @@ func EachCommand(fn func(*Command)) {
 	}
 }
 
-// Common reply fragments.
+// Common replies. Every caller gets the same bytes: a reply is read-only to
+// whoever receives it (each consumer — conn.Send, the capture buffer, a
+// bufio.Writer — copies it), and cap == len makes an append onto one
+// reallocate instead of writing into the shared array.
 var (
-	replyOK        = resp.AppendSimple(nil, "OK")
-	replyWrongType = resp.AppendError(nil, "WRONGTYPE Operation against a key holding the wrong kind of value")
-	replyNotInt    = resp.AppendError(nil, "ERR value is not an integer or out of range")
-	replyNotFloat  = resp.AppendError(nil, "ERR value is not a valid float")
-	replySyntax    = resp.AppendError(nil, "ERR syntax error")
+	replyOK        = shared(resp.AppendSimple(nil, "OK"))
+	replyWrongType = shared(resp.AppendError(nil, "WRONGTYPE Operation against a key holding the wrong kind of value"))
+	replyNotInt    = shared(resp.AppendError(nil, "ERR value is not an integer or out of range"))
+	replyNotFloat  = shared(resp.AppendError(nil, "ERR value is not a valid float"))
+	replySyntax    = shared(resp.AppendError(nil, "ERR syntax error"))
+	replyNullBulk  = shared(resp.AppendNullBulk(nil))
+	replyZero      = shared(resp.AppendInt(nil, 0))
+	replyOne       = shared(resp.AppendInt(nil, 1))
 )
 
-func ok() []byte        { return append([]byte(nil), replyOK...) }
-func wrongType() []byte { return append([]byte(nil), replyWrongType...) }
-func notInt() []byte    { return append([]byte(nil), replyNotInt...) }
-func notFloat() []byte  { return append([]byte(nil), replyNotFloat...) }
-func syntaxErr() []byte { return append([]byte(nil), replySyntax...) }
+func shared(b []byte) []byte { return b[:len(b):len(b)] }
+
+func ok() []byte        { return replyOK }
+func wrongType() []byte { return replyWrongType }
+func notInt() []byte    { return replyNotInt }
+func notFloat() []byte  { return replyNotFloat }
+func syntaxErr() []byte { return replySyntax }
+func nullBulk() []byte  { return replyNullBulk }
+func zero() []byte      { return replyZero }
+func one() []byte       { return replyOne }

@@ -22,7 +22,7 @@ func lookupString(s *Store, dbi int, key string) (*obj.Object, bool) {
 }
 
 func cmdSet(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
-	key := string(argv[1])
+	key := argv[1]
 	var nx, xx bool
 	var expireAt int64
 	for i := 3; i < len(argv); i++ {
@@ -48,24 +48,23 @@ func cmdSet(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 			return syntaxErr(), false
 		}
 	}
-	exists := s.lookup(dbi, key) != nil
+	exists := s.lookupBytes(dbi, key) != nil
 	if (nx && exists) || (xx && !exists) {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
-	s.setKey(dbi, key, obj.NewString(argv[2]))
+	s.setString(dbi, key, argv[2])
 	if expireAt > 0 {
-		s.setExpire(dbi, key, expireAt)
+		s.setExpire(dbi, string(key), expireAt)
 	}
 	return ok(), true
 }
 
 func cmdSetNX(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
-	key := string(argv[1])
-	if s.lookup(dbi, key) != nil {
-		return resp.AppendInt(nil, 0), false
+	if s.lookupBytes(dbi, argv[1]) != nil {
+		return zero(), false
 	}
-	s.setKey(dbi, key, obj.NewString(argv[2]))
-	return resp.AppendInt(nil, 1), true
+	s.setString(dbi, argv[1], argv[2])
+	return one(), true
 }
 
 func setWithTTL(s *Store, dbi int, argv [][]byte, unitMS int64) ([]byte, bool) {
@@ -73,9 +72,8 @@ func setWithTTL(s *Store, dbi int, argv [][]byte, unitMS int64) ([]byte, bool) {
 	if err != nil || n <= 0 {
 		return resp.AppendError(nil, "ERR invalid expire time"), false
 	}
-	key := string(argv[1])
-	s.setKey(dbi, key, obj.NewString(argv[3]))
-	s.setExpire(dbi, key, s.clock()+n*unitMS)
+	s.setString(dbi, argv[1], argv[3])
+	s.setExpire(dbi, string(argv[1]), s.clock()+n*unitMS)
 	return ok(), true
 }
 
@@ -87,29 +85,32 @@ func cmdPSetEX(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	return setWithTTL(s, dbi, argv, 1)
 }
 
+// bulkReply encodes one bulk string in one exactly sized allocation.
+func bulkReply(payload []byte) []byte {
+	return resp.AppendBulk(make([]byte, 0, resp.BulkSize(len(payload))), payload)
+}
+
 func cmdGet(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
-	o, okType := lookupString(s, dbi, string(argv[1]))
-	if !okType {
+	o := s.lookupBytes(dbi, argv[1])
+	if o == nil {
+		return nullBulk(), false
+	}
+	if o.Type != obj.TString {
 		return wrongType(), false
 	}
-	if o == nil {
-		return resp.AppendNullBulk(nil), false
-	}
-	return resp.AppendBulk(nil, o.StringBytes()), false
+	return bulkReply(o.StringBytes()), false
 }
 
 func cmdGetSet(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
-	o, okType := lookupString(s, dbi, string(argv[1]))
-	if !okType {
+	o := s.lookupBytes(dbi, argv[1])
+	if o != nil && o.Type != obj.TString {
 		return wrongType(), false
 	}
-	var reply []byte
-	if o == nil {
-		reply = resp.AppendNullBulk(nil)
-	} else {
-		reply = resp.AppendBulk(nil, o.StringBytes())
+	reply := nullBulk()
+	if o != nil {
+		reply = bulkReply(o.StringBytes()) // a copy: the set below may rewrite these bytes
 	}
-	s.setKey(dbi, string(argv[1]), obj.NewString(argv[2]))
+	s.setString(dbi, argv[1], argv[2])
 	return reply, true
 }
 
@@ -118,7 +119,7 @@ func cmdMSet(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return resp.AppendError(nil, "ERR wrong number of arguments for 'mset' command"), false
 	}
 	for i := 1; i < len(argv); i += 2 {
-		s.setKey(dbi, string(argv[i]), obj.NewString(argv[i+1]))
+		s.setString(dbi, argv[i], argv[i+1])
 	}
 	return ok(), true
 }
@@ -159,7 +160,7 @@ func cmdStrlen(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	return resp.AppendInt(nil, int64(o.StringLen())), false
 }
@@ -213,7 +214,7 @@ func cmdSetRange(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	}
 	if o == nil {
 		if len(argv[3]) == 0 {
-			return resp.AppendInt(nil, 0), false
+			return zero(), false
 		}
 		o = obj.NewString(nil)
 		s.setKey(dbi, key, o)

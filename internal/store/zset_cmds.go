@@ -79,7 +79,7 @@ func cmdZRem(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	removed := int64(0)
 	for _, m := range argv[2:] {
@@ -102,11 +102,11 @@ func cmdZScore(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	score, found := o.ZScore(string(argv[2]))
 	if !found {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	return resp.AppendBulkString(nil, obj.FormatScore(score)), false
 }
@@ -117,7 +117,7 @@ func cmdZCard(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendInt(nil, 0), false
+		return zero(), false
 	}
 	return resp.AppendInt(nil, int64(o.ZLen())), false
 }
@@ -128,11 +128,11 @@ func cmdZRank(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 		return wrongType(), false
 	}
 	if o == nil {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	r, found := o.ZRank(string(argv[2]))
 	if !found {
-		return resp.AppendNullBulk(nil), false
+		return nullBulk(), false
 	}
 	return resp.AppendInt(nil, int64(r)), false
 }

@@ -7,7 +7,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"skv/internal/resp"
@@ -71,13 +70,25 @@ func NewGeneratorSkew(seed int64, keySpace, valueSize int, setRatio float64, zip
 }
 
 func (g *Generator) key() string {
-	var k uint64
 	if g.Zipf {
-		k = g.zipf.Uint64()
-	} else {
-		k = uint64(g.rnd.Intn(g.KeySpace))
+		return formatKey(g.zipf.Uint64())
 	}
-	return fmt.Sprintf("key:%010d", k)
+	return formatKey(uint64(g.rnd.Intn(g.KeySpace)))
+}
+
+// formatKey is fmt.Sprintf("key:%010d", k) with the digits laid out on the
+// stack: the returned string is its one allocation (Sprintf paid a second,
+// for the boxed integer, on every operation of every client).
+func formatKey(k uint64) string {
+	var buf [4 + 20]byte
+	i := len(buf)
+	for digits := 0; digits < 10 || k > 0; digits++ {
+		i--
+		buf[i] = '0' + byte(k%10)
+		k /= 10
+	}
+	i -= copy(buf[i-4:], "key:")
+	return string(buf[i:])
 }
 
 // Next produces the next encoded command and its kind.

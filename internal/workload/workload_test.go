@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -116,6 +117,34 @@ func TestGeneratorDeterminism(t *testing.T) {
 		if oa != ob || !bytes.Equal(ca, cb) {
 			t.Fatal("same-seed generators diverged")
 		}
+	}
+}
+
+// TestGeneratorKeysAndCost: keys are "key:%010d" exactly — wider numbers keep
+// all their digits — drawn as before (one Float64 for the op, one Intn for
+// the key), and an operation costs the key string and the encoded command,
+// nothing else.
+func TestGeneratorKeysAndCost(t *testing.T) {
+	for _, k := range []uint64{0, 7, 42, 9_999_999_999, 10_000_000_000, 1<<64 - 1} {
+		if got, want := formatKey(k), fmt.Sprintf("key:%010d", k); got != want {
+			t.Errorf("formatKey(%d) = %q, want %q", k, got, want)
+		}
+	}
+	g := NewGenerator(11, 10_000, 64, 0.5, false)
+	twin := rand.New(rand.NewSource(11))
+	for i := 0; i < 1000; i++ {
+		cmd, op, key := g.NextKeyed()
+		wantOp := OpGet
+		if twin.Float64() < 0.5 {
+			wantOp = OpSet
+		}
+		wantKey := fmt.Sprintf("key:%010d", twin.Intn(10_000))
+		if op != wantOp || key != wantKey || !bytes.Contains(cmd, []byte("$14\r\n"+wantKey+"\r\n")) {
+			t.Fatalf("op %d: %v %q %q, want %v %q", i, op, key, cmd, wantOp, wantKey)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { g.NextKeyed() }); n > 2 {
+		t.Fatalf("NextKeyed allocated %.1f times per operation, want <= 2", n)
 	}
 }
 
