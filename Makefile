@@ -63,16 +63,18 @@ profile:
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_DIR)/skv.test $(PROFILE_DIR)/mem.prof
 
 # Fuzz the wire decoders: the RESP decoder against its reference and its
-# borrowing read against its copying one (internal/resp/fuzz_test.go), and
-# the replication stream applier against a plain decode
-# (internal/replstream). New corpus entries go to the go command's cache,
-# failures to testdata/.
+# borrowing read against its copying one (internal/resp/fuzz_test.go), the
+# replication stream applier against a plain decode (internal/replstream),
+# and every SKV control frame through a live master, Nic-KV and slave
+# (internal/core). New corpus entries go to the go command's cache, failures
+# to testdata/.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/resp -run '^$$' -fuzz FuzzReadCommand -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/resp -run '^$$' -fuzz FuzzReadValue -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/resp -run '^$$' -fuzz FuzzBorrowCommand -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/replstream -run '^$$' -fuzz FuzzApplierFeed -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCoreFrames -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

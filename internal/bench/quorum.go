@@ -25,7 +25,7 @@ func ExtQuorum() *Experiment {
 		Title:  "Tunable write consistency (SKV, 3 slaves, SET-only) — extension",
 		Header: []string{"level", "kops/s", "p99 µs", "gate releases", "err replies"},
 		Notes: []string{
-			"extension beyond the paper: NIC-enforced quorum acknowledgments — the master gates each write's reply behind a msgGate frame and the Nic-KV releases a watermark once W slaves report the offset",
+			"extension beyond the paper: NIC-enforced quorum acknowledgments — the gate on a write's reply rides the replication request that carries the write, and the Nic-KV releases a watermark once W slaves report the batch's end",
 			"async is the legacy reply-on-execute path (zero gates); all waits for every attached slave",
 			"rows share the deployment, seed and load; only the consistency level differs",
 			"the ack-loss probe (internal/cluster/ackloss.go) demonstrates what the async rows risk: acked writes die with a crashed master, while quorum/all rows survive failover losslessly",

@@ -29,6 +29,7 @@ const (
 	aklLedgerWindow = 4
 	aklBatchCmds    = 64
 	aklBatchDelay   = 2 * sim.Millisecond
+	aklPartitionAt  = 100 * sim.Millisecond
 	aklCrashAt      = 307 * sim.Millisecond
 	aklRunFor       = 1300 * sim.Millisecond
 	aklSettle       = 700 * sim.Millisecond
@@ -37,9 +38,10 @@ const (
 // ackLedger is the probe's oracle: a closed-loop writer that SETs a fixed
 // key ring with a strictly increasing sequence per write and records, per
 // key, the highest sequence the cluster acknowledged. Unlike the reshard
-// ledger it never re-routes — the probe targets one master and stops cold
-// when that master is crashed, so replies in flight at the crash are simply
-// never recorded (an unacked write is allowed to be lost).
+// ledger it never re-routes — the probe targets one master and issues
+// nothing more once that master is crashed. A reply already on the wire at
+// the crash still reaches the client, so it still counts: acknowledged is
+// what the client saw, not what the master lived to see delivered.
 type ackLedger struct {
 	pool *respPool
 	addr string
@@ -79,9 +81,6 @@ func (l *ackLedger) next() {
 	l.seq++
 	k := l.keys[seq%len(l.keys)]
 	l.pool.send(l.addr, resp.EncodeCommand("SET", k, ackValue(k, seq)), func(rv resp.Value) {
-		if !l.running {
-			return // reply surfaced after the crash cutoff: not counted
-		}
 		if rv.IsError() {
 			l.Errs++
 		} else if prev, seen := l.acked[k]; !seen || seq > prev {
@@ -110,38 +109,79 @@ func ackSeq(val string) (int, bool) {
 	return n, true
 }
 
+// CrashInstant names what the replication pipeline has just done when the
+// probe kills the master.
+type CrashInstant int
+
+const (
+	// CrashOnTime kills the master aklCrashAt into the load, whatever it is
+	// doing.
+	CrashOnTime CrashInstant = iota
+	// CrashMidBatch waits until executed writes sit unflushed in the stream
+	// writer (at batch 1 there is no such moment: same as CrashOnTime).
+	CrashMidBatch
+	// CrashAfterFlush waits until the next replication request has left for
+	// the NIC.
+	CrashAfterFlush
+	// CrashAfterRelease waits until the master has next fired parked replies:
+	// they are on the wire, and the writes behind them are all it got out.
+	CrashAfterRelease
+)
+
+func (i CrashInstant) String() string {
+	return [...]string{"on time", "mid-batch", "after a flush", "after a release"}[i]
+}
+
+// AckLossSpec is one cell of the probe.
+type AckLossSpec struct {
+	Level consistency.Level
+	W     int
+	Seed  int64
+	// Batch is ReplBatchMaxCmds; 0 is the probe's 64.
+	Batch int
+	// Crash picks the instant, at or after aklCrashAt, the master dies at.
+	Crash CrashInstant
+	// Partition cuts slave 0 — the head of the node list, which a
+	// first-valid failover would promote — from the NIC before the crash.
+	Partition bool
+}
+
 // AckLossResult is everything RunAckLossProbe measured.
 type AckLossResult struct {
 	C *Cluster
 	H *Chaos
 
-	// WritesAcked counts replies the ledger recorded before the crash; Lost
-	// lists each acknowledged write the promoted survivor does not hold
-	// (empty = the consistency level held its durability promise).
+	// WritesAcked counts replies the ledger recorded; Lost lists each
+	// acknowledged write the promoted survivor does not hold (empty = the
+	// consistency level held its durability promise).
 	WritesAcked uint64
 	Lost        []string
 	// Promoted names the slave the NIC promoted.
 	Promoted string
 }
 
-// RunAckLossProbe builds a 1-master/3-slave SKV deployment at the given
-// write consistency level, batches the replication stream (64 cmds / 2ms —
-// the window that makes async acks volatile), crashes the master mid-load,
-// and audits the ledger against the promoted survivor. The returned error
-// covers harness failures (replication or failover never happened); lost
-// writes are data, reported in AckLossResult.Lost.
-func RunAckLossProbe(level consistency.Level, w int, seed int64) (*AckLossResult, error) {
+// RunAckLossProbe builds a 1-master/3-slave SKV deployment at the spec's
+// write consistency level, batches the replication stream (64 cmds / 2ms by
+// default — the window that makes async acks volatile), crashes the master
+// mid-load at the spec's instant, and audits the ledger against the promoted
+// survivor. The returned error covers harness failures (replication or
+// failover never happened); lost writes are data, reported in
+// AckLossResult.Lost.
+func RunAckLossProbe(spec AckLossSpec) (*AckLossResult, error) {
 	p := ChaosParams(0)
 	p.ReplBatchMaxCmds = aklBatchCmds
+	if spec.Batch > 0 {
+		p.ReplBatchMaxCmds = spec.Batch
+	}
 	p.ReplBatchMaxDelay = aklBatchDelay
 	c := Build(Config{
 		Kind:        KindSKV,
 		Slaves:      aklSlaves,
 		Clients:     1,
-		Seed:        seed,
+		Seed:        spec.Seed,
 		Params:      p,
 		SKV:         core.Config{ProgressInterval: 50 * sim.Millisecond},
-		Consistency: ConsistencyOpts{Level: level, Quorum: w},
+		Consistency: ConsistencyOpts{Level: spec.Level, Quorum: spec.W},
 	})
 	if !c.AwaitReplication(2 * sim.Second) {
 		return nil, fmt.Errorf("ackloss: initial replication did not complete")
@@ -151,11 +191,37 @@ func RunAckLossProbe(level consistency.Level, w int, seed int64) (*AckLossResult
 
 	ledger := newAckLedger(c, c.MasterMachine.Host.Name(), aklLedgerKeys)
 	ledger.start()
-	// Stop the ledger in the same instant the master dies: anything without
-	// a recorded reply by then does not count as acknowledged.
-	h.At(aklCrashAt, "crash master", func(c *Cluster) {
+	if spec.Partition {
+		h.PartitionNicSlave(aklPartitionAt, 0)
+	}
+	// From aklCrashAt on, look every microsecond for the spec's instant and
+	// kill the master in it; the ledger issues nothing more from then.
+	released := c.Master.Metrics().Counter("consistency.writes_released")
+	var flushes, releases uint64
+	reached := func() bool {
+		switch spec.Crash {
+		case CrashMidBatch:
+			return p.ReplBatchMaxCmds == 1 || c.Master.ReplStream().Pending() > 0
+		case CrashAfterFlush:
+			return c.HostKV.ReplReqsSent > flushes
+		case CrashAfterRelease:
+			return released.Value() > releases
+		}
+		return true
+	}
+	var watch func()
+	watch = func() {
+		if !reached() {
+			c.Eng.After(sim.Microsecond, watch)
+			return
+		}
+		h.Note("crash master")
 		ledger.stop()
 		c.Master.Crash()
+	}
+	c.Eng.After(aklCrashAt, func() {
+		flushes, releases = c.HostKV.ReplReqsSent, released.Value()
+		watch()
 	})
 	c.Eng.RunFor(aklRunFor)
 	h.Note("load stopped")
@@ -167,7 +233,7 @@ func RunAckLossProbe(level consistency.Level, w int, seed int64) (*AckLossResult
 		return res, fmt.Errorf("ackloss: ledger absorbed %d error replies", ledger.Errs)
 	}
 	if ledger.WritesAcked == 0 {
-		return res, fmt.Errorf("ackloss: ledger acknowledged no writes before the crash")
+		return res, fmt.Errorf("ackloss: ledger recorded no acknowledged write")
 	}
 	if c.NicKV.Failovers == 0 || c.NicKV.PromotedID() == "" {
 		return res, fmt.Errorf("ackloss: the NIC never failed over (promoted=%q)", c.NicKV.PromotedID())

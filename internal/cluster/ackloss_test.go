@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"testing"
+	"time"
 
 	"skv/internal/consistency"
 )
@@ -13,7 +14,7 @@ import (
 // lost acked write, or the quorum experiment has nothing to fix and the
 // headline comparison is vacuous.
 func TestAckLossAsyncLosesAckedWrites(t *testing.T) {
-	res, err := RunAckLossProbe(consistency.Async, 0, 7)
+	res, err := RunAckLossProbe(AckLossSpec{Level: consistency.Async, Seed: 7})
 	if err != nil {
 		t.Fatalf("probe harness failed: %v\ntrace:\n%s", err, res.H.TraceString())
 	}
@@ -32,7 +33,7 @@ func TestAckLossAsyncLosesAckedWrites(t *testing.T) {
 // two slaves hold them, and the NIC promotes the max-offset survivor. Every
 // acknowledged write must be on the promoted master.
 func TestAckLossQuorumLosesNothing(t *testing.T) {
-	res, err := RunAckLossProbe(consistency.Quorum, 2, 7)
+	res, err := RunAckLossProbe(AckLossSpec{Level: consistency.Quorum, W: 2, Seed: 7})
 	if err != nil {
 		t.Fatalf("probe harness failed: %v\ntrace:\n%s", err, res.H.TraceString())
 	}
@@ -49,7 +50,7 @@ func TestAckLossQuorumLosesNothing(t *testing.T) {
 // must hold a write before its reply fires, so the audit is clean no matter
 // which survivor the NIC promotes.
 func TestAckLossAllLosesNothing(t *testing.T) {
-	res, err := RunAckLossProbe(consistency.All, 0, 7)
+	res, err := RunAckLossProbe(AckLossSpec{Level: consistency.All, Seed: 7})
 	if err != nil {
 		t.Fatalf("probe harness failed: %v\ntrace:\n%s", err, res.H.TraceString())
 	}
@@ -70,8 +71,9 @@ func TestAckLossDeterminism(t *testing.T) {
 		{"async", consistency.Async, 0},
 		{"quorum", consistency.Quorum, 2},
 	} {
-		r1, err1 := RunAckLossProbe(tc.level, tc.w, 7)
-		r2, err2 := RunAckLossProbe(tc.level, tc.w, 7)
+		spec := AckLossSpec{Level: tc.level, W: tc.w, Seed: 7}
+		r1, err1 := RunAckLossProbe(spec)
+		r2, err2 := RunAckLossProbe(spec)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: probe failed: %v / %v", tc.name, err1, err2)
 		}
@@ -82,4 +84,56 @@ func TestAckLossDeterminism(t *testing.T) {
 			t.Fatalf("%s: metric snapshots diverged", tc.name)
 		}
 	}
+}
+
+// TestAckLossSweep widens the probe from one crash to a grid: five seeds ×
+// what the replication pipeline had just done when the master died × batch
+// size × level. Quorum and all must lose nothing in any cell — a gate rides
+// the batch that holds its write, so a reply can only have fired for bytes
+// enough slaves reported — including with the slave a first-valid failover
+// would promote cut off before the crash; async at the probe's own batch
+// size must still lose acknowledged writes on every seed, or the grid has no
+// bite.
+func TestAckLossSweep(t *testing.T) {
+	start := time.Now()
+	levels := []AckLossSpec{
+		{Level: consistency.Quorum, W: 1},
+		{Level: consistency.Quorum, W: 2},
+		{Level: consistency.All},
+	}
+	cells := 0
+	run := func(spec AckLossSpec) *AckLossResult {
+		t.Helper()
+		cells++
+		res, err := RunAckLossProbe(spec)
+		if err != nil {
+			t.Fatalf("%+v: probe harness failed: %v\ntrace:\n%s", spec, err, res.H.TraceString())
+		}
+		if spec.Level != consistency.Async {
+			for _, l := range res.Lost {
+				t.Errorf("%+v: lost an acked write of %d: %s", spec, res.WritesAcked, l)
+			}
+		}
+		return res
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, crash := range []CrashInstant{CrashMidBatch, CrashAfterFlush, CrashAfterRelease} {
+			for _, batch := range []int{1, 8, 64} {
+				for _, spec := range levels {
+					spec.Seed, spec.Crash, spec.Batch = seed, crash, batch
+					run(spec)
+				}
+			}
+		}
+		if res := run(AckLossSpec{Level: consistency.Async, Seed: seed, Batch: 64, Crash: CrashMidBatch}); len(res.Lost) == 0 {
+			t.Errorf("seed %d: async at batch 64 lost none of %d acked writes", seed, res.WritesAcked)
+		}
+	}
+	for _, spec := range levels {
+		spec.Seed, spec.Crash, spec.Batch, spec.Partition = 3, CrashAfterRelease, 8, true
+		if res := run(spec); res.Promoted == res.C.SlaveMachines[0].Host.Name() {
+			t.Errorf("%+v: promoted %s, the slave cut off before the crash", spec, res.Promoted)
+		}
+	}
+	t.Logf("%d cells in %.1fs", cells, time.Since(start).Seconds())
 }

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 
 	"skv/internal/consistency"
+	"skv/internal/replstream"
 	"skv/internal/sim"
 )
 
@@ -44,7 +45,7 @@ const (
 	msgMasterHello    = 'M' // master → NIC: identifies the master connection
 	msgInitSync       = 'I' // slave → NIC: id, last master replID, offset
 	msgNewSlave       = 'N' // NIC → master: id, replID, offset
-	msgOffload        = 'Q' // master → NIC: startOff, cmd count, concatenated commands (one replication request)
+	msgOffload        = 'Q' // master → NIC: startOff, {gate, cmd count}, concatenated commands (one replication request; a non-zero gate holds the batch's gated replies until that many slaves reach its end)
 	msgCmdStream      = 'C' // NIC → slave: startOff, encoded command(s)
 	msgProbe          = 'P' // NIC → any node
 	msgProbeAck       = 'A' // node → NIC
@@ -54,9 +55,8 @@ const (
 	msgStatus         = 'S' // NIC → master: valid slave count, min offset
 	msgPromote        = 'F' // NIC → slave: become master (failover)
 	msgDemote         = 'D' // NIC → node: resume slave role
-	msgGate           = 'E' // master → NIC: endOff, need — gate the reply until need slaves reach endOff
 	msgAckRelease     = 'K' // NIC → master: released watermark (every gated reply ≤ it may fire)
-	msgCmdStreamAck   = 'c' // NIC → slave: like msgCmdStream but demands an immediate progress report
+	msgCmdStreamAck   = 'c' // NIC → slave: like msgCmdStream, sent while a gate is pending: report progress once applied
 	msgTrackHello     = 'T' // subscriber → NIC: name — register an invalidation push channel (echoed back as the ack)
 	msgTrackKey       = 't' // master → NIC: name, key (32-bit length) — record one subscriber's interest in one key
 	msgTrackDrop      = 'x' // master → NIC: name — drop every interest of one subscriber
@@ -127,13 +127,15 @@ func appendKey(dst []byte, key string) []byte {
 }
 
 // appendOffload frames one replication request onto dst: the stream offset
-// the commands start at, how many there are, and their concatenated RESP
-// bytes. This runs once per flushed batch on the master's hot path, so dst
-// is the sender's scratch frame (Send copies).
-func appendOffload(dst []byte, start int64, cmds int, data []byte) []byte {
+// the commands start at, the gate on the batch's replies and how many
+// commands there are — one word, gate in the high half, so an ungated
+// request is the bytes it was before gates rode here — and the concatenated
+// RESP bytes. This runs once per flushed batch on the master's hot path, so
+// dst is the sender's scratch frame (Send copies).
+func appendOffload(dst []byte, start int64, gate replstream.Gate, cmds int, data []byte) []byte {
 	dst = append(dst, msgOffload)
 	dst = appendU64(dst, uint64(start))
-	dst = appendU64(dst, uint64(cmds))
+	dst = appendU64(dst, uint64(gate)<<32|uint64(uint32(cmds)))
 	return append(dst, data...)
 }
 
@@ -190,15 +192,17 @@ func (r *frameReader) key() string {
 	return ""
 }
 
-// offload decodes a msgOffload body. A request carrying no command, or cut
-// short inside its header, is malformed.
-func (r *frameReader) offload() (start int64, cmds int, data []byte, ok bool) {
+// offload decodes a msgOffload body. A request carrying no command, cut
+// short inside its header, or gated by a word with reserved bits set, is
+// malformed.
+func (r *frameReader) offload() (start int64, gate replstream.Gate, cmds int, data []byte, ok bool) {
 	start = r.i64()
-	count := r.u64()
-	if r.bad || count == 0 || count > uint64(len(r.b)-r.pos) {
-		return 0, 0, nil, false
+	word := r.u64()
+	gate, count := replstream.Gate(word>>32), word&(1<<32-1)
+	if r.bad || count == 0 || count > uint64(len(r.b)-r.pos) || !gate.WellFormed() {
+		return 0, 0, 0, nil, false
 	}
-	return start, int(count), r.rest(), true
+	return start, gate, int(count), r.rest(), true
 }
 
 // status decodes a msgStatus body (see statusFrame). The slave count comes
@@ -259,13 +263,11 @@ type Config struct {
 	// Empty (a single-group deployment) leaves the names unqualified.
 	Group string
 	// WriteConsistency selects the cluster's write acknowledgment level.
-	// Nic-KV consults it in two places: failover policy (quorum/all promote
-	// the valid slave with the highest reported offset, so every released
-	// write survives the master's crash) and stream fan-out (gated writes go
-	// out as msgCmdStreamAck, demanding an immediate progress report instead
-	// of waiting for the slave's ProgressInterval cron). Async — the zero
-	// value — keeps the legacy first-valid-node promotion and plain stream
-	// frames bit-for-bit.
+	// Nic-KV consults it for the failover policy: quorum/all promote the
+	// valid slave with the highest reported offset, so every released write
+	// survives the master's crash; async — the zero value — keeps the legacy
+	// first-valid-node promotion. (Gates themselves arrive per batch, in the
+	// replication request.)
 	WriteConsistency consistency.Level
 }
 

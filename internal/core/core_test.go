@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"skv/internal/fabric"
 	"skv/internal/model"
 	"skv/internal/rconn"
+	"skv/internal/replstream"
 	"skv/internal/server"
 	"skv/internal/sim"
 )
@@ -76,26 +78,50 @@ func TestFrameReaderTruncationSetsBad(t *testing.T) {
 }
 
 // TestOffloadFrameRoundTrip: the one replication-request frame decodes to
-// what was encoded, at one command and at a batch of eight, and building it
-// in a frame the sender already holds allocates nothing.
+// what was encoded, at one command and at a batch of eight, ungated and under
+// every kind of gate, and building it in a frame the sender already holds
+// allocates nothing. An ungated request is, byte for byte, the frame the
+// request was before gates rode in it: offset, then the command count as one
+// 64-bit word.
 func TestOffloadFrameRoundTrip(t *testing.T) {
 	one := "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n"
+	gates := []replstream.Gate{0, replstream.QuorumGate(1), replstream.QuorumGate(2), replstream.GateAll,
+		replstream.GateAll.Join(replstream.QuorumGate(3))}
 	var scratch []byte
 	for _, cmds := range []int{8, 1} {
 		data := []byte(strings.Repeat(one, cmds))
-		frame := appendOffload(scratch[:0], 4242, cmds, data)
-		if frame[0] != msgOffload || len(frame) != 17+len(data) {
-			t.Fatalf("cmds=%d: tag %q, len %d; want a %d-byte frame", cmds, frame[0], len(frame), 17+len(data))
+		for _, gate := range gates {
+			frame := appendOffload(scratch[:0], 4242, gate, cmds, data)
+			if frame[0] != msgOffload || len(frame) != 17+len(data) {
+				t.Fatalf("cmds=%d gate=%#x: tag %q, len %d; want a %d-byte frame", cmds, gate, frame[0], len(frame), 17+len(data))
+			}
+			off, got, cnt, body, ok := (&frameReader{b: frame, pos: 1}).offload()
+			if !ok || off != 4242 || got != gate || cnt != cmds || !bytes.Equal(body, data) {
+				t.Fatalf("cmds=%d gate=%#x: decoded ok=%t off=%d gate=%#x cnt=%d data=%q", cmds, gate, ok, off, got, cnt, body)
+			}
+			scratch = frame
+			if n := testing.AllocsPerRun(100, func() { scratch = appendOffload(scratch[:0], 4242, gate, cmds, data) }); n != 0 {
+				t.Fatalf("cmds=%d gate=%#x: rebuilding the frame in place allocated %.1f times, want 0", cmds, gate, n)
+			}
 		}
-		off, cnt, got, ok := (&frameReader{b: frame, pos: 1}).offload()
-		if !ok || off != 4242 || cnt != cmds || !bytes.Equal(got, data) {
-			t.Fatalf("cmds=%d: decoded ok=%t off=%d cnt=%d data=%q", cmds, ok, off, cnt, got)
-		}
-		scratch = frame
-		if n := testing.AllocsPerRun(100, func() { scratch = appendOffload(scratch[:0], 4242, cmds, data) }); n != 0 {
-			t.Fatalf("cmds=%d: rebuilding the frame in place allocated %.1f times, want 0", cmds, n)
+		parent := "Q\x00\x00\x00\x00\x00\x00\x10\x92\x00\x00\x00\x00\x00\x00\x00" + string(rune(cmds)) + string(data)
+		if got := appendOffload(nil, 4242, 0, cmds, data); string(got) != parent {
+			t.Fatalf("cmds=%d: ungated frame %q, want the pre-gate encoding %q", cmds, got, parent)
 		}
 	}
+	quorum2 := "Q\x00\x00\x00\x00\x00\x00\x10\x92\x00\x00\x00\x02\x00\x00\x00\x01" + one
+	if got := appendOffload(nil, 4242, replstream.QuorumGate(2), 1, []byte(one)); string(got) != quorum2 {
+		t.Fatalf("quorum-2 frame %q, want %q", got, quorum2)
+	}
+}
+
+// u64s frames a tag followed by 64-bit words.
+func u64s(tag byte, vs ...uint64) []byte {
+	frame := []byte{tag}
+	for _, v := range vs {
+		frame = appendU64(frame, v)
+	}
+	return frame
 }
 
 // TestMalformedFramesRejected drives a live master and its Nic-KV with
@@ -114,13 +140,6 @@ func TestMalformedFramesRejected(t *testing.T) {
 	host := AttachMaster(srv, net, m.NIC, DefaultConfig())
 	eng.RunFor(10 * sim.Millisecond)
 
-	u64s := func(tag byte, vs ...uint64) []byte {
-		frame := []byte{tag}
-		for _, v := range vs {
-			frame = appendU64(frame, v)
-		}
-		return frame
-	}
 	cases := []struct {
 		name   string
 		frame  []byte
@@ -141,6 +160,10 @@ func TestMalformedFramesRejected(t *testing.T) {
 		{"offload: no payload", u64s(msgOffload, 7, 1), false},
 		{"offload: truncated count", u64s(msgOffload, 7, 1)[:13], false},
 		{"offload: tag only", []byte{msgOffload}, false},
+		{"offload: quorum-2 gate", append(u64s(msgOffload, 7, 2<<32|1), "PING"...), true},
+		{"offload: all gate", append(u64s(msgOffload, 7, 1<<63|1), "PING"...), true},
+		{"offload: gate with a reserved bit", append(u64s(msgOffload, 7, 1<<48|2<<32|1), "PING"...), false},
+		{"offload: gate but zero commands", append(u64s(msgOffload, 7, 2<<32), "PING"...), false},
 	}
 	for _, tc := range cases {
 		var ok bool
@@ -150,9 +173,18 @@ func TestMalformedFramesRejected(t *testing.T) {
 			host.onNicMessage(tc.frame)
 			ok = host.statusSeen
 		case msgOffload:
-			before := nic.ReplCmds
+			before, gates := nic.ReplCmds, nic.gates.Len()
 			nic.onMessage(nil, tc.frame)
 			ok = nic.ReplCmds > before
+			// An accepted request queues its gate, if it has one (the high
+			// half of the second header word); a refused one queues nothing.
+			want := 0
+			if tc.wantOK && binary.BigEndian.Uint32(tc.frame[9:]) != 0 {
+				want = 1
+			}
+			if queued := nic.gates.Len() - gates; queued != want {
+				t.Errorf("%s: queued %d gates, want %d", tc.name, queued, want)
+			}
 		}
 		if ok != tc.wantOK {
 			t.Errorf("%s: accepted=%t, want %t", tc.name, ok, tc.wantOK)

@@ -84,10 +84,6 @@ func AttachMaster(srv *server.Server, net *fabric.Network, nicEP *fabric.Endpoin
 	// SKV masters learn replica progress from Nic-KV status frames, not from
 	// per-slave REPLCONF ACK links: the tracker's replica set is bulk-sourced.
 	srv.Acks().UseBulkSource()
-	// Quorum/all writes tell the NIC where the reply is gated; the NIC holds
-	// it until enough slaves report past the write ("the host CPU never sees
-	// the wait").
-	srv.OnWriteGate = h.writeGate
 	// Redirect-mode CLIENT TRACKING: the host only forwards interest; the
 	// invalidation table lives on Nic-KV, which pushes invalidations on the
 	// replication fan-out path without any host dispatch cycles. Inert (and
@@ -139,35 +135,24 @@ func (h *HostKV) ReconnectNic() {
 // replication then happens in the background on the NIC while the master
 // returns to its clients ("the host CPU only needs to post one WR for the
 // replication of each SET command", §V-C). With ReplBatchMaxCmds > 1 the
-// batch carries several commands, so one WR covers N writes.
+// batch carries several commands, so one WR covers N writes. The gate of
+// the batch's quorum/all writes rides in the same request: Nic-KV holds
+// their replies until enough slaves report past the batch's end and answers
+// with msgAckRelease watermarks ("the host CPU never sees the wait"), and a
+// gate cannot reach the NIC ahead of the bytes it covers.
 func (h *HostKV) propagate(b replstream.Batch) {
 	if h.nicConn == nil {
-		return // NIC connection still handshaking; backlog covers the gap
+		// NIC connection still handshaking: the backlog covers the bytes,
+		// the status-frame fallback releases a gate that went with them.
+		return
 	}
 	h.Srv.Proc().Core.Charge(h.Srv.Params().ReplOffloadReqCPU)
 	h.ReplReqsSent++
 	h.CmdsOffloaded += uint64(b.Cmds)
 	h.mReplReqs.Inc()
 	h.mCmdsOffloaded.Add(uint64(b.Cmds))
-	h.frame = appendOffload(h.frame[:0], b.Start, b.Cmds, b.Data)
+	h.frame = appendOffload(h.frame[:0], b.Start, b.Gate, b.Cmds, b.Data)
 	h.nicConn.Send(h.frame)
-}
-
-// writeGate posts one gate frame to Nic-KV for a quorum/all write: the
-// reply parked at endOff may only fire once `need` slaves (0 = all the NIC
-// considers valid) have replicated past it. The NIC answers with msgAckRelease watermarks; the frame rides
-// the same FIFO connection as the replication requests, so a gate never
-// overtakes the stream bytes it covers. One extra WR per gated write — the
-// host still never polls or blocks.
-func (h *HostKV) writeGate(endOff int64, need int) {
-	if h.nicConn == nil {
-		return // handshake in flight; the status-frame fallback releases it
-	}
-	h.Srv.Proc().Core.Charge(h.Srv.Params().ReplOffloadReqCPU)
-	frame := []byte{msgGate}
-	frame = appendU64(frame, uint64(endOff))
-	frame = appendU64(frame, uint64(need))
-	h.nicConn.Send(frame)
 }
 
 // trackInterest forwards one tracked read's key interest to Nic-KV. It

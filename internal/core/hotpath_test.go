@@ -141,7 +141,7 @@ func TestOffloadAndFanOutFrames(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { u.host.propagate(batch) }); n != 0 {
 		t.Errorf("HostKV.propagate allocated %.1f times per batch, want 0", n)
 	}
-	if want := appendOffload(nil, 4242, 1, cmd); !bytes.Equal(toNic.last, want) {
+	if want := appendOffload(nil, 4242, 0, 1, cmd); !bytes.Equal(toNic.last, want) {
 		t.Errorf("offload frame = %q, want %q", toNic.last, want)
 	}
 
@@ -200,5 +200,89 @@ func TestThreadedFanOutFramesOutliveTheCall(t *testing.T) {
 		if len(c.frames) != 2 || !bytes.Equal(c.frames[0], want[0]) || !bytes.Equal(c.frames[1], want[1]) {
 			t.Errorf("slave %d received %q, want %q", i, c.frames, want)
 		}
+	}
+}
+
+// TestGatePathAllocations pins the quorum/all path layer by layer: the gated
+// replication request, the NIC's parse + gate queue + 'c'-tagged fan-out, the
+// slaves' progress reports, and the release watermark each allocate nothing,
+// and one gated request is one stream frame and one report per slave, and one
+// release.
+func TestGatePathAllocations(t *testing.T) {
+	cmd := resp.EncodeCommand("SET", "key:0000012345", string(bytes.Repeat([]byte("v"), 64)))
+	u := newUnit(0, DefaultConfig())
+	u.eng.RunFor(10 * sim.Millisecond)
+
+	// Master → NIC.
+	toNic := &sinkConn{}
+	u.host.nicConn = toNic
+	batch := replstream.Batch{Start: 4242, Data: cmd, Cmds: 1, Gate: replstream.QuorumGate(2)}
+	u.host.propagate(batch)
+	if n := testing.AllocsPerRun(200, func() { u.host.propagate(batch) }); n != 0 {
+		t.Errorf("gated HostKV.propagate allocated %.1f times per batch, want 0", n)
+	}
+	if want := appendOffload(nil, 4242, replstream.QuorumGate(2), 1, cmd); !bytes.Equal(toNic.last, want) {
+		t.Errorf("gated offload frame = %q, want %q", toNic.last, want)
+	}
+
+	// NIC: three slaves on sink connections; each round is one gated request
+	// followed by every slave's report, the second of which meets the quorum.
+	toMaster := &sinkConn{}
+	u.nic.masterConn = toMaster
+	slaves := []*sinkConn{{}, {}, {}}
+	for i, c := range slaves {
+		u.nic.registerSlave(fmt.Sprintf("s%d", i), "", 0, c)
+	}
+	request, report := append([]byte(nil), toNic.last...), []byte(nil)
+	end := batch.End()
+	round := func() {
+		u.nic.onMessage(toMaster, request)
+		for _, c := range slaves {
+			report = appendU64(append(report[:0], msgProgress), uint64(end))
+			u.nic.onMessage(c, report)
+		}
+	}
+	round()
+	sent, released := slaves[0].sends, toMaster.sends
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Errorf("gated request + fan-out + reports + release allocated %.1f times per round on the NIC, want 0", n)
+	}
+	rounds := slaves[0].sends - sent
+	if got := toMaster.sends - released; got != rounds {
+		t.Errorf("%d releases for %d gated requests, want one each", got, rounds)
+	}
+	if want := appendStream(nil, msgCmdStreamAck, 4242, cmd); !bytes.Equal(slaves[2].last, want) {
+		t.Errorf("gated fan-out frame = %q, want %q", slaves[2].last, want)
+	}
+	if want := appendU64([]byte{msgAckRelease}, uint64(end)); !bytes.Equal(toMaster.last, want) {
+		t.Errorf("release frame = %q, want %q", toMaster.last, want)
+	}
+	if u.nic.gates.Len() != 0 || u.nic.gGatesPending.Value() != 0 {
+		t.Errorf("%d gates left queued (gauge %d)", u.nic.gates.Len(), u.nic.gGatesPending.Value())
+	}
+
+	// Slave → NIC: two requests for a report while one is queued send one.
+	u = newUnit(1, DefaultConfig())
+	u.eng.RunFor(50 * sim.Millisecond)
+	a := u.agents[0]
+	if !a.Synced() {
+		t.Fatal("slave never synced")
+	}
+	toNicFromSlave := &sinkConn{}
+	a.nicConn = toNicFromSlave
+	reportTwice := func() {
+		a.reportProgress()
+		a.reportProgress()
+		u.eng.RunFor(5 * sim.Microsecond)
+	}
+	reportTwice()
+	if toNicFromSlave.sends != 1 {
+		t.Fatalf("%d progress reports sent for two requests in one instant, want 1", toNicFromSlave.sends)
+	}
+	if n := testing.AllocsPerRun(100, reportTwice); n != 0 {
+		t.Errorf("a progress report allocated %.1f times, want 0", n)
+	}
+	if want := appendU64([]byte{msgProgress}, uint64(a.Offset())); !bytes.Equal(toNicFromSlave.last, want) {
+		t.Errorf("progress frame = %q, want %q", toNicFromSlave.last, want)
 	}
 }

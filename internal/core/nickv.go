@@ -9,21 +9,22 @@ import (
 	"skv/internal/model"
 	"skv/internal/rconn"
 	"skv/internal/replstream"
+	"skv/internal/ring"
 	"skv/internal/sim"
 	"skv/internal/store"
 	"skv/internal/transport"
 )
 
-// nicGate is one reply the master parked on a quorum: the write ending at
-// end may be acknowledged once need valid slaves have replicated past it
-// (need 0 = every slave the NIC considers valid at release time).
-// Gates arrive in stream-offset order (the master's writes are sequenced),
-// so the queue releases strictly FIFO: a later, weaker gate never releases
-// ahead of an unsatisfied stricter one — the msgAckRelease watermark is a
-// plain high-water mark and the master trusts it unconditionally.
+// nicGate is the gate one replication request carried: the replies the
+// master parked on the batch ending at end may be acknowledged once the
+// valid slaves gate asks for have replicated past it. Gates arrive in
+// stream-offset order (they ride the batches), so the queue releases
+// strictly FIFO: a later, weaker gate never releases ahead of an unsatisfied
+// stricter one — the msgAckRelease watermark is a plain high-water mark and
+// the master trusts it unconditionally.
 type nicGate struct {
 	end  int64
-	need int
+	gate replstream.Gate
 }
 
 // nodeEntry is one slave in the node list Nic-KV maintains on the SmartNIC
@@ -74,13 +75,14 @@ type NicKV struct {
 	promotedID    string
 
 	// frame is the scratch buffer the single-threaded fan-out builds each
-	// stream frame in (Send copies, so every slave is sent the same bytes
-	// and the next fan-out overwrites them).
+	// stream frame in, and checkGates its release (Send copies, so every
+	// slave is sent the same bytes and the next frame overwrites them).
 	frame []byte
 
-	// gates is the FIFO of reply gates the master posted (quorum/all writes).
-	// Empty in async deployments, so the legacy fan-out path is untouched.
-	gates []nicGate
+	// gates is the FIFO of reply gates the master's requests carried
+	// (quorum/all writes). Empty in async deployments, so the legacy fan-out
+	// path is untouched.
+	gates ring.Queue[nicGate]
 
 	probeTicker *sim.Ticker
 
@@ -285,7 +287,7 @@ func (n *NicKV) accept(conn transport.Conn) {
 			n.masterConn = nil
 			// Gated replies died with the master's client connections; a
 			// restarted master re-posts gates for whatever it re-parks.
-			n.gates = nil
+			n.gates.Reset()
 			n.gGatesPending.Set(0)
 			if n.masterValid {
 				// The master's control connection died while it was still
@@ -333,9 +335,17 @@ func (n *NicKV) onMessage(conn transport.Conn, data []byte) {
 		n.ReplRequests++
 		n.mReplRequests.Inc()
 		n.proc.Core.Charge(n.params.NicParseReqCPU)
-		off, cnt, cmds, ok := r.offload()
+		off, gate, cnt, cmds, ok := r.offload()
 		if !ok {
 			return
+		}
+		if gate != 0 {
+			// The gate arrives with the bytes it covers: queue it first, so
+			// this very fan-out goes out tagged msgCmdStreamAck and each
+			// slave's report on applying it is the one the gate waits for.
+			n.mGatesQueued.Inc()
+			n.gates.Push(nicGate{end: off + int64(len(cmds)), gate: gate})
+			n.gGatesPending.Set(int64(n.gates.Len()))
 		}
 		n.fanOut(off, cmds, cnt)
 	case msgProgress:
@@ -345,25 +355,6 @@ func (n *NicKV) onMessage(conn transport.Conn, data []byte) {
 			nd.lag.Set(lagBehind(n.streamEnd, nd.offset))
 			n.checkGates()
 		}
-	case msgGate:
-		end := r.i64()
-		need := int(r.u64()) // 0 = all: resolved against the NIC's live valid-slave view
-		if r.bad || need < 0 {
-			return
-		}
-		n.proc.Core.Charge(n.params.NicParseReqCPU)
-		n.mGatesQueued.Inc()
-		n.gates = append(n.gates, nicGate{end: end, need: need})
-		n.gGatesPending.Set(int64(len(n.gates)))
-		if n.checkGates() {
-			return
-		}
-		// The gate's stream bytes may already have fanned out as plain
-		// msgCmdStream frames (gate frames trail the flush on the same FIFO
-		// connection), in which case the slaves would sit on their
-		// ProgressInterval cron before reporting. Demand a progress report
-		// now from every valid slave still behind the gate.
-		n.demandAcks(end)
 	case msgTrackHello:
 		name := r.str()
 		if r.bad {
@@ -414,18 +405,15 @@ func (n *NicKV) onMessage(conn transport.Conn, data []byte) {
 }
 
 // checkGates pops every satisfied gate off the FIFO head and reports the
-// highest released offset to the master in a single msgAckRelease frame.
-// Returns whether anything was released. A gate is satisfied when `need`
-// valid slaves have reported offsets at or past its end; the strict FIFO
-// order means a stricter gate blocks weaker ones behind it, which keeps the
-// release watermark sound (see nicGate).
-func (n *NicKV) checkGates() bool {
-	if len(n.gates) == 0 {
-		return false
-	}
+// highest released offset to the master in a single msgAckRelease frame. A
+// gate is satisfied when the valid slaves it asks for have reported offsets
+// at or past its end; the strict FIFO order means a stricter gate blocks
+// weaker ones behind it, which keeps the release watermark sound (see
+// nicGate).
+func (n *NicKV) checkGates() {
 	released := int64(-1)
-	for len(n.gates) > 0 {
-		g := n.gates[0]
+	for n.gates.Len() > 0 {
+		g := n.gates.Peek()
 		valid, cnt := 0, 0
 		n.eachValidSlave(func(nd *nodeEntry) {
 			valid++
@@ -433,50 +421,22 @@ func (n *NicKV) checkGates() bool {
 				cnt++
 			}
 		})
-		need := g.need
-		if need == 0 {
-			// "All": every slave the NIC currently considers valid. With no
-			// valid slave the gate holds — the strictest level never
-			// degrades to async when the replica set empties.
-			if valid == 0 {
-				break
-			}
-			need = valid
-		}
-		if cnt < need {
+		if cnt < g.gate.Need(valid) {
 			break
 		}
 		released = g.end
-		n.gates = n.gates[1:]
+		n.gates.Pop()
 	}
 	if released < 0 {
-		return false
+		return
 	}
-	n.gGatesPending.Set(int64(len(n.gates)))
+	n.gGatesPending.Set(int64(n.gates.Len()))
 	if n.masterConn != nil {
 		n.mGateReleases.Inc()
 		n.proc.Core.Charge(n.params.NicFeedSlaveCPU)
-		frame := []byte{msgAckRelease}
-		frame = appendU64(frame, uint64(released))
-		n.masterConn.Send(frame)
+		n.frame = appendU64(append(n.frame[:0], msgAckRelease), uint64(released))
+		n.masterConn.Send(n.frame)
 	}
-	return true
-}
-
-// demandAcks pings every valid slave still behind `end` with an empty
-// msgCmdStreamAck frame at the slave's own reported offset: a no-op for the
-// stream (entirely before the slave's offset) that makes the agent report
-// progress immediately instead of on its ProgressInterval cron.
-func (n *NicKV) demandAcks(end int64) {
-	n.eachValidSlave(func(nd *nodeEntry) {
-		if nd.conn == nil || nd.offset >= end {
-			return
-		}
-		n.proc.Core.Charge(n.params.NicFeedSlaveCPU)
-		frame := []byte{msgCmdStreamAck}
-		frame = appendU64(frame, uint64(nd.offset))
-		nd.conn.Send(frame)
-	})
 }
 
 // registerSlave implements §III-C step ①: create a client object for the
@@ -541,13 +501,14 @@ func (n *NicKV) fanOut(off int64, cmd []byte, cmds int) {
 		n.streamEnd = end
 	}
 	n.applyToReplica(off, cmd)
-	// While reply gates are pending, the stream goes out tagged
+	// While reply gates are pending — this request's own, or an earlier one
+	// the slaves have yet to cover — the stream goes out tagged
 	// msgCmdStreamAck: each slave reports progress as soon as it applies the
 	// chunk, so the gate releases at apply latency instead of the
 	// ProgressInterval cron. Async deployments never queue gates and keep
 	// the legacy frame byte-for-byte.
 	tag := byte(msgCmdStream)
-	if len(n.gates) > 0 {
+	if n.gates.Len() > 0 {
 		tag = msgCmdStreamAck
 	}
 	frame := n.streamFrame(tag, off, cmd)

@@ -43,6 +43,13 @@ type SlaveAgent struct {
 	applier *replstream.Applier
 
 	progress *sim.Ticker
+	// A slave has at most one progress report queued on its proc: the report
+	// sends the offset current when it runs, so a second request while one is
+	// queued adds nothing. progressTask is sendProgress bound once;
+	// progressFrame the scratch the report is built in (Send copies).
+	reportQueued  bool
+	progressTask  func()
+	progressFrame []byte
 
 	// Stats.
 	Applied  uint64
@@ -77,6 +84,7 @@ func AttachSlave(srv *server.Server, net *fabric.Network, nicEP *fabric.Endpoint
 		mPromoted: srv.Metrics().Counter("slaveagent.promoted"),
 		mDemoted:  srv.Metrics().Counter("slaveagent.demoted"),
 	}
+	a.progressTask = a.sendProgress
 	a.applier = replstream.NewApplier(func(db int, argv [][]byte) {
 		a.Srv.Proc().Core.Charge(a.Srv.Params().SlaveApplyCPU)
 		a.Srv.Store().Exec(db, argv)
@@ -203,10 +211,9 @@ func (a *SlaveAgent) onNicMessage(data []byte) {
 		}
 		a.onStream(off, cmd)
 		if data[0] == msgCmdStreamAck {
-			// A gated stream chunk (or an empty ack-demand ping at our own
-			// offset): report progress right away — a master reply is parked
-			// on this offset, and the next ProgressInterval cron tick is too
-			// far away.
+			// A chunk fanned out while a gate is pending: report progress
+			// right away — a master reply is parked on this offset, and the
+			// next ProgressInterval cron tick is too far away.
 			a.reportProgress()
 		}
 	case msgPromote:
@@ -352,17 +359,22 @@ func orderChunks(buf []streamChunk) []streamChunk {
 	return out
 }
 
-// reportProgress sends the replication offset to Nic-KV (§III-C step ③).
+// reportProgress queues a report of the replication offset to Nic-KV
+// (§III-C step ③), unless one is already waiting for the proc.
 func (a *SlaveAgent) reportProgress() {
-	if a.nicConn == nil || !a.Srv.Alive() || !a.synced {
+	if a.nicConn == nil || !a.Srv.Alive() || !a.synced || a.reportQueued {
 		return
 	}
-	a.Srv.Proc().Post(a.Srv.Params().ReplyBuildCPU, func() {
-		if a.nicConn == nil || !a.Srv.Alive() {
-			return
-		}
-		frame := []byte{msgProgress}
-		frame = appendU64(frame, uint64(a.offset))
-		a.nicConn.Send(frame)
-	})
+	a.reportQueued = true
+	a.Srv.Proc().Post(a.Srv.Params().ReplyBuildCPU, a.progressTask)
+}
+
+// sendProgress is the queued report, on the slave's proc.
+func (a *SlaveAgent) sendProgress() {
+	a.reportQueued = false
+	if a.nicConn == nil || !a.Srv.Alive() {
+		return
+	}
+	a.progressFrame = appendU64(append(a.progressFrame[:0], msgProgress), uint64(a.offset))
+	a.nicConn.Send(a.progressFrame)
 }

@@ -40,10 +40,50 @@ type Batch struct {
 	Data []byte
 	// Cmds is the number of commands in Data (SELECT injections included).
 	Cmds int
+	// Gate joins the gates of the batch's gated writes (zero when it holds
+	// none): their replies wait until the replicas it names hold the stream
+	// up to End.
+	Gate Gate
 }
 
 // End reports the global offset one past the batch's last byte.
 func (b Batch) End() int64 { return b.Start + int64(len(b.Data)) }
+
+// Gate is the replica acknowledgment a gated write's reply waits for, in the
+// form that rides the replication request: the low 16 bits are a quorum count
+// (0 = none) and the top bit asks for every replica the enforcer currently
+// considers valid. The zero Gate gates nothing; the bits between are reserved.
+type Gate uint32
+
+const (
+	// GateAll waits for every valid replica.
+	GateAll Gate = 1 << 31
+	// gateQuorum masks the quorum count.
+	gateQuorum Gate = 1<<16 - 1
+)
+
+// QuorumGate waits for w replicas (clamped to what the count field holds).
+func QuorumGate(w int) Gate { return Gate(min(max(w, 1), int(gateQuorum))) }
+
+// WellFormed reports whether no reserved bit of g is set.
+func (g Gate) WellFormed() bool { return g&^(GateAll|gateQuorum) == 0 }
+
+// Join is the gate that holds until both g and o would release: the larger
+// quorum count, and every valid replica when either asks for that.
+func (g Gate) Join(o Gate) Gate {
+	return (g|o)&GateAll | max(g&gateQuorum, o&gateQuorum)
+}
+
+// Need is how many of the valid replicas must hold the gated bytes before g
+// releases. "Every valid replica" never means none: with an empty replica
+// set the strictest level holds instead of degrading to async.
+func (g Gate) Need(valid int) int {
+	need := int(g & gateQuorum)
+	if g&GateAll != 0 {
+		need = max(need, valid, 1)
+	}
+	return need
+}
 
 // WriterConfig wires a Writer to its embedder.
 type WriterConfig struct {
@@ -77,6 +117,7 @@ type Writer struct {
 	pending      []byte
 	pendingStart int64
 	pendingCmds  int
+	pendingGate  Gate
 	scheduled    bool
 
 	// CmdsAppended counts commands entered into the stream (SELECTs
@@ -141,10 +182,18 @@ func (w *Writer) Pending() int { return len(w.pending) }
 // write — the offset a replica must ack before this write counts as
 // replicated. argv is encoded before Append returns and not kept.
 func (w *Writer) Append(db int, argv [][]byte) int64 {
+	return w.AppendGated(db, argv, 0)
+}
+
+// AppendGated is Append for a write whose reply waits on gate: the batch
+// that carries the write's bytes downstream carries the gate too, joined
+// with those of the other gated writes it holds.
+func (w *Writer) AppendGated(db int, argv [][]byte, gate Gate) int64 {
 	if db != w.db {
 		w.db = db
 		w.add([][]byte{[]byte("SELECT"), strconv.AppendInt(nil, int64(db), 10)})
 	}
+	w.pendingGate = w.pendingGate.Join(gate)
 	w.add(argv)
 	return w.cfg.Backlog.EndOffset()
 }
@@ -183,12 +232,12 @@ func (w *Writer) flush(reason flushReason) {
 	if w.pendingCmds == 0 {
 		return
 	}
-	b := Batch{Start: w.pendingStart, Data: w.pending, Cmds: w.pendingCmds}
+	b := Batch{Start: w.pendingStart, Data: w.pending, Cmds: w.pendingCmds, Gate: w.pendingGate}
 	// The batch's Data is the flush callback's to keep, so the buffer is
 	// handed off, never recycled; the next one starts at this batch's size —
 	// the best guess at the next batch's — so it is allocated once.
 	w.pending = make([]byte, 0, len(b.Data))
-	w.pendingCmds = 0
+	w.pendingCmds, w.pendingGate = 0, 0
 	w.BatchesFlushed++
 	switch reason {
 	case flushCmdBudget:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"skv/internal/backlog"
@@ -27,7 +28,7 @@ func newHarness(maxCmds, maxBytes int, scheduled bool) *harness {
 		MaxBytes: maxBytes,
 		Flush: func(b Batch) {
 			// Copy: real transports also take ownership of Data.
-			h.flushed = append(h.flushed, Batch{Start: b.Start, Data: append([]byte(nil), b.Data...), Cmds: b.Cmds})
+			h.flushed = append(h.flushed, Batch{Start: b.Start, Data: append([]byte(nil), b.Data...), Cmds: b.Cmds, Gate: b.Gate})
 		},
 	}
 	if scheduled {
@@ -197,6 +198,80 @@ func TestNoScheduleDegradesToSynchronous(t *testing.T) {
 // TestApplierDecodesBatches feeds a multi-command batch with SELECT context
 // switches and checks the callback sees each data command against the right
 // database, with SELECTs consumed internally.
+// TestGateRidesTheBatchThatHoldsTheWrite: a gated write's gate leaves the
+// Writer on the batch its bytes leave on and on no other — not on a SELECT
+// flushed ahead of it, not on the next batch — and a batch holding several
+// gated writes carries the one gate that holds until each of theirs would
+// release; ungated writes add nothing.
+func TestGateRidesTheBatchThatHoldsTheWrite(t *testing.T) {
+	set := [][]byte{[]byte("SET"), []byte("k"), []byte("v")}
+
+	h := newHarness(1, 0, true)
+	h.w.AppendGated(3, set, QuorumGate(2)) // SELECT 3 flushes first, alone
+	h.w.Append(3, set)
+	var got []Gate
+	for _, b := range h.flushed {
+		got = append(got, b.Gate)
+	}
+	if want := []Gate{0, QuorumGate(2), 0}; !slices.Equal(got, want) {
+		t.Fatalf("unbatched gates %v, want %v", got, want)
+	}
+
+	h = newHarness(4, 0, true)
+	h.w.Append(0, set)
+	h.w.AppendGated(0, set, QuorumGate(1))
+	h.w.AppendGated(0, set, GateAll)
+	end := h.w.AppendGated(0, set, QuorumGate(3)) // fourth command: budget flush
+	h.w.Append(0, set)
+	h.quiesce()
+	if len(h.flushed) != 2 {
+		t.Fatalf("%d batches, want 2", len(h.flushed))
+	}
+	if b := h.flushed[0]; b.Gate != GateAll.Join(QuorumGate(3)) || b.End() != end || b.Cmds != 4 {
+		t.Fatalf("mixed batch: gate %#x end %d cmds %d, want all+quorum 3 ending at %d", b.Gate, b.End(), b.Cmds, end)
+	}
+	if b := h.flushed[1]; b.Gate != 0 {
+		t.Fatalf("the ungated batch behind it carries gate %#x", b.Gate)
+	}
+}
+
+// TestGateJoinAndNeed: Join keeps both requirements, Need resolves them
+// against the enforcer's valid-replica count, and "all" of an empty replica
+// set still waits for one.
+func TestGateJoinAndNeed(t *testing.T) {
+	for _, tc := range []struct {
+		gate  Gate
+		valid int
+		need  int
+	}{
+		{0, 3, 0},
+		{QuorumGate(0), 3, 1}, // clamped: a gate never asks for nobody
+		{QuorumGate(2), 3, 2},
+		{QuorumGate(2), 1, 2}, // a quorum does not shrink with the replica set
+		{GateAll, 3, 3},
+		{GateAll, 0, 1},
+		{GateAll.Join(QuorumGate(2)), 3, 3},
+		{QuorumGate(3).Join(GateAll), 2, 3}, // all of two valid slaves is not a quorum of three
+		{QuorumGate(1).Join(QuorumGate(2)), 3, 2},
+		{Gate(0).Join(QuorumGate(1)), 3, 1},
+	} {
+		if got := tc.gate.Need(tc.valid); got != tc.need {
+			t.Errorf("gate %#x with %d valid: need %d, want %d", tc.gate, tc.valid, got, tc.need)
+		}
+		if !tc.gate.WellFormed() {
+			t.Errorf("gate %#x is not well formed", tc.gate)
+		}
+	}
+	if QuorumGate(1<<20).Need(0) != 1<<16-1 {
+		t.Errorf("an oversized quorum is not clamped to the count field: %#x", QuorumGate(1<<20))
+	}
+	for _, bad := range []Gate{1 << 16, 1 << 30, GateAll | 1<<20} {
+		if bad.WellFormed() {
+			t.Errorf("gate %#x has a reserved bit set but passes as well formed", bad)
+		}
+	}
+}
+
 func TestApplierDecodesBatches(t *testing.T) {
 	type applied struct {
 		db  int

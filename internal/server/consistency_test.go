@@ -1,10 +1,12 @@
 package server
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"skv/internal/consistency"
+	"skv/internal/replstream"
 	"skv/internal/resp"
 	"skv/internal/sim"
 )
@@ -216,6 +218,29 @@ func TestConsistencyCommandReportAndOverride(t *testing.T) {
 	if v := c2.do(t, "SET", "k3", "v"); !v.IsOK() {
 		t.Fatalf("other connection gated: %s", v.String())
 	}
+}
+
+// TestGatedWriteCarriesItsGateIntoTheStream: the acknowledgment a write's
+// reply waits for enters the replication stream with the write, so the batch
+// handed to an offload layer says what its replies are gated on — the
+// connection's level at the moment the command was admitted, nothing for an
+// async write — and there is no second notification to race the bytes.
+func TestGatedWriteCarriesItsGateIntoTheStream(t *testing.T) {
+	eachLayout(t, 69, layouts, func(t *testing.T, w *world, l layout) {
+		master := w.build(Options{Name: "m", Shards: l.shards, Listeners: l.listeners})
+		var gates []replstream.Gate
+		master.OnPropagate = func(b replstream.Batch) { gates = append(gates, b.Gate) }
+		c := w.dial(t, master)
+		c.sendPipe(5*sim.Millisecond, pipeOf("SET k 0", "SKV.CONSISTENCY quorum 2", "SET k 1",
+			"SKV.CONSISTENCY all", "SET k 2", "SKV.CONSISTENCY async", "SET k 3"))
+		want := []replstream.Gate{0, replstream.QuorumGate(2), replstream.GateAll, 0}
+		if !slices.Equal(gates, want) {
+			t.Fatalf("batch gates %#x, want %#x", gates, want)
+		}
+		if parked := master.Acks().Parked(); parked != 2 {
+			t.Fatalf("%d replies parked, want the quorum and the all write", parked)
+		}
+	})
 }
 
 func TestConsistencyCommandErrors(t *testing.T) {

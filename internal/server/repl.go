@@ -18,10 +18,11 @@ import (
 // propagate enters a write into the replication stream and returns the
 // replication offset the write ends at (what WAIT must see acked). The
 // replstream Writer owns backlog append, SELECT injection, and batching;
-// flushed batches come back through flushReplBatch.
-func (s *Server) propagate(db int, argv [][]byte) int64 {
+// flushed batches come back through flushReplBatch, carrying the gate of a
+// write whose reply waits on replica acknowledgments.
+func (s *Server) propagate(db int, argv [][]byte, gate replstream.Gate) int64 {
 	s.WritesPropagated++
-	return s.repl.Append(db, argv)
+	return s.repl.AppendGated(db, argv, gate)
 }
 
 // ReplStream exposes the replication stream writer (stats, forced flushes

@@ -236,7 +236,7 @@ func TestPSyncFlushesPendingBatch(t *testing.T) {
 		argv := [][]byte{[]byte("INCR"), []byte("ctr")}
 		for i := 0; i < 3; i++ {
 			master.store.Exec(0, argv)
-			master.propagate(0, argv)
+			master.propagate(0, argv, 0)
 		}
 		if master.repl.Pending() == 0 {
 			t.Error("no pending batch to test against")

@@ -134,12 +134,6 @@ type Server struct {
 	// defLevel/defW are the configured write consistency defaults.
 	defLevel consistency.Level
 	defW     int
-	// OnWriteGate, when non-nil, is told about every parked write reply
-	// (end offset, required ack count; 0 = all valid slaves) so an offload
-	// layer can enforce the gate off-host: the SKV Host-KV forwards it to
-	// Nic-KV, which releases the reply once W slaves acknowledged — the
-	// host CPU never polls.
-	OnWriteGate func(endOff int64, need int)
 
 	// Client-side caching (CLIENT TRACKING, see tracking.go). track is the
 	// in-band interest table, allocated on first use; trackLocal resolves
@@ -673,8 +667,8 @@ func (s *Server) execute(c *client, seq uint64, cmd *store.Command, argv [][]byt
 	s.coreFor(c).Charge(s.execCost(cmd, argv))
 	reply, dirty := s.store.Dispatch(cmd, c.db, argv)
 	if dirty && s.role == RoleMaster {
-		need, wire := s.gateNeed(c)
-		if s.shard.commit(c, seq, cmd, c.db, argv, reply, need, wire) {
+		need, gate := s.gateNeed(c)
+		if s.shard.commit(c, seq, cmd, c.db, argv, reply, need, gate) {
 			return true
 		}
 	}
@@ -705,25 +699,26 @@ func (s *Server) levelFor(c *client) (consistency.Level, int) {
 
 // gateNeed maps the connection's consistency level to the replica-ack count
 // a write reply must wait for; need 0 (async) means reply immediately.
-// wire is the count encoded into the msgGate frame for the offload layer:
-// for "all" it is the 0 sentinel — the NIC resolves it against its live
-// valid-slave view, which is authoritative in SKV mode (the host's bulk
-// tracker only refreshes on ProbePeriod status frames and may lag or be
-// empty), while need keeps a host-side fallback for the tracker.
-func (s *Server) gateNeed(c *client) (need, wire int) {
+// gate is the same requirement in the form that rides the replication
+// stream to an offload layer enforcing it off-host: "all" stays symbolic
+// there — the NIC resolves it against its live valid-slave view, which is
+// authoritative in SKV mode (the host's bulk tracker only refreshes on
+// ProbePeriod status frames and may lag or be empty), while need keeps a
+// host-side fallback for the tracker.
+func (s *Server) gateNeed(c *client) (need int, gate replstream.Gate) {
 	lvl, w := s.levelFor(c)
 	switch lvl {
 	case consistency.Quorum:
 		if w < 1 {
 			w = 1
 		}
-		return w, w
+		return w, replstream.QuorumGate(w)
 	case consistency.All:
 		n := s.acks.ReplicaCount()
 		if n < 1 {
 			n = 1
 		}
-		return n, 0
+		return n, replstream.GateAll
 	}
 	return 0, 0
 }

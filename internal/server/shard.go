@@ -75,6 +75,7 @@ import (
 	"strconv"
 
 	"skv/internal/metrics"
+	"skv/internal/replstream"
 	"skv/internal/resp"
 	"skv/internal/sim"
 	"skv/internal/store"
@@ -349,7 +350,7 @@ func (e *shardEngine) runShard(c *client, seq uint64, cmd *store.Command, argv [
 	// The consistency decision is made at admission, in arrival order, so a
 	// pipelined SKV.CONSISTENCY override applies to exactly the commands
 	// behind it — the merge stage may observe a later override otherwise.
-	need, wire := s.gateNeed(c)
+	need, gate := s.gateNeed(c)
 	cost := s.execCost(cmd, argv)
 	if e.procs[si] == s.proc {
 		// The shard shares the dispatch core, so there is nothing to hand
@@ -357,7 +358,7 @@ func (e *shardEngine) runShard(c *client, seq uint64, cmd *store.Command, argv [
 		// event. The closures below are built only when a core is crossed.
 		s.proc.Core.Charge(cost)
 		reply, dirty := e.execOnShard(si, cost, cmd, dbi, argv)
-		e.merge(c, seq, cmd, dbi, argv, reply, dirty, need, wire)
+		e.merge(c, seq, cmd, dbi, argv, reply, dirty, need, gate)
 		return
 	}
 	// The route decision + shard handoff happen on the core that owns the
@@ -368,7 +369,7 @@ func (e *shardEngine) runShard(c *client, seq uint64, cmd *store.Command, argv [
 	e.procs[si].Post(cost, func() {
 		reply, dirty := e.execOnShard(si, cost, cmd, dbi, argv)
 		s.proc.Post(p.ShardMergeCPU, func() {
-			e.merge(c, seq, cmd, dbi, argv, reply, dirty, need, wire)
+			e.merge(c, seq, cmd, dbi, argv, reply, dirty, need, gate)
 			e.mergeDone()
 		})
 	})
@@ -393,9 +394,9 @@ func (e *shardEngine) execOnShard(si int, cost sim.Duration, cmd *store.Command,
 
 // merge is the merge stage, on the dispatch proc: replication order is
 // merge-arrival order — a single serialized stream.
-func (e *shardEngine) merge(c *client, seq uint64, cmd *store.Command, dbi int, argv [][]byte, reply []byte, dirty bool, need, wire int) {
+func (e *shardEngine) merge(c *client, seq uint64, cmd *store.Command, dbi int, argv [][]byte, reply []byte, dirty bool, need int, gate replstream.Gate) {
 	s := e.s
-	if s.alive && dirty && s.role == RoleMaster && e.commit(c, seq, cmd, dbi, argv, reply, need, wire) {
+	if s.alive && dirty && s.role == RoleMaster && e.commit(c, seq, cmd, dbi, argv, reply, need, gate) {
 		return
 	}
 	e.complete(c, seq, reply)
@@ -407,21 +408,18 @@ func (e *shardEngine) merge(c *client, seq uint64, cmd *store.Command, dbi int, 
 // exactly this client's writes. With need > 0 (quorum/all) the reply parks
 // on the consistency tracker, holding its re-sequencer turn until the
 // replicas ack while the pipeline keeps flowing — barriers never wait on
-// acks — and the offload layer is told about the gate so Nic-KV can release
-// it off-host; commit then reports true and the parked fire completes the
-// command.
-func (e *shardEngine) commit(c *client, seq uint64, cmd *store.Command, dbi int, argv [][]byte, reply []byte, need, wire int) bool {
+// acks — and its gate enters the stream with its bytes, so an offload layer
+// (Nic-KV) can release it off-host; commit then reports true and the parked
+// fire completes the command.
+func (e *shardEngine) commit(c *client, seq uint64, cmd *store.Command, dbi int, argv [][]byte, reply []byte, need int, gate replstream.Gate) bool {
 	s := e.s
-	off := s.propagate(dbi, argv)
+	off := s.propagate(dbi, argv, gate)
 	s.acks.NoteWrite(c.id, off)
 	s.pushInvalidations(cmd, argv)
 	if need == 0 {
 		return false
 	}
 	s.acks.ParkWrite(c.id, off, need, func() { e.complete(c, seq, reply) })
-	if s.OnWriteGate != nil {
-		s.OnWriteGate(off, wire)
-	}
 	return true
 }
 
