@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet lint race verify bench bench-smoke profile fuzz clean
+.PHONY: all build fmt test vet lint race verify bench bench-smoke chaos profile fuzz clean
 
 all: verify
 
@@ -48,6 +48,12 @@ bench:
 # cluster, runs, and renders. Numbers are meaningless at this scale.
 bench-smoke:
 	$(GO) run ./cmd/skv-bench -smoke
+
+# Every failure scenario (cluster.AllScenarios) through the one runner, traces
+# printed; exits 1 when any scenario fails its check, so an example that stops
+# converging fails the build instead of printing to nobody.
+chaos:
+	$(GO) run ./examples/chaos
 
 # Where one experiment spends host time and allocations, so the next
 # bottleneck is read, not guessed: `make profile EXP=fig11` runs it once

@@ -38,22 +38,22 @@ func ExtFailover() *Experiment {
 		pp.WaitingTime = 300 * sim.Millisecond
 		p = &pp
 	}
-	c := cluster.Build(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 4, Seed: 53, Params: p, SKV: cfg})
-	if !c.AwaitReplication(5 * sim.Second) {
-		panic("ext-failover: replication never converged")
+	var crashAt sim.Time
+	c, _, err := cluster.RunScenario(cluster.Scenario{
+		Name:   "ext-failover",
+		Config: cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 4, Seed: 53, Params: p, SKV: cfg},
+		RunFor: horizon, Settle: 2 * sim.Second,
+		Script: func(h *cluster.Chaos) {
+			crashAt = h.C.Eng.Now().Add(crashAfter)
+			h.CrashMaster(crashAfter)
+			h.RestartMaster(restartAfter)
+		},
+		// The experiment reports the timeline; it does not judge the end state.
+		Check: func(*cluster.Chaos) error { return nil },
+	})
+	if err != nil {
+		panic(err)
 	}
-	h := cluster.NewChaos(c)
-	c.StartClients()
-	base := c.Eng.Now()
-	h.CrashMaster(crashAfter)
-	h.RestartMaster(restartAfter)
-	c.Eng.Run(base.Add(horizon))
-	for _, cl := range c.Clients {
-		cl.Stop()
-	}
-	c.Eng.RunFor(2 * sim.Second)
-
-	crashAt := base.Add(crashAfter)
 	tl := c.NicKV.Timeline()
 	row := func(typ metrics.EventType) {
 		ev, ok := tl.FirstAfter(typ, crashAt)

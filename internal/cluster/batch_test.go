@@ -148,24 +148,19 @@ func TestWaitCommandAcrossBatchSizes(t *testing.T) {
 // TestChaosScenariosBatched re-runs the PR-1 failure scenarios with the
 // replication stream batched at 4 and 64 commands: every scenario must
 // still converge (single master, no promoted leftovers, identical
-// keyspaces), and a repeated batched run must reproduce its trace exactly —
-// batching must not break the determinism contract.
+// keyspaces); TestChaosScenarios holds a batched run to the determinism
+// contract.
 func TestChaosScenariosBatched(t *testing.T) {
 	for _, batch := range []int{4, 64} {
 		for _, s := range ChaosScenarios() {
-			s := s
-			batch := batch
-			s.Tune = func(p *model.Params) { p.ReplBatchMaxCmds = batch }
+			s.Config.Params.ReplBatchMaxCmds = batch
 			t.Run(fmt.Sprintf("%s/batch%d", s.Name, batch), func(t *testing.T) {
 				c, h, err := RunScenario(s)
 				if err != nil {
 					t.Fatalf("convergence failed:\n%v\ntrace:\n%s", err, h.TraceString())
 				}
-				if batch == 4 && s.Name == "slave-crash-recover" {
-					if c.SlaveAgents[1].Resyncs == 0 {
-						t.Error("recovered slave never resynchronized")
-					}
-					requireDeterministicRerun(t, s, c, h)
+				if batch == 4 && s.Name == "slave-crash-recover" && c.SlaveAgents[1].Resyncs == 0 {
+					t.Error("recovered slave never resynchronized")
 				}
 			})
 		}

@@ -1,17 +1,19 @@
 // Chaos harness: scripted failure scenarios driven through the fabric fault
 // plane (internal/fabric: partitions, loss, flapping endpoints) and the
 // process crash/restart helpers below, with a deterministic timestamped
-// trace. Every scenario ends with CheckConvergence, which asserts the SKV
-// invariants §III-D is supposed to restore after any failure: exactly one
-// master, no leftover promotion, every alive slave valid, synced, and at the
-// master's replication offset.
+// trace. A scenario ends with its Check — CheckConvergence unless it brings
+// one — which asserts the SKV invariants §III-D is supposed to restore after
+// any failure: exactly one master, no leftover promotion, every alive slave
+// valid, synced, and at the master's replication offset.
 package cluster
 
 import (
 	"fmt"
 	"strings"
 
+	"skv/internal/consistency"
 	"skv/internal/core"
+	"skv/internal/fabric"
 	"skv/internal/model"
 	"skv/internal/server"
 	"skv/internal/sim"
@@ -31,17 +33,34 @@ func (e TraceEntry) String() string {
 		float64(e.At)/float64(sim.Millisecond), e.Label, e.State)
 }
 
+// Load is anything RunScenario starts once the script has run and stops when
+// the scripted horizon ends: a workload client, a ledger writer, a sampler.
+type Load interface {
+	Start()
+	Stop()
+}
+
 // Chaos schedules scripted failures over a built cluster and records the
 // trace. All At offsets are relative to the moment NewChaos was called
 // (normally: right after initial replication completed).
 type Chaos struct {
 	C     *Cluster
 	Trace []TraceEntry
-	base  sim.Time
+	// Load is what runs over the scripted horizon, started in order: the
+	// workload clients, then whatever the script appends. A script that
+	// brings its own load replaces the slice, and the clients stay idle.
+	Load []Load
+	base sim.Time
 }
 
 // NewChaos wraps a built cluster for scenario scripting.
-func NewChaos(c *Cluster) *Chaos { return &Chaos{C: c, base: c.Eng.Now()} }
+func NewChaos(c *Cluster) *Chaos {
+	h := &Chaos{C: c, base: c.Eng.Now()}
+	for _, cl := range c.Clients {
+		h.Load = append(h.Load, cl)
+	}
+	return h
+}
 
 // Note appends a trace entry with the current state, without an action.
 func (h *Chaos) Note(label string) {
@@ -158,20 +177,33 @@ func (h *Chaos) RecoverSlave(d sim.Duration, i int) {
 	h.At(d, fmt.Sprintf("recover slave%d", i), func(c *Cluster) { c.RecoverSlave(i) })
 }
 
-// PartitionNicSlave cuts both directions between the SmartNIC and slave i's
-// host at base+d.
+// PartitionNicSlave cuts both directions between slave i's host and its
+// group's SmartNIC at base+d.
 func (h *Chaos) PartitionNicSlave(d sim.Duration, i int) {
 	h.At(d, fmt.Sprintf("partition nic<->slave%d", i), func(c *Cluster) {
-		c.Net.Faults().PartitionBoth(c.MasterMachine.NIC, c.SlaveMachines[i].Host)
+		c.Net.Faults().PartitionBoth(c.slaveLink(i))
 	})
 }
 
-// HealNicSlave heals both directions between the SmartNIC and slave i's
-// host at base+d; parked traffic flushes in order.
+// HealNicSlave heals both directions between slave i's host and its group's
+// SmartNIC at base+d; parked traffic flushes in order.
 func (h *Chaos) HealNicSlave(d sim.Duration, i int) {
 	h.At(d, fmt.Sprintf("heal nic<->slave%d", i), func(c *Cluster) {
-		c.Net.Faults().HealBoth(c.MasterMachine.NIC, c.SlaveMachines[i].Host)
+		c.Net.Faults().HealBoth(c.slaveLink(i))
 	})
+}
+
+// slaveLink resolves slave i — an index into the concatenated c.Slaves — to
+// the two ends of the link its replication traffic crosses: the SmartNIC of
+// the group it belongs to, and its own host.
+func (c *Cluster) slaveLink(i int) (nic, host *fabric.Endpoint) {
+	for _, g := range c.Groups {
+		if i < len(g.SlaveMachines) {
+			return g.MasterMachine.NIC, g.SlaveMachines[i].Host
+		}
+		i -= len(g.SlaveMachines)
+	}
+	panic("cluster: no such slave")
 }
 
 // FlapSlave starts down/up cycles of slave i's host endpoint at base+d.
@@ -294,41 +326,32 @@ func checkGroupConvergence(g *Group) []string {
 
 // ---- scenarios ----------------------------------------------------------
 
-// Scenario is one scripted failure sequence over a fresh SKV cluster.
+// Scenario is one scripted failure sequence over a fresh deployment: any
+// cluster.Config, so a scenario says Masters, Consistency or Pipeline the
+// way it says Slaves. The chaos timescales ride in Config.Params (see
+// ChaosParams); re-running a scenario sharded, batched or routed is a write
+// to s.Config.Params before RunScenario.
 type Scenario struct {
-	Name    string
-	Slaves  int
-	Clients int
-	Seed    int64
-	// Retry is the RC/TCP retransmission-timeout budget before a connection
-	// errors out. 0 means 10s: links park traffic but never die (pure
-	// probe-timeout scenarios). Short values force connection teardown and
-	// re-establishment (flap scenarios).
-	Retry  sim.Duration
+	Name   string
+	Config Config
+	// Script runs once replication is ready, before the load starts: it
+	// schedules the faults (h.At and the helpers above) and may append to or
+	// replace h.Load.
 	Script func(h *Chaos)
-	// RunFor is the scripted horizon under client load; Settle is the quiet
-	// period after load stops, before the convergence check.
+	// RunFor is the scripted horizon under load; Settle is the quiet period
+	// after load stops, before the check.
 	RunFor sim.Duration
 	Settle sim.Duration
-	// Tune, when non-nil, adjusts the model parameters after the chaos
-	// profile is applied and before the cluster is built — the one hook for
-	// running a scenario batched, sharded, or with any future knob, so new
-	// knobs don't keep growing this struct.
-	Tune func(*model.Params)
-	// NicReads enables the NIC read path for the scenario (topology, not a
-	// model parameter — see cluster.NicReadMode).
-	NicReads NicReadMode
-	// Tracking arms CLIENT TRACKING on the workload clients (Config.
-	// Tracking); GetRatio shapes the load (Config.GetRatio — tracking
-	// scenarios need reads to populate the caches). Zero values are the
-	// pure-SET untracked load.
-	Tracking bool
-	GetRatio float64
+	// Check is the scenario's end-state audit; nil means CheckConvergence.
+	Check func(h *Chaos) error
 }
 
 // ChaosParams compresses the failure-detection timescales (probe every
 // 100ms, waiting-time 200ms — the cluster tests' fast profile) and installs
-// the scenario's retry budget.
+// the retry budget: the RC/TCP retransmission timeout before a connection
+// errors out. 0 means 10s — links park traffic but never die (pure
+// probe-timeout scenarios); short values force connection teardown and
+// re-establishment (flap scenarios).
 func ChaosParams(retry sim.Duration) *model.Params {
 	p := model.Default()
 	p.ProbePeriod = 100 * sim.Millisecond
@@ -341,53 +364,70 @@ func ChaosParams(retry sim.Duration) *model.Params {
 	return &p
 }
 
-// RunScenario builds a fresh SKV cluster for the scenario, waits for
-// initial replication, starts client load, runs the script, stops the load,
-// settles, and checks convergence. The returned Chaos holds the trace.
+// chaosConfig is the canned scenarios' deployment — one SKV group of three
+// slaves under one pure-SET client, on the chaos timescales — and the base
+// the other scenarios edit.
+func chaosConfig(seed int64, retry sim.Duration) Config {
+	return Config{
+		Kind: KindSKV, Slaves: 3, Clients: 1, Seed: seed,
+		Params: ChaosParams(retry),
+		SKV:    core.Config{ProgressInterval: 50 * sim.Millisecond},
+	}
+}
+
+// RunScenario is the one scenario runner: it builds the scenario's
+// deployment, waits up to 2s for initial replication, runs the script,
+// starts the load, runs the scripted horizon, stops the load, settles, and
+// checks. The returned Chaos always holds a printable trace; on a failed
+// initial replication its last entry says so.
 func RunScenario(s Scenario) (*Cluster, *Chaos, error) {
-	p := ChaosParams(s.Retry)
-	if s.Tune != nil {
-		s.Tune(p)
-	}
-	c := Build(Config{
-		Kind:     KindSKV,
-		Slaves:   s.Slaves,
-		Clients:  s.Clients,
-		Seed:     s.Seed,
-		Params:   p,
-		SKV:      core.Config{ProgressInterval: 50 * sim.Millisecond},
-		NicReads: s.NicReads,
-		Tracking: s.Tracking,
-		GetRatio: s.GetRatio,
-	})
-	if !c.AwaitReplication(2 * sim.Second) {
-		return c, nil, fmt.Errorf("%s: initial replication did not complete", s.Name)
-	}
+	c := Build(s.Config)
+	synced := c.AwaitReplication(2 * sim.Second)
 	h := NewChaos(c)
+	if !synced {
+		h.Note("replication failed")
+		return c, h, fmt.Errorf("%s: initial replication did not complete", s.Name)
+	}
 	h.Note("replication ready")
-	c.StartClients()
 	if s.Script != nil {
 		s.Script(h)
 	}
+	for _, l := range h.Load {
+		l.Start()
+	}
 	c.Eng.RunFor(s.RunFor)
-	for _, cl := range c.Clients {
-		cl.Stop()
+	for _, l := range h.Load {
+		l.Stop()
 	}
 	h.Note("load stopped")
 	c.Eng.RunFor(s.Settle)
 	h.Note("settled")
+	if s.Check != nil {
+		return c, h, s.Check(h)
+	}
 	return c, h, c.CheckConvergence()
 }
 
-// ChaosScenarios returns the canned failure scenarios the chaos tests (and
-// examples/chaos) run. Each exercises a different §III-D path.
+// AllScenarios returns every scenario the harness knows, each at its pinned
+// seed: the canned five, per-slot failover, reshard under load, and the
+// ack-loss probe at async and quorum.
+func AllScenarios() []Scenario {
+	psf, _ := PerSlotFailoverScenario(7)
+	rsh, _ := ReshardScenario(42, false)
+	async, _ := AckLossScenario(AckLossSpec{Level: consistency.Async, Seed: 7})
+	quorum, _ := AckLossScenario(AckLossSpec{Level: consistency.Quorum, W: 2, Seed: 7})
+	return append(ChaosScenarios(), psf, rsh, async, quorum)
+}
+
+// ChaosScenarios returns the canned single-group failure scenarios. Each
+// exercises a different §III-D path.
 func ChaosScenarios() []Scenario {
 	return []Scenario{
 		// Master crash → probe timeout → failover; then a full master
 		// restart: the recovered master reappears on a new connection and
 		// the promoted slave must be demoted (the split-brain fix).
 		{
-			Name: "master-restart-split-brain", Slaves: 3, Clients: 1, Seed: 7,
+			Name: "master-restart-split-brain", Config: chaosConfig(7, 0),
 			RunFor: 2 * sim.Second, Settle: 1500 * sim.Millisecond,
 			Script: func(h *Chaos) {
 				h.CrashMaster(200 * sim.Millisecond)
@@ -397,7 +437,7 @@ func ChaosScenarios() []Scenario {
 		// Slave process crash → invalid flag → recovery → resync across the
 		// missed stream (Fig 14's recovered-node path).
 		{
-			Name: "slave-crash-recover", Slaves: 3, Clients: 1, Seed: 11,
+			Name: "slave-crash-recover", Config: chaosConfig(11, 0),
 			RunFor: 2 * sim.Second, Settle: 1 * sim.Second,
 			Script: func(h *Chaos) {
 				h.CrashSlave(200*sim.Millisecond, 1)
@@ -408,8 +448,7 @@ func ChaosScenarios() []Scenario {
 		// waiting-time (→ invalid) and the retry budget (→ connections
 		// error out), so recovery exercises full re-dial + resync.
 		{
-			Name: "slave-flap-resync", Slaves: 3, Clients: 1, Seed: 13,
-			Retry:  150 * sim.Millisecond,
+			Name: "slave-flap-resync", Config: chaosConfig(13, 150*sim.Millisecond),
 			RunFor: 2500 * sim.Millisecond, Settle: 2 * sim.Second,
 			Script: func(h *Chaos) {
 				h.FlapSlave(200*sim.Millisecond, 1, 400*sim.Millisecond, 600*sim.Millisecond, 2)
@@ -419,7 +458,7 @@ func ChaosScenarios() []Scenario {
 		// survive, probes time out (invalid), the heal flushes parked
 		// traffic in order and the probe-ack revalidates the slave.
 		{
-			Name: "nic-partition-probe-timeout", Slaves: 3, Clients: 1, Seed: 17,
+			Name: "nic-partition-probe-timeout", Config: chaosConfig(17, 0),
 			RunFor: 2 * sim.Second, Settle: 1500 * sim.Millisecond,
 			Script: func(h *Chaos) {
 				h.PartitionNicSlave(300*sim.Millisecond, 2)
@@ -430,21 +469,23 @@ func ChaosScenarios() []Scenario {
 		// failure detector must NOT trip (no failovers), and replication
 		// still converges.
 		{
-			Name: "lossy-links-under-load", Slaves: 3, Clients: 1, Seed: 23,
+			Name: "lossy-links-under-load", Config: chaosConfig(23, 0),
 			RunFor: 1500 * sim.Millisecond, Settle: 1 * sim.Second,
 			Script: func(h *Chaos) {
 				h.At(100*sim.Millisecond, "loss 5% on slave links", func(c *Cluster) {
 					f := c.Net.Faults()
-					for _, m := range c.SlaveMachines {
-						f.SetLossBoth(c.MasterMachine.NIC, m.Host, 0.05, 200*sim.Microsecond)
-						f.SetDelay(c.MasterMachine.NIC, m.Host, 0, 0.02, 1*sim.Millisecond)
+					for i := range c.Slaves {
+						nic, host := c.slaveLink(i)
+						f.SetLossBoth(nic, host, 0.05, 200*sim.Microsecond)
+						f.SetDelay(nic, host, 0, 0.02, 1*sim.Millisecond)
 					}
 				})
 				h.At(1200*sim.Millisecond, "links clean again", func(c *Cluster) {
 					f := c.Net.Faults()
-					for _, m := range c.SlaveMachines {
-						f.Clear(c.MasterMachine.NIC, m.Host)
-						f.Clear(m.Host, c.MasterMachine.NIC)
+					for i := range c.Slaves {
+						nic, host := c.slaveLink(i)
+						f.Clear(nic, host)
+						f.Clear(host, nic)
 					}
 				})
 			},

@@ -1,53 +1,135 @@
 package cluster
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"skv/internal/core"
+	"skv/internal/model"
 	"skv/internal/rconn"
 	"skv/internal/resp"
 	"skv/internal/sim"
 	"skv/internal/transport"
 )
 
-// TestChaosScenarios runs every canned failure scenario twice: the first
-// run must converge (and satisfy per-scenario expectations), and the second
-// run must produce a byte-identical trace — the harness's determinism
-// contract (same seed → same event sequence).
+// scenarioTable is every scenario the harness knows plus the re-runs whose
+// determinism it also owes: the hardest canned scenario sharded, routed and
+// tracked, a batched resync, and the tracked reshard.
+func scenarioTable() []Scenario {
+	rows := AllScenarios()
+	rerun := func(i int, suffix string, edit func(p *model.Params)) {
+		s := ChaosScenarios()[i]
+		s.Name += suffix
+		edit(s.Config.Params)
+		rows = append(rows, s)
+	}
+	rerun(0, "-shards4", func(p *model.Params) { p.HostShards = 4 })
+	rerun(0, "-shards4-listeners2", func(p *model.Params) { p.HostShards, p.RouteListeners = 4, 2 })
+	rerun(1, "-batch4", func(p *model.Params) { p.ReplBatchMaxCmds = 4 })
+	tracked := trackedScenario(ChaosScenarios()[0])
+	tracked.Name += "-tracked"
+	reshard, _ := ReshardScenario(7, true)
+	reshard.Name += "-tracked"
+	return append(rows, tracked, reshard)
+}
+
+// TestChaosScenarios runs every row of the table twice: the first run must
+// pass its check (and satisfy per-scenario expectations), and the second
+// must reproduce it byte for byte — the harness's determinism contract
+// (same seed → same event sequence), which the observability plane and the
+// clients' counters and caches obey too.
 func TestChaosScenarios(t *testing.T) {
-	for _, s := range ChaosScenarios() {
-		s := s
+	for _, s := range scenarioTable() {
 		t.Run(s.Name, func(t *testing.T) {
 			c, h, err := RunScenario(s)
 			if err != nil {
-				t.Fatalf("convergence failed:\n%v\ntrace:\n%s", err, h.TraceString())
+				t.Fatalf("check failed:\n%v\ntrace:\n%s", err, h.TraceString())
 			}
 			checkScenarioExpectations(t, s.Name, c, h)
 
-			requireDeterministicRerun(t, s, c, h)
+			c2, h2, err := RunScenario(s)
+			if err != nil {
+				t.Fatalf("second run diverged in outcome: %v", err)
+			}
+			if d1, d2 := scenarioDigest(c, h), scenarioDigest(c2, h2); d1 != d2 {
+				t.Fatalf("not deterministic across identical runs:\n--- run1:\n%s--- run2:\n%s", d1, d2)
+			}
 		})
 	}
 }
 
-// requireDeterministicRerun runs the scenario again and holds it to the
-// harness's determinism contract (same seed → same event sequence): a
-// byte-identical trace, and — the observability plane obeys the same contract
-// — identical metrics snapshots and failover timeline.
-func requireDeterministicRerun(t *testing.T, s Scenario, c *Cluster, h *Chaos) {
-	t.Helper()
-	c2, h2, err := RunScenario(s)
+// scenarioDigest renders everything a run produced — the chaos trace, every
+// metric snapshot, each group's failover timeline, and each client's
+// counters and sorted cache contents — for byte-identical rerun comparisons.
+func scenarioDigest(c *Cluster, h *Chaos) string {
+	var b strings.Builder
+	b.WriteString(h.TraceString())
+	b.WriteString(c.SnapshotsString())
+	for _, g := range c.Groups {
+		b.WriteString(g.NicKV.Timeline().String())
+	}
+	for _, cl := range c.Clients {
+		st := cl.Stats()
+		fmt.Fprintf(&b, "%s sent=%d done=%d err=%d hits=%d miss=%d inv=%d flush=%d\n",
+			cl.Name(), st.Sent, st.Done, st.ErrReplies, st.Hits, st.Misses,
+			st.Invalidations, st.Flushes)
+		ents := cl.CacheEntries()
+		keys := make([]string, 0, len(ents))
+		for k := range ents {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&b, "  %s=%s\n", k, ents[k])
+		}
+	}
+	return b.String()
+}
+
+// TestScenarioSyncFailureKeepsTrace: a scenario whose initial replication
+// cannot finish inside the sync budget must come back with its error and a
+// printable trace that ends in the failure — not a nil *Chaos for the caller
+// to dereference while reporting.
+func TestScenarioSyncFailureKeepsTrace(t *testing.T) {
+	s := ChaosScenarios()[1]
+	s.Config.Params.ForkCPU = 4 * sim.Second
+	_, h, err := RunScenario(s)
+	if err == nil {
+		t.Fatal("a fork longer than the sync budget still synchronized")
+	}
+	if last := h.Trace[len(h.Trace)-1]; last.Label != "replication failed" {
+		t.Fatalf("trace does not end with the failure note:\n%s", h.TraceString())
+	}
+}
+
+// TestPartitionNicSlaveCutsOwnGroupsLink: on a 2×1 deployment slave 1 is
+// group 1's slave, and partitioning it must cut the link to group 1's
+// SmartNIC — g1's Nic-KV loses its slave while g0 keeps its own, and the
+// heal restores it (the default convergence check).
+func TestPartitionNicSlaveCutsOwnGroupsLink(t *testing.T) {
+	cfg := chaosConfig(29, 0)
+	cfg.Slaves, cfg.Cluster = 0, ClusterOpts{Masters: 2, SlavesPerMaster: 1}
+	_, h, err := RunScenario(Scenario{
+		Name: "partition-g1-slave", Config: cfg,
+		RunFor: 2 * sim.Second, Settle: 1500 * sim.Millisecond,
+		Script: func(h *Chaos) {
+			h.PartitionNicSlave(300*sim.Millisecond, 1)
+			h.At(1*sim.Second, "partitioned", nil)
+			h.HealNicSlave(1100*sim.Millisecond, 1)
+		},
+	})
 	if err != nil {
-		t.Fatalf("second run diverged in outcome: %v", err)
+		t.Fatalf("not converged after the heal:\n%v\ntrace:\n%s", err, h.TraceString())
 	}
-	if h.TraceString() != h2.TraceString() {
-		t.Fatalf("trace not deterministic across identical runs:\n--- run1:\n%s--- run2:\n%s",
-			h.TraceString(), h2.TraceString())
-	}
-	if s1, s2 := c.SnapshotsString(), c2.SnapshotsString(); s1 != s2 {
-		t.Fatalf("metrics snapshots not deterministic:\n--- run1:\n%s--- run2:\n%s", s1, s2)
-	}
-	if t1, t2 := c.NicKV.Timeline().String(), c2.NicKV.Timeline().String(); t1 != t2 {
-		t.Fatalf("failover timeline not deterministic:\n--- run1:\n%s--- run2:\n%s", t1, t2)
+	for _, e := range h.Trace {
+		if e.Label != "partitioned" {
+			continue
+		}
+		if !strings.Contains(e.State, `g0{mv=true prom="" vs=1 `) || !strings.Contains(e.State, `g1{mv=true prom="" vs=0 `) {
+			t.Fatalf("mid-partition state, want g0 vs=1 and g1 vs=0:\n%s", e)
+		}
 	}
 }
 

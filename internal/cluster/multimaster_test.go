@@ -178,22 +178,12 @@ func TestMultiMasterThroughputScales(t *testing.T) {
 // TestPerSlotFailoverIsolation is the blast-radius contract: crash one
 // group's master under load and the surviving group must show zero errors
 // and no empty availability buckets, while the victim group blips and then
-// recovers on the promoted slave. The whole scenario must also be
-// deterministic: a second run reproduces the trace, the timeline, and the
-// metric snapshots byte-for-byte.
+// recovers on the promoted slave.
 func TestPerSlotFailoverIsolation(t *testing.T) {
-	runOnce := func() *PerSlotFailoverResult {
-		r, err := RunPerSlotFailover(7)
-		if err != nil {
-			if r != nil {
-				t.Logf("timeline:\n%s", r.Avail.String())
-				t.Logf("trace:\n%s", r.H.TraceString())
-			}
-			t.Fatal(err)
-		}
-		return r
+	s, r := PerSlotFailoverScenario(7)
+	if _, h, err := RunScenario(s); err != nil {
+		t.Fatalf("%v\ntimeline:\n%s\ntrace:\n%s", err, r.Avail.String(), h.TraceString())
 	}
-	r := runOnce()
 	survivor := 0
 	for b, n := range r.Avail.Done[survivor] {
 		if n == 0 {
@@ -215,16 +205,5 @@ func TestPerSlotFailoverIsolation(t *testing.T) {
 	}
 	if r.Promoted < 0 {
 		t.Error("no slave was promoted in the victim group")
-	}
-
-	r2 := runOnce()
-	if r.H.TraceString() != r2.H.TraceString() {
-		t.Error("chaos traces differ across identical per-slot failover runs")
-	}
-	if r.Avail.String() != r2.Avail.String() {
-		t.Error("availability timelines differ across identical per-slot failover runs")
-	}
-	if r.C.SnapshotsString() != r2.C.SnapshotsString() {
-		t.Error("metric snapshots differ across identical per-slot failover runs")
 	}
 }

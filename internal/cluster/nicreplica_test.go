@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"skv/internal/core"
-	"skv/internal/model"
 	"skv/internal/resp"
 	"skv/internal/sim"
 	"skv/internal/store"
@@ -83,10 +82,8 @@ func TestNicReplicaKeyspaceEqualsMasterRouted(t *testing.T) {
 func TestNicReplicaChaosKeyspaceEquality(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, s := range ChaosScenarios() {
-			s := s
-			shards := shards
-			s.NicReads = NicReadsServe
-			s.Tune = func(p *model.Params) { p.HostShards = shards }
+			s.Config.NicReads = NicReadsServe
+			s.Config.Params.HostShards = shards
 			t.Run(fmt.Sprintf("%s/shards%d", s.Name, shards), func(t *testing.T) {
 				c, h, err := RunScenario(s)
 				if err != nil {

@@ -1,14 +1,13 @@
-// Live slot migration harness: a SlotMigrator process that reshards a slot
-// range between running replication groups through the servers' CLUSTER
-// surface (SETSLOT IMPORTING/MIGRATING, GETKEYSINSLOT, DUMP / ASKING+RESTORE
-// / MIGRATEDEL, final SETSLOT NODE flip), plus the chaos scenario that runs
-// it under mixed slot-aware client load with a value-tracking ledger writer,
-// so tests can assert the migration loses no acknowledged write and leaves
-// no key served by two groups.
+// Live slot migration: a SlotMigrator process that reshards a slot range
+// between running replication groups through the servers' CLUSTER surface
+// (SETSLOT IMPORTING/MIGRATING, GETKEYSINSLOT, DUMP / ASKING+RESTORE /
+// MIGRATEDEL, final SETSLOT NODE flip), plus the scenario that runs it under
+// mixed slot-aware client load with the ledger writer, so tests can assert
+// the migration loses no acknowledged write and leaves no key served by two
+// groups.
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -16,6 +15,7 @@ import (
 	"skv/internal/core"
 	"skv/internal/rconn"
 	"skv/internal/resp"
+	"skv/internal/ring"
 	"skv/internal/sim"
 	"skv/internal/slots"
 	"skv/internal/transport"
@@ -38,12 +38,16 @@ type respPool struct {
 }
 
 type poolConn struct {
-	addr     string
-	conn     transport.Conn
-	dialing  bool
-	reader   resp.Reader
-	inflight [][]byte           // unanswered commands, send order
-	pending  []func(resp.Value) // their callbacks, same order
+	addr    string
+	conn    transport.Conn
+	dialing bool
+	reader  resp.Reader
+	pending ring.Queue[poolReq] // unanswered commands, send order
+}
+
+type poolReq struct {
+	cmd []byte
+	cb  func(resp.Value)
 }
 
 // newRespPool gives the control process its own machine and core, so its
@@ -63,8 +67,7 @@ func (p *respPool) send(addr string, cmd []byte, cb func(resp.Value)) {
 		pc = &poolConn{addr: addr}
 		p.conns[addr] = pc
 	}
-	pc.inflight = append(pc.inflight, cmd)
-	pc.pending = append(pc.pending, cb)
+	pc.pending.Push(poolReq{cmd, cb})
 	if pc.conn != nil {
 		pc.conn.Send(cmd)
 	} else if !pc.dialing {
@@ -89,14 +92,14 @@ func (p *respPool) dial(pc *poolConn) {
 				p.c.Eng.After(poolRedial, func() { p.redial(pc) })
 			}
 		})
-		for _, cmd := range pc.inflight { // resend the unanswered window
-			conn.Send(cmd)
+		for i := 0; i < pc.pending.Len(); i++ { // resend the unanswered window
+			conn.Send(pc.pending.At(i).cmd)
 		}
 	})
 }
 
 func (p *respPool) redial(pc *poolConn) {
-	if pc.conn == nil && !pc.dialing && len(pc.inflight) > 0 {
+	if pc.conn == nil && !pc.dialing && pc.pending.Len() > 0 {
 		p.dial(pc)
 	}
 }
@@ -114,13 +117,10 @@ func (p *respPool) onData(pc *poolConn, conn transport.Conn, data []byte) {
 		if !ok {
 			return
 		}
-		if len(pc.pending) == 0 {
+		if pc.pending.Len() == 0 {
 			continue // reply to a command superseded by a resend
 		}
-		cb := pc.pending[0]
-		pc.pending = pc.pending[1:]
-		pc.inflight = pc.inflight[1:]
-		cb(v)
+		pc.pending.Pop().cb(v)
 	}
 }
 
@@ -312,200 +312,83 @@ func (m *SlotMigrator) expectOK(v resp.Value, slot int, step string) {
 	}
 }
 
-// reshardLedger is the scenario's correctness oracle: a closed-loop writer
-// that SETs a fixed key set inside the migrated slot range with a unique
-// value per write, follows MOVED and ASK redirects itself, and records the
-// last value the cluster ACKNOWLEDGED per key. After the migration settles,
-// every recorded value must sit in the final owner's store (no acknowledged
-// write lost) and the source must hold none of the keys (no key left where
-// two groups could serve it) — the two properties a doubly-served or lost
-// migration would break.
-type reshardLedger struct {
-	c      *Cluster
-	pool   *respPool
-	keys   []string
-	window int
-
-	running bool
-	seq     int
-	acked   map[string]string
-
-	WritesAcked uint64
-	Asked       uint64
-	Moved       uint64
-	Errs        uint64
-}
-
-// newReshardLedger picks n deterministic keys hashing into [start, end].
-func newReshardLedger(c *Cluster, start, end, n, window int) *reshardLedger {
-	l := &reshardLedger{c: c, pool: newRespPool(c, "ledger"), window: window, acked: map[string]string{}}
-	for i := 0; len(l.keys) < n; i++ {
-		k := fmt.Sprintf("mig:%d", i)
-		if s := slots.Slot([]byte(k)); s >= start && s <= end {
-			l.keys = append(l.keys, k)
-		}
-	}
-	return l
-}
-
-func (l *reshardLedger) start() {
-	l.running = true
-	for i := 0; i < l.window; i++ {
-		l.next()
-	}
-}
-
-func (l *reshardLedger) stop() { l.running = false }
-
-func (l *reshardLedger) next() {
-	if !l.running {
-		return
-	}
-	l.pool.proc.Core.Charge(l.c.Params.ClientThinkCPU)
-	k := l.keys[l.seq%len(l.keys)]
-	v := fmt.Sprintf("%s#%d", k, l.seq)
-	l.seq++
-	l.route(k, v)
-}
-
-// route targets the key's current owner per the authoritative map (the
-// ledger is an oracle, not a staleness test — the workload client covers
-// stale maps).
-func (l *reshardLedger) route(k, v string) {
-	addr := l.c.SlotMap.Addr(l.c.SlotMap.Owner(slots.Slot([]byte(k))))
-	l.sendSet(addr, k, v, false)
-}
-
-func (l *reshardLedger) sendSet(addr, k, v string, asked bool) {
-	if asked {
-		l.pool.send(addr, poolAsking, func(resp.Value) {})
-	}
-	l.pool.send(addr, resp.EncodeCommand("SET", k, v), func(rv resp.Value) {
-		if rv.IsError() {
-			kind, _, raddr, _ := slots.ParseRedirectKind(string(rv.Str))
-			switch kind {
-			case slots.RedirectMoved:
-				l.Moved++
-				l.route(k, v) // ownership flipped under us: re-route
-				return
-			case slots.RedirectAsk:
-				l.Asked++
-				l.sendSet(raddr, k, v, true)
-				return
-			}
-			l.Errs++
-			l.next()
-			return
-		}
-		l.acked[k] = v
-		l.WritesAcked++
-		l.next()
-	})
-}
-
-// reshardSpec pins the scenario's shape (the determinism tests re-run it
-// verbatim and diff the traces).
+// The slot range the scenario moves, where to, and how many slots go between
+// trace notes while it does.
 const (
-	rshMasters      = 2
-	rshSlaves       = 1 // per master
-	rshClients      = 2
-	rshPipeline     = 4
-	rshKeySpace     = 4000
-	rshGetRatio     = 0.5
-	rshSlotStart    = 0
-	rshSlotEnd      = 255
-	rshTarget       = 1
-	rshLedgerKeys   = 16
-	rshLedgerWindow = 2
-	rshMoveAt       = 150 * sim.Millisecond
-	rshRunFor       = 1200 * sim.Millisecond
-	rshSettle       = 1 * sim.Second
-	rshNoteEvery    = 64 // slots per trace note while resharding
+	rshSlotStart = 0
+	rshSlotEnd   = 255
+	rshTarget    = 1
+	rshNoteEvery = 64
 )
 
-// ReshardResult is everything RunReshardUnderLoad measured.
+// ReshardResult is the probe state of one reshard-under-load run.
 type ReshardResult struct {
-	C      *Cluster
-	H      *Chaos
-	M      *SlotMigrator
-	L      *reshardLedger
-	Done   bool // the mover flipped the whole range before the horizon
-	DoneAt sim.Time
+	M *SlotMigrator
+	L *ledger
 }
 
-// RunReshardUnderLoad builds a 2-group hash-slot deployment, then live-
-// migrates slots [rshSlotStart, rshSlotEnd] from group 0 to group 1 while
-// slot-aware clients run a mixed GET/SET load over the whole keyspace and
-// the ledger writer hammers keys inside the moving range. Returns the
-// result plus the first invariant violation. tracked arms CLIENT TRACKING
-// on every slot client: the caches must stay invalidation-coherent while
-// the slot range moves owners (MOVED/ASK redirects drop cached keys).
-func RunReshardUnderLoad(seed int64, tracked bool) (*ReshardResult, error) {
-	p := ChaosParams(0)
-	c := Build(Config{
-		Kind:     KindSKV,
-		Cluster:  ClusterOpts{Masters: rshMasters, SlavesPerMaster: rshSlaves},
-		Clients:  rshClients,
-		Pipeline: rshPipeline,
-		KeySpace: rshKeySpace,
-		GetRatio: rshGetRatio,
-		Seed:     seed,
-		Params:   p,
-		SKV:      core.Config{ProgressInterval: 50 * sim.Millisecond},
-		Tracking: tracked,
-	})
-	if !c.AwaitReplication(2 * sim.Second) {
-		return nil, fmt.Errorf("reshard: initial replication did not complete")
-	}
-	h := NewChaos(c)
-	h.Note("replication ready")
-	c.StartClients()
-	ledger := newReshardLedger(c, rshSlotStart, rshSlotEnd, rshLedgerKeys, rshLedgerWindow)
-	ledger.start()
-	m := NewSlotMigrator(c, h)
-	res := &ReshardResult{C: c, H: h, M: m, L: ledger}
-	h.At(rshMoveAt, "reshard begins", func(c *Cluster) {
-		moveChunk(m, rshSlotStart, res)
-	})
-	c.Eng.RunFor(rshRunFor)
-	ledger.stop()
-	for _, cl := range c.Clients {
-		cl.Stop()
-	}
-	h.Note("load stopped")
-	c.Eng.RunFor(rshSettle)
-	h.Note("settled")
-	return res, res.check()
+// ReshardScenario is a 2×1 hash-slot deployment that live-migrates slots
+// [rshSlotStart, rshSlotEnd] from group 0 to group 1, starting 150ms into
+// the load, while two pipelined slot-aware clients run a 50/50 GET/SET load
+// over a 4000-key space and the ledger writer hammers 16 keys inside the
+// moving range; the result fills in as the scenario runs. Its Check holds
+// the two properties a doubly-served or lost migration would break: every
+// acknowledged ledger write sits in the final owner's store, and the source
+// holds none of the range. tracked arms CLIENT TRACKING on every slot
+// client: the caches must stay invalidation-coherent while the slot range
+// moves owners (MOVED/ASK redirects drop cached keys).
+func ReshardScenario(seed int64, tracked bool) (Scenario, *ReshardResult) {
+	res := &ReshardResult{}
+	cfg := chaosConfig(seed, 0)
+	cfg.Slaves, cfg.Cluster = 0, ClusterOpts{Masters: 2, SlavesPerMaster: 1}
+	cfg.Clients, cfg.Pipeline = 2, 4
+	cfg.KeySpace, cfg.GetRatio, cfg.Tracking = 4000, 0.5, tracked
+	return Scenario{
+		Name: "reshard-under-load", Config: cfg, RunFor: 1200 * sim.Millisecond, Settle: 1 * sim.Second,
+		Script: func(h *Chaos) {
+			var keys []string // deterministic keys hashing into the moving range
+			for i := 0; len(keys) < 16; i++ {
+				k := fmt.Sprintf("mig:%d", i)
+				if inMovedRange(k) {
+					keys = append(keys, k)
+				}
+			}
+			*res = ReshardResult{L: newLedger(h.C, "ledger", keys, 2), M: NewSlotMigrator(h.C, h)}
+			h.Load = append(h.Load, res.L)
+			h.At(150*sim.Millisecond, "reshard begins", func(*Cluster) { moveChunk(h, res.M, rshSlotStart) })
+		},
+		Check: res.check,
+	}, res
+}
+
+func inMovedRange(key string) bool {
+	s := slots.Slot([]byte(key))
+	return s >= rshSlotStart && s <= rshSlotEnd
 }
 
 // moveChunk reshards rshNoteEvery slots at a time so the chaos trace
 // records the migration's progress (a determinism oracle: two identical
 // runs must interleave mover progress and load identically).
-func moveChunk(m *SlotMigrator, from int, res *ReshardResult) {
-	to := from + rshNoteEvery - 1
-	if to > rshSlotEnd {
-		to = rshSlotEnd
-	}
+func moveChunk(h *Chaos, m *SlotMigrator, from int) {
+	to := min(from+rshNoteEvery-1, rshSlotEnd)
 	m.Reshard(from, to, rshTarget, func() {
 		if to >= rshSlotEnd {
-			res.Done = true
-			res.DoneAt = res.C.Eng.Now()
-			res.H.Note("reshard complete")
+			h.Note("reshard complete")
 			return
 		}
-		moveChunk(m, to+1, res)
+		moveChunk(h, m, to+1)
 	})
 }
 
 // check asserts the scenario's acceptance invariants; timeline-shaped
 // assertions live in the tests so failures print the trace.
-func (r *ReshardResult) check() error {
+func (r *ReshardResult) check(h *Chaos) error {
+	c := h.C
 	var errs []string
 	add := func(format string, a ...any) { errs = append(errs, fmt.Sprintf(format, a...)) }
-	c := r.C
 
-	if !r.Done {
-		add("migration did not finish before the horizon (slots done: %d)", r.M.SlotsDone)
+	if want := uint64(rshSlotEnd - rshSlotStart + 1); r.M.SlotsDone != want {
+		add("migration flipped %d of %d slots before the horizon", r.M.SlotsDone, want)
 	}
 	for s := rshSlotStart; s <= rshSlotEnd; s++ {
 		if g := c.SlotMap.Owner(s); g != rshTarget {
@@ -521,34 +404,18 @@ func (r *ReshardResult) check() error {
 			break
 		}
 	}
-	inRange := func(key string) bool {
-		s := slots.Slot([]byte(key))
-		return s >= rshSlotStart && s <= rshSlotEnd
-	}
 	// No key may remain where the old owner could still serve it.
-	if left := c.Groups[0].Master.Store().KeysWhere(0, 0, inRange); len(left) > 0 {
+	if left := c.Groups[0].Master.Store().KeysWhere(0, 0, inMovedRange); len(left) > 0 {
 		add("source still holds %d keys in the moved range (first: %q)", len(left), left[0])
 	}
 	// Every acknowledged ledger write must be the value the final owner
 	// serves: a lost key, a lost update, or a doubly-served write (acked by
 	// the source after the key had moved) would all surface as a mismatch.
-	tgt := c.Groups[rshTarget].Master.Store()
-	for _, k := range r.L.keys {
-		v, okV := r.L.acked[k]
-		if !okV {
-			add("ledger key %q was never acknowledged", k)
-			continue
-		}
-		reply, _ := tgt.Exec(0, [][]byte{[]byte("get"), []byte(k)})
-		if want := resp.AppendBulkString(nil, v); !bytes.Equal(reply, want) {
-			add("ledger key %q: final owner serves %q, last acked write was %q", k, reply, v)
-		}
+	for _, bad := range r.L.audit(c.Groups[rshTarget].Master.Store(), true) {
+		add("ledger key %s", bad)
 	}
 	if r.L.Errs > 0 {
 		add("ledger absorbed %d unexpected error replies", r.L.Errs)
-	}
-	if r.L.WritesAcked == 0 {
-		add("ledger acknowledged no writes")
 	}
 	if r.M.KeysMoved == 0 {
 		add("mover moved no keys")

@@ -112,26 +112,16 @@ func TestRoutedThroughputRelievesDispatch(t *testing.T) {
 }
 
 // TestChaosScenariosRouted re-runs the failure scenarios with the routing
-// plane on: every scenario at (shards=4, listeners=2), the hardest scenario
-// across the rest of the listeners × shards grid, and double-run
-// determinism of both the failover timeline and the metric snapshots.
+// plane on: every scenario at (shards=4, listeners=2) and the hardest
+// scenario across the rest of the listeners × shards grid;
+// TestChaosScenarios holds a routed run to the determinism contract.
 func TestChaosScenariosRouted(t *testing.T) {
-	tune := func(shards, listeners int) func(p *model.Params) {
-		return func(p *model.Params) {
-			p.HostShards = shards
-			p.RouteListeners = listeners
-		}
-	}
 	for _, s := range ChaosScenarios() {
-		s := s
-		s.Tune = tune(4, 2)
+		s.Config.Params.HostShards, s.Config.Params.RouteListeners = 4, 2
 		t.Run(fmt.Sprintf("%s/shards4-listeners2", s.Name), func(t *testing.T) {
-			c, h, err := RunScenario(s)
+			_, h, err := RunScenario(s)
 			if err != nil {
 				t.Fatalf("convergence failed:\n%v\ntrace:\n%s", err, h.TraceString())
-			}
-			if s.Name == "master-restart-split-brain" {
-				requireDeterministicRerun(t, s, c, h)
 			}
 		})
 	}
@@ -142,13 +132,11 @@ func TestChaosScenariosRouted(t *testing.T) {
 		{1, 2}, {1, 4}, {2, 2}, {2, 4}, {4, 4},
 	}
 	for _, g := range grid {
-		g := g
 		for _, s := range ChaosScenarios() {
-			s := s
 			if s.Name != "master-restart-split-brain" {
 				continue
 			}
-			s.Tune = tune(g.shards, g.listeners)
+			s.Config.Params.HostShards, s.Config.Params.RouteListeners = g.shards, g.listeners
 			t.Run(fmt.Sprintf("%s/shards%d-listeners%d", s.Name, g.shards, g.listeners), func(t *testing.T) {
 				_, h, err := RunScenario(s)
 				if err != nil {

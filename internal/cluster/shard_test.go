@@ -140,22 +140,16 @@ func TestShardedThroughputScales(t *testing.T) {
 
 // TestChaosScenariosSharded re-runs the PR-1 failure scenarios with the
 // master and slaves running 2 and 4 host shards: every scenario must still
-// converge (single master, no promoted leftovers, identical keyspaces), and
-// a repeated sharded run must reproduce both its failover timeline and its
-// metric snapshots byte-for-byte.
+// converge (single master, no promoted leftovers, identical keyspaces);
+// TestChaosScenarios holds a sharded run to the determinism contract.
 func TestChaosScenariosSharded(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		for _, s := range ChaosScenarios() {
-			s := s
-			shards := shards
-			s.Tune = func(p *model.Params) { p.HostShards = shards }
+			s.Config.Params.HostShards = shards
 			t.Run(fmt.Sprintf("%s/shards%d", s.Name, shards), func(t *testing.T) {
-				c, h, err := RunScenario(s)
+				_, h, err := RunScenario(s)
 				if err != nil {
 					t.Fatalf("convergence failed:\n%v\ntrace:\n%s", err, h.TraceString())
-				}
-				if shards == 4 && s.Name == "master-restart-split-brain" {
-					requireDeterministicRerun(t, s, c, h)
 				}
 			})
 		}

@@ -245,9 +245,6 @@ type Params struct {
 	// TCPRetryTimeout is the same window for the kernel TCP model (RTO
 	// escalation until the connection errors out).
 	TCPRetryTimeout sim.Duration
-	// MinSlaves is the min-slaves parameter: if fewer slaves are available,
-	// writes fail (paper parameter min-slaves).
-	MinSlaves int
 
 	// ---- Client-side caching / invalidation tracking (CLIENT TRACKING) ----
 	// All three knobs are charged only on behalf of connections that turned
@@ -341,7 +338,6 @@ func Default() Params {
 		ProbeCPU:        1 * sim.Microsecond,
 		RCRetryTimeout:  3 * sim.Second,
 		TCPRetryTimeout: 3 * sim.Second,
-		MinSlaves:       0,
 
 		TrackInterestCPU: 100 * sim.Nanosecond,
 		NicInvalidateCPU: 200 * sim.Nanosecond,
