@@ -17,8 +17,12 @@ test:
 	$(GO) test ./...
 	cd benchmark && $(GO) test ./...
 
+# The second line reaches the nested benchmark/ module (read-only: nothing
+# under it changes), so an API deletion that breaks the frozen ledger fails
+# here in seconds, not at the tail of `make test`.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # Static analysis beyond vet. Gated on tool presence so the target never
 # forces an install: CI installs staticcheck explicitly; a bare dev box

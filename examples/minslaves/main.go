@@ -25,6 +25,7 @@ func main() {
 	// Let the first Nic-KV status report reach the master's write gate.
 	c.Run(c.Eng.Now().Add(2 * sim.Second))
 	c.StartClients()
+	g := c.Groups[0]
 
 	errsBefore := func() uint64 {
 		var n uint64
@@ -38,17 +39,17 @@ func main() {
 	snapshot := func(label string) {
 		fmt.Printf("t=%4.1fs  %-28s valid slaves: %d   error replies so far: %d\n",
 			sim.Duration(c.Eng.Now()-base).Seconds(), label,
-			c.NicKV.ValidSlaves(), errsBefore())
+			g.NicKV.ValidSlaves(), errsBefore())
 	}
 
 	c.Eng.At(base.Add(1*sim.Second), func() { snapshot("steady state") })
 	c.Eng.At(base.Add(2*sim.Second), func() {
-		c.Slaves[1].Crash()
+		g.Slaves[1].Crash()
 		snapshot("slave1 crashes")
 	})
 	c.Eng.At(base.Add(6*sim.Second), func() { snapshot("below min-slaves: writes fail") })
 	c.Eng.At(base.Add(7*sim.Second), func() {
-		c.Slaves[1].Recover()
+		g.Slaves[1].Recover()
 		snapshot("slave1 recovers")
 	})
 	c.Eng.At(base.Add(11*sim.Second), func() { snapshot("writes accepted again") })

@@ -25,18 +25,19 @@ func main() {
 		if !c.AwaitReplication(5 * sim.Second) {
 			panic("replication did not converge")
 		}
+		g := c.Groups[0]
 		res := c.Measure(50*sim.Millisecond, 300*sim.Millisecond)
 		fmt.Printf("\n%s\n", res)
 		fmt.Printf("  master core busy: %.0f%%\n", res.MasterUtil*100)
 		if kind == cluster.KindSKV {
 			fmt.Printf("  SmartNIC core busy: %.0f%% (replication runs here now)\n", res.NicUtil*100)
-			fmt.Printf("  replication requests master→NIC: %d (one per write)\n", c.HostKV.ReplReqsSent)
-			fmt.Printf("  commands fanned out NIC→slaves:  %d (%d slaves)\n", c.NicKV.StreamSent, len(c.Slaves))
+			fmt.Printf("  replication requests master→NIC: %d (one per write)\n", g.HostKV.ReplReqsSent)
+			fmt.Printf("  commands fanned out NIC→slaves:  %d (%d slaves)\n", g.NicKV.StreamSent, len(g.Slaves))
 		}
 		// Show that the slaves actually converged with the master.
 		c.Eng.Run(c.Eng.Now().Add(200 * sim.Millisecond))
-		fmt.Printf("  master keys: %d | slave keys:", c.Master.Store().DBSize(0))
-		for _, s := range c.Slaves {
+		fmt.Printf("  master keys: %d | slave keys:", g.Master.Store().DBSize(0))
+		for _, s := range g.Slaves {
 			fmt.Printf(" %d", s.Store().DBSize(0))
 		}
 		fmt.Println()

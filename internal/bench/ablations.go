@@ -20,8 +20,8 @@ func AblateSlaves() *Experiment {
 		Header: []string{"slaves", "rdma-redis kops/s", "skv kops/s", "gain", "skv NIC util"},
 	}
 	for _, slaves := range []int{1, 2, 3, 4, 6, 8} {
-		rr := runOnce(cluster.Config{Kind: cluster.KindRDMA, Slaves: slaves, Clients: 8, Seed: 51})
-		rs := runOnce(cluster.Config{Kind: cluster.KindSKV, Slaves: slaves, Clients: 8, Seed: 51, SKV: core.DefaultConfig()})
+		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: slaves, Clients: 8, Seed: 51})
+		_, rs := run(cluster.Config{Kind: cluster.KindSKV, Slaves: slaves, Clients: 8, Seed: 51, SKV: core.DefaultConfig()})
 		e.Rows = append(e.Rows, []string{
 			fmt.Sprint(slaves), kops(rr.Throughput), kops(rs.Throughput),
 			fmt.Sprintf("%+.1f%%", (rs.Throughput/rr.Throughput-1)*100),
@@ -46,11 +46,7 @@ func AblateNICSpeed() *Experiment {
 	for _, speed := range []float64{0.2, 0.35, 0.6, 0.8, 1.0} {
 		p := model.Default()
 		p.NICCoreSpeed = speed
-		c := cluster.Build(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 8, Seed: 52, Params: &p, SKV: core.DefaultConfig()})
-		if !c.AwaitReplication(5 * sim.Second) {
-			panic("ablate-nicspeed: sync failed")
-		}
-		r := c.Measure(warmup, measure)
+		c, r := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 8, Seed: 52, Params: &p, SKV: core.DefaultConfig()})
 		lag := replicationLag(c)
 		e.Rows = append(e.Rows, []string{
 			fmt.Sprintf("%.2f×host", speed), kops(r.Throughput),
@@ -67,7 +63,7 @@ func AblateNICSpeed() *Experiment {
 // at the end of a run.
 func replicationLag(c *cluster.Cluster) int64 {
 	minOff := int64(-1)
-	for _, a := range c.SlaveAgents {
+	for _, a := range c.Groups[0].SlaveAgents {
 		if minOff < 0 || a.Offset() < minOff {
 			minOff = a.Offset()
 		}
@@ -75,7 +71,7 @@ func replicationLag(c *cluster.Cluster) int64 {
 	if minOff < 0 {
 		return 0
 	}
-	lag := c.Master.ReplOffset() - minOff
+	lag := c.Groups[0].Master.ReplOffset() - minOff
 	if lag < 0 {
 		lag = 0
 	}
@@ -95,11 +91,7 @@ func AblateThreads() *Experiment {
 	for _, threads := range []int{1, 2, 4, 8} {
 		cfg := core.DefaultConfig()
 		cfg.ThreadNum = threads
-		c := cluster.Build(cluster.Config{Kind: cluster.KindSKV, Slaves: 8, Clients: 8, Seed: 53, SKV: cfg})
-		if !c.AwaitReplication(5 * sim.Second) {
-			panic("ablate-threads: sync failed")
-		}
-		r := c.Measure(warmup, measure)
+		c, r := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 8, Clients: 8, Seed: 53, SKV: cfg})
 		e.Rows = append(e.Rows, []string{
 			fmt.Sprint(threads), kops(r.Throughput), f1(r.P99.Micros()), fmt.Sprint(replicationLag(c)),
 		})
@@ -172,22 +164,22 @@ func AblateCPU() *Experiment {
 		if kind == cluster.KindSKV {
 			cfg.SKV = core.DefaultConfig()
 		}
-		c := cluster.Build(cfg)
-		if !c.AwaitReplication(5 * sim.Second) {
-			panic("ablate-cpu: sync failed")
-		}
-		busyBefore := c.Master.Proc().Core.BusyTime()
-		var nicBefore sim.Duration
-		if c.NicKV != nil {
-			nicBefore = c.NicKV.Proc().Core.BusyTime()
-		}
-		opsBefore := c.Master.CommandsProcessed
-		r := c.Measure(warmup, measure)
-		ops := float64(c.Master.CommandsProcessed - opsBefore)
-		hostPerOp := float64(c.Master.Proc().Core.BusyTime()-busyBefore) / ops / 1000
+		// Host and NIC busy time per command, from the end of the sync on.
+		var busyBefore, nicBefore sim.Duration
+		var opsBefore uint64
+		c, r := run(cfg, func(c *cluster.Cluster) {
+			g := c.Groups[0]
+			busyBefore, opsBefore = g.Master.Proc().Core.BusyTime(), g.Master.CommandsProcessed
+			if g.NicKV != nil {
+				nicBefore = g.NicKV.Proc().Core.BusyTime()
+			}
+		})
+		g := c.Groups[0]
+		ops := float64(g.Master.CommandsProcessed - opsBefore)
+		hostPerOp := float64(g.Master.Proc().Core.BusyTime()-busyBefore) / ops / 1000
 		nicPerOp := 0.0
-		if c.NicKV != nil {
-			nicPerOp = float64(c.NicKV.Proc().Core.BusyTime()-nicBefore) / ops / 1000
+		if g.NicKV != nil {
+			nicPerOp = float64(g.NicKV.Proc().Core.BusyTime()-nicBefore) / ops / 1000
 		}
 		e.Rows = append(e.Rows, []string{
 			kind.String(), kops(r.Throughput),

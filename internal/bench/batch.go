@@ -6,7 +6,6 @@ import (
 	"skv/internal/cluster"
 	"skv/internal/core"
 	"skv/internal/model"
-	"skv/internal/sim"
 )
 
 // ExtBatch is an extension experiment beyond the paper: replication-stream
@@ -31,27 +30,19 @@ func ExtBatch() *Experiment {
 		p.ReplBatchMaxCmds = batch
 		cfg := cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 8,
 			Pipeline: 8, Seed: 64, Params: &p, SKV: core.DefaultConfig()}
-		c := cluster.Build(cfg)
-		if !c.AwaitReplication(5 * sim.Second) {
-			panic("ext-batch: skv sync failed")
-		}
-		rs := c.Measure(warmup, measure)
+		c, rs := run(cfg)
 		wrsPerWrite := 1.0
-		if w := c.Master.WritesPropagated; w > 0 {
-			wrsPerWrite = float64(c.HostKV.ReplReqsSent) / float64(w)
+		if g := c.Groups[0]; g.Master.WritesPropagated > 0 {
+			wrsPerWrite = float64(g.HostKV.ReplReqsSent) / float64(g.Master.WritesPropagated)
 		}
 
 		pr := model.Default()
 		pr.ReplBatchMaxCmds = batch
-		cr := cluster.Build(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3,
+		cr, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3,
 			Clients: 8, Pipeline: 8, Seed: 64, Params: &pr})
-		if !cr.AwaitReplication(5 * sim.Second) {
-			panic("ext-batch: rdma sync failed")
-		}
-		rr := cr.Measure(warmup, measure)
 		batchesPerWrite := 1.0
-		if w := cr.Master.WritesPropagated; w > 0 {
-			batchesPerWrite = float64(cr.Master.ReplStream().BatchesFlushed) / float64(w)
+		if m := cr.Groups[0].Master; m.WritesPropagated > 0 {
+			batchesPerWrite = float64(m.ReplStream().BatchesFlushed) / float64(m.WritesPropagated)
 		}
 
 		e.Rows = append(e.Rows, []string{

@@ -94,15 +94,18 @@ func SetSmoke() {
 func f1(v float64) string   { return fmt.Sprintf("%.1f", v) }
 func kops(v float64) string { return fmt.Sprintf("%.1f", v/1000) }
 
-// runOnce builds and measures one deployment.
-func runOnce(cfg cluster.Config) cluster.Result {
+// run is the one build → sync → measure sequence of every experiment. prep,
+// when given, sees the synced cluster before the measurement starts the
+// clients: it preloads a keyspace, snapshots a counter, schedules a migration.
+func run(cfg cluster.Config, prep ...func(*cluster.Cluster)) (*cluster.Cluster, cluster.Result) {
 	c := cluster.Build(cfg)
-	if cfg.Slaves > 0 {
-		if !c.AwaitReplication(5 * sim.Second) {
-			panic(fmt.Sprintf("bench: replication never converged for %+v", cfg))
-		}
+	if !c.AwaitReplication(5 * sim.Second) {
+		panic(fmt.Sprintf("bench: replication never converged for %+v", cfg))
 	}
-	return c.Measure(warmup, measure)
+	for _, f := range prep {
+		f(c)
+	}
+	return c, c.Measure(warmup, measure)
 }
 
 // Fig3 measures RDMA WRITE latency for the three paths of the paper's
@@ -225,7 +228,7 @@ func Fig7() *Experiment {
 	}
 	var results []cluster.Result
 	for _, slaves := range []int{0, 3} {
-		r := runOnce(cluster.Config{Kind: cluster.KindRDMA, Slaves: slaves, Clients: 8, Seed: 41})
+		_, r := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: slaves, Clients: 8, Seed: 41})
 		results = append(results, r)
 		e.Rows = append(e.Rows, []string{
 			fmt.Sprint(slaves), kops(r.Throughput), f1(r.Avg.Micros()), f1(r.P99.Micros()),
@@ -251,8 +254,8 @@ func Fig10a() *Experiment {
 		},
 	}
 	for _, n := range fig10Clients {
-		rt := runOnce(cluster.Config{Kind: cluster.KindTCP, Slaves: 0, Clients: n, Seed: 42})
-		rr := runOnce(cluster.Config{Kind: cluster.KindRDMA, Slaves: 0, Clients: n, Seed: 42})
+		_, rt := run(cluster.Config{Kind: cluster.KindTCP, Slaves: 0, Clients: n, Seed: 42})
+		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: 0, Clients: n, Seed: 42})
 		e.Rows = append(e.Rows, []string{fmt.Sprint(n), kops(rt.Throughput), kops(rr.Throughput)})
 		if n == 32 {
 			e.metric("redis_kops_saturated", rt.Throughput/1000)
@@ -273,8 +276,8 @@ func Fig10b() *Experiment {
 		},
 	}
 	for _, n := range fig10Clients {
-		rt := runOnce(cluster.Config{Kind: cluster.KindTCP, Slaves: 0, Clients: n, Seed: 43})
-		rr := runOnce(cluster.Config{Kind: cluster.KindRDMA, Slaves: 0, Clients: n, Seed: 43})
+		_, rt := run(cluster.Config{Kind: cluster.KindTCP, Slaves: 0, Clients: n, Seed: 43})
+		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: 0, Clients: n, Seed: 43})
 		e.Rows = append(e.Rows, []string{fmt.Sprint(n), f1(rt.P99.Micros()), f1(rr.P99.Micros())})
 		if n == 32 {
 			e.metric("latency_ratio_32c", rt.P99.Micros()/rr.P99.Micros())
@@ -298,8 +301,8 @@ func Fig11() *Experiment {
 		},
 	}
 	for _, n := range []int{4, 8, 16} {
-		rr := runOnce(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3, Clients: n, Seed: 44})
-		rs := runOnce(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: n, Seed: 44, SKV: core.DefaultConfig()})
+		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3, Clients: n, Seed: 44})
+		_, rs := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: n, Seed: 44, SKV: core.DefaultConfig()})
 		e.Rows = append(e.Rows, []string{
 			fmt.Sprint(n),
 			kops(rr.Throughput), kops(rs.Throughput),
@@ -326,8 +329,8 @@ func Fig12() *Experiment {
 		Notes:  []string{"paper: SKV above RDMA-Redis at every value size"},
 	}
 	for _, size := range []int{64, 256, 1024, 4096, 16384} {
-		rr := runOnce(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3, Clients: 8, Seed: 45, ValueSize: size})
-		rs := runOnce(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 8, Seed: 45, ValueSize: size, SKV: core.DefaultConfig()})
+		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3, Clients: 8, Seed: 45, ValueSize: size})
+		_, rs := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 8, Seed: 45, ValueSize: size, SKV: core.DefaultConfig()})
 		e.Rows = append(e.Rows, []string{
 			fmt.Sprintf("%dB", size), kops(rr.Throughput), kops(rs.Throughput),
 		})
@@ -347,8 +350,8 @@ func Fig13() *Experiment {
 		},
 	}
 	for _, n := range []int{4, 8, 16} {
-		rr := runOnce(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3, Clients: n, Seed: 46, GetRatio: 1.0})
-		rs := runOnce(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: n, Seed: 46, GetRatio: 1.0, SKV: core.DefaultConfig()})
+		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3, Clients: n, Seed: 46, GetRatio: 1.0})
+		_, rs := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: n, Seed: 46, GetRatio: 1.0, SKV: core.DefaultConfig()})
 		e.Rows = append(e.Rows, []string{
 			fmt.Sprint(n), kops(rr.Throughput), kops(rs.Throughput),
 			f1(rr.P99.Micros()), f1(rs.P99.Micros()),
@@ -399,8 +402,9 @@ func Fig14() *Experiment {
 	base := c.Eng.Now()
 	crashAt := base.Add(crashAfter)
 	recoverAt := base.Add(recoverAfter)
-	c.Eng.At(crashAt, func() { c.Slaves[1].Crash() })
-	c.Eng.At(recoverAt, func() { c.Slaves[1].Recover() })
+	g := c.Groups[0]
+	c.Eng.At(crashAt, func() { g.Slaves[1].Crash() })
+	c.Eng.At(recoverAt, func() { g.Slaves[1].Recover() })
 
 	// Sample the valid-slave count every 500ms.
 	type sample struct {
@@ -411,7 +415,7 @@ func Fig14() *Experiment {
 	for off := sim.Duration(0); off < horizon; off += 500 * sim.Millisecond {
 		off := off
 		c.Eng.At(base.Add(off), func() {
-			samples = append(samples, sample{c.Eng.Now(), c.NicKV.ValidSlaves()})
+			samples = append(samples, sample{c.Eng.Now(), g.NicKV.ValidSlaves()})
 		})
 	}
 	c.Eng.Run(base.Add(horizon))

@@ -47,11 +47,7 @@ func ExtCluster() *Experiment {
 		} else {
 			cfg.Cluster = cluster.ClusterOpts{Masters: masters, SlavesPerMaster: 1}
 		}
-		c := cluster.Build(cfg)
-		if !c.AwaitReplication(5 * sim.Second) {
-			panic("ext-cluster: sync failed")
-		}
-		r := c.Measure(warmup, measure)
+		_, r := run(cfg)
 		if r.ErrReplies != 0 {
 			panic(fmt.Sprintf("ext-cluster: %d error replies at %d masters", r.ErrReplies, masters))
 		}

@@ -45,8 +45,8 @@ func ExtFailover() *Experiment {
 		RunFor: horizon, Settle: 2 * sim.Second,
 		Script: func(h *cluster.Chaos) {
 			crashAt = h.C.Eng.Now().Add(crashAfter)
-			h.CrashMaster(crashAfter)
-			h.RestartMaster(restartAfter)
+			h.CrashMaster(crashAfter, 0)
+			h.RestartMaster(restartAfter, 0)
 		},
 		// The experiment reports the timeline; it does not judge the end state.
 		Check: func(*cluster.Chaos) error { return nil },
@@ -54,7 +54,7 @@ func ExtFailover() *Experiment {
 	if err != nil {
 		panic(err)
 	}
-	tl := c.NicKV.Timeline()
+	tl := c.Groups[0].NicKV.Timeline()
 	row := func(typ metrics.EventType) {
 		ev, ok := tl.FirstAfter(typ, crashAt)
 		if !ok {
@@ -83,7 +83,7 @@ func ExtFailover() *Experiment {
 
 	// Detector health from the NIC's metrics snapshot: probe RTT and how
 	// many probes went unanswered across the run.
-	snap := c.NicKV.Metrics().Snapshot()
+	snap := c.Groups[0].NicKV.Metrics().Snapshot()
 	if rtt, ok := snap.Hists["nickv.probe.rtt"]; ok && rtt.Count > 0 {
 		e.metric("probe_rtt_p99_us", rtt.P99.Micros())
 		e.Notes = append(e.Notes, fmt.Sprintf(

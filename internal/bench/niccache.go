@@ -69,21 +69,24 @@ func runNICCacheVariant(clients, shards int, fromNIC bool) cluster.Result {
 		Kind: cluster.KindSKV, Slaves: 0, Clients: clients, Seed: 61,
 		GetRatio: 1.0, Params: &p, SKV: core.DefaultConfig(), NicReads: mode,
 	}
-	c := cluster.Build(cfg)
-	// Warm both stores with the full keyspace so GETs hit real values.
-	value := make([]byte, cfg.ValueSize)
+	// Warm both stores with the full keyspace so GETs hit. cfg.ValueSize is
+	// unset, so the preloaded values are empty: the figure was taken that way.
+	_, r := run(cfg, func(c *cluster.Cluster) { preload(c.Groups[0], cfg.ValueSize, fromNIC) })
+	return r
+}
+
+// preload SETs the default 10 000-key keyspace into a group's host store and,
+// for NIC-served reads, its shadow replica.
+func preload(g *cluster.Group, valueSize int, replica bool) {
+	value := make([]byte, valueSize)
 	for i := range value {
 		value[i] = 'a' + byte(i%26)
 	}
-	if cfg.KeySpace == 0 {
-		cfg.KeySpace = 10_000
-	}
-	for i := 0; i < cfg.KeySpace; i++ {
+	for i := 0; i < 10_000; i++ {
 		key := fmt.Sprintf("key:%010d", i)
-		c.Master.Store().Exec(0, [][]byte{[]byte("SET"), []byte(key), value})
-		if fromNIC {
-			c.NicKV.PreloadReplica(key, value)
+		g.Master.Store().Exec(0, [][]byte{[]byte("SET"), []byte(key), value})
+		if replica {
+			g.NicKV.PreloadReplica(key, value)
 		}
 	}
-	return c.Measure(warmup, measure)
 }

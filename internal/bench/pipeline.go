@@ -23,8 +23,8 @@ func ExtPipeline() *Experiment {
 		},
 	}
 	for _, depth := range []int{1, 4, 16, 64} {
-		rr := runOnce(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3, Clients: 8, Seed: 63, Pipeline: depth})
-		rs := runOnce(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 8, Seed: 63, Pipeline: depth, SKV: core.DefaultConfig()})
+		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3, Clients: 8, Seed: 63, Pipeline: depth})
+		_, rs := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 8, Seed: 63, Pipeline: depth, SKV: core.DefaultConfig()})
 		e.Rows = append(e.Rows, []string{
 			fmt.Sprint(depth),
 			kops(rr.Throughput), kops(rs.Throughput),

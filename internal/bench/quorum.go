@@ -7,7 +7,6 @@ import (
 	"skv/internal/consistency"
 	"skv/internal/core"
 	"skv/internal/model"
-	"skv/internal/sim"
 )
 
 // ExtQuorum prices the consistency plane: the identical SKV deployment
@@ -42,19 +41,15 @@ func ExtQuorum() *Experiment {
 		{"all", consistency.All, 0},
 	} {
 		p := model.Default()
-		c := cluster.Build(cluster.Config{
+		c, r := run(cluster.Config{
 			Kind: cluster.KindSKV, Slaves: 3, Clients: 8, Pipeline: 4,
 			GetRatio: 0, Seed: 91, Params: &p, SKV: core.DefaultConfig(),
 			Consistency: cluster.ConsistencyOpts{Level: lv.level, Quorum: lv.w},
 		})
-		if !c.AwaitReplication(5 * sim.Second) {
-			panic("ext-quorum: sync failed")
-		}
-		r := c.Measure(warmup, measure)
 		if r.ErrReplies != 0 {
 			panic(fmt.Sprintf("ext-quorum: %d error replies (%s)", r.ErrReplies, lv.label))
 		}
-		releases := c.NicKV.Metrics().Counter("nickv.gate.releases").Value()
+		releases := c.Groups[0].NicKV.Metrics().Counter("nickv.gate.releases").Value()
 		if lv.level == consistency.Async && releases != 0 {
 			panic("ext-quorum: async rows must not gate")
 		}

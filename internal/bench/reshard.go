@@ -41,28 +41,27 @@ func ExtReshard() *Experiment {
 		p.RouteListeners = 2
 		p.ReplBatchMaxCmds = 8
 		p.ReplBatchMaxDelay = 5 * sim.Microsecond
-		c := cluster.Build(cluster.Config{Kind: cluster.KindSKV,
-			Cluster: cluster.ClusterOpts{Masters: 2, SlavesPerMaster: 1}, Clients: 8, Pipeline: 8,
-			GetRatio: 0.5, Seed: 73, Params: &p, SKV: core.DefaultConfig()})
-		if !c.AwaitReplication(5 * sim.Second) {
-			panic("ext-reshard: sync failed")
-		}
 		var m *cluster.SlotMigrator
 		var started sim.Time
 		var doneIn sim.Duration
 		done := false
-		c.StartClients()
-		if migrate {
-			m = cluster.NewSlotMigrator(c, nil)
-			c.Eng.At(c.Eng.Now().Add(warmup), func() {
-				started = c.Eng.Now()
-				m.Reshard(0, reshardSlots, 1, func() {
-					done = true
-					doneIn = c.Eng.Now().Sub(started)
+		c, r := run(cluster.Config{Kind: cluster.KindSKV,
+			Cluster: cluster.ClusterOpts{Masters: 2, SlavesPerMaster: 1}, Clients: 8, Pipeline: 8,
+			GetRatio: 0.5, Seed: 73, Params: &p, SKV: core.DefaultConfig()},
+			func(c *cluster.Cluster) {
+				c.StartClients()
+				if !migrate {
+					return
+				}
+				m = cluster.NewSlotMigrator(c, nil)
+				c.Eng.At(c.Eng.Now().Add(warmup), func() {
+					started = c.Eng.Now()
+					m.Reshard(0, reshardSlots, 1, func() {
+						done = true
+						doneIn = c.Eng.Now().Sub(started)
+					})
 				})
 			})
-		}
-		r := c.Measure(warmup, measure)
 		if r.ErrReplies != 0 {
 			panic(fmt.Sprintf("ext-reshard: %d error replies (migrate=%t)", r.ErrReplies, migrate))
 		}

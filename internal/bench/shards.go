@@ -55,12 +55,8 @@ func ExtShards() *Experiment {
 			p.ReplBatchMaxCmds = 8
 			p.ReplBatchMaxDelay = 5 * sim.Microsecond
 		}
-		c := cluster.Build(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 8,
+		c, r := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 8,
 			Pipeline: 8, Seed: 67, Params: &p, SKV: core.DefaultConfig()})
-		if !c.AwaitReplication(5 * sim.Second) {
-			panic("ext-shards: sync failed")
-		}
-		r := c.Measure(warmup, measure)
 		waitRTT, waitBarriers := waitProbe(c, 5)
 		e.Rows = append(e.Rows, []string{
 			fmt.Sprint(row.shards), fmt.Sprint(row.listeners), kops(r.Throughput), f1(r.P99.Micros()),
@@ -102,16 +98,16 @@ func utilCol(utils []float64) string {
 // round-trip plus how many global barriers the probes triggered — zero
 // under per-caller WAIT.
 func waitProbe(c *cluster.Cluster, rounds int) (sim.Duration, uint64) {
-	eng := c.Eng
+	eng, g := c.Eng, c.Groups[0]
 	m := c.Net.NewMachine("wait-probe", false)
 	proc := sim.NewProc(eng, sim.NewCore(eng, "wait-probe-core", 1.0), c.Params.ClientWakeup)
 	stack := rconn.New(c.Net, m.Host, proc)
-	before := c.Master.Metrics().Counter("server.shard.barriers").Value()
+	before := g.Master.Metrics().Counter("server.shard.barriers").Value()
 	var total sim.Duration
 	done := 0
 	var r resp.Reader
 	var sentAt sim.Time
-	stack.Dial(c.MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
+	stack.Dial(g.MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
 		if err != nil {
 			return
 		}
@@ -134,7 +130,7 @@ func waitProbe(c *cluster.Cluster, rounds int) (sim.Duration, uint64) {
 		send()
 	})
 	eng.Run(eng.Now().Add(500 * sim.Millisecond))
-	barriers := c.Master.Metrics().Counter("server.shard.barriers").Value() - before
+	barriers := g.Master.Metrics().Counter("server.shard.barriers").Value() - before
 	if done == 0 {
 		return 0, barriers
 	}

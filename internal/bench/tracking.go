@@ -79,19 +79,7 @@ func runTrackingVariant(clients int, mode cluster.NicReadMode, tracked bool) (cl
 		GetRatio: 1.0, Zipf: true, Tracking: tracked,
 		SKV: core.DefaultConfig(), NicReads: mode,
 	}
-	c := cluster.Build(cfg)
-	value := make([]byte, 64)
-	for i := range value {
-		value[i] = 'a' + byte(i%26)
-	}
-	for i := 0; i < 10_000; i++ {
-		key := fmt.Sprintf("key:%010d", i)
-		c.Master.Store().Exec(0, [][]byte{[]byte("SET"), []byte(key), value})
-		if mode == cluster.NicReadsClients {
-			c.NicKV.PreloadReplica(key, value)
-		}
-	}
-	r := c.Measure(warmup, measure)
+	c, r := run(cfg, func(c *cluster.Cluster) { preload(c.Groups[0], 64, mode == cluster.NicReadsClients) })
 	var hits, misses uint64
 	for _, cl := range c.Clients {
 		st := cl.Stats()

@@ -88,7 +88,7 @@ func AckLossScenario(spec AckLossSpec) (Scenario, *AckLossResult) {
 	return Scenario{
 		Name: "ack-loss-" + spec.Level.String(), Config: cfg, RunFor: 1300 * sim.Millisecond, Settle: 700 * sim.Millisecond,
 		Script: func(h *Chaos) {
-			c := h.C
+			c, g := h.C, h.C.Groups[0]
 			var keys []string
 			for i := 0; i < 8; i++ {
 				keys = append(keys, fmt.Sprintf("akl:%d", i))
@@ -96,18 +96,18 @@ func AckLossScenario(spec AckLossSpec) (Scenario, *AckLossResult) {
 			*res = AckLossResult{L: newLedger(c, "ackledger", keys, 4)}
 			h.Load = []Load{res.L} // the probe's own load: the workload client stays idle
 			if spec.Partition {
-				h.PartitionNicSlave(100*sim.Millisecond, 0)
+				h.PartitionNicSlave(100*sim.Millisecond, 0, 0)
 			}
 			// From aklCrashAt on, look every microsecond for the spec's instant and
 			// kill the master in it; the ledger issues nothing more from then.
-			released := c.Master.Metrics().Counter("consistency.writes_released")
+			released := g.Master.Metrics().Counter("consistency.writes_released")
 			var flushes, releases uint64
 			reached := func() bool {
 				switch spec.Crash {
 				case CrashMidBatch:
-					return p.ReplBatchMaxCmds == 1 || c.Master.ReplStream().Pending() > 0
+					return p.ReplBatchMaxCmds == 1 || g.Master.ReplStream().Pending() > 0
 				case CrashAfterFlush:
-					return c.HostKV.ReplReqsSent > flushes
+					return g.HostKV.ReplReqsSent > flushes
 				case CrashAfterRelease:
 					return released.Value() > releases
 				}
@@ -121,27 +121,27 @@ func AckLossScenario(spec AckLossSpec) (Scenario, *AckLossResult) {
 				}
 				h.Note("crash master")
 				res.L.Stop()
-				c.Master.Crash()
+				g.Master.Crash()
 			}
 			c.Eng.After(aklCrashAt, func() {
-				flushes, releases = c.HostKV.ReplReqsSent, released.Value()
+				flushes, releases = g.HostKV.ReplReqsSent, released.Value()
 				watch()
 			})
 		},
 		Check: func(h *Chaos) error {
-			c := h.C
+			g := h.C.Groups[0]
 			if res.L.Errs > 0 {
 				return fmt.Errorf("ackloss: ledger absorbed %d error replies", res.L.Errs)
 			}
 			if res.L.WritesAcked == 0 {
 				return fmt.Errorf("ackloss: ledger recorded no acknowledged write")
 			}
-			if c.NicKV.Failovers == 0 || c.NicKV.PromotedID() == "" {
-				return fmt.Errorf("ackloss: the NIC never failed over (promoted=%q)", c.NicKV.PromotedID())
+			if g.NicKV.Failovers == 0 || g.NicKV.PromotedID() == "" {
+				return fmt.Errorf("ackloss: the NIC never failed over (promoted=%q)", g.NicKV.PromotedID())
 			}
-			res.Promoted = c.NicKV.PromotedID()
+			res.Promoted = g.NicKV.PromotedID()
 			var surv *server.Server
-			for _, s := range c.Slaves {
+			for _, s := range g.Slaves {
 				if s.Alive() && s.Role() == server.RoleMaster {
 					if surv != nil {
 						return fmt.Errorf("ackloss: split brain — two promoted slaves")

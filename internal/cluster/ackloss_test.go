@@ -97,7 +97,7 @@ func TestAckLossSweep(t *testing.T) {
 	}
 	for _, spec := range levels {
 		spec.Seed, spec.Crash, spec.Batch, spec.Partition = 3, CrashAfterRelease, 8, true
-		if c, res := run(spec); res.Promoted == c.SlaveMachines[0].Host.Name() {
+		if c, res := run(spec); res.Promoted == c.Groups[0].SlaveMachines[0].Host.Name() {
 			t.Errorf("%+v: promoted %s, the slave cut off before the crash", spec, res.Promoted)
 		}
 	}

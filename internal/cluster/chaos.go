@@ -154,74 +154,80 @@ func groupSnapshot(g *Group) string {
 }
 
 // ---- scheduling helpers -------------------------------------------------
+//
+// Every fault names the group it acts on, and a slave by its index within that
+// group. Trace labels carry the group only when there is more than one.
 
-// CrashMaster wedges the master process at base+d (endpoints stay up; peers
-// observe silence — the failure mode §III-D's probes detect).
-func (h *Chaos) CrashMaster(d sim.Duration) {
-	h.At(d, "crash master", func(c *Cluster) { c.Master.Crash() })
-}
-
-// RestartMaster restarts the master process at base+d: its old connections
-// die with it and Host-KV re-dials Nic-KV with a fresh master hello.
-func (h *Chaos) RestartMaster(d sim.Duration) {
-	h.At(d, "restart master", func(c *Cluster) { c.RestartMaster() })
-}
-
-// CrashSlave wedges slave i's process at base+d.
-func (h *Chaos) CrashSlave(d sim.Duration, i int) {
-	h.At(d, fmt.Sprintf("crash slave%d", i), func(c *Cluster) { c.Slaves[i].Crash() })
-}
-
-// RecoverSlave restarts slave i's process at base+d and resynchronizes.
-func (h *Chaos) RecoverSlave(d sim.Duration, i int) {
-	h.At(d, fmt.Sprintf("recover slave%d", i), func(c *Cluster) { c.RecoverSlave(i) })
-}
-
-// PartitionNicSlave cuts both directions between slave i's host and its
-// group's SmartNIC at base+d.
-func (h *Chaos) PartitionNicSlave(d sim.Duration, i int) {
-	h.At(d, fmt.Sprintf("partition nic<->slave%d", i), func(c *Cluster) {
-		c.Net.Faults().PartitionBoth(c.slaveLink(i))
-	})
-}
-
-// HealNicSlave heals both directions between slave i's host and its group's
-// SmartNIC at base+d; parked traffic flushes in order.
-func (h *Chaos) HealNicSlave(d sim.Duration, i int) {
-	h.At(d, fmt.Sprintf("heal nic<->slave%d", i), func(c *Cluster) {
-		c.Net.Faults().HealBoth(c.slaveLink(i))
-	})
-}
-
-// slaveLink resolves slave i — an index into the concatenated c.Slaves — to
-// the two ends of the link its replication traffic crosses: the SmartNIC of
-// the group it belongs to, and its own host.
-func (c *Cluster) slaveLink(i int) (nic, host *fabric.Endpoint) {
-	for _, g := range c.Groups {
-		if i < len(g.SlaveMachines) {
-			return g.MasterMachine.NIC, g.SlaveMachines[i].Host
-		}
-		i -= len(g.SlaveMachines)
+func (h *Chaos) label(verb string, g int, node string, a ...any) string {
+	if len(h.C.Groups) > 1 {
+		verb = fmt.Sprintf("%s g%d", verb, g)
 	}
-	panic("cluster: no such slave")
+	return verb + " " + fmt.Sprintf(node, a...)
 }
 
-// FlapSlave starts down/up cycles of slave i's host endpoint at base+d.
-func (h *Chaos) FlapSlave(d sim.Duration, i int, downFor, upFor sim.Duration, cycles int) {
-	h.At(d, fmt.Sprintf("flap slave%d", i), func(c *Cluster) {
-		c.Net.Faults().FlapEndpoint(c.SlaveMachines[i].Host, downFor, upFor, cycles)
+// CrashMaster wedges group g's master process at base+d (endpoints stay up;
+// peers observe silence — the failure mode §III-D's probes detect).
+func (h *Chaos) CrashMaster(d sim.Duration, g int) {
+	h.At(d, h.label("crash", g, "master"), func(c *Cluster) { c.Groups[g].Master.Crash() })
+}
+
+// RestartMaster restarts group g's master process at base+d: its old
+// connections die with it and Host-KV re-dials Nic-KV with a fresh master
+// hello.
+func (h *Chaos) RestartMaster(d sim.Duration, g int) {
+	h.At(d, h.label("restart", g, "master"), func(c *Cluster) { c.Groups[g].RestartMaster() })
+}
+
+// CrashSlave wedges the process of group g's slave i at base+d.
+func (h *Chaos) CrashSlave(d sim.Duration, g, i int) {
+	h.At(d, h.label("crash", g, "slave%d", i), func(c *Cluster) { c.Groups[g].Slaves[i].Crash() })
+}
+
+// RecoverSlave restarts the process of group g's slave i at base+d and
+// resynchronizes.
+func (h *Chaos) RecoverSlave(d sim.Duration, g, i int) {
+	h.At(d, h.label("recover", g, "slave%d", i), func(c *Cluster) { c.Groups[g].RecoverSlave(i) })
+}
+
+// PartitionNicSlave cuts both directions between the host of group g's slave
+// i and the group's SmartNIC at base+d.
+func (h *Chaos) PartitionNicSlave(d sim.Duration, g, i int) {
+	h.At(d, h.label("partition", g, "nic<->slave%d", i), func(c *Cluster) {
+		c.Net.Faults().PartitionBoth(c.Groups[g].slaveLink(i))
 	})
 }
 
-// ---- cluster-level crash/restart helpers --------------------------------
+// HealNicSlave heals both directions between the host of group g's slave i
+// and the group's SmartNIC at base+d; parked traffic flushes in order.
+func (h *Chaos) HealNicSlave(d sim.Duration, g, i int) {
+	h.At(d, h.label("heal", g, "nic<->slave%d", i), func(c *Cluster) {
+		c.Net.Faults().HealBoth(c.Groups[g].slaveLink(i))
+	})
+}
+
+// FlapSlave starts down/up cycles of the host endpoint of group g's slave i
+// at base+d.
+func (h *Chaos) FlapSlave(d sim.Duration, g, i int, downFor, upFor sim.Duration, cycles int) {
+	h.At(d, h.label("flap", g, "slave%d", i), func(c *Cluster) {
+		c.Net.Faults().FlapEndpoint(c.Groups[g].SlaveMachines[i].Host, downFor, upFor, cycles)
+	})
+}
+
+// ---- group-level crash/restart helpers ----------------------------------
+
+// slaveLink is the two ends of the link slave i's replication traffic
+// crosses: the group's SmartNIC and the slave's own host.
+func (g *Group) slaveLink(i int) (nic, host *fabric.Endpoint) {
+	return g.MasterMachine.NIC, g.SlaveMachines[i].Host
+}
 
 // RecoverSlave restarts a crashed slave process. For SKV the agent forces a
 // fresh synchronization (Fig 14's recovered node re-replicating from its
 // offset); for the baselines Server.Recover re-runs SLAVEOF itself.
-func (c *Cluster) RecoverSlave(i int) {
-	c.Slaves[i].Recover()
-	if c.Cfg.Kind == KindSKV && i < len(c.SlaveAgents) {
-		c.SlaveAgents[i].Resync()
+func (g *Group) RecoverSlave(i int) {
+	g.Slaves[i].Recover()
+	if i < len(g.SlaveAgents) {
+		g.SlaveAgents[i].Resync()
 	}
 }
 
@@ -231,13 +237,13 @@ func (c *Cluster) RecoverSlave(i int) {
 // severed, the server restarts, and Host-KV re-announces itself to Nic-KV
 // on a brand-new connection (msgMasterHello). This is the §III-D restore
 // path — and the one that used to split-brain when a slave was promoted.
-func (c *Cluster) RestartMaster() {
-	if c.HostKV != nil {
-		c.HostKV.SeverConnections()
+func (g *Group) RestartMaster() {
+	if g.HostKV != nil {
+		g.HostKV.SeverConnections()
 	}
-	c.Master.Recover()
-	if c.HostKV != nil {
-		c.HostKV.ReconnectNic()
+	g.Master.Recover()
+	if g.HostKV != nil {
+		g.HostKV.ReconnectNic()
 	}
 }
 
@@ -430,8 +436,8 @@ func ChaosScenarios() []Scenario {
 			Name: "master-restart-split-brain", Config: chaosConfig(7, 0),
 			RunFor: 2 * sim.Second, Settle: 1500 * sim.Millisecond,
 			Script: func(h *Chaos) {
-				h.CrashMaster(200 * sim.Millisecond)
-				h.RestartMaster(900 * sim.Millisecond)
+				h.CrashMaster(200*sim.Millisecond, 0)
+				h.RestartMaster(900*sim.Millisecond, 0)
 			},
 		},
 		// Slave process crash → invalid flag → recovery → resync across the
@@ -440,8 +446,8 @@ func ChaosScenarios() []Scenario {
 			Name: "slave-crash-recover", Config: chaosConfig(11, 0),
 			RunFor: 2 * sim.Second, Settle: 1 * sim.Second,
 			Script: func(h *Chaos) {
-				h.CrashSlave(200*sim.Millisecond, 1)
-				h.RecoverSlave(900*sim.Millisecond, 1)
+				h.CrashSlave(200*sim.Millisecond, 0, 1)
+				h.RecoverSlave(900*sim.Millisecond, 0, 1)
 			},
 		},
 		// Slave endpoint flaps: each down window outlasts both the
@@ -451,7 +457,7 @@ func ChaosScenarios() []Scenario {
 			Name: "slave-flap-resync", Config: chaosConfig(13, 150*sim.Millisecond),
 			RunFor: 2500 * sim.Millisecond, Settle: 2 * sim.Second,
 			Script: func(h *Chaos) {
-				h.FlapSlave(200*sim.Millisecond, 1, 400*sim.Millisecond, 600*sim.Millisecond, 2)
+				h.FlapSlave(200*sim.Millisecond, 0, 1, 400*sim.Millisecond, 600*sim.Millisecond, 2)
 			},
 		},
 		// NIC↔slave partition shorter than the retry budget: connections
@@ -461,8 +467,8 @@ func ChaosScenarios() []Scenario {
 			Name: "nic-partition-probe-timeout", Config: chaosConfig(17, 0),
 			RunFor: 2 * sim.Second, Settle: 1500 * sim.Millisecond,
 			Script: func(h *Chaos) {
-				h.PartitionNicSlave(300*sim.Millisecond, 2)
-				h.HealNicSlave(1100*sim.Millisecond, 2)
+				h.PartitionNicSlave(300*sim.Millisecond, 0, 2)
+				h.HealNicSlave(1100*sim.Millisecond, 0, 2)
 			},
 		},
 		// Lossy, spiky links under load: retransmission delay only — the
@@ -474,18 +480,22 @@ func ChaosScenarios() []Scenario {
 			Script: func(h *Chaos) {
 				h.At(100*sim.Millisecond, "loss 5% on slave links", func(c *Cluster) {
 					f := c.Net.Faults()
-					for i := range c.Slaves {
-						nic, host := c.slaveLink(i)
-						f.SetLossBoth(nic, host, 0.05, 200*sim.Microsecond)
-						f.SetDelay(nic, host, 0, 0.02, 1*sim.Millisecond)
+					for _, g := range c.Groups {
+						for i := range g.Slaves {
+							nic, host := g.slaveLink(i)
+							f.SetLossBoth(nic, host, 0.05, 200*sim.Microsecond)
+							f.SetDelay(nic, host, 0, 0.02, 1*sim.Millisecond)
+						}
 					}
 				})
 				h.At(1200*sim.Millisecond, "links clean again", func(c *Cluster) {
 					f := c.Net.Faults()
-					for i := range c.Slaves {
-						nic, host := c.slaveLink(i)
-						f.Clear(nic, host)
-						f.Clear(host, nic)
+					for _, g := range c.Groups {
+						for i := range g.Slaves {
+							nic, host := g.slaveLink(i)
+							f.Clear(nic, host)
+							f.Clear(host, nic)
+						}
 					}
 				})
 			},

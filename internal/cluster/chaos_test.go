@@ -104,32 +104,80 @@ func TestScenarioSyncFailureKeepsTrace(t *testing.T) {
 	}
 }
 
-// TestPartitionNicSlaveCutsOwnGroupsLink: on a 2×1 deployment slave 1 is
-// group 1's slave, and partitioning it must cut the link to group 1's
-// SmartNIC — g1's Nic-KV loses its slave while g0 keeps its own, and the
-// heal restores it (the default convergence check).
-func TestPartitionNicSlaveCutsOwnGroupsLink(t *testing.T) {
-	cfg := chaosConfig(29, 0)
-	cfg.Slaves, cfg.Cluster = 0, ClusterOpts{Masters: 2, SlavesPerMaster: 1}
-	_, h, err := RunScenario(Scenario{
-		Name: "partition-g1-slave", Config: cfg,
-		RunFor: 2 * sim.Second, Settle: 1500 * sim.Millisecond,
-		Script: func(h *Chaos) {
-			h.PartitionNicSlave(300*sim.Millisecond, 1)
-			h.At(1*sim.Second, "partitioned", nil)
-			h.HealNicSlave(1100*sim.Millisecond, 1)
-		},
-	})
-	if err != nil {
-		t.Fatalf("not converged after the heal:\n%v\ntrace:\n%s", err, h.TraceString())
-	}
-	for _, e := range h.Trace {
-		if e.Label != "partitioned" {
-			continue
-		}
-		if !strings.Contains(e.State, `g0{mv=true prom="" vs=1 `) || !strings.Contains(e.State, `g1{mv=true prom="" vs=0 `) {
-			t.Fatalf("mid-partition state, want g0 vs=1 and g1 vs=0:\n%s", e)
-		}
+// TestFaultHelpersHitTheirGroupOnly: on a 2×2 deployment every group-addressed
+// fault helper, aimed at group 1, must show in g1's snapshot mid-fault and
+// leave g0's as it was — same validity, same slave count, no failover, same
+// roles, every slave in steady state — and both groups converge once the
+// fault is undone (the default check). The partition row is the old flat-index
+// bug: group 1's slave cut from group 0's SmartNIC instead of its own. The
+// master row audits g1 by its snapshot instead: on a hash-slot cluster the
+// promoted slave takes routed writes a restarted master never pulls back
+// (ROADMAP item 2(f)), so g1's keyspaces differ; roles, validity, restore
+// count and offsets must still be the healthy ones.
+func TestFaultHelpersHitTheirGroupOnly(t *testing.T) {
+	const ms = sim.Millisecond
+	for _, row := range []struct {
+		name   string
+		retry  sim.Duration
+		script func(h *Chaos)
+		midAt  sim.Duration
+		g1     string // what g1's snapshot must show mid-fault
+		g1End  string // "" = the default convergence check covers g1 too
+	}{
+		{"crash-restart-master", 0, func(h *Chaos) {
+			h.CrashMaster(200*ms, 1)
+			h.RestartMaster(900*ms, 1)
+		}, 700 * ms, `g1{mv=false prom="g1.slave`, `mv=true prom="" vs=2 fo=1 rst=1 roles=Mss `},
+		{"crash-recover-slave", 0, func(h *Chaos) {
+			h.CrashSlave(200*ms, 1, 1)
+			h.RecoverSlave(900*ms, 1, 1)
+		}, 700 * ms, `g1{mv=true prom="" vs=1 fo=0 rst=0 roles=Msx `, ""},
+		{"partition-heal", 0, func(h *Chaos) {
+			h.PartitionNicSlave(300*ms, 1, 1)
+			h.HealNicSlave(1100*ms, 1, 1)
+		}, 1000 * ms, `g1{mv=true prom="" vs=1 fo=0 rst=0 roles=Mss `, ""},
+		{"flap", 150 * ms, func(h *Chaos) {
+			h.FlapSlave(200*ms, 1, 1, 400*ms, 600*ms, 1)
+		}, 590 * ms, `g1{mv=true prom="" vs=1 fo=0 rst=0 roles=Mss `, ""},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := chaosConfig(29, row.retry)
+			cfg.Slaves, cfg.Cluster = 0, ClusterOpts{Masters: 2, SlavesPerMaster: 2}
+			s := Scenario{
+				Name: row.name, Config: cfg, RunFor: 2 * sim.Second, Settle: 1500 * ms,
+				Script: func(h *Chaos) {
+					row.script(h)
+					h.At(row.midAt, "mid-fault", nil)
+				},
+			}
+			if row.g1End != "" {
+				s.Check = func(h *Chaos) error {
+					g0, g1 := checkGroupConvergence(h.C.Groups[0]), groupSnapshot(h.C.Groups[1])
+					if len(g0) > 0 || !strings.HasPrefix(g1, row.g1End) || strings.Contains(g1, "*") {
+						return fmt.Errorf("g0: %v; g1{%s}, want %s", g0, g1, row.g1End)
+					}
+					return nil
+				}
+			}
+			_, h, err := RunScenario(s)
+			if err != nil {
+				t.Fatalf("not converged once the fault was undone:\n%v\ntrace:\n%s", err, h.TraceString())
+			}
+			for _, e := range h.Trace {
+				if e.Label != "mid-fault" {
+					continue
+				}
+				g0, _, _ := strings.Cut(e.State, "} ")
+				if !strings.HasPrefix(g0, `g0{mv=true prom="" vs=2 fo=0 rst=0 roles=Mss `) || strings.Contains(g0, "*") {
+					t.Errorf("group 0 felt a fault aimed at group 1:\n%s", e)
+				}
+				if !strings.Contains(e.State, row.g1) {
+					t.Errorf("group 1 does not show the fault, want %s:\n%s", row.g1, e)
+				}
+				return
+			}
+			t.Fatalf("no mid-fault entry in the trace:\n%s", h.TraceString())
+		})
 	}
 }
 
@@ -137,29 +185,30 @@ func TestPartitionNicSlaveCutsOwnGroupsLink(t *testing.T) {
 // to exercise actually fired (convergence alone could hide a no-op script).
 func checkScenarioExpectations(t *testing.T, name string, c *Cluster, h *Chaos) {
 	t.Helper()
+	g := c.Groups[0]
 	switch name {
 	case "master-restart-split-brain":
-		if c.NicKV.Failovers == 0 {
+		if g.NicKV.Failovers == 0 {
 			t.Error("master crash never triggered a failover")
 		}
-		if c.NicKV.MasterRestores == 0 {
+		if g.NicKV.MasterRestores == 0 {
 			t.Error("master restart never triggered a restore")
 		}
-		if c.SlaveAgents[0].Promoted+c.SlaveAgents[1].Promoted+c.SlaveAgents[2].Promoted == 0 {
+		if g.SlaveAgents[0].Promoted+g.SlaveAgents[1].Promoted+g.SlaveAgents[2].Promoted == 0 {
 			t.Error("no slave was promoted")
 		}
-		if c.SlaveAgents[0].Demoted+c.SlaveAgents[1].Demoted+c.SlaveAgents[2].Demoted == 0 {
+		if g.SlaveAgents[0].Demoted+g.SlaveAgents[1].Demoted+g.SlaveAgents[2].Demoted == 0 {
 			t.Error("no slave was demoted after the master returned")
 		}
 	case "slave-crash-recover":
-		if c.SlaveAgents[1].Resyncs == 0 {
+		if g.SlaveAgents[1].Resyncs == 0 {
 			t.Error("recovered slave never resynchronized")
 		}
-		if c.NicKV.Failovers != 0 {
-			t.Errorf("slave crash caused %d failovers", c.NicKV.Failovers)
+		if g.NicKV.Failovers != 0 {
+			t.Errorf("slave crash caused %d failovers", g.NicKV.Failovers)
 		}
 	case "slave-flap-resync":
-		if c.SlaveAgents[1].Resyncs == 0 {
+		if g.SlaveAgents[1].Resyncs == 0 {
 			t.Error("flapped slave never resynchronized")
 		}
 		if c.Net.Parked == 0 {
@@ -169,8 +218,8 @@ func checkScenarioExpectations(t *testing.T, name string, c *Cluster, h *Chaos) 
 		if c.Net.Parked == 0 {
 			t.Error("partition parked no traffic")
 		}
-		if c.NicKV.Failovers != 0 {
-			t.Errorf("slave-side partition caused %d failovers", c.NicKV.Failovers)
+		if g.NicKV.Failovers != 0 {
+			t.Errorf("slave-side partition caused %d failovers", g.NicKV.Failovers)
 		}
 		sawInvalid := false
 		for _, e := range h.Trace {
@@ -185,8 +234,8 @@ func checkScenarioExpectations(t *testing.T, name string, c *Cluster, h *Chaos) 
 		if c.Net.Faults().Retransmits == 0 {
 			t.Error("lossy links produced no retransmissions")
 		}
-		if c.NicKV.Failovers != 0 {
-			t.Errorf("loss-induced delay tripped the failure detector (%d failovers)", c.NicKV.Failovers)
+		if g.NicKV.Failovers != 0 {
+			t.Errorf("loss-induced delay tripped the failure detector (%d failovers)", g.NicKV.Failovers)
 		}
 		for i, cl := range c.Clients {
 			if errs := cl.Stats().ErrReplies; errs != 0 {
@@ -217,7 +266,8 @@ func TestWaitResolvesAfterSlaveFailure(t *testing.T) {
 	stack := rconn.New(c.Net, m.Host, proc)
 	var waitReply *resp.Value
 	var waitSent, replyAt sim.Time
-	stack.Dial(c.MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
+	g := c.Groups[0]
+	stack.Dial(g.MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
@@ -259,7 +309,7 @@ func TestWaitResolvesAfterSlaveFailure(t *testing.T) {
 	if elapsed := replyAt.Sub(waitSent); elapsed < 450*sim.Millisecond {
 		t.Fatalf("WAIT resolved after %v — expected to block until its 500ms timeout", elapsed)
 	}
-	if c.NicKV.ValidSlaves() != 1 {
-		t.Fatalf("detector sees %d valid slaves, want 1", c.NicKV.ValidSlaves())
+	if g.NicKV.ValidSlaves() != 1 {
+		t.Fatalf("detector sees %d valid slaves, want 1", g.NicKV.ValidSlaves())
 	}
 }

@@ -301,17 +301,11 @@ type Cluster struct {
 	Groups  []*Group
 	SlotMap *slots.Map
 
-	// Aliases into Groups for group-agnostic callers: group 0's master side
-	// (Master, HostKV, NicKV, MasterMachine) and the concatenation across
-	// groups (Slaves, SlaveAgents, SlaveMachines). HostKV, NicKV and
-	// SlaveAgents are SKV only.
-	Master        *server.Server
-	HostKV        *core.HostKV
-	NicKV         *core.NicKV
-	MasterMachine *fabric.Machine
-	Slaves        []*server.Server
-	SlaveAgents   []*core.SlaveAgent
-	SlaveMachines []*fabric.Machine
+	// Master is Groups[0].Master and Slaves every group's slaves, concatenated.
+	// They are the only node handles outside Groups, and only because the
+	// frozen benchmark/simload.go reads them; address nodes through Groups.
+	Master *server.Server
+	Slaves []*server.Server
 
 	// Clients is the workload: slot-aware closed-loop clients, a single
 	// group being their one-group case.
@@ -458,14 +452,10 @@ func Build(cfg Config) *Cluster {
 			}
 		}
 
-		// Group-agnostic helpers read the whole deployment's slaves through
-		// the concatenated aliases.
 		c.Slaves = append(c.Slaves, g.Slaves...)
-		c.SlaveAgents = append(c.SlaveAgents, g.SlaveAgents...)
-		c.SlaveMachines = append(c.SlaveMachines, g.SlaveMachines...)
 	}
 	g0 := c.Groups[0]
-	c.Master, c.HostKV, c.NicKV, c.MasterMachine = g0.Master, g0.HostKV, g0.NicKV, g0.MasterMachine
+	c.Master = g0.Master
 
 	// Clients, one machine each (the load generator box is never the
 	// bottleneck, as with redis-benchmark on its own server). Naming and
@@ -473,9 +463,9 @@ func Build(cfg Config) *Cluster {
 	// deployment. The seed address is fixed at build time: the first master's
 	// host, or its SmartNIC endpoint when the workload exercises NIC-served
 	// reads; c.SlotMap is nil for a single group.
-	seed := c.MasterMachine.Host
+	seed := g0.MasterMachine.Host
 	if cfg.NicReads == NicReadsClients {
-		seed = c.MasterMachine.NIC
+		seed = g0.MasterMachine.NIC
 	}
 	env := workload.Env{
 		Eng: eng, Params: p, MakeStack: makeStack, Wakeup: p.ClientWakeup,
@@ -484,7 +474,7 @@ func Build(cfg Config) *Cluster {
 	if hasNIC && cfg.Tracking && !clustered && cfg.NicReads != NicReadsClients {
 		// Redirect mode: the server forwards tracked interest to its NIC
 		// and the NIC pushes invalidations out-of-band to the subscriber.
-		env.Invalidation = c.MasterMachine.NIC
+		env.Invalidation = g0.MasterMachine.NIC
 		env.InvalidationPort = core.NicPort
 	}
 	opts := workload.Options{
@@ -525,17 +515,15 @@ func (c *Cluster) AwaitReplication(timeout sim.Duration) bool {
 }
 
 func (c *Cluster) replicationReady() bool {
-	if c.Cfg.Kind == KindSKV {
-		for _, a := range c.SlaveAgents {
-			if !a.Synced() {
+	for _, g := range c.Groups {
+		for i, s := range g.Slaves {
+			synced := s.SyncedWithMaster
+			if c.Cfg.Kind == KindSKV {
+				synced = g.SlaveAgents[i].Synced
+			}
+			if !synced() {
 				return false
 			}
-		}
-		return true
-	}
-	for _, s := range c.Slaves {
-		if !s.SyncedWithMaster() {
-			return false
 		}
 	}
 	return true
@@ -565,6 +553,8 @@ type Result struct {
 	P99        sim.Duration
 	Ops        uint64
 	ErrReplies uint64
+	// MasterUtil, ShardUtils, RouteUtils and NicUtil are group 0's alone
+	// (GroupOps says how the load split across groups).
 	// MasterUtil is the master dispatch core's busy fraction over the window.
 	MasterUtil float64
 	// ShardUtils is each master shard core's busy fraction (HostShards > 1).
@@ -603,18 +593,18 @@ func (c *Cluster) Measure(warmup, duration sim.Duration) Result {
 	// warmup CPU don't pollute the busy fraction. Run to the window start,
 	// snapshot each core's busy-time accumulator, then run the window.
 	c.Eng.Run(start)
-	busyAt := func(core *sim.Core) sim.Duration { return core.BusyTime() }
-	masterBusy := busyAt(c.Master.Proc().Core)
+	g0 := c.Groups[0]
+	masterBusy := g0.Master.Proc().Core.BusyTime()
 	var shardBusy, routeBusy []sim.Duration
-	for _, sp := range c.Master.ShardProcs() {
-		shardBusy = append(shardBusy, busyAt(sp.Core))
+	for _, sp := range g0.Master.ShardProcs() {
+		shardBusy = append(shardBusy, sp.Core.BusyTime())
 	}
-	for _, rp := range c.Master.RouteProcs() {
-		routeBusy = append(routeBusy, busyAt(rp.Core))
+	for _, rp := range g0.Master.RouteProcs() {
+		routeBusy = append(routeBusy, rp.Core.BusyTime())
 	}
 	var nicBusy sim.Duration
-	if c.NicKV != nil {
-		nicBusy = busyAt(c.NicKV.Proc().Core)
+	if g0.NicKV != nil {
+		nicBusy = g0.NicKV.Proc().Core.BusyTime()
 	}
 	groupStart := c.groupDone()
 	c.Eng.Run(end)
@@ -646,16 +636,16 @@ func (c *Cluster) Measure(warmup, duration sim.Duration) Result {
 		P99:        agg.Percentile(99),
 		Ops:        agg.Count(),
 		ErrReplies: errs,
-		MasterUtil: windowUtil(masterBusy, c.Master.Proc().Core),
+		MasterUtil: windowUtil(masterBusy, g0.Master.Proc().Core),
 	}
-	for i, sp := range c.Master.ShardProcs() {
+	for i, sp := range g0.Master.ShardProcs() {
 		res.ShardUtils = append(res.ShardUtils, windowUtil(shardBusy[i], sp.Core))
 	}
-	for i, rp := range c.Master.RouteProcs() {
+	for i, rp := range g0.Master.RouteProcs() {
 		res.RouteUtils = append(res.RouteUtils, windowUtil(routeBusy[i], rp.Core))
 	}
-	if c.NicKV != nil {
-		res.NicUtil = windowUtil(nicBusy, c.NicKV.Proc().Core)
+	if g0.NicKV != nil {
+		res.NicUtil = windowUtil(nicBusy, g0.NicKV.Proc().Core)
 	}
 	res.GroupOps = c.groupDone()
 	for g := range res.GroupOps {

@@ -56,7 +56,7 @@ func TestSKVThreadNumReducesLagWithManySlaves(t *testing.T) {
 		}
 		c.Measure(20*sim.Millisecond, 200*sim.Millisecond)
 		minOff := int64(-1)
-		for _, a := range c.SlaveAgents {
+		for _, a := range c.Groups[0].SlaveAgents {
 			if minOff < 0 || a.Offset() < minOff {
 				minOff = a.Offset()
 			}
@@ -95,10 +95,10 @@ func TestMixedWorkload(t *testing.T) {
 		t.Fatalf("mixed run: %+v", res)
 	}
 	// Only the SET fraction is replicated.
-	if c.HostKV.ReplReqsSent == 0 {
+	if c.Groups[0].HostKV.ReplReqsSent == 0 {
 		t.Fatal("no writes replicated")
 	}
-	if c.HostKV.ReplReqsSent >= c.Master.CommandsProcessed {
+	if c.Groups[0].HostKV.ReplReqsSent >= c.Master.CommandsProcessed {
 		t.Fatal("GETs were replicated")
 	}
 }
@@ -161,13 +161,13 @@ func TestNicServedReadsReturnCorrectValues(t *testing.T) {
 		c.Master.Store().Exec(0, [][]byte{[]byte("SET"), key, []byte("val")})
 	}
 	for i := 0; i < 100; i++ {
-		c.NicKV.PreloadReplica("key:000000000"+string(rune('0'+i%10)), []byte("val"))
+		c.Groups[0].NicKV.PreloadReplica("key:000000000"+string(rune('0'+i%10)), []byte("val"))
 	}
 	res := c.Measure(10*sim.Millisecond, 50*sim.Millisecond)
 	if res.Ops == 0 || res.ErrReplies != 0 {
 		t.Fatalf("NIC-served reads: %+v", res)
 	}
-	if c.NicKV.ReplicaStore().DBSize(0) == 0 {
+	if c.Groups[0].NicKV.ReplicaStore().DBSize(0) == 0 {
 		t.Fatal("replica empty")
 	}
 }
@@ -181,7 +181,7 @@ func TestNicReplicaTracksWrites(t *testing.T) {
 	c.Measure(10*sim.Millisecond, 100*sim.Millisecond)
 	c.Eng.Run(c.Eng.Now().Add(100 * sim.Millisecond))
 	// Every write relayed through the NIC also landed in the replica.
-	if got, want := c.NicKV.ReplicaStore().DBSize(0), c.Master.Store().DBSize(0); got != want {
+	if got, want := c.Groups[0].NicKV.ReplicaStore().DBSize(0), c.Master.Store().DBSize(0); got != want {
 		t.Fatalf("NIC replica has %d keys, master %d", got, want)
 	}
 }
@@ -210,7 +210,7 @@ func TestSKVMaxLagGateTripsWhenNICOverloaded(t *testing.T) {
 
 func replLagOf(c *Cluster) int64 {
 	minOff := int64(-1)
-	for _, a := range c.SlaveAgents {
+	for _, a := range c.Groups[0].SlaveAgents {
 		if minOff < 0 || a.Offset() < minOff {
 			minOff = a.Offset()
 		}
@@ -224,11 +224,12 @@ func TestSKVSyncPathCounters(t *testing.T) {
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("sync failed")
 	}
+	g := c.Groups[0]
 	// Fresh slaves with replid "?" take the full-RDB path... unless the
 	// master's backlog still covers offset 0 (fresh master), in which case
 	// the partial path is correct. Either way both slaves were served.
-	if c.HostKV.FullSyncs+c.HostKV.PartialSyncs < 2 {
-		t.Fatalf("initial syncs served: full=%d partial=%d", c.HostKV.FullSyncs, c.HostKV.PartialSyncs)
+	if g.HostKV.FullSyncs+g.HostKV.PartialSyncs < 2 {
+		t.Fatalf("initial syncs served: full=%d partial=%d", g.HostKV.FullSyncs, g.HostKV.PartialSyncs)
 	}
 	c.StartClients()
 	c.Eng.Run(c.Eng.Now().Add(200 * sim.Millisecond))
@@ -237,15 +238,15 @@ func TestSKVSyncPathCounters(t *testing.T) {
 	// gap well inside the 1MB backlog, so the resync must take the partial
 	// (backlog-range) path. (A longer outage would overflow the backlog
 	// and correctly fall back to a full RDB transfer.)
-	partialBefore := c.HostKV.PartialSyncs
-	fullBefore := c.HostKV.FullSyncs
+	partialBefore := g.HostKV.PartialSyncs
+	fullBefore := g.HostKV.FullSyncs
 	c.Slaves[0].Crash()
 	c.Eng.Run(c.Eng.Now().Add(20 * sim.Millisecond))
 	c.Slaves[0].Recover()
 	c.Eng.Run(c.Eng.Now().Add(800 * sim.Millisecond))
-	if c.HostKV.PartialSyncs <= partialBefore {
+	if g.HostKV.PartialSyncs <= partialBefore {
 		t.Fatalf("recovery did not use the backlog path (partial %d→%d, full %d→%d)",
-			partialBefore, c.HostKV.PartialSyncs, fullBefore, c.HostKV.FullSyncs)
+			partialBefore, g.HostKV.PartialSyncs, fullBefore, g.HostKV.FullSyncs)
 	}
 	// And the recovered slave converged.
 	for _, cl := range c.Clients {
@@ -273,7 +274,7 @@ func TestWaitCommandOnSKVMaster(t *testing.T) {
 	proc := sim.NewProc(c.Eng, sim.NewCore(c.Eng, "waiter-core", 1.0), c.Params.ClientWakeup)
 	stack := rconn.New(c.Net, m.Host, proc)
 	var got *resp.Value
-	stack.Dial(c.MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
+	stack.Dial(c.Groups[0].MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return

@@ -92,13 +92,14 @@ func TestSKVReplicationSyncsAndPropagates(t *testing.T) {
 			t.Errorf("slave%d has %d keys, master has %d", i, got, keys)
 		}
 	}
+	g := c.Groups[0]
 	// The headline mechanism: exactly one replication request per
 	// propagated write, regardless of 3 slaves.
-	if c.HostKV.ReplReqsSent != c.Master.WritesPropagated {
+	if g.HostKV.ReplReqsSent != c.Master.WritesPropagated {
 		t.Errorf("master sent %d repl requests for %d writes (must be 1:1)",
-			c.HostKV.ReplReqsSent, c.Master.WritesPropagated)
+			g.HostKV.ReplReqsSent, c.Master.WritesPropagated)
 	}
-	if c.NicKV.ReplRequests == 0 {
+	if g.NicKV.ReplRequests == 0 {
 		t.Error("Nic-KV saw no replication requests")
 	}
 }
@@ -159,12 +160,13 @@ func TestSKVSlaveFailureDetectedAndServiceContinues(t *testing.T) {
 	c.Eng.At(base.Add(700*sim.Millisecond), func() { c.Slaves[1].Recover() })
 
 	c.Eng.Run(base.Add(600 * sim.Millisecond))
-	if c.NicKV.ValidSlaves() != 2 {
-		t.Fatalf("after crash+waiting-time, valid slaves = %d, want 2", c.NicKV.ValidSlaves())
+	g := c.Groups[0]
+	if g.NicKV.ValidSlaves() != 2 {
+		t.Fatalf("after crash+waiting-time, valid slaves = %d, want 2", g.NicKV.ValidSlaves())
 	}
 	c.Eng.Run(base.Add(1400 * sim.Millisecond))
-	if c.NicKV.ValidSlaves() != 3 {
-		t.Fatalf("after recovery, valid slaves = %d, want 3", c.NicKV.ValidSlaves())
+	if g.NicKV.ValidSlaves() != 3 {
+		t.Fatalf("after recovery, valid slaves = %d, want 3", g.NicKV.ValidSlaves())
 	}
 	// The recovered slave must converge with the master again.
 	c.Eng.Run(base.Add(1600 * sim.Millisecond))
@@ -193,14 +195,15 @@ func TestSKVMasterFailoverAndRestore(t *testing.T) {
 	base := c.Eng.Now()
 	c.Eng.At(base.Add(100*sim.Millisecond), func() { c.Master.Crash() })
 	c.Eng.Run(base.Add(600 * sim.Millisecond))
-	if c.NicKV.MasterValid() {
+	g := c.Groups[0]
+	if g.NicKV.MasterValid() {
 		t.Fatal("NIC still believes the master is alive")
 	}
-	if c.NicKV.PromotedID() == "" {
+	if g.NicKV.PromotedID() == "" {
 		t.Fatal("no slave was promoted")
 	}
 	promoted := -1
-	for i, a := range c.SlaveAgents {
+	for i, a := range g.SlaveAgents {
 		if a.Promoted > 0 {
 			promoted = i
 		}
@@ -212,13 +215,13 @@ func TestSKVMasterFailoverAndRestore(t *testing.T) {
 	// demoted (§III-D).
 	c.Eng.At(c.Eng.Now(), func() { c.Master.Recover() })
 	c.Eng.Run(c.Eng.Now().Add(600 * sim.Millisecond))
-	if !c.NicKV.MasterValid() {
+	if !g.NicKV.MasterValid() {
 		t.Fatal("recovered master not restored")
 	}
-	if c.NicKV.PromotedID() != "" {
+	if g.NicKV.PromotedID() != "" {
 		t.Fatal("promoted node not demoted after master recovery")
 	}
-	if c.SlaveAgents[promoted].Demoted == 0 {
+	if g.SlaveAgents[promoted].Demoted == 0 {
 		t.Fatal("demote order never reached the promoted slave")
 	}
 	if c.Slaves[promoted].Role().String() != "slave" {

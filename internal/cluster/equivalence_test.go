@@ -67,7 +67,7 @@ func fingerprint(s *store.Store) map[string]string {
 func randomWriter(t *testing.T, c *Cluster, seed int64, n int) {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
-	conn := dialRaw(t, c, fmt.Sprintf("writer%d", seed), c.MasterMachine.Host, core.ClientPort).conn
+	conn := dialRaw(t, c, fmt.Sprintf("writer%d", seed), c.Groups[0].MasterMachine.Host, core.ClientPort).conn
 
 	key := func() string { return fmt.Sprintf("k%d", rnd.Intn(40)) }
 	member := func() string { return fmt.Sprintf("m%d", rnd.Intn(8)) }

@@ -68,7 +68,7 @@ func TestReplicationLagConverges(t *testing.T) {
 	proc := sim.NewProc(c.Eng, sim.NewCore(c.Eng, "waiter-core", 1.0), c.Params.ClientWakeup)
 	stack := rconn.New(c.Net, m.Host, proc)
 	var got *resp.Value
-	stack.Dial(c.MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
+	stack.Dial(c.Groups[0].MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
@@ -87,7 +87,7 @@ func TestReplicationLagConverges(t *testing.T) {
 		t.Fatalf("WAIT = %v, want :2", got)
 	}
 
-	snap := c.NicKV.Metrics().Snapshot()
+	snap := c.Groups[0].NicKV.Metrics().Snapshot()
 	lags := 0
 	for name, v := range snap.Gauges {
 		if !strings.HasPrefix(name, "nickv.lag.") {
@@ -121,7 +121,7 @@ func TestFailoverTimelineOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("convergence failed:\n%v\ntrace:\n%s", err, h.TraceString())
 	}
-	tl := c.NicKV.Timeline()
+	tl := c.Groups[0].NicKV.Timeline()
 
 	down, okDown := tl.First(metrics.EventMarkDown)
 	promote, okPromote := tl.First(metrics.EventPromote)
@@ -171,7 +171,7 @@ func TestSKVMasterInfo(t *testing.T) {
 	proc := sim.NewProc(c.Eng, sim.NewCore(c.Eng, "infocli-core", 1.0), c.Params.ClientWakeup)
 	stack := rconn.New(c.Net, m.Host, proc)
 	var got *resp.Value
-	stack.Dial(c.MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
+	stack.Dial(c.Groups[0].MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return

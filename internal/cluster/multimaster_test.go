@@ -2,10 +2,14 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"skv/internal/core"
+	"skv/internal/fabric"
+	"skv/internal/server"
 	"skv/internal/sim"
 	"skv/internal/slots"
 )
@@ -55,8 +59,9 @@ func TestMultiMasterValidate(t *testing.T) {
 }
 
 // TestSingleGroupIsDegenerateCluster: Masters 0 and 1 run the same group
-// loop as N > 1 and come out as one group with no slot plane, the plain
-// node names, and the group-agnostic aliases pointing into Groups[0].
+// loop as N > 1 and come out as one group with no slot plane and the plain
+// node names. Groups is the one way to a node: Master and Slaves, kept for the
+// frozen benchmark, point into it, and Cluster exports no other node handle.
 func TestSingleGroupIsDegenerateCluster(t *testing.T) {
 	for _, masters := range []int{0, 1} {
 		c := Build(Config{Kind: KindSKV, Slaves: 2, Seed: 31,
@@ -65,23 +70,46 @@ func TestSingleGroupIsDegenerateCluster(t *testing.T) {
 			t.Fatalf("masters=%d: %d groups, slot map %v; want 1 group and no slot plane", masters, len(c.Groups), c.SlotMap)
 		}
 		g := c.Groups[0]
-		if c.Master != g.Master || c.HostKV != g.HostKV || c.NicKV != g.NicKV || c.MasterMachine != g.MasterMachine {
-			t.Fatalf("masters=%d: master-side aliases do not point into Groups[0]", masters)
+		if c.Master != g.Master {
+			t.Fatalf("masters=%d: Master does not point into Groups[0]", masters)
 		}
-		if len(c.Slaves) != 2 || len(c.SlaveAgents) != 2 || len(c.SlaveMachines) != 2 {
-			t.Fatalf("masters=%d: %d slaves, %d agents, %d machines; want 2 each", masters, len(c.Slaves), len(c.SlaveAgents), len(c.SlaveMachines))
+		if len(c.Slaves) != 2 || len(g.SlaveAgents) != 2 || len(g.SlaveMachines) != 2 {
+			t.Fatalf("masters=%d: %d slaves, %d agents, %d machines; want 2 each", masters, len(c.Slaves), len(g.SlaveAgents), len(g.SlaveMachines))
 		}
 		if got := g.Master.Name(); got != "master" {
 			t.Fatalf("masters=%d: master is named %q", masters, got)
 		}
 		for i, s := range c.Slaves {
-			if s != g.Slaves[i] || c.SlaveAgents[i] != g.SlaveAgents[i] || c.SlaveMachines[i] != g.SlaveMachines[i] {
-				t.Fatalf("masters=%d: slave %d aliases do not point into Groups[0]", masters, i)
+			if s != g.Slaves[i] {
+				t.Fatalf("masters=%d: Slaves[%d] does not point into Groups[0]", masters, i)
 			}
 			if want := fmt.Sprintf("slave%d", i); s.Name() != want {
 				t.Fatalf("masters=%d: slave %d is named %q, want %q", masters, i, s.Name(), want)
 			}
 		}
+	}
+
+	// A node handle is a field whose type reaches a server, an offload half
+	// or a machine; everything else on Cluster is configuration, the engine,
+	// the fabric, the slot table or the load.
+	nodeTypes := []reflect.Type{
+		reflect.TypeOf((*server.Server)(nil)), reflect.TypeOf((*core.HostKV)(nil)), reflect.TypeOf((*core.NicKV)(nil)),
+		reflect.TypeOf((*core.SlaveAgent)(nil)), reflect.TypeOf((*fabric.Machine)(nil)), reflect.TypeOf((*Group)(nil)),
+	}
+	var handles []string
+	ct := reflect.TypeOf(Cluster{})
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		ft := f.Type
+		if ft.Kind() == reflect.Slice {
+			ft = ft.Elem()
+		}
+		if f.IsExported() && slices.Contains(nodeTypes, ft) {
+			handles = append(handles, f.Name)
+		}
+	}
+	if want := []string{"Groups", "Master", "Slaves"}; !slices.Equal(handles, want) {
+		t.Fatalf("Cluster exports node handles %v, want exactly %v", handles, want)
 	}
 }
 

@@ -20,11 +20,11 @@ func TestNicThreadClampSurfaced(t *testing.T) {
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("sync failed")
 	}
-	eff := c.NicKV.EffectiveThreads()
+	eff := c.Groups[0].NicKV.EffectiveThreads()
 	if eff != c.Params.NICCores {
 		t.Fatalf("EffectiveThreads = %d, want clamp to NICCores = %d", eff, c.Params.NICCores)
 	}
-	if g := c.NicKV.Metrics().Gauge("nickv.threads.effective").Value(); g != int64(eff) {
+	if g := c.Groups[0].NicKV.Metrics().Gauge("nickv.threads.effective").Value(); g != int64(eff) {
 		t.Fatalf("gauge nickv.threads.effective = %d, want %d", g, eff)
 	}
 	// The effective count rides the periodic status frame to the master and

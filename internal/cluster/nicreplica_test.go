@@ -41,11 +41,12 @@ func TestNicReplicaKeyspaceEqualsMasterAcrossShards(t *testing.T) {
 		}
 		randomWriter(t, c, 77, 2000)
 		c.Eng.Run(c.Eng.Now().Add(200 * sim.Millisecond))
-		if c.NicKV.ReplicaStore().DBSize(0) == 0 {
+		g := c.Groups[0]
+		if g.NicKV.ReplicaStore().DBSize(0) == 0 {
 			t.Fatalf("shards=%d: NIC replica empty after mixed workload", shards)
 		}
-		requireSameKeyspace(t, fmt.Sprintf("shards=%d", shards), c.Master.Store(), c.NicKV.ReplicaStore())
-		if gaps := c.NicKV.Metrics().Counter("nickv.replica.gaps").Value(); gaps != 0 {
+		requireSameKeyspace(t, fmt.Sprintf("shards=%d", shards), g.Master.Store(), g.NicKV.ReplicaStore())
+		if gaps := g.NicKV.Metrics().Counter("nickv.replica.gaps").Value(); gaps != 0 {
 			t.Fatalf("shards=%d: replica saw %d stream gaps", shards, gaps)
 		}
 	}
@@ -65,11 +66,12 @@ func TestNicReplicaKeyspaceEqualsMasterRouted(t *testing.T) {
 		}
 		randomWriter(t, c, 77, 2000)
 		c.Eng.Run(c.Eng.Now().Add(200 * sim.Millisecond))
-		if c.NicKV.ReplicaStore().DBSize(0) == 0 {
+		g := c.Groups[0]
+		if g.NicKV.ReplicaStore().DBSize(0) == 0 {
 			t.Fatalf("listeners=%d: NIC replica empty after mixed workload", listeners)
 		}
-		requireSameKeyspace(t, fmt.Sprintf("listeners=%d", listeners), c.Master.Store(), c.NicKV.ReplicaStore())
-		if gaps := c.NicKV.Metrics().Counter("nickv.replica.gaps").Value(); gaps != 0 {
+		requireSameKeyspace(t, fmt.Sprintf("listeners=%d", listeners), g.Master.Store(), g.NicKV.ReplicaStore())
+		if gaps := g.NicKV.Metrics().Counter("nickv.replica.gaps").Value(); gaps != 0 {
 			t.Fatalf("listeners=%d: replica saw %d stream gaps", listeners, gaps)
 		}
 	}
@@ -89,7 +91,7 @@ func TestNicReplicaChaosKeyspaceEquality(t *testing.T) {
 				if err != nil {
 					t.Fatalf("convergence failed:\n%v\ntrace:\n%s", err, h.TraceString())
 				}
-				requireSameKeyspace(t, s.Name, c.Master.Store(), c.NicKV.ReplicaStore())
+				requireSameKeyspace(t, s.Name, c.Master.Store(), c.Groups[0].NicKV.ReplicaStore())
 			})
 		}
 	}
@@ -99,7 +101,7 @@ func TestNicReplicaChaosKeyspaceEquality(t *testing.T) {
 // the replies, one per command, in order.
 func nicDo(t *testing.T, c *Cluster, cmds [][]byte) []resp.Value {
 	t.Helper()
-	rc := dialRaw(t, c, "nic-probe", c.MasterMachine.NIC, core.ClientPort)
+	rc := dialRaw(t, c, "nic-probe", c.Groups[0].MasterMachine.NIC, core.ClientPort)
 	for _, cmd := range cmds {
 		rc.conn.Send(cmd)
 	}
@@ -122,13 +124,13 @@ func TestNicReplicaHonorsDBIndex(t *testing.T) {
 
 		// Write through the master into db 0 and db 1 over a real client
 		// connection so the writes flow through the replication machinery.
-		writer := dialRaw(t, c, "writer", c.MasterMachine.Host, core.ClientPort)
+		writer := dialRaw(t, c, "writer", c.Groups[0].MasterMachine.Host, core.ClientPort)
 		writer.conn.Send(resp.EncodeCommand("SET", "k0", "zero"))
 		writer.conn.Send(resp.EncodeCommand("SELECT", "1"))
 		writer.conn.Send(resp.EncodeCommand("SET", "k1", "one"))
 		c.Eng.RunFor(200 * sim.Millisecond)
 
-		rs := c.NicKV.ReplicaStore()
+		rs := c.Groups[0].NicKV.ReplicaStore()
 		if got := rs.DBSize(0); got != 1 {
 			t.Fatalf("shards=%d: replica db0 has %d keys, want 1", shards, got)
 		}

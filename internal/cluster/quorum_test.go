@@ -47,9 +47,10 @@ func TestBatchedQuorumSendsNoExtraFrames(t *testing.T) {
 		t.Fatalf("%d replies still parked after the load drained", parked)
 	}
 
-	writes := c.HostKV.CmdsOffloaded
-	batches := c.HostKV.ReplReqsSent
-	nic := func(name string) uint64 { return c.NicKV.Metrics().Counter(name).Value() }
+	g := c.Groups[0]
+	writes := g.HostKV.CmdsOffloaded
+	batches := g.HostKV.ReplReqsSent
+	nic := func(name string) uint64 { return g.NicKV.Metrics().Counter(name).Value() }
 	if writes < 2*batches {
 		t.Fatalf("%d writes in %d batches: the stream never batched, the test has no bite", writes, batches)
 	}
@@ -96,7 +97,7 @@ func newGateScene(t *testing.T, p *model.Params) *gateScene {
 // client dials the master and sets the connection's consistency level.
 func (s *gateScene) client(name string, level ...string) *rawClient {
 	s.t.Helper()
-	rc := dialRaw(s.t, s.c, name, s.c.MasterMachine.Host, core.ClientPort)
+	rc := dialRaw(s.t, s.c, name, s.c.Groups[0].MasterMachine.Host, core.ClientPort)
 	rc.conn.Send(resp.EncodeCommand(append([]string{"SKV.CONSISTENCY"}, level...)...))
 	s.c.Eng.RunFor(sim.Millisecond)
 	if len(rc.vals) != 1 || !rc.vals[0].IsOK() {
@@ -113,7 +114,7 @@ func (s *gateScene) afterProbeTick() {
 }
 
 func (s *gateScene) cutSlave2(cut bool) {
-	nic, slave := s.c.MasterMachine.NIC, s.c.SlaveMachines[2].Host
+	nic, slave := s.c.Groups[0].MasterMachine.NIC, s.c.Groups[0].SlaveMachines[2].Host
 	if cut {
 		s.c.Net.Faults().PartitionBoth(nic, slave)
 	} else {
@@ -122,11 +123,11 @@ func (s *gateScene) cutSlave2(cut bool) {
 }
 
 func (s *gateScene) nicCounter(name string) uint64 {
-	return s.c.NicKV.Metrics().Counter(name).Value()
+	return s.c.Groups[0].NicKV.Metrics().Counter(name).Value()
 }
 
 func (s *gateScene) gatesPending() int64 {
-	return s.c.NicKV.Metrics().Gauge("nickv.gate.pending").Value()
+	return s.c.Groups[0].NicKV.Metrics().Gauge("nickv.gate.pending").Value()
 }
 
 // TestStricterGateBlocksWeakerBehindIt: connection A writes at "all",
@@ -187,8 +188,8 @@ func TestStricterGateBlocksWeakerBehindIt(t *testing.T) {
 	s.cutSlave2(true)
 	write()
 	s.c.Eng.RunFor(600 * sim.Millisecond)
-	if s.c.NicKV.ValidSlaves() != 2 {
-		t.Fatalf("%d valid slaves, want slave2 marked down", s.c.NicKV.ValidSlaves())
+	if s.c.Groups[0].NicKV.ValidSlaves() != 2 {
+		t.Fatalf("%d valid slaves, want slave2 marked down", s.c.Groups[0].NicKV.ValidSlaves())
 	}
 	if len(a.vals) != 2 || len(b.vals) != 2 || s.gatesPending() != 0 || s.c.Master.Acks().Parked() != 0 {
 		t.Fatalf("with slave2 marked down: A got %d replies, B %d, %d gates pending, %d parked",
@@ -209,7 +210,8 @@ func TestMixedLevelsShareOneBatch(t *testing.T) {
 	a, b, c := s.client("conn-a", "all"), s.client("conn-b", "quorum", "1"), s.client("conn-c", "async")
 	s.afterProbeTick()
 	s.cutSlave2(true)
-	reqs := s.c.HostKV.ReplReqsSent
+	g := s.c.Groups[0]
+	reqs := g.HostKV.ReplReqsSent
 	a.conn.Send(resp.EncodeCommand("SET", "a", "1"))
 	b.conn.Send(resp.EncodeCommand("SET", "b", "1"))
 	c.conn.Send(resp.EncodeCommand("SET", "c", "1"))
@@ -217,11 +219,11 @@ func TestMixedLevelsShareOneBatch(t *testing.T) {
 	if len(c.vals) != 2 || !c.vals[1].IsOK() {
 		t.Fatalf("the async write got %d replies inside the batching window, want its OK", len(c.vals)-1)
 	}
-	if s.c.HostKV.ReplReqsSent != reqs || s.c.Master.ReplStream().Pending() == 0 {
-		t.Fatalf("the batch left early: %d requests since, %d bytes pending", s.c.HostKV.ReplReqsSent-reqs, s.c.Master.ReplStream().Pending())
+	if g.HostKV.ReplReqsSent != reqs || s.c.Master.ReplStream().Pending() == 0 {
+		t.Fatalf("the batch left early: %d requests since, %d bytes pending", g.HostKV.ReplReqsSent-reqs, s.c.Master.ReplStream().Pending())
 	}
 	s.c.Eng.RunFor(20 * sim.Millisecond)
-	if got := s.c.HostKV.ReplReqsSent - reqs; got != 1 {
+	if got := g.HostKV.ReplReqsSent - reqs; got != 1 {
 		t.Fatalf("%d replication requests for the three writes, want one batch", got)
 	}
 	if q := s.nicCounter("nickv.gate.queued"); q != 1 || s.gatesPending() != 1 {

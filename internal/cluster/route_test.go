@@ -189,15 +189,16 @@ func TestRoutedBatchedDoorbellTimer(t *testing.T) {
 			t.Fatalf("slave%d has %d keys, want %d", i, len(got), len(ref))
 		}
 	}
+	g := c.Groups[0]
 	// The timer must actually coalesce: strictly fewer doorbells than
 	// writes, with every write still offloaded.
-	if c.HostKV.ReplReqsSent >= c.Master.WritesPropagated {
+	if g.HostKV.ReplReqsSent >= c.Master.WritesPropagated {
 		t.Fatalf("timer coalesced nothing: %d WRs for %d writes",
-			c.HostKV.ReplReqsSent, c.Master.WritesPropagated)
+			g.HostKV.ReplReqsSent, c.Master.WritesPropagated)
 	}
-	if c.HostKV.CmdsOffloaded != c.Master.WritesPropagated {
+	if g.HostKV.CmdsOffloaded != c.Master.WritesPropagated {
 		t.Fatalf("offloaded %d commands for %d writes",
-			c.HostKV.CmdsOffloaded, c.Master.WritesPropagated)
+			g.HostKV.CmdsOffloaded, c.Master.WritesPropagated)
 	}
 	// Determinism: identical second run, identical snapshots.
 	if c2 := runOnce(timerParams()); c.SnapshotsString() != c2.SnapshotsString() {
@@ -227,7 +228,7 @@ func TestRoutedBatchedWaitLiveness(t *testing.T) {
 	proc := sim.NewProc(c.Eng, sim.NewCore(c.Eng, "waiter-core", 1.0), c.Params.ClientWakeup)
 	stack := rconn.New(c.Net, m.Host, proc)
 	var got *resp.Value
-	stack.Dial(c.MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
+	stack.Dial(c.Groups[0].MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return

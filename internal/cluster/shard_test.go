@@ -78,7 +78,7 @@ func TestWaitCommandAcrossShardCounts(t *testing.T) {
 		proc := sim.NewProc(c.Eng, sim.NewCore(c.Eng, "waiter-core", 1.0), c.Params.ClientWakeup)
 		stack := rconn.New(c.Net, m.Host, proc)
 		var got *resp.Value
-		stack.Dial(c.MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
+		stack.Dial(c.Groups[0].MasterMachine.Host, core.ClientPort, func(conn transport.Conn, err error) {
 			if err != nil {
 				t.Errorf("dial: %v", err)
 				return
@@ -178,7 +178,7 @@ func TestOneShardPaysNoHandoff(t *testing.T) {
 		for _, cl := range c.Clients {
 			cl.Stop()
 		}
-		rc := dialRaw(t, c, "prober", c.MasterMachine.Host, core.ClientPort)
+		rc := dialRaw(t, c, "prober", c.Groups[0].MasterMachine.Host, core.ClientPort)
 		rc.conn.Send(resp.EncodeCommand("DBSIZE")) // one barrier
 		c.Eng.RunFor(20 * sim.Millisecond)
 		if len(rc.vals) != 1 || rc.vals[0].Int == 0 {
@@ -213,7 +213,7 @@ func TestOneShardPaysNoHandoff(t *testing.T) {
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("quorum: sync failed")
 	}
-	rc := dialRaw(t, c, "pipeliner", c.MasterMachine.Host, core.ClientPort)
+	rc := dialRaw(t, c, "pipeliner", c.Groups[0].MasterMachine.Host, core.ClientPort)
 	var pipe []byte
 	var want []string
 	for i := 0; i < 4; i++ {

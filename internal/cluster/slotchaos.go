@@ -118,9 +118,7 @@ func PerSlotFailoverScenario(seed int64) (Scenario, *PerSlotFailoverResult) {
 		Script: func(h *Chaos) {
 			*res = PerSlotFailoverResult{Avail: &SlotAvailability{Bucket: 50 * sim.Millisecond, c: h.C}, Victim: victim, Promoted: -1}
 			h.Load = append(h.Load, res.Avail)
-			h.At(300*sim.Millisecond, fmt.Sprintf("crash g%d master", victim), func(c *Cluster) {
-				c.Groups[victim].Master.Crash()
-			})
+			h.CrashMaster(300*sim.Millisecond, victim)
 		},
 		Check: func(h *Chaos) error {
 			c := h.C

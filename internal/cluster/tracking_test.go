@@ -197,10 +197,11 @@ func TestTrackingSmokeSKVRedirect(t *testing.T) {
 		t.Fatalf("redirect mode left interest on the host: keys=%d subs=%d",
 			c.Master.TrackingLen(), c.Master.TrackingSubscribers())
 	}
-	if c.NicKV.TrackingSubscribers() != 3 {
-		t.Fatalf("NIC holds %d subscribers, want 3", c.NicKV.TrackingSubscribers())
+	g := c.Groups[0]
+	if g.NicKV.TrackingSubscribers() != 3 {
+		t.Fatalf("NIC holds %d subscribers, want 3", g.NicKV.TrackingSubscribers())
 	}
-	if c.NicKV.InvalidationsPushed == 0 {
+	if g.NicKV.InvalidationsPushed == 0 {
 		t.Fatal("NIC pushed no invalidations — pushes did not ride the fan-out path")
 	}
 }
@@ -217,7 +218,7 @@ func TestTrackingSmokeNicServedReads(t *testing.T) {
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("initial replication did not complete")
 	}
-	w := dialRaw(t, c, "seed-writer", c.MasterMachine.Host, core.ClientPort)
+	w := dialRaw(t, c, "seed-writer", c.Groups[0].MasterMachine.Host, core.ClientPort)
 	key := func(i int) string { return fmt.Sprintf("key:%010d", i) }
 	for i := 0; i < 100; i++ {
 		w.conn.Send(resp.EncodeCommand("SET", key(i), fmt.Sprintf("seed%d", i)))
@@ -242,7 +243,7 @@ func TestTrackingSmokeNicServedReads(t *testing.T) {
 	if invals == 0 {
 		t.Fatal("overwrites through the host never invalidated the NIC-side caches")
 	}
-	if c.NicKV.InvalidationsPushed == 0 {
+	if c.Groups[0].NicKV.InvalidationsPushed == 0 {
 		t.Fatal("NIC invalidation counter never moved")
 	}
 	if c.Master.TrackingLen() != 0 {
@@ -257,7 +258,7 @@ func TestTrackingSmokeNicServedReads(t *testing.T) {
 // leave the host's interest table empty.
 func TestTrackingInterestDroppedOnDisconnectInBand(t *testing.T) {
 	c := Build(Config{Kind: KindTCP, Clients: 0, Seed: 51})
-	rc := dialRaw(t, c, "churn", c.MasterMachine.Host, core.ClientPort)
+	rc := dialRaw(t, c, "churn", c.Groups[0].MasterMachine.Host, core.ClientPort)
 	rc.conn.Send(resp.EncodeCommand("client", "tracking", "on"))
 	rc.conn.Send(resp.EncodeCommand("GET", "a"))
 	rc.conn.Send(resp.EncodeCommand("GET", "b"))
@@ -288,20 +289,21 @@ func TestTrackingInterestDroppedOnDisconnectRedirect(t *testing.T) {
 		t.Fatal("sync failed")
 	}
 
+	g := c.Groups[0]
 	// Arm the subscription channel first (the workload client does the same).
-	sub := dialRaw(t, c, "churn-sub", c.MasterMachine.NIC, core.NicPort)
+	sub := dialRaw(t, c, "churn-sub", g.MasterMachine.NIC, core.NicPort)
 	sub.conn.Send(core.EncodeTrackHello("churn"))
 	c.Eng.RunFor(20 * sim.Millisecond)
-	if got := c.NicKV.TrackingSubscribers(); got != 1 {
+	if got := g.NicKV.TrackingSubscribers(); got != 1 {
 		t.Fatalf("NIC holds %d subscribers after hello, want 1", got)
 	}
 
-	data := dialRaw(t, c, "churn-data", c.MasterMachine.Host, core.ClientPort)
+	data := dialRaw(t, c, "churn-data", g.MasterMachine.Host, core.ClientPort)
 	data.conn.Send(resp.EncodeCommand("client", "tracking", "on", "redirect", "churn"))
 	data.conn.Send(resp.EncodeCommand("GET", "a"))
 	data.conn.Send(resp.EncodeCommand("GET", "b"))
 	c.Eng.RunFor(20 * sim.Millisecond)
-	if got := c.NicKV.TrackingLen(); got != 2 {
+	if got := g.NicKV.TrackingLen(); got != 2 {
 		t.Fatalf("NIC interest table holds %d keys, want 2", got)
 	}
 	if got := c.Master.TrackingLen(); got != 0 {
@@ -311,20 +313,20 @@ func TestTrackingInterestDroppedOnDisconnectRedirect(t *testing.T) {
 	// Path 1: the data connection dies → the server forwards a drop.
 	data.conn.Close()
 	c.Eng.RunFor(20 * sim.Millisecond)
-	if keys, subs := c.NicKV.TrackingLen(), c.NicKV.TrackingSubscribers(); keys != 0 || subs != 0 {
+	if keys, subs := g.NicKV.TrackingLen(), g.NicKV.TrackingSubscribers(); keys != 0 || subs != 0 {
 		t.Fatalf("data-conn close leaked NIC interest: keys=%d subs=%d", keys, subs)
 	}
 
 	// Path 2: a fresh subscriber whose push channel itself dies.
-	sub2 := dialRaw(t, c, "churn-sub2", c.MasterMachine.NIC, core.NicPort)
+	sub2 := dialRaw(t, c, "churn-sub2", g.MasterMachine.NIC, core.NicPort)
 	sub2.conn.Send(core.EncodeTrackHello("churn2"))
 	c.Eng.RunFor(20 * sim.Millisecond)
-	if got := c.NicKV.TrackingSubscribers(); got != 1 {
+	if got := g.NicKV.TrackingSubscribers(); got != 1 {
 		t.Fatalf("NIC holds %d subscribers after re-hello, want 1", got)
 	}
 	sub2.conn.Close()
 	c.Eng.RunFor(20 * sim.Millisecond)
-	if got := c.NicKV.TrackingSubscribers(); got != 0 {
+	if got := g.NicKV.TrackingSubscribers(); got != 0 {
 		t.Fatalf("push-channel close leaked %d subscribers", got)
 	}
 }
@@ -341,14 +343,15 @@ func TestTrackingRedirectLongKeyInvalidated(t *testing.T) {
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("sync failed")
 	}
+	g := c.Groups[0]
 	// The reader's invalidation feed: what its cache would evict.
-	sub := dialRaw(t, c, "long-sub", c.MasterMachine.NIC, core.NicPort)
+	sub := dialRaw(t, c, "long-sub", g.MasterMachine.NIC, core.NicPort)
 	var feed []byte
 	sub.conn.SetHandler(func(data []byte) { feed = append(feed, data...) })
 	sub.conn.Send(core.EncodeTrackHello("reader"))
 
-	reader := dialRaw(t, c, "long-reader", c.MasterMachine.Host, core.ClientPort)
-	writer := dialRaw(t, c, "long-writer", c.MasterMachine.Host, core.ClientPort)
+	reader := dialRaw(t, c, "long-reader", g.MasterMachine.Host, core.ClientPort)
+	writer := dialRaw(t, c, "long-writer", g.MasterMachine.Host, core.ClientPort)
 	reader.conn.Send(resp.EncodeCommand("client", "tracking", "on", "redirect", "reader"))
 	for _, key := range []string{"short", strings.Repeat("k", 70000)} {
 		writer.conn.Send(resp.EncodeCommand("SET", key, "v1"))
@@ -371,7 +374,7 @@ func TestTrackingRedirectLongKeyInvalidated(t *testing.T) {
 				len(key), len(invalidated), len(invalidated) == 1 && invalidated[0] == key)
 		}
 	}
-	if got := c.NicKV.TrackingLen(); got != 0 {
+	if got := g.NicKV.TrackingLen(); got != 0 {
 		t.Fatalf("NIC interest table still holds %d keys after both invalidations", got)
 	}
 }
@@ -385,7 +388,8 @@ func TestTrackingInterestDroppedOnDisconnectNicServed(t *testing.T) {
 	if !c.AwaitReplication(2 * sim.Second) {
 		t.Fatal("sync failed")
 	}
-	rc := dialRaw(t, c, "churn-nic", c.MasterMachine.NIC, core.ClientPort)
+	g := c.Groups[0]
+	rc := dialRaw(t, c, "churn-nic", g.MasterMachine.NIC, core.ClientPort)
 	rc.conn.Send(resp.EncodeCommand("client", "tracking", "on"))
 	rc.conn.Send(resp.EncodeCommand("GET", "a"))
 	rc.conn.Send(resp.EncodeCommand("GET", "b"))
@@ -393,12 +397,12 @@ func TestTrackingInterestDroppedOnDisconnectNicServed(t *testing.T) {
 	if len(rc.vals) == 0 || rc.vals[0].IsError() {
 		t.Fatalf("NIC tracking handshake failed: %v", rc.vals)
 	}
-	if keys, subs := c.NicKV.TrackingLen(), c.NicKV.TrackingSubscribers(); keys != 2 || subs != 1 {
+	if keys, subs := g.NicKV.TrackingLen(), g.NicKV.TrackingSubscribers(); keys != 2 || subs != 1 {
 		t.Fatalf("NIC tracking state keys=%d subs=%d, want 2/1", keys, subs)
 	}
 	rc.conn.Close()
 	c.Eng.RunFor(20 * sim.Millisecond)
-	if keys, subs := c.NicKV.TrackingLen(), c.NicKV.TrackingSubscribers(); keys != 0 || subs != 0 {
+	if keys, subs := g.NicKV.TrackingLen(), g.NicKV.TrackingSubscribers(); keys != 0 || subs != 0 {
 		t.Fatalf("NIC-served disconnect leaked interest: keys=%d subs=%d", keys, subs)
 	}
 }

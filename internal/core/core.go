@@ -193,13 +193,15 @@ func (r *frameReader) key() string {
 }
 
 // offload decodes a msgOffload body. A request carrying no command, cut
-// short inside its header, or gated by a word with reserved bits set, is
-// malformed.
+// short inside its header, gated by a word with reserved bits set, or whose
+// bytes start or end below stream offset zero (a gate ending there would be
+// satisfied by every slave and release nothing), is malformed.
 func (r *frameReader) offload() (start int64, gate replstream.Gate, cmds int, data []byte, ok bool) {
 	start = r.i64()
 	word := r.u64()
 	gate, count := replstream.Gate(word>>32), word&(1<<32-1)
-	if r.bad || count == 0 || count > uint64(len(r.b)-r.pos) || !gate.WellFormed() {
+	payload := len(r.b) - r.pos
+	if r.bad || start < 0 || start+int64(payload) < 0 || count == 0 || count > uint64(payload) || !gate.WellFormed() {
 		return 0, 0, 0, nil, false
 	}
 	return start, gate, int(count), r.rest(), true

@@ -164,6 +164,8 @@ func TestMalformedFramesRejected(t *testing.T) {
 		{"offload: all gate", append(u64s(msgOffload, 7, 1<<63|1), "PING"...), true},
 		{"offload: gate with a reserved bit", append(u64s(msgOffload, 7, 1<<48|2<<32|1), "PING"...), false},
 		{"offload: gate but zero commands", append(u64s(msgOffload, 7, 2<<32), "PING"...), false},
+		{"offload: gated, starting below offset zero", append(u64s(msgOffload, 1<<64-1000, 1<<32|1), "PING"...), false},
+		{"offload: gated, ending past the last offset", append(u64s(msgOffload, 1<<63-2, 1<<32|1), "PING"...), false},
 	}
 	for _, tc := range cases {
 		var ok bool

@@ -76,9 +76,11 @@ func FuzzCoreFrames(f *testing.F) {
 			u = newFuzzUnit(t)
 		}
 		runs++
-		before := u.nic.gates.Len()
+		// Counted by the push counter, not the queue's length: a registration
+		// or a report may pop gates an earlier input left pending.
+		before := u.nic.mGatesQueued.Value()
 		u.nic.onMessage(u.master, data)
-		if queued := u.nic.gates.Len() - before; queued != gatesCarried(data) {
+		if queued := int(u.nic.mGatesQueued.Value() - before); queued != gatesCarried(data) {
 			t.Fatalf("master frame %q queued %d gates, want %d", data, queued, gatesCarried(data))
 		}
 		u.nic.onMessage(u.slave, data)
@@ -92,14 +94,18 @@ func FuzzCoreFrames(f *testing.F) {
 }
 
 // gatesCarried is the reference reading of a replication request's header:
-// 1 when frame is a msgOffload with room for a command, a non-zero command
-// count that fits its payload, and a gate word that is non-zero and has no
-// reserved bit set — the only frame that may queue a gate.
+// 1 when frame is a msgOffload with room for a command, bytes that start and
+// end at non-negative stream offsets, a non-zero command count that fits its
+// payload, and a gate word that is non-zero and has no reserved bit set — the
+// only frame that may queue a gate.
 func gatesCarried(frame []byte) int {
 	if len(frame) < 17 || frame[0] != msgOffload {
 		return 0
 	}
 	gate, cmds := binary.BigEndian.Uint32(frame[9:]), binary.BigEndian.Uint32(frame[13:])
+	if start := int64(binary.BigEndian.Uint64(frame[1:])); start < 0 || start+int64(len(frame)-17) < 0 {
+		return 0
+	}
 	if cmds == 0 || int64(cmds) > int64(len(frame)-17) || gate == 0 || gate&0x7fff0000 != 0 {
 		return 0
 	}

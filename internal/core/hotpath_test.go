@@ -124,6 +124,49 @@ func TestSlaveStopsAtUndecodableStream(t *testing.T) {
 	}
 }
 
+// TestNicReplicaSurvivesUndecodableRequest: the NIC shadow replica is the
+// stream's third consumer, and a request whose payload it cannot decode must
+// not end its life. The error is counted in the NIC's registry, the
+// replica's offset stays where the last applied command ended — so the next
+// request registers as the gap it is — and, since every request holds whole
+// commands, that next request is decoded from a clean buffer and applied.
+// Before the fix the applier's sticky error was ignored: the offset advanced
+// and nothing was ever applied again while NIC-served reads kept answering.
+func TestNicReplicaSurvivesUndecodableRequest(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ServeReadsFromNIC = true
+	u := newUnit(0, cfg)
+	u.eng.RunFor(10 * sim.Millisecond)
+	u.nic.masterConn = &sinkConn{}
+	var end int64
+	request := func(payload []byte) {
+		u.nic.onMessage(u.nic.masterConn, appendOffload(nil, end, 0, 1, payload))
+		end += int64(len(payload))
+		u.eng.RunFor(sim.Millisecond)
+	}
+	get := func(key string) string {
+		reply, _ := u.nic.ReplicaStore().Exec(0, [][]byte{[]byte("GET"), []byte(key)})
+		return string(reply)
+	}
+	count := func(name string) uint64 { return u.nic.Metrics().Counter(name).Value() }
+
+	request(resp.EncodeCommand("SET", "before", "1"))
+	request([]byte("*1\r\n$x\r\n"))
+	request(resp.EncodeCommand("SET", "after", "2"))
+	if got := get("before"); got != "$1\r\n1\r\n" {
+		t.Fatalf("GET before = %q on the replica", got)
+	}
+	if got := get("after"); got != "$1\r\n2\r\n" {
+		t.Fatalf("the replica applied nothing after the undecodable request: GET after = %q", got)
+	}
+	if n := count(replstream.ProtocolErrorsMetric); n != 1 {
+		t.Fatalf("%s = %d, want 1", replstream.ProtocolErrorsMetric, n)
+	}
+	if n := count("nickv.replica.gaps"); n != 1 {
+		t.Fatalf("nickv.replica.gaps = %d, want 1: the request after the bad one skipped bytes nobody applied", n)
+	}
+}
+
 // TestOffloadAndFanOutFrames pins the owner-held frame buffers: Host-KV's
 // replication request and Nic-KV's single-threaded fan-out are each built in
 // the sender's one scratch frame, so neither allocates, and every receiver

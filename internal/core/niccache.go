@@ -111,7 +111,11 @@ func (n *NicKV) initReadServing(name string) {
 // off is the stream offset the bytes start at: replayed bytes (a master
 // resending from its backlog after a reconnect) are trimmed rather than
 // double-applied, and a jump past the expected offset is counted as a gap
-// (nickv.replica.gaps) — the replica's divergence diagnostic.
+// (nickv.replica.gaps) — the replica's divergence diagnostic. A chunk the
+// applier cannot decode is counted (replstream.ProtocolErrorsMetric) and
+// leaves replicaOff where it was, so the next chunk registers as the gap it
+// is; every offload request holds whole commands, so the applier restarts
+// from a clean buffer at the next one.
 func (n *NicKV) applyToReplica(off int64, cmd []byte) {
 	if n.replica == nil {
 		return
@@ -129,8 +133,12 @@ func (n *NicKV) applyToReplica(off int64, cmd []byte) {
 			off = n.replicaOff
 		}
 	}
+	if n.replApplier.Feed(cmd) != nil {
+		n.metrics.Counter(replstream.ProtocolErrorsMetric).Inc()
+		n.replApplier.Reset()
+		return
+	}
 	n.replicaOff = off + int64(len(cmd))
-	n.replApplier.Feed(cmd)
 }
 
 // applyDecoded is the applier's per-command sink (db is the stream's SELECT
@@ -140,7 +148,7 @@ func (n *NicKV) applyToReplica(off int64, cmd []byte) {
 func (n *NicKV) applyDecoded(db int, argv [][]byte) {
 	argv = resp.CloneCommand(argv)
 	cmd := store.LookupCommand(argv[0])
-	n.applyq = append(n.applyq, nicApplyOp{db: db, argv: argv, cmd: cmd, shard: n.replicaShardOf(cmd, argv)})
+	n.applyq.Push(nicApplyOp{db: db, argv: argv, cmd: cmd, shard: n.replicaShardOf(cmd, argv)})
 	n.drainApply()
 }
 
@@ -163,13 +171,12 @@ func (n *NicKV) replicaShardOf(cmd *store.Command, argv [][]byte) int {
 // shard-FIFO execution; the fence preserves global order around cross-shard
 // commands.
 func (n *NicKV) drainApply() {
-	for len(n.applyq) > 0 {
-		op := n.applyq[0]
+	for n.applyq.Len() > 0 {
+		if n.applyq.Peek().shard < 0 && n.applyInflight > 0 {
+			return
+		}
+		op := n.applyq.Pop()
 		if op.shard < 0 {
-			if n.applyInflight > 0 {
-				return
-			}
-			n.applyq = n.applyq[1:]
 			n.mReplicaFenced.Inc()
 			fence := n.params.NicShardFenceCPU * sim.Duration(len(n.rprocs))
 			if n.rprocs[0] == n.proc {
@@ -179,7 +186,6 @@ func (n *NicKV) drainApply() {
 			n.replica.Exec(op.db, op.argv)
 			continue
 		}
-		n.applyq = n.applyq[1:]
 		n.mReplicaRouted.Inc()
 		n.applyInflight++
 		n.viaShard(op.shard, n.params.SlaveApplyCPU, func() {

@@ -94,7 +94,7 @@ type NicKV struct {
 	replica       *store.Store
 	replApplier   *replstream.Applier
 	rprocs        []*sim.Proc
-	applyq        []nicApplyOp
+	applyq        ring.Queue[nicApplyOp]
 	applyInflight int
 	replicaOff    int64
 

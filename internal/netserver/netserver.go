@@ -12,9 +12,7 @@ package netserver
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
@@ -49,10 +47,12 @@ type Server struct {
 	closeOne sync.Once
 	wg       sync.WaitGroup
 
-	// Stats.
-	connsMu sync.Mutex
-	conns   map[net.Conn]struct{}
-	Served  uint64
+	// Stats. connsMu guards conns and accepted; Served counts the commands
+	// the store executed and moves under mu.
+	connsMu  sync.Mutex
+	conns    map[net.Conn]struct{}
+	accepted uint64
+	Served   uint64
 }
 
 // New creates a server with a fresh store, loading RDBPath if it exists.
@@ -78,7 +78,7 @@ func New(opts Options) (*Server, error) {
 	start := time.Now()
 	st.InfoProvider = func() []store.InfoSection {
 		s.connsMu.Lock()
-		clients := len(s.conns)
+		clients, accepted := len(s.conns), s.accepted
 		s.connsMu.Unlock()
 		// The provider runs inside Exec, i.e. under s.mu — the same lock
 		// Served is incremented under.
@@ -100,7 +100,8 @@ func New(opts Options) (*Server, error) {
 				"master_repl_offset:0",
 			}},
 			{Name: "Stats", Lines: []string{
-				fmt.Sprintf("total_connections_received:%d", served),
+				fmt.Sprintf("total_connections_received:%d", accepted),
+				fmt.Sprintf("total_commands_processed:%d", served),
 				fmt.Sprintf("dirty:%d", st.Dirty),
 			}},
 		}
@@ -135,6 +136,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		s.connsMu.Lock()
 		s.conns[conn] = struct{}{}
+		s.accepted++
 		s.connsMu.Unlock()
 		s.wg.Add(1)
 		go s.handle(conn)
@@ -256,9 +258,6 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		}
 		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				return
-			}
 			return
 		}
 	}

@@ -102,6 +102,26 @@ func TestBasicCommandsOverTCP(t *testing.T) {
 	}
 }
 
+// TestInfoCountsConnectionsAndCommands: INFO's Stats section reports accepted
+// connections and executed commands as two numbers under their own names.
+// The commands figure used to be printed as total_connections_received.
+func TestInfoCountsConnectionsAndCommands(t *testing.T) {
+	_, addr := startServer(t, Options{Seed: 1})
+	dial(t, addr).do("PING")
+	c := dial(t, addr)
+	const n = 25
+	for i := 0; i < n; i++ {
+		c.do("SET", "k", "v")
+	}
+	// Two connections; the first one's PING, the SETs, and not yet this INFO.
+	info := c.do("INFO", "stats").String()
+	for _, want := range []string{"total_connections_received:2\r\n", fmt.Sprintf("total_commands_processed:%d\r\n", n+1)} {
+		if !strings.Contains(info, want) {
+			t.Fatalf("INFO stats lacks %q:\n%s", want, info)
+		}
+	}
+}
+
 func TestSelectIsolation(t *testing.T) {
 	_, addr := startServer(t, Options{Seed: 2})
 	c1 := dial(t, addr)
