@@ -75,9 +75,10 @@ profile:
 # Fuzz the wire decoders: the RESP decoder against its reference and its
 # borrowing read against its copying one (internal/resp/fuzz_test.go), the
 # replication stream applier against a plain decode (internal/replstream),
-# and every SKV control frame through a live master, Nic-KV and slave
-# (internal/core). New corpus entries go to the go command's cache, failures
-# to testdata/.
+# every SKV control frame through a live master, Nic-KV and slave
+# (internal/core), the RDB loader (internal/rdb) and the MOVED/ASK parser
+# against its encoder (internal/slots). New corpus entries go to the go
+# command's cache, failures to testdata/.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/resp -run '^$$' -fuzz FuzzReadCommand -fuzztime $(FUZZTIME)
@@ -85,6 +86,8 @@ fuzz:
 	$(GO) test ./internal/resp -run '^$$' -fuzz FuzzBorrowCommand -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/replstream -run '^$$' -fuzz FuzzApplierFeed -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCoreFrames -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rdb -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/slots -run '^$$' -fuzz FuzzParseRedirect -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

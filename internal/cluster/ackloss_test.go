@@ -1,8 +1,8 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
-	"time"
 
 	"skv/internal/consistency"
 )
@@ -62,44 +62,50 @@ func TestAckLossAllLosesNothing(t *testing.T) {
 // enough slaves reported — including with the slave a first-valid failover
 // would promote cut off before the crash; async at the probe's own batch
 // size must still lose acknowledged writes on every seed, or the grid has no
-// bite.
+// bite. Every cell owns its cluster and engine, so the cells run in parallel.
 func TestAckLossSweep(t *testing.T) {
-	start := time.Now()
 	levels := []AckLossSpec{
 		{Level: consistency.Quorum, W: 1},
 		{Level: consistency.Quorum, W: 2},
 		{Level: consistency.All},
 	}
-	cells := 0
-	run := func(spec AckLossSpec) (*Cluster, *AckLossResult) {
-		t.Helper()
-		cells++
-		c, res := runAckLoss(t, spec)
-		if spec.Level != consistency.Async {
-			for _, l := range res.Lost {
-				t.Errorf("%+v: lost an acked write of %d: %s", spec, res.L.WritesAcked, l)
-			}
-		}
-		return c, res
-	}
+	var cells []AckLossSpec
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, crash := range []CrashInstant{CrashMidBatch, CrashAfterFlush, CrashAfterRelease} {
 			for _, batch := range []int{1, 8, 64} {
 				for _, spec := range levels {
 					spec.Seed, spec.Crash, spec.Batch = seed, crash, batch
-					run(spec)
+					cells = append(cells, spec)
 				}
 			}
 		}
-		if _, res := run(AckLossSpec{Level: consistency.Async, Seed: seed, Batch: 64, Crash: CrashMidBatch}); len(res.Lost) == 0 {
-			t.Errorf("seed %d: async at batch 64 lost none of %d acked writes", seed, res.L.WritesAcked)
-		}
+		cells = append(cells, AckLossSpec{Level: consistency.Async, Seed: seed, Batch: 64, Crash: CrashMidBatch})
 	}
 	for _, spec := range levels {
 		spec.Seed, spec.Crash, spec.Batch, spec.Partition = 3, CrashAfterRelease, 8, true
-		if c, res := run(spec); res.Promoted == c.Groups[0].SlaveMachines[0].Host.Name() {
-			t.Errorf("%+v: promoted %s, the slave cut off before the crash", spec, res.Promoted)
-		}
+		cells = append(cells, spec)
 	}
-	t.Logf("%d cells in %.1fs", cells, time.Since(start).Seconds())
+	for _, spec := range cells {
+		name := fmt.Sprintf("seed%d/%s/batch%d/%s-w%d", spec.Seed, spec.Crash, spec.Batch, spec.Level, spec.W)
+		if spec.Partition {
+			name += "/partition"
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			c, res := runAckLoss(t, spec)
+			t.Logf("acked=%d lost=%d promoted=%s", res.L.WritesAcked, len(res.Lost), res.Promoted)
+			if spec.Level == consistency.Async {
+				if len(res.Lost) == 0 {
+					t.Errorf("async at batch %d lost none of %d acked writes", spec.Batch, res.L.WritesAcked)
+				}
+				return
+			}
+			for _, l := range res.Lost {
+				t.Errorf("lost an acked write of %d: %s", res.L.WritesAcked, l)
+			}
+			if spec.Partition && res.Promoted == c.Groups[0].SlaveMachines[0].Host.Name() {
+				t.Errorf("promoted %s, the slave cut off before the crash", res.Promoted)
+			}
+		})
+	}
 }

@@ -155,6 +155,7 @@ func TestChaosScenariosBatched(t *testing.T) {
 		for _, s := range ChaosScenarios() {
 			s.Config.Params.ReplBatchMaxCmds = batch
 			t.Run(fmt.Sprintf("%s/batch%d", s.Name, batch), func(t *testing.T) {
+				t.Parallel()
 				c, h, err := RunScenario(s)
 				if err != nil {
 					t.Fatalf("convergence failed:\n%v\ntrace:\n%s", err, h.TraceString())

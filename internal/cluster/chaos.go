@@ -365,8 +365,7 @@ func ChaosParams(retry sim.Duration) *model.Params {
 	if retry <= 0 {
 		retry = 10 * sim.Second
 	}
-	p.RCRetryTimeout = retry
-	p.TCPRetryTimeout = retry
+	p.RetryTimeout = retry
 	return &p
 }
 

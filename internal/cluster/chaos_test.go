@@ -39,10 +39,12 @@ func scenarioTable() []Scenario {
 // pass its check (and satisfy per-scenario expectations), and the second
 // must reproduce it byte for byte — the harness's determinism contract
 // (same seed → same event sequence), which the observability plane and the
-// clients' counters and caches obey too.
+// clients' counters and caches obey too. Every run owns its cluster and
+// engine, so the rows run in parallel.
 func TestChaosScenarios(t *testing.T) {
 	for _, s := range scenarioTable() {
 		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
 			c, h, err := RunScenario(s)
 			if err != nil {
 				t.Fatalf("check failed:\n%v\ntrace:\n%s", err, h.TraceString())

@@ -75,9 +75,6 @@ type Config struct {
 	ValueSize int     // default 64
 	GetRatio  float64 // fraction of GETs; 0 = pure SET (the paper's default)
 	Zipf      bool
-	// ZipfS is the Zipfian skew exponent (requires Zipf; must be > 1).
-	// 0 uses workload.DefaultZipfS, the evaluation's historical value.
-	ZipfS float64
 	// Pipeline keeps N requests in flight per client (redis-benchmark -P;
 	// default 1 = the paper's closed loop).
 	Pipeline int
@@ -102,29 +99,20 @@ type Config struct {
 	// Tracking enables CLIENT TRACKING on every workload client: clients
 	// cache GET results locally and the deployment pushes invalidations on
 	// writes (from the NIC fan-out path on SKV, from the merge stage on the
-	// baselines). CacheSize bounds each client's cache in entries; 0 uses
-	// the workload default.
-	Tracking  bool
-	CacheSize int
-
-	// DisableCron switches off serverCron (microbenchmarks only).
-	DisableCron bool
+	// baselines).
+	Tracking bool
 }
 
 // ClusterOpts groups Config's horizontal-scale knobs.
 type ClusterOpts struct {
 	// Masters scales the deployment out into a hash-slot cluster of that
 	// many replication groups, each a full SKV unit (master host + SmartNIC
-	// + its own slaves) owning a contiguous share of the 16384 slots.
-	// 0 or 1 builds a single group with no slot plane.
+	// + its own slaves) owning an even, contiguous share of the 16384 slots
+	// (slots.EvenSplit). 0 or 1 builds a single group with no slot plane.
 	Masters int
 	// SlavesPerMaster is each group's slave count when Masters > 1 (Slaves
 	// then must stay 0).
 	SlavesPerMaster int
-	// SlotRanges overrides the even slot split when Masters > 1; nil
-	// assigns slots.EvenSplit(Masters). Ranges must cover all 16384 slots
-	// exactly once with group indices in [0, Masters).
-	SlotRanges []slots.Range
 }
 
 // ConsistencyOpts groups Config's write-acknowledgment knobs.
@@ -197,14 +185,6 @@ func (cfg Config) Validate() error {
 	if cfg.SKV.ServeReadsFromNIC && cfg.NicReads == NicReadsOff {
 		return fmt.Errorf("cluster: SKV.ServeReadsFromNIC is derived from Config.NicReads; set NicReads=NicReadsServe or NicReadsClients instead")
 	}
-	if cfg.ZipfS != 0 {
-		if !cfg.Zipf {
-			return fmt.Errorf("cluster: ZipfS=%v requires Zipf=true (the skew exponent only shapes the Zipfian distribution)", cfg.ZipfS)
-		}
-		if cfg.ZipfS <= 1 {
-			return fmt.Errorf("cluster: ZipfS=%v is invalid; the Zipfian exponent must be > 1", cfg.ZipfS)
-		}
-	}
 	if cfg.Cluster.Masters > 1 {
 		if cfg.Kind != KindSKV {
 			return fmt.Errorf("cluster: Masters=%d requires Kind=KindSKV (got %s): only SKV groups carry the SmartNIC failover plane the slot map repairs through", cfg.Cluster.Masters, cfg.Kind)
@@ -218,18 +198,8 @@ func (cfg Config) Validate() error {
 		if cfg.NicReads == NicReadsClients {
 			return fmt.Errorf("cluster: NicReads=clients is not supported with Masters>1; slot-aware clients route to group hosts")
 		}
-		if cfg.Cluster.SlotRanges != nil {
-			if err := slots.ValidateRanges(cfg.Cluster.SlotRanges, cfg.Cluster.Masters); err != nil {
-				return fmt.Errorf("cluster: bad SlotRanges: %w", err)
-			}
-		}
-	} else {
-		if cfg.Cluster.SlavesPerMaster != 0 {
-			return fmt.Errorf("cluster: SlavesPerMaster=%d is only meaningful with Masters>1; use Slaves for a single group", cfg.Cluster.SlavesPerMaster)
-		}
-		if cfg.Cluster.SlotRanges != nil {
-			return fmt.Errorf("cluster: SlotRanges is only meaningful with Masters>1")
-		}
+	} else if cfg.Cluster.SlavesPerMaster != 0 {
+		return fmt.Errorf("cluster: SlavesPerMaster=%d is only meaningful with Masters>1; use Slaves for a single group", cfg.Cluster.SlavesPerMaster)
 	}
 	if cfg.SKV.WriteConsistency != consistency.Async {
 		return fmt.Errorf("cluster: SKV.WriteConsistency is derived from Config.Consistency.Level; set the cluster-level field instead")
@@ -247,12 +217,6 @@ func (cfg Config) Validate() error {
 	if cfg.Consistency.Level == consistency.Quorum && cfg.Consistency.Quorum > replicas {
 		return fmt.Errorf("cluster: WriteQuorum=%d but the topology has %d slaves per master: %w", cfg.Consistency.Quorum, replicas, ErrQuorumTooLarge)
 	}
-	if cfg.CacheSize < 0 {
-		return fmt.Errorf("cluster: CacheSize=%d is invalid; the client cache bound must be >= 0", cfg.CacheSize)
-	}
-	if cfg.CacheSize != 0 && !cfg.Tracking {
-		return fmt.Errorf("cluster: CacheSize=%d is only meaningful with Tracking=true (the cache serves tracked GETs)", cfg.CacheSize)
-	}
 	return nil
 }
 
@@ -262,14 +226,6 @@ func (cfg Config) slavesPerGroup() int {
 		return cfg.Cluster.SlavesPerMaster
 	}
 	return cfg.Slaves
-}
-
-// zipfS resolves the configured skew exponent.
-func (cfg Config) zipfS() float64 {
-	if cfg.ZipfS != 0 {
-		return cfg.ZipfS
-	}
-	return workload.DefaultZipfS
 }
 
 // Group is one replication group: a master host (with its SmartNIC offload
@@ -358,14 +314,11 @@ func Build(cfg Config) *Cluster {
 		proc := sim.NewProc(eng, coreRes, serverWakeup)
 		stack := makeStack(m.Host, proc)
 		srv := server.New(server.Options{
-			Name:        name,
-			Params:      p,
-			Seed:        seed,
-			Port:        core.ClientPort,
-			DisableCron: cfg.DisableCron,
-			Shards:      p.HostShards,
-			Listeners:   p.RouteListeners,
-			Cluster:     route,
+			Name:    name,
+			Params:  p,
+			Seed:    seed,
+			Port:    core.ClientPort,
+			Cluster: route,
 			// Every node gets the consistency defaults — slaves too, since a
 			// promoted slave must keep enforcing the deployment's level.
 			WriteConsistency: cfg.Consistency.Level,
@@ -401,7 +354,7 @@ func Build(cfg Config) *Cluster {
 		addrs = append(addrs, m.Host.Name())
 	}
 	if clustered {
-		slotMap, err := slots.NewMap(masters, cfg.Cluster.SlotRanges, addrs)
+		slotMap, err := slots.NewMap(masters, nil, addrs)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: slot map construction failed after validation: %v", err))
 		}
@@ -477,15 +430,12 @@ func Build(cfg Config) *Cluster {
 		env.Invalidation = g0.MasterMachine.NIC
 		env.InvalidationPort = core.NicPort
 	}
-	opts := workload.Options{
-		Addrs: []string{seed.Name()}, Pipeline: cfg.Pipeline,
-		Tracking: cfg.Tracking, CacheSize: cfg.CacheSize,
-	}
+	opts := workload.Options{Addr: seed.Name(), Pipeline: cfg.Pipeline, Tracking: cfg.Tracking}
 	for i := 0; i < cfg.Clients; i++ {
 		m := net.NewMachine(fmt.Sprintf("client%d", i), false)
 		env := env
 		env.EP = m.Host
-		env.Gen = workload.NewGeneratorSkew(cfg.Seed+300+int64(i), cfg.KeySpace, cfg.ValueSize, 1.0-cfg.GetRatio, cfg.Zipf, cfg.zipfS())
+		env.Gen = workload.NewGenerator(cfg.Seed+300+int64(i), cfg.KeySpace, cfg.ValueSize, 1.0-cfg.GetRatio, cfg.Zipf)
 		c.Clients = append(c.Clients, workload.New(fmt.Sprintf("client%d", i), env, opts))
 	}
 	return c

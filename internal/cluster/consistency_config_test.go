@@ -76,20 +76,6 @@ func TestConsistencyConfigValidate(t *testing.T) {
 			name: "async legacy zero value",
 			cfg:  Config{Slaves: 2},
 		},
-		{
-			name: "tracking with a cache bound is fine",
-			cfg:  Config{Slaves: 1, Tracking: true, CacheSize: 256},
-		},
-		{
-			name: "cache bound without tracking",
-			cfg:  Config{Slaves: 1, CacheSize: 256},
-			bad:  true,
-		},
-		{
-			name: "negative cache bound",
-			cfg:  Config{Slaves: 1, Tracking: true, CacheSize: -1},
-			bad:  true,
-		},
 	} {
 		err := tc.cfg.Validate()
 		switch {

@@ -26,21 +26,12 @@ func TestMultiMasterValidate(t *testing.T) {
 		{"single-group", Config{Kind: KindSKV, Slaves: 2}, ""},
 		{"masters-1-is-single-group", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 1}, Slaves: 2}, ""},
 		{"multi-ok", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1}}, ""},
-		{"multi-custom-ranges", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1,
-			SlotRanges: []slots.Range{{Start: 0, End: 99, Group: 1}, {Start: 100, End: slots.NumSlots - 1, Group: 0}}}}, ""},
-		{"multi-zipf-skew", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1}, Zipf: true, ZipfS: 1.5}, ""},
 
 		{"multi-needs-skv", Config{Kind: KindRDMA, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1}}, "requires Kind=KindSKV"},
 		{"multi-rejects-slaves", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1}, Slaves: 3}, "conflicts with the single-group Slaves field"},
 		{"multi-needs-slaves", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2}}, "SlavesPerMaster >= 1"},
 		{"multi-rejects-nic-clients", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1}, NicReads: NicReadsClients}, "NicReads=clients is not supported"},
-		{"multi-bad-ranges", Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 2, SlavesPerMaster: 1,
-			SlotRanges: []slots.Range{{Start: 0, End: 100, Group: 0}}}}, "bad SlotRanges"},
 		{"single-rejects-spm", Config{Kind: KindSKV, Slaves: 2, Cluster: ClusterOpts{SlavesPerMaster: 1}}, "only meaningful with Masters>1"},
-		{"single-rejects-ranges", Config{Kind: KindSKV, Slaves: 2,
-			Cluster: ClusterOpts{SlotRanges: []slots.Range{{Start: 0, End: slots.NumSlots - 1, Group: 0}}}}, "only meaningful with Masters>1"},
-		{"zipfs-needs-zipf", Config{Kind: KindSKV, Slaves: 2, ZipfS: 1.5}, "requires Zipf=true"},
-		{"zipfs-must-exceed-one", Config{Kind: KindSKV, Slaves: 2, Zipf: true, ZipfS: 0.9}, "must be > 1"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

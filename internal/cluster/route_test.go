@@ -119,6 +119,7 @@ func TestChaosScenariosRouted(t *testing.T) {
 	for _, s := range ChaosScenarios() {
 		s.Config.Params.HostShards, s.Config.Params.RouteListeners = 4, 2
 		t.Run(fmt.Sprintf("%s/shards4-listeners2", s.Name), func(t *testing.T) {
+			t.Parallel()
 			_, h, err := RunScenario(s)
 			if err != nil {
 				t.Fatalf("convergence failed:\n%v\ntrace:\n%s", err, h.TraceString())
@@ -138,6 +139,7 @@ func TestChaosScenariosRouted(t *testing.T) {
 			}
 			s.Config.Params.HostShards, s.Config.Params.RouteListeners = g.shards, g.listeners
 			t.Run(fmt.Sprintf("%s/shards%d-listeners%d", s.Name, g.shards, g.listeners), func(t *testing.T) {
+				t.Parallel()
 				_, h, err := RunScenario(s)
 				if err != nil {
 					t.Fatalf("convergence failed:\n%v\ntrace:\n%s", err, h.TraceString())

@@ -147,6 +147,7 @@ func TestChaosScenariosSharded(t *testing.T) {
 		for _, s := range ChaosScenarios() {
 			s.Config.Params.HostShards = shards
 			t.Run(fmt.Sprintf("%s/shards%d", s.Name, shards), func(t *testing.T) {
+				t.Parallel()
 				_, h, err := RunScenario(s)
 				if err != nil {
 					t.Fatalf("convergence failed:\n%v\ntrace:\n%s", err, h.TraceString())

@@ -207,26 +207,24 @@ func (r *frameReader) offload() (start int64, gate replstream.Gate, cmds int, da
 	return start, gate, int(count), r.rest(), true
 }
 
-// status decodes a msgStatus body (see statusFrame). The slave count comes
-// off the wire, so it is bounded by the offsets the frame can actually hold
-// before anything is sized with it. threads is -1 when the trailing
-// effective-thread field is absent (a frame from an older Nic-KV build).
+// status decodes a msgStatus body, laid out exactly as statusFrame writes
+// it: slave count, slowest offset, that many offsets, effective thread
+// count. The slave count comes off the wire, so it is bounded by the words
+// the frame actually holds before anything is sized with it. A frame with
+// a word missing or left over, a negative slowest offset or a thread count
+// below one is malformed.
 func (r *frameReader) status() (offs []int64, minOff int64, threads int, ok bool) {
 	count := r.u64()
 	minOff = r.i64()
-	if r.bad || count > uint64(len(r.b)-r.pos)/8 {
+	if r.bad || minOff < 0 || len(r.b)-r.pos < 8 || count != uint64(len(r.b)-r.pos-8)/8 {
 		return nil, 0, 0, false
 	}
 	offs = make([]int64, count)
 	for i := range offs {
 		offs[i] = r.i64()
 	}
-	if count == 0 || minOff < 0 {
-		minOff = 0 // defensive: a frame from an older Nic-KV build
-	}
-	threads = -1
-	if len(r.b)-r.pos >= 8 {
-		threads = int(r.u64())
+	if threads = int(r.i64()); r.pos != len(r.b) || threads < 1 {
+		return nil, 0, 0, false
 	}
 	return offs, minOff, threads, true
 }
@@ -248,7 +246,7 @@ type Config struct {
 	MaxLag int64
 	// ThreadNum is the number of SmartNIC cores used for replication
 	// (§III-C thread-num; the default 1 disables multi-threading, as in the
-	// paper). Clamped to min(NIC cores, slave count) at run time.
+	// paper). NewNicKV clamps it to [1, model.Params.NICCores].
 	ThreadNum int
 	// ProgressInterval is how often slaves report replication progress to
 	// Nic-KV (§III-C step ③).

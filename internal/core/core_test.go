@@ -152,6 +152,11 @@ func TestMalformedFramesRejected(t *testing.T) {
 		{"status: count that wraps int", u64s(msgStatus, 1<<63, 10), false},
 		{"status: truncated header", u64s(msgStatus, 1)[:12], false},
 		{"status: tag only", []byte{msgStatus}, false},
+		{"status: no threads field", u64s(msgStatus, 1, 50, 50), false},
+		{"status: zero threads", u64s(msgStatus, 1, 50, 50, 0), false},
+		{"status: negative slowest offset", u64s(msgStatus, 1, 1<<64-1, 50, 1), false},
+		{"status: a word left over", u64s(msgStatus, 1, 50, 50, 1, 7), false},
+		{"status: a byte left over", append(u64s(msgStatus, 1, 50, 50, 1), 0), false},
 
 		{"offload: one command", append(u64s(msgOffload, 7, 1), "PING"...), true},
 		{"offload: zero commands", append(u64s(msgOffload, 7, 0), "PING"...), false},

@@ -43,23 +43,6 @@ func TestStatusFrameWithZeroValidSlaves(t *testing.T) {
 	}
 }
 
-// TestStatusFrameWithoutThreadsField pins backward compatibility: a frame
-// from a build that predates the trailing effective-thread field must still
-// decode, with the field reported as absent.
-func TestStatusFrameWithoutThreadsField(t *testing.T) {
-	frame := []byte{msgStatus}
-	frame = appendU64(frame, 1)
-	frame = appendU64(frame, 50)
-	frame = appendU64(frame, 50)
-	count, minOff, offs, threads := decodeStatus(t, frame)
-	if count != 1 || minOff != 50 || len(offs) != 1 {
-		t.Fatalf("count=%d minOff=%d offs=%v", count, minOff, offs)
-	}
-	if threads != -1 {
-		t.Fatalf("threads=%d, want -1 (absent)", threads)
-	}
-}
-
 func TestOrderChunksSortsAndDeduplicates(t *testing.T) {
 	buf := []streamChunk{
 		{off: 200, data: []byte("c")},

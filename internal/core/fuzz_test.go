@@ -33,7 +33,8 @@ func newFuzzUnit(t testing.TB) *fuzzUnit {
 // FuzzCoreFrames feeds arbitrary bytes to every frame handler of a live SKV
 // unit: Nic-KV (as sent by the master and by a slave), Host-KV and the slave
 // agent. None may panic on them; a replication request queues a gate only
-// when it is well formed and carries one; and the gate gauge tracks the queue.
+// when it is well formed and carries one; the gate gauge tracks the queue;
+// and Host-KV takes a status report only in statusFrame's layout.
 func FuzzCoreFrames(f *testing.F) {
 	set := resp.EncodeCommand("SET", "k", "v")
 	for _, seed := range [][]byte{
@@ -54,7 +55,10 @@ func FuzzCoreFrames(f *testing.F) {
 		append(appendU64(appendStr([]byte{msgPayloadBacklog}, "replid"), 0), set...),
 		u64s(msgProgress, 27),
 		statusFrame([]int64{27, 54}, 1),
-		u64s(msgStatus, 1<<62, 10, 10),
+		statusFrame(nil, 2),
+		u64s(msgStatus, 1<<62, 10, 10, 1),
+		u64s(msgStatus, 1, 50, 50),         // no threads field
+		u64s(msgStatus, 1, 1<<64-1, 50, 1), // negative slowest offset
 		{msgPromote},
 		{msgDemote},
 		u64s(msgAckRelease, 27),
@@ -84,7 +88,11 @@ func FuzzCoreFrames(f *testing.F) {
 			t.Fatalf("master frame %q queued %d gates, want %d", data, queued, gatesCarried(data))
 		}
 		u.nic.onMessage(u.slave, data)
+		u.host.statusSeen = false
 		u.host.onNicMessage(data)
+		if u.host.statusSeen != statusWellFormed(data) {
+			t.Fatalf("status frame %q: accepted=%t, want %t", data, u.host.statusSeen, statusWellFormed(data))
+		}
 		u.agents[0].onNicMessage(data)
 		u.eng.RunFor(10 * sim.Microsecond)
 		if g := u.nic.gGatesPending.Value(); g < 0 || g != int64(u.nic.gates.Len()) {
@@ -110,4 +118,16 @@ func gatesCarried(frame []byte) int {
 		return 0
 	}
 	return 1
+}
+
+// statusWellFormed is the reference reading of statusFrame's one layout:
+// whole words only, a slave count that matches the offsets present, a
+// non-negative slowest offset and a trailing thread count of at least one.
+func statusWellFormed(frame []byte) bool {
+	if len(frame) < 1+3*8 || frame[0] != msgStatus || (len(frame)-1)%8 != 0 {
+		return false
+	}
+	word := func(i int) int64 { return int64(binary.BigEndian.Uint64(frame[1+8*i:])) }
+	words := (len(frame) - 1) / 8
+	return uint64(word(0)) == uint64(words-3) && word(1) >= 0 && word(words-1) >= 1
 }

@@ -237,9 +237,7 @@ func (h *HostKV) onNicMessage(data []byte) {
 		if !ok {
 			return
 		}
-		if threads >= 0 {
-			h.nicReplThreads = threads
-		}
+		h.nicReplThreads = threads
 		h.minSlaveOffset = minOff
 		h.validSlaves = len(offs)
 		h.statusSeen = true

@@ -30,10 +30,11 @@ import (
 // dispatch stage — it decodes the stream and parses client reads, then
 // routes each single-key operation to its shard's proc; replies and apply
 // retirements merge back on the main core, with per-client re-sequencing
-// exactly like the host dispatch plane. With several shards each runs on
-// its own ARM core; a single shard (the default) runs on the main core
-// itself, so the unsharded replica occupies one modelled core and pays for
-// no handoff (see viaShard).
+// exactly like the host dispatch plane and at its prices (ShardRouteCPU,
+// ShardMergeCPU, ShardFenceCPU): the ARM core's speed factor is what makes
+// them dearer here. With several shards each runs on its own ARM core; a
+// single shard (the default) runs on the main core itself, so the unsharded
+// replica occupies one modelled core and pays for no handoff (see viaShard).
 
 // nicClient is one client connection served by the SmartNIC.
 type nicClient struct {
@@ -178,7 +179,7 @@ func (n *NicKV) drainApply() {
 		op := n.applyq.Pop()
 		if op.shard < 0 {
 			n.mReplicaFenced.Inc()
-			fence := n.params.NicShardFenceCPU * sim.Duration(len(n.rprocs))
+			fence := n.params.ShardFenceCPU * sim.Duration(len(n.rprocs))
 			if n.rprocs[0] == n.proc {
 				fence = 0 // the main core is the one shard: no other core to quiesce
 			}
@@ -210,10 +211,10 @@ func (n *NicKV) viaShard(si int, cost sim.Duration, work, done func()) {
 		done()
 		return
 	}
-	n.proc.Core.Charge(n.params.NicShardRouteCPU)
+	n.proc.Core.Charge(n.params.ShardRouteCPU)
 	p.Post(cost, func() {
 		work()
-		n.proc.Post(n.params.NicShardMergeCPU, done)
+		n.proc.Post(n.params.ShardMergeCPU, done)
 	})
 }
 

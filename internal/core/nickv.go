@@ -608,10 +608,9 @@ func (n *NicKV) probeTick() {
 
 // statusFrame encodes the status report to the master: valid-slave count,
 // slowest offset, each valid slave's offset, then the NIC's effective
-// replication thread count (a trailing field — masters parse it only when
-// present, so older frames stay decodable). With zero valid slaves the
-// slowest offset is encoded as 0 — not the -1 sentinel, which as uint64
-// would decode to 2^63-ish garbage and poison the master's lag gate.
+// replication thread count. With zero valid slaves the slowest offset is
+// encoded as 0 — not the -1 sentinel, which as uint64 would decode to
+// 2^63-ish garbage and poison the master's lag gate.
 func statusFrame(offs []int64, threads int) []byte {
 	minOff := int64(-1)
 	for _, off := range offs {

@@ -138,9 +138,6 @@ type Params struct {
 	// every write flushes as its own one-command batch. Partial batches
 	// flush when the producing core quiesces (end of the event-loop tick).
 	ReplBatchMaxCmds int
-	// ReplBatchMaxBytes caps a replication batch in bytes so large values
-	// do not defer the flush unboundedly. 0 means 64KB.
-	ReplBatchMaxBytes int
 	// ReplBatchMaxDelay, when > 0, replaces the quiesce flush with a
 	// doorbell-coalescing timer: a partial batch flushes this long after
 	// its first command (NIC interrupt-moderation discipline). An
@@ -169,6 +166,10 @@ type Params struct {
 	// core (key hash + handoff), charged per cross-core hop on the core that
 	// owns the connection: the dispatch core, or the client's routing core
 	// when RouteListeners > 1.
+	//
+	// Nic-KV's shadow replica (NIC-served reads, §IV-A ablation) mirrors
+	// the host's shard layout and pays the same three prices for its
+	// handoffs, on ARM cores whose speed factor makes them dearer.
 	ShardRouteCPU sim.Duration
 	// ShardMergeCPU is the dispatch-core cost of merging one command
 	// completed on a shard core back into the serialized stream (reply
@@ -195,24 +196,6 @@ type Params struct {
 	// pay it.
 	SlotCheckCPU sim.Duration
 
-	// ---- Nic-KV replica sharding (NIC-served reads, §IV-A ablation) ----
-	// When the shadow replica is enabled, Nic-KV mirrors the host's shard
-	// layout: min(HostShards, NICCores) shards each own a key-hash slice of
-	// the replica, applying the stream and serving reads — in parallel on
-	// their own ARM cores when there are several, on the main core when
-	// there is one. The three knobs price handoffs between the main core
-	// and those shard cores, so they are charged only when there are any.
-
-	// NicShardRouteCPU is the main-ARM-core cost of routing one replica
-	// apply or NIC-served read to its shard core.
-	NicShardRouteCPU sim.Duration
-	// NicShardMergeCPU is the main-ARM-core cost of merging one completed
-	// shard operation back (reply re-sequencing / apply retirement).
-	NicShardMergeCPU sim.Duration
-	// NicShardFenceCPU is the per-shard cost of quiescing the replica's
-	// apply pipeline for a cross-shard command in the stream (FLUSHALL,
-	// multi-shard MSET/DEL).
-	NicShardFenceCPU sim.Duration
 	// ForkCPU is the cost on the master of starting the persistence child
 	// (paper step 2 of initial sync).
 	ForkCPU sim.Duration
@@ -237,19 +220,16 @@ type Params struct {
 	WaitingTime sim.Duration
 	// ProbeCPU is the cost of sending/answering one probe.
 	ProbeCPU sim.Duration
-	// RCRetryTimeout is how long an RDMA QP tolerates a streak of unacked
-	// sends (drops, partitions, down peers) before transitioning to the
-	// error state and tearing the connection down — the retry_cnt ×
-	// retransmission-timeout exhaustion window of a real RC QP.
-	RCRetryTimeout sim.Duration
-	// TCPRetryTimeout is the same window for the kernel TCP model (RTO
-	// escalation until the connection errors out).
-	TCPRetryTimeout sim.Duration
+	// RetryTimeout is how long a connection tolerates a streak of unacked
+	// sends (drops, partitions, down peers) before it errors out and is torn
+	// down: the retry_cnt × retransmission-timeout exhaustion window of an
+	// RDMA RC QP, and the RTO escalation of the kernel TCP model.
+	RetryTimeout sim.Duration
 
 	// ---- Client-side caching / invalidation tracking (CLIENT TRACKING) ----
-	// All three knobs are charged only on behalf of connections that turned
+	// Both prices are charged only on behalf of connections that turned
 	// tracking on; deployments that never negotiate CLIENT TRACKING pay
-	// nothing.
+	// nothing. Interest tables hold tracking.New's default bound.
 
 	// TrackInterestCPU is the server-side cost of recording one tracked
 	// read's key interest: the table insert in local (in-band) mode, or
@@ -259,11 +239,6 @@ type Params struct {
 	// one invalidation push to one subscriber (host-side pushes use
 	// ReplyBuildCPU — they ride the ordinary reply path).
 	NicInvalidateCPU sim.Duration
-	// TrackTableMax bounds an invalidation interest table in distinct
-	// tracked keys (Redis tracking-table-max-keys). When full, the oldest
-	// tracked key is evicted with a synthetic invalidation push so its
-	// subscribers never serve it stale. 0 means 65536.
-	TrackTableMax int
 
 	// ---- Client model ----
 
@@ -314,7 +289,6 @@ func Default() Params {
 		NicFeedSlaveCPU:   200 * sim.Nanosecond,
 		SlaveApplyCPU:     900 * sim.Nanosecond,
 		ReplBatchMaxCmds:  1,
-		ReplBatchMaxBytes: 1 << 16,
 		RDBPerByte:        0.6,
 		ForkCPU:           2 * sim.Millisecond,
 
@@ -325,23 +299,17 @@ func Default() Params {
 		RouteListeners: 1,
 		SlotCheckCPU:   80 * sim.Nanosecond,
 
-		NicShardRouteCPU: 120 * sim.Nanosecond,
-		NicShardMergeCPU: 150 * sim.Nanosecond,
-		NicShardFenceCPU: 200 * sim.Nanosecond,
-
 		CronPeriod:      100 * sim.Millisecond,
 		CronCPU:         60 * sim.Microsecond,
 		ExecJitterSigma: 0.25,
 
-		ProbePeriod:     1 * sim.Second,
-		WaitingTime:     2 * sim.Second,
-		ProbeCPU:        1 * sim.Microsecond,
-		RCRetryTimeout:  3 * sim.Second,
-		TCPRetryTimeout: 3 * sim.Second,
+		ProbePeriod:  1 * sim.Second,
+		WaitingTime:  2 * sim.Second,
+		ProbeCPU:     1 * sim.Microsecond,
+		RetryTimeout: 3 * sim.Second,
 
 		TrackInterestCPU: 100 * sim.Nanosecond,
 		NicInvalidateCPU: 200 * sim.Nanosecond,
-		TrackTableMax:    65536,
 
 		ClientThinkCPU: 300 * sim.Nanosecond,
 		ClientWakeup:   1500 * sim.Nanosecond,

@@ -170,7 +170,8 @@ func (r *reader) bytes() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(r.pos)+n > uint64(len(r.b)) {
+	// Against what remains, not pos+n: a length near 2^64 wraps that sum.
+	if n > uint64(len(r.b)-r.pos) {
 		return nil, ErrCorrupt
 	}
 	out := append([]byte(nil), r.b[r.pos:r.pos+int(n)]...)

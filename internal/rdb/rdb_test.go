@@ -1,11 +1,15 @@
 package rdb
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"skv/internal/obj"
 	"skv/internal/store"
 )
 
@@ -14,7 +18,7 @@ func newStore() *store.Store {
 	return store.New(store.Options{Seed: 7, Clock: func() int64 { return now }})
 }
 
-func exec(t *testing.T, s *store.Store, dbi int, line string) {
+func exec(t testing.TB, s *store.Store, dbi int, line string) {
 	t.Helper()
 	words := strings.Split(line, " ")
 	argv := make([][]byte, len(words))
@@ -198,4 +202,68 @@ func TestLargeDataset(t *testing.T) {
 			t.Fatalf("key:%d = %q want %q", i, got, want)
 		}
 	}
+}
+
+// seal frames body as a dump: the magic before it, EOF and a valid CRC after.
+func seal(body []byte) []byte {
+	out := append([]byte(magic), body...)
+	out = append(out, opEOF)
+	var crc [4]byte
+	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(out, crcTable))
+	return append(out, crc[:]...)
+}
+
+// TestOversizedLengthRejected: a length field near 2^64 in a dump whose CRC
+// holds is corruption, not a slice past the payload's end.
+func TestOversizedLengthRejected(t *testing.T) {
+	for _, n := range []uint64{1<<64 - 1, 1<<64 - 8, 1 << 63, 1000} {
+		for _, dump := range [][]byte{
+			seal(append([]byte{tString}, appendUvarint(nil, n)...)),
+			seal(append(appendString([]byte{tString}, "k"), appendUvarint(nil, n)...)),
+		} {
+			if err := Load(newStore(), dump); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("length %d: err = %v, want ErrCorrupt", n, err)
+			}
+		}
+	}
+}
+
+// FuzzLoad: whatever the payload, Load returns an error or leaves a store
+// whose Dump loads again into as many live keys — it never panics. Each
+// input is tried as it is and sealed (magic before it, EOF and a valid CRC
+// after), so the fuzzer reaches the decoder behind the checksum.
+func FuzzLoad(f *testing.F) {
+	src := newStore()
+	for _, line := range []string{"SET str hello", "RPUSH list a b", "HSET hash f v", "SADD set x", "ZADD zset 1.5 a"} {
+		exec(f, src, 0, line)
+	}
+	exec(f, src, 1, "SET k v")
+	exec(f, src, 0, "PEXPIRE str 5000")
+	for _, dump := range [][]byte{Dump(src), Dump(newStore())} {
+		f.Add(dump)
+		f.Add(dump[len(magic) : len(dump)-5]) // sealed, this is dump again
+	}
+	f.Add(append([]byte{tString}, appendUvarint(nil, 1<<64-1)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, dump := range [][]byte{data, seal(data)} {
+			s := newStore()
+			if Load(s, dump) != nil {
+				continue
+			}
+			again := newStore()
+			if err := Load(again, Dump(s)); err != nil {
+				t.Fatalf("the dump of a loaded store does not load: %v", err)
+			}
+			if a, b := keys(s), keys(again); a != b {
+				t.Fatalf("reloaded store holds %d keys, loaded one %d", b, a)
+			}
+		}
+	})
+}
+
+// keys counts the store's live (unexpired) keys across every database.
+func keys(s *store.Store) int {
+	n := 0
+	s.EachEntry(func(int, string, *obj.Object, int64) bool { n++; return true })
+	return n
 }

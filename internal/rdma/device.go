@@ -107,7 +107,7 @@ func (qp *QP) sendOutcome(acked bool) {
 		qp.unackedSince = now
 		return
 	}
-	if now.Sub(qp.unackedSince) >= d.net.Params().RCRetryTimeout {
+	if now.Sub(qp.unackedSince) >= d.net.Params().RetryTimeout {
 		qp.fail()
 	}
 }

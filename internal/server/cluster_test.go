@@ -12,7 +12,7 @@ import (
 // clusterServer builds a server attached to a routing table (optionally
 // sharded, to cover the sequencedReply redirect path).
 func clusterServer(w *world, name string, shards int, cr *ClusterRouting) *Server {
-	return w.build(Options{Name: name, Shards: shards, Cluster: cr})
+	return w.build(Options{Name: name, Params: w.shaped(shards, 0), Cluster: cr})
 }
 
 // twoGroupMap splits the slot space evenly between this node (group 0,

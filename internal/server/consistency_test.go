@@ -14,7 +14,7 @@ import (
 // quorumServer builds a master whose default write consistency is quorum(w),
 // optionally sharded.
 func (w *world) quorumServer(name string, shards, qw int) *Server {
-	return w.build(Options{Name: name, Shards: shards, WriteConsistency: consistency.Quorum, WriteQuorum: qw})
+	return w.build(Options{Name: name, Params: w.shaped(shards, 0), WriteConsistency: consistency.Quorum, WriteQuorum: qw})
 }
 
 // ---- WAIT edge cases (satellite: blocking semantics) ---------------------
@@ -157,7 +157,7 @@ func TestQuorumWriteParksReplyUntilAck(t *testing.T) {
 // and a barrier write (FLUSHALL) parks without deadlocking the fence.
 func TestQuorumPipelinedReplyOrder(t *testing.T) {
 	eachLayout(t, 66, layouts, func(t *testing.T, w *world, l layout) {
-		master := w.build(Options{Name: "m", Shards: l.shards, Listeners: l.listeners,
+		master := w.build(Options{Name: "m", Params: w.shaped(l.shards, l.listeners),
 			WriteConsistency: consistency.Quorum, WriteQuorum: 1})
 		slave := w.server("sl", 6379)
 		slave.SlaveOf(master.Stack().Endpoint(), 6379)
@@ -227,7 +227,7 @@ func TestConsistencyCommandReportAndOverride(t *testing.T) {
 // async write — and there is no second notification to race the bytes.
 func TestGatedWriteCarriesItsGateIntoTheStream(t *testing.T) {
 	eachLayout(t, 69, layouts, func(t *testing.T, w *world, l layout) {
-		master := w.build(Options{Name: "m", Shards: l.shards, Listeners: l.listeners})
+		master := w.build(Options{Name: "m", Params: w.shaped(l.shards, l.listeners)})
 		var gates []replstream.Gate
 		master.OnPropagate = func(b replstream.Batch) { gates = append(gates, b.Gate) }
 		c := w.dial(t, master)

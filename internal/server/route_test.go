@@ -8,11 +8,11 @@ import (
 	"skv/internal/sim"
 )
 
-// routedServer builds a server with both planes on: Shards shard procs
-// behind the dispatch/merge stage, fronted by Listeners routing procs that
+// routedServer builds a server with both planes on: HostShards shard procs
+// behind the dispatch/merge stage, fronted by RouteListeners routing procs that
 // own RESP parse + key-hash routing for their pinned connections.
 func (w *world) routedServer(name string, port, shards, listeners int) *Server {
-	return w.build(Options{Name: name, Port: port, Shards: shards, Listeners: listeners})
+	return w.build(Options{Name: name, Port: port, Params: w.shaped(shards, listeners)})
 }
 
 // TestRoutedBarrierOnlyPipeline: a barrier admitted from a routing proc at
@@ -71,7 +71,7 @@ func TestShardedGatedErrorMidPipeline(t *testing.T) {
 	})
 }
 
-// TestRoutedListenersOneIsLegacy: Listeners = 1 (or 0) must not build a
+// TestRoutedListenersOneIsLegacy: RouteListeners = 1 (or 0) must not build a
 // routing plane at all — the dispatch-owned pipeline is bit-for-bit PR-5.
 func TestRoutedListenersOneIsLegacy(t *testing.T) {
 	w := newWorld(68)
@@ -84,7 +84,7 @@ func TestRoutedListenersOneIsLegacy(t *testing.T) {
 			t.Fatalf("Listeners=%d: RouteRegistries = %d, want 0", listeners, n)
 		}
 	}
-	// And a single-threaded server (Shards <= 1) ignores Listeners entirely.
+	// And a single-threaded server (HostShards <= 1) ignores RouteListeners entirely.
 	srv := w.routedServer("s1t", 6379, 1, 4)
 	if n := srv.NumRouteListeners(); n != 0 {
 		t.Fatalf("Shards=1: NumRouteListeners = %d, want 0", n)

@@ -52,27 +52,10 @@ type Options struct {
 	Params *model.Params
 	// Seed drives the server's internal randomness deterministically.
 	Seed int64
-	// NumDBs is the SELECT-able database count (default 16).
-	NumDBs int
-	// BacklogSize is the replication backlog capacity (default 1MB).
-	BacklogSize int
 	// Port is the listen port (default 6379).
 	Port int
-	// DisableCron turns off serverCron time events (microbenchmarks only).
+	// DisableCron turns off serverCron time events (unit tests only).
 	DisableCron bool
-	// Shards splits the keyspace across this many shard procs, each on its
-	// own core, behind the dispatch/merge stage (model.Params.HostShards).
-	// 0 or 1 is one shard on the dispatch proc's own core: the paper's
-	// single event loop.
-	Shards int
-	// Listeners splits RESP parse + key-hash routing across this many
-	// routing procs in front of the dispatch proc
-	// (model.Params.RouteListeners). Client connections pin round-robin to
-	// the routing procs, which pay the transport receive path, parse,
-	// classification and shard handoff; the dispatch proc keeps only the
-	// merge/order stage. 0 or 1 leaves every connection with the dispatch
-	// proc. Ignored unless Shards > 1.
-	Listeners int
 	// Cluster, when non-nil, makes the node one member of a multi-master
 	// hash-slot cluster: keyed commands are checked against the shared
 	// routing table at admission and redirected (MOVED) or rejected
@@ -241,19 +224,24 @@ type slaveHandle struct {
 	addr   string
 }
 
+// Every server has numDBs SELECT-able databases and a backlogSize-byte
+// replication backlog.
+const (
+	numDBs      = 16
+	backlogSize = 1 << 20
+)
+
 // New creates a server on the given transport stack. The stack's process is
-// the server's dispatch proc.
+// the server's dispatch proc. The pipeline's shape comes from the cost
+// model: Params.HostShards shard procs, each on its own core, behind the
+// dispatch/merge stage (0 or 1 is one shard on the dispatch proc's own
+// core: the paper's single event loop), and Params.RouteListeners routing
+// procs in front of it when there are several shards.
 func New(opts Options, eng *sim.Engine, stack transport.Stack, proc *sim.Proc) *Server {
 	p := opts.Params
 	if p == nil {
 		def := model.Default()
 		p = &def
-	}
-	if opts.NumDBs == 0 {
-		opts.NumDBs = 16
-	}
-	if opts.BacklogSize == 0 {
-		opts.BacklogSize = 1 << 20
 	}
 	if opts.Port == 0 {
 		opts.Port = 6379
@@ -266,7 +254,7 @@ func New(opts Options, eng *sim.Engine, stack transport.Stack, proc *sim.Proc) *
 		stack:    stack,
 		params:   p,
 		rnd:      rnd,
-		backlog:  backlog.New(opts.BacklogSize),
+		backlog:  backlog.New(backlogSize),
 		replID:   fmt.Sprintf("%016x%016x", rnd.Uint64(), rnd.Uint64()),
 		clients:  make(map[uint64]*client),
 		port:     opts.Port,
@@ -281,21 +269,17 @@ func New(opts Options, eng *sim.Engine, stack transport.Stack, proc *sim.Proc) *
 	if s.cluster != nil {
 		s.clusterStats = newClusterInstruments(s.metrics)
 	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	s.store = store.New(store.Options{DBs: opts.NumDBs, Shards: shards, Seed: opts.Seed ^ 0x57a7e, Clock: func() int64 {
+	shards := max(p.HostShards, 1)
+	s.store = store.New(store.Options{DBs: numDBs, Shards: shards, Seed: opts.Seed ^ 0x57a7e, Clock: func() int64 {
 		return int64(eng.Now() / sim.Time(sim.Millisecond))
 	}})
 	s.store.InfoProvider = s.infoSections
-	s.shard = newShardEngine(s, opts.Name, shards, opts.Listeners)
+	s.shard = newShardEngine(s, opts.Name, shards, p.RouteListeners)
 	s.repl = replstream.NewWriter(replstream.WriterConfig{
-		Backlog:  s.backlog,
-		MaxCmds:  p.ReplBatchMaxCmds,
-		MaxBytes: p.ReplBatchMaxBytes,
-		Flush:    s.flushReplBatch,
-		Metrics:  s.metrics,
+		Backlog: s.backlog,
+		MaxCmds: p.ReplBatchMaxCmds,
+		Flush:   s.flushReplBatch,
+		Metrics: s.metrics,
 		// Partial batches flush when this server's core drains its queued
 		// work — the event-loop quiesce point. Under load that coalesces
 		// every write processed in the same busy period; idle, it fires at

@@ -51,6 +51,14 @@ func (w *world) build(o Options) *Server {
 	return New(o, w.eng, stack, proc)
 }
 
+// shaped is the world's cost model with the command pipeline's shape set:
+// shards shard procs behind listeners routing procs.
+func (w *world) shaped(shards, listeners int) *model.Params {
+	p := *w.p
+	p.HostShards, p.RouteListeners = shards, listeners
+	return &p
+}
+
 func (w *world) server(name string, port int) *Server {
 	return w.build(Options{Name: name, Port: port})
 }

@@ -12,12 +12,12 @@ import (
 
 // shardedServer builds a server with shard procs on cores of their own.
 func (w *world) shardedServer(name string, port, shards int) *Server {
-	return w.build(Options{Name: name, Port: port, Shards: shards})
+	return w.build(Options{Name: name, Port: port, Params: w.shaped(shards, 0)})
 }
 
 // server builds a server with this pipeline shape.
 func (l layout) server(w *world, name string) *Server {
-	return w.build(Options{Name: name, Shards: l.shards, Listeners: l.listeners})
+	return w.build(Options{Name: name, Params: w.shaped(l.shards, l.listeners)})
 }
 
 // TestBasicCommands drives routed, inline and barrier commands from two
@@ -343,7 +343,7 @@ func TestShardedFullSyncSkipsExpiredKeys(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		w := newWorld(47)
 		// No active expiry: the lapsed key stays resident.
-		master := w.build(Options{Name: "m", Seed: 1, Shards: shards, DisableCron: true})
+		master := w.build(Options{Name: "m", Seed: 1, Params: w.shaped(shards, 0), DisableCron: true})
 		c := w.dial(t, master)
 		c.do(t, "SET", "live", "v")
 		c.do(t, "SET", "dead", "v")

@@ -71,7 +71,7 @@ func (s *Server) cmdClient(c *client, argv [][]byte) {
 			c.trackRedirect = false
 			c.trackName = "#" + itoa(c.id)
 			if s.track == nil {
-				s.track = tracking.New(s.params.TrackTableMax)
+				s.track = tracking.New(0)
 				s.trackLocal = make(map[string]*client)
 				s.track.OnEvict = s.pushEvicted
 			}

@@ -13,7 +13,6 @@ package slots
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -368,9 +367,10 @@ func ParseRedirect(msg string) (slot int, addr string, port int, ok bool) {
 
 // ParseRedirectKind decodes a redirect error message, additionally
 // reporting which verb it carried — clients treat MOVED (refresh the map)
-// and ASK (one-shot, no refresh) differently. Malformed payloads (missing
-// or out-of-range slot, missing host or port, non-numeric or non-positive
-// port, trailing tokens) all return RedirectNone.
+// and ASK (one-shot, no refresh) differently. Only what MovedMessage and
+// AskMessage write parses: a slot and a port in canonical decimal (no sign,
+// no leading zero) within range, and a non-empty host with no space in it.
+// Anything else — trailing tokens included — returns RedirectNone.
 func ParseRedirectKind(msg string) (kind RedirectKind, slot int, addr string, port int) {
 	var rest string
 	switch {
@@ -381,22 +381,33 @@ func ParseRedirectKind(msg string) (kind RedirectKind, slot int, addr string, po
 	default:
 		return RedirectNone, 0, "", 0
 	}
-	sp := strings.IndexByte(rest, ' ')
-	if sp < 0 {
-		return RedirectNone, 0, "", 0
-	}
-	slot, err := strconv.Atoi(rest[:sp])
-	if err != nil || slot < 0 || slot >= NumSlots {
-		return RedirectNone, 0, "", 0
-	}
-	target := rest[sp+1:]
+	slotText, target, _ := strings.Cut(rest, " ")
 	colon := strings.LastIndexByte(target, ':')
-	if colon <= 0 {
+	if colon <= 0 || strings.IndexByte(target[:colon], ' ') >= 0 {
 		return RedirectNone, 0, "", 0
 	}
-	port, err = strconv.Atoi(target[colon+1:])
-	if err != nil || port <= 0 || port > 65535 {
+	slot, okSlot := decimal(slotText, NumSlots-1)
+	port, okPort := decimal(target[colon+1:], 65535)
+	if !okSlot || !okPort || port == 0 {
 		return RedirectNone, 0, "", 0
 	}
 	return kind, slot, target[:colon], port
+}
+
+// decimal parses s as a canonical decimal number no greater than max: digits
+// only, and no leading zero unless s is "0".
+func decimal(s string, max int) (int, bool) {
+	if s == "" || len(s) > 1 && s[0] == '0' {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+		if n = n*10 + int(s[i]-'0'); n > max {
+			return 0, false
+		}
+	}
+	return n, true
 }

@@ -354,6 +354,12 @@ func TestRedirectGrammar(t *testing.T) {
 		"ASK 5 a:6379 extra",                  // trailing tokens (ASK)
 		"ASKED 5 a:6379",                      // near-miss verb
 		"moved 5 a:6379",                      // wrong case
+		"MOVED 1 a b:80",                      // space in the host (used to parse!)
+		"MOVED +5 h:1",                        // signed slot (used to parse!)
+		"MOVED 05 h:1",                        // leading zero on the slot (used to parse!)
+		"MOVED 1 h:+80",                       // signed port (used to parse!)
+		"MOVED 1 h:080",                       // leading zero on the port
+		"MOVED  5 h:1",                        // empty slot
 	} {
 		if _, _, _, ok := ParseRedirect(bad); ok {
 			t.Fatalf("ParseRedirect(%q) accepted garbage", bad)
@@ -362,4 +368,30 @@ func TestRedirectGrammar(t *testing.T) {
 			t.Fatalf("ParseRedirectKind(%q) = %d, want RedirectNone", bad, k)
 		}
 	}
+}
+
+// FuzzParseRedirect: a message ParseRedirectKind accepts is exactly what
+// MovedMessage or AskMessage writes for the slot, host and port it returns.
+func FuzzParseRedirect(f *testing.F) {
+	for _, seed := range []string{
+		MovedMessage(12182, "g1.master", 6379), AskMessage(0, "x", 1), "MOVED 1 a:b:80",
+		"MOVED 1 a b:80", "MOVED +5 h:1", "MOVED 05 h:1", "MOVED 1 h:+80", "ERR x",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, msg string) {
+		kind, slot, addr, port := ParseRedirectKind(msg)
+		var again string
+		switch kind {
+		case RedirectNone:
+			return
+		case RedirectMoved:
+			again = MovedMessage(slot, addr, port)
+		case RedirectAsk:
+			again = AskMessage(slot, addr, port)
+		}
+		if again != msg {
+			t.Fatalf("%q parsed as %d %d %q %d, which encodes as %q", msg, kind, slot, addr, port, again)
+		}
+	})
 }

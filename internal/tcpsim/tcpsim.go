@@ -156,7 +156,7 @@ func (c *conn) sendOutcome(acked bool) {
 		c.unackedSince = now
 		return
 	}
-	if now.Sub(c.unackedSince) >= s.net.Params().TCPRetryTimeout {
+	if now.Sub(c.unackedSince) >= s.net.Params().RetryTimeout {
 		c.closed = true
 		delete(s.conns, c.id)
 		delete(s.dials, c.id)

@@ -143,12 +143,8 @@ type slotReq struct {
 	poisoned bool
 }
 
-// New builds a closed-loop client on its own core, seeded with the one
-// address in opts.Addrs.
+// New builds a closed-loop client on its own core, seeded with opts.Addr.
 func New(name string, env Env, opts Options) KV {
-	if len(opts.Addrs) != 1 {
-		panic(fmt.Sprintf("workload: client %s needs exactly one seed address, got %d", name, len(opts.Addrs)))
-	}
 	proc := sim.NewProc(env.Eng, sim.NewCore(env.Eng, name+"-core", env.Params.HostCoreSpeed), env.Wakeup)
 	groups, owner := 1, []uint16(nil)
 	if env.Table != nil {
@@ -172,13 +168,9 @@ func New(name string, env Env, opts Options) KV {
 		conns:    make([]*slotConn, groups),
 		tracking: opts.Tracking,
 	}
-	c.addrs[0] = opts.Addrs[0]
+	c.addrs[0] = opts.Addr
 	if opts.Tracking {
-		size := opts.CacheSize
-		if size <= 0 {
-			size = DefaultCacheSize
-		}
-		c.cache = newCache(size)
+		c.cache = newCache(cacheEntries)
 		args := []string{"client", "tracking", "on"}
 		if env.Invalidation != nil {
 			c.invalidation, c.invalidationPort = env.Invalidation, env.InvalidationPort

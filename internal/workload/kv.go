@@ -33,18 +33,17 @@ type KV interface {
 
 // Options selects how the client New builds behaves.
 type Options struct {
-	// Addrs is the one seed address (an endpoint name, resolved through
+	// Addr is the seed address (an endpoint name, resolved through
 	// Env.Resolve): group 0's. With a slot table the client learns the rest
 	// of the topology through MOVED redirects from it.
-	Addrs []string
+	Addr string
 	// Pipeline is the number of requests kept in flight (redis-benchmark
 	// -P) per replication group. 1 = classic closed loop.
 	Pipeline int
 	// Tracking negotiates CLIENT TRACKING after every (re)dial and serves
-	// tracked GETs from a local invalidation-coherent cache.
+	// tracked GETs from a local invalidation-coherent cache of
+	// cacheEntries entries.
 	Tracking bool
-	// CacheSize bounds the tracked cache in entries (0 = DefaultCacheSize).
-	CacheSize int
 }
 
 // Env is the simulated world a client is built into — everything that is a
@@ -115,5 +114,5 @@ type Stats struct {
 	GroupErrs []uint64
 }
 
-// DefaultCacheSize bounds the tracked cache when Options.CacheSize is 0.
-const DefaultCacheSize = 4096
+// cacheEntries bounds a tracking client's cache.
+const cacheEntries = 4096

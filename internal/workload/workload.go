@@ -37,20 +37,11 @@ type Generator struct {
 	value []byte
 }
 
-// DefaultZipfS is the Zipfian skew exponent used when none is given — the
-// value the evaluation has always used.
-const DefaultZipfS = 1.1
+// zipfSkew is the Zipfian skew exponent of every Zipfian key stream.
+const zipfSkew = 1.1
 
-// NewGenerator creates a generator with deterministic randomness and the
-// default Zipfian skew.
+// NewGenerator creates a generator with deterministic randomness.
 func NewGenerator(seed int64, keySpace, valueSize int, setRatio float64, zipfian bool) *Generator {
-	return NewGeneratorSkew(seed, keySpace, valueSize, setRatio, zipfian, DefaultZipfS)
-}
-
-// NewGeneratorSkew is NewGenerator with an explicit Zipfian skew exponent s
-// (must be > 1; ignored for uniform distributions). The same seed and
-// s = DefaultZipfS reproduce NewGenerator's stream bit-for-bit.
-func NewGeneratorSkew(seed int64, keySpace, valueSize int, setRatio float64, zipfian bool, s float64) *Generator {
 	rnd := rand.New(rand.NewSource(seed))
 	g := &Generator{
 		rnd:       rnd,
@@ -60,7 +51,7 @@ func NewGeneratorSkew(seed int64, keySpace, valueSize int, setRatio float64, zip
 		Zipf:      zipfian,
 	}
 	if zipfian {
-		g.zipf = rand.NewZipf(rnd, s, 1, uint64(keySpace-1))
+		g.zipf = rand.NewZipf(rnd, zipfSkew, 1, uint64(keySpace-1))
 	}
 	g.value = make([]byte, valueSize)
 	for i := range g.value {

@@ -84,7 +84,7 @@ func TestGeneratorKeySpaceBounded(t *testing.T) {
 	}
 }
 
-func TestGeneratorZipfSkew(t *testing.T) {
+func TestGeneratorZipfian(t *testing.T) {
 	g := NewGenerator(5, 10_000, 8, 1.0, true)
 	counts := map[string]int{}
 	const n = 20_000
@@ -232,7 +232,7 @@ func (w *world) client(genSeed int64, pipeline int) KV {
 		Eng: w.eng, Params: &w.p, EP: m.Host, Gen: NewGenerator(genSeed, 100, 32, 1.0, false),
 		MakeStack: func(ep *fabric.Endpoint, proc *sim.Proc) transport.Stack { return tcpsim.New(w.net, ep, proc) },
 		Wakeup:    w.p.ClientWakeup, Port: 6379, Resolve: w.net.EndpointByName, Table: w.table,
-	}, Options{Addrs: []string{w.seed}, Pipeline: pipeline})
+	}, Options{Addr: w.seed, Pipeline: pipeline})
 }
 
 // TestClientClosedLoop runs a client against the scripted servers and checks
