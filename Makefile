@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet lint race verify bench bench-smoke chaos profile fuzz clean
+.PHONY: all build fmt test vet lint race verify bench bench-smoke bench-cmp chaos profile fuzz clean
 
 all: verify
 
@@ -52,6 +52,14 @@ bench:
 # cluster, runs, and renders. Numbers are meaningless at this scale.
 bench-smoke:
 	$(GO) run ./cmd/skv-bench -smoke
+
+# Byte-identity proof for a behaviour-preserving change: every experiment
+# built from BASE (a git revision, via git archive) and from the working tree,
+# run on both and cmp'd; fails naming the first experiment that differs.
+# SMOKE=1 runs both sides with -smoke. ~4 minutes per side at full scale.
+BASE ?= HEAD
+bench-cmp:
+	SMOKE=$(SMOKE) bash scripts/bench-cmp.sh $(BASE)
 
 # Every failure scenario (cluster.AllScenarios) through the one runner, traces
 # printed; exits 1 when any scenario fails its check, so an example that stops

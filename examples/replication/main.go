@@ -31,8 +31,8 @@ func main() {
 		fmt.Printf("  master core busy: %.0f%%\n", res.MasterUtil*100)
 		if kind == cluster.KindSKV {
 			fmt.Printf("  SmartNIC core busy: %.0f%% (replication runs here now)\n", res.NicUtil*100)
-			fmt.Printf("  replication requests master→NIC: %d (one per write)\n", g.HostKV.ReplReqsSent)
-			fmt.Printf("  commands fanned out NIC→slaves:  %d (%d slaves)\n", g.NicKV.StreamSent, len(g.Slaves))
+			fmt.Printf("  replication requests master→NIC: %d (one per write)\n", g.HostKV.ReplReqsSent.Value())
+			fmt.Printf("  commands fanned out NIC→slaves:  %d (%d slaves)\n", g.NicKV.StreamSent.Value(), len(g.Slaves))
 		}
 		// Show that the slaves actually converged with the master.
 		c.Eng.Run(c.Eng.Now().Add(200 * sim.Millisecond))

@@ -169,13 +169,13 @@ func AblateCPU() *Experiment {
 		var opsBefore uint64
 		c, r := run(cfg, func(c *cluster.Cluster) {
 			g := c.Groups[0]
-			busyBefore, opsBefore = g.Master.Proc().Core.BusyTime(), g.Master.CommandsProcessed
+			busyBefore, opsBefore = g.Master.Proc().Core.BusyTime(), g.Master.CommandsProcessed()
 			if g.NicKV != nil {
 				nicBefore = g.NicKV.Proc().Core.BusyTime()
 			}
 		})
 		g := c.Groups[0]
-		ops := float64(g.Master.CommandsProcessed - opsBefore)
+		ops := float64(g.Master.CommandsProcessed() - opsBefore)
 		hostPerOp := float64(g.Master.Proc().Core.BusyTime()-busyBefore) / ops / 1000
 		nicPerOp := 0.0
 		if g.NicKV != nil {

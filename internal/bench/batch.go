@@ -12,9 +12,10 @@ import (
 // batching (ReplBatchMaxCmds). Writes arriving within one event-loop busy
 // period coalesce into a single batch, so the master posts one replication
 // work request for many writes instead of one each. The wrs/write column is
-// HostKV.ReplReqsSent / Server.WritesPropagated — 1.0 unbatched, dropping
+// hostkv.repl_reqs / Server.WritesPropagated — 1.0 unbatched, dropping
 // toward 1/batch as the budget grows; the equivalent rdma-redis ratio is
-// ReplStream batches per write (each batch still costs one send per slave).
+// the repl.flush.* batches per write (each batch still costs one send per
+// slave).
 func ExtBatch() *Experiment {
 	e := &Experiment{
 		ID:    "ext-batch",
@@ -33,7 +34,7 @@ func ExtBatch() *Experiment {
 		c, rs := run(cfg)
 		wrsPerWrite := 1.0
 		if g := c.Groups[0]; g.Master.WritesPropagated > 0 {
-			wrsPerWrite = float64(g.HostKV.ReplReqsSent) / float64(g.Master.WritesPropagated)
+			wrsPerWrite = float64(g.HostKV.ReplReqsSent.Value()) / float64(g.Master.WritesPropagated)
 		}
 
 		pr := model.Default()
@@ -42,7 +43,7 @@ func ExtBatch() *Experiment {
 			Clients: 8, Pipeline: 8, Seed: 64, Params: &pr})
 		batchesPerWrite := 1.0
 		if m := cr.Groups[0].Master; m.WritesPropagated > 0 {
-			batchesPerWrite = float64(m.ReplStream().BatchesFlushed) / float64(m.WritesPropagated)
+			batchesPerWrite = float64(m.ReplStream().BatchesFlushed()) / float64(m.WritesPropagated)
 		}
 
 		e.Rows = append(e.Rows, []string{

@@ -107,7 +107,7 @@ func AckLossScenario(spec AckLossSpec) (Scenario, *AckLossResult) {
 				case CrashMidBatch:
 					return p.ReplBatchMaxCmds == 1 || g.Master.ReplStream().Pending() > 0
 				case CrashAfterFlush:
-					return g.HostKV.ReplReqsSent > flushes
+					return g.HostKV.ReplReqsSent.Value() > flushes
 				case CrashAfterRelease:
 					return released.Value() > releases
 				}
@@ -124,7 +124,7 @@ func AckLossScenario(spec AckLossSpec) (Scenario, *AckLossResult) {
 				g.Master.Crash()
 			}
 			c.Eng.After(aklCrashAt, func() {
-				flushes, releases = g.HostKV.ReplReqsSent, released.Value()
+				flushes, releases = g.HostKV.ReplReqsSent.Value(), released.Value()
 				watch()
 			})
 		},

@@ -64,28 +64,28 @@ func TestSKVBatchingAmortizesWRs(t *testing.T) {
 	}
 
 	c1, res1 := run(1)
-	if c1.Groups[0].HostKV.ReplReqsSent != c1.Master.WritesPropagated {
+	if c1.Groups[0].HostKV.ReplReqsSent.Value() != c1.Master.WritesPropagated {
 		t.Fatalf("batch=1 must stay 1:1 — %d WRs for %d writes",
-			c1.Groups[0].HostKV.ReplReqsSent, c1.Master.WritesPropagated)
+			c1.Groups[0].HostKV.ReplReqsSent.Value(), c1.Master.WritesPropagated)
 	}
 
 	c4, res4 := run(4)
 	if c4.Master.WritesPropagated == 0 {
 		t.Fatal("batch=4: no writes propagated")
 	}
-	if c4.Groups[0].HostKV.ReplReqsSent >= c4.Master.WritesPropagated {
+	if c4.Groups[0].HostKV.ReplReqsSent.Value() >= c4.Master.WritesPropagated {
 		t.Fatalf("batching bought nothing: %d WRs for %d writes",
-			c4.Groups[0].HostKV.ReplReqsSent, c4.Master.WritesPropagated)
+			c4.Groups[0].HostKV.ReplReqsSent.Value(), c4.Master.WritesPropagated)
 	}
 	// Every propagated write (plus any injected SELECTs, none here: single
 	// db) must still be offloaded — batching drops nothing.
-	if c4.Groups[0].HostKV.CmdsOffloaded != c4.Master.WritesPropagated {
-		t.Fatalf("offloaded %d commands for %d writes", c4.Groups[0].HostKV.CmdsOffloaded, c4.Master.WritesPropagated)
+	if c4.Groups[0].HostKV.CmdsOffloaded.Value() != c4.Master.WritesPropagated {
+		t.Fatalf("offloaded %d commands for %d writes", c4.Groups[0].HostKV.CmdsOffloaded.Value(), c4.Master.WritesPropagated)
 	}
-	if c4.Groups[0].NicKV.ReplCmds != c4.Groups[0].NicKV.ReplRequests &&
-		c4.Groups[0].NicKV.ReplCmds < c4.Groups[0].NicKV.ReplRequests {
+	if c4.Groups[0].NicKV.ReplCmds.Value() != c4.Groups[0].NicKV.ReplRequests.Value() &&
+		c4.Groups[0].NicKV.ReplCmds.Value() < c4.Groups[0].NicKV.ReplRequests.Value() {
 		t.Fatalf("Nic-KV cmd accounting broken: %d cmds in %d requests",
-			c4.Groups[0].NicKV.ReplCmds, c4.Groups[0].NicKV.ReplRequests)
+			c4.Groups[0].NicKV.ReplCmds.Value(), c4.Groups[0].NicKV.ReplRequests.Value())
 	}
 	if res4.Throughput < res1.Throughput {
 		t.Fatalf("batching regressed throughput: %.0f ops/s vs %.0f unbatched",
@@ -160,7 +160,7 @@ func TestChaosScenariosBatched(t *testing.T) {
 				if err != nil {
 					t.Fatalf("convergence failed:\n%v\ntrace:\n%s", err, h.TraceString())
 				}
-				if batch == 4 && s.Name == "slave-crash-recover" && c.Groups[0].SlaveAgents[1].Resyncs == 0 {
+				if batch == 4 && s.Name == "slave-crash-recover" && c.Groups[0].SlaveAgents[1].Resyncs.Value() == 0 {
 					t.Error("recovered slave never resynchronized")
 				}
 			})

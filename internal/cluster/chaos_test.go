@@ -196,28 +196,28 @@ func checkScenarioExpectations(t *testing.T, name string, c *Cluster, h *Chaos) 
 		if g.NicKV.MasterRestores == 0 {
 			t.Error("master restart never triggered a restore")
 		}
-		if g.SlaveAgents[0].Promoted+g.SlaveAgents[1].Promoted+g.SlaveAgents[2].Promoted == 0 {
+		if g.SlaveAgents[0].Promoted.Value()+g.SlaveAgents[1].Promoted.Value()+g.SlaveAgents[2].Promoted.Value() == 0 {
 			t.Error("no slave was promoted")
 		}
-		if g.SlaveAgents[0].Demoted+g.SlaveAgents[1].Demoted+g.SlaveAgents[2].Demoted == 0 {
+		if g.SlaveAgents[0].Demoted.Value()+g.SlaveAgents[1].Demoted.Value()+g.SlaveAgents[2].Demoted.Value() == 0 {
 			t.Error("no slave was demoted after the master returned")
 		}
 	case "slave-crash-recover":
-		if g.SlaveAgents[1].Resyncs == 0 {
+		if g.SlaveAgents[1].Resyncs.Value() == 0 {
 			t.Error("recovered slave never resynchronized")
 		}
 		if g.NicKV.Failovers != 0 {
 			t.Errorf("slave crash caused %d failovers", g.NicKV.Failovers)
 		}
 	case "slave-flap-resync":
-		if g.SlaveAgents[1].Resyncs == 0 {
+		if g.SlaveAgents[1].Resyncs.Value() == 0 {
 			t.Error("flapped slave never resynchronized")
 		}
-		if c.Net.Parked == 0 {
+		if c.Net.Parked.Value() == 0 {
 			t.Error("flap parked no traffic")
 		}
 	case "nic-partition-probe-timeout":
-		if c.Net.Parked == 0 {
+		if c.Net.Parked.Value() == 0 {
 			t.Error("partition parked no traffic")
 		}
 		if g.NicKV.Failovers != 0 {
@@ -233,7 +233,7 @@ func checkScenarioExpectations(t *testing.T, name string, c *Cluster, h *Chaos) 
 			t.Error("heal event missing from trace")
 		}
 	case "lossy-links-under-load":
-		if c.Net.Faults().Retransmits == 0 {
+		if c.Net.Retransmits.Value() == 0 {
 			t.Error("lossy links produced no retransmissions")
 		}
 		if g.NicKV.Failovers != 0 {

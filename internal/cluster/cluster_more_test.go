@@ -95,10 +95,10 @@ func TestMixedWorkload(t *testing.T) {
 		t.Fatalf("mixed run: %+v", res)
 	}
 	// Only the SET fraction is replicated.
-	if c.Groups[0].HostKV.ReplReqsSent == 0 {
+	if c.Groups[0].HostKV.ReplReqsSent.Value() == 0 {
 		t.Fatal("no writes replicated")
 	}
-	if c.Groups[0].HostKV.ReplReqsSent >= c.Master.CommandsProcessed {
+	if c.Groups[0].HostKV.ReplReqsSent.Value() >= c.Master.CommandsProcessed() {
 		t.Fatal("GETs were replicated")
 	}
 }
@@ -228,8 +228,8 @@ func TestSKVSyncPathCounters(t *testing.T) {
 	// Fresh slaves with replid "?" take the full-RDB path... unless the
 	// master's backlog still covers offset 0 (fresh master), in which case
 	// the partial path is correct. Either way both slaves were served.
-	if g.HostKV.FullSyncs+g.HostKV.PartialSyncs < 2 {
-		t.Fatalf("initial syncs served: full=%d partial=%d", g.HostKV.FullSyncs, g.HostKV.PartialSyncs)
+	if g.HostKV.FullSyncs.Value()+g.HostKV.PartialSyncs.Value() < 2 {
+		t.Fatalf("initial syncs served: full=%d partial=%d", g.HostKV.FullSyncs.Value(), g.HostKV.PartialSyncs.Value())
 	}
 	c.StartClients()
 	c.Eng.Run(c.Eng.Now().Add(200 * sim.Millisecond))
@@ -238,15 +238,15 @@ func TestSKVSyncPathCounters(t *testing.T) {
 	// gap well inside the 1MB backlog, so the resync must take the partial
 	// (backlog-range) path. (A longer outage would overflow the backlog
 	// and correctly fall back to a full RDB transfer.)
-	partialBefore := g.HostKV.PartialSyncs
-	fullBefore := g.HostKV.FullSyncs
+	partialBefore := g.HostKV.PartialSyncs.Value()
+	fullBefore := g.HostKV.FullSyncs.Value()
 	c.Slaves[0].Crash()
 	c.Eng.Run(c.Eng.Now().Add(20 * sim.Millisecond))
 	c.Slaves[0].Recover()
 	c.Eng.Run(c.Eng.Now().Add(800 * sim.Millisecond))
-	if g.HostKV.PartialSyncs <= partialBefore {
+	if g.HostKV.PartialSyncs.Value() <= partialBefore {
 		t.Fatalf("recovery did not use the backlog path (partial %d→%d, full %d→%d)",
-			partialBefore, g.HostKV.PartialSyncs, fullBefore, g.HostKV.FullSyncs)
+			partialBefore, g.HostKV.PartialSyncs.Value(), fullBefore, g.HostKV.FullSyncs.Value())
 	}
 	// And the recovered slave converged.
 	for _, cl := range c.Clients {

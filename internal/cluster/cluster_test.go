@@ -95,11 +95,11 @@ func TestSKVReplicationSyncsAndPropagates(t *testing.T) {
 	g := c.Groups[0]
 	// The headline mechanism: exactly one replication request per
 	// propagated write, regardless of 3 slaves.
-	if g.HostKV.ReplReqsSent != c.Master.WritesPropagated {
+	if g.HostKV.ReplReqsSent.Value() != c.Master.WritesPropagated {
 		t.Errorf("master sent %d repl requests for %d writes (must be 1:1)",
-			g.HostKV.ReplReqsSent, c.Master.WritesPropagated)
+			g.HostKV.ReplReqsSent.Value(), c.Master.WritesPropagated)
 	}
-	if g.NicKV.ReplRequests == 0 {
+	if g.NicKV.ReplRequests.Value() == 0 {
 		t.Error("Nic-KV saw no replication requests")
 	}
 }
@@ -204,7 +204,7 @@ func TestSKVMasterFailoverAndRestore(t *testing.T) {
 	}
 	promoted := -1
 	for i, a := range g.SlaveAgents {
-		if a.Promoted > 0 {
+		if a.Promoted.Value() > 0 {
 			promoted = i
 		}
 	}
@@ -221,7 +221,7 @@ func TestSKVMasterFailoverAndRestore(t *testing.T) {
 	if g.NicKV.PromotedID() != "" {
 		t.Fatal("promoted node not demoted after master recovery")
 	}
-	if g.SlaveAgents[promoted].Demoted == 0 {
+	if g.SlaveAgents[promoted].Demoted.Value() == 0 {
 		t.Fatal("demote order never reached the promoted slave")
 	}
 	if c.Slaves[promoted].Role().String() != "slave" {

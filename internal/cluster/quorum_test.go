@@ -48,8 +48,8 @@ func TestBatchedQuorumSendsNoExtraFrames(t *testing.T) {
 	}
 
 	g := c.Groups[0]
-	writes := g.HostKV.CmdsOffloaded
-	batches := g.HostKV.ReplReqsSent
+	writes := g.HostKV.CmdsOffloaded.Value()
+	batches := g.HostKV.ReplReqsSent.Value()
 	nic := func(name string) uint64 { return g.NicKV.Metrics().Counter(name).Value() }
 	if writes < 2*batches {
 		t.Fatalf("%d writes in %d batches: the stream never batched, the test has no bite", writes, batches)
@@ -211,7 +211,7 @@ func TestMixedLevelsShareOneBatch(t *testing.T) {
 	s.afterProbeTick()
 	s.cutSlave2(true)
 	g := s.c.Groups[0]
-	reqs := g.HostKV.ReplReqsSent
+	reqs := g.HostKV.ReplReqsSent.Value()
 	a.conn.Send(resp.EncodeCommand("SET", "a", "1"))
 	b.conn.Send(resp.EncodeCommand("SET", "b", "1"))
 	c.conn.Send(resp.EncodeCommand("SET", "c", "1"))
@@ -219,11 +219,11 @@ func TestMixedLevelsShareOneBatch(t *testing.T) {
 	if len(c.vals) != 2 || !c.vals[1].IsOK() {
 		t.Fatalf("the async write got %d replies inside the batching window, want its OK", len(c.vals)-1)
 	}
-	if g.HostKV.ReplReqsSent != reqs || s.c.Master.ReplStream().Pending() == 0 {
-		t.Fatalf("the batch left early: %d requests since, %d bytes pending", g.HostKV.ReplReqsSent-reqs, s.c.Master.ReplStream().Pending())
+	if g.HostKV.ReplReqsSent.Value() != reqs || s.c.Master.ReplStream().Pending() == 0 {
+		t.Fatalf("the batch left early: %d requests since, %d bytes pending", g.HostKV.ReplReqsSent.Value()-reqs, s.c.Master.ReplStream().Pending())
 	}
 	s.c.Eng.RunFor(20 * sim.Millisecond)
-	if got := g.HostKV.ReplReqsSent - reqs; got != 1 {
+	if got := g.HostKV.ReplReqsSent.Value() - reqs; got != 1 {
 		t.Fatalf("%d replication requests for the three writes, want one batch", got)
 	}
 	if q := s.nicCounter("nickv.gate.queued"); q != 1 || s.gatesPending() != 1 {

@@ -194,13 +194,13 @@ func TestRoutedBatchedDoorbellTimer(t *testing.T) {
 	g := c.Groups[0]
 	// The timer must actually coalesce: strictly fewer doorbells than
 	// writes, with every write still offloaded.
-	if g.HostKV.ReplReqsSent >= c.Master.WritesPropagated {
+	if g.HostKV.ReplReqsSent.Value() >= c.Master.WritesPropagated {
 		t.Fatalf("timer coalesced nothing: %d WRs for %d writes",
-			g.HostKV.ReplReqsSent, c.Master.WritesPropagated)
+			g.HostKV.ReplReqsSent.Value(), c.Master.WritesPropagated)
 	}
-	if g.HostKV.CmdsOffloaded != c.Master.WritesPropagated {
+	if g.HostKV.CmdsOffloaded.Value() != c.Master.WritesPropagated {
 		t.Fatalf("offloaded %d commands for %d writes",
-			g.HostKV.CmdsOffloaded, c.Master.WritesPropagated)
+			g.HostKV.CmdsOffloaded.Value(), c.Master.WritesPropagated)
 	}
 	// Determinism: identical second run, identical snapshots.
 	if c2 := runOnce(timerParams()); c.SnapshotsString() != c2.SnapshotsString() {

@@ -201,7 +201,7 @@ func TestTrackingSmokeSKVRedirect(t *testing.T) {
 	if g.NicKV.TrackingSubscribers() != 3 {
 		t.Fatalf("NIC holds %d subscribers, want 3", g.NicKV.TrackingSubscribers())
 	}
-	if g.NicKV.InvalidationsPushed == 0 {
+	if g.NicKV.InvalidationsPushed.Value() == 0 {
 		t.Fatal("NIC pushed no invalidations — pushes did not ride the fan-out path")
 	}
 }
@@ -243,7 +243,7 @@ func TestTrackingSmokeNicServedReads(t *testing.T) {
 	if invals == 0 {
 		t.Fatal("overwrites through the host never invalidated the NIC-side caches")
 	}
-	if c.Groups[0].NicKV.InvalidationsPushed == 0 {
+	if c.Groups[0].NicKV.InvalidationsPushed.Value() == 0 {
 		t.Fatal("NIC invalidation counter never moved")
 	}
 	if c.Master.TrackingLen() != 0 {

@@ -180,9 +180,9 @@ func TestMalformedFramesRejected(t *testing.T) {
 			host.onNicMessage(tc.frame)
 			ok = host.statusSeen
 		case msgOffload:
-			before, gates := nic.ReplCmds, nic.gates.Len()
+			before, gates := nic.ReplCmds.Value(), nic.gates.Len()
 			nic.onMessage(nil, tc.frame)
-			ok = nic.ReplCmds > before
+			ok = nic.ReplCmds.Value() > before
 			// An accepted request queues its gate, if it has one (the high
 			// half of the second header word); a refused one queues nothing.
 			want := 0

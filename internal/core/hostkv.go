@@ -43,21 +43,15 @@ type HostKV struct {
 	// Send copies, so one buffer serves every batch.
 	frame []byte
 
-	// Stats.
-	FullSyncs    uint64
-	PartialSyncs uint64
-	// ReplReqsSent counts frames (work requests) posted to Nic-KV;
-	// CmdsOffloaded counts the commands they carried. The ratio
-	// ReplReqsSent/CmdsOffloaded is the WR amortization batching buys.
-	ReplReqsSent  uint64
-	CmdsOffloaded uint64
-
-	// Offload round-trip instruments, resolved from the server's registry.
-	mReplReqs      *metrics.Counter
-	mCmdsOffloaded *metrics.Counter
-	mFullSyncs     *metrics.Counter
-	mPartialSyncs  *metrics.Counter
-	mProbeAcks     *metrics.Counter
+	// Offload and initial-sync counters, resolved once from the server's
+	// registry (hostkv.*). ReplReqsSent counts frames (work requests) posted
+	// to Nic-KV, CmdsOffloaded the commands they carried: their ratio is the
+	// WR amortization batching buys.
+	FullSyncs     *metrics.Counter
+	PartialSyncs  *metrics.Counter
+	ReplReqsSent  *metrics.Counter
+	CmdsOffloaded *metrics.Counter
+	mProbeAcks    *metrics.Counter
 }
 
 // AttachMaster wires an SKV master: connects to Nic-KV, redirects the
@@ -72,11 +66,11 @@ func AttachMaster(srv *server.Server, net *fabric.Network, nicEP *fabric.Endpoin
 		payloadConns: make(map[string]transport.Conn),
 		pendingSends: make(map[string][][]byte),
 
-		mReplReqs:      srv.Metrics().Counter("hostkv.repl_reqs"),
-		mCmdsOffloaded: srv.Metrics().Counter("hostkv.cmds_offloaded"),
-		mFullSyncs:     srv.Metrics().Counter("hostkv.full_syncs"),
-		mPartialSyncs:  srv.Metrics().Counter("hostkv.partial_syncs"),
-		mProbeAcks:     srv.Metrics().Counter("hostkv.probe_acks"),
+		ReplReqsSent:  srv.Metrics().Counter("hostkv.repl_reqs"),
+		CmdsOffloaded: srv.Metrics().Counter("hostkv.cmds_offloaded"),
+		FullSyncs:     srv.Metrics().Counter("hostkv.full_syncs"),
+		PartialSyncs:  srv.Metrics().Counter("hostkv.partial_syncs"),
+		mProbeAcks:    srv.Metrics().Counter("hostkv.probe_acks"),
 	}
 	srv.OnPropagate = h.propagate
 	srv.AddInfoSection(h.infoSection)
@@ -147,10 +141,8 @@ func (h *HostKV) propagate(b replstream.Batch) {
 		return
 	}
 	h.Srv.Proc().Core.Charge(h.Srv.Params().ReplOffloadReqCPU)
-	h.ReplReqsSent++
-	h.CmdsOffloaded += uint64(b.Cmds)
-	h.mReplReqs.Inc()
-	h.mCmdsOffloaded.Add(uint64(b.Cmds))
+	h.ReplReqsSent.Inc()
+	h.CmdsOffloaded.Add(uint64(b.Cmds))
 	h.frame = appendOffload(h.frame[:0], b.Start, b.Gate, b.Cmds, b.Data)
 	h.nicConn.Send(h.frame)
 }
@@ -188,10 +180,10 @@ func (h *HostKV) infoSection() store.InfoSection {
 	return store.InfoSection{Name: "SKV", Lines: []string{
 		fmt.Sprintf("valid_slaves:%d", h.validSlaves),
 		fmt.Sprintf("min_slave_offset:%d", h.minSlaveOffset),
-		fmt.Sprintf("repl_reqs_sent:%d", h.ReplReqsSent),
-		fmt.Sprintf("cmds_offloaded:%d", h.CmdsOffloaded),
-		fmt.Sprintf("full_syncs:%d", h.FullSyncs),
-		fmt.Sprintf("partial_syncs:%d", h.PartialSyncs),
+		fmt.Sprintf("repl_reqs_sent:%d", h.ReplReqsSent.Value()),
+		fmt.Sprintf("cmds_offloaded:%d", h.CmdsOffloaded.Value()),
+		fmt.Sprintf("full_syncs:%d", h.FullSyncs.Value()),
+		fmt.Sprintf("partial_syncs:%d", h.PartialSyncs.Value()),
 		fmt.Sprintf("nic_repl_threads:%d", h.nicReplThreads),
 	}}
 }
@@ -273,8 +265,7 @@ func (h *HostKV) serveNewSlave(id, replID string, off int64) {
 	if replID == srv.ReplID() {
 		if delta, okRange := srv.Backlog().Range(off); okRange {
 			// Deviation inside the backlog (or zero): partial resync.
-			h.PartialSyncs++
-			h.mPartialSyncs.Inc()
+			h.PartialSyncs.Inc()
 			frame = []byte{msgPayloadBacklog}
 			frame = appendStr(frame, srv.ReplID())
 			frame = appendU64(frame, uint64(off))
@@ -282,8 +273,7 @@ func (h *HostKV) serveNewSlave(id, replID string, off int64) {
 		}
 	}
 	if frame == nil {
-		h.FullSyncs++
-		h.mFullSyncs.Inc()
+		h.FullSyncs.Inc()
 		frame = []byte{msgPayloadRDB}
 		frame = appendStr(frame, srv.ReplID())
 		frame = appendU64(frame, uint64(srv.ReplOffset()))

@@ -98,26 +98,26 @@ func TestSlaveStopsAtUndecodableStream(t *testing.T) {
 		t.Fatalf("slave not following the stream: synced=%t offset=%d master=%d", a.Synced(), a.Offset(), u.master.ReplOffset())
 	}
 
-	off, resyncs := a.Offset(), a.Resyncs
+	off, resyncs := a.Offset(), a.Resyncs.Value()
 	a.onStream(off, []byte("*1\r\n$x\r\n"))
 	if a.Offset() != off {
 		t.Fatalf("offset moved %d -> %d over bytes nobody executed", off, a.Offset())
 	}
-	if a.Resyncs != resyncs+1 || a.Synced() {
-		t.Fatalf("no resynchronization requested: resyncs %d -> %d, synced=%t", resyncs, a.Resyncs, a.Synced())
+	if a.Resyncs.Value() != resyncs+1 || a.Synced() {
+		t.Fatalf("no resynchronization requested: resyncs %d -> %d, synced=%t", resyncs, a.Resyncs.Value(), a.Synced())
 	}
 	if n := a.Srv.Metrics().Counter(replstream.ProtocolErrorsMetric).Value(); n != 1 {
 		t.Fatalf("%s = %d, want 1", replstream.ProtocolErrorsMetric, n)
 	}
 
 	// The resync it asked for is a full one, and the stream resumes after it.
-	fulls := u.host.FullSyncs
+	fulls := u.host.FullSyncs.Value()
 	u.eng.RunFor(50 * sim.Millisecond)
 	u.write("SET", "after", "2")
 	u.eng.RunFor(10 * sim.Millisecond)
-	if u.host.FullSyncs != fulls+1 || !a.Synced() || a.Offset() != u.master.ReplOffset() {
+	if u.host.FullSyncs.Value() != fulls+1 || !a.Synced() || a.Offset() != u.master.ReplOffset() {
 		t.Fatalf("slave did not recover: full syncs %d -> %d, synced=%t, offset=%d master=%d",
-			fulls, u.host.FullSyncs, a.Synced(), a.Offset(), u.master.ReplOffset())
+			fulls, u.host.FullSyncs.Value(), a.Synced(), a.Offset(), u.master.ReplOffset())
 	}
 	if got := u.get(a, "after"); got != "$1\r\n2\r\n" {
 		t.Fatalf("write after the recovery not applied on the slave: GET after = %q", got)

@@ -107,16 +107,10 @@ type NicKV struct {
 	// push channels, and their reverse map. See nictrack.go.
 	track *nicTracking
 
-	// Stats for tests and ablations. ReplRequests counts frames from the
-	// master, ReplCmds the commands they carried (equal unless batching);
-	// StreamSent counts frames pushed to slaves. InvalidationsPushed counts
-	// invalidation pushes to tracking subscribers.
-	ReplRequests        uint64
-	ReplCmds            uint64
-	StreamSent          uint64
-	Failovers           uint64
-	MasterRestores      uint64
-	InvalidationsPushed uint64
+	// Failovers and MasterRestores count the promotions and restores this NIC
+	// ordered (the timeline records each one).
+	Failovers      uint64
+	MasterRestores uint64
 
 	// metrics/timeline are the NIC's observability plane: counters and the
 	// probe-RTT histogram in the registry, failure-detector and failover
@@ -127,18 +121,22 @@ type NicKV struct {
 	// reference point for the per-slave lag gauges).
 	streamEnd int64
 
-	mReplRequests  *metrics.Counter
-	mReplCmds      *metrics.Counter
-	mStreamSent    *metrics.Counter
-	mProbesSent    *metrics.Counter
-	mProbeAcks     *metrics.Counter
-	mMarkDowns     *metrics.Counter
-	mMarkUps       *metrics.Counter
-	mGatesQueued   *metrics.Counter
-	mGateReleases  *metrics.Counter
-	gGatesPending  *metrics.Gauge
-	probeRTT       *metrics.LatencyHist
-	mInvalidations *metrics.Counter
+	// ReplRequests counts frames from the master, ReplCmds the commands they
+	// carried (equal unless batching); StreamSent counts frames pushed to
+	// slaves, InvalidationsPushed invalidation pushes to tracking subscribers.
+	ReplRequests        *metrics.Counter
+	ReplCmds            *metrics.Counter
+	StreamSent          *metrics.Counter
+	InvalidationsPushed *metrics.Counter
+
+	mProbesSent   *metrics.Counter
+	mProbeAcks    *metrics.Counter
+	mMarkDowns    *metrics.Counter
+	mMarkUps      *metrics.Counter
+	mGatesQueued  *metrics.Counter
+	mGateReleases *metrics.Counter
+	gGatesPending *metrics.Gauge
+	probeRTT      *metrics.LatencyHist
 }
 
 // NewNicKV boots Nic-KV on the SmartNIC endpoint of machine m. It creates
@@ -168,18 +166,18 @@ func NewNicKV(eng *sim.Engine, net *fabric.Network, m *fabric.Machine, params *m
 		metrics:  reg,
 		timeline: metrics.NewTimeline(eng.Now),
 
-		mReplRequests:  reg.Counter("nickv.repl.requests"),
-		mReplCmds:      reg.Counter("nickv.repl.cmds"),
-		mStreamSent:    reg.Counter("nickv.stream.sent"),
-		mProbesSent:    reg.Counter("nickv.probe.sent"),
-		mProbeAcks:     reg.Counter("nickv.probe.acks"),
-		mMarkDowns:     reg.Counter("nickv.node.mark_down"),
-		mMarkUps:       reg.Counter("nickv.node.mark_up"),
-		mGatesQueued:   reg.Counter("nickv.gate.queued"),
-		mGateReleases:  reg.Counter("nickv.gate.releases"),
-		gGatesPending:  reg.Gauge("nickv.gate.pending"),
-		probeRTT:       reg.Histogram("nickv.probe.rtt"),
-		mInvalidations: reg.Counter("nickv.track.invalidations"),
+		ReplRequests:        reg.Counter("nickv.repl.requests"),
+		ReplCmds:            reg.Counter("nickv.repl.cmds"),
+		StreamSent:          reg.Counter("nickv.stream.sent"),
+		mProbesSent:         reg.Counter("nickv.probe.sent"),
+		mProbeAcks:          reg.Counter("nickv.probe.acks"),
+		mMarkDowns:          reg.Counter("nickv.node.mark_down"),
+		mMarkUps:            reg.Counter("nickv.node.mark_up"),
+		mGatesQueued:        reg.Counter("nickv.gate.queued"),
+		mGateReleases:       reg.Counter("nickv.gate.releases"),
+		gGatesPending:       reg.Gauge("nickv.gate.pending"),
+		probeRTT:            reg.Histogram("nickv.probe.rtt"),
+		InvalidationsPushed: reg.Counter("nickv.track.invalidations"),
 	}
 	n.Stack.Device().SetMetrics(reg)
 	// cfg.ThreadNum was clamped to [1, NICCores] above; record what the NIC
@@ -332,8 +330,7 @@ func (n *NicKV) onMessage(conn transport.Conn, data []byte) {
 		}
 		n.registerSlave(id, replID, off, conn)
 	case msgOffload:
-		n.ReplRequests++
-		n.mReplRequests.Inc()
+		n.ReplRequests.Inc()
 		n.proc.Core.Charge(n.params.NicParseReqCPU)
 		off, gate, cnt, cmds, ok := r.offload()
 		if !ok {
@@ -495,8 +492,7 @@ func (n *NicKV) findNode(id string) *nodeEntry {
 // are spread evenly across the ARM cores; the default single-threaded mode
 // does everything on the main core.
 func (n *NicKV) fanOut(off int64, cmd []byte, cmds int) {
-	n.ReplCmds += uint64(cmds)
-	n.mReplCmds.Add(uint64(cmds))
+	n.ReplCmds.Add(uint64(cmds))
 	if end := off + int64(len(cmd)); end > n.streamEnd {
 		n.streamEnd = end
 	}
@@ -516,8 +512,7 @@ func (n *NicKV) fanOut(off int64, cmd []byte, cmds int) {
 		if nd.conn == nil {
 			return
 		}
-		n.StreamSent++
-		n.mStreamSent.Inc()
+		n.StreamSent.Inc()
 		nd.lag.Set(lagBehind(n.streamEnd, nd.offset))
 		if len(n.threads) > 0 {
 			conn := nd.conn

@@ -150,56 +150,54 @@ type Network struct {
 	// of messages simultaneously on the wire.
 	idle []*delivery
 
-	// Delivered counts messages delivered (for tests/ablation reporting).
-	Delivered uint64
-	// Dropped counts messages dropped due to a down endpoint.
-	Dropped uint64
-	// Parked counts messages held on blocked links by the fault plane.
-	Parked uint64
-
 	// faults is the fault-injection plane, nil until Faults() installs it.
 	faults *Faults
 
-	// metrics is the fabric's registry (nil until SetMetrics); the resolved
-	// instruments below are nil-safe no-ops without it.
-	metrics      *metrics.Registry
-	mTxMsgs      *metrics.Counter
-	mTxBytes     *metrics.Counter
-	mDelivered   *metrics.Counter
-	mDropped     *metrics.Counter
-	mParked      *metrics.Counter
-	mRetransmits *metrics.Counter
-	mSpikes      *metrics.Counter
+	// metrics is the fabric's registry and the counters below are resolved
+	// from it. Dropped counts messages dropped at a down endpoint; Parked,
+	// Retransmits and Spikes count the fault plane's parked messages,
+	// loss→retransmission events and delay spikes.
+	metrics     *metrics.Registry
+	mTxMsgs     *metrics.Counter
+	mTxBytes    *metrics.Counter
+	mDelivered  *metrics.Counter
+	Dropped     *metrics.Counter
+	Parked      *metrics.Counter
+	Retransmits *metrics.Counter
+	Spikes      *metrics.Counter
 }
 
-// New creates an empty network on the engine with the given parameters.
+// New creates an empty network on the engine with the given parameters and
+// its own "fabric" metrics registry.
 func New(eng *sim.Engine, params *model.Params) *Network {
-	return &Network{
+	n := &Network{
 		eng:         eng,
 		params:      params,
 		machines:    make(map[string]*Machine),
 		lastArrival: make(map[[2]*Endpoint]sim.Time),
 	}
+	n.SetMetrics(metrics.NewRegistry("fabric", eng.Now))
+	return n
 }
 
 // Engine exposes the simulation engine driving this network.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// SetMetrics installs the fabric's metrics registry and resolves the
+// SetMetrics replaces the fabric's metrics registry and resolves the
 // wire-level instruments (tx messages/bytes, deliveries, drops, parked
-// traffic, retransmits, delay spikes).
+// traffic, retransmits, delay spikes) from it.
 func (n *Network) SetMetrics(reg *metrics.Registry) {
 	n.metrics = reg
 	n.mTxMsgs = reg.Counter("fabric.tx.msgs")
 	n.mTxBytes = reg.Counter("fabric.tx.bytes")
 	n.mDelivered = reg.Counter("fabric.rx.msgs")
-	n.mDropped = reg.Counter("fabric.dropped")
-	n.mParked = reg.Counter("fabric.parked")
-	n.mRetransmits = reg.Counter("fabric.retransmits")
-	n.mSpikes = reg.Counter("fabric.spikes")
+	n.Dropped = reg.Counter("fabric.dropped")
+	n.Parked = reg.Counter("fabric.parked")
+	n.Retransmits = reg.Counter("fabric.retransmits")
+	n.Spikes = reg.Counter("fabric.spikes")
 }
 
-// Metrics exposes the fabric registry (nil until SetMetrics).
+// Metrics exposes the fabric registry.
 func (n *Network) Metrics() *metrics.Registry { return n.metrics }
 
 // Params exposes the calibration parameters.
@@ -330,12 +328,10 @@ func (d *delivery) fire() {
 	n.idle = append(n.idle, d)
 	src, dst := m.Src, m.Dst
 	if dst.down || dst.deliver == nil {
-		n.Dropped++
-		n.mDropped.Inc()
+		n.Dropped.Inc()
 		notifyOutcome(src, m, false)
 		return
 	}
-	n.Delivered++
 	n.mDelivered.Inc()
 	// The ack for this delivery travels dst→src; a partitioned reverse
 	// path starves the sender of acks even though the data landed.

@@ -81,8 +81,8 @@ func TestSendToDownEndpointDropped(t *testing.T) {
 	if delivered {
 		t.Fatal("message delivered to down endpoint")
 	}
-	if n.Dropped != 1 {
-		t.Fatalf("Dropped = %d, want 1", n.Dropped)
+	if n.Dropped.Value() != 1 {
+		t.Fatalf("Dropped = %d, want 1", n.Dropped.Value())
 	}
 }
 

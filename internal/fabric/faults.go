@@ -62,13 +62,6 @@ type Faults struct {
 	net   *Network
 	rng   *rand.Rand
 	links map[linkKey]*linkFault
-
-	// Retransmits counts simulated loss→retransmission events.
-	Retransmits uint64
-	// ParkedCount counts messages parked on blocked links.
-	ParkedCount uint64
-	// Spikes counts delay-spike events.
-	Spikes uint64
 }
 
 // Faults returns the network's fault-injection plane, installing it on
@@ -207,9 +200,7 @@ func (f *Faults) send(m Message, lat sim.Duration) {
 		m.Parked = true
 		lf := f.link(src, dst)
 		lf.parked = append(lf.parked, parkedMsg{msg: m, lat: lat})
-		f.ParkedCount++
-		n.Parked++
-		n.mParked.Inc()
+		n.Parked.Inc()
 		// The sender's transport sees the ack timeout one latency later.
 		n.eng.After(lat, func() { notifyOutcome(src, m, false) })
 		return
@@ -219,14 +210,12 @@ func (f *Faults) send(m Message, lat sim.Duration) {
 		if lf.lossProb > 0 {
 			for f.rng.Float64() < lf.lossProb {
 				lat += lf.lossPenalty
-				f.Retransmits++
-				n.mRetransmits.Inc()
+				n.Retransmits.Inc()
 			}
 		}
 		if lf.spikeProb > 0 && f.rng.Float64() < lf.spikeProb {
 			lat += lf.spikeDelay
-			f.Spikes++
-			n.mSpikes.Inc()
+			n.Spikes.Inc()
 		}
 	}
 	n.deliverAfter(m, lat)

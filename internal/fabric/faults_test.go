@@ -29,8 +29,8 @@ func TestPartitionParksAndHealDelivers(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("partitioned link delivered %v", got)
 	}
-	if net.Parked != 2 {
-		t.Fatalf("Parked=%d want 2", net.Parked)
+	if net.Parked.Value() != 2 {
+		t.Fatalf("Parked=%d want 2", net.Parked.Value())
 	}
 	f.Heal(a.Host, b.Host)
 	eng.RunFor(10 * sim.Millisecond)
@@ -81,7 +81,7 @@ func TestLossAddsDeterministicRetransmitDelay(t *testing.T) {
 			net.Send(a.Host, b.Host, 64, i, 0)
 		}
 		eng.RunFor(200 * sim.Millisecond)
-		if net.Faults().Retransmits == 0 {
+		if net.Retransmits.Value() == 0 {
 			t.Fatal("no retransmits at 50% loss over 20 messages")
 		}
 		if len(arrivals) != 20 {
@@ -110,8 +110,8 @@ func TestDelaySpikes(t *testing.T) {
 	if arrivals[0] < sim.Time(5*sim.Millisecond) {
 		t.Fatalf("spike (p=1.0) not applied: arrival at %v", arrivals[0])
 	}
-	if net.Faults().Spikes != 1 {
-		t.Fatalf("Spikes=%d want 1", net.Faults().Spikes)
+	if net.Spikes.Value() != 1 {
+		t.Fatalf("Spikes=%d want 1", net.Spikes.Value())
 	}
 }
 

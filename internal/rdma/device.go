@@ -181,10 +181,6 @@ type QP struct {
 	// sharded server's routing plane pins client QPs to routing cores).
 	recvCore *sim.Core
 
-	// PostedSends counts PostSend calls (CPU-accounting assertions in
-	// tests and the WR-count ablation read this).
-	PostedSends uint64
-
 	// unackedSince is when the current streak of unacked sends began
 	// (-1 when the last send was acked). Maintained by Device.sendOutcome.
 	unackedSince sim.Time
@@ -448,7 +444,6 @@ func (qp *QP) PostSend(wr SendWR) error {
 	if qp.peerEP == nil {
 		return fmt.Errorf("rdma: QP %d not connected", qp.qpn)
 	}
-	qp.PostedSends++
 	switch wr.Op {
 	case OpSend:
 		qp.dev.m.wrSend.Inc()

@@ -120,14 +120,10 @@ type Writer struct {
 	pendingGate  Gate
 	scheduled    bool
 
-	// CmdsAppended counts commands entered into the stream (SELECTs
-	// included); BatchesFlushed counts downstream flushes. Their ratio is
-	// the WR-amortization factor the batching buys.
-	CmdsAppended   uint64
-	BatchesFlushed uint64
-
-	// Registry instruments (no-ops without cfg.Metrics).
-	mCmds        *metrics.Counter
+	// Registry instruments (no-ops without cfg.Metrics). CmdsAppended counts
+	// commands entered into the stream (SELECTs included); over
+	// BatchesFlushed it is the WR-amortization factor the batching buys.
+	CmdsAppended *metrics.Counter
 	mBytes       *metrics.Counter
 	mFlushCmd    *metrics.Counter
 	mFlushBytes  *metrics.Counter
@@ -160,13 +156,19 @@ func NewWriter(cfg WriterConfig) *Writer {
 	}
 	return &Writer{
 		cfg:          cfg,
-		mCmds:        cfg.Metrics.Counter("repl.stream.cmds"),
+		CmdsAppended: cfg.Metrics.Counter("repl.stream.cmds"),
 		mBytes:       cfg.Metrics.Counter("repl.stream.bytes"),
 		mFlushCmd:    cfg.Metrics.Counter("repl.flush.cmd_budget"),
 		mFlushBytes:  cfg.Metrics.Counter("repl.flush.byte_budget"),
 		mFlushQuiese: cfg.Metrics.Counter("repl.flush.quiesce"),
 		mFlushForced: cfg.Metrics.Counter("repl.flush.forced"),
 	}
+}
+
+// BatchesFlushed reports the batches sent downstream, whatever flushed them
+// (the sum of the repl.flush.* counters).
+func (w *Writer) BatchesFlushed() uint64 {
+	return w.mFlushCmd.Value() + w.mFlushBytes.Value() + w.mFlushQuiese.Value() + w.mFlushForced.Value()
 }
 
 // DB reports the database the stream's SELECT context currently points at.
@@ -210,8 +212,7 @@ func (w *Writer) add(argv [][]byte) {
 		w.pendingStart = start
 	}
 	w.pendingCmds++
-	w.CmdsAppended++
-	w.mCmds.Inc()
+	w.CmdsAppended.Inc()
 	w.mBytes.Add(uint64(len(cmd)))
 	switch {
 	case w.pendingCmds >= w.cfg.MaxCmds:
@@ -238,7 +239,6 @@ func (w *Writer) flush(reason flushReason) {
 	// the best guess at the next batch's — so it is allocated once.
 	w.pending = make([]byte, 0, len(b.Data))
 	w.pendingCmds, w.pendingGate = 0, 0
-	w.BatchesFlushed++
 	switch reason {
 	case flushCmdBudget:
 		w.mFlushCmd.Inc()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"skv/internal/backlog"
+	"skv/internal/metrics"
 	"skv/internal/resp"
 )
 
@@ -26,6 +27,7 @@ func newHarness(maxCmds, maxBytes int, scheduled bool) *harness {
 		Backlog:  h.bl,
 		MaxCmds:  maxCmds,
 		MaxBytes: maxBytes,
+		Metrics:  metrics.NewRegistry("writer", nil),
 		Flush: func(b Batch) {
 			// Copy: real transports also take ownership of Data.
 			h.flushed = append(h.flushed, Batch{Start: b.Start, Data: append([]byte(nil), b.Data...), Cmds: b.Cmds, Gate: b.Gate})
@@ -145,13 +147,13 @@ func TestQuiesceFlush(t *testing.T) {
 func TestManualFlushBarrier(t *testing.T) {
 	h := newHarness(64, 0, true)
 	h.w.Flush() // empty: no-op
-	if h.w.BatchesFlushed != 0 {
+	if h.w.BatchesFlushed() != 0 {
 		t.Fatal("empty Flush counted")
 	}
 	h.w.Append(0, [][]byte{[]byte("SET"), []byte("a"), []byte("1")})
 	h.w.Flush()
-	if len(h.flushed) != 1 || h.w.Pending() != 0 {
-		t.Fatalf("manual flush: flushed=%d pending=%d", len(h.flushed), h.w.Pending())
+	if len(h.flushed) != 1 || h.w.Pending() != 0 || h.w.BatchesFlushed() != 1 {
+		t.Fatalf("manual flush: flushed=%d pending=%d counted=%d", len(h.flushed), h.w.Pending(), h.w.BatchesFlushed())
 	}
 	// The quiesce callback left over from the append must now be a no-op.
 	h.quiesce()
@@ -178,8 +180,8 @@ func TestOffsetsContinuous(t *testing.T) {
 	if end != h.bl.EndOffset() {
 		t.Fatalf("batches end at %d, backlog at %d", end, h.bl.EndOffset())
 	}
-	if h.w.CmdsAppended <= 10 {
-		t.Fatalf("CmdsAppended=%d, want >10 (SELECT injections)", h.w.CmdsAppended)
+	if h.w.CmdsAppended.Value() <= 10 {
+		t.Fatalf("CmdsAppended=%d, want >10 (SELECT injections)", h.w.CmdsAppended.Value())
 	}
 }
 

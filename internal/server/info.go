@@ -99,11 +99,11 @@ func (s *Server) infoReplication() store.InfoSection {
 
 func (s *Server) infoStats() store.InfoSection {
 	return store.InfoSection{Name: "Stats", Lines: []string{
-		fmt.Sprintf("total_commands_processed:%d", s.CommandsProcessed),
+		fmt.Sprintf("total_commands_processed:%d", s.CommandsProcessed()),
 		fmt.Sprintf("total_writes_propagated:%d", s.WritesPropagated),
 		fmt.Sprintf("err_replies_sent:%d", s.ErrRepliesSent),
-		fmt.Sprintf("repl_stream_cmds:%d", s.repl.CmdsAppended),
-		fmt.Sprintf("repl_stream_batches:%d", s.repl.BatchesFlushed),
+		fmt.Sprintf("repl_stream_cmds:%d", s.repl.CmdsAppended.Value()),
+		fmt.Sprintf("repl_stream_batches:%d", s.repl.BatchesFlushed()),
 		fmt.Sprintf("dirty:%d", s.store.Dirty),
 	}}
 }

@@ -63,7 +63,7 @@ func TestBatchedFeedCoalescesPipelinedWrites(t *testing.T) {
 	if master.WritesPropagated != writes {
 		t.Fatalf("WritesPropagated=%d", master.WritesPropagated)
 	}
-	if flushed := master.ReplStream().BatchesFlushed; flushed >= writes {
+	if flushed := master.ReplStream().BatchesFlushed(); flushed >= writes {
 		t.Fatalf("no coalescing: %d batches for %d writes", flushed, writes)
 	}
 	for i := 0; i < writes; i++ {
@@ -89,9 +89,9 @@ func TestBatchSizeOnePreservesPerWriteFeeds(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.do(t, "SET", fmt.Sprintf("k%d", i), "v")
 	}
-	if master.ReplStream().BatchesFlushed != master.WritesPropagated {
+	if master.ReplStream().BatchesFlushed() != master.WritesPropagated {
 		t.Fatalf("batch=1 flushed %d batches for %d writes",
-			master.ReplStream().BatchesFlushed, master.WritesPropagated)
+			master.ReplStream().BatchesFlushed(), master.WritesPropagated)
 	}
 }
 

@@ -58,8 +58,8 @@ func TestBasicCommands(t *testing.T) {
 		if v := c2.do(t, "GET", "k"); v.String() != "v" {
 			t.Fatalf("GET: %s", v.String())
 		}
-		if srv.CommandsProcessed < 2 {
-			t.Fatalf("CommandsProcessed=%d", srv.CommandsProcessed)
+		if srv.CommandsProcessed() < 2 {
+			t.Fatalf("CommandsProcessed=%d", srv.CommandsProcessed())
 		}
 		if v := c1.do(t, "PING"); v.String() != "PONG" {
 			t.Fatalf("PING: %s", v.String())
