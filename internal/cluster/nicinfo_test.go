@@ -36,3 +36,35 @@ func TestNicThreadClampSurfaced(t *testing.T) {
 		t.Fatalf("INFO missing %q:\n%s", wantLine, reply)
 	}
 }
+
+// TestSKVSlaveInfoReportsAgentLink checks INFO replication on an SKV slave.
+// Such a slave follows the stream through its agent and Nic-KV, never
+// through a baseline master link, so the section must report the agent's
+// steady state and applied offset — not "down" and 0.
+func TestSKVSlaveInfoReportsAgentLink(t *testing.T) {
+	c := Build(Config{Kind: KindSKV, Slaves: 2, Clients: 2, Seed: 21, SKV: core.DefaultConfig()})
+	if !c.AwaitReplication(2 * sim.Second) {
+		t.Fatal("sync failed")
+	}
+	c.Measure(0, 20*sim.Millisecond)
+	for _, cl := range c.Clients {
+		cl.Stop()
+	}
+	c.Run(c.Eng.Now().Add(200 * sim.Millisecond))
+	g := c.Groups[0]
+	want := g.Master.ReplOffset()
+	if want == 0 {
+		t.Fatal("nothing replicated")
+	}
+	for i, s := range g.Slaves {
+		if a := g.SlaveAgents[i]; !a.Synced() || a.Offset() != want {
+			t.Fatalf("slave%d agent: synced=%t offset %d, master %d", i, a.Synced(), a.Offset(), want)
+		}
+		reply, _ := s.Store().Exec(0, [][]byte{[]byte("INFO"), []byte("replication")})
+		for _, line := range []string{"master_link_status:up\r\n", fmt.Sprintf("slave_repl_offset:%d\r\n", want)} {
+			if !strings.Contains(string(reply), line) {
+				t.Errorf("slave%d INFO replication lacks %q:\n%s", i, line, reply)
+			}
+		}
+	}
+}

@@ -83,7 +83,6 @@ func (s *Server) slotCheck(c *client, cmd *store.Command, argv [][]byte) []byte 
 	}
 	if cross {
 		s.clusterStats.crossSlot.Inc()
-		s.ErrRepliesSent++
 		return resp.AppendError(nil, slots.CrossSlotMessage)
 	}
 	cr := s.cluster
@@ -163,7 +162,6 @@ func (s *Server) migrationCheck(cmd *store.Command, dbi int, argv [][]byte) []by
 		return resp.AppendError(nil, slots.AskMessage(slot, cr.Map.Addr(target), cr.Port))
 	}
 	s.clusterStats.tryAgain.Inc()
-	s.ErrRepliesSent++
 	return resp.AppendError(nil, slots.TryAgainMessage)
 }
 

@@ -203,7 +203,10 @@ type masterLink struct {
 // MasterOffset reports the slave's replication offset (bytes of stream
 // applied or in the query buffer).
 func (s *Server) MasterOffset() int64 {
-	if s.master == nil {
+	switch {
+	case s.Upstream != nil:
+		return s.Upstream.Offset()
+	case s.master == nil:
 		return 0
 	}
 	return s.master.offset
@@ -212,6 +215,9 @@ func (s *Server) MasterOffset() int64 {
 // SyncedWithMaster reports whether the slave reached steady-state
 // streaming.
 func (s *Server) SyncedWithMaster() bool {
+	if s.Upstream != nil {
+		return s.Upstream.Synced()
+	}
 	return s.master != nil && s.master.state == linkStreaming
 }
 

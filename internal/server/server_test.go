@@ -309,6 +309,34 @@ func TestWriteGateBlocksWrites(t *testing.T) {
 	}
 }
 
+// TestErrRepliesSentCountsEveryErrorReply checks INFO's err_replies_sent
+// against the error replies a client actually receives, whichever stage
+// produced them: the store (unknown command, wrong arity, wrong type), the
+// admission plane (READONLY on a slave) and the protocol-error path.
+func TestErrRepliesSentCountsEveryErrorReply(t *testing.T) {
+	eachLayout(t, 13, layouts, func(t *testing.T, w *world, l layout) {
+		srv := w.build(Options{Name: "s", Params: w.shaped(l.shards, l.listeners)})
+		c := w.dial(t, srv)
+		c.do(t, "SET", "str", "v")
+		got := c.sendPipe(5*sim.Millisecond, pipeOf("NOSUCHCMD x", "GET", "LPUSH str a", "GET str"))
+		if len(got) != 4 || !got[0].IsError() || !got[1].IsError() || !got[2].IsError() || got[3].IsError() {
+			t.Fatalf("replies %v, want three errors, then v", render(got))
+		}
+		if srv.ErrRepliesSent != 3 {
+			t.Fatalf("err_replies_sent = %d after 3 error replies", srv.ErrRepliesSent)
+		}
+		srv.SetRole(RoleSlave)
+		if v := c.do(t, "SET", "k", "v"); !v.IsError() {
+			t.Fatalf("write on a slave: %s", v.String())
+		}
+		w.eng.After(0, func() { c.conn.Send([]byte("*1\r\n:5\r\n")) })
+		w.run()
+		if srv.ErrRepliesSent != 5 {
+			t.Fatalf("err_replies_sent = %d after READONLY and a protocol error, want 5", srv.ErrRepliesSent)
+		}
+	})
+}
+
 func TestOnPropagateHookReplacesFanout(t *testing.T) {
 	w := newWorld(8)
 	master := w.server("m", 6379)

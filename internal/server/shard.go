@@ -77,6 +77,7 @@ import (
 	"skv/internal/metrics"
 	"skv/internal/replstream"
 	"skv/internal/resp"
+	"skv/internal/ring"
 	"skv/internal/sim"
 	"skv/internal/store"
 	"skv/internal/transport"
@@ -142,7 +143,7 @@ type shardEngine struct {
 	// yet run. Barriers wait for zero.
 	inflight int
 	holding  bool
-	holdq    []heldCmd
+	holdq    ring.Queue[heldCmd]
 
 	// Reply capture: while a command executes on the dispatch plane ahead of
 	// its reply turn, s.reply diverts capClient's bytes here instead of the
@@ -232,7 +233,7 @@ func (e *shardEngine) route(c *client, seq uint64, cmd *store.Command, argv [][]
 		e.routeCmds[c.route-1].Inc()
 	}
 	if e.holding {
-		e.holdq = append(e.holdq, heldCmd{c: c, seq: seq, cmd: cmd, argv: argv})
+		e.holdq.Push(heldCmd{c: c, seq: seq, cmd: cmd, argv: argv})
 		return
 	}
 	e.admitFrom(c, seq, cmd, argv, false)
@@ -255,7 +256,6 @@ func (e *shardEngine) admitFrom(c *client, seq uint64, cmd *store.Command, argv 
 		}
 		if s.WriteGate != nil {
 			if msg := s.WriteGate(); msg != "" {
-				s.ErrRepliesSent++
 				e.complete(c, seq, resp.AppendError(nil, msg))
 				return
 			}
@@ -273,7 +273,7 @@ func (e *shardEngine) admitFrom(c *client, seq uint64, cmd *store.Command, argv 
 			return
 		}
 		e.holding = true
-		e.holdq = append(e.holdq, heldCmd{c: c, seq: seq, cmd: cmd, argv: argv})
+		e.holdq.Push(heldCmd{c: c, seq: seq, cmd: cmd, argv: argv})
 		if e.routing() && e.inflight == 0 {
 			// Nothing will merge to trigger the drain: hand off now.
 			e.s.proc.Post(0, e.drainHeld)
@@ -491,13 +491,11 @@ func (c *client) await(seq uint64, t turn) {
 	c.pending[seq] = t
 }
 
-// emit sends one reply on the connection, charging its build to the core
-// that owns the connection.
+// emit sends one reply on the connection.
 func (e *shardEngine) emit(c *client, data []byte) {
 	s := e.s
 	if len(data) > 0 && s.alive && !c.closed {
-		s.coreFor(c).Charge(s.params.ReplyBuildCPU)
-		c.conn.Send(data)
+		s.send(c, data)
 	}
 }
 
@@ -535,25 +533,22 @@ func (e *shardEngine) mergeDone() {
 // drainHeld runs on the dispatch proc with the pipeline quiesced: the held
 // barrier executes here, and everything queued behind it re-enters
 // admission in arrival order. Re-admitted routed commands raise inflight
-// again; a second barrier in the queue re-arms holding and the loop
-// re-queues the tail for the next drain.
+// again; a second barrier in the queue re-arms holding (queueing itself
+// at the tail) and the loop rotates the rest of the queue behind it for
+// the next drain.
 func (e *shardEngine) drainHeld() {
 	if e.inflight != 0 || !e.holding {
 		return
 	}
+	e.holding = false
 	if !e.s.alive {
-		e.holding = false
-		e.holdq = nil
+		e.holdq.Reset()
 		return
 	}
-	q := e.holdq
-	e.holdq = nil
-	e.holding = false
-	for len(q) > 0 {
-		h := q[0]
-		q = q[1:]
+	for n := e.holdq.Len(); n > 0; n-- {
+		h := e.holdq.Pop()
 		if e.holding {
-			e.holdq = append(e.holdq, h)
+			e.holdq.Push(h)
 			continue
 		}
 		if h.c.closed {
