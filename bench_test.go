@@ -1,14 +1,16 @@
 // Benchmarks regenerating the paper's evaluation: every experiment in the
 // bench registry (the paper's figures, the ablations, and the extensions) as
-// a sub-benchmark, with its headline numbers reported as custom metrics,
-// plus engine microbenchmarks.
+// a sub-benchmark, with every number in its table reported as a custom
+// metric, plus engine microbenchmarks.
 //
 //	go test -bench=Experiment/fig11 -benchmem .
 package skv_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"unicode"
 
 	"skv/internal/bench"
 	"skv/internal/dict"
@@ -19,7 +21,8 @@ import (
 )
 
 // BenchmarkExperiment executes one reproduction of each registered
-// experiment per iteration and reports its headline metrics.
+// experiment per iteration and reports every numeric cell outside the key
+// columns, under metricKey's name for it.
 func BenchmarkExperiment(b *testing.B) {
 	for _, id := range bench.IDs() {
 		b.Run(id, func(b *testing.B) {
@@ -27,10 +30,46 @@ func BenchmarkExperiment(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e = bench.ByID(id)
 			}
-			for k, v := range e.Metrics {
-				b.ReportMetric(v, k)
+			for i, row := range e.Rows {
+				for j, c := range e.Cols {
+					if !c.Key && c.Numeric(row[j]) {
+						b.ReportMetric(row[j].V, metricKey(e.RowKey(i), c.Name))
+					}
+				}
 			}
 		})
+	}
+}
+
+// metricKey names a cell by its row's key cells and its column, e.g.
+// "8,host,on:tput_kops/s". testing.B.ReportMetric panics on a unit holding
+// whitespace, so every run of whitespace becomes one underscore.
+func metricKey(rowKey []string, col string) string {
+	name := col
+	if len(rowKey) > 0 {
+		name = strings.Join(rowKey, ",") + ":" + col
+	}
+	return strings.Join(strings.Fields(name), "_")
+}
+
+func TestMetricKey(t *testing.T) {
+	for _, tc := range []struct {
+		key  []string
+		col  string
+		want string
+	}{
+		{[]string{"host ↔ host"}, "64B", "host_↔_host:64B"},
+		{[]string{"8", "host", "on"}, "tput kops/s", "8,host,on:tput_kops/s"},
+		{[]string{"quorum W=2"}, "p99 µs", "quorum_W=2:p99_µs"},
+		{nil, "since crash (s)", "since_crash_(s)"},
+	} {
+		got := metricKey(tc.key, tc.col)
+		if got != tc.want {
+			t.Errorf("metricKey(%q, %q) = %q, want %q", tc.key, tc.col, got, tc.want)
+		}
+		if strings.IndexFunc(got, unicode.IsSpace) >= 0 {
+			t.Errorf("metricKey(%q, %q) = %q holds whitespace", tc.key, tc.col, got)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"skv/internal/cluster"
 	"skv/internal/core"
 	"skv/internal/model"
@@ -15,19 +13,15 @@ import (
 // constant (one replication request to the NIC).
 func AblateSlaves() *Experiment {
 	e := &Experiment{
-		ID:     "ablate-slaves",
-		Title:  "SET throughput vs slave count (8 clients): offload win grows with fan-out",
-		Header: []string{"slaves", "rdma-redis kops/s", "skv kops/s", "gain", "skv NIC util"},
+		ID:    "ablate-slaves",
+		Title: "SET throughput vs slave count (8 clients): offload win grows with fan-out",
+		Cols: []Col{keyCol("slaves", "%.0f"), numCol("rdma-redis kops/s", "%.1f"), numCol("skv kops/s", "%.1f"),
+			numCol("gain", "%+.1f%%"), numCol("skv NIC util", "%.0f%%")},
 	}
 	for _, slaves := range []int{1, 2, 3, 4, 6, 8} {
 		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: slaves, Clients: 8, Seed: 51})
 		_, rs := run(cluster.Config{Kind: cluster.KindSKV, Slaves: slaves, Clients: 8, Seed: 51, SKV: core.DefaultConfig()})
-		e.Rows = append(e.Rows, []string{
-			fmt.Sprint(slaves), kops(rr.Throughput), kops(rs.Throughput),
-			fmt.Sprintf("%+.1f%%", (rs.Throughput/rr.Throughput-1)*100),
-			fmt.Sprintf("%.0f%%", rs.NicUtil*100),
-		})
-		e.metric(fmt.Sprintf("gain_pct_%dslaves", slaves), (rs.Throughput/rr.Throughput-1)*100)
+		e.add(slaves, rr.Throughput/1000, rs.Throughput/1000, (rs.Throughput/rr.Throughput-1)*100, rs.NicUtil*100)
 	}
 	e.Notes = append(e.Notes,
 		"challenge 2 (§II-C): past the point where the single ARM core saturates, SKV's client throughput keeps its lead but replication lags — see ablate-threads")
@@ -39,20 +33,16 @@ func AblateSlaves() *Experiment {
 // stops keeping up.
 func AblateNICSpeed() *Experiment {
 	e := &Experiment{
-		ID:     "ablate-nicspeed",
-		Title:  "SKV sensitivity to SmartNIC core speed (SET, 8 clients, 3 slaves)",
-		Header: []string{"NIC core speed", "skv kops/s", "NIC util", "repl lag bytes"},
+		ID:    "ablate-nicspeed",
+		Title: "SKV sensitivity to SmartNIC core speed (SET, 8 clients, 3 slaves)",
+		Cols: []Col{keyCol("NIC core speed", "%.2f×host"), numCol("skv kops/s", "%.1f"),
+			numCol("NIC util", "%.0f%%"), numCol("repl lag bytes", "%.0f")},
 	}
 	for _, speed := range []float64{0.2, 0.35, 0.6, 0.8, 1.0} {
 		p := model.Default()
 		p.NICCoreSpeed = speed
 		c, r := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 8, Seed: 52, Params: &p, SKV: core.DefaultConfig()})
-		lag := replicationLag(c)
-		e.Rows = append(e.Rows, []string{
-			fmt.Sprintf("%.2f×host", speed), kops(r.Throughput),
-			fmt.Sprintf("%.0f%%", r.NicUtil*100), fmt.Sprint(lag),
-		})
-		e.metric(fmt.Sprintf("lag_bytes_speed%.2f", speed), float64(lag))
+		e.add(speed, r.Throughput/1000, r.NicUtil*100, replicationLag(c))
 	}
 	e.Notes = append(e.Notes,
 		"client-visible throughput is insensitive (replication is asynchronous); a too-slow NIC shows up as replication lag")
@@ -84,19 +74,16 @@ func replicationLag(c *cluster.Cluster) int64 {
 // to single-threaded mode.
 func AblateThreads() *Experiment {
 	e := &Experiment{
-		ID:     "ablate-threads",
-		Title:  "Nic-KV thread-num (SET, 8 clients, 8 slaves)",
-		Header: []string{"thread-num", "client kops/s", "client p99 µs", "repl lag bytes"},
+		ID:    "ablate-threads",
+		Title: "Nic-KV thread-num (SET, 8 clients, 8 slaves)",
+		Cols: []Col{keyCol("thread-num", "%.0f"), numCol("client kops/s", "%.1f"),
+			numCol("client p99 µs", "%.1f"), numCol("repl lag bytes", "%.0f")},
 	}
 	for _, threads := range []int{1, 2, 4, 8} {
 		cfg := core.DefaultConfig()
 		cfg.ThreadNum = threads
 		c, r := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 8, Clients: 8, Seed: 53, SKV: cfg})
-		e.Rows = append(e.Rows, []string{
-			fmt.Sprint(threads), kops(r.Throughput), f1(r.P99.Micros()), fmt.Sprint(replicationLag(c)),
-		})
-		e.metric(fmt.Sprintf("lag_bytes_%dthreads", threads), float64(replicationLag(c)))
-		e.metric(fmt.Sprintf("client_kops_%dthreads", threads), r.Throughput/1000)
+		e.add(threads, r.Throughput/1000, r.P99.Micros(), replicationLag(c))
 	}
 	e.Notes = append(e.Notes,
 		"paper §III-C: \"the speedup of replication cannot improve the latency and throughput of the execution of commands on the master node\"")
@@ -152,9 +139,10 @@ func IDs() []string {
 // per-slave feed + work-request posting that moved to the SmartNIC.
 func AblateCPU() *Experiment {
 	e := &Experiment{
-		ID:     "ablate-cpu",
-		Title:  "Master host CPU per operation (SET, 8 clients, 3 slaves)",
-		Header: []string{"system", "tput kops/s", "master µs/op", "NIC µs/op"},
+		ID:    "ablate-cpu",
+		Title: "Master host CPU per operation (SET, 8 clients, 3 slaves)",
+		Cols: []Col{keyCol("system", ""), numCol("tput kops/s", "%.1f"),
+			numCol("master µs/op", "%.2f"), numCol("NIC µs/op", "%.2f")},
 		Notes: []string{
 			"design goal 2 (§III-A): \"We hope to use single thread on host to reduce the number of occupied cores while maintaining high performance\"",
 		},
@@ -181,11 +169,7 @@ func AblateCPU() *Experiment {
 		if g.NicKV != nil {
 			nicPerOp = float64(g.NicKV.Proc().Core.BusyTime()-nicBefore) / ops / 1000
 		}
-		e.Rows = append(e.Rows, []string{
-			kind.String(), kops(r.Throughput),
-			fmt.Sprintf("%.2f", hostPerOp), fmt.Sprintf("%.2f", nicPerOp),
-		})
-		e.metric("host_us_per_op_"+kind.String(), hostPerOp)
+		e.add(kind.String(), r.Throughput/1000, hostPerOp, nicPerOp)
 	}
 	return e
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"skv/internal/cluster"
 	"skv/internal/core"
 	"skv/internal/model"
@@ -20,8 +18,8 @@ func ExtBatch() *Experiment {
 	e := &Experiment{
 		ID:    "ext-batch",
 		Title: "Replication batching (SET, 8 clients ×8 deep, 3 slaves) — extension",
-		Header: []string{"batch", "skv kops/s", "skv p99 µs", "skv wrs/write",
-			"rdma kops/s", "rdma batches/write"},
+		Cols: []Col{keyCol("batch", "%.0f"), numCol("skv kops/s", "%.1f"), numCol("skv p99 µs", "%.1f"),
+			numCol("skv wrs/write", "%.3f"), numCol("rdma kops/s", "%.1f"), numCol("rdma batches/write", "%.3f")},
 		Notes: []string{
 			"extension beyond the paper: batch=1 flushes every write as its own one-command request; larger budgets amortize the per-write WR post (SKV) and the per-write slave feed (rdma-redis)",
 		},
@@ -46,16 +44,7 @@ func ExtBatch() *Experiment {
 			batchesPerWrite = float64(m.ReplStream().BatchesFlushed()) / float64(m.WritesPropagated)
 		}
 
-		e.Rows = append(e.Rows, []string{
-			fmt.Sprint(batch),
-			kops(rs.Throughput), f1(rs.P99.Micros()), fmt.Sprintf("%.3f", wrsPerWrite),
-			kops(rr.Throughput), fmt.Sprintf("%.3f", batchesPerWrite),
-		})
-		e.metric(fmt.Sprintf("skv_kops_batch%d", batch), rs.Throughput/1000)
-		e.metric(fmt.Sprintf("skv_p99_us_batch%d", batch), rs.P99.Micros())
-		e.metric(fmt.Sprintf("skv_wrs_per_write_batch%d", batch), wrsPerWrite)
-		e.metric(fmt.Sprintf("rdma_kops_batch%d", batch), rr.Throughput/1000)
-		e.metric(fmt.Sprintf("rdma_batches_per_write_batch%d", batch), batchesPerWrite)
+		e.add(batch, rs.Throughput/1000, rs.P99.Micros(), wrsPerWrite, rr.Throughput/1000, batchesPerWrite)
 	}
 	return e
 }

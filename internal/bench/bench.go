@@ -6,6 +6,8 @@ package bench
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"skv/internal/cluster"
@@ -17,42 +19,122 @@ import (
 	"skv/internal/stats"
 )
 
-// Experiment is one reproduced figure: a titled table plus key
-// machine-readable metrics (consumed by the root benchmark harness).
+// Experiment is one reproduced figure: a titled table whose cells hold the
+// measured numbers themselves. String renders them for people; Value and the
+// root BenchmarkExperiment read the same cells at full precision.
 type Experiment struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
-	// Metrics holds the headline numbers, e.g. "tput_gain_pct_8c".
-	Metrics map[string]float64
+	ID    string
+	Title string
+	Cols  []Col
+	Rows  [][]Cell
+	Notes []string
 }
 
-// metric records one headline number.
-func (e *Experiment) metric(key string, v float64) {
-	if e.Metrics == nil {
-		e.Metrics = make(map[string]float64)
+// Col is one table column. A column without Fmt holds text only.
+type Col struct {
+	Name string
+	Fmt  string // renders a numeric cell, e.g. "%.1f" or "%+.1f%%"
+	Key  bool   // the column identifies its row (clients, shards, path)
+}
+
+// Cell is one table entry: a number, rendered with its column's Fmt, or a
+// text cell printed as is. Text cells are row labels, per-core lists and
+// placeholders such as "-" in a numeric column.
+type Cell struct {
+	V    float64
+	Text string
+}
+
+// Numeric reports whether cell, in column c, is a number rather than text.
+func (c Col) Numeric(cell Cell) bool { return c.Fmt != "" && cell.Text == "" }
+
+// keyCol and numCol declare a key column and a measured column; a text column
+// is a bare Col{Name: ...}.
+func keyCol(name, format string) Col { return Col{Name: name, Fmt: format, Key: true} }
+func numCol(name, format string) Col { return Col{Name: name, Fmt: format} }
+
+func (c Col) render(cell Cell) string {
+	if !c.Numeric(cell) {
+		return cell.Text
 	}
-	e.Metrics[key] = v
+	return fmt.Sprintf(c.Fmt, cell.V)
+}
+
+// add appends one row, a value per column: a string is a text cell, any
+// integer or float64 a number.
+func (e *Experiment) add(vals ...any) {
+	if len(vals) != len(e.Cols) {
+		panic(fmt.Sprintf("bench: %s row has %d cells for %d columns", e.ID, len(vals), len(e.Cols)))
+	}
+	row := make([]Cell, len(vals))
+	for i, v := range vals {
+		switch v := v.(type) {
+		case string:
+			if v == "" && e.Cols[i].Fmt != "" {
+				panic(fmt.Sprintf("bench: %s: empty text in numeric column %q", e.ID, e.Cols[i].Name))
+			}
+			row[i].Text = v
+		case float64:
+			row[i].V = v
+		case int:
+			row[i].V = float64(v)
+		case int64:
+			row[i].V = float64(v)
+		case uint64:
+			row[i].V = float64(v)
+		default:
+			panic(fmt.Sprintf("bench: %s: cell of type %T", e.ID, v))
+		}
+	}
+	e.Rows = append(e.Rows, row)
+}
+
+// RowKey renders row i's key cells, in column order.
+func (e *Experiment) RowKey(i int) []string {
+	var key []string
+	for j, c := range e.Cols {
+		if c.Key {
+			key = append(key, c.render(e.Rows[i][j]))
+		}
+	}
+	return key
+}
+
+// Value returns the number in column col of the row whose key cells render
+// as key. It panics when there is no such numeric cell.
+func (e *Experiment) Value(col string, key ...string) float64 {
+	if j := slices.IndexFunc(e.Cols, func(c Col) bool { return c.Name == col }); j >= 0 {
+		for i, row := range e.Rows {
+			if slices.Equal(e.RowKey(i), key) && e.Cols[j].Numeric(row[j]) {
+				return row[j].V
+			}
+		}
+	}
+	panic(fmt.Sprintf("bench: %s has no number in column %q at key %q", e.ID, col, key))
 }
 
 // String renders the experiment as an aligned text table.
 func (e *Experiment) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s — %s ==\n", e.ID, e.Title)
-	widths := make([]int, len(e.Header))
-	for i, h := range e.Header {
-		widths[i] = len(h)
+	text := [][]string{make([]string, len(e.Cols))}
+	for i, c := range e.Cols {
+		text[0][i] = c.Name
 	}
 	for _, row := range e.Rows {
+		cells := make([]string, len(row))
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+			cells[i] = e.Cols[i].render(cell)
+		}
+		text = append(text, cells)
+	}
+	widths := make([]int, len(e.Cols))
+	for _, cells := range text {
+		for i, s := range cells {
+			widths[i] = max(widths[i], len(s))
 		}
 	}
-	writeRow := func(cells []string) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s — %s ==\n", e.ID, e.Title)
+	for _, cells := range text {
 		for i, cell := range cells {
 			if i > 0 {
 				b.WriteString("  ")
@@ -60,10 +142,6 @@ func (e *Experiment) String() string {
 			fmt.Fprintf(&b, "%-*s", widths[i], cell)
 		}
 		b.WriteByte('\n')
-	}
-	writeRow(e.Header)
-	for _, row := range e.Rows {
-		writeRow(row)
 	}
 	for _, n := range e.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
@@ -91,9 +169,6 @@ func SetSmoke() {
 	measure = 25 * sim.Millisecond
 }
 
-func f1(v float64) string   { return fmt.Sprintf("%.1f", v) }
-func kops(v float64) string { return fmt.Sprintf("%.1f", v/1000) }
-
 // run is the one build → sync → measure sequence of every experiment. prep,
 // when given, sees the synced cluster before the measurement starts the
 // clients: it preloads a keyspace, snapshots a counter, schedules a migration.
@@ -114,12 +189,15 @@ func run(cfg cluster.Config, prep ...func(*cluster.Cluster)) (*cluster.Cluster, 
 func Fig3() *Experiment {
 	sizes := []int{8, 64, 256, 1024, 4096}
 	e := &Experiment{
-		ID:     "fig3",
-		Title:  "RDMA WRITE latency (µs) — the off-path SmartNIC looks like a separate endpoint",
-		Header: append([]string{"path"}, sizesHeader(sizes)...),
+		ID:    "fig3",
+		Title: "RDMA WRITE latency (µs) — the off-path SmartNIC looks like a separate endpoint",
+		Cols:  []Col{keyCol("path", "")},
 		Notes: []string{
 			"paper: host→local SmartNIC is only a little lower than host↔host; remote→SmartNIC slightly higher",
 		},
+	}
+	for _, size := range sizes {
+		e.Cols = append(e.Cols, numCol(strconv.Itoa(size)+"B", "%.1f"))
 	}
 
 	paths := []struct {
@@ -135,27 +213,14 @@ func Fig3() *Experiment {
 			func(a, b *fabric.Machine) *fabric.Endpoint { return a.NIC }},
 	}
 
-	keys := []string{"host_host", "remote_to_nic", "local_to_nic"}
-	for pi, path := range paths {
-		row := []string{path.name}
+	for _, path := range paths {
+		row := []any{path.name}
 		for _, size := range sizes {
-			lat := writeLatency(path.src, path.dst, size)
-			row = append(row, f1(lat.Micros()))
-			if size == 64 {
-				e.metric(keys[pi]+"_64B_us", lat.Micros())
-			}
+			row = append(row, writeLatency(path.src, path.dst, size).Micros())
 		}
-		e.Rows = append(e.Rows, row)
+		e.add(row...)
 	}
 	return e
-}
-
-func sizesHeader(sizes []int) []string {
-	out := make([]string, len(sizes))
-	for i, s := range sizes {
-		out[i] = fmt.Sprintf("%dB", s)
-	}
-	return out
 }
 
 // writeLatency measures mean one-way WRITE_WITH_IMM latency (post → remote
@@ -221,22 +286,15 @@ func writeLatency(srcSel, dstSel func(a, b *fabric.Machine) *fabric.Endpoint, si
 // with 0 vs 3 slaves (§III-C Fig 7: tail latency grows by more than 25%).
 func Fig7() *Experiment {
 	e := &Experiment{
-		ID:     "fig7",
-		Title:  "RDMA-Redis SET degradation with 3 slaves (8 clients)",
-		Header: []string{"slaves", "tput kops/s", "avg µs", "p99 µs"},
-		Notes:  []string{"paper: with 3 slaves, p99 grows by more than 25%, throughput drops significantly"},
+		ID:    "fig7",
+		Title: "RDMA-Redis SET degradation with 3 slaves (8 clients)",
+		Cols:  []Col{keyCol("slaves", "%.0f"), numCol("tput kops/s", "%.1f"), numCol("avg µs", "%.1f"), numCol("p99 µs", "%.1f")},
+		Notes: []string{"paper: with 3 slaves, p99 grows by more than 25%, throughput drops significantly"},
 	}
-	var results []cluster.Result
 	for _, slaves := range []int{0, 3} {
 		_, r := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: slaves, Clients: 8, Seed: 41})
-		results = append(results, r)
-		e.Rows = append(e.Rows, []string{
-			fmt.Sprint(slaves), kops(r.Throughput), f1(r.Avg.Micros()), f1(r.P99.Micros()),
-		})
+		e.add(slaves, r.Throughput/1000, r.Avg.Micros(), r.P99.Micros())
 	}
-	e.metric("p99_increase_pct", (results[1].P99.Micros()/results[0].P99.Micros()-1)*100)
-	e.metric("avg_increase_pct", (results[1].Avg.Micros()/results[0].Avg.Micros()-1)*100)
-	e.metric("tput_drop_pct", (1-results[1].Throughput/results[0].Throughput)*100)
 	return e
 }
 
@@ -246,9 +304,9 @@ var fig10Clients = []int{1, 2, 4, 8, 16, 32}
 // RDMA-Redis (no slaves, SET).
 func Fig10a() *Experiment {
 	e := &Experiment{
-		ID:     "fig10a",
-		Title:  "SET throughput vs concurrent clients (kops/s), no slaves",
-		Header: []string{"clients", "redis", "rdma-redis"},
+		ID:    "fig10a",
+		Title: "SET throughput vs concurrent clients (kops/s), no slaves",
+		Cols:  []Col{keyCol("clients", "%.0f"), numCol("redis", "%.1f"), numCol("rdma-redis", "%.1f")},
 		Notes: []string{
 			"paper: Redis saturates ≈130 kops/s by ~2 clients; RDMA-Redis exceeds 330 kops/s",
 		},
@@ -256,11 +314,7 @@ func Fig10a() *Experiment {
 	for _, n := range fig10Clients {
 		_, rt := run(cluster.Config{Kind: cluster.KindTCP, Slaves: 0, Clients: n, Seed: 42})
 		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: 0, Clients: n, Seed: 42})
-		e.Rows = append(e.Rows, []string{fmt.Sprint(n), kops(rt.Throughput), kops(rr.Throughput)})
-		if n == 32 {
-			e.metric("redis_kops_saturated", rt.Throughput/1000)
-			e.metric("rdma_kops_saturated", rr.Throughput/1000)
-		}
+		e.add(n, rt.Throughput/1000, rr.Throughput/1000)
 	}
 	return e
 }
@@ -268,9 +322,9 @@ func Fig10a() *Experiment {
 // Fig10b reproduces p99 latency vs concurrency for the same sweep.
 func Fig10b() *Experiment {
 	e := &Experiment{
-		ID:     "fig10b",
-		Title:  "SET p99 latency vs concurrent clients (µs), no slaves",
-		Header: []string{"clients", "redis", "rdma-redis"},
+		ID:    "fig10b",
+		Title: "SET p99 latency vs concurrent clients (µs), no slaves",
+		Cols:  []Col{keyCol("clients", "%.0f"), numCol("redis", "%.1f"), numCol("rdma-redis", "%.1f")},
 		Notes: []string{
 			"paper: similar at low concurrency; Redis ≈2× RDMA-Redis at high concurrency",
 		},
@@ -278,10 +332,7 @@ func Fig10b() *Experiment {
 	for _, n := range fig10Clients {
 		_, rt := run(cluster.Config{Kind: cluster.KindTCP, Slaves: 0, Clients: n, Seed: 43})
 		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: 0, Clients: n, Seed: 43})
-		e.Rows = append(e.Rows, []string{fmt.Sprint(n), f1(rt.P99.Micros()), f1(rr.P99.Micros())})
-		if n == 32 {
-			e.metric("latency_ratio_32c", rt.P99.Micros()/rr.P99.Micros())
-		}
+		e.add(n, rt.P99.Micros(), rr.P99.Micros())
 	}
 	return e
 }
@@ -292,10 +343,10 @@ func Fig11() *Experiment {
 	e := &Experiment{
 		ID:    "fig11",
 		Title: "SET with 3 slaves: SKV vs RDMA-Redis",
-		Header: []string{"clients",
-			"rdma tput", "skv tput", "tput gain",
-			"rdma avg µs", "skv avg µs",
-			"rdma p99 µs", "skv p99 µs", "p99 cut"},
+		Cols: []Col{keyCol("clients", "%.0f"),
+			numCol("rdma tput", "%.1f"), numCol("skv tput", "%.1f"), numCol("tput gain", "%+.1f%%"),
+			numCol("rdma avg µs", "%.1f"), numCol("skv avg µs", "%.1f"),
+			numCol("rdma p99 µs", "%.1f"), numCol("skv p99 µs", "%.1f"), numCol("p99 cut", "%+.1f%%")},
 		Notes: []string{
 			"paper @8 clients: throughput +14%, average latency −14%, tail latency −21%",
 		},
@@ -303,19 +354,10 @@ func Fig11() *Experiment {
 	for _, n := range []int{4, 8, 16} {
 		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3, Clients: n, Seed: 44})
 		_, rs := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: n, Seed: 44, SKV: core.DefaultConfig()})
-		e.Rows = append(e.Rows, []string{
-			fmt.Sprint(n),
-			kops(rr.Throughput), kops(rs.Throughput),
-			fmt.Sprintf("%+.1f%%", (rs.Throughput/rr.Throughput-1)*100),
-			f1(rr.Avg.Micros()), f1(rs.Avg.Micros()),
-			f1(rr.P99.Micros()), f1(rs.P99.Micros()),
-			fmt.Sprintf("%+.1f%%", (rs.P99.Micros()/rr.P99.Micros()-1)*100),
-		})
-		if n == 8 {
-			e.metric("tput_gain_pct_8c", (rs.Throughput/rr.Throughput-1)*100)
-			e.metric("avg_cut_pct_8c", (1-rs.Avg.Micros()/rr.Avg.Micros())*100)
-			e.metric("p99_cut_pct_8c", (1-rs.P99.Micros()/rr.P99.Micros())*100)
-		}
+		e.add(n,
+			rr.Throughput/1000, rs.Throughput/1000, (rs.Throughput/rr.Throughput-1)*100,
+			rr.Avg.Micros(), rs.Avg.Micros(),
+			rr.P99.Micros(), rs.P99.Micros(), (rs.P99.Micros()/rr.P99.Micros()-1)*100)
 	}
 	return e
 }
@@ -323,18 +365,15 @@ func Fig11() *Experiment {
 // Fig12 sweeps the value size (SET, 8 clients, 3 slaves).
 func Fig12() *Experiment {
 	e := &Experiment{
-		ID:     "fig12",
-		Title:  "SET throughput vs value size (kops/s), 8 clients, 3 slaves",
-		Header: []string{"value", "rdma-redis", "skv"},
-		Notes:  []string{"paper: SKV above RDMA-Redis at every value size"},
+		ID:    "fig12",
+		Title: "SET throughput vs value size (kops/s), 8 clients, 3 slaves",
+		Cols:  []Col{keyCol("value", "%.0fB"), numCol("rdma-redis", "%.1f"), numCol("skv", "%.1f")},
+		Notes: []string{"paper: SKV above RDMA-Redis at every value size"},
 	}
 	for _, size := range []int{64, 256, 1024, 4096, 16384} {
 		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3, Clients: 8, Seed: 45, ValueSize: size})
 		_, rs := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 8, Seed: 45, ValueSize: size, SKV: core.DefaultConfig()})
-		e.Rows = append(e.Rows, []string{
-			fmt.Sprintf("%dB", size), kops(rr.Throughput), kops(rs.Throughput),
-		})
-		e.metric(fmt.Sprintf("gain_pct_%dB", size), (rs.Throughput/rr.Throughput-1)*100)
+		e.add(size, rr.Throughput/1000, rs.Throughput/1000)
 	}
 	return e
 }
@@ -342,9 +381,10 @@ func Fig12() *Experiment {
 // Fig13 runs the GET workload: the offload cannot help reads.
 func Fig13() *Experiment {
 	e := &Experiment{
-		ID:     "fig13",
-		Title:  "GET with 3 slaves: SKV vs RDMA-Redis",
-		Header: []string{"clients", "rdma tput", "skv tput", "rdma p99 µs", "skv p99 µs"},
+		ID:    "fig13",
+		Title: "GET with 3 slaves: SKV vs RDMA-Redis",
+		Cols: []Col{keyCol("clients", "%.0f"), numCol("rdma tput", "%.1f"), numCol("skv tput", "%.1f"),
+			numCol("rdma p99 µs", "%.1f"), numCol("skv p99 µs", "%.1f")},
 		Notes: []string{
 			"paper: no difference — GETs are never replicated, both ≈340 kops/s at 8/16 clients",
 		},
@@ -352,13 +392,7 @@ func Fig13() *Experiment {
 	for _, n := range []int{4, 8, 16} {
 		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3, Clients: n, Seed: 46, GetRatio: 1.0})
 		_, rs := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: n, Seed: 46, GetRatio: 1.0, SKV: core.DefaultConfig()})
-		e.Rows = append(e.Rows, []string{
-			fmt.Sprint(n), kops(rr.Throughput), kops(rs.Throughput),
-			f1(rr.P99.Micros()), f1(rs.P99.Micros()),
-		})
-		if n == 8 {
-			e.metric("tput_ratio_8c", rs.Throughput/rr.Throughput)
-		}
+		e.add(n, rr.Throughput/1000, rs.Throughput/1000, rr.P99.Micros(), rs.P99.Micros())
 	}
 	return e
 }
@@ -369,9 +403,9 @@ func Fig13() *Experiment {
 // and is folded back in.
 func Fig14() *Experiment {
 	e := &Experiment{
-		ID:     "fig14",
-		Title:  "Throughput during slave failure (SKV, 8 clients, 3 slaves)",
-		Header: []string{"t (s)", "tput kops/s", "valid slaves", "event"},
+		ID:    "fig14",
+		Title: "Throughput during slave failure (SKV, 8 clients, 3 slaves)",
+		Cols:  []Col{keyCol("t (s)", "%.1f"), numCol("tput kops/s", "%.1f"), numCol("valid slaves", "%.0f"), {Name: "event"}},
 		Notes: []string{
 			"paper: crash detected at ~4s, recovery at ~9s, throughput stays above 300 kops/s, client unaware",
 		},
@@ -442,28 +476,8 @@ func Fig14() *Experiment {
 		case i > 0 && samples[i-1].valid == 2 && s.valid == 3:
 			event = "Nic-KV removes the invalid flag"
 		}
-		e.Rows = append(e.Rows, []string{
-			fmt.Sprintf("%.1f", sim.Duration(s.t-base).Seconds()),
-			kops(rate), fmt.Sprint(s.valid), event,
-		})
+		e.add(sim.Duration(s.t-base).Seconds(), rate/1000, s.valid, event)
 	}
 	e.Notes = append(e.Notes, fmt.Sprintf("client error replies during the whole run: %d", errs))
-	e.metric("client_errors", float64(errs))
-	minRate := -1.0
-	// Ignore the first and last (partial) buckets.
-	for i := 1; i < len(rates)-1; i++ {
-		if minRate < 0 || rates[i] < minRate {
-			minRate = rates[i]
-		}
-	}
-	e.metric("min_kops", minRate/1000)
-	for i := 1; i < len(samples); i++ {
-		if samples[i-1].valid == 3 && samples[i].valid == 2 {
-			e.metric("detect_s", sim.Duration(samples[i].t-base).Seconds())
-		}
-		if samples[i-1].valid == 2 && samples[i].valid == 3 {
-			e.metric("rejoin_s", sim.Duration(samples[i].t-base).Seconds())
-		}
-	}
 	return e
 }

@@ -5,28 +5,37 @@ import (
 	"testing"
 )
 
+// TestExperimentString pins the rendering byte for byte: a key column, each
+// numeric format the experiments use, a "-" placeholder in a numeric column
+// and a header holding "µs". Widths are counted in bytes and padding in
+// runes, so columns holding "µ", "×" or "↔" are over-padded; the experiments'
+// output has always been laid out that way.
 func TestExperimentString(t *testing.T) {
 	e := &Experiment{
-		ID:     "x",
-		Title:  "test",
-		Header: []string{"col1", "longer-col"},
-		Rows:   [][]string{{"a", "b"}, {"ccc", "d"}},
-		Notes:  []string{"a note"},
+		ID:    "x",
+		Title: "golden",
+		Cols: []Col{keyCol("n", "%.0f"), numCol("lat µs", "%.1f"), numCol("gain", "%+.1f%%"),
+			numCol("util", "%.0f%%"), numCol("scale", "%.2fx"), numCol("speed", "%.2f×host"), {Name: "label"}},
+		Notes: []string{"a note"},
 	}
-	out := e.String()
-	for _, frag := range []string{"== x — test ==", "col1", "longer-col", "ccc", "note: a note"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("rendering missing %q:\n%s", frag, out)
-		}
+	e.add(4, 12.345, 14.04, 93.4, 1.0, 0.35, "host ↔ host")
+	e.add(16, "-", -3.96, 100.0, 2.92, 1.0, "quorum W=2")
+	want := strings.Join([]string{
+		"== x — golden ==",
+		"n   lat µs   gain    util  scale  speed       label        ",
+		"4   12.3     +14.0%  93%   1.00x  0.35×host   host ↔ host  ",
+		"16  -        -4.0%   100%  2.92x  1.00×host   quorum W=2   ",
+		"note: a note",
+		"",
+	}, "\n")
+	if got := e.String(); got != want {
+		t.Fatalf("rendering differs:\n got %q\nwant %q", got, want)
 	}
-}
-
-func TestMetricStorage(t *testing.T) {
-	e := &Experiment{}
-	e.metric("k", 1.5)
-	e.metric("k2", -3)
-	if e.Metrics["k"] != 1.5 || e.Metrics["k2"] != -3 {
-		t.Fatal("metrics not stored")
+	if v := e.Value("lat µs", "4"); v != 12.345 {
+		t.Fatalf("Value = %v, want the cell at full precision, 12.345", v)
+	}
+	if key := e.RowKey(1); len(key) != 1 || key[0] != "16" {
+		t.Fatalf("RowKey(1) = %q", key)
 	}
 }
 
@@ -60,31 +69,24 @@ func TestExtShardsScalesInSmokeMode(t *testing.T) {
 	if len(e.Rows) != 8 {
 		t.Fatalf("rows: %d", len(e.Rows))
 	}
-	k1, k4 := e.Metrics["kops_shards1_l1"], e.Metrics["kops_shards4_l1"]
-	if k1 <= 0 || k4 <= 0 {
-		t.Fatalf("missing throughput metrics: %v", e.Metrics)
-	}
-	if k4 <= k1 {
-		t.Fatalf("4 shards (%.1f kops/s) not faster than 1 (%.1f kops/s)", k4, k1)
-	}
-	if e.Metrics["gain_pct_shards4_l1"] <= 0 {
-		t.Fatalf("gain_pct_shards4_l1 = %v", e.Metrics["gain_pct_shards4_l1"])
+	k1, k4 := e.Value("skv kops/s", "1", "1"), e.Value("skv kops/s", "4", "1")
+	if k1 <= 0 || k4 <= k1 {
+		t.Fatalf("4 shards (%v kops/s) not faster than 1 (%v kops/s)", k4, k1)
 	}
 	// The tentpole: routing listeners clear the dispatch-core ceiling.
-	k4l2 := e.Metrics["kops_shards4_l2"]
+	k4l2 := e.Value("skv kops/s", "4", "2")
 	if k4l2 <= k4 {
-		t.Fatalf("routing plane bought nothing: %.1f kops/s at 4 shards ×2 listeners vs %.1f at ×1", k4l2, k4)
+		t.Fatalf("routing plane bought nothing: %v kops/s at 4 shards ×2 listeners vs %v at ×1", k4l2, k4)
 	}
 	// And the dispatch core is demoted to a thin merge stage.
-	if du := e.Metrics["dispatch_util_pct_shards4_l2"]; du >= e.Metrics["dispatch_util_pct_shards4_l1"] {
-		t.Fatalf("dispatch util did not drop: %.0f%% at ×2 listeners vs %.0f%% at ×1",
-			du, e.Metrics["dispatch_util_pct_shards4_l1"])
+	if du, du1 := e.Value("dispatch util", "4", "2"), e.Value("dispatch util", "4", "1"); du >= du1 {
+		t.Fatalf("dispatch util did not drop: %v%% at ×2 listeners vs %v%% at ×1", du, du1)
 	}
 	// Per-caller WAIT: the probes must never trip the global barrier path.
-	for _, key := range []string{"shards1_l1", "shards2_l1", "shards4_l1", "shards8_l1",
-		"shards4_l2", "shards4_l4", "shards8_l2", "shards8_l4"} {
-		if b := e.Metrics["wait_barriers_"+key]; b != 0 {
-			t.Fatalf("WAIT probes fenced the pipeline at %s: %v barriers", key, b)
+	for i := range e.Rows {
+		key := e.RowKey(i)
+		if b := e.Value("wait barriers", key...); b != 0 {
+			t.Fatalf("WAIT probes fenced the pipeline at shards, listeners = %v: %v barriers", key, b)
 		}
 	}
 }
@@ -101,15 +103,9 @@ func TestAblateNICCacheScalesInSmokeMode(t *testing.T) {
 	if len(e.Rows) != 5 {
 		t.Fatalf("rows: %d", len(e.Rows))
 	}
-	n1, n4 := e.Metrics["nic_kops_8c_shards1"], e.Metrics["nic_kops_8c_shards4"]
-	if n1 <= 0 || n4 <= 0 {
-		t.Fatalf("missing NIC throughput metrics: %v", e.Metrics)
-	}
-	if n4 <= n1 {
-		t.Fatalf("NIC reads at 4 shards (%.1f kops/s) not faster than 1 (%.1f kops/s)", n4, n1)
-	}
-	if e.Metrics["nic_gain_pct_shards4"] <= 0 {
-		t.Fatalf("nic_gain_pct_shards4 = %v", e.Metrics["nic_gain_pct_shards4"])
+	n1, n4 := e.Value("nic tput", "1", "8"), e.Value("nic tput", "4", "8")
+	if n1 <= 0 || n4 <= n1 {
+		t.Fatalf("NIC reads at 4 shards (%v kops/s) not faster than 1 (%v kops/s)", n4, n1)
 	}
 }
 
@@ -126,23 +122,20 @@ func TestExtTrackingBeatsNicReadsInSmokeMode(t *testing.T) {
 	if len(e.Rows) != 12 {
 		t.Fatalf("rows: %d", len(e.Rows))
 	}
-	host := e.Metrics["host_kops_8c"]
-	nic := e.Metrics["nic_kops_8c"]
-	tracked := e.Metrics["tracked_host_kops_8c"]
-	if host <= 0 || nic <= 0 || tracked <= 0 {
-		t.Fatalf("missing throughput metrics: %v", e.Metrics)
+	host := e.Value("tput kops/s", "8", "host", "off")
+	nic := e.Value("tput kops/s", "8", "nic", "off")
+	tracked := e.Value("tput kops/s", "8", "host", "on")
+	if host <= 0 || nic <= 0 {
+		t.Fatalf("untracked reads cleared nothing: host %v, nic %v kops/s", host, nic)
 	}
 	if tracked <= nic {
-		t.Fatalf("tracked GETs (%.1f kops/s) did not beat NIC-served reads (%.1f kops/s)", tracked, nic)
+		t.Fatalf("tracked GETs (%v kops/s) did not beat NIC-served reads (%v kops/s)", tracked, nic)
 	}
 	if tracked <= host {
-		t.Fatalf("tracked GETs (%.1f kops/s) did not beat host-served reads (%.1f kops/s)", tracked, host)
+		t.Fatalf("tracked GETs (%v kops/s) did not beat host-served reads (%v kops/s)", tracked, host)
 	}
-	if hr := e.Metrics["tracked_host_hit_rate_8c"]; hr <= 0 {
-		t.Fatalf("tracked hit rate = %v", hr)
-	}
-	if e.Metrics["tracked_vs_nic_gain_pct_8c"] <= 0 {
-		t.Fatalf("tracked_vs_nic_gain_pct_8c = %v", e.Metrics["tracked_vs_nic_gain_pct_8c"])
+	if hr := e.Value("hit rate", "8", "host", "on"); hr <= 0 {
+		t.Fatalf("tracked hit rate = %v%%", hr)
 	}
 }
 
@@ -151,9 +144,9 @@ func TestFig3RunsAndPreservesOrdering(t *testing.T) {
 	if e == nil || len(e.Rows) != 3 {
 		t.Fatalf("fig3 rows: %+v", e)
 	}
-	hostHost := e.Metrics["host_host_64B_us"]
-	remoteNIC := e.Metrics["remote_to_nic_64B_us"]
-	localNIC := e.Metrics["local_to_nic_64B_us"]
+	hostHost := e.Value("64B", "host ↔ host")
+	remoteNIC := e.Value("64B", "remote host → SmartNIC")
+	localNIC := e.Value("64B", "local host → SmartNIC")
 	if !(localNIC < hostHost && hostHost < remoteNIC) {
 		t.Fatalf("Fig 3 ordering violated: local=%v hosthost=%v remote=%v",
 			localNIC, hostHost, remoteNIC)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"skv/internal/cluster"
 	"skv/internal/core"
@@ -24,8 +25,8 @@ func ExtCluster() *Experiment {
 	e := &Experiment{
 		ID:    "ext-cluster",
 		Title: "Multi-master hash-slot scale-out (SET, 8 clients ×8 deep, 1 slave/master) — extension",
-		Header: []string{"masters", "agg kops/s", "scale", "p99 µs",
-			"group kops/s", "moved", "err replies"},
+		Cols: []Col{keyCol("masters", "%.0f"), numCol("agg kops/s", "%.1f"), numCol("scale", "%.2fx"),
+			numCol("p99 µs", "%.1f"), {Name: "group kops/s"}, numCol("moved", "%.0f"), numCol("err replies", "%.0f")},
 		Notes: []string{
 			"extension beyond the paper: N full SKV units behind a 16384-slot CRC16 hash-slot map (Redis Cluster semantics: hashtags, MOVED, CROSSSLOT)",
 			"same per-master tuning in every row (4 shards, 2 listeners, batched replication) and the same 8 clients — per-group pipeline windows keep per-master offered load constant, so the column isolates scale-out",
@@ -51,32 +52,18 @@ func ExtCluster() *Experiment {
 		if r.ErrReplies != 0 {
 			panic(fmt.Sprintf("ext-cluster: %d error replies at %d masters", r.ErrReplies, masters))
 		}
-		window := measure.Seconds()
-		groupCol, moved := "-", "-"
+		var groupCol, moved any = "-", "-"
 		if masters > 1 {
-			groupCol = ""
+			perGroup := make([]string, len(r.GroupOps))
 			for gi, ops := range r.GroupOps {
-				if gi > 0 {
-					groupCol += "/"
-				}
-				groupCol += fmt.Sprintf("%.0f", float64(ops)/window/1000)
+				perGroup[gi] = fmt.Sprintf("%.0f", float64(ops)/measure.Seconds()/1000)
 			}
-			moved = fmt.Sprint(r.Moved)
-			e.metric(fmt.Sprintf("moved_m%d", masters), float64(r.Moved))
+			groupCol, moved = strings.Join(perGroup, "/"), r.Moved
 		}
-		scale := "1.00x"
 		if base < 0 {
 			base = r.Throughput
-		} else {
-			scale = fmt.Sprintf("%.2fx", r.Throughput/base)
-			e.metric(fmt.Sprintf("scale_x_m%d", masters), r.Throughput/base)
 		}
-		e.Rows = append(e.Rows, []string{
-			fmt.Sprint(masters), kops(r.Throughput), scale, f1(r.P99.Micros()),
-			groupCol, moved, fmt.Sprint(r.ErrReplies),
-		})
-		e.metric(fmt.Sprintf("kops_m%d", masters), r.Throughput/1000)
-		e.metric(fmt.Sprintf("p99_us_m%d", masters), r.P99.Micros())
+		e.add(masters, r.Throughput/1000, r.Throughput/base, r.P99.Micros(), groupCol, moved, r.ErrReplies)
 	}
 	return e
 }

@@ -17,9 +17,9 @@ import (
 // Default probe parameters (probe 1s, waiting-time 2s) — the paper's scale.
 func ExtFailover() *Experiment {
 	e := &Experiment{
-		ID:     "ext-failover",
-		Title:  "Failure detection and failover latency (SKV, 3 slaves, master crash + restart)",
-		Header: []string{"event", "node", "t (s)", "since crash (s)"},
+		ID:    "ext-failover",
+		Title: "Failure detection and failover latency (SKV, 3 slaves, master crash + restart)",
+		Cols:  []Col{keyCol("event", ""), {Name: "node"}, numCol("t (s)", "%.2f"), numCol("since crash (s)", "%.2f")},
 		Notes: []string{
 			"timeline recorded by Nic-KV's failover tracer (probe-miss -> mark-down -> promote -> restore -> demote)",
 			"detection latency is bounded by waiting-time + one probe period (paper: probe 1s, waiting-time 2s)",
@@ -55,44 +55,26 @@ func ExtFailover() *Experiment {
 		panic(err)
 	}
 	tl := c.Groups[0].NicKV.Timeline()
-	row := func(typ metrics.EventType) {
-		ev, ok := tl.FirstAfter(typ, crashAt)
-		if !ok {
-			e.Rows = append(e.Rows, []string{typ.String(), "-", "-", "never"})
-			return
+	for _, typ := range []metrics.EventType{metrics.EventProbeMiss, metrics.EventMarkDown,
+		metrics.EventPromote, metrics.EventRestore, metrics.EventDemote} {
+		if ev, ok := tl.FirstAfter(typ, crashAt); ok {
+			e.add(typ.String(), ev.Node, float64(ev.At)/float64(sim.Second), ev.At.Sub(crashAt).Seconds())
+		} else {
+			e.add(typ.String(), "-", "-", "never")
 		}
-		e.Rows = append(e.Rows, []string{
-			typ.String(), ev.Node,
-			f2(float64(ev.At) / float64(sim.Second)),
-			f2(ev.At.Sub(crashAt).Seconds()),
-		})
-		e.metric(typ.String()+"_s", ev.At.Sub(crashAt).Seconds())
 	}
-	row(metrics.EventProbeMiss)
-	row(metrics.EventMarkDown)
-	row(metrics.EventPromote)
-	row(metrics.EventRestore)
-	row(metrics.EventDemote)
 
 	var errs uint64
 	for _, cl := range c.Clients {
 		errs += cl.Stats().ErrReplies
 	}
-	e.metric("err_replies", float64(errs))
 	e.Notes = append(e.Notes, fmt.Sprintf("client error replies across the outage: %d", errs))
 
-	// Detector health from the NIC's metrics snapshot: probe RTT and how
-	// many probes went unanswered across the run.
-	snap := c.Groups[0].NicKV.Metrics().Snapshot()
-	if rtt, ok := snap.Hists["nickv.probe.rtt"]; ok && rtt.Count > 0 {
-		e.metric("probe_rtt_p99_us", rtt.P99.Micros())
+	// Detector health from the NIC's metrics snapshot: the probe RTT.
+	if rtt, ok := c.Groups[0].NicKV.Metrics().Snapshot().Hists["nickv.probe.rtt"]; ok && rtt.Count > 0 {
 		e.Notes = append(e.Notes, fmt.Sprintf(
 			"probe RTT (n=%d): p50=%.1fµs p99=%.1fµs — detection latency is dominated by waiting-time, not probe transit",
 			rtt.Count, rtt.P50.Micros(), rtt.P99.Micros()))
 	}
-	e.metric("probes_sent", float64(snap.Counters["nickv.probe.sent"]))
-	e.metric("probe_acks", float64(snap.Counters["nickv.probe.acks"]))
 	return e
 }
-
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -23,10 +23,10 @@ func AblateNICCache() *Experiment {
 	e := &Experiment{
 		ID:    "ablate-niccache",
 		Title: "GET served from host (SKV's choice, §IV-A) vs from SmartNIC replica",
-		Header: []string{"shards", "clients",
-			"host tput", "nic tput",
-			"host avg µs", "nic avg µs",
-			"host p99 µs", "nic p99 µs"},
+		Cols: []Col{keyCol("shards", "%.0f"), keyCol("clients", "%.0f"),
+			numCol("host tput", "%.1f"), numCol("nic tput", "%.1f"),
+			numCol("host avg µs", "%.1f"), numCol("nic avg µs", "%.1f"),
+			numCol("host p99 µs", "%.1f"), numCol("nic p99 µs", "%.1f")},
 		Notes: []string{
 			"paper §IV-A: \"the latency of accessing data will increase significantly due to the weaker processors and relatively larger RDMA latency of the off-path SmartNIC\" — so SKV stores all key-value pairs on the host",
 			"shards > 1 splits both the host keyspace and the NIC shadow replica across that many cores (the replica mirrors the host shard layout)",
@@ -37,23 +37,10 @@ func AblateNICCache() *Experiment {
 	for _, pt := range points {
 		host := runNICCacheVariant(pt.clients, pt.shards, false)
 		nic := runNICCacheVariant(pt.clients, pt.shards, true)
-		e.Rows = append(e.Rows, []string{
-			fmt.Sprint(pt.shards), fmt.Sprint(pt.clients),
-			kops(host.Throughput), kops(nic.Throughput),
-			f1(host.Avg.Micros()), f1(nic.Avg.Micros()),
-			f1(host.P99.Micros()), f1(nic.P99.Micros()),
-		})
-		if pt.clients == 8 {
-			e.metric(fmt.Sprintf("host_kops_8c_shards%d", pt.shards), host.Throughput/1000)
-			e.metric(fmt.Sprintf("nic_kops_8c_shards%d", pt.shards), nic.Throughput/1000)
-		}
-		if pt.shards == 1 && pt.clients == 8 {
-			e.metric("tput_penalty_pct_8c", (1-nic.Throughput/host.Throughput)*100)
-			e.metric("avg_latency_blowup_8c", nic.Avg.Micros()/host.Avg.Micros())
-		}
-	}
-	if base := e.Metrics["nic_kops_8c_shards1"]; base > 0 {
-		e.metric("nic_gain_pct_shards4", (e.Metrics["nic_kops_8c_shards4"]/base-1)*100)
+		e.add(pt.shards, pt.clients,
+			host.Throughput/1000, nic.Throughput/1000,
+			host.Avg.Micros(), nic.Avg.Micros(),
+			host.P99.Micros(), nic.P99.Micros())
 	}
 	return e
 }

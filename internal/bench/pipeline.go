@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"skv/internal/cluster"
 	"skv/internal/core"
 )
@@ -16,8 +14,8 @@ func ExtPipeline() *Experiment {
 	e := &Experiment{
 		ID:    "ext-pipeline",
 		Title: "SET throughput vs pipeline depth (8 clients, 3 slaves) — extension",
-		Header: []string{"pipeline", "rdma-redis kops/s", "skv kops/s", "gain",
-			"rdma p99 µs", "skv p99 µs"},
+		Cols: []Col{keyCol("pipeline", "%.0f"), numCol("rdma-redis kops/s", "%.1f"), numCol("skv kops/s", "%.1f"),
+			numCol("gain", "%+.1f%%"), numCol("rdma p99 µs", "%.1f"), numCol("skv p99 µs", "%.1f")},
 		Notes: []string{
 			"extension beyond the paper: the offload win survives pipelining because replication cost is per write, not per round trip",
 		},
@@ -25,13 +23,8 @@ func ExtPipeline() *Experiment {
 	for _, depth := range []int{1, 4, 16, 64} {
 		_, rr := run(cluster.Config{Kind: cluster.KindRDMA, Slaves: 3, Clients: 8, Seed: 63, Pipeline: depth})
 		_, rs := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 8, Seed: 63, Pipeline: depth, SKV: core.DefaultConfig()})
-		e.Rows = append(e.Rows, []string{
-			fmt.Sprint(depth),
-			kops(rr.Throughput), kops(rs.Throughput),
-			fmt.Sprintf("%+.1f%%", (rs.Throughput/rr.Throughput-1)*100),
-			f1(rr.P99.Micros()), f1(rs.P99.Micros()),
-		})
-		e.metric(fmt.Sprintf("gain_pct_depth%d", depth), (rs.Throughput/rr.Throughput-1)*100)
+		e.add(depth, rr.Throughput/1000, rs.Throughput/1000, (rs.Throughput/rr.Throughput-1)*100,
+			rr.P99.Micros(), rs.P99.Micros())
 	}
 	return e
 }

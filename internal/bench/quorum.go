@@ -20,9 +20,10 @@ import (
 // loss under failover costs in throughput and tail latency.
 func ExtQuorum() *Experiment {
 	e := &Experiment{
-		ID:     "ext-quorum",
-		Title:  "Tunable write consistency (SKV, 3 slaves, SET-only) — extension",
-		Header: []string{"level", "kops/s", "p99 µs", "gate releases", "err replies"},
+		ID:    "ext-quorum",
+		Title: "Tunable write consistency (SKV, 3 slaves, SET-only) — extension",
+		Cols: []Col{keyCol("level", ""), numCol("kops/s", "%.1f"), numCol("p99 µs", "%.1f"),
+			numCol("gate releases", "%.0f"), numCol("err replies", "%.0f")},
 		Notes: []string{
 			"extension beyond the paper: NIC-enforced quorum acknowledgments — the gate on a write's reply rides the replication request that carries the write, and the Nic-KV releases a watermark once W slaves report the batch's end",
 			"async is the legacy reply-on-execute path (zero gates); all waits for every attached slave",
@@ -56,11 +57,7 @@ func ExtQuorum() *Experiment {
 		if lv.level != consistency.Async && releases == 0 {
 			panic(fmt.Sprintf("ext-quorum: %s released no gates — the NIC quorum path never engaged", lv.label))
 		}
-		e.Rows = append(e.Rows, []string{lv.label, kops(r.Throughput), f1(r.P99.Micros()),
-			fmt.Sprint(releases), fmt.Sprint(r.ErrReplies)})
-		key := map[string]string{"async": "async", "quorum W=1": "q1", "quorum W=2": "q2", "all": "all"}[lv.label]
-		e.metric("kops_"+key, r.Throughput/1000)
-		e.metric("p99_us_"+key, r.P99.Micros())
+		e.add(lv.label, r.Throughput/1000, r.P99.Micros(), releases, r.ErrReplies)
 	}
 	return e
 }

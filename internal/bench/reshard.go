@@ -26,8 +26,9 @@ func ExtReshard() *Experiment {
 	e := &Experiment{
 		ID:    "ext-reshard",
 		Title: "Live slot migration under load (2 masters, 50% GET, slots 0-511 rehomed) — extension",
-		Header: []string{"phase", "kops/s", "p99 µs", "keys moved", "cas retries",
-			"asks", "migration ms", "err replies"},
+		Cols: []Col{keyCol("phase", ""), numCol("kops/s", "%.1f"), numCol("p99 µs", "%.1f"),
+			numCol("keys moved", "%.0f"), numCol("cas retries", "%.0f"), numCol("asks", "%.0f"),
+			numCol("migration ms", "%.1f"), numCol("err replies", "%.0f")},
 		Notes: []string{
 			"extension beyond the paper: Redis-Cluster-style live resharding (ASK/ASKING window, per-key optimistic CAS transfer, atomic SETSLOT NODE flip) on the multi-master SKV deployment",
 			"steady and reshard rows run the identical deployment and seed; only the mover differs, so the column deltas isolate the migration's cost",
@@ -65,38 +66,25 @@ func ExtReshard() *Experiment {
 		if r.ErrReplies != 0 {
 			panic(fmt.Sprintf("ext-reshard: %d error replies (migrate=%t)", r.ErrReplies, migrate))
 		}
-		phase, moved, retries, asks, ms := "steady", "-", "-", "-", "-"
-		if migrate {
-			// Let a migration that outlives the measure window finish, so
-			// the moved/duration columns describe the complete reshard.
-			deadline := c.Eng.Now().Add(2 * sim.Second)
-			for !done && c.Eng.Now() < deadline {
-				c.Eng.Run(c.Eng.Now().Add(5 * sim.Millisecond))
-			}
-			if !done {
-				panic("ext-reshard: migration did not finish within 2s of the measure window")
-			}
-			var asked uint64
-			for _, cl := range c.Clients {
-				asked += cl.Stats().Asked
-			}
-			phase = "reshard"
-			moved = fmt.Sprint(m.KeysMoved)
-			retries = fmt.Sprint(m.KeyRetries)
-			asks = fmt.Sprint(asked)
-			ms = f1(float64(doneIn) / float64(sim.Millisecond))
-			e.metric("keys_moved", float64(m.KeysMoved))
-			e.metric("cas_retries", float64(m.KeyRetries))
-			e.metric("asks", float64(asked))
-			e.metric("migration_ms", float64(doneIn)/float64(sim.Millisecond))
-			e.metric("kops_reshard", r.Throughput/1000)
-			e.metric("p99_us_reshard", r.P99.Micros())
-		} else {
-			e.metric("kops_steady", r.Throughput/1000)
-			e.metric("p99_us_steady", r.P99.Micros())
+		if !migrate {
+			e.add("steady", r.Throughput/1000, r.P99.Micros(), "-", "-", "-", "-", r.ErrReplies)
+			continue
 		}
-		e.Rows = append(e.Rows, []string{phase, kops(r.Throughput), f1(r.P99.Micros()),
-			moved, retries, asks, ms, fmt.Sprint(r.ErrReplies)})
+		// Let a migration that outlives the measure window finish, so the
+		// moved/duration columns describe the complete reshard.
+		deadline := c.Eng.Now().Add(2 * sim.Second)
+		for !done && c.Eng.Now() < deadline {
+			c.Eng.Run(c.Eng.Now().Add(5 * sim.Millisecond))
+		}
+		if !done {
+			panic("ext-reshard: migration did not finish within 2s of the measure window")
+		}
+		var asked uint64
+		for _, cl := range c.Clients {
+			asked += cl.Stats().Asked
+		}
+		e.add("reshard", r.Throughput/1000, r.P99.Micros(), m.KeysMoved, m.KeyRetries, asked,
+			float64(doneIn)/float64(sim.Millisecond), r.ErrReplies)
 	}
 	return e
 }

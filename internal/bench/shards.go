@@ -28,8 +28,9 @@ func ExtShards() *Experiment {
 	e := &Experiment{
 		ID:    "ext-shards",
 		Title: "Host-KV keyspace + dispatch/parse sharding (SET, 8 clients ×8 deep, 3 slaves) — extension",
-		Header: []string{"shards", "listeners", "skv kops/s", "p99 µs", "dispatch util",
-			"route core utils", "shard core utils", "wait0 rtt µs", "wait barriers"},
+		Cols: []Col{keyCol("shards", "%.0f"), keyCol("listeners", "%.0f"), numCol("skv kops/s", "%.1f"),
+			numCol("p99 µs", "%.1f"), numCol("dispatch util", "%.0f%%"), {Name: "route core utils"},
+			{Name: "shard core utils"}, numCol("wait0 rtt µs", "%.1f"), numCol("wait barriers", "%.0f")},
 		Notes: []string{
 			"extension beyond the paper: one pipeline at every row — at shards=1 the one shard shares the dispatch core, so the route/merge hop crosses no core and costs nothing (the paper's single event loop, `-` in both util columns); at listeners=1 the dispatch core owns every connection",
 			"replication, WAIT and the Nic-KV offload see one serialized stream at every shard and listener count",
@@ -37,7 +38,6 @@ func ExtShards() *Experiment {
 			"wait0 rtt: round-trip of WAIT 0 0 probed under full load — per-caller WAIT never quiesces the pipeline, so the barrier count stays 0 in every row",
 		},
 	}
-	base := -1.0
 	rows := []struct{ shards, listeners int }{
 		{1, 1}, {2, 1}, {4, 1}, {8, 1}, {4, 2}, {4, 4}, {8, 2}, {8, 4},
 	}
@@ -58,22 +58,8 @@ func ExtShards() *Experiment {
 		c, r := run(cluster.Config{Kind: cluster.KindSKV, Slaves: 3, Clients: 8,
 			Pipeline: 8, Seed: 67, Params: &p, SKV: core.DefaultConfig()})
 		waitRTT, waitBarriers := waitProbe(c, 5)
-		e.Rows = append(e.Rows, []string{
-			fmt.Sprint(row.shards), fmt.Sprint(row.listeners), kops(r.Throughput), f1(r.P99.Micros()),
-			fmt.Sprintf("%.0f%%", r.MasterUtil*100), utilCol(r.RouteUtils), utilCol(r.ShardUtils),
-			f1(waitRTT.Micros()), fmt.Sprint(waitBarriers),
-		})
-		key := fmt.Sprintf("shards%d_l%d", row.shards, row.listeners)
-		e.metric("kops_"+key, r.Throughput/1000)
-		e.metric("p99_us_"+key, r.P99.Micros())
-		e.metric("dispatch_util_pct_"+key, r.MasterUtil*100)
-		e.metric("wait0_us_"+key, waitRTT.Micros())
-		e.metric("wait_barriers_"+key, float64(waitBarriers))
-		if row.shards == 1 && row.listeners == 1 {
-			base = r.Throughput
-		} else if base > 0 {
-			e.metric("gain_pct_"+key, (r.Throughput/base-1)*100)
-		}
+		e.add(row.shards, row.listeners, r.Throughput/1000, r.P99.Micros(), r.MasterUtil*100,
+			utilCol(r.RouteUtils), utilCol(r.ShardUtils), waitRTT.Micros(), waitBarriers)
 	}
 	return e
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"skv/internal/cluster"
 	"skv/internal/core"
 )
@@ -21,8 +19,8 @@ func ExtTracking() *Experiment {
 	e := &Experiment{
 		ID:    "ext-tracking",
 		Title: "GET throughput with client-side caching (Zipfian, preloaded keyspace)",
-		Header: []string{"clients", "reads", "tracking",
-			"tput kops/s", "hit rate", "avg µs", "p99 µs"},
+		Cols: []Col{keyCol("clients", "%.0f"), keyCol("reads", ""), keyCol("tracking", ""),
+			numCol("tput kops/s", "%.1f"), numCol("hit rate", "%.0f%%"), numCol("avg µs", "%.1f"), numCol("p99 µs", "%.1f")},
 		Notes: []string{
 			"reads=host is SKV's §IV-A design; reads=nic serves GETs from the ARM shadow replica (NicReads=clients)",
 			"tracking=on arms CLIENT TRACKING: tracked GETs hit the client cache, kept coherent by NIC-pushed invalidations",
@@ -46,26 +44,8 @@ func ExtTracking() *Experiment {
 			if v.tracked {
 				onOff = "on"
 			}
-			e.Rows = append(e.Rows, []string{
-				fmt.Sprint(n), v.reads, onOff,
-				kops(r.Throughput), fmt.Sprintf("%.0f%%", hitRate*100),
-				f1(r.Avg.Micros()), f1(r.P99.Micros()),
-			})
-			if n == 8 {
-				key := v.reads
-				if v.tracked {
-					key = "tracked_" + key
-				}
-				e.metric(key+"_kops_8c", r.Throughput/1000)
-				if v.tracked {
-					e.metric(key+"_hit_rate_8c", hitRate)
-				}
-			}
+			e.add(n, v.reads, onOff, r.Throughput/1000, hitRate*100, r.Avg.Micros(), r.P99.Micros())
 		}
-	}
-	if nic := e.Metrics["nic_kops_8c"]; nic > 0 {
-		e.metric("tracked_vs_nic_gain_pct_8c",
-			(e.Metrics["tracked_host_kops_8c"]/nic-1)*100)
 	}
 	return e
 }
