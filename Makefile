@@ -55,8 +55,9 @@ bench-smoke:
 
 # Byte-identity proof for a behaviour-preserving change: every experiment
 # built from BASE (a git revision, via git archive) and from the working tree,
-# run on both and cmp'd; fails naming the first experiment that differs.
-# SMOKE=1 runs both sides with -smoke. ~4 minutes per side at full scale.
+# the two binaries of each experiment run side by side and their outputs
+# cmp'd; fails naming the first experiment that exits non-zero or differs.
+# SMOKE=1 runs both sides with -smoke. ~4.5 minutes in all at full scale.
 BASE ?= HEAD
 bench-cmp:
 	SMOKE=$(SMOKE) bash scripts/bench-cmp.sh $(BASE)

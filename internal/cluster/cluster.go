@@ -179,6 +179,9 @@ var (
 // Validate reports configuration errors Build would otherwise bake into a
 // half-configured cluster.
 func (cfg Config) Validate() error {
+	if cfg.Slaves < 0 {
+		return fmt.Errorf("cluster: Slaves=%d is invalid; a group has zero or more slaves", cfg.Slaves)
+	}
 	if cfg.NicReads != NicReadsOff && cfg.Kind != KindSKV {
 		return fmt.Errorf("cluster: NicReads=%s requires Kind=KindSKV (got %s): only the SKV deployment has a SmartNIC to serve reads from", cfg.NicReads, cfg.Kind)
 	}

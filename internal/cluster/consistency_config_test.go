@@ -38,6 +38,18 @@ func TestConsistencyConfigValidate(t *testing.T) {
 			want: ErrQuorumNoSlaves,
 		},
 		{
+			// A negative count builds no slave, and "all" of none never
+			// releases a write.
+			name: "all with a negative slave count",
+			cfg:  Config{Kind: KindSKV, Slaves: -1, Consistency: ConsistencyOpts{Level: consistency.All}},
+			bad:  true,
+		},
+		{
+			name: "async with a negative slave count",
+			cfg:  Config{Kind: KindSKV, Slaves: -1},
+			bad:  true,
+		},
+		{
 			name: "quorum against per-group replicas on a multi-master deployment",
 			cfg: Config{Kind: KindSKV, Cluster: ClusterOpts{Masters: 3, SlavesPerMaster: 1},
 				Consistency: ConsistencyOpts{Level: consistency.Quorum, Quorum: 2}},

@@ -55,40 +55,6 @@ func dialPair(t *testing.T, w *world, tune func(*Stack)) (transport.Conn, transp
 	return cli, srv
 }
 
-func TestEcho(t *testing.T) {
-	w := newWorld()
-	cli, srv := dialPair(t, w, nil)
-	srv.SetHandler(func(b []byte) { srv.Send(append([]byte("r:"), b...)) })
-	var got string
-	cli.SetHandler(func(b []byte) { got = string(b) })
-	w.eng.After(0, func() { cli.Send([]byte("SET k v")) })
-	w.eng.Run(0)
-	if got != "r:SET k v" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestManyMessagesInOrder(t *testing.T) {
-	w := newWorld()
-	cli, srv := dialPair(t, w, nil)
-	var got []int
-	srv.SetHandler(func(b []byte) { got = append(got, int(b[0])<<8|int(b[1])) })
-	w.eng.After(0, func() {
-		for i := 0; i < 1000; i++ {
-			cli.Send([]byte{byte(i >> 8), byte(i), 0, 0, 0, 0, 0, 0})
-		}
-	})
-	w.eng.Run(0)
-	if len(got) != 1000 {
-		t.Fatalf("delivered %d/1000", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("message %d out of order (got %d)", i, v)
-		}
-	}
-}
-
 func TestLargeMessageFragmentsAndReassembles(t *testing.T) {
 	w := newWorld()
 	cli, srv := dialPair(t, w, nil)
@@ -160,32 +126,6 @@ func TestBidirectionalTraffic(t *testing.T) {
 	}
 }
 
-func TestCloseNotifiesPeer(t *testing.T) {
-	w := newWorld()
-	cli, srv := dialPair(t, w, nil)
-	closed := false
-	srv.SetCloseHandler(func() { closed = true })
-	w.eng.After(0, func() { cli.Close() })
-	w.eng.Run(0)
-	if !closed || !cli.Closed() {
-		t.Fatal("close did not propagate")
-	}
-}
-
-func TestDialRefused(t *testing.T) {
-	w := newWorld()
-	sa := w.stack("a", false)
-	sb := w.stack("b", false)
-	var gotErr error
-	w.eng.At(0, func() {
-		sa.Dial(sb.Endpoint(), 4242, func(c transport.Conn, err error) { gotErr = err })
-	})
-	w.eng.Run(0)
-	if gotErr == nil {
-		t.Fatal("expected refusal")
-	}
-}
-
 func TestRDMAPerMessageCPUWellBelowTCP(t *testing.T) {
 	// The motivating measurement: receiving a message via the completion
 	// channel costs far less CPU than the kernel TCP path.
@@ -207,17 +147,6 @@ func TestRDMAPerMessageCPUWellBelowTCP(t *testing.T) {
 	perMsg := (proc.Core.BusyTime() - before) / 200
 	if perMsg >= w.p.TCPRxCPU/2 {
 		t.Fatalf("RDMA per-message RX CPU %v not well below TCP %v", perMsg, w.p.TCPRxCPU)
-	}
-}
-
-func TestConnAddressing(t *testing.T) {
-	w := newWorld()
-	cli, _ := dialPair(t, w, nil)
-	if cli.Transport() != "rdma" {
-		t.Fatal("transport name")
-	}
-	if cli.RemoteAddr() != "b/host" {
-		t.Fatalf("remote addr %q", cli.RemoteAddr())
 	}
 }
 

@@ -11,6 +11,8 @@
 // the evicted key is a pure function of the operation history.
 package tracking
 
+import "skv/internal/ring"
+
 // Entry is one tracked key and its subscribers, as returned by Take and
 // TakeAll. Subs is in first-interest order.
 type Entry struct {
@@ -37,7 +39,7 @@ type Table struct {
 
 	byKey  map[string]*keyEntry
 	subs   map[string]map[string]bool // name → keys it is interested in
-	fifo   []string                   // key admission order (may hold tombstones)
+	fifo   ring.Queue[string]         // key admission order (may hold tombstones)
 	inFifo map[string]bool            // keys currently holding a fifo slot
 }
 
@@ -50,7 +52,6 @@ func New(max int) *Table {
 		Max:    max,
 		byKey:  make(map[string]*keyEntry),
 		subs:   make(map[string]map[string]bool),
-		fifo:   make([]string, 0, 16),
 		inFifo: make(map[string]bool),
 	}
 }
@@ -70,7 +71,7 @@ func (t *Table) Add(key, name string) {
 		e = &keyEntry{member: make(map[string]bool, 2)}
 		t.byKey[key] = e
 		if !t.inFifo[key] {
-			t.fifo = append(t.fifo, key)
+			t.fifo.Push(key)
 			t.inFifo[key] = true
 			t.compact()
 		}
@@ -106,7 +107,8 @@ func (t *Table) TakeAll() []Entry {
 		return nil
 	}
 	out := make([]Entry, 0, len(t.byKey))
-	for _, key := range t.fifo {
+	for i := 0; i < t.fifo.Len(); i++ {
+		key := *t.fifo.At(i)
 		e := t.byKey[key]
 		if e == nil {
 			continue // tombstone
@@ -161,9 +163,8 @@ func (t *Table) drop(key string, e *keyEntry) {
 func (t *Table) evictFor(key string) {
 	for len(t.byKey) >= t.Max {
 		victim := ""
-		for len(t.fifo) > 0 {
-			k := t.fifo[0]
-			t.fifo = t.fifo[1:]
+		for t.fifo.Len() > 0 {
+			k := t.fifo.Pop()
 			delete(t.inFifo, k)
 			if t.byKey[k] != nil {
 				victim = k
@@ -181,18 +182,17 @@ func (t *Table) evictFor(key string) {
 	}
 }
 
-// compact rebuilds the fifo without tombstones once they dominate.
+// compact drops the fifo's tombstones once they dominate, rotating the live
+// keys through the queue in place so their order is kept.
 func (t *Table) compact() {
-	if len(t.fifo) <= 2*t.Max {
+	if t.fifo.Len() <= 2*t.Max {
 		return
 	}
-	live := t.fifo[:0]
-	for _, k := range t.fifo {
-		if t.byKey[k] != nil {
-			live = append(live, k)
+	for n := t.fifo.Len(); n > 0; n-- {
+		if k := t.fifo.Pop(); t.byKey[k] != nil {
+			t.fifo.Push(k)
 		} else {
 			delete(t.inFifo, k)
 		}
 	}
-	t.fifo = live
 }

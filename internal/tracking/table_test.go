@@ -88,8 +88,8 @@ func TestTombstoneCompaction(t *testing.T) {
 		tb.Add(k, "s")
 		tb.Take(k)
 	}
-	if len(tb.fifo) > 2*tb.Max {
-		t.Fatalf("fifo not compacted: %d slots", len(tb.fifo))
+	if tb.fifo.Len() > 2*tb.Max {
+		t.Fatalf("fifo not compacted: %d slots", tb.fifo.Len())
 	}
 	if tb.Len() != 0 {
 		t.Fatalf("len = %d, want 0", tb.Len())

@@ -2,11 +2,13 @@
 # bench-cmp.sh BASE — prove a change leaves every experiment's output
 # byte-identical: build skv-bench from the committed tree at BASE (any git
 # revision, extracted with git archive) and from the working tree, run every
-# experiment id the working tree lists on both, and cmp each pair. Exits 1
-# naming the first experiment whose output differs (and showing the start of
-# the diff). SMOKE=1 runs both sides with -smoke (tiny windows, seconds
-# instead of minutes); the experiments are virtual-time deterministic, so
-# either way a difference is a behaviour change, not noise.
+# experiment id the working tree lists on both — the two binaries of an id
+# side by side — and cmp each pair. Exits 1 naming the first experiment that
+# exits non-zero on either side (showing the end of its output) or whose
+# output differs (showing the start of the diff). SMOKE=1 runs both sides
+# with -smoke (tiny windows, seconds instead of minutes); the experiments are
+# virtual-time deterministic, so either way a difference is a behaviour
+# change, not noise.
 #
 #	make bench-cmp BASE=HEAD~1
 #	SMOKE=1 bash scripts/bench-cmp.sh main
@@ -30,11 +32,25 @@ if [ "${SMOKE:-0}" = 1 ]; then
 	flags=(-smoke)
 fi
 
+# exited ID SIDE STATUS fails the comparison on a crashed or failing run.
+exited() {
+	echo "bench-cmp: $1: $2 exited $3" >&2
+	tail -20 "$tmp/$2/$1.txt" >&2
+	exit 1
+}
+
 ids=$("$tmp/new-bench" -list)
 n=0
 for id in $ids; do
-	"$tmp/base-bench" "${flags[@]}" -exp "$id" >"$tmp/base/$id.txt" 2>&1 || true
-	"$tmp/new-bench" "${flags[@]}" -exp "$id" >"$tmp/new/$id.txt" 2>&1 || true
+	"$tmp/base-bench" "${flags[@]}" -exp "$id" >"$tmp/base/$id.txt" 2>&1 &
+	base_pid=$!
+	"$tmp/new-bench" "${flags[@]}" -exp "$id" >"$tmp/new/$id.txt" 2>&1 &
+	new_pid=$!
+	base_status=0 new_status=0
+	wait "$base_pid" || base_status=$?
+	wait "$new_pid" || new_status=$?
+	[ "$new_status" = 0 ] || exited "$id" new "$new_status"
+	[ "$base_status" = 0 ] || exited "$id" base "$base_status"
 	if ! cmp -s "$tmp/base/$id.txt" "$tmp/new/$id.txt"; then
 		echo "bench-cmp: $id differs from $base" >&2
 		diff "$tmp/base/$id.txt" "$tmp/new/$id.txt" | head -20 >&2 || true
