@@ -56,7 +56,8 @@ bench-smoke:
 # Byte-identity proof for a behaviour-preserving change: every experiment
 # built from BASE (a git revision, via git archive) and from the working tree,
 # the two binaries of each experiment run side by side and their outputs
-# cmp'd; fails naming the first experiment that exits non-zero or differs.
+# cmp'd; fails at the first experiment that exits non-zero, or after the last
+# naming every experiment that differs.
 # SMOKE=1 runs both sides with -smoke. ~4.5 minutes in all at full scale.
 BASE ?= HEAD
 bench-cmp:
@@ -81,22 +82,12 @@ profile:
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/skv.test $(PROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_DIR)/skv.test $(PROFILE_DIR)/mem.prof
 
-# Fuzz the wire decoders: the RESP decoder against its reference and its
-# borrowing read against its copying one (internal/resp/fuzz_test.go), the
-# replication stream applier against a plain decode (internal/replstream),
-# every SKV control frame through a live master, Nic-KV and slave
-# (internal/core), the RDB loader (internal/rdb) and the MOVED/ASK parser
-# against its encoder (internal/slots). New corpus entries go to the go
-# command's cache, failures to testdata/.
+# Fuzz every wire decoder: each Fuzz target `go test -list` finds in the
+# module runs for FUZZTIME (scripts/fuzz.sh). New corpus entries go to the go
+# command's cache, failures to the package's testdata/.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test ./internal/resp -run '^$$' -fuzz FuzzReadCommand -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/resp -run '^$$' -fuzz FuzzReadValue -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/resp -run '^$$' -fuzz FuzzBorrowCommand -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/replstream -run '^$$' -fuzz FuzzApplierFeed -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzCoreFrames -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/rdb -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/slots -run '^$$' -fuzz FuzzParseRedirect -fuzztime $(FUZZTIME)
+	GO=$(GO) FUZZTIME=$(FUZZTIME) bash scripts/fuzz.sh
 
 clean:
 	$(GO) clean ./...

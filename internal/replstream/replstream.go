@@ -92,9 +92,6 @@ type WriterConfig struct {
 	// MaxCmds flushes a batch once it holds this many commands; 1 (or less)
 	// flushes synchronously inside Append — the unbatched behaviour.
 	MaxCmds int
-	// MaxBytes flushes a batch once it holds this many bytes (safety cap so
-	// huge values don't ride the quiesce flush). 0 means 64KB.
-	MaxBytes int
 	// Flush delivers one batch downstream (fan-out to slaves, or the
 	// replication request to Nic-KV).
 	Flush func(Batch)
@@ -106,6 +103,10 @@ type WriterConfig struct {
 	// bytes streamed, and batches flushed by reason (repl.* names).
 	Metrics *metrics.Registry
 }
+
+// maxBatchBytes flushes a batch once it holds this many bytes, whatever its
+// command budget: a safety cap so huge values don't ride the quiesce flush.
+const maxBatchBytes = 64 << 10
 
 // Writer is the produce side of the replication stream: it appends writes
 // to the backlog, injects SELECT context switches, accounts offsets, and
@@ -150,9 +151,6 @@ func NewWriter(cfg WriterConfig) *Writer {
 	}
 	if cfg.MaxCmds < 1 {
 		cfg.MaxCmds = 1
-	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = 1 << 16
 	}
 	return &Writer{
 		cfg:          cfg,
@@ -217,7 +215,7 @@ func (w *Writer) add(argv [][]byte) {
 	switch {
 	case w.pendingCmds >= w.cfg.MaxCmds:
 		w.flush(flushCmdBudget)
-	case len(w.pending) >= w.cfg.MaxBytes:
+	case len(w.pending) >= maxBatchBytes:
 		w.flush(flushByteBudget)
 	default:
 		w.scheduleFlush()

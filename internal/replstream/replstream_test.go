@@ -21,13 +21,12 @@ type harness struct {
 	queued  []func()
 }
 
-func newHarness(maxCmds, maxBytes int, scheduled bool) *harness {
+func newHarness(maxCmds int, scheduled bool) *harness {
 	h := &harness{bl: backlog.New(1 << 20)}
 	cfg := WriterConfig{
-		Backlog:  h.bl,
-		MaxCmds:  maxCmds,
-		MaxBytes: maxBytes,
-		Metrics:  metrics.NewRegistry("writer", nil),
+		Backlog: h.bl,
+		MaxCmds: maxCmds,
+		Metrics: metrics.NewRegistry("writer", nil),
 		Flush: func(b Batch) {
 			// Copy: real transports also take ownership of Data.
 			h.flushed = append(h.flushed, Batch{Start: b.Start, Data: append([]byte(nil), b.Data...), Cmds: b.Cmds, Gate: b.Gate})
@@ -56,7 +55,7 @@ func (h *harness) quiesce() {
 // SELECT context switch flushes as its own batch first (exactly the two
 // sends the pre-refactor code issued).
 func TestBatchOneFlushesSynchronously(t *testing.T) {
-	h := newHarness(1, 0, true)
+	h := newHarness(1, true)
 	h.w.Append(0, [][]byte{[]byte("SET"), []byte("k"), []byte("v")})
 	if len(h.flushed) != 1 {
 		t.Fatalf("flushes after first append: %d", len(h.flushed))
@@ -85,7 +84,7 @@ func TestBatchOneFlushesSynchronously(t *testing.T) {
 // TestBudgetFlush checks the command-count budget: the batch flushes inside
 // Append as soon as MaxCmds commands accumulate.
 func TestBudgetFlush(t *testing.T) {
-	h := newHarness(3, 0, true)
+	h := newHarness(3, true)
 	var want []byte
 	for i := 0; i < 3; i++ {
 		c := [][]byte{[]byte("SET"), []byte(fmt.Sprintf("k%d", i)), []byte("v")}
@@ -104,20 +103,28 @@ func TestBudgetFlush(t *testing.T) {
 	}
 }
 
-// TestByteBudgetFlush checks the byte cap: a large value flushes before the
-// command budget fills.
+// TestByteBudgetFlush checks the byte cap: a batch that reaches 64 KiB
+// flushes inside Append, before the command budget fills, and counts as a
+// byte-budget flush.
 func TestByteBudgetFlush(t *testing.T) {
-	h := newHarness(1000, 64, true)
-	h.w.Append(0, [][]byte{[]byte("SET"), []byte("k"), bytes.Repeat([]byte("x"), 128)})
-	if len(h.flushed) != 1 {
-		t.Fatalf("oversized command not flushed (flushes=%d)", len(h.flushed))
+	h := newHarness(1000, true)
+	h.w.Append(0, [][]byte{[]byte("SET"), []byte("k"), []byte("v")})
+	if len(h.flushed) != 0 {
+		t.Fatalf("a small command flushed (flushes=%d)", len(h.flushed))
+	}
+	h.w.Append(0, [][]byte{[]byte("SET"), []byte("k"), bytes.Repeat([]byte("x"), maxBatchBytes)})
+	if len(h.flushed) != 1 || h.flushed[0].Cmds != 2 {
+		t.Fatalf("batch past 64 KiB not flushed whole: %d flushes", len(h.flushed))
+	}
+	if n := h.w.mFlushBytes.Value(); n != 1 {
+		t.Fatalf("repl.flush.byte_budget = %d, want 1", n)
 	}
 }
 
 // TestQuiesceFlush checks the deferred path: a partial batch rides the
 // scheduled flush, and the schedule hook is armed only once per batch.
 func TestQuiesceFlush(t *testing.T) {
-	h := newHarness(64, 0, true)
+	h := newHarness(64, true)
 	h.w.Append(0, [][]byte{[]byte("SET"), []byte("a"), []byte("1")})
 	h.w.Append(0, [][]byte{[]byte("SET"), []byte("b"), []byte("2")})
 	if len(h.flushed) != 0 {
@@ -145,7 +152,7 @@ func TestQuiesceFlush(t *testing.T) {
 // pending batch so snapshotted offsets cover everything already delivered,
 // and is a no-op when nothing is pending.
 func TestManualFlushBarrier(t *testing.T) {
-	h := newHarness(64, 0, true)
+	h := newHarness(64, true)
 	h.w.Flush() // empty: no-op
 	if h.w.BatchesFlushed() != 0 {
 		t.Fatal("empty Flush counted")
@@ -165,7 +172,7 @@ func TestManualFlushBarrier(t *testing.T) {
 // TestOffsetsContinuous checks that batch offsets tile the backlog exactly:
 // every byte appended appears in exactly one batch at its backlog offset.
 func TestOffsetsContinuous(t *testing.T) {
-	h := newHarness(4, 0, true)
+	h := newHarness(4, true)
 	for i := 0; i < 10; i++ {
 		h.w.Append(i%3, [][]byte{[]byte("SET"), []byte(fmt.Sprintf("k%d", i)), []byte("v")})
 	}
@@ -189,7 +196,7 @@ func TestOffsetsContinuous(t *testing.T) {
 // batch cannot ride a quiesce, so nothing is lost only if callers Flush;
 // budget flushes still fire on their own.
 func TestNoScheduleDegradesToSynchronous(t *testing.T) {
-	h := newHarness(2, 0, false)
+	h := newHarness(2, false)
 	h.w.Append(0, [][]byte{[]byte("SET"), []byte("a"), []byte("1")})
 	h.w.Append(0, [][]byte{[]byte("SET"), []byte("b"), []byte("2")})
 	if len(h.flushed) != 1 {
@@ -208,7 +215,7 @@ func TestNoScheduleDegradesToSynchronous(t *testing.T) {
 func TestGateRidesTheBatchThatHoldsTheWrite(t *testing.T) {
 	set := [][]byte{[]byte("SET"), []byte("k"), []byte("v")}
 
-	h := newHarness(1, 0, true)
+	h := newHarness(1, true)
 	h.w.AppendGated(3, set, QuorumGate(2)) // SELECT 3 flushes first, alone
 	h.w.Append(3, set)
 	var got []Gate
@@ -219,7 +226,7 @@ func TestGateRidesTheBatchThatHoldsTheWrite(t *testing.T) {
 		t.Fatalf("unbatched gates %v, want %v", got, want)
 	}
 
-	h = newHarness(4, 0, true)
+	h = newHarness(4, true)
 	h.w.Append(0, set)
 	h.w.AppendGated(0, set, QuorumGate(1))
 	h.w.AppendGated(0, set, GateAll)

@@ -3,9 +3,10 @@
 # byte-identical: build skv-bench from the committed tree at BASE (any git
 # revision, extracted with git archive) and from the working tree, run every
 # experiment id the working tree lists on both — the two binaries of an id
-# side by side — and cmp each pair. Exits 1 naming the first experiment that
-# exits non-zero on either side (showing the end of its output) or whose
-# output differs (showing the start of the diff). SMOKE=1 runs both sides
+# side by side — and cmp each pair. Exits 1 at the first experiment that
+# exits non-zero on either side (showing the end of its output); an output
+# that differs shows the start of its diff, and the run goes on, so the last
+# line names every experiment that moved. SMOKE=1 runs both sides
 # with -smoke (tiny windows, seconds instead of minutes); the experiments are
 # virtual-time deterministic, so either way a difference is a behaviour
 # change, not noise.
@@ -41,6 +42,7 @@ exited() {
 
 ids=$("$tmp/new-bench" -list)
 n=0
+differ=()
 for id in $ids; do
 	"$tmp/base-bench" "${flags[@]}" -exp "$id" >"$tmp/base/$id.txt" 2>&1 &
 	base_pid=$!
@@ -54,9 +56,14 @@ for id in $ids; do
 	if ! cmp -s "$tmp/base/$id.txt" "$tmp/new/$id.txt"; then
 		echo "bench-cmp: $id differs from $base" >&2
 		diff "$tmp/base/$id.txt" "$tmp/new/$id.txt" | head -20 >&2 || true
-		exit 1
+		differ+=("$id")
+		continue
 	fi
 	n=$((n + 1))
 	echo "bench-cmp: $id identical"
 done
+if [ ${#differ[@]} -gt 0 ]; then
+	echo "bench-cmp: $n experiments identical to $base; differ: ${differ[*]}" >&2
+	exit 1
+fi
 echo "bench-cmp: all $n experiments identical to $base"
