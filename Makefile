@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet lint race verify bench bench-smoke bench-cmp chaos profile fuzz clean
+.PHONY: all build fmt test vet lint race verify bench bench-smoke bench-cmp chaos profile fuzz size clean
 
 all: verify
 
@@ -88,6 +88,12 @@ profile:
 FUZZTIME ?= 20s
 fuzz:
 	GO=$(GO) FUZZTIME=$(FUZZTIME) bash scripts/fuzz.sh
+
+# Non-test and code-only Go lines per package under internal/, cmd/ and
+# examples/, plus the totals (scripts/size.sh): the before/after count a
+# simplification reports. ROOT=<dir> counts another checkout.
+size:
+	bash scripts/size.sh
 
 clean:
 	$(GO) clean ./...

@@ -128,6 +128,9 @@ func (p *respPool) onData(pc *poolConn, conn transport.Conn, data []byte) {
 // importing slot on its target group.
 var poolAsking = resp.EncodeCommand("ASKING")
 
+// migrateBatch is the GETKEYSINSLOT page size per drain round.
+const migrateBatch = 32
+
 // SlotMigrator reshards hash slots between running groups, key by key, over
 // the same client protocol an external redis-cli --cluster reshard would
 // use. It is sequential by design — one slot at a time, one key at a time —
@@ -137,9 +140,6 @@ type SlotMigrator struct {
 	c    *Cluster
 	h    *Chaos // optional: trace notes for the determinism oracle
 	pool *respPool
-
-	// Batch is the GETKEYSINSLOT page size per drain round (default 32).
-	Batch int
 
 	// KeysMoved counts source keys committed at the target (MIGRATEDEL :1).
 	// KeyRetries counts CAS misses (the key changed under the mover between
@@ -157,7 +157,7 @@ func NewSlotMigrator(c *Cluster, h *Chaos) *SlotMigrator {
 	if c.SlotMap == nil {
 		panic("cluster: SlotMigrator requires a multi-master deployment")
 	}
-	return &SlotMigrator{c: c, h: h, pool: newRespPool(c, "reshard"), Batch: 32}
+	return &SlotMigrator{c: c, h: h, pool: newRespPool(c, "reshard")}
 }
 
 func (m *SlotMigrator) note(label string) {
@@ -215,7 +215,7 @@ func (m *SlotMigrator) moveSlot(slot, end, target int, done func()) {
 // the atomic ownership flip.
 func (m *SlotMigrator) drainSlot(slot int, srcAddr, tgtAddr string, target int, flipped func()) {
 	ss := strconv.Itoa(slot)
-	m.pool.send(srcAddr, resp.EncodeCommand("CLUSTER", "GETKEYSINSLOT", ss, strconv.Itoa(m.Batch)), func(v resp.Value) {
+	m.pool.send(srcAddr, resp.EncodeCommand("CLUSTER", "GETKEYSINSLOT", ss, strconv.Itoa(migrateBatch)), func(v resp.Value) {
 		if v.IsError() {
 			panic(fmt.Sprintf("cluster: reshard slot %d: getkeysinslot: %s", slot, v.Str))
 		}

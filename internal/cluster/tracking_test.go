@@ -251,83 +251,224 @@ func TestTrackingSmokeNicServedReads(t *testing.T) {
 	}
 }
 
-// ---- satellite: interest dropped on disconnect --------------------------
+// ---- the tracking contract, on every serving mode -----------------------
 
-// TestTrackingInterestDroppedOnDisconnectInBand is the churn regression:
-// a client that negotiates tracking, records interest and disconnects must
-// leave the host's interest table empty.
-func TestTrackingInterestDroppedOnDisconnectInBand(t *testing.T) {
-	c := Build(Config{Kind: KindTCP, Clients: 0, Seed: 51})
-	rc := dialRaw(t, c, "churn", c.Groups[0].MasterMachine.Host, core.ClientPort)
-	rc.conn.Send(resp.EncodeCommand("client", "tracking", "on"))
-	rc.conn.Send(resp.EncodeCommand("GET", "a"))
-	rc.conn.Send(resp.EncodeCommand("GET", "b"))
-	c.Eng.RunFor(20 * sim.Millisecond)
-	if len(rc.vals) == 0 || rc.vals[0].IsError() {
-		t.Fatalf("tracking handshake failed: %v", rc.vals)
+// trackMode is one place a connection can track from: where its data
+// connection lands, where its invalidations arrive, and which table holds
+// its interest.
+type trackMode struct {
+	name string
+	cfg  Config
+	// nicData: the data connection is NIC-served (NicReads=clients).
+	// redirect: the reader subscribes on the NIC port and tracks with
+	// REDIRECT, so pushes arrive on that channel, not the data connection.
+	nicData, redirect bool
+	on                []string // the CLIENT TRACKING ON the reader sends
+	// other asks for the other mode while tracking is on; otherReply is
+	// the exact reply, after which the interest must still be in force.
+	other      []string
+	otherReply string
+	// table reports the interest table that serves this mode.
+	table func(c *Cluster) (keys, subs int)
+}
+
+func trackModes() []trackMode {
+	skv := Config{Kind: KindSKV, Slaves: 1, Clients: 0, Seed: 53, SKV: core.DefaultConfig()}
+	nicServed := skv
+	nicServed.NicReads = NicReadsClients
+	nic := func(c *Cluster) (int, int) {
+		return c.Groups[0].NicKV.TrackingLen(), c.Groups[0].NicKV.TrackingSubscribers()
 	}
-	if got := c.Master.TrackingLen(); got != 2 {
-		t.Fatalf("interest table holds %d keys, want 2", got)
+	return []trackMode{{
+		name: "in-band",
+		cfg:  Config{Kind: KindTCP, Clients: 0, Seed: 51},
+		on:   []string{"CLIENT", "TRACKING", "ON"},
+		// No offload layer to forward to: REDIRECT tracks in-band, which is
+		// the mode already in force.
+		other:      []string{"CLIENT", "TRACKING", "ON", "REDIRECT", "elsewhere"},
+		otherReply: "+OK",
+		table:      func(c *Cluster) (int, int) { return c.Master.TrackingLen(), c.Master.TrackingSubscribers() },
+	}, {
+		name:       "redirect",
+		cfg:        skv,
+		redirect:   true,
+		on:         []string{"CLIENT", "TRACKING", "ON", "REDIRECT", "reader"},
+		other:      []string{"CLIENT", "TRACKING", "ON"},
+		otherReply: "-ERR You can't switch REDIRECT on/off or change its target before disabling tracking for this client",
+		table:      nic,
+	}, {
+		name:       "nic-served",
+		cfg:        nicServed,
+		nicData:    true,
+		on:         []string{"CLIENT", "TRACKING", "ON"},
+		other:      []string{"CLIENT", "TRACKING", "ON", "REDIRECT", "reader"},
+		otherReply: "-ERR syntax error in CLIENT TRACKING",
+		table:      nic,
+	}}
+}
+
+// trackEnv is one contract row's deployment: a reader that turned tracking
+// on and a writer on the master.
+type trackEnv struct {
+	t      *testing.T
+	c      *Cluster
+	mode   trackMode
+	reader *rawClient
+	sub    *rawClient // redirect mode's subscription channel
+	feed   []byte     // what the subscription channel received
+	writer *rawClient
+}
+
+func newTrackEnv(t *testing.T, m trackMode) *trackEnv {
+	c := Build(m.cfg)
+	if m.cfg.Kind == KindSKV && !c.AwaitReplication(2*sim.Second) {
+		t.Fatal("initial replication did not complete")
 	}
-	if got := c.Master.TrackingSubscribers(); got != 1 {
-		t.Fatalf("%d subscribers, want 1", got)
+	g := c.Groups[0]
+	e := &trackEnv{t: t, c: c, mode: m}
+	e.writer = dialRaw(t, c, "writer", g.MasterMachine.Host, core.ClientPort)
+	if m.redirect {
+		e.sub = dialRaw(t, c, "sub", g.MasterMachine.NIC, core.NicPort)
+		e.sub.conn.SetHandler(func(data []byte) { e.feed = append(e.feed, data...) })
+		e.sub.conn.Send(core.EncodeTrackHello("reader"))
 	}
-	rc.conn.Close()
-	c.Eng.RunFor(20 * sim.Millisecond)
-	if keys, subs := c.Master.TrackingLen(), c.Master.TrackingSubscribers(); keys != 0 || subs != 0 {
-		t.Fatalf("disconnect leaked interest: keys=%d subs=%d", keys, subs)
+	data := g.MasterMachine.Host
+	if m.nicData {
+		data = g.MasterMachine.NIC
+	}
+	e.reader = dialRaw(t, c, "reader", data, core.ClientPort)
+	for _, k := range []string{"k", "a", "b"} {
+		e.do(e.writer, "SET", k, "v1")
+	}
+	e.c.Eng.RunFor(20 * sim.Millisecond) // reaches the NIC replica too
+	e.expect(e.reader, "+OK", m.on...)
+	return e
+}
+
+// do sends one command and returns its reply (pushes skipped).
+func (e *trackEnv) do(rc *rawClient, args ...string) resp.Value {
+	e.t.Helper()
+	n := len(rc.vals)
+	rc.conn.Send(resp.EncodeCommand(args...))
+	e.c.Eng.RunFor(20 * sim.Millisecond)
+	for _, v := range rc.vals[n:] {
+		if !v.IsPush() {
+			return v
+		}
+	}
+	e.t.Fatalf("%s: no reply to %q", e.mode.name, args)
+	return resp.Value{}
+}
+
+// expect fails unless the reply to args is exactly want ("+OK", "-ERR ...").
+func (e *trackEnv) expect(rc *rawClient, want string, args ...string) {
+	e.t.Helper()
+	if v := e.do(rc, args...); string(rune(v.Type))+string(v.Str) != want {
+		e.t.Fatalf("%s: %q replied %q, want %q", e.mode.name, args, v.String(), want)
 	}
 }
 
-// TestTrackingInterestDroppedOnDisconnectRedirect covers both teardown
-// paths of the offloaded plane: the data connection's close must forward
-// a drop to the NIC, and the subscription channel's own close must drop
-// the subscriber from the accept loop.
-func TestTrackingInterestDroppedOnDisconnectRedirect(t *testing.T) {
-	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 0, Seed: 53, SKV: core.DefaultConfig()})
-	if !c.AwaitReplication(2 * sim.Second) {
-		t.Fatal("sync failed")
+// pushes lists the keys invalidated at the reader so far.
+func (e *trackEnv) pushes() []string {
+	e.t.Helper()
+	var keys []string
+	if e.sub != nil {
+		if !core.ParseSubscriberFrames(e.feed, func() {}, func(k string) { keys = append(keys, k) }) {
+			e.t.Fatalf("%s: malformed subscription feed", e.mode.name)
+		}
+		return keys
 	}
+	for _, v := range e.reader.vals {
+		if v.IsPush() {
+			keys = append(keys, string(v.Array[1].Str))
+		}
+	}
+	return keys
+}
 
-	g := c.Groups[0]
-	// Arm the subscription channel first (the workload client does the same).
-	sub := dialRaw(t, c, "churn-sub", g.MasterMachine.NIC, core.NicPort)
-	sub.conn.Send(core.EncodeTrackHello("churn"))
-	c.Eng.RunFor(20 * sim.Millisecond)
-	if got := g.NicKV.TrackingSubscribers(); got != 1 {
-		t.Fatalf("NIC holds %d subscribers after hello, want 1", got)
+// overwriteExpect has the writer overwrite k and checks the invalidations
+// the reader has seen.
+func (e *trackEnv) overwriteExpect(want ...string) {
+	e.t.Helper()
+	e.do(e.writer, "SET", "k", "v2")
+	if got := e.pushes(); fmt.Sprint(got) != fmt.Sprint(want) {
+		e.t.Fatalf("%s: invalidations %q, want %q", e.mode.name, got, want)
 	}
+}
 
-	data := dialRaw(t, c, "churn-data", g.MasterMachine.Host, core.ClientPort)
-	data.conn.Send(resp.EncodeCommand("client", "tracking", "on", "redirect", "churn"))
-	data.conn.Send(resp.EncodeCommand("GET", "a"))
-	data.conn.Send(resp.EncodeCommand("GET", "b"))
-	c.Eng.RunFor(20 * sim.Millisecond)
-	if got := g.NicKV.TrackingLen(); got != 2 {
-		t.Fatalf("NIC interest table holds %d keys, want 2", got)
+func (e *trackEnv) expectTable(keys, subs int) {
+	e.t.Helper()
+	if k, s := e.mode.table(e.c); k != keys || s != subs {
+		e.t.Fatalf("%s: interest table keys=%d subs=%d, want %d/%d", e.mode.name, k, s, keys, subs)
 	}
-	if got := c.Master.TrackingLen(); got != 0 {
-		t.Fatalf("redirect mode recorded %d keys on the host", got)
-	}
+}
 
-	// Path 1: the data connection dies → the server forwards a drop.
-	data.conn.Close()
-	c.Eng.RunFor(20 * sim.Millisecond)
-	if keys, subs := g.NicKV.TrackingLen(), g.NicKV.TrackingSubscribers(); keys != 0 || subs != 0 {
-		t.Fatalf("data-conn close leaked NIC interest: keys=%d subs=%d", keys, subs)
+// TestTrackingContract holds every serving mode — host in-band (the
+// baselines), host REDIRECT to Nic-KV (SKV) and NIC-served reads — to the
+// same CLIENT TRACKING behaviour, row by row.
+func TestTrackingContract(t *testing.T) {
+	rows := []struct {
+		name string
+		run  func(e *trackEnv)
+	}{
+		{"write-pushes-once", func(e *trackEnv) {
+			e.do(e.reader, "GET", "k")
+			e.overwriteExpect("k")
+		}},
+		{"off-stops-pushes", func(e *trackEnv) {
+			e.do(e.reader, "GET", "k")
+			e.expect(e.reader, "+OK", "CLIENT", "TRACKING", "OFF")
+			e.overwriteExpect()
+			e.expectTable(0, 0)
+		}},
+		// Re-sending ON in the mode in force keeps the interest; the host
+		// used to drop it, and the cached key was never invalidated.
+		{"repeated-on-keeps-interest", func(e *trackEnv) {
+			e.do(e.reader, "GET", "k")
+			e.expect(e.reader, "+OK", e.mode.on...)
+			e.overwriteExpect("k")
+		}},
+		{"mode-switch-rejected", func(e *trackEnv) {
+			e.do(e.reader, "GET", "k")
+			e.expect(e.reader, e.mode.otherReply, e.mode.other...)
+			e.overwriteExpect("k")
+		}},
+		{"error-replies", func(e *trackEnv) {
+			e.expect(e.reader, "-ERR unknown CLIENT subcommand", "CLIENT", "NOSUCH")
+			e.expect(e.reader, "-ERR syntax error in CLIENT TRACKING", "CLIENT", "TRACKING", "MAYBE")
+		}},
+		{"disconnect-drops-interest", func(e *trackEnv) {
+			e.do(e.reader, "GET", "a")
+			e.do(e.reader, "GET", "b")
+			e.expectTable(2, 1)
+			if e.mode.redirect && e.c.Master.TrackingLen() != 0 {
+				e.t.Fatalf("redirect mode recorded %d keys on the host", e.c.Master.TrackingLen())
+			}
+			e.reader.conn.Close()
+			e.c.Eng.RunFor(20 * sim.Millisecond)
+			e.expectTable(0, 0)
+			if !e.mode.redirect {
+				return
+			}
+			// The subscription channel's own close disarms its subscriber.
+			sub2 := dialRaw(e.t, e.c, "sub2", e.c.Groups[0].MasterMachine.NIC, core.NicPort)
+			sub2.conn.Send(core.EncodeTrackHello("reader2"))
+			e.c.Eng.RunFor(20 * sim.Millisecond)
+			e.expectTable(0, 1)
+			sub2.conn.Close()
+			e.c.Eng.RunFor(20 * sim.Millisecond)
+			e.expectTable(0, 0)
+		}},
 	}
-
-	// Path 2: a fresh subscriber whose push channel itself dies.
-	sub2 := dialRaw(t, c, "churn-sub2", g.MasterMachine.NIC, core.NicPort)
-	sub2.conn.Send(core.EncodeTrackHello("churn2"))
-	c.Eng.RunFor(20 * sim.Millisecond)
-	if got := g.NicKV.TrackingSubscribers(); got != 1 {
-		t.Fatalf("NIC holds %d subscribers after re-hello, want 1", got)
-	}
-	sub2.conn.Close()
-	c.Eng.RunFor(20 * sim.Millisecond)
-	if got := g.NicKV.TrackingSubscribers(); got != 0 {
-		t.Fatalf("push-channel close leaked %d subscribers", got)
+	for _, m := range trackModes() {
+		t.Run(m.name, func(t *testing.T) {
+			for _, row := range rows {
+				t.Run(row.name, func(t *testing.T) {
+					t.Parallel()
+					row.run(newTrackEnv(t, m))
+				})
+			}
+		})
 	}
 }
 
@@ -376,34 +517,6 @@ func TestTrackingRedirectLongKeyInvalidated(t *testing.T) {
 	}
 	if got := g.NicKV.TrackingLen(); got != 0 {
 		t.Fatalf("NIC interest table still holds %d keys after both invalidations", got)
-	}
-}
-
-// TestTrackingInterestDroppedOnDisconnectNicServed: same regression on the
-// NIC-served read path, where the interest table and the data connection
-// both live on the SmartNIC.
-func TestTrackingInterestDroppedOnDisconnectNicServed(t *testing.T) {
-	c := Build(Config{Kind: KindSKV, Slaves: 1, Clients: 0, Seed: 57,
-		NicReads: NicReadsClients, SKV: core.DefaultConfig()})
-	if !c.AwaitReplication(2 * sim.Second) {
-		t.Fatal("sync failed")
-	}
-	g := c.Groups[0]
-	rc := dialRaw(t, c, "churn-nic", g.MasterMachine.NIC, core.ClientPort)
-	rc.conn.Send(resp.EncodeCommand("client", "tracking", "on"))
-	rc.conn.Send(resp.EncodeCommand("GET", "a"))
-	rc.conn.Send(resp.EncodeCommand("GET", "b"))
-	c.Eng.RunFor(20 * sim.Millisecond)
-	if len(rc.vals) == 0 || rc.vals[0].IsError() {
-		t.Fatalf("NIC tracking handshake failed: %v", rc.vals)
-	}
-	if keys, subs := g.NicKV.TrackingLen(), g.NicKV.TrackingSubscribers(); keys != 2 || subs != 1 {
-		t.Fatalf("NIC tracking state keys=%d subs=%d, want 2/1", keys, subs)
-	}
-	rc.conn.Close()
-	c.Eng.RunFor(20 * sim.Millisecond)
-	if keys, subs := g.NicKV.TrackingLen(), g.NicKV.TrackingSubscribers(); keys != 0 || subs != 0 {
-		t.Fatalf("NIC-served disconnect leaked interest: keys=%d subs=%d", keys, subs)
 	}
 }
 

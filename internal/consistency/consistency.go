@@ -84,8 +84,8 @@ type parkedWrite struct {
 }
 
 // replica is one tracked replica: id is the remote endpoint name on the
-// baseline (REPLCONF ACK path), empty in bulk mode (Nic-KV status frames
-// carry offsets without identities).
+// baseline (REPLCONF ACK path), empty when the set arrives in bulk (Nic-KV
+// status frames carry offsets without identities).
 type replica struct {
 	id  string
 	off int64
@@ -94,7 +94,6 @@ type replica struct {
 // AckTracker is the consistency plane's state for one master.
 type AckTracker struct {
 	replicas []replica
-	bulk     bool
 
 	clientOff map[uint64]int64
 
@@ -122,13 +121,6 @@ func NewTracker(reg *metrics.Registry) *AckTracker {
 }
 
 // ---- Replica progress ----
-
-// UseBulkSource switches the tracker to bulk mode: the replica set arrives
-// wholesale (SetAll from Nic-KV status frames) and carries no identities.
-func (t *AckTracker) UseBulkSource() { t.bulk = true }
-
-// BulkSource reports whether offsets come from a bulk source (SKV mode).
-func (t *AckTracker) BulkSource() bool { return t.bulk }
 
 // SetAll replaces the whole replica offset set (Nic-KV status frame) and
 // fires whatever the new offsets satisfy.
@@ -198,7 +190,7 @@ func (t *AckTracker) Offsets() []int64 {
 }
 
 // Replicas reports replica identities and offsets in registration order
-// (ids are empty strings in bulk mode).
+// (ids are empty strings for bulk-sourced replicas).
 func (t *AckTracker) Replicas() ([]string, []int64) {
 	ids := make([]string, len(t.replicas))
 	offs := make([]int64, len(t.replicas))

@@ -156,7 +156,6 @@ func TestParkedWriteReleasesOnQuorum(t *testing.T) {
 // offsets say, but never past it.
 func TestReleaseUpToFiresEverythingBelowWatermark(t *testing.T) {
 	tr := NewTracker(nil)
-	tr.UseBulkSource()
 	var fired []int64
 	tr.ParkWrite(1, 10, 2, func() { fired = append(fired, 10) })
 	tr.ParkWrite(1, 20, 3, func() { fired = append(fired, 20) })
@@ -180,10 +179,6 @@ func TestReleaseUpToFiresEverythingBelowWatermark(t *testing.T) {
 
 func TestSetAllBulkOffsets(t *testing.T) {
 	tr := NewTracker(nil)
-	tr.UseBulkSource()
-	if !tr.BulkSource() {
-		t.Fatal("BulkSource not set")
-	}
 	fired := 0
 	tr.Park(&Waiter{Target: 10, Need: 2, Fire: func(acked int) {
 		fired = acked

@@ -75,9 +75,6 @@ func AttachMaster(srv *server.Server, net *fabric.Network, nicEP *fabric.Endpoin
 	srv.OnPropagate = h.propagate
 	srv.AddInfoSection(h.infoSection)
 	srv.WriteGate = h.gate
-	// SKV masters learn replica progress from Nic-KV status frames, not from
-	// per-slave REPLCONF ACK links: the tracker's replica set is bulk-sourced.
-	srv.Acks().UseBulkSource()
 	// Redirect-mode CLIENT TRACKING: the host only forwards interest; the
 	// invalidation table lives on Nic-KV, which pushes invalidations on the
 	// replication fan-out path without any host dispatch cycles. Inert (and

@@ -7,6 +7,7 @@ import (
 	"skv/internal/resp"
 	"skv/internal/sim"
 	"skv/internal/store"
+	"skv/internal/tracking"
 	"skv/internal/transport"
 )
 
@@ -50,11 +51,12 @@ type nicClient struct {
 	seqEmit uint64
 	pending map[uint64][]byte
 
-	// track marks the connection as a CLIENT TRACKING subscriber; its
-	// interest lands in the NIC's own table and invalidations come back
-	// in-band as RESP3 push frames on this data connection.
-	track     bool
-	trackName string
+	// id numbers the connection for its in-band subscriber name. track is
+	// its CLIENT TRACKING state: interest lands in the NIC's own table and
+	// invalidations come back in-band as RESP3 push frames on this data
+	// connection.
+	id    uint64
+	track tracking.Conn
 }
 
 // nicApplyOp is one decoded replicated command queued for the apply
@@ -96,14 +98,10 @@ func (n *NicKV) initReadServing(name string) {
 	}
 	n.replApplier = replstream.NewApplier(n.applyDecoded)
 	n.Stack.Listen(ClientPort, func(conn transport.Conn) {
-		c := &nicClient{conn: conn}
+		n.nicClients++
+		c := &nicClient{conn: conn, id: n.nicClients}
 		conn.SetHandler(func(data []byte) { n.onClientData(c, data) })
-		conn.SetCloseHandler(func() {
-			if c.track {
-				c.track = false
-				n.dropSubscriber(c.trackName)
-			}
-		})
+		conn.SetCloseHandler(func() { c.track.Off(n.untrack) })
 	})
 }
 
@@ -289,7 +287,10 @@ func (n *NicKV) serveSharded(c *nicClient, argv [][]byte) {
 	// routed — so it exists before any later write's fan-out pushes, and a
 	// push can only overtake the read's reply (which the client handles by
 	// poisoning the in-flight read), never miss it.
-	n.nicRecordInterest(c, cmd, argv)
+	if c.track.Tracks(cmd) {
+		n.proc.Core.Charge(n.params.TrackInterestCPU)
+		cmd.EachKey(argv, func(key []byte) { n.track.Add(string(key), c.track.Name) })
+	}
 	if si := n.replicaShardOf(cmd, argv); si >= 0 {
 		dbi := c.db
 		var reply []byte

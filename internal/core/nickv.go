@@ -12,6 +12,7 @@ import (
 	"skv/internal/ring"
 	"skv/internal/sim"
 	"skv/internal/store"
+	"skv/internal/tracking"
 	"skv/internal/transport"
 )
 
@@ -102,10 +103,14 @@ type NicKV struct {
 	mReplicaRouted *metrics.Counter
 	mReplicaFenced *metrics.Counter
 
-	// track is the client-side-caching invalidation plane (nil until a
-	// subscriber or interest frame arrives): the interest table, the armed
-	// push channels, and their reverse map. See nictrack.go.
-	track *nicTracking
+	// track is the client-side-caching invalidation plane (nil until the
+	// first subscriber arms): the interest table with its push channels.
+	// subChans names the subscriber each dedicated subscription channel
+	// armed, for close cleanup; nicClients numbers the NIC-served
+	// connections. See nictrack.go.
+	track      *tracking.Table
+	subChans   map[transport.Conn]string
+	nicClients uint64
 
 	// Failovers and MasterRestores count the promotions and restores this NIC
 	// ordered (the timeline records each one).
@@ -276,10 +281,9 @@ func (n *NicKV) accept(conn transport.Conn) {
 		// A dead subscription channel takes its interest with it: the
 		// client flushes its cache on channel loss and re-registers, so
 		// keeping stale entries would only pin the table.
-		if n.track != nil {
-			if name, ok := n.track.subByConn[conn]; ok {
-				n.dropSubscriber(name)
-			}
+		if name, ok := n.subChans[conn]; ok {
+			delete(n.subChans, conn)
+			n.track.DropSub(name)
 		}
 		if conn == n.masterConn {
 			n.masterConn = nil
@@ -370,7 +374,7 @@ func (n *NicKV) onMessage(conn transport.Conn, data []byte) {
 		if r.bad {
 			return
 		}
-		n.dropSubscriber(name)
+		n.track.DropSub(name)
 	case msgProbeAck:
 		n.mProbeAcks.Inc()
 		if conn == n.masterConn {

@@ -68,11 +68,11 @@ type Stack struct {
 
 	// RingSize lets tests shrink the ring to exercise re-registration.
 	RingSize int
-
-	// MRRegisterCPU is the CPU cost of registering the ring MR (pinning +
-	// key setup). Charged on each re-registration cycle.
-	MRRegisterCPU sim.Duration
 }
+
+// mrRegisterCPU is the CPU cost of registering the ring MR (pinning + key
+// setup). Charged on each re-registration cycle.
+const mrRegisterCPU = 20 * sim.Microsecond
 
 var _ transport.Stack = (*Stack)(nil)
 
@@ -81,13 +81,12 @@ var _ transport.Stack = (*Stack)(nil)
 func New(net *fabric.Network, ep *fabric.Endpoint, proc *sim.Proc) *Stack {
 	dev := rdma.NewDevice(net, ep, proc.Core)
 	s := &Stack{
-		net:           net,
-		ep:            ep,
-		proc:          proc,
-		dev:           dev,
-		pd:            dev.AllocPD(),
-		RingSize:      DefaultRingSize,
-		MRRegisterCPU: 20 * sim.Microsecond,
+		net:      net,
+		ep:       ep,
+		proc:     proc,
+		dev:      dev,
+		pd:       dev.AllocPD(),
+		RingSize: DefaultRingSize,
 	}
 	return s
 }
@@ -179,7 +178,7 @@ func (s *Stack) newConn(qp *rdma.QP) *conn {
 	qp.RecvCQ.RequestNotify()
 	// Register the receive ring and announce it. Setup runs on the owner
 	// process: registration cost + initial receive posting.
-	s.proc.Post(s.MRRegisterCPU, func() {
+	s.proc.Post(mrRegisterCPU, func() {
 		c.ring = s.pd.RegisterMR(s.RingSize)
 		c.qp.PostRecvN(0, RecvBatch)
 		c.postedRecvs = RecvBatch
@@ -292,7 +291,7 @@ func (c *conn) handleCtrl(b []byte) {
 		// (in-order channel) and consumed (handlers only borrow), so
 		// re-register the same bytes under a fresh key and announce it.
 		c.RingResets++
-		c.owner().Core.Charge(c.stack.MRRegisterCPU)
+		c.owner().Core.Charge(mrRegisterCPU)
 		c.ring.Reregister()
 		c.readOff = 0
 		c.sendCtrlMRInfo()

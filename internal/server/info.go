@@ -57,8 +57,6 @@ func (s *Server) infoReplication() store.InfoSection {
 	if s.role == RoleMaster {
 		masterOff := s.ReplOffset()
 		ids, offs := s.acks.Replicas()
-		// Bulk-sourced offsets (Nic-KV status frames) carry no identities.
-		withAddrs := !s.acks.BulkSource()
 		lines = append(lines,
 			fmt.Sprintf("connected_slaves:%d", len(offs)),
 			"master_replid:"+s.replID,
@@ -69,7 +67,8 @@ func (s *Server) infoReplication() store.InfoSection {
 			if lag < 0 {
 				lag = 0
 			}
-			if withAddrs {
+			// Bulk-sourced offsets (Nic-KV status frames) carry no identities.
+			if ids[i] != "" {
 				lines = append(lines, fmt.Sprintf("slave%d:addr=%s,offset=%d,lag=%d", i, ids[i], off, lag))
 			} else {
 				lines = append(lines, fmt.Sprintf("slave%d:offset=%d,lag=%d", i, off, lag))

@@ -121,12 +121,10 @@ type Server struct {
 	defW     int
 
 	// Client-side caching (CLIENT TRACKING, see tracking.go). track is the
-	// in-band interest table, allocated on first use; trackLocal resolves
-	// synthetic subscriber names back to connections. OnTrackInterest /
+	// in-band interest table, allocated on first use. OnTrackInterest /
 	// OnTrackDrop, when non-nil, let redirect-mode tracking offload the
 	// table to Nic-KV: the server forwards interest and forgets it.
 	track           *tracking.Table
-	trackLocal      map[string]*client
 	OnTrackInterest func(name, key string)
 	OnTrackDrop     func(name string)
 
@@ -200,13 +198,9 @@ type client struct {
 	consLevel consistency.Level
 	consW     int
 
-	// trackOn marks the connection as a CLIENT TRACKING subscriber;
-	// trackRedirect sends its interest to the offload layer instead of the
-	// local table; trackName is its subscriber identity in whichever table
-	// holds the interest.
-	trackOn       bool
-	trackRedirect bool
-	trackName     string
+	// track is the connection's CLIENT TRACKING state: whether it is a
+	// subscriber, under which name, and in which table its interest lands.
+	track tracking.Conn
 }
 
 // turn is what waits in client.pending for its sequence number to come up:
@@ -487,7 +481,7 @@ func (s *Server) freeClient(c *client) {
 	// blocked WAITs (timers cancelled, nothing replied — the connection is
 	// gone) and parked write replies.
 	s.acks.DropOwner(c.id)
-	s.dropTracking(c)
+	c.track.Off(s.untrack)
 }
 
 // readQueryFromClient is the file-event read callback (paper Fig 4): feed
@@ -610,9 +604,7 @@ func (s *Server) dispatchCommand(c *client, cmd *store.Command, argv [][]byte) {
 		}
 	}
 
-	// Tracked reads register interest at admission, before routing: the
-	// interest must exist before any later write's invalidation fires.
-	if c.trackOn && cmd != nil && !cmd.Write && !cmd.Server && cmd.FirstKey > 0 {
+	if c.track.Tracks(cmd) {
 		s.recordInterest(c, cmd, argv)
 	}
 

@@ -415,7 +415,7 @@ func (e *shardEngine) commit(c *client, seq uint64, cmd *store.Command, dbi int,
 	s := e.s
 	off := s.propagate(dbi, argv, gate)
 	s.acks.NoteWrite(c.id, off)
-	s.pushInvalidations(cmd, argv)
+	s.track.Invalidate(cmd, argv)
 	if need == 0 {
 		return false
 	}

@@ -1,198 +1,168 @@
-// Package tracking implements the bounded invalidation interest table
-// behind CLIENT TRACKING (§II-B of the Redis server-assisted caching
-// design, carried over to SKV). One table instance lives wherever reads
-// are admitted — the master for in-band tracking, Nic-KV for the
-// redirect/offloaded mode — and maps each tracked key to the set of
-// subscribers that must be told when it changes.
+// Package tracking is the one invalidation plane behind CLIENT TRACKING
+// (§II-B of the Redis server-assisted caching design, carried over to SKV):
+// the grammar a connection turns tracking on and off with (Conn), and the
+// bounded interest table with its subscribers' push channels and the walk
+// that decides which keys a write invalidates (Table). One table lives
+// wherever reads are admitted — the master for in-band tracking, Nic-KV for
+// the redirect and NIC-served modes — and each side differs only in the push
+// channels it arms.
 //
-// Determinism: subscriber sets are kept in insertion order (not Go map
-// order) so the wire order of invalidation pushes is identical across
-// runs, and eviction is FIFO over distinct keys with lazy tombstones so
-// the evicted key is a pure function of the operation history.
+// Determinism: subscriber sets are kept in first-interest order and keys in
+// a ring.BoundedMap (eviction by first insertion, no map walk), so the wire
+// order of invalidation pushes is a pure function of the operation history.
 package tracking
 
-import "skv/internal/ring"
+import (
+	"skv/internal/ring"
+	"skv/internal/store"
+)
 
-// Entry is one tracked key and its subscribers, as returned by Take and
-// TakeAll. Subs is in first-interest order.
-type Entry struct {
-	Key  string
-	Subs []string
-}
-
-type keyEntry struct {
-	subs   []string        // insertion-ordered subscriber names
-	member map[string]bool // membership for O(1) dedupe
-}
-
-// Table is a bounded key→subscribers interest table. Not safe for
-// concurrent use; in the simulator every table is confined to one proc.
+// Table is a bounded key→subscribers interest table together with the push
+// channels of its subscribers. Not safe for concurrent use; in the simulator
+// every table is confined to one proc. A nil *Table is an empty one: the
+// reporting methods, Invalidate and DropSub accept it.
 type Table struct {
-	// Max bounds the number of distinct tracked keys. When an Add would
-	// exceed it, the oldest tracked key is evicted and OnEvict fires so
-	// callers can push a synthetic invalidation (the evicted key's
-	// subscribers would otherwise serve it stale forever).
-	Max int
-	// OnEvict, if set, is called with each evicted key and its
-	// subscribers before the entry is dropped.
-	OnEvict func(key string, subs []string)
-
-	byKey  map[string]*keyEntry
-	subs   map[string]map[string]bool // name → keys it is interested in
-	fifo   ring.Queue[string]         // key admission order (may hold tombstones)
-	inFifo map[string]bool            // keys currently holding a fifo slot
+	keys     *ring.BoundedMap[string, []string] // tracked key → subscribers in first-interest order
+	interest map[string]map[string]bool         // subscriber → keys it holds interest in
+	sinks    map[string]func(key string)        // armed subscriber → its push channel
 }
 
 // New returns an empty table bounded to max distinct keys (0 = 65536).
+// Admitting a key past the bound evicts the oldest tracked key and pushes an
+// invalidation for it: its subscribers would otherwise serve it stale forever.
 func New(max int) *Table {
 	if max <= 0 {
 		max = 65536
 	}
-	return &Table{
-		Max:    max,
-		byKey:  make(map[string]*keyEntry),
-		subs:   make(map[string]map[string]bool),
-		inFifo: make(map[string]bool),
-	}
+	t := &Table{interest: make(map[string]map[string]bool), sinks: make(map[string]func(string))}
+	t.keys = ring.NewBoundedMap(max, func(key string, subs []string) {
+		t.unlink(key, subs)
+		t.push(key, subs)
+	})
+	return t
 }
 
 // Len reports the number of distinct tracked keys.
-func (t *Table) Len() int { return len(t.byKey) }
+func (t *Table) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.keys.Len()
+}
 
-// Subscribers reports how many subscribers currently hold any interest.
-func (t *Table) Subscribers() int { return len(t.subs) }
+// Subscribers reports how many subscribers hold any interest.
+func (t *Table) Subscribers() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.interest)
+}
+
+// Armed reports how many subscribers have a push channel.
+func (t *Table) Armed() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.sinks)
+}
+
+// IsArmed reports whether subscriber name has a push channel.
+func (t *Table) IsArmed(name string) bool { return t != nil && t.sinks[name] != nil }
+
+// Arm installs (or replaces) subscriber name's push channel: push delivers
+// one invalidation for key.
+func (t *Table) Arm(name string, push func(key string)) { t.sinks[name] = push }
 
 // Add records that subscriber name must be invalidated when key changes.
-// Idempotent per (key, name) pair.
+// Idempotent per (key, name) pair; a name with no push channel is ignored,
+// since there is nowhere to push.
 func (t *Table) Add(key, name string) {
-	e := t.byKey[key]
-	if e == nil {
-		t.evictFor(key)
-		e = &keyEntry{member: make(map[string]bool, 2)}
-		t.byKey[key] = e
-		if !t.inFifo[key] {
-			t.fifo.Push(key)
-			t.inFifo[key] = true
-			t.compact()
-		}
+	if t.sinks[name] == nil || t.interest[name][key] {
+		return
 	}
-	if !e.member[name] {
-		e.member[name] = true
-		e.subs = append(e.subs, name)
-	}
-	ks := t.subs[name]
+	subs, _ := t.keys.Get(key)
+	t.keys.Put(key, append(subs, name))
+	ks := t.interest[name]
 	if ks == nil {
 		ks = make(map[string]bool, 4)
-		t.subs[name] = ks
+		t.interest[name] = ks
 	}
 	ks[key] = true
 }
 
-// Take removes key from the table and returns its subscribers in
-// first-interest order (nil if untracked). Interest is one-shot, as in
-// Redis: a subscriber must read the key again to re-register.
-func (t *Table) Take(key string) []string {
-	e := t.byKey[key]
-	if e == nil {
-		return nil
-	}
-	t.drop(key, e)
-	return e.subs
-}
-
-// TakeAll empties the table and returns every entry in key admission
-// order. Used for keyless dirty operations (FLUSHDB and friends).
-func (t *Table) TakeAll() []Entry {
-	if len(t.byKey) == 0 {
-		return nil
-	}
-	out := make([]Entry, 0, len(t.byKey))
-	for i := 0; i < t.fifo.Len(); i++ {
-		key := *t.fifo.At(i)
-		e := t.byKey[key]
-		if e == nil {
-			continue // tombstone
-		}
-		out = append(out, Entry{Key: key, Subs: e.subs})
-		t.drop(key, e)
-	}
-	return out
-}
-
-// DropSub forgets every interest held by subscriber name (disconnect).
-// Keys whose last subscriber leaves are removed from the table.
+// DropSub forgets every interest held by subscriber name and disarms its
+// push channel (CLIENT TRACKING OFF, disconnect, channel loss), with no
+// pushes: the departing subscriber's cache dies with it. Keys whose last
+// subscriber leaves are removed from the table.
 func (t *Table) DropSub(name string) {
-	ks := t.subs[name]
-	if ks == nil {
+	if t == nil {
 		return
 	}
-	delete(t.subs, name)
-	for key := range ks {
-		e := t.byKey[key]
-		if e == nil || !e.member[name] {
-			continue
-		}
-		delete(e.member, name)
-		for i, s := range e.subs {
+	delete(t.sinks, name)
+	for key := range t.interest[name] {
+		subs, _ := t.keys.Get(key)
+		for i, s := range subs {
 			if s == name {
-				e.subs = append(e.subs[:i], e.subs[i+1:]...)
+				subs = append(subs[:i], subs[i+1:]...)
 				break
 			}
 		}
-		if len(e.subs) == 0 {
-			t.drop(key, e)
+		if len(subs) == 0 {
+			t.keys.Delete(key)
+		} else {
+			t.keys.Put(key, subs)
 		}
 	}
+	delete(t.interest, name)
 }
 
-// drop removes key's entry and its per-subscriber back-references. The
-// fifo slot is left as a tombstone (skipped lazily).
-func (t *Table) drop(key string, e *keyEntry) {
-	delete(t.byKey, key)
-	for _, name := range e.subs {
-		if ks := t.subs[name]; ks != nil {
+// Invalidate is the one write-invalidation walk: it tells every subscriber
+// interested in a dirty write's keys that their cached copies are stale, in
+// the write's key order and per key in first-interest order. A keyless write
+// (cmd nil or FirstKey 0: FLUSHDB and friends) invalidates every tracked key,
+// in admission order. Interest is one-shot, as in Redis: a subscriber must
+// read the key again to re-register. An empty table costs one length check.
+func (t *Table) Invalidate(cmd *store.Command, argv [][]byte) {
+	if t.Len() == 0 {
+		return
+	}
+	if cmd == nil || cmd.FirstKey == 0 {
+		t.keys.Each(func(key string, _ []string) { t.push(key, t.take(key)) })
+		return
+	}
+	cmd.EachKey(argv, func(key []byte) {
+		k := string(key)
+		t.push(k, t.take(k))
+	})
+}
+
+// take removes key from the table and returns its subscribers (nil if it
+// was not tracked).
+func (t *Table) take(key string) []string {
+	subs, ok := t.keys.Delete(key)
+	if ok {
+		t.unlink(key, subs)
+	}
+	return subs
+}
+
+// unlink drops key from its subscribers' back-references.
+func (t *Table) unlink(key string, subs []string) {
+	for _, name := range subs {
+		if ks := t.interest[name]; ks != nil {
 			delete(ks, key)
 			if len(ks) == 0 {
-				delete(t.subs, name)
+				delete(t.interest, name)
 			}
 		}
 	}
 }
 
-// evictFor makes room for one more key, firing OnEvict for each victim.
-func (t *Table) evictFor(key string) {
-	for len(t.byKey) >= t.Max {
-		victim := ""
-		for t.fifo.Len() > 0 {
-			k := t.fifo.Pop()
-			delete(t.inFifo, k)
-			if t.byKey[k] != nil {
-				victim = k
-				break
-			}
-		}
-		if victim == "" {
-			return // fifo exhausted (only tombstones) — cannot happen while byKey is full
-		}
-		e := t.byKey[victim]
-		t.drop(victim, e)
-		if t.OnEvict != nil {
-			t.OnEvict(victim, e.subs)
-		}
-	}
-}
-
-// compact drops the fifo's tombstones once they dominate, rotating the live
-// keys through the queue in place so their order is kept.
-func (t *Table) compact() {
-	if t.fifo.Len() <= 2*t.Max {
-		return
-	}
-	for n := t.fifo.Len(); n > 0; n-- {
-		if k := t.fifo.Pop(); t.byKey[k] != nil {
-			t.fifo.Push(k)
-		} else {
-			delete(t.inFifo, k)
+// push delivers one invalidation for key to each armed subscriber in subs.
+func (t *Table) push(key string, subs []string) {
+	for _, name := range subs {
+		if push := t.sinks[name]; push != nil {
+			push(key)
 		}
 	}
 }

@@ -82,7 +82,10 @@ type client struct {
 	conns []*slotConn // by group; nil until first routed to, and once retired
 
 	tracking bool
-	cache    *cache
+	// cache holds tracked GET values, bounded and evicted by first
+	// insertion. It is dumb storage: coherence comes from the drops and
+	// flushes above.
+	cache    *ring.BoundedMap[string, []byte]
 	trackCmd []byte // the per-connection tracking handshake
 	// Redirect mode: the out-of-band invalidation subscription.
 	invalidation     *fabric.Endpoint
@@ -170,7 +173,7 @@ func New(name string, env Env, opts Options) KV {
 	}
 	c.addrs[0] = opts.Addr
 	if opts.Tracking {
-		c.cache = newCache(cacheEntries)
+		c.cache = ring.NewBoundedMap[string, []byte](cacheEntries, nil)
 		args := []string{"client", "tracking", "on"}
 		if env.Invalidation != nil {
 			c.invalidation, c.invalidationPort = env.Invalidation, env.InvalidationPort
@@ -198,7 +201,9 @@ func (c *client) CacheEntries() map[string]string {
 	if c.cache == nil {
 		return nil
 	}
-	return c.cache.entries()
+	out := make(map[string]string, c.cache.Len())
+	c.cache.Each(func(k string, v []byte) { out[k] = string(v) })
+	return out
 }
 
 // Start begins the closed loops. In redirect mode they wait for the
@@ -310,7 +315,7 @@ func (c *client) sendNextFor(tg int) {
 		}
 		if c.tracking {
 			if op == OpGet && c.cacheOn {
-				if _, ok := c.cache.get(key); ok {
+				if _, ok := c.cache.Get(key); ok {
 					c.localHit(tg)
 					return
 				}
@@ -319,7 +324,7 @@ func (c *client) sendNextFor(tg int) {
 			if op == OpSet {
 				// Read-your-writes: drop our own copy now — the push
 				// confirming this write would arrive only after the ack.
-				c.cache.invalidate(key)
+				c.cache.Delete(key)
 				c.poison(key)
 			}
 		}
@@ -357,10 +362,10 @@ func (c *client) localHit(tg int) {
 // topology changes — any event after which pushed invalidations may have
 // been missed).
 func (c *client) flushCache() {
-	if c.cache == nil || c.cache.len() == 0 {
+	if c.cache == nil || c.cache.Len() == 0 {
 		return
 	}
-	c.cache.flush()
+	c.cache.Reset()
 	c.st.Flushes++
 }
 
@@ -386,7 +391,7 @@ func (c *client) poison(key string) {
 
 func (c *client) applyInvalidation(key string) {
 	c.st.Invalidations++
-	c.cache.invalidate(key)
+	c.cache.Delete(key)
 	c.poison(key)
 }
 
@@ -395,7 +400,7 @@ func (c *client) applyInvalidation(key string) {
 // no longer be trusted to see its invalidation.
 func (c *client) dropKey(key string) {
 	if c.tracking {
-		c.cache.invalidate(key)
+		c.cache.Delete(key)
 	}
 }
 
@@ -597,7 +602,7 @@ func (c *client) onReply(sc *slotConn, conn transport.Conn, data []byte) {
 		c.st.GroupDone[sc.group]++
 		c.record(req.sentAt)
 		if req.get && c.cacheOn && !req.poisoned && v.Type == resp.TypeBulk && !v.Null {
-			c.cache.put(req.key, v.Str)
+			c.cache.Put(req.key, v.Str)
 		}
 		c.sendNextFor(req.target)
 	}
