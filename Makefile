@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt test vet lint race verify bench bench-smoke bench-cmp chaos profile fuzz size clean
+.PHONY: all build fmt test vet lint race verify allocs bench bench-smoke bench-cmp chaos profile fuzz size clean
 
 all: verify
 
@@ -40,6 +40,12 @@ lint:
 # instrumentation pushes it past the default 10m package timeout.
 race:
 	$(GO) test -race -timeout 60m ./...
+
+# Every allocation guard on its own: each testing.AllocsPerRun assertion and
+# whole-deployment allocation budget lives in a test whose name says Alloc,
+# so an allocation regression fails here under its own label.
+allocs:
+	$(GO) test -count=1 -run Alloc ./...
 
 # Full pre-merge gate: everything CI runs.
 verify: build fmt test vet lint race

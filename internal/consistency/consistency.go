@@ -74,11 +74,17 @@ type Waiter struct {
 // Done reports whether the waiter has been retired (fired or dropped).
 func (w *Waiter) Done() bool { return w.done }
 
-// parkedWrite is a write reply withheld until Need replicas cover target.
+// parkedWrite is a write reply withheld until need replicas cover target: a
+// value record the tracker keeps in its own slice, so parking allocates
+// nothing once the slice has grown to the deepest backlog of parked writes.
+// A reply parked with ParkReply carries its owner's sequence number and
+// bytes to the bound Release; one parked with ParkWrite carries its own fire.
 type parkedWrite struct {
 	target int64
 	need   int
 	owner  uint64
+	seq    uint64
+	reply  []byte
 	fire   func()
 	done   bool
 }
@@ -98,7 +104,12 @@ type AckTracker struct {
 	clientOff map[uint64]int64
 
 	waiters []*Waiter
-	parked  []*parkedWrite
+	parked  []parkedWrite
+
+	// Release emits a reply parked with ParkReply once its write is covered:
+	// the embedding server binds it once, and the tracker hands it the
+	// owner, the sequence number and the reply bytes the write parked with.
+	Release func(owner, seq uint64, reply []byte)
 
 	// Instruments (nil-safe): the acked-offset watermark, the live parked
 	// count, and lifetime park/release counters.
@@ -264,12 +275,50 @@ func (t *AckTracker) FinishNow(w *Waiter) {
 
 // ---- Parked write replies ----
 
-// ParkWrite withholds a write reply until need replicas cover target (or a
-// ReleaseUpTo watermark passes it). fire emits the reply.
+// ParkReply withholds owner's reply to its command seq until need replicas
+// cover target (or a ReleaseUpTo watermark passes it); Release then emits it.
+// reply is kept as given until then: the caller lends bytes that outlive the
+// park.
+func (t *AckTracker) ParkReply(owner, seq uint64, target int64, need int, reply []byte) {
+	t.park(parkedWrite{target: target, need: need, owner: owner, seq: seq, reply: reply})
+}
+
+// ParkWrite is ParkReply for a caller without a bound Release: fire emits
+// the reply.
 func (t *AckTracker) ParkWrite(owner uint64, target int64, need int, fire func()) {
-	t.parked = append(t.parked, &parkedWrite{target: target, need: need, owner: owner, fire: fire})
+	t.park(parkedWrite{target: target, need: need, owner: owner, fire: fire})
+}
+
+func (t *AckTracker) park(p parkedWrite) {
+	t.parked = append(t.parked, p)
 	t.parkedTotal.Inc()
 	t.parkedGauge.Set(int64(len(t.parked)))
+}
+
+// releaseParked fires every live parked write release admits, in park
+// order, and compacts the slice if any fired. A record is marked done before
+// it fires, and read through its index afterwards: a fire may park a new
+// write, which can move the slice.
+func (t *AckTracker) releaseParked(release func(p *parkedWrite) bool) {
+	fired := false
+	for i, n := 0, len(t.parked); i < n; i++ {
+		p := &t.parked[i]
+		if p.done || !release(p) {
+			continue
+		}
+		p.done = true
+		rec := *p
+		t.releasedTotal.Inc()
+		if rec.fire != nil {
+			rec.fire()
+		} else {
+			t.Release(rec.owner, rec.seq, rec.reply)
+		}
+		fired = true
+	}
+	if fired {
+		t.compactParked()
+	}
 }
 
 // Parked reports the live parked-write count.
@@ -280,18 +329,7 @@ func (t *AckTracker) Parked() int { return len(t.parked) }
 // verified the quorum. Replica offsets are untouched: the watermark says
 // "these gates are satisfied", not which replicas satisfied them.
 func (t *AckTracker) ReleaseUpTo(watermark int64) {
-	fired := false
-	for _, p := range t.parked {
-		if !p.done && p.target <= watermark {
-			p.done = true
-			t.releasedTotal.Inc()
-			p.fire()
-			fired = true
-		}
-	}
-	if fired {
-		t.compactParked()
-	}
+	t.releaseParked(func(p *parkedWrite) bool { return p.target <= watermark })
 }
 
 // ---- Progress evaluation ----
@@ -313,18 +351,7 @@ func (t *AckTracker) Check() {
 		}
 	}
 	if len(t.parked) > 0 {
-		fired := false
-		for _, p := range t.parked {
-			if !p.done && t.AckedAt(p.target) >= p.need {
-				p.done = true
-				t.releasedTotal.Inc()
-				p.fire()
-				fired = true
-			}
-		}
-		if fired {
-			t.compactParked()
-		}
+		t.releaseParked(t.covered)
 	}
 }
 
@@ -344,8 +371,8 @@ func (t *AckTracker) DropOwner(owner uint64) {
 		t.compactWaiters()
 	}
 	changed = false
-	for _, p := range t.parked {
-		if !p.done && p.owner == owner {
+	for i := range t.parked {
+		if p := &t.parked[i]; !p.done && p.owner == owner {
 			p.done = true
 			changed = true
 		}
@@ -380,6 +407,9 @@ func (t *AckTracker) compactWaiters() {
 	t.waiters = kept
 }
 
+// covered reports whether p's replicas have acknowledged its write.
+func (t *AckTracker) covered(p *parkedWrite) bool { return t.AckedAt(p.target) >= p.need }
+
 func (t *AckTracker) compactParked() {
 	kept := t.parked[:0]
 	for _, p := range t.parked {
@@ -387,9 +417,7 @@ func (t *AckTracker) compactParked() {
 			kept = append(kept, p)
 		}
 	}
-	for i := len(kept); i < len(t.parked); i++ {
-		t.parked[i] = nil
-	}
+	clear(t.parked[len(kept):]) // drop the replies and closures the fired records held
 	t.parked = kept
 	t.parkedGauge.Set(int64(len(t.parked)))
 }

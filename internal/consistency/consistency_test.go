@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -206,5 +207,52 @@ func TestNoteWriteIsMonotone(t *testing.T) {
 	tr.NoteWrite(1, 5) // stale merge order must not regress the offset
 	if got := tr.LastWrite(1); got != 10 {
 		t.Fatalf("LastWrite = %d, want 10", got)
+	}
+}
+
+// TestParkReplyReleasesThroughBoundCallback: a reply parked as a value record
+// reaches the one bound Release with its owner, sequence number and bytes, in
+// park order, whether a watermark or the replicas' acks release it, and a
+// disconnected owner's records are dropped unreleased.
+func TestParkReplyReleasesThroughBoundCallback(t *testing.T) {
+	tr := NewTracker(nil)
+	var got []string
+	tr.Release = func(owner, seq uint64, reply []byte) { got = append(got, fmt.Sprintf("%d/%d/%s", owner, seq, reply)) }
+	tr.SetReplica("a", 0)
+	tr.ParkReply(1, 7, 10, 1, []byte("+OK"))
+	tr.ParkReply(2, 3, 20, 1, []byte(":1"))
+	tr.ParkReply(1, 8, 30, 1, []byte("+OK"))
+	tr.ParkReply(3, 0, 40, 1, []byte("+OK"))
+	tr.ReleaseUpTo(20)
+	tr.DropOwner(3)
+	tr.Ack("a", 40)
+	if want := "[1/7/+OK 2/3/:1 1/8/+OK]"; fmt.Sprint(got) != want || tr.Parked() != 0 {
+		t.Fatalf("released %v with %d parked, want %s and none", got, tr.Parked(), want)
+	}
+}
+
+// TestParkAndReleaseAllocations: parking a reply and releasing it — by
+// watermark or by acks — allocates nothing once the record slice has grown.
+func TestParkAndReleaseAllocations(t *testing.T) {
+	tr := NewTracker(nil)
+	released := 0
+	tr.Release = func(uint64, uint64, []byte) { released++ }
+	tr.SetReplica("a", 0)
+	reply := []byte("+OK\r\n")
+	off := int64(0)
+	round := func() {
+		for owner := uint64(0); owner < 8; owner++ {
+			off += 100
+			tr.ParkReply(owner, uint64(off), off, 1, reply)
+		}
+		tr.ReleaseUpTo(off - 400)
+		tr.Ack("a", off)
+	}
+	round()
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Fatalf("parking and releasing 8 replies allocated %.1f times, want 0", n)
+	}
+	if released != 8*202 || tr.Parked() != 0 {
+		t.Fatalf("released %d with %d parked, want %d and none", released, tr.Parked(), 8*202)
 	}
 }

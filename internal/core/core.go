@@ -139,9 +139,6 @@ func appendOffload(dst []byte, start int64, gate replstream.Gate, cmds int, data
 	return append(dst, data...)
 }
 
-// streamHeaderLen is what appendStream puts before the command bytes.
-const streamHeaderLen = 9
-
 // appendStream frames one chunk of the replication stream onto dst: tag
 // (msgCmdStream or msgCmdStreamAck), the stream offset the chunk starts at,
 // and the command bytes.

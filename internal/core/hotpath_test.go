@@ -169,8 +169,9 @@ func TestNicReplicaSurvivesUndecodableRequest(t *testing.T) {
 
 // TestOffloadAndFanOutFrames pins the owner-held frame buffers: Host-KV's
 // replication request and Nic-KV's single-threaded fan-out are each built in
-// the sender's one scratch frame, so neither allocates, and every receiver
-// still gets exactly the bytes of its own frame.
+// the sender's one scratch frame, and every receiver still gets exactly the
+// bytes of its own frame. That neither allocates is
+// TestOffloadAndFanOutAllocations'.
 func TestOffloadAndFanOutFrames(t *testing.T) {
 	cmd := resp.EncodeCommand("SET", "key:0000012345", string(bytes.Repeat([]byte("v"), 64)))
 	other := resp.EncodeCommand("SET", "key:0000054321", string(bytes.Repeat([]byte("w"), 200)))
@@ -181,9 +182,6 @@ func TestOffloadAndFanOutFrames(t *testing.T) {
 	u.host.nicConn = toNic
 	batch := replstream.Batch{Start: 4242, Data: cmd, Cmds: 1}
 	u.host.propagate(batch)
-	if n := testing.AllocsPerRun(200, func() { u.host.propagate(batch) }); n != 0 {
-		t.Errorf("HostKV.propagate allocated %.1f times per batch, want 0", n)
-	}
 	if want := appendOffload(nil, 4242, 0, 1, cmd); !bytes.Equal(toNic.last, want) {
 		t.Errorf("offload frame = %q, want %q", toNic.last, want)
 	}
@@ -191,10 +189,6 @@ func TestOffloadAndFanOutFrames(t *testing.T) {
 	slaves := []*sinkConn{{}, {}, {}}
 	for i, c := range slaves {
 		u.nic.registerSlave(fmt.Sprintf("s%d", i), "", 0, c)
-	}
-	u.nic.fanOut(0, cmd, 1)
-	if n := testing.AllocsPerRun(200, func() { u.nic.fanOut(0, cmd, 1) }); n != 0 {
-		t.Errorf("single-threaded NicKV.fanOut allocated %.1f times per request, want 0", n)
 	}
 	// A longer frame after a shorter one, then the shorter one again: each
 	// send carries its own bytes, nothing left over from the last.
@@ -211,6 +205,55 @@ func TestOffloadAndFanOutFrames(t *testing.T) {
 		if len(c.frames) != 2 || !bytes.Equal(c.frames[0], want[0]) || !bytes.Equal(c.frames[1], want[1]) {
 			t.Errorf("slave %d received %q, want %q", i, c.frames, want)
 		}
+	}
+}
+
+// TestOffloadAndFanOutAllocations: Host-KV's replication request and Nic-KV's
+// fan-out allocate nothing — single-threaded, where every send happens before
+// fanOut returns, and at ThreadNum 2, where each slave's send
+// runs later on its thread from a frame buffer the node recycles through a
+// task bound once.
+func TestOffloadAndFanOutAllocations(t *testing.T) {
+	cmd := resp.EncodeCommand("SET", "key:0000012345", string(bytes.Repeat([]byte("v"), 64)))
+	u := newUnit(0, DefaultConfig())
+	u.eng.RunFor(10 * sim.Millisecond)
+	u.host.nicConn = &sinkConn{}
+	batch := replstream.Batch{Start: 4242, Data: cmd, Cmds: 1}
+	u.host.propagate(batch)
+	if n := testing.AllocsPerRun(200, func() { u.host.propagate(batch) }); n != 0 {
+		t.Errorf("HostKV.propagate allocated %.1f times per batch, want 0", n)
+	}
+	for i := 0; i < 3; i++ {
+		u.nic.registerSlave(fmt.Sprintf("s%d", i), "", 0, &sinkConn{})
+	}
+	u.nic.fanOut(0, cmd, 1)
+	if n := testing.AllocsPerRun(200, func() { u.nic.fanOut(0, cmd, 1) }); n != 0 {
+		t.Errorf("single-threaded NicKV.fanOut allocated %.1f times per request, want 0", n)
+	}
+
+	cfg := DefaultConfig()
+	cfg.ThreadNum = 2
+	u = newUnit(0, cfg)
+	if len(u.nic.threads) == 0 {
+		t.Fatal("no replication threads")
+	}
+	u.eng.RunFor(10 * sim.Millisecond)
+	slaves := []*sinkConn{{}, {}, {}}
+	for i, c := range slaves {
+		u.nic.registerSlave(fmt.Sprintf("s%d", i), "", 0, c)
+	}
+	round := func() {
+		u.nic.fanOut(0, cmd, 1)
+		u.nic.fanOut(0, cmd, 1)
+		u.eng.RunFor(sim.Millisecond)
+	}
+	round()
+	sent := slaves[0].sends
+	if n := testing.AllocsPerRun(200, func() { round() }); n != 0 {
+		t.Errorf("NicKV.fanOut at ThreadNum 2 allocated %.1f times per two requests, want 0", n)
+	}
+	if got := slaves[0].sends - sent; got != 2*201 {
+		t.Errorf("slave 0 was sent %d frames over 201 rounds of two requests, want %d", got, 2*201)
 	}
 }
 

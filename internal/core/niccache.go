@@ -182,13 +182,13 @@ func (n *NicKV) drainApply() {
 				fence = 0 // the main core is the one shard: no other core to quiesce
 			}
 			n.proc.Core.Charge(fence + n.params.SlaveApplyCPU)
-			n.replica.Exec(op.db, op.argv)
+			n.applyReply, _ = n.replica.ExecAppend(n.applyReply[:0], op.db, op.argv)
 			continue
 		}
 		n.mReplicaRouted.Inc()
 		n.applyInflight++
 		n.viaShard(op.shard, n.params.SlaveApplyCPU, func() {
-			n.replica.Dispatch(op.cmd, op.db, op.argv)
+			n.applyReply, _ = n.replica.DispatchAppend(n.applyReply[:0], op.cmd, op.db, op.argv)
 		}, func() {
 			n.applyInflight--
 			n.drainApply()

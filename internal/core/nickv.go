@@ -45,6 +45,38 @@ type nodeEntry struct {
 	// lag is the node's backlog-lag gauge (nickv.lag.<id>): bytes of stream
 	// fanned out but not yet acknowledged through progress reports.
 	lag *metrics.Gauge
+
+	// With replication threads a fan-out's sends run later, on the node's
+	// thread: fanOut queues the connection and a copy of the frame in sends
+	// and posts sendTask (sendNext, bound once), which sends the oldest. A
+	// sent frame's buffer goes to spare for the next copy, so a node
+	// allocates only until its queue has reached its deepest.
+	sends    ring.Queue[queuedSend]
+	spare    [][]byte
+	sendTask func()
+}
+
+// queuedSend is one fan-out send waiting for its node's thread.
+type queuedSend struct {
+	conn  transport.Conn
+	frame []byte
+}
+
+// queueSend copies frame for a send on conn that sendTask makes later.
+func (nd *nodeEntry) queueSend(conn transport.Conn, frame []byte) {
+	var buf []byte
+	if k := len(nd.spare); k > 0 {
+		buf, nd.spare = nd.spare[k-1], nd.spare[:k-1]
+	}
+	nd.sends.Push(queuedSend{conn: conn, frame: append(buf[:0], frame...)})
+}
+
+// sendNext sends the oldest queued frame; Send copies, so its buffer is
+// free again.
+func (nd *nodeEntry) sendNext() {
+	q := nd.sends.Pop()
+	q.conn.Send(q.frame)
+	nd.spare = append(nd.spare, q.frame)
 }
 
 // NicKV is the SmartNIC-resident component of SKV. It runs on the NIC's
@@ -93,6 +125,7 @@ type NicKV struct {
 	// pipeline, and replicaOff the stream offset the replica has consumed up
 	// to (replay trimming + gap detection). See niccache.go.
 	replica       *store.Store
+	applyReply    []byte // the scratch the replica's applied replies are dropped from
 	replApplier   *replstream.Applier
 	rprocs        []*sim.Proc
 	applyq        ring.Queue[nicApplyOp]
@@ -447,6 +480,7 @@ func (n *NicKV) registerSlave(id, replID string, off int64, conn transport.Conn)
 	nd := n.findNode(id)
 	if nd == nil {
 		nd = &nodeEntry{id: id, threadIdx: n.nextThr, lag: n.metrics.Gauge(n.lagGaugeName(id))}
+		nd.sendTask = nd.sendNext
 		if len(n.threads) > 0 {
 			n.nextThr = (n.nextThr + 1) % len(n.threads)
 		}
@@ -511,7 +545,11 @@ func (n *NicKV) fanOut(off int64, cmd []byte, cmds int) {
 	if n.gates.Len() > 0 {
 		tag = msgCmdStreamAck
 	}
-	frame := n.streamFrame(tag, off, cmd)
+	// Single-threaded, every send happens (and copies) before fanOut
+	// returns, so the frame is the NIC's scratch buffer; with replication
+	// threads each node queues its own copy for the send its thread makes.
+	n.frame = appendStream(n.frame[:0], tag, off, cmd)
+	frame := n.frame
 	n.eachValidSlave(func(nd *nodeEntry) {
 		if nd.conn == nil {
 			return
@@ -519,10 +557,8 @@ func (n *NicKV) fanOut(off int64, cmd []byte, cmds int) {
 		n.StreamSent.Inc()
 		nd.lag.Set(lagBehind(n.streamEnd, nd.offset))
 		if len(n.threads) > 0 {
-			conn := nd.conn
-			n.threads[nd.threadIdx].Post(n.params.NicFeedSlaveCPU, func() {
-				conn.Send(frame)
-			})
+			nd.queueSend(nd.conn, frame)
+			n.threads[nd.threadIdx].Post(n.params.NicFeedSlaveCPU, nd.sendTask)
 		} else {
 			n.proc.Core.Charge(n.params.NicFeedSlaveCPU)
 			nd.conn.Send(frame)
@@ -532,18 +568,6 @@ func (n *NicKV) fanOut(off int64, cmd []byte, cmds int) {
 	// chunk that just replicated is scanned for tracked keys. No-op (not
 	// even a parse) unless the interest table is occupied.
 	n.pushTrackInvalidations(cmd)
-}
-
-// streamFrame builds one fan-out's frame. Single-threaded, every send
-// happens (and copies) before fanOut returns, so the frame is the NIC's
-// scratch buffer; with replication threads the sends are posted to other
-// cores and run later, so they share one exactly sized frame of their own.
-func (n *NicKV) streamFrame(tag byte, off int64, cmd []byte) []byte {
-	if len(n.threads) > 0 {
-		return appendStream(make([]byte, 0, streamHeaderLen+len(cmd)), tag, off, cmd)
-	}
-	n.frame = appendStream(n.frame[:0], tag, off, cmd)
-	return n.frame
 }
 
 // probeTick fires every ProbePeriod on the NIC: check for overdue replies

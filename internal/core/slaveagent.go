@@ -39,8 +39,10 @@ type SlaveAgent struct {
 	buffered []streamChunk
 
 	// applier decodes the replication stream (command framing + SELECT
-	// context), shared with the baseline masterLink consumer.
-	applier *replstream.Applier
+	// context), shared with the baseline masterLink consumer; applyReply is
+	// the scratch each applied command's reply is built in and dropped from.
+	applier    *replstream.Applier
+	applyReply []byte
 
 	progress *sim.Ticker
 	// A slave has at most one progress report queued on its proc: the report
@@ -84,7 +86,7 @@ func AttachSlave(srv *server.Server, net *fabric.Network, nicEP *fabric.Endpoint
 	a.progressTask = a.sendProgress
 	a.applier = replstream.NewApplier(func(db int, argv [][]byte) {
 		a.Srv.Proc().Core.Charge(a.Srv.Params().SlaveApplyCPU)
-		a.Srv.Store().Exec(db, argv)
+		a.applyReply, _ = a.Srv.Store().ExecAppend(a.applyReply[:0], db, argv)
 		a.mApplied.Inc()
 	})
 	srv.SetRole(server.RoleSlave)

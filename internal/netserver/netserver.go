@@ -222,34 +222,15 @@ func (s *Server) handle(conn net.Conn) {
 		conn.Close()
 	}()
 
-	var reader resp.Reader
-	var argv [][]byte // borrowed from reader: each command executes before the next is read
+	var ss session
 	buf := make([]byte, 16<<10)
 	out := bufio.NewWriter(conn)
-	db := 0
 	for {
 		n, err := conn.Read(buf)
 		if n > 0 {
-			reader.Feed(buf[:n])
-			for {
-				var complete bool
-				var perr error
-				argv, complete, perr = reader.BorrowCommand(argv) // argv keeps its capacity even when nothing is complete
-				if perr != nil {
-					out.Write(resp.AppendError(nil, "ERR Protocol error"))
-					out.Flush()
-					return
-				}
-				if !complete {
-					break
-				}
-				reply, newDB, quit := s.execute(db, argv)
-				db = newDB
-				out.Write(reply)
-				if quit {
-					out.Flush()
-					return
-				}
+			if s.serve(&ss, buf[:n], out) {
+				out.Flush()
+				return
 			}
 			if out.Buffered() > 0 {
 				if err := out.Flush(); err != nil {
@@ -263,30 +244,68 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// session is one connection's command loop: the query reader, the argv
+// header each command is borrowed into, the reply scratch and the selected
+// database. A command executes, and its reply is written out, before the
+// next one is read, so neither buffer is ever copied and a pipelined GET or
+// SET allocates nothing.
+type session struct {
+	reader resp.Reader
+	argv   [][]byte
+	reply  []byte
+	db     int
+}
+
+// serve executes every complete command in data, writing the replies to out.
+// done reports that the connection must close: after QUIT, or after a
+// protocol error, which is answered first.
+func (s *Server) serve(ss *session, data []byte, out *bufio.Writer) (done bool) {
+	ss.reader.Feed(data)
+	for {
+		var complete bool
+		var err error
+		ss.argv, complete, err = ss.reader.BorrowCommand(ss.argv) // argv keeps its capacity even when nothing is complete
+		if err != nil {
+			out.Write(resp.AppendError(nil, "ERR Protocol error"))
+			return true
+		}
+		if !complete {
+			return false
+		}
+		var quit bool
+		ss.reply, ss.db, quit = s.execute(ss.reply[:0], ss.db, ss.argv)
+		out.Write(ss.reply)
+		if quit {
+			return true
+		}
+	}
+}
+
 // execute runs one command, handling the connection-level commands SELECT,
-// SAVE and QUIT here and everything else in the store. The command is
-// resolved once; the store dispatches on the descriptor.
-func (s *Server) execute(db int, argv [][]byte) (reply []byte, newDB int, quit bool) {
+// SAVE and QUIT here and everything else in the store, and appends its reply
+// to dst. The command is resolved once; the store dispatches on the
+// descriptor.
+func (s *Server) execute(dst []byte, db int, argv [][]byte) (reply []byte, newDB int, quit bool) {
 	cmd := store.LookupCommand(argv[0])
 	// quit, save and bgsave belong to the connection, not to the command
 	// table, so they are matched by name; select is in the table.
 	switch {
 	case cmd == nil && resp.IsWord(argv[0], "quit"):
-		return resp.AppendSimple(nil, "OK"), db, true
+		return resp.AppendSimple(dst, "OK"), db, true
 	case cmd == nil && (resp.IsWord(argv[0], "save") || resp.IsWord(argv[0], "bgsave")):
 		if s.opts.RDBPath == "" {
-			return resp.AppendError(nil, "ERR no RDB path configured"), db, false
+			return resp.AppendError(dst, "ERR no RDB path configured"), db, false
 		}
 		if err := s.save(); err != nil {
-			return resp.AppendError(nil, "ERR saving: "+err.Error()), db, false
+			return resp.AppendError(dst, "ERR saving: "+err.Error()), db, false
 		}
-		return resp.AppendSimple(nil, "OK"), db, false
+		return resp.AppendSimple(dst, "OK"), db, false
 	case cmd != nil && cmd.Name == "select":
 		newDB, reply = s.st.Select(db, argv)
-		return reply, newDB, false
+		return append(dst, reply...), newDB, false
 	}
 	s.mu.Lock()
-	reply, _ = s.st.Dispatch(cmd, db, argv)
+	reply, _ = s.st.DispatchAppend(dst, cmd, db, argv)
 	s.Served++
 	s.mu.Unlock()
 	return reply, db, false

@@ -1,6 +1,7 @@
 package netserver
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -404,5 +405,38 @@ func TestMalformedLengthsCloseOnlyTheOffender(t *testing.T) {
 		if v := dial(t, addr).do("PING"); v.String() != "PONG" {
 			t.Fatalf("after %q the next connection got %q", in, v.String())
 		}
+	}
+}
+
+// TestPipelinedLoopAllocations: a connection's command loop serves a
+// pipelined batch of GETs and same-size SETs of live keys without
+// allocating: each command is borrowed from the query buffer and each reply
+// appended to the connection's scratch before the writer copies it.
+func TestPipelinedLoopAllocations(t *testing.T) {
+	s, err := New(Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := strings.Repeat("v", 64)
+	var batch []byte
+	for i := 0; i < 8; i++ {
+		key := fmt.Sprintf("key:%010d", i)
+		s.Store().Exec(0, [][]byte{[]byte("SET"), []byte(key), []byte(value)})
+		batch = append(batch, resp.EncodeCommand("SET", key, value)...)
+		batch = append(batch, resp.EncodeCommand("GET", key)...)
+	}
+	var ss session
+	var replies strings.Builder
+	out := bufio.NewWriter(&replies)
+	if s.serve(&ss, batch, out) {
+		t.Fatal("the batch closed the connection")
+	}
+	out.Flush()
+	if want := strings.Repeat("+OK\r\n$64\r\n"+value+"\r\n", 8); replies.String() != want {
+		t.Fatalf("replies %q, want %q", replies.String(), want)
+	}
+	out.Reset(io.Discard)
+	if n := testing.AllocsPerRun(200, func() { s.serve(&ss, batch, out) }); n != 0 {
+		t.Fatalf("a pipelined batch of 8 SETs and 8 GETs allocated %.1f times, want 0", n)
 	}
 }

@@ -40,8 +40,8 @@ func TestStringRawEncoding(t *testing.T) {
 
 // TestParseStrictIntMatchesFormatRoundTrip: the hand-rolled canonical-integer
 // check agrees with its definition — ParseInt succeeds and FormatInt prints
-// the same bytes back — on the edges and on random digit strings, and costs
-// no allocation on either answer.
+// the same bytes back — on the edges and on random digit strings. What it
+// costs is TestParseStrictIntAllocations'.
 func TestParseStrictIntMatchesFormatRoundTrip(t *testing.T) {
 	ref := func(b []byte) (int64, bool) {
 		n, err := strconv.ParseInt(string(b), 10, 64)
@@ -71,6 +71,11 @@ func TestParseStrictIntMatchesFormatRoundTrip(t *testing.T) {
 			t.Fatalf("parseStrictInt(%q) = %d, %t; the round trip says %d, %t", c, got, ok, want, wantOK)
 		}
 	}
+}
+
+// TestParseStrictIntAllocations: the canonical-integer check costs no
+// allocation on either answer.
+func TestParseStrictIntAllocations(t *testing.T) {
 	raw, num := []byte("not-a-number"), []byte("-1234567890")
 	if n := testing.AllocsPerRun(100, func() { parseStrictInt(raw); parseStrictInt(num) }); n != 0 {
 		t.Fatalf("parseStrictInt allocated %.1f times, want 0", n)

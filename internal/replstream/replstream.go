@@ -36,7 +36,10 @@ import (
 type Batch struct {
 	// Start is the global replication offset of Data[0].
 	Start int64
-	// Data is the concatenation of the batch's RESP-encoded commands.
+	// Data is the concatenation of the batch's RESP-encoded commands. It is
+	// lent to the Flush callback until it returns — the Writer encodes the
+	// next batch into the same buffer — so a consumer that keeps the bytes
+	// copies them (a send does).
 	Data []byte
 	// Cmds is the number of commands in Data (SELECT injections included).
 	Cmds int
@@ -93,7 +96,8 @@ type WriterConfig struct {
 	// flushes synchronously inside Append — the unbatched behaviour.
 	MaxCmds int
 	// Flush delivers one batch downstream (fan-out to slaves, or the
-	// replication request to Nic-KV).
+	// replication request to Nic-KV). The batch's Data is borrowed until it
+	// returns.
 	Flush func(Batch)
 	// Schedule, when non-nil, defers a function to the producing core's
 	// quiesce point (end of the current event-loop tick). It is used to
@@ -232,10 +236,10 @@ func (w *Writer) flush(reason flushReason) {
 		return
 	}
 	b := Batch{Start: w.pendingStart, Data: w.pending, Cmds: w.pendingCmds, Gate: w.pendingGate}
-	// The batch's Data is the flush callback's to keep, so the buffer is
-	// handed off, never recycled; the next one starts at this batch's size —
-	// the best guess at the next batch's — so it is allocated once.
-	w.pending = make([]byte, 0, len(b.Data))
+	// The buffer is lent to the callback and taken back when it returns. A
+	// write the callback itself appends starts a buffer of its own, so the
+	// lent bytes never change under the consumer.
+	w.pending = nil
 	w.pendingCmds, w.pendingGate = 0, 0
 	switch reason {
 	case flushCmdBudget:
@@ -248,6 +252,9 @@ func (w *Writer) flush(reason flushReason) {
 		w.mFlushForced.Inc()
 	}
 	w.cfg.Flush(b)
+	if w.pending == nil {
+		w.pending = b.Data[:0]
+	}
 }
 
 func (w *Writer) scheduleFlush() {

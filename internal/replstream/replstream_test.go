@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"skv/internal/backlog"
@@ -401,8 +402,8 @@ func TestApplierErrorIsSticky(t *testing.T) {
 // TestStreamAllocations pins the steady-state cost of both ends: the Applier
 // decodes a batch of SETs where it was fed, into the one argv it keeps, and
 // allocates nothing; the Writer encodes straight into the batch it is
-// building and allocates one buffer per flushed batch — the next one, sized
-// like the last — because the flushed one now belongs to the flush callback.
+// building, lends it to the flush callback and takes it back, so appending
+// and flushing allocate nothing either — by budget or by a forced Flush.
 func TestStreamAllocations(t *testing.T) {
 	set := [][]byte{[]byte("SET"), []byte("key:0000012345"), bytes.Repeat([]byte("v"), 64)}
 	batch := bytes.Repeat(resp.AppendCommand(nil, set), 8)
@@ -424,9 +425,44 @@ func TestStreamAllocations(t *testing.T) {
 				w.Append(0, set)
 			}
 		})
-		if flushes != 201 || n > 1 {
-			t.Errorf("MaxCmds=%d: %.1f allocations per flushed batch over %d flushes, want <= 1", maxCmds, n, flushes)
+		if flushes != 201 || n != 0 {
+			t.Errorf("MaxCmds=%d: %.1f allocations per flushed batch over %d flushes, want 0", maxCmds, n, flushes)
 		}
+	}
+	w := NewWriter(WriterConfig{Backlog: backlog.New(1 << 20), MaxCmds: 8, Flush: func(Batch) {}})
+	if n := testing.AllocsPerRun(200, func() { w.Append(0, set); w.Append(0, set); w.Flush() }); n != 0 {
+		t.Errorf("Append twice and Flush allocated %.1f times, want 0", n)
+	}
+}
+
+// TestFlushLendsData: a batch's bytes stay as they were for the whole flush
+// callback, even when the callback itself enters a write into the stream,
+// and the next batch reuses the buffer once it has returned.
+func TestFlushLendsData(t *testing.T) {
+	var w *Writer
+	var seen []string
+	var bufs []*byte
+	reentered := false
+	w = NewWriter(WriterConfig{Backlog: backlog.New(1 << 20), MaxCmds: 1, Flush: func(b Batch) {
+		before := string(b.Data)
+		if !reentered {
+			reentered = true
+			w.Append(0, [][]byte{[]byte("SET"), []byte("inner"), []byte("written-during-the-flush")})
+		}
+		if string(b.Data) != before {
+			t.Errorf("batch bytes changed under the callback: %q, then %q", before, b.Data)
+		}
+		seen, bufs = append(seen, before), append(bufs, &b.Data[0])
+	}})
+	w.Append(0, [][]byte{[]byte("SET"), []byte("outer"), []byte("v")})
+	w.Append(0, [][]byte{[]byte("SET"), []byte("next"), []byte("v")})
+	// The inner write flushes first, inside the outer callback; the last
+	// batch goes out in the buffer the inner one was lent.
+	if len(seen) != 3 || !strings.Contains(seen[0], "inner") || !strings.Contains(seen[1], "outer") || !strings.Contains(seen[2], "next") {
+		t.Fatalf("batches flushed: %q", seen)
+	}
+	if bufs[2] != bufs[0] {
+		t.Error("the batch after the flush did not reuse the lent buffer")
 	}
 }
 

@@ -397,3 +397,96 @@ func FuzzReadValue(f *testing.F) {
 		}
 	})
 }
+
+// borrowingValueReader decodes values with BorrowValue and hands each out as
+// a deep copy taken before the next read, which is all a borrower is
+// promised; it then scribbles over the strings and array elements it was
+// lent, which shows up as a divergence if the Reader ever looks at them again.
+type borrowingValueReader struct{ Reader }
+
+func (r *borrowingValueReader) ReadValue() (Value, bool, error) {
+	v, ok, err := r.BorrowValue()
+	if !ok || err != nil {
+		return v, ok, err
+	}
+	out := cloneValue(v)
+	scribble(v)
+	return out, true, nil
+}
+
+func cloneValue(v Value) Value {
+	if v.Str != nil {
+		v.Str = append([]byte{}, v.Str...)
+	}
+	if v.Array != nil {
+		arr := make([]Value, len(v.Array))
+		for i, e := range v.Array {
+			arr[i] = cloneValue(e)
+		}
+		v.Array = arr
+	}
+	return v
+}
+
+func scribble(v Value) {
+	for i := range v.Str {
+		v.Str[i] = '*'
+	}
+	for i := range v.Array {
+		scribble(v.Array[i])
+		v.Array[i] = Value{Type: '?'}
+	}
+}
+
+// FuzzBorrowValue: the borrowing reply read and ReadValue are one decoder —
+// same values, same errors, same bytes left over — on any input, cut into any
+// chunks.
+func FuzzBorrowValue(f *testing.F) {
+	addSeeds(f)
+	f.Fuzz(func(t *testing.T, data, splits []byte) {
+		copied := decodeValues(t, &Reader{}, data, splits)
+		if d := copied.diff(decodeValues(t, &borrowingValueReader{}, data, splits)); d != "" {
+			t.Fatalf("ReadValue vs BorrowValue, splits %v: %s", splits, d)
+		}
+	})
+}
+
+// TestBorrowValueAllocations: a borrowing reply read allocates nothing — a
+// bulk reply, a status reply and an invalidation push (an array) alike —
+// once its element scratch has grown to the widest reply seen.
+func TestBorrowValueAllocations(t *testing.T) {
+	replies := AppendBulk(nil, []byte("some-reasonably-sized-value-payload"))
+	replies = AppendSimple(replies, "OK")
+	replies = AppendInvalidatePush(replies, []byte("key:0000012345"))
+	var r Reader
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Feed(replies)
+		for i := 0; i < 3; i++ {
+			if _, ok, err := r.BorrowValue(); !ok || err != nil {
+				t.Fatalf("reply %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("BorrowValue allocated %.1f times per three replies, want 0", allocs)
+	}
+}
+
+// TestBorrowedValueLifetime: a borrowed value survives a Feed and dies at the
+// next read.
+func TestBorrowedValueLifetime(t *testing.T) {
+	var r Reader
+	r.Feed([]byte("$5\r\nfirst\r\n$6\r\nsecond\r\n"))
+	first, ok, err := r.BorrowValue()
+	if !ok || err != nil {
+		t.Fatal(ok, err)
+	}
+	r.Feed(bytes.Repeat([]byte("x"), 8192))
+	if string(first.Str) != "first" {
+		t.Fatalf("borrowed value changed before the next read: %q", first.Str)
+	}
+	second, ok, err := r.BorrowValue()
+	if !ok || err != nil || string(second.Str) != "second" {
+		t.Fatalf("second value: %q %v %v", second.Str, ok, err)
+	}
+}

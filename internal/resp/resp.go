@@ -225,10 +225,12 @@ const (
 // Everything a Read call returns is the caller's to keep: argv and Values
 // are copied out of the fed bytes into one allocation per command or reply
 // (plus the argv or array header), never aliased to the Reader's buffer.
-// BorrowCommand is the one exception, and says so.
+// BorrowCommand and BorrowValue are the exceptions, and say so.
 type Reader struct {
 	buf []byte
 	pos int
+	// elems is BorrowValue's array scratch, reused by every borrowing read.
+	elems []Value
 }
 
 // Feed appends incoming bytes (a copy: the caller keeps b).
@@ -363,38 +365,63 @@ func (r *Reader) scan(pos int, sz *size) (next int, ok bool, err error) {
 }
 
 // ReadValue decodes one complete value. ok=false means more bytes needed
-// (cursor unchanged).
-func (r *Reader) ReadValue() (Value, bool, error) {
+// (cursor unchanged). The value is the caller's to keep: BorrowValue plus a
+// copy of every string into one allocation and every array into another.
+func (r *Reader) ReadValue() (Value, bool, error) { return r.readValue(false) }
+
+// BorrowValue is ReadValue without the copy, for a consumer that is done
+// with a reply before it reads the next one (a client matching replies to
+// requests): strings alias the Reader's buffer and arrays its element
+// scratch, both valid until the next Read or Borrow call (a Feed in between
+// leaves them intact). Once the scratch has grown to the deepest reply seen,
+// a borrowing read allocates nothing.
+func (r *Reader) BorrowValue() (Value, bool, error) { return r.readValue(true) }
+
+// readValue is the one value decoder under both reads.
+func (r *Reader) readValue(borrow bool) (Value, bool, error) {
+	r.compact() // a borrowed previous value's bytes die here, not under its reader
 	var sz size
 	end, ok, err := r.scan(r.pos, &sz)
 	if err != nil || !ok {
 		return Value{}, false, err
 	}
-	b := builder{r: r}
-	if sz.bytes > 0 {
-		b.bytes = make([]byte, 0, sz.bytes)
-	}
-	if sz.elems > 0 {
+	b := builder{r: r, borrow: borrow}
+	switch {
+	case borrow:
+		b.elems = r.elems[:0]
+		if cap(b.elems) < sz.elems {
+			b.elems = make([]Value, 0, sz.elems)
+		}
+	case sz.elems > 0:
 		b.elems = make([]Value, 0, sz.elems)
 	}
+	if !borrow && sz.bytes > 0 {
+		b.bytes = make([]byte, 0, sz.bytes)
+	}
 	v, _ := b.value(r.pos)
+	if borrow {
+		r.elems = b.elems
+	}
 	r.pos = end
-	r.compact()
 	return v, true, nil
 }
 
-// builder copies a scanned value out of the reader's buffer: every string
-// into bytes, every array into elems. Both were sized by the scan, so
-// neither grows.
+// builder builds a scanned value out of the reader's buffer: every string
+// copied into bytes (or, borrowing, aliased where it lies), every array into
+// elems. Both were sized by the scan, so neither grows.
 type builder struct {
-	r     *Reader
-	bytes []byte
-	elems []Value
+	r      *Reader
+	borrow bool
+	bytes  []byte
+	elems  []Value
 }
 
 func (b *builder) str(s []byte) []byte {
 	if len(s) == 0 {
 		return nil
+	}
+	if b.borrow {
+		return s[:len(s):len(s)]
 	}
 	at := len(b.bytes)
 	b.bytes = append(b.bytes, s...)

@@ -230,12 +230,13 @@ func (s *Server) SlaveOf(target *fabric.Endpoint, port int) {
 	}
 	s.role = RoleSlave
 	ml := &masterLink{srv: s, targetEP: target, targetPort: port, state: linkConnecting}
+	var reply []byte // the scratch each applied command's reply is dropped from
 	ml.applier = replstream.NewApplier(func(db int, argv [][]byte) {
 		// "Every time the slave node receives a new command, it executes
 		// the command immediately to ensure that its data is consistent
 		// with the master node."
 		s.proc.Core.Charge(s.params.SlaveApplyCPU)
-		s.store.Exec(db, argv)
+		reply, _ = s.store.ExecAppend(reply[:0], db, argv)
 	})
 	// Carry over prior sync state for partial resynchronization.
 	if s.master != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"skv/internal/replstream"
 	"skv/internal/resp"
 	"skv/internal/sim"
 	"skv/internal/tcpsim"
@@ -257,4 +258,97 @@ func TestPSyncFlushesPendingBatch(t *testing.T) {
 		t.Fatalf("snapshot offset %d, stream end %d", off, master.ReplOffset())
 	}
 	_ = sc
+}
+
+// closedLoop opens n connections to srv, each sending next(i, k) — its k-th
+// command — as soon as the reply to the previous one arrives, until stop.
+func closedLoop(t *testing.T, w *world, srv *Server, n int, stop *bool, next func(i, k int) []byte) {
+	t.Helper()
+	conns := make([]*scriptClient, n)
+	for i := range conns {
+		conns[i] = w.dial(t, srv)
+	}
+	for i, sc := range conns {
+		i, sc, k := i, sc, 0
+		sc.conn.SetHandler(func(data []byte) {
+			sc.reader.Feed(data)
+			for {
+				if _, ok, err := sc.reader.ReadValue(); err != nil || !ok {
+					return
+				}
+				if k++; !*stop {
+					sc.conn.Send(next(i, k))
+				}
+			}
+		})
+		w.eng.After(0, func() { sc.conn.Send(next(i, 0)) })
+	}
+}
+
+// TestQuiesceFlushCoalescesSaturatedWrites: with a budget of 64 and no
+// delay timer, a partial batch waits for the tasks already queued on the
+// master's proc when its first write was appended — the rest of the
+// event-loop iteration — so a saturated master carries several clients'
+// writes per flush, and the slave still converges. It used to flush at the
+// end of every task, one write per batch.
+func TestQuiesceFlushCoalescesSaturatedWrites(t *testing.T) {
+	w := newWorld(15)
+	w.p.ReplBatchMaxCmds = 64
+	master := w.server("m", 6379)
+	slave := w.server("sl", 6379)
+	slave.SlaveOf(master.Stack().Endpoint(), 6379)
+	w.run()
+	stop := false
+	closedLoop(t, w, master, 16, &stop, func(i, k int) []byte {
+		return resp.EncodeCommand("SET", fmt.Sprintf("k%d", i), strconv.Itoa(k))
+	})
+	start := w.eng.Now()
+	w.eng.Run(start.Add(20 * sim.Millisecond))
+	stop = true
+	w.run()
+	writes, batches := master.WritesPropagated, master.ReplStream().BatchesFlushed()
+	if util := master.Proc().Core.Utilization(w.eng.Now()); writes < 1000 || batches == 0 {
+		t.Fatalf("%d writes in %d batches (master util %.2f)", writes, batches, util)
+	}
+	if perBatch := float64(writes) / float64(batches); perBatch < 2 {
+		t.Fatalf("a saturated master flushed %.2f writes per batch (%d writes, %d batches), want several", perBatch, writes, batches)
+	}
+	if master.ReplOffset() != slave.MasterOffset() {
+		t.Fatalf("offsets diverged: master %d, slave %d", master.ReplOffset(), slave.MasterOffset())
+	}
+}
+
+// TestQuiesceFlushWaitsOneIterationOnly: a lone write among saturating GETs
+// flushes once the tasks queued on the master's proc when it was appended
+// have run — not one task later, and not when the GETs let up.
+func TestQuiesceFlushWaitsOneIterationOnly(t *testing.T) {
+	w := newWorld(16)
+	w.p.ReplBatchMaxCmds = 64
+	master := w.server("m", 6379)
+	proc := master.Proc()
+	stop := false
+	closedLoop(t, w, master, 16, &stop, func(int, int) []byte { return resp.EncodeCommand("GET", "k") })
+	w.eng.Run(w.eng.Now().Add(5 * sim.Millisecond))
+
+	// WriteGate runs at the write's admission, in the task that appends it.
+	var appended, queued, flushedAt uint64
+	master.WriteGate = func() string {
+		appended, queued = proc.Handled, uint64(proc.QueueLen())
+		return ""
+	}
+	master.OnPropagate = func(b replstream.Batch) { flushedAt = proc.Handled }
+	sc := w.dial(t, master)
+	w.eng.After(0, func() { sc.conn.Send(resp.EncodeCommand("SET", "k", "v")) })
+	w.eng.Run(w.eng.Now().Add(5 * sim.Millisecond))
+	stop = true
+	w.run()
+	if appended == 0 || flushedAt == 0 {
+		t.Fatalf("the write was appended at task %d and flushed at task %d", appended, flushedAt)
+	}
+	if queued == 0 {
+		t.Fatal("the master was not saturated: nothing was queued behind the write")
+	}
+	if flushedAt != appended+queued {
+		t.Fatalf("appended after task %d with %d queued; flushed after task %d, want %d", appended, queued, flushedAt, appended+queued)
+	}
 }

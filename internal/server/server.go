@@ -166,7 +166,20 @@ type client struct {
 	id     uint64
 	conn   transport.Conn
 	reader resp.Reader
-	db     int
+	// argv is the header every command is borrowed into from reader: valid
+	// until the next read, so the pipeline copies it where it defers one.
+	argv [][]byte
+	// out is the reply scratch: a command executing for this connection
+	// appends its reply here, and the reply is sent — or held — before the
+	// connection's next command executes.
+	out []byte
+	// held keeps replies that outlive the event that built them: parked
+	// write replies, replies waiting for their turn, and replies crossing a
+	// core. It is reused from the start whenever every numbered command has
+	// replied; until then a full chunk is left to the replies in it and a new
+	// one started.
+	held []byte
+	db   int
 	// isSlaveLink marks the connection as a replication channel to a slave.
 	isSlaveLink bool
 	closed      bool
@@ -204,8 +217,8 @@ type client struct {
 }
 
 // turn is what waits in client.pending for its sequence number to come up:
-// a finished command's reply (nil = none), or — cmd set — a command to run
-// then.
+// a finished command's reply (nil = none, else held), or — cmd set — a
+// command to run then, its argv the pipeline's own copy.
 type turn struct {
 	reply []byte
 	cmd   *store.Command
@@ -228,11 +241,40 @@ type slaveHandle struct {
 }
 
 // Every server has numDBs SELECT-able databases and a backlogSize-byte
-// replication backlog.
+// replication backlog. A connection's held replies fill heldChunk-byte
+// chunks, and its reply scratch keeps at most maxOut bytes between commands.
 const (
 	numDBs      = 16
 	backlogSize = 1 << 20
+	heldChunk   = 4 << 10
+	maxOut      = 64 << 10
 )
+
+// scratch lends c's reply scratch, empty, to a dispatch whose reply is sent
+// or held before c's next command executes.
+func (c *client) scratch() []byte { return c.out[:0] }
+
+// keep takes back the scratch a dispatch appended reply to, grown if it had
+// to, unless it grew past maxOut. reply stays valid until the next scratch.
+func (c *client) keep(reply []byte) {
+	if cap(reply) <= maxOut {
+		c.out = reply[:0]
+	}
+}
+
+// hold copies a reply that must outlive the event that built it into c's
+// held chunk.
+func (c *client) hold(reply []byte) []byte {
+	if len(reply) == 0 {
+		return nil
+	}
+	if len(c.held)+len(reply) > cap(c.held) {
+		c.held = make([]byte, 0, max(heldChunk, len(reply)))
+	}
+	at := len(c.held)
+	c.held = append(c.held, reply...)
+	return c.held[at:len(c.held):len(c.held)]
+}
 
 // New creates a server on the given transport stack. The stack's process is
 // the server's dispatch proc. The pipeline's shape comes from the cost
@@ -269,6 +311,7 @@ func New(opts Options, eng *sim.Engine, stack transport.Stack, proc *sim.Proc) *
 		defW:     opts.WriteQuorum,
 	}
 	s.acks = consistency.NewTracker(s.metrics)
+	s.acks.Release = s.releaseWrite
 	if s.cluster != nil {
 		s.clusterStats = newClusterInstruments(s.metrics)
 	}
@@ -283,27 +326,27 @@ func New(opts Options, eng *sim.Engine, stack transport.Stack, proc *sim.Proc) *
 		MaxCmds: p.ReplBatchMaxCmds,
 		Flush:   s.flushReplBatch,
 		Metrics: s.metrics,
-		// Partial batches flush when this server's core drains its queued
-		// work — the event-loop quiesce point. Under load that coalesces
-		// every write processed in the same busy period; idle, it fires at
-		// the current instant, right after the producing event cascade.
-		// BusyUntil only covers the task in flight, so the timer re-arms
-		// while more work sits queued behind it: a fast core with a deep
-		// queue (the demoted merge stage) is mid-busy-period, not quiesced,
-		// and flushing there would collapse every batch to one command.
-		// With ReplBatchMaxDelay set, the quiesce flush is replaced by a
-		// doorbell-coalescing timer — an underloaded producer quiesces
-		// between every two writes, which would collapse every batch to
-		// one command.
+		// Partial batches flush at the end of the event-loop iteration
+		// that appended their first command — Redis's beforeSleep: once
+		// every task already queued on this server's proc at that moment
+		// has run (the timer follows the core's busy point until then).
+		// Under load that coalesces every write the iteration processes;
+		// idle, it fires right after the producing task. Work that arrives
+		// later never holds a batch back, so a saturated producer still
+		// flushes once per iteration. With ReplBatchMaxDelay set, the
+		// quiesce flush is replaced by a doorbell-coalescing timer — an
+		// underloaded producer quiesces between every two writes, which
+		// would collapse every batch to one command.
 		Schedule: func(fn func()) {
 			if d := p.ReplBatchMaxDelay; d > 0 {
 				eng.After(d, fn)
 				return
 			}
+			iterEnd := s.proc.Handled + uint64(s.proc.QueueLen())
 			var arm func()
 			arm = func() {
 				eng.After(s.proc.Core.BusyUntil().Sub(eng.Now()), func() {
-					if s.proc.Core.QueueLen() > 0 {
+					if s.proc.Handled < iterEnd {
 						arm()
 						return
 					}
@@ -492,7 +535,8 @@ func (s *Server) readQueryFromClient(c *client, data []byte) {
 	}
 	c.reader.Feed(data)
 	for {
-		argv, ok, err := c.reader.ReadCommand()
+		argv, ok, err := c.reader.BorrowCommand(c.argv)
+		c.argv = argv
 		if err != nil {
 			s.send(c, resp.AppendError(nil, "ERR Protocol error"))
 			c.conn.Close()
@@ -658,7 +702,8 @@ func (s *Server) execute(c *client, seq uint64, cmd *store.Command, argv [][]byt
 	}
 
 	s.coreFor(c).Charge(s.execCost(cmd, argv))
-	reply, dirty := s.store.Dispatch(cmd, c.db, argv)
+	reply, dirty := s.store.DispatchAppend(c.scratch(), cmd, c.db, argv)
+	c.keep(reply)
 	if dirty && s.role == RoleMaster {
 		need, gate := s.gateNeed(c)
 		if s.shard.commit(c, seq, cmd, c.db, argv, reply, need, gate) {

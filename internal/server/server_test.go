@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -344,7 +345,10 @@ func TestOnPropagateHookReplacesFanout(t *testing.T) {
 	slave.SlaveOf(master.Stack().Endpoint(), 6379)
 	w.run()
 	var hooked []replstream.Batch
-	master.OnPropagate = func(b replstream.Batch) { hooked = append(hooked, b) }
+	master.OnPropagate = func(b replstream.Batch) {
+		b.Data = bytes.Clone(b.Data) // lent until the hook returns
+		hooked = append(hooked, b)
+	}
 	c := w.dial(t, master)
 	c.do(t, "SET", "k", "v")
 	if len(hooked) != 1 {
@@ -493,5 +497,63 @@ func TestWaitZeroReplicasImmediate(t *testing.T) {
 	c := w.dial(t, master)
 	if v := c.do(t, "WAIT", "0", "0"); v.Type != resp.TypeInteger || v.Int != 0 {
 		t.Fatalf("WAIT 0 0: %s", v.String())
+	}
+}
+
+// sinkConn is a connection whose Send copies the payload, as every
+// transport's does, and keeps the last one.
+type sinkConn struct {
+	transport.Conn
+	last []byte
+}
+
+func (c *sinkConn) Send(p []byte) { c.last = append(c.last[:0], p...) }
+
+// TestInlineRequestAllocations: at one shard a GET and a same-size SET of a
+// live key run parse → execute → merge → propagate → reply inside the read
+// event, on the argv borrowed from the query buffer and the connection's
+// reply scratch, and allocate nothing; neither does a quorum SET whose reply
+// parks on the consistency tracker and is released by watermark.
+func TestInlineRequestAllocations(t *testing.T) {
+	w := newWorld(31)
+	s := w.server("m", 6379)
+	if s.NumShards() != 1 {
+		t.Fatalf("%d shards, want 1", s.NumShards())
+	}
+	value := strings.Repeat("v", 64)
+	s.Store().Exec(0, [][]byte{[]byte("SET"), []byte("key:0000012345"), []byte(value)})
+	sink := &sinkConn{}
+	c := &client{id: 99, conn: sink, owner: s.proc}
+	s.clients[c.id] = c
+	get, set := pipeOf("GET key:0000012345"), pipeOf("SET key:0000012345 "+value)
+	for _, tc := range []struct {
+		name  string
+		query []byte
+		want  string
+	}{{"GET", get, "$64\r\n" + value + "\r\n"}, {"SET", set, "+OK\r\n"}} {
+		s.readQueryFromClient(c, tc.query)
+		if string(sink.last) != tc.want {
+			t.Fatalf("%s replied %q, want %q", tc.name, sink.last, tc.want)
+		}
+		if n := testing.AllocsPerRun(200, func() { s.readQueryFromClient(c, tc.query) }); n != 0 {
+			t.Errorf("inline %s allocated %.1f times, want 0", tc.name, n)
+		}
+	}
+
+	s.readQueryFromClient(c, pipeOf("SKV.CONSISTENCY quorum 1"))
+	quorumSet := func() {
+		sink.last = sink.last[:0]
+		s.readQueryFromClient(c, set)
+		if s.Acks().Parked() != 1 || len(sink.last) != 0 {
+			t.Fatalf("quorum SET: %d parked, replied %q before its ack", s.Acks().Parked(), sink.last)
+		}
+		s.Acks().ReleaseUpTo(s.ReplOffset())
+		if s.Acks().Parked() != 0 || string(sink.last) != "+OK\r\n" {
+			t.Fatalf("quorum SET: %d parked, replied %q after its release", s.Acks().Parked(), sink.last)
+		}
+	}
+	quorumSet()
+	if n := testing.AllocsPerRun(200, quorumSet); n != 0 {
+		t.Errorf("parked quorum SET and its release allocated %.1f times, want 0", n)
 	}
 }

@@ -98,7 +98,7 @@ const (
 )
 
 // heldCmd is one command queued behind a pending barrier; it keeps the
-// sequence number it took on arrival.
+// sequence number it took on arrival, and its argv is the pipeline's copy.
 type heldCmd struct {
 	c    *client
 	seq  uint64
@@ -147,7 +147,7 @@ type shardEngine struct {
 
 	// Reply capture: while a command executes on the dispatch plane ahead of
 	// its reply turn, s.reply diverts capClient's bytes here instead of the
-	// connection.
+	// connection. The buffer is reused: complete holds what it defers.
 	capClient *client
 	capBuf    []byte
 }
@@ -233,7 +233,7 @@ func (e *shardEngine) route(c *client, seq uint64, cmd *store.Command, argv [][]
 		e.routeCmds[c.route-1].Inc()
 	}
 	if e.holding {
-		e.holdq.Push(heldCmd{c: c, seq: seq, cmd: cmd, argv: argv})
+		e.holdq.Push(heldCmd{c: c, seq: seq, cmd: cmd, argv: resp.CloneCommand(argv)})
 		return
 	}
 	e.admitFrom(c, seq, cmd, argv, false)
@@ -273,6 +273,9 @@ func (e *shardEngine) admitFrom(c *client, seq uint64, cmd *store.Command, argv 
 			return
 		}
 		e.holding = true
+		if !onDispatch {
+			argv = resp.CloneCommand(argv) // drainHeld re-admits its own copy
+		}
 		e.holdq.Push(heldCmd{c: c, seq: seq, cmd: cmd, argv: argv})
 		if e.routing() && e.inflight == 0 {
 			// Nothing will merge to trigger the drain: hand off now.
@@ -355,9 +358,11 @@ func (e *shardEngine) runShard(c *client, seq uint64, cmd *store.Command, argv [
 	if e.procs[si] == s.proc {
 		// The shard shares the dispatch core, so there is nothing to hand
 		// off: the hop is the execution charge and two calls, in this
-		// event. The closures below are built only when a core is crossed.
+		// event, on the borrowed argv and the connection's reply scratch.
+		// The closures and copies below are made only when a core is
+		// crossed.
 		s.proc.Core.Charge(cost)
-		reply, dirty := e.execOnShard(si, cost, cmd, dbi, argv)
+		reply, dirty := e.execOnShard(c, si, cost, cmd, dbi, argv)
 		e.merge(c, seq, cmd, dbi, argv, reply, dirty, need, gate)
 		return
 	}
@@ -366,8 +371,10 @@ func (e *shardEngine) runShard(c *client, seq uint64, cmd *store.Command, argv [
 	// merge.
 	s.coreFor(c).Charge(p.ShardRouteCPU)
 	e.inflight++
+	argv = resp.CloneCommand(argv)
 	e.procs[si].Post(cost, func() {
-		reply, dirty := e.execOnShard(si, cost, cmd, dbi, argv)
+		reply, dirty := e.execOnShard(c, si, cost, cmd, dbi, argv)
+		reply = c.hold(reply)
 		s.proc.Post(p.ShardMergeCPU, func() {
 			e.merge(c, seq, cmd, dbi, argv, reply, dirty, need, gate)
 			e.mergeDone()
@@ -375,8 +382,9 @@ func (e *shardEngine) runShard(c *client, seq uint64, cmd *store.Command, argv [
 	})
 }
 
-// execOnShard is the execute stage, on the shard's core.
-func (e *shardEngine) execOnShard(si int, cost sim.Duration, cmd *store.Command, dbi int, argv [][]byte) (reply []byte, dirty bool) {
+// execOnShard is the execute stage, on the shard's core. The reply lands in
+// c's reply scratch.
+func (e *shardEngine) execOnShard(c *client, si int, cost sim.Duration, cmd *store.Command, dbi int, argv [][]byte) (reply []byte, dirty bool) {
 	s := e.s
 	if s.alive {
 		// Live migration: decide ASK/TRYAGAIN here, at execution time — an
@@ -385,7 +393,8 @@ func (e *shardEngine) execOnShard(si int, cost sim.Duration, cmd *store.Command,
 		if redirect := s.migrationCheck(cmd, dbi, argv); redirect != nil {
 			reply = redirect
 		} else {
-			reply, dirty = s.store.Dispatch(cmd, dbi, argv)
+			reply, dirty = s.store.DispatchAppend(c.scratch(), cmd, dbi, argv)
+			c.keep(reply)
 		}
 	}
 	e.shardExec[si].Observe(cost)
@@ -410,7 +419,8 @@ func (e *shardEngine) merge(c *client, seq uint64, cmd *store.Command, dbi int, 
 // replicas ack while the pipeline keeps flowing — barriers never wait on
 // acks — and its gate enters the stream with its bytes, so an offload layer
 // (Nic-KV) can release it off-host; commit then reports true and the parked
-// fire completes the command.
+// fire completes the command: the reply parks as a value record holding
+// the connection's copy of the bytes, and Server.releaseWrite emits it.
 func (e *shardEngine) commit(c *client, seq uint64, cmd *store.Command, dbi int, argv [][]byte, reply []byte, need int, gate replstream.Gate) bool {
 	s := e.s
 	off := s.propagate(dbi, argv, gate)
@@ -419,8 +429,17 @@ func (e *shardEngine) commit(c *client, seq uint64, cmd *store.Command, dbi int,
 	if need == 0 {
 		return false
 	}
-	s.acks.ParkWrite(c.id, off, need, func() { e.complete(c, seq, reply) })
+	s.acks.ParkReply(c.id, seq, off, need, c.hold(reply))
 	return true
+}
+
+// releaseWrite is the consistency tracker's bound Release: a parked write
+// reply whose replicas have acknowledged it takes its turn. A disconnected
+// owner's replies were dropped with it.
+func (s *Server) releaseWrite(owner, seq uint64, reply []byte) {
+	if c := s.clients[owner]; c != nil {
+		s.shard.complete(c, seq, reply)
+	}
 }
 
 // runHere executes a command on the current dispatch-plane event: an inline
@@ -437,10 +456,10 @@ func (e *shardEngine) runHere(c *client, seq uint64, cmd *store.Command, argv []
 		}
 		return
 	}
-	e.capClient, e.capBuf = c, nil
+	e.capClient, e.capBuf = c, e.capBuf[:0]
 	parked := s.execute(c, seq, cmd, argv)
 	buf := e.capBuf
-	e.capClient, e.capBuf = nil, nil
+	e.capClient = nil
 	if !parked {
 		e.complete(c, seq, buf)
 	}
@@ -457,7 +476,7 @@ func (e *shardEngine) runWait(c *client, seq uint64, cmd *store.Command, argv []
 		e.runHere(c, seq, cmd, argv)
 		return
 	}
-	c.await(seq, turn{cmd: cmd, argv: argv})
+	c.await(seq, turn{cmd: cmd, argv: resp.CloneCommand(argv)})
 }
 
 // runBarrier executes a cross-shard or ordering-sensitive command on the
@@ -472,10 +491,11 @@ func (e *shardEngine) runBarrier(c *client, seq uint64, cmd *store.Command, argv
 
 // complete records a command's reply (nil = none) against its sequence
 // number: in turn it goes out now, followed by whatever was waiting behind
-// it; otherwise it waits in c.pending for its turn.
+// it; otherwise a held copy waits in c.pending for its turn. reply is only
+// borrowed.
 func (e *shardEngine) complete(c *client, seq uint64, reply []byte) {
 	if seq != c.seqEmit {
-		c.await(seq, turn{reply: reply})
+		c.await(seq, turn{reply: c.hold(reply)})
 		return
 	}
 	c.seqEmit++
@@ -501,14 +521,16 @@ func (e *shardEngine) emit(c *client, data []byte) {
 
 // drain takes every consecutive waiting turn from c.seqEmit on, in client
 // request order: ready replies go out, sequence-ordered parked commands
-// (WAIT) execute. Every path that advances c.seqEmit ends here.
+// (WAIT) execute. Every path that advances c.seqEmit ends here — and once
+// every numbered command has replied, no held reply is left to point into
+// c.held, so it is reused from the start.
 func (e *shardEngine) drain(c *client) {
 	s := e.s
 	for len(c.pending) > 0 {
 		seq := c.seqEmit
 		t, ok := c.pending[seq]
 		if !ok {
-			return
+			break
 		}
 		delete(c.pending, seq)
 		c.seqEmit++
@@ -517,6 +539,9 @@ func (e *shardEngine) drain(c *client) {
 		} else if s.alive && !c.closed {
 			s.execute(c, seq, t.cmd, t.argv)
 		}
+	}
+	if c.seqEmit == c.seqNext {
+		c.held = c.held[:0]
 	}
 }
 

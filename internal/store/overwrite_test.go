@@ -431,12 +431,16 @@ func TestOverwriteKeepsDictSequence(t *testing.T) {
 
 // ---- allocation guards ----
 
-// TestStringPathAllocations pins what the string commands allocate: a SET
-// that overwrites a live raw value of the same size or a shorter one keeps
-// nothing new, so it allocates nothing — at a key that fits a stack buffer
-// and at one that does not, down to a value short enough to be checked for
-// the int encoding — and a GET allocates its reply.
+// TestStringPathAllocations pins what the string commands allocate when the
+// reply goes into a buffer the caller reuses, as a server connection's does:
+// a SET that overwrites a live raw value of the same size or a shorter one
+// keeps nothing new, so it allocates nothing — at a key that fits a stack
+// buffer and at one that does not, down to a value short enough to be checked
+// for the int encoding — and neither does a GET. Exec, the owned-reply
+// wrapper, pays one allocation for the reply.
 func TestStringPathAllocations(t *testing.T) {
+	out := make([]byte, 0, 128)
+	exec := func(s *Store, argv [][]byte) { out, _ = s.ExecAppend(out[:0], 0, argv) }
 	for _, key := range []string{"key:0000012345", strings.Repeat("k", 64)} {
 		s, _ := testStore()
 		value := bytes.Repeat([]byte("v"), 64)
@@ -444,18 +448,24 @@ func TestStringPathAllocations(t *testing.T) {
 		setShort := [][]byte{[]byte("SET"), []byte(key), value[:40]}
 		setTiny := [][]byte{[]byte("SET"), []byte(key), []byte("tiny")}
 		get := [][]byte{[]byte("GET"), []byte(key)}
-		s.Exec(0, set)
-		if n := testing.AllocsPerRun(200, func() { s.Exec(0, set) }); n != 0 {
+		exec(s, set)
+		if n := testing.AllocsPerRun(200, func() { exec(s, set) }); n != 0 {
 			t.Errorf("%d-byte key: SET over a same-size value allocated %.1f times, want 0", len(key), n)
 		}
-		if n := testing.AllocsPerRun(200, func() { s.Exec(0, setShort); s.Exec(0, set) }); n != 0 {
+		if n := testing.AllocsPerRun(200, func() { exec(s, setShort); exec(s, set) }); n != 0 {
 			t.Errorf("%d-byte key: SET of a shorter value and back allocated %.1f times, want 0", len(key), n)
 		}
-		if n := testing.AllocsPerRun(200, func() { s.Exec(0, setTiny); s.Exec(0, set) }); n != 0 {
+		if n := testing.AllocsPerRun(200, func() { exec(s, setTiny); exec(s, set) }); n != 0 {
 			t.Errorf("%d-byte key: SET of a 4-byte value and back allocated %.1f times, want 0", len(key), n)
 		}
-		if n := testing.AllocsPerRun(200, func() { s.Exec(0, get) }); n != 1 {
-			t.Errorf("%d-byte key: GET allocated %.1f times, want 1 (the reply)", len(key), n)
+		if n := testing.AllocsPerRun(200, func() { exec(s, get) }); n != 0 {
+			t.Errorf("%d-byte key: GET allocated %.1f times, want 0", len(key), n)
+		}
+		if exec(s, get); string(out) != "$64\r\n"+string(value)+"\r\n" {
+			t.Errorf("%d-byte key: GET replied %q", len(key), out)
+		}
+		if n := testing.AllocsPerRun(200, func() { s.Exec(0, set) }); n != 1 {
+			t.Errorf("%d-byte key: Exec SET allocated %.1f times, want 1 (the reply)", len(key), n)
 		}
 	}
 
@@ -470,7 +480,7 @@ func TestStringPathAllocations(t *testing.T) {
 		for i, d := len(fresh[1])-1, next; d > 0; i, d = i-1, d/10 {
 			fresh[1][i] = '0' + byte(d%10)
 		}
-		s.Exec(0, fresh)
+		exec(s, fresh)
 	}); n != 5 {
 		t.Errorf("SET of a new key allocated %.1f times, want 5", n)
 	}

@@ -20,7 +20,7 @@ func (s *Store) Select(cur int, argv [][]byte) (db int, reply []byte) {
 	if err != nil || n < 0 || n >= s.NumDBs() {
 		return cur, resp.AppendError(nil, "ERR DB index is out of range")
 	}
-	return n, ok()
+	return n, append([]byte(nil), ok()...)
 }
 
 func cmdPing(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
@@ -85,9 +85,24 @@ func register(name string, h func(*Store, int, [][]byte) ([]byte, bool), arity i
 // multi-key commands (lastKey -1 = keys through the end of argv, step is
 // the argv stride between keys).
 func registerKeys(name string, h func(*Store, int, [][]byte) ([]byte, bool), arity int, write bool, firstKey, lastKey, step int) {
+	registerAppend(name, appending(h), arity, write, firstKey, lastKey, step)
+}
+
+// registerAppend installs a descriptor whose handler writes its reply
+// straight into the caller's buffer: the commands on the request path.
+func registerAppend(name string, h handler, arity int, write bool, firstKey, lastKey, step int) {
 	commandTable[name] = &Command{
 		Name: name, Arity: arity, Write: write,
 		FirstKey: firstKey, LastKey: lastKey, KeyStep: step, handler: h,
+	}
+}
+
+// appending adapts a handler that returns its reply — one of the fixed
+// replies every caller shares, or one it built — to the append form.
+func appending(h func(*Store, int, [][]byte) ([]byte, bool)) handler {
+	return func(s *Store, dbi int, argv [][]byte, dst []byte) ([]byte, bool) {
+		reply, dirty := h(s, dbi, argv)
+		return append(dst, reply...), dirty
 	}
 }
 
@@ -103,8 +118,8 @@ func init() {
 	register("setnx", cmdSetNX, 3, true, 1)
 	register("setex", cmdSetEX, 4, true, 1)
 	register("psetex", cmdPSetEX, 4, true, 1)
-	register("get", cmdGet, 2, false, 1)
-	register("getset", cmdGetSet, 3, true, 1)
+	registerAppend("get", cmdGet, 2, false, 1, 1, 1)
+	registerAppend("getset", cmdGetSet, 3, true, 1, 1, 1)
 	registerKeys("mset", cmdMSet, -3, true, 1, -1, 2)
 	registerKeys("mget", cmdMGet, -2, false, 1, -1, 1)
 	register("append", cmdAppend, 3, true, 1)

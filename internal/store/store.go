@@ -445,8 +445,12 @@ type Command struct {
 	// (SELECT, PSYNC, WAIT, ...); the store rejects them as unknown.
 	Server bool
 
-	handler func(s *Store, dbi int, argv [][]byte) ([]byte, bool)
+	handler handler
 }
+
+// handler executes one command against database dbi, appends its RESP reply
+// to dst, and reports whether the dataset was modified.
+type handler func(s *Store, dbi int, argv [][]byte, dst []byte) (reply []byte, dirty bool)
 
 // EachKey invokes fn for every key argument of argv according to the
 // descriptor's FirstKey/LastKey/KeyStep pattern. The dispatch plane uses it
@@ -543,31 +547,47 @@ func foldLower(dst, src []byte) []byte {
 }
 
 // Exec runs one command against database dbi. It returns the RESP-encoded
-// reply and whether the dataset was modified (the replication trigger).
+// reply, the caller's own, and whether the dataset was modified (the
+// replication trigger).
 func (s *Store) Exec(dbi int, argv [][]byte) (reply []byte, dirty bool) {
+	return s.ExecAppend(nil, dbi, argv)
+}
+
+// ExecAppend is Exec appending the reply to dst, which a caller that drops
+// or sends the reply before its next command reuses.
+func (s *Store) ExecAppend(dst []byte, dbi int, argv [][]byte) (reply []byte, dirty bool) {
 	if len(argv) == 0 {
-		return resp.AppendError(nil, "ERR empty command"), false
+		return resp.AppendError(dst, "ERR empty command"), false
 	}
-	return s.Dispatch(LookupCommand(argv[0]), dbi, argv)
+	return s.DispatchAppend(dst, LookupCommand(argv[0]), dbi, argv)
 }
 
 // Dispatch runs a command already resolved by LookupCommand (nil means
-// unknown), saving the embedding server a second table probe.
+// unknown), saving the embedding server a second table probe. The reply is
+// the caller's own.
 func (s *Store) Dispatch(cmd *Command, dbi int, argv [][]byte) (reply []byte, dirty bool) {
+	return s.DispatchAppend(nil, cmd, dbi, argv)
+}
+
+// DispatchAppend is Dispatch appending the reply to dst: the one dispatch
+// implementation. A caller that owns a reply buffer — a server connection's
+// reply scratch — passes it in and executes a GET or a SET without
+// allocating; one that keeps the reply past its next dispatch copies it.
+func (s *Store) DispatchAppend(dst []byte, cmd *Command, dbi int, argv [][]byte) (reply []byte, dirty bool) {
 	if len(argv) == 0 {
-		return resp.AppendError(nil, "ERR empty command"), false
+		return resp.AppendError(dst, "ERR empty command"), false
 	}
 	if cmd == nil || cmd.Server {
 		name := strings.ToLower(string(argv[0]))
-		return resp.AppendError(nil, fmt.Sprintf("ERR unknown command '%s'", name)), false
+		return resp.AppendError(dst, fmt.Sprintf("ERR unknown command '%s'", name)), false
 	}
 	if (cmd.Arity > 0 && len(argv) != cmd.Arity) || (cmd.Arity < 0 && len(argv) < -cmd.Arity) {
-		return resp.AppendError(nil, fmt.Sprintf("ERR wrong number of arguments for '%s' command", cmd.Name)), false
+		return resp.AppendError(dst, fmt.Sprintf("ERR wrong number of arguments for '%s' command", cmd.Name)), false
 	}
 	if dbi < 0 || dbi >= len(s.dbs) {
-		return resp.AppendError(nil, "ERR invalid DB index"), false
+		return resp.AppendError(dst, "ERR invalid DB index"), false
 	}
-	return cmd.handler(s, dbi, argv)
+	return cmd.handler(s, dbi, argv, dst)
 }
 
 // IsWriteCommand reports whether the named command may modify the dataset.
@@ -590,10 +610,10 @@ func EachCommand(fn func(*Command)) {
 	}
 }
 
-// Common replies. Every caller gets the same bytes: a reply is read-only to
-// whoever receives it (each consumer — conn.Send, the capture buffer, a
-// bufio.Writer — copies it), and cap == len makes an append onto one
-// reallocate instead of writing into the shared array.
+// Common replies, shared by every handler that returns one. They never leave
+// the store: dispatch copies a handler's reply onto the caller's buffer, and
+// cap == len makes an append onto one reallocate instead of writing into the
+// shared array.
 var (
 	replyOK        = shared(resp.AppendSimple(nil, "OK"))
 	replyWrongType = shared(resp.AppendError(nil, "WRONGTYPE Operation against a key holding the wrong kind of value"))

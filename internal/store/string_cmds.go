@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -85,33 +86,34 @@ func cmdPSetEX(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
 	return setWithTTL(s, dbi, argv, 1)
 }
 
-// bulkReply encodes one bulk string in one exactly sized allocation.
-func bulkReply(payload []byte) []byte {
-	return resp.AppendBulk(make([]byte, 0, resp.BulkSize(len(payload))), payload)
+// appendBulkReply appends one bulk string to dst, growing it at most once.
+func appendBulkReply(dst, payload []byte) []byte {
+	return resp.AppendBulk(slices.Grow(dst, resp.BulkSize(len(payload))), payload)
 }
 
-func cmdGet(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
+func cmdGet(s *Store, dbi int, argv [][]byte, dst []byte) ([]byte, bool) {
 	o := s.lookupBytes(dbi, argv[1])
 	if o == nil {
-		return nullBulk(), false
+		return append(dst, nullBulk()...), false
 	}
 	if o.Type != obj.TString {
-		return wrongType(), false
+		return append(dst, wrongType()...), false
 	}
-	return bulkReply(o.StringBytes()), false
+	return appendBulkReply(dst, o.StringBytes()), false
 }
 
-func cmdGetSet(s *Store, dbi int, argv [][]byte) ([]byte, bool) {
+func cmdGetSet(s *Store, dbi int, argv [][]byte, dst []byte) ([]byte, bool) {
 	o := s.lookupBytes(dbi, argv[1])
 	if o != nil && o.Type != obj.TString {
-		return wrongType(), false
+		return append(dst, wrongType()...), false
 	}
-	reply := nullBulk()
-	if o != nil {
-		reply = bulkReply(o.StringBytes()) // a copy: the set below may rewrite these bytes
+	if o == nil {
+		dst = append(dst, nullBulk()...)
+	} else {
+		dst = appendBulkReply(dst, o.StringBytes()) // before the set below may rewrite these bytes
 	}
 	s.setString(dbi, argv[1], argv[2])
-	return reply, true
+	return dst, true
 }
 
 func cmdMSet(s *Store, dbi int, argv [][]byte) ([]byte, bool) {

@@ -136,9 +136,14 @@ type slotConn struct {
 // when a connection is recovered (the paired data request re-routes by
 // slot and earns a fresh ASK if the migration is still open). poisoned
 // GETs raced an invalidation push and must not populate the cache.
+//
+// A data request's cmd is a buffer of its own that travels with it through
+// redirects and recoveries, and key is a sub-slice of it; once its reply
+// completes it, the buffer carries the next generated request. A marker's cmd
+// is the client's shared ASKING or handshake encoding and is never reused.
 type slotReq struct {
 	cmd      []byte
-	key      string
+	key      []byte
 	target   int
 	sentAt   sim.Time
 	get      bool
@@ -239,7 +244,7 @@ func (c *client) begin() {
 	c.stalls = c.eng.Every(requestTimeout, c.checkStalls)
 	for g := range c.addrs {
 		for i := 0; i < c.pipeline; i++ {
-			c.sendNextFor(g)
+			c.sendNextFor(g, nil)
 		}
 	}
 }
@@ -302,20 +307,24 @@ func (c *client) checkStalls() {
 // own loops will produce equivalent draws). Ownership is read from the
 // authoritative table: generation is workload synthesis, not routing — the
 // possibly-stale client view only decides where the request is SENT.
-// Groups that own no slots get no window.
-func (c *client) sendNextFor(tg int) {
+// Groups that own no slots get no window. The command is encoded into buf,
+// the buffer of the request that just completed (nil: a fresh one).
+func (c *client) sendNextFor(tg int, buf []byte) {
 	if !c.running || (c.table != nil && c.table.Count(tg) == 0) {
 		return
 	}
+	if buf == nil {
+		buf = make([]byte, 0, c.gen.CmdCap())
+	}
 	for {
-		cmd, op, key := c.gen.NextKeyed()
+		cmd, op, key := c.gen.AppendNext(buf[:0])
 		c.proc.Core.Charge(c.params.ClientThinkCPU)
-		if c.table != nil && c.table.Owner(slots.Slot([]byte(key))) != tg {
+		if c.table != nil && c.table.Owner(slots.Slot(key)) != tg {
 			continue
 		}
 		if c.tracking {
 			if op == OpGet && c.cacheOn {
-				if _, ok := c.cache.Get(key); ok {
+				if _, ok := c.cache.Get(string(key)); ok {
 					c.localHit(tg)
 					return
 				}
@@ -324,8 +333,8 @@ func (c *client) sendNextFor(tg int) {
 			if op == OpSet {
 				// Read-your-writes: drop our own copy now — the push
 				// confirming this write would arrive only after the ack.
-				c.cache.Delete(key)
-				c.poison(key)
+				c.cache.Delete(string(key))
+				c.poison(string(key))
 			}
 		}
 		c.st.Sent++
@@ -354,7 +363,7 @@ func (c *client) localHit(tg int) {
 	c.proc.Post(c.params.ClientThinkCPU, func() {
 		c.st.Done++
 		c.record(sentAt)
-		c.sendNextFor(tg)
+		c.sendNextFor(tg, nil)
 	})
 }
 
@@ -377,12 +386,12 @@ func (c *client) poison(key string) {
 			continue
 		}
 		for i := 0; i < sc.inflight.Len(); i++ {
-			if r := sc.inflight.At(i); r.get && r.key == key {
+			if r := sc.inflight.At(i); r.get && string(r.key) == key {
 				r.poisoned = true
 			}
 		}
 		for i := range sc.queue {
-			if sc.queue[i].get && sc.queue[i].key == key {
+			if sc.queue[i].get && string(sc.queue[i].key) == key {
 				sc.queue[i].poisoned = true
 			}
 		}
@@ -398,9 +407,9 @@ func (c *client) applyInvalidation(key string) {
 // dropKey drops one cache entry on a redirect: the key's interest now
 // lives (or will be re-recorded) on another node, so the cached copy can
 // no longer be trusted to see its invalidation.
-func (c *client) dropKey(key string) {
+func (c *client) dropKey(key []byte) {
 	if c.tracking {
-		c.cache.Delete(key)
+		c.cache.Delete(string(key))
 	}
 }
 
@@ -408,7 +417,7 @@ func (c *client) dropKey(key string) {
 func (c *client) dispatch(r slotReq) {
 	g := 0
 	if c.owner != nil {
-		g = int(c.owner[slots.Slot([]byte(r.key))])
+		g = int(c.owner[slots.Slot(r.key)])
 	}
 	c.sendTo(g, r)
 }
@@ -567,7 +576,8 @@ func (c *client) onReply(sc *slotConn, conn transport.Conn, data []byte) {
 	sc.lastActivity = c.eng.Now()
 	sc.reader.Feed(data)
 	for {
-		v, ok, err := sc.reader.ReadValue()
+		// Borrowed: v is done with before the next read.
+		v, ok, err := sc.reader.BorrowValue()
 		if err != nil {
 			panic(fmt.Sprintf("workload: client %s got protocol garbage: %v", c.name, err))
 		}
@@ -602,9 +612,9 @@ func (c *client) onReply(sc *slotConn, conn transport.Conn, data []byte) {
 		c.st.GroupDone[sc.group]++
 		c.record(req.sentAt)
 		if req.get && c.cacheOn && !req.poisoned && v.Type == resp.TypeBulk && !v.Null {
-			c.cache.Put(req.key, v.Str)
+			c.cache.Put(string(req.key), append([]byte(nil), v.Str...))
 		}
-		c.sendNextFor(req.target)
+		c.sendNextFor(req.target, req.cmd)
 	}
 }
 

@@ -60,17 +60,18 @@ func NewGenerator(seed int64, keySpace, valueSize int, setRatio float64, zipfian
 	return g
 }
 
-func (g *Generator) key() string {
+// keyNum draws the next key's number.
+func (g *Generator) keyNum() uint64 {
 	if g.Zipf {
-		return formatKey(g.zipf.Uint64())
+		return g.zipf.Uint64()
 	}
-	return formatKey(uint64(g.rnd.Intn(g.KeySpace)))
+	return uint64(g.rnd.Intn(g.KeySpace))
 }
 
-// formatKey is fmt.Sprintf("key:%010d", k) with the digits laid out on the
-// stack: the returned string is its one allocation (Sprintf paid a second,
-// for the boxed integer, on every operation of every client).
-func formatKey(k uint64) string {
+// appendKeyBulk appends key k — fmt.Sprintf("key:%010d", k), its digits laid
+// out on the stack — as a RESP bulk string, and returns where the key starts
+// in dst.
+func appendKeyBulk(dst []byte, k uint64) ([]byte, int) {
 	var buf [4 + 20]byte
 	i := len(buf)
 	for digits := 0; digits < 10 || k > 0; digits++ {
@@ -79,7 +80,44 @@ func formatKey(k uint64) string {
 		k /= 10
 	}
 	i -= copy(buf[i-4:], "key:")
-	return string(buf[i:])
+	dst = resp.AppendBulk(dst, buf[i:])
+	return dst, len(dst) - 2 - (len(buf) - i)
+}
+
+var (
+	setHeader = resp.AppendBulkString(resp.AppendArrayHeader(nil, 3), "SET")
+	getHeader = resp.AppendBulkString(resp.AppendArrayHeader(nil, 2), "GET")
+)
+
+// AppendNext appends the next command's wire encoding to dst and returns it
+// with its kind and the key it targets — a sub-slice of the command, for
+// routing layers (the slot-aware client) that must know where it goes. It
+// allocates nothing when dst has room for the command (CmdCap bytes always
+// do), so a caller that hands back the buffer of a completed request
+// generates for free.
+func (g *Generator) AppendNext(dst []byte) (cmd []byte, op Op, key []byte) {
+	op = OpGet
+	if g.rnd.Float64() < g.SetRatio {
+		op = OpSet
+	}
+	k := g.keyNum()
+	start := len(dst)
+	if op == OpSet {
+		dst = append(dst, setHeader...)
+	} else {
+		dst = append(dst, getHeader...)
+	}
+	dst, at := appendKeyBulk(dst, k)
+	end := len(dst) - 2
+	if op == OpSet {
+		dst = resp.AppendBulk(dst, g.value)
+	}
+	return dst[start:], op, dst[at:end:end]
+}
+
+// CmdCap is the most bytes one command of this generator encodes to.
+func (g *Generator) CmdCap() int {
+	return len(setHeader) + resp.BulkSize(4+20) + resp.BulkSize(len(g.value))
 }
 
 // Next produces the next encoded command and its kind.
@@ -88,14 +126,10 @@ func (g *Generator) Next() ([]byte, Op) {
 	return cmd, op
 }
 
-// NextKeyed is Next plus the key the command targets, for routing layers
-// (the slot-aware client) that must know where a command goes. It draws from
-// the same RNG stream as Next — interleaving the two is safe.
+// NextKeyed is AppendNext into a command and a key string of the caller's
+// own. It draws from the same RNG stream as Next — interleaving the two is
+// safe.
 func (g *Generator) NextKeyed() ([]byte, Op, string) {
-	if g.rnd.Float64() < g.SetRatio {
-		k := g.key()
-		return resp.EncodeCommandBytes([]byte("SET"), []byte(k), g.value), OpSet, k
-	}
-	k := g.key()
-	return resp.EncodeCommandBytes([]byte("GET"), []byte(k)), OpGet, k
+	cmd, op, key := g.AppendNext(make([]byte, 0, g.CmdCap()))
+	return cmd, op, string(key)
 }

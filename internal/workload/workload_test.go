@@ -122,12 +122,17 @@ func TestGeneratorDeterminism(t *testing.T) {
 
 // TestGeneratorKeysAndCost: keys are "key:%010d" exactly — wider numbers keep
 // all their digits — drawn as before (one Float64 for the op, one Intn for
-// the key), and an operation costs the key string and the encoded command,
-// nothing else.
+// the key), and the key AppendNext reports is the one its command carries.
+// What an operation costs is TestGeneratorAllocations'.
 func TestGeneratorKeysAndCost(t *testing.T) {
 	for _, k := range []uint64{0, 7, 42, 9_999_999_999, 10_000_000_000, 1<<64 - 1} {
-		if got, want := formatKey(k), fmt.Sprintf("key:%010d", k); got != want {
-			t.Errorf("formatKey(%d) = %q, want %q", k, got, want)
+		b, at := appendKeyBulk(nil, k)
+		key := fmt.Sprintf("key:%010d", k)
+		if got, want := string(b), fmt.Sprintf("$%d\r\n%s\r\n", len(key), key); got != want {
+			t.Errorf("appendKeyBulk(%d) = %q, want %q", k, got, want)
+		}
+		if got, want := string(b[at:len(b)-2]), key; got != want {
+			t.Errorf("appendKeyBulk(%d) put the key at %q, want %q", k, got, want)
 		}
 	}
 	g := NewGenerator(11, 10_000, 64, 0.5, false)
@@ -142,6 +147,30 @@ func TestGeneratorKeysAndCost(t *testing.T) {
 		if op != wantOp || key != wantKey || !bytes.Contains(cmd, []byte("$14\r\n"+wantKey+"\r\n")) {
 			t.Fatalf("op %d: %v %q %q, want %v %q", i, op, key, cmd, wantOp, wantKey)
 		}
+	}
+	a, b := NewGenerator(5, 10_000, 64, 0.5, true), NewGenerator(5, 10_000, 64, 0.5, true)
+	var buf []byte
+	for i := 0; i < 1000; i++ {
+		cmd, op, key := a.NextKeyed()
+		got, gotOp, gotKey := b.AppendNext(buf[:0])
+		if !bytes.Equal(got, cmd) || gotOp != op || string(gotKey) != key {
+			t.Fatalf("op %d: AppendNext gave %v %q %q, NextKeyed %v %q %q", i, gotOp, gotKey, got, op, key, cmd)
+		}
+		if at := bytes.Index(got, gotKey); &got[at] != &gotKey[0] {
+			t.Fatalf("op %d: the key is not a sub-slice of the command", i)
+		}
+		buf = got
+	}
+}
+
+// TestGeneratorAllocations: appending into a buffer handed back from the
+// last command allocates nothing; NextKeyed, its owned-result wrapper, costs
+// the command and the key string.
+func TestGeneratorAllocations(t *testing.T) {
+	g := NewGenerator(11, 10_000, 64, 0.5, false)
+	buf := make([]byte, 0, g.CmdCap())
+	if n := testing.AllocsPerRun(1000, func() { buf, _, _ = g.AppendNext(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendNext allocated %.1f times per operation, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { g.NextKeyed() }); n > 2 {
 		t.Fatalf("NextKeyed allocated %.1f times per operation, want <= 2", n)
@@ -199,13 +228,16 @@ func newWorld(t *testing.T, seed int64, groups int, ranges []slots.Range) *world
 		proc := sim.NewProc(w.eng, sim.NewCore(w.eng, addr, 1.0), w.p.TCPWakeup)
 		tcpsim.New(w.net, ep, proc).Listen(6379, func(conn transport.Conn) {
 			var r resp.Reader
+			var argv [][]byte
 			conn.SetHandler(func(data []byte) {
 				if w.down {
 					return
 				}
 				r.Feed(data)
 				for {
-					argv, ok, err := r.ReadCommand()
+					var ok bool
+					var err error
+					argv, ok, err = r.BorrowCommand(argv)
 					if err != nil || !ok {
 						return
 					}
@@ -216,13 +248,15 @@ func newWorld(t *testing.T, seed int64, groups int, ranges []slots.Range) *world
 							continue
 						}
 					}
-					conn.Send(resp.AppendSimple(nil, "OK"))
+					conn.Send(okReply)
 				}
 			})
 		})
 	}
 	return w
 }
+
+var okReply = resp.AppendSimple(nil, "OK")
 
 // client builds a pure-SET client on its own machine.
 func (w *world) client(genSeed int64, pipeline int) KV {
@@ -233,6 +267,25 @@ func (w *world) client(genSeed int64, pipeline int) KV {
 		MakeStack: func(ep *fabric.Endpoint, proc *sim.Proc) transport.Stack { return tcpsim.New(w.net, ep, proc) },
 		Wakeup:    w.p.ClientWakeup, Port: 6379, Resolve: w.net.EndpointByName, Table: w.table,
 	}, Options{Addr: w.seed, Pipeline: pipeline})
+}
+
+// TestClientCycleAllocations: once its windows are full, the closed-loop
+// client sends and completes requests without allocating — each request is
+// generated into the buffer of the one that just completed, and each reply
+// is borrowed from the connection's reader — and so does the scripted world
+// it runs against.
+func TestClientCycleAllocations(t *testing.T) {
+	w := newWorld(t, 9, 1, nil)
+	cl := w.client(11, 4)
+	cl.Start()
+	w.eng.Run(sim.Time(10 * sim.Millisecond))
+	done := cl.Stats().Done
+	if n := testing.AllocsPerRun(100, func() { w.eng.Run(w.eng.Now().Add(sim.Millisecond)) }); n != 0 {
+		t.Fatalf("1ms of closed-loop requests allocated %.1f times, want 0", n)
+	}
+	if ops := cl.Stats().Done - done; ops < 1000 {
+		t.Fatalf("only %d requests completed over the measured 101ms", ops)
+	}
 }
 
 // TestClientClosedLoop runs a client against the scripted servers and checks
